@@ -165,8 +165,11 @@ def _read_poly(text: str) -> Polynomial:
 
 def cmd_pair(args) -> int:
     spec = _spec_from(args)
-    f = _read_poly(args.f)
-    g = _read_poly(args.g)
+    try:
+        f = _read_poly(args.f)
+        g = _read_poly(args.g)
+    except (HeckePolyError, OSError, ValueError, KeyError, TypeError) as err:
+        raise SystemExit(f"error: cannot read polynomial: {err}")
     try:
         if args.apply_f:
             f = ops_module.operator_from_string(args.apply_f, spec)(f)
@@ -174,12 +177,15 @@ def cmd_pair(args) -> int:
             g = ops_module.operator_from_string(args.apply_g, spec)(g)
     except (HeckePolyError, ValueError, KeyError) as err:
         raise SystemExit(f"usage error: {err}")
-    if spec.family == "jack":
-        value = ScaledRational(ct_pairing(f, g, spec))
-    elif spec.family == "hermite":
-        value = gauss_pairing(f, g, spec)
-    else:
-        value = laguerre_pairing(f, g, spec)
+    try:
+        if spec.family == "jack":
+            value = ScaledRational(ct_pairing(f, g, spec))
+        elif spec.family == "hermite":
+            value = gauss_pairing(f, g, spec)
+        else:
+            value = laguerre_pairing(f, g, spec)
+    except (HeckePolyError, ValueError) as err:
+        raise SystemExit(f"error: {err}")
     if args.format == "json":
         _emit(args, json.dumps(value.to_json_dict(), sort_keys=True, indent=2))
     else:

@@ -488,7 +488,12 @@ def _gram_solve(lam, n: int, pairing) -> Polynomial:
     if not companions:
         return m_lam
     basis = [monomial_symmetric(n, mu) for mu in companions]
-    rows = [[pairing(b, m_nu) for b in basis] for m_nu in basis]
+    # the pairings are symmetric: fill the upper triangle and mirror it
+    size = len(basis)
+    rows = [[None] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i, size):
+            rows[i][j] = rows[j][i] = pairing(basis[j], basis[i])
     rhs = [-pairing(m_lam, m_nu) for m_nu in basis]
     solution = _solve_linear(rows, rhs)
     poly = m_lam

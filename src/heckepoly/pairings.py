@@ -8,9 +8,17 @@ non-negative integer:
       <f, g> = (-1)^(beta N(N-1)/2) [ f(x) g(1/x) prod (x_i-x_j)^(2 beta)
                                       prod x_j^(-beta(N-1)) ]_0
 * Gaussian pairing: monomial moments  int x^(2k) e^(-x^2) dx
-      = (2k)!/(4^k k!) * pi^(1/2)
+      = (2k)!/(4^k k!) * pi^(1/2) = (2k-1)!!/2^k * pi^(1/2)
 * Laguerre pairing (u = z^2): moments  int |z|^(2 gamma) z^(2k) e^(-z^2) dz
       = (gamma+1/2)(gamma+3/2)...(gamma+k-1/2) * Gamma(gamma+1/2)
+      = p (p+q) ... (p+(k-1)q) / q^k * Gamma(gamma+1/2),  gamma+1/2 = p/q
+
+The weight W = prod (x_i-x_j)^(2 beta) has integer coefficients and total
+degree D = beta N(N-1), so the weighted moment of x^e is an integer
+numerator over 2^((|e|+D)/2) (Gauss) or q^(|e|+D) (Laguerre).  Numerators
+are cached per exponent; a pairing scales f and g to integer coefficients,
+sums integer products per total degree and divides once per degree, so the
+values stay exact Fractions.
 
 Transcendental prefactors are tracked symbolically in ScaledRational, so
 norm equalities stay decidable.
@@ -21,7 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from operator import add
 
 from . import operators as ops
 from .combinatorics import (
@@ -32,7 +41,7 @@ from .combinatorics import (
 )
 from .errors import DivergentWeightError, HeckePolyError
 from .parameters import FamilySpec, HERMITE, JACK, LAGUERRE
-from .polynomials import Polynomial, vandermonde
+from .polynomials import Exponent, Polynomial, vandermonde
 
 
 @dataclass(frozen=True)
@@ -161,28 +170,107 @@ def ct_pairing(f: Polynomial, g: Polynomial, spec: FamilySpec) -> Fraction:
     return sign * total
 
 
-def _gauss_moment(k: int) -> Fraction:
-    """int x^k e^(-x^2) dx / pi^(1/2) for even k; odd moments vanish."""
-    if k % 2:
-        return Fraction(0)
-    half = k // 2
-    return Fraction(math.factorial(k), 4**half * math.factorial(half))
+# the integer moment kernel of the Gauss and Laguerre pairings: numerators
+# over a denominator fixed by the total degree (see the module docstring)
 
 
 @lru_cache(maxsize=None)
-def _gauss_weighted_moment(n: int, beta: int, exps) -> Fraction:
-    """Moment of x^exps against the squared Vandermonde-power weight,
-    in units of pi^(N/2)."""
-    total = Fraction(0)
-    for w_exps, w_coeff in _vandermonde_power(n, beta).terms.items():
-        term = w_coeff
-        for c, w in zip(exps, w_exps):
-            if (c + w) % 2:
-                term = Fraction(0)
-                break
-            term *= _gauss_moment(c + w)
-        total += term
+def _weight_terms(n: int, beta: int) -> tuple[tuple[Exponent, int], ...]:
+    """Integer terms of the squared Vandermonde power."""
+    return tuple(
+        (exps, coeff.numerator)
+        for exps, coeff in _vandermonde_power(n, beta).terms.items()
+    )
+
+
+@lru_cache(maxsize=None)
+def _weight_by_parity(n: int, beta: int) -> dict[Exponent, tuple]:
+    """Weight terms grouped by the parity vector of their exponent."""
+    groups: dict[Exponent, list] = {}
+    for exps, coeff in _weight_terms(n, beta):
+        groups.setdefault(tuple(e % 2 for e in exps), []).append((exps, coeff))
+    return {parity: tuple(terms) for parity, terms in groups.items()}
+
+
+@lru_cache(maxsize=None)
+def _gauss_table(k: int) -> tuple[int, ...]:
+    """(j-1)!! for even j and 0 for odd j, j = 0..k: the one-variable
+    moment int x^j e^(-x^2) dx / pi^(1/2) times 2^(j/2)."""
+    table = [1]
+    for j in range(1, k + 1):
+        table.append(0 if j % 2 else table[j - 2] * (j - 1))
+    return tuple(table)
+
+
+@lru_cache(maxsize=None)
+def _rising_table(p: int, q: int, k: int) -> tuple[int, ...]:
+    """Numerators p (p+q) ... (p+(j-1)q) of the rising factorials
+    (p/q)_j, j = 0..k; the denominator of (p/q)_j is q^j."""
+    table = [1]
+    for j in range(k):
+        table.append(table[j] * (p + j * q))
+    return tuple(table)
+
+
+def _weighted_moment(weight, table, exps) -> int:
+    total = 0
+    for w_exps, coeff in weight:
+        for e, w in zip(exps, w_exps):
+            coeff *= table[e + w]
+        total += coeff
     return total
+
+
+@lru_cache(maxsize=None)
+def _gauss_moment_num(n: int, beta: int, exps: Exponent) -> int:
+    """Moment of x^exps against W, in units of pi^(N/2), times
+    2^((|exps| + D)/2).  Only weight terms of the parity of exps count."""
+    key = tuple(sorted(exps))
+    if key != exps:  # W is symmetric: compute once per sorted exponent
+        return _gauss_moment_num(n, beta, key)
+    weight = _weight_by_parity(n, beta).get(tuple(e % 2 for e in exps), ())
+    table = _gauss_table(max(exps) + 2 * beta * (n - 1))
+    return _weighted_moment(weight, table, exps)
+
+
+@lru_cache(maxsize=None)
+def _laguerre_moment_num(n: int, beta: int, p: int, q: int, exps: Exponent) -> int:
+    """Moment of u^exps against W, in units of Gamma(gamma+1/2)^N, times
+    q^(|exps| + D) where gamma + 1/2 = p/q."""
+    key = tuple(sorted(exps))
+    if key != exps:
+        return _laguerre_moment_num(n, beta, p, q, key)
+    table = _rising_table(p, q, max(exps) + 2 * beta * (n - 1))
+    return _weighted_moment(_weight_terms(n, beta), table, exps)
+
+
+def _integer_terms(f: Polynomial) -> tuple[int, list]:
+    """(L, [(exps, |exps|, L * coeff)]) with L the lcm of the denominators."""
+    scale = math.lcm(*(c.denominator for c in f.terms.values()))
+    return scale, [
+        (exps, sum(exps), c.numerator * (scale // c.denominator))
+        for exps, c in f.terms.items()
+    ]
+
+
+def _moment_pairing(f: Polynomial, g: Polynomial, moment, denominator) -> Fraction:
+    """sum_{a,b} f_a g_b moment(a+b) / denominator(|a|+|b|): integer
+    products summed per total degree, one Fraction per degree."""
+    if f.is_laurent() or g.is_laurent():
+        raise ValueError("moment pairing inputs must be ordinary polynomials")
+    f_scale, f_terms = _integer_terms(f)
+    g_scale, g_terms = _integer_terms(g)
+    buckets: dict[int, int] = {}
+    for a, a_deg, ca in f_terms:
+        for b, b_deg, cb in g_terms:
+            num = moment(tuple(map(add, a, b)))
+            if num:
+                d = a_deg + b_deg
+                buckets[d] = buckets.get(d, 0) + ca * cb * num
+    total = sum(
+        (Fraction(num, denominator(d)) for d, num in buckets.items()), Fraction(0)
+    )
+    return total / (f_scale * g_scale)
 
 
 def gauss_pairing(f: Polynomial, g: Polynomial, spec: FamilySpec) -> ScaledRational:
@@ -191,33 +279,22 @@ def gauss_pairing(f: Polynomial, g: Polynomial, spec: FamilySpec) -> ScaledRatio
         raise ValueError("gauss_pairing needs a Hermite spec")
     _check_sizes(f, g, spec)
     n, beta = spec.n, spec.beta
-    total = Fraction(0)
-    for a, ca in f.terms.items():
-        for b, cb in g.terms.items():
-            total += ca * cb * _gauss_weighted_moment(
-                n, beta, tuple(ai + bi for ai, bi in zip(a, b))
-            )
+    weight_degree = beta * n * (n - 1)
+    total = _moment_pairing(
+        f,
+        g,
+        partial(_gauss_moment_num, n, beta),
+        lambda d: 2 ** ((d + weight_degree) // 2),
+    )
     return ScaledRational(total, pi_half=n)
 
 
-def _pochhammer(base: Fraction, k: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(k):
-        out *= base + i
-    return out
-
-
-@lru_cache(maxsize=None)
-def _laguerre_weighted_moment(n: int, beta: int, base: Fraction, exps) -> Fraction:
-    """Moment of u^exps against the u-Vandermonde-power weight, in units
-    of Gamma(gamma+1/2)^N; base = gamma + 1/2."""
-    total = Fraction(0)
-    for w_exps, w_coeff in _vandermonde_power(n, beta).terms.items():
-        term = w_coeff
-        for c, w in zip(exps, w_exps):
-            term *= _pochhammer(base, c + w)
-        total += term
-    return total
+def _laguerre_base(spec: FamilySpec) -> Fraction:
+    """gamma + 1/2, the base of the Laguerre moments; the weight diverges
+    unless it is positive."""
+    if spec.gamma <= Fraction(-1, 2):
+        raise DivergentWeightError("divergent weight: gamma must exceed -1/2")
+    return spec.gamma + Fraction(1, 2)
 
 
 def laguerre_pairing(f: Polynomial, g: Polynomial, spec: FamilySpec) -> ScaledRational:
@@ -225,17 +302,17 @@ def laguerre_pairing(f: Polynomial, g: Polynomial, spec: FamilySpec) -> ScaledRa
     Gaussian weight; values are rational multiples of Gamma(gamma+1/2)^N."""
     if spec.family != LAGUERRE:
         raise ValueError("laguerre_pairing needs a Laguerre spec")
-    if spec.gamma <= Fraction(-1, 2):
-        raise DivergentWeightError("divergent weight: gamma must exceed -1/2")
+    base = _laguerre_base(spec)
     _check_sizes(f, g, spec)
     n, beta = spec.n, spec.beta
-    base = spec.gamma + Fraction(1, 2)
-    total = Fraction(0)
-    for a, ca in f.terms.items():
-        for b, cb in g.terms.items():
-            total += ca * cb * _laguerre_weighted_moment(
-                n, beta, base, tuple(ai + bi for ai, bi in zip(a, b))
-            )
+    p, q = base.numerator, base.denominator
+    weight_degree = beta * n * (n - 1)
+    total = _moment_pairing(
+        f,
+        g,
+        partial(_laguerre_moment_num, n, beta, p, q),
+        lambda d: q ** (d + weight_degree),
+    )
     return ScaledRational(total, gamma_base=n)
 
 
@@ -282,7 +359,8 @@ def norm_formula(lam, spec: FamilySpec, form: str = "product_form") -> ScaledRat
     The displayed product/hook expressions hold for beta >= 1; at beta = 0
     the weight degenerates and the hook form is singular, so both forms
     return the exact direct-product value (N!/#stab(lam) times the
-    one-variable norms).
+    one-variable norms).  A Laguerre spec with gamma <= -1/2 raises
+    DivergentWeightError, as its pairing does.
     """
     if form not in ("product_form", "hook_form"):
         raise ValueError(f"unknown norm form {form!r}")
@@ -306,11 +384,18 @@ def norm_formula(lam, spec: FamilySpec, form: str = "product_form") -> ScaledRat
     if spec.family == HERMITE:
         scale = Fraction(1, 2 ** (sum(lam) + beta * n * (n - 1) // 2))
         return ScaledRational(body * scale, pi_half=n)
-    gamma_poch = Fraction(1)
-    base = spec.gamma + Fraction(1, 2)
-    for j in range(1, n + 1):
-        gamma_poch *= _pochhammer(base, lam[j - 1] + beta * (n - j))
-    return ScaledRational(body * gamma_poch, gamma_base=n)
+    degrees = [lam[j - 1] + beta * (n - j) for j in range(1, n + 1)]
+    return ScaledRational(body * _pochhammer_product(spec, degrees), gamma_base=n)
+
+
+def _pochhammer_product(spec: FamilySpec, degrees) -> Fraction:
+    """prod_j (gamma+1/2)_{k_j} over the given degrees k_j."""
+    base = _laguerre_base(spec)
+    p, q = base.numerator, base.denominator
+    numerator = 1
+    for k in degrees:
+        numerator *= _rising_table(p, q, k)[k]
+    return Fraction(numerator, q ** sum(degrees))
 
 
 def _norm_ratio_product(lam, n: int, beta: int) -> Fraction:
@@ -366,10 +451,9 @@ def _norm_beta_zero(lam, spec: FamilySpec) -> ScaledRational:
         for p in lam:
             body *= math.factorial(p)
         return ScaledRational(body, pi_half=n)
-    base = spec.gamma + Fraction(1, 2)
-    body = count
+    body = count * _pochhammer_product(spec, lam)
     for p in lam:
-        body *= math.factorial(p) * _pochhammer(base, p)
+        body *= math.factorial(p)
     return ScaledRational(body, gamma_base=n)
 
 

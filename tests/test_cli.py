@@ -90,6 +90,28 @@ def test_pair_with_named_operators(capsys):
         run_cli(base + ["--apply-f", "bogus:j=1"], capsys)
 
 
+_ONE_IN_2 = json.dumps(Polynomial.one(2).to_json_dict())
+_ONE_IN_3 = json.dumps(Polynomial.one(3).to_json_dict())
+
+
+@pytest.mark.parametrize(
+    "family, f, g, message",
+    [
+        (["laguerre", "--gamma=-1"], _ONE_IN_2, _ONE_IN_2, "divergent weight"),
+        (["hermite"], _ONE_IN_2, _ONE_IN_3, "ambient size mismatch"),
+        (["hermite"], '{"vars": 2,', _ONE_IN_2, "cannot read polynomial"),
+    ],
+    ids=["divergent-weight", "size-mismatch", "malformed-json"],
+)
+def test_pair_input_errors(family, f, g, message):
+    with pytest.raises(SystemExit) as info:
+        main(["pair", "--family", *family, "--n", "2", "--beta", "1",
+              "--f", f, "--g", g])
+    text = str(info.value.code)
+    assert text.startswith("error: ") and message in text
+    assert "\n" not in text
+
+
 def test_raise_command(capsys):
     _, out = run_cli(
         ["raise", "--family", "jack", "--lambda", "1,0", "--n", "2", "--beta", "1",

@@ -63,40 +63,55 @@ def test_ct_pairing_against_bruteforce():
             assert ct_pairing(f, g, spec) == ct_pairing_bruteforce(f, g, spec)
 
 
+# (N, beta) grid of the moment-pairing oracles: the larger weights
+# V^2 at N = 4 and V^6 at N = 3 reach high per-variable moments.
+MOMENT_SPECS = [(2, 1), (2, 2), (3, 1), (4, 1), (3, 3)]
+
+
+def rational_pairs(n, rng, count):
+    """Inhomogeneous pairs with rational coefficients whose denominators
+    differ between terms, followed by pairs with the zero polynomial."""
+    for _ in range(count):
+        f = random_polynomial(n, 3, rng) * Fraction(1, rng.randint(1, 6)) + (
+            random_polynomial(n, 2, rng, terms=2) * Fraction(1, rng.randint(2, 9))
+        )
+        g = random_polynomial(n, 3, rng) * Fraction(rng.randint(1, 4), rng.randint(1, 7))
+        yield f, g
+    yield Polynomial.zero(n), random_polynomial(n, 3, rng)
+    yield random_polynomial(n, 3, rng), Polynomial.zero(n)
+
+
 def test_gauss_pairing_against_bruteforce():
     rng = random.Random(103)
-    for n, beta in [(2, 1), (2, 2), (3, 1)]:
+    for n, beta in MOMENT_SPECS:
         spec = hermite_spec(n, beta)
-        for _ in range(6):
-            f = random_polynomial(n, 3, rng)
-            g = random_polynomial(n, 3, rng)
+        for f, g in rational_pairs(n, rng, 4):
             assert gauss_pairing(f, g, spec).q == gauss_pairing_bruteforce(f, g, spec)
 
 
 def test_laguerre_pairing_against_bruteforce():
     rng = random.Random(107)
-    gamma = Fraction(1, 3)
-    base = gamma + Fraction(1, 2)
+    # bases gamma + 1/2 = 1/2, 5/6, 19/10: denominators 2, 6 and 10
+    for gamma in (Fraction(0), Fraction(1, 3), Fraction(7, 5)):
+        base = gamma + Fraction(1, 2)
 
-    def poch(k):
-        out = Fraction(1)
-        for i in range(k):
-            out *= base + i
-        return out
+        def poch(k):
+            out = Fraction(1)
+            for i in range(k):
+                out *= base + i
+            return out
 
-    for n, beta in [(2, 1), (2, 2)]:
-        spec = laguerre_spec(n, beta, gamma)
-        for _ in range(6):
-            f = random_polynomial(n, 3, rng)
-            g = random_polynomial(n, 3, rng)
-            product = f * g * vandermonde(n) ** (2 * beta)
-            expected = Fraction(0)
-            for exps, coeff in product.terms.items():
-                term = coeff
-                for e in exps:
-                    term *= poch(e)
-                expected += term
-            assert laguerre_pairing(f, g, spec).q == expected
+        for n, beta in MOMENT_SPECS:
+            spec = laguerre_spec(n, beta, gamma)
+            for f, g in rational_pairs(n, rng, 2):
+                product = f * g * vandermonde(n) ** (2 * beta)
+                expected = Fraction(0)
+                for exps, coeff in product.terms.items():
+                    term = coeff
+                    for e in exps:
+                        term *= poch(e)
+                    expected += term
+                assert laguerre_pairing(f, g, spec).q == expected
 
 
 def schur_bialternant(lam, n):

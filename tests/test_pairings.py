@@ -105,6 +105,8 @@ def test_gauss_pairing_values():
     spec = hermite_spec(2, 1)
     one = Polynomial.one(2)
     assert gauss_pairing(one, one, spec) == ScaledRational(1, pi_half=2)
+    with pytest.raises(ValueError, match="ordinary polynomials"):
+        gauss_pairing(Polynomial.monomial((-2,)), x, spec1)
 
 
 def test_gauss_adjointness():
@@ -129,8 +131,16 @@ def test_laguerre_pairing_values():
     assert laguerre_pairing(u, one, spec) == ScaledRational(Fraction(3, 4), gamma_base=1)
     l1 = laguerre((1,), spec).poly
     assert laguerre_pairing(l1, one, spec).is_zero()
+    with pytest.raises(ValueError, match="ordinary polynomials"):
+        laguerre_pairing(Polynomial.monomial((-1,)), u, spec)
     with pytest.raises(DivergentWeightError, match="divergent weight"):
         laguerre_pairing(one, one, laguerre_spec(1, 0, Fraction(-1, 2)))
+    # the closed-form norms refuse the divergent weight too, on both paths
+    for beta in (0, 1):
+        for gamma in (-1, Fraction(-1, 2)):
+            for form in ("product_form", "hook_form"):
+                with pytest.raises(DivergentWeightError, match="divergent weight"):
+                    norm_formula((1, 0), laguerre_spec(2, beta, gamma), form)
 
 
 def test_laguerre_htilde_selfadjoint():
