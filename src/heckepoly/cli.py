@@ -67,6 +67,22 @@ def parse_rational(text: str) -> Fraction:
         raise SystemExit(f"usage error: malformed rational {text!r}")
 
 
+def int_list(text: str) -> tuple[int, ...]:
+    """argparse type for a comma list of integers ("0,1,2")."""
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"malformed integer list {text!r}")
+
+
+def rational_list(text: str) -> tuple[Fraction, ...]:
+    """argparse type for a comma list of rationals ("0,1/3,1/2")."""
+    try:
+        return tuple(Fraction(v) for v in text.split(","))
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"malformed rational list {text!r}")
+
+
 def _spec_from(args) -> FamilySpec:
     gamma = parse_rational(args.gamma) if args.gamma is not None else None
     if args.family == LAGUERRE and gamma is None:
@@ -248,16 +264,19 @@ def cmd_shift(args) -> int:
 
 
 def _grid_from(args) -> GridSpec:
-    return GridSpec(
-        ns=tuple(int(v) for v in args.n_list.split(",")),
-        betas=tuple(int(v) for v in args.beta_list.split(",")),
-        gammas=tuple(parse_rational(v) for v in args.gamma_list.split(",")),
-        max_weight=args.max_weight,
-        degree=args.degree,
-        seed=args.seed,
-        pairs=args.pairs,
-        rand_polys=args.rand_polys,
-    )
+    try:
+        return GridSpec(
+            ns=args.n_list,
+            betas=args.beta_list,
+            gammas=args.gamma_list,
+            max_weight=args.max_weight,
+            degree=args.degree,
+            seed=args.seed,
+            pairs=args.pairs,
+            rand_polys=args.rand_polys,
+        )
+    except ValueError as err:
+        raise SystemExit(f"error: {err}")
 
 
 def cmd_verify(args) -> int:
@@ -286,7 +305,12 @@ def cmd_table(args) -> int:
 
     rows = []
     for lam in partitions_up_to(args.max_weight, spec.n):
-        poly = construct(lam, spec)
+        try:
+            poly = construct(lam, spec)
+            norm_product = norm_formula(lam, spec, "product_form").render()
+            norm_hook = norm_formula(lam, spec, "hook_form").render()
+        except (HeckePolyError, ValueError) as err:
+            raise SystemExit(f"error: {err}")
         rows.append(
             {
                 "family": spec.family,
@@ -294,8 +318,8 @@ def cmd_table(args) -> int:
                 "n": spec.n,
                 "beta": spec.beta,
                 "gamma": str(spec.gamma) if spec.gamma is not None else "",
-                "norm_product": norm_formula(lam, spec, "product_form").render(),
-                "norm_hook": norm_formula(lam, spec, "hook_form").render(),
+                "norm_product": norm_product,
+                "norm_hook": norm_hook,
                 "eigenvalues": ";".join(str(e) for e in poly.eigenvalues),
             }
         )
@@ -378,9 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", choices=sorted(SUITES))
     p_verify.add_argument("--all", action="store_true",
                           help="run every suite (default when --suite is absent)")
-    p_verify.add_argument("--n-list", default="2,3")
-    p_verify.add_argument("--beta-list", default="0,1,2")
-    p_verify.add_argument("--gamma-list", default="0,1/3,1/2")
+    p_verify.add_argument("--n-list", type=int_list, default="2,3")
+    p_verify.add_argument("--beta-list", type=int_list, default="0,1,2")
+    p_verify.add_argument("--gamma-list", type=rational_list, default="0,1/3,1/2")
     p_verify.add_argument("--max-weight", type=int, default=4)
     p_verify.add_argument("--degree", type=int, default=5)
     p_verify.add_argument("--seed", type=int, default=1)

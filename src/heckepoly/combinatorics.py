@@ -319,12 +319,6 @@ def label_sort_key(comp: Sequence[int]) -> tuple:
     return (lam, length(w), w)
 
 
-def compositions_of(weight: int, nvars: int) -> Iterator[tuple[int, ...]]:
-    from .polynomials import monomials_of_degree
-
-    return monomials_of_degree(nvars, weight)
-
-
 # ---------------------------------------------------------------------------
 # symmetric-polynomial helpers
 
@@ -334,19 +328,12 @@ def monomial_symmetric(nvars: int, lam: Sequence[int]) -> Polynomial:
     of the exponent vector lam."""
     lam = pad_partition(lam, nvars)
     exps = set(itertools.permutations(lam))
-    return Polynomial(nvars, {e: Fraction(1) for e in exps})
+    return Polynomial(nvars, {e: 1 for e in exps})
 
 
 def is_symmetric(f: Polynomial) -> bool:
     for i in range(1, f.nvars):
         if f.swap_variables(i, i + 1) != f:
-            return False
-    return True
-
-
-def is_antisymmetric(f: Polynomial) -> bool:
-    for i in range(1, f.nvars):
-        if f.swap_variables(i, i + 1) != -f:
             return False
     return True
 
@@ -368,7 +355,7 @@ def to_monomial_basis(f: Polynomial) -> dict[Partition, Fraction]:
                 raise ValueError("not symmetric: unequal coefficients on an orbit")
         else:
             seen[lam] = coeff
-            out[lam] = coeff
+            out[lam] = Fraction(coeff)
     for lam, coeff in out.items():
         orbit_size = len(set(itertools.permutations(lam)))
         present = sum(

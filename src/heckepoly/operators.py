@@ -39,9 +39,12 @@ from typing import Callable
 from .combinatorics import all_permutations, reduced_word, sign
 from .errors import AmbientSizeMismatch, TypeBContextError
 from .parameters import FamilySpec, HERMITE, JACK, LAGUERRE
-from .polynomials import Polynomial, monomials_up_to_degree
-
-_ZERO = Fraction(0)
+from .polynomials import (
+    Polynomial,
+    _canonical,
+    _integral_to_int,
+    monomials_up_to_degree,
+)
 
 
 @dataclass(frozen=True)
@@ -77,11 +80,11 @@ class Operator:
             if other.nvars != self.nvars:
                 raise AmbientSizeMismatch("ambient size mismatch in composition")
             return Operator(self.nvars, lambda f, a=self, b=other: a(b(f)))
-        c = Fraction(other)
+        c = _canonical(other)
         return Operator(self.nvars, lambda f, a=self, c=c: a(f) * c)
 
     def __rmul__(self, other) -> "Operator":
-        c = Fraction(other)
+        c = _canonical(other)
         return Operator(self.nvars, lambda f, a=self, c=c: a(f) * c)
 
     def __pow__(self, k: int) -> "Operator":
@@ -106,7 +109,7 @@ def identity(nvars: int) -> Operator:
 
 
 def scalar(nvars: int, value) -> Operator:
-    c = Fraction(value)
+    c = _canonical(value)
     return Operator(nvars, lambda f: f * c)
 
 
@@ -119,18 +122,14 @@ def derivative(nvars: int, j: int) -> Operator:
     idx = j - 1
 
     def act(f: Polynomial) -> Polynomial:
-        out: dict[tuple[int, ...], Fraction] = {}
+        out = {}
         for exps, coeff in f.terms.items():
             e = exps[idx]
             if e == 0:
                 continue
             key = exps[:idx] + (e - 1,) + exps[idx + 1 :]
-            new = out.get(key, _ZERO) + coeff * e
-            if new:
-                out[key] = new
-            else:
-                del out[key]
-        return Polynomial(f.nvars, out)
+            out[key] = coeff * e  # the key determines exps: no collisions
+        return Polynomial._trusted(f.nvars, _integral_to_int(out))
 
     return Operator(nvars, act)
 
@@ -150,7 +149,7 @@ def sign_flip(nvars: int, j: int) -> Operator:
     idx = j - 1
 
     def act(f: Polynomial) -> Polynomial:
-        return Polynomial(
+        return Polynomial._trusted(
             f.nvars,
             {
                 exps: (-coeff if exps[idx] % 2 else coeff)
@@ -170,7 +169,7 @@ def divided_diff_minus(nvars: int, j: int, k: int) -> Operator:
     ja, ka = j - 1, k - 1
 
     def act(f: Polynomial) -> Polynomial:
-        out: dict[tuple[int, ...], Fraction] = {}
+        out = {}
         for exps, coeff in f.terms.items():
             a, b = exps[ja], exps[ka]
             if a == b:
@@ -184,12 +183,12 @@ def divided_diff_minus(nvars: int, j: int, k: int) -> Operator:
                 e[ja] = lo + d - 1 - t
                 e[ka] = lo + t
                 key = tuple(e)
-                new = out.get(key, _ZERO) + sgn
+                new = out.get(key, 0) + sgn
                 if new:
                     out[key] = new
                 else:
                     del out[key]
-        return Polynomial(f.nvars, out)
+        return Polynomial._trusted(f.nvars, _integral_to_int(out))
 
     return Operator(nvars, act)
 
@@ -203,7 +202,7 @@ def divided_diff_plus(nvars: int, j: int, k: int) -> Operator:
     ja, ka = j - 1, k - 1
 
     def act(f: Polynomial) -> Polynomial:
-        out: dict[tuple[int, ...], Fraction] = {}
+        out = {}
         for exps, coeff in f.terms.items():
             a, b = exps[ja], exps[ka]
             if a == b:
@@ -218,12 +217,12 @@ def divided_diff_plus(nvars: int, j: int, k: int) -> Operator:
                 e[ka] = lo + t
                 key = tuple(e)
                 term = base if t % 2 == 0 else -base
-                new = out.get(key, _ZERO) + term
+                new = out.get(key, 0) + term
                 if new:
                     out[key] = new
                 else:
                     del out[key]
-        return Polynomial(f.nvars, out)
+        return Polynomial._trusted(f.nvars, _integral_to_int(out))
 
     return Operator(nvars, act)
 
@@ -234,13 +233,13 @@ def sign_divided(nvars: int, j: int) -> Operator:
     idx = j - 1
 
     def act(f: Polynomial) -> Polynomial:
-        out: dict[tuple[int, ...], Fraction] = {}
+        out = {}
         for exps, coeff in f.terms.items():
             if exps[idx] % 2 == 0:
                 continue
             key = exps[:idx] + (exps[idx] - 1,) + exps[idx + 1 :]
-            out[key] = out.get(key, _ZERO) + 2 * coeff
-        return Polynomial(f.nvars, out)
+            out[key] = 2 * coeff  # the key determines exps: no collisions
+        return Polynomial._trusted(f.nvars, _integral_to_int(out))
 
     return Operator(nvars, act)
 

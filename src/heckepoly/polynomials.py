@@ -1,9 +1,15 @@
 """Sparse multivariate Laurent polynomials over exact rationals.
 
 A polynomial in N ambient variables is a finite map from exponent vectors
-to nonzero Fraction coefficients:
+to nonzero exact coefficients.  An integer value is stored as a plain
+``int`` and any other rational as a ``Fraction`` with denominator > 1:
 
-    x1^2*x2 + 3/2   ->   {(2, 1): Fraction(1), (0, 0): Fraction(3, 2)}
+    x1^2*x2 + 3/2   ->   {(2, 1): 1, (0, 0): Fraction(3, 2)}
+
+Integer coefficients keep ``Fraction`` off the hot path: with an integer
+coupling every operator primitive has integer matrix entries.  The public
+accessors ``coefficient``, ``constant_term`` and ``leading`` still return
+``Fraction``.
 
 Exponents may be negative (Laurent monomials appear in constant-term
 pairings).  Every ring operation is exact, so polynomial identity testing
@@ -17,8 +23,8 @@ makes all outputs byte-deterministic.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Iterator, Mapping
 
 from .errors import AmbientSizeMismatch, NotDivisibleError
@@ -26,7 +32,30 @@ from .errors import AmbientSizeMismatch, NotDivisibleError
 # Exponent vector: one integer per ambient variable (negative = Laurent).
 Exponent = tuple[int, ...]
 
+# A stored coefficient: a nonzero int, or a Fraction with denominator > 1.
+Coefficient = int | Fraction
+
 _ZERO = Fraction(0)
+
+
+def _canonical(value) -> Coefficient:
+    """An exact scalar in stored form: int when integral, else Fraction."""
+    if type(value) is int:
+        return value
+    c = value if type(value) is Fraction else Fraction(value)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _as_fraction(c: Coefficient) -> Fraction:
+    return c if type(c) is Fraction else Fraction(c)
+
+
+def _integral_to_int(terms: dict) -> dict:
+    """Store the integral Fraction values of ``terms`` as int, in place."""
+    for exps, c in terms.items():
+        if type(c) is not int and c.denominator == 1:
+            terms[exps] = c.numerator
+    return terms
 
 
 def grlex_key(exps: Exponent) -> tuple[int, Exponent]:
@@ -39,21 +68,31 @@ class Polynomial:
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: Mapping[Exponent, Fraction] | None = None):
+    def __init__(self, nvars: int, terms: Mapping[Exponent, Coefficient] | None = None):
         if nvars < 1:
             raise ValueError("need at least one ambient variable")
-        clean: dict[Exponent, Fraction] = {}
+        clean: dict[Exponent, Coefficient] = {}
         if terms:
             for exps, coeff in terms.items():
                 if len(exps) != nvars:
                     raise AmbientSizeMismatch(
                         f"ambient size mismatch: exponent {exps} in {nvars} variables"
                     )
-                c = Fraction(coeff)
+                c = _canonical(coeff)
                 if c:
                     clean[tuple(exps)] = c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _trusted(cls, nvars: int, terms: dict[Exponent, Coefficient]) -> "Polynomial":
+        """Adopt ``terms`` without copying or checking it.  The caller
+        guarantees tuple keys of length ``nvars`` and canonical nonzero
+        values, and gives up the dict."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "nvars", nvars)
+        object.__setattr__(poly, "terms", terms)
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -66,11 +105,11 @@ class Polynomial:
 
     @classmethod
     def one(cls, nvars: int) -> "Polynomial":
-        return cls(nvars, {(0,) * nvars: Fraction(1)})
+        return cls(nvars, {(0,) * nvars: 1})
 
     @classmethod
     def constant(cls, nvars: int, value) -> "Polynomial":
-        return cls(nvars, {(0,) * nvars: Fraction(value)})
+        return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
     def variable(cls, nvars: int, j: int) -> "Polynomial":
@@ -79,12 +118,12 @@ class Polynomial:
             raise ValueError(f"variable index {j} out of range 1..{nvars}")
         exps = [0] * nvars
         exps[j - 1] = 1
-        return cls(nvars, {tuple(exps): Fraction(1)})
+        return cls(nvars, {tuple(exps): 1})
 
     @classmethod
     def monomial(cls, exps: Iterable[int], coeff=1) -> "Polynomial":
         exps = tuple(exps)
-        return cls(len(exps), {exps: Fraction(coeff)})
+        return cls(len(exps), {exps: coeff})
 
     # -- ring operations ---------------------------------------------------
 
@@ -100,17 +139,19 @@ class Polynomial:
         self._check(other)
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
-            new = out.get(exps, _ZERO) + coeff
-            if new:
-                out[exps] = new
+            new = out.get(exps, 0) + coeff
+            if not new:
+                del out[exps]
+            elif type(new) is not int and new.denominator == 1:
+                out[exps] = new.numerator
             else:
-                out.pop(exps, None)
-        return Polynomial(self.nvars, out)
+                out[exps] = new
+        return Polynomial._trusted(self.nvars, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Polynomial._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -122,21 +163,22 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
-            c = Fraction(other)
+            c = _canonical(other)
             if not c:
                 return Polynomial(self.nvars)
-            return Polynomial(self.nvars, {e: c * v for e, v in self.terms.items()})
+            out = {e: c * v for e, v in self.terms.items()}
+            return Polynomial._trusted(self.nvars, _integral_to_int(out))
         self._check(other)
-        out: dict[Exponent, Fraction] = {}
+        out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                new = out.get(key, _ZERO) + c1 * c2
+                key = tuple(map(add, e1, e2))
+                new = out.get(key, 0) + c1 * c2
                 if new:
                     out[key] = new
                 else:
                     del out[key]
-        return Polynomial(self.nvars, out)
+        return Polynomial._trusted(self.nvars, _integral_to_int(out))
 
     __rmul__ = __mul__
 
@@ -174,19 +216,19 @@ class Polynomial:
         return max(sum(e) for e in self.terms)
 
     def coefficient(self, exps: Iterable[int]) -> Fraction:
-        return self.terms.get(tuple(exps), _ZERO)
+        return _as_fraction(self.terms.get(tuple(exps), _ZERO))
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.nvars, _ZERO)
+        return _as_fraction(self.terms.get((0,) * self.nvars, _ZERO))
 
     def leading(self) -> tuple[Exponent, Fraction]:
         """Graded-lex maximal term; raises on the zero polynomial."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         exps = max(self.terms, key=grlex_key)
-        return exps, self.terms[exps]
+        return exps, _as_fraction(self.terms[exps])
 
-    def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Exponent, Coefficient]]:
         """Terms in ascending graded-lex order."""
         return sorted(self.terms.items(), key=lambda item: grlex_key(item[0]))
 
@@ -195,7 +237,7 @@ class Polynomial:
 
     def homogeneous_components(self) -> dict[int, "Polynomial"]:
         """Split into total-degree components, keyed by degree."""
-        buckets: dict[int, dict[Exponent, Fraction]] = {}
+        buckets: dict[int, dict[Exponent, Coefficient]] = {}
         for exps, coeff in self.terms.items():
             buckets.setdefault(sum(exps), {})[exps] = coeff
         return {d: Polynomial(self.nvars, t) for d, t in sorted(buckets.items())}
@@ -211,12 +253,12 @@ class Polynomial:
     def swap_variables(self, i: int, j: int) -> "Polynomial":
         """Exchange variables x_i and x_j (1-based)."""
         a, b = i - 1, j - 1
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, Coefficient] = {}
         for exps, coeff in self.terms.items():
             e = list(exps)
             e[a], e[b] = e[b], e[a]
             out[tuple(e)] = coeff
-        return Polynomial(self.nvars, out)
+        return Polynomial._trusted(self.nvars, out)
 
     def stretch(self, factor: int) -> "Polynomial":
         """Substitute x_j -> x_j^factor in every variable."""
@@ -305,15 +347,8 @@ def monomials_up_to_degree(nvars: int, degree: int) -> Iterator[Exponent]:
         yield from monomials_of_degree(nvars, d)
 
 
-def vandermonde(nvars: int, variant: str = "A") -> Polynomial:
-    """The alternating product prod_{i<j} (x_i - x_j).
-
-    Variant "B" is the same product read in the squared variables
-    u_j = z_j^2; since polynomials do not carry variable names the two
-    variants coincide structurally.
-    """
-    if variant not in ("A", "B"):
-        raise ValueError(f"unknown Vandermonde variant {variant!r}")
+def vandermonde(nvars: int) -> Polynomial:
+    """The alternating product prod_{i<j} (x_i - x_j)."""
     result = Polynomial.one(nvars)
     for i in range(1, nvars + 1):
         for j in range(i + 1, nvars + 1):
@@ -355,9 +390,3 @@ def product(polys: Iterable[Polynomial], nvars: int) -> Polynomial:
     for p in polys:
         result = result * p
     return result
-
-
-def all_equal_degree_pairs(nvars: int, degree: int) -> Iterator[tuple[Exponent, Exponent]]:
-    """Utility for exhaustive bilinear checks (used by tests)."""
-    monos = list(monomials_up_to_degree(nvars, degree))
-    return itertools.product(monos, monos)

@@ -112,6 +112,8 @@ class GridSpec:
     def __post_init__(self):
         if max(self.ns) > 4 or self.degree > 6 or max(self.betas) > 3:
             raise ValueError("grid out of bounds: N <= 4, degree <= 6, beta <= 3")
+        if self.pairs < 1 or self.rand_polys < 1:
+            raise ValueError("grid counts must be positive: pairs >= 1, rand_polys >= 1")
         object.__setattr__(self, "gammas", tuple(Fraction(g) for g in self.gammas))
 
     def to_json_dict(self) -> dict:
@@ -145,7 +147,8 @@ class SuiteReport:
 
     @property
     def passed(self) -> bool:
-        return self.cases_passed == self.cases_run
+        """True when at least one case ran and every case passed."""
+        return self.cases_run > 0 and self.cases_passed == self.cases_run
 
     def to_json_dict(self) -> dict:
         return {

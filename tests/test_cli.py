@@ -112,6 +112,45 @@ def test_pair_input_errors(family, f, g, message):
     assert "\n" not in text
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--suite", "intertwine_A", "--rand-polys", "0"],
+        ["--suite", "duality_all", "--pairs", "-5"],
+    ],
+    ids=["rand-polys", "pairs"],
+)
+def test_verify_rejects_empty_grid(argv):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", *argv])
+    text = str(info.value.code)
+    assert text.startswith("error: ") and "must be positive" in text
+    assert "\n" not in text
+
+
+def test_table_divergent_weight():
+    with pytest.raises(SystemExit) as info:
+        main(["table", "--family", "laguerre", "--n", "2", "--beta", "1",
+              "--gamma", "-1", "--max-weight", "1"])
+    text = str(info.value.code)
+    assert text.startswith("error: ") and "divergent weight" in text
+    assert "\n" not in text
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--beta-list", "x"), ("--n-list", "2,"), ("--gamma-list", "1/0")],
+    ids=["beta-list", "n-list", "gamma-list"],
+)
+def test_verify_malformed_list_is_usage_error(flag, value, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", flag, value])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("heckepoly verify: error: argument")
+    assert "Traceback" not in err
+
+
 def test_raise_command(capsys):
     _, out = run_cli(
         ["raise", "--family", "jack", "--lambda", "1,0", "--n", "2", "--beta", "1",

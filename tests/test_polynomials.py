@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from heckepoly import operators as ops
 from heckepoly.errors import AmbientSizeMismatch, NotDivisibleError
 from heckepoly.polynomials import (
     Polynomial,
@@ -26,6 +27,70 @@ def poly_strategy(nvars, max_degree=4, max_terms=5):
             Polynomial.zero(nvars),
         )
     )
+
+
+# rationals with small denominators, so that sums and products of scaled
+# polynomials often come back to integers
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def rational_poly_strategy(nvars):
+    """Polynomials mixing integer and non-integer coefficients."""
+    return st.tuples(poly_strategy(nvars), rationals, poly_strategy(nvars)).map(
+        lambda t: t[0] * t[1] + t[2]
+    )
+
+
+def assert_canonical(p):
+    """Stored values are nonzero ints or Fractions with denominator > 1;
+    the accessors return Fraction; the JSON and pretty forms do not
+    depend on how the values are stored."""
+    for c in p.terms.values():
+        if type(c) is int:
+            assert c != 0
+        else:
+            assert type(c) is Fraction and c.denominator > 1, repr(c)
+    assert type(p.constant_term()) is Fraction
+    for exps in p.terms:
+        assert type(p.coefficient(exps)) is Fraction
+    if p:
+        assert type(p.leading()[1]) is Fraction
+    public = Polynomial(p.nvars, {e: Fraction(c) for e, c in p.terms.items()})
+    assert p.to_json_dict() == public.to_json_dict()
+    assert p.pretty() == public.pretty()
+
+
+_PRIMITIVES = [
+    ops.derivative(2, 1),
+    ops.exchange(2, 1, 2),
+    ops.sign_flip(2, 2),
+    ops.divided_diff_minus(2, 1, 2),
+    ops.divided_diff_plus(2, 2, 1),
+    ops.sign_divided(2, 1),
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_poly_strategy(2), rational_poly_strategy(2), rationals)
+def test_coefficient_invariant(f, g, r):
+    for p in (f, g, f + g, f - g, -f, f * g, f * r, r * f, f * 2, f + r):
+        assert_canonical(p)
+    assert_canonical(f.swap_variables(1, 2))
+    for op in _PRIMITIVES:
+        assert_canonical(op(f))
+    assert_canonical((r * ops.derivative(2, 2) + ops.sign_divided(2, 2))(g))
+
+
+def test_integral_results_are_int():
+    x = Polynomial.variable(1, 1)
+    half = x * Fraction(1, 2)
+    assert type(half.terms[(1,)]) is Fraction
+    assert type((half + half).terms[(1,)]) is int
+    assert type((half * 2).terms[(1,)]) is int
+    assert type(ops.derivative(1, 1)(half * x).terms[(1,)]) is int
+    assert type(ops.sign_divided(1, 1)(half).terms[(0,)]) is int
+    assert Polynomial(1, {(1,): Fraction(4, 2)}).terms == {(1,): 2}
+    assert Polynomial(1, {(1,): 0.5}).terms == {(1,): Fraction(1, 2)}
 
 
 def test_basic_arithmetic():

@@ -133,6 +133,18 @@ def test_failure_reporting_carries_counterexample():
     ]
 
 
+def test_empty_suite_fails():
+    from heckepoly.verify import SuiteReport
+
+    report = SuiteReport("demo", {})
+    assert report.cases_run == 0
+    assert not report.passed
+    with pytest.raises(ValueError, match="must be positive"):
+        GridSpec(pairs=0)
+    with pytest.raises(ValueError, match="must be positive"):
+        GridSpec(rand_polys=-1)
+
+
 def test_thread_env_cap(monkeypatch):
     from heckepoly import verify
 
