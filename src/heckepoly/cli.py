@@ -12,7 +12,7 @@ Commands:
 Conventions: partitions are comma lists ("2,1"; empty string = empty
 partition), permutations are one-line comma lists ("2,1,3"), rationals are
 "p/q" strings.  Output is byte-deterministic for a fixed invocation and
-seed.  HECKE_POLY_THREADS caps suite parallelism.
+seed.
 """
 
 from __future__ import annotations

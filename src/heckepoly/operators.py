@@ -1,4 +1,19 @@
-"""Composable linear operators on polynomials.
+"""Linear operators on polynomials, kept in a normal form.
+
+An operator is a flat linear combination sum_i k_i T_i of terms.  A term
+is a primitive, a named operator, or a composition T_m ... T_1 whose
+factors are themselves integer combinations.  Sums merge equal terms,
+integer scalars multiply into the coefficients, and a rational content
+1/D is kept apart: a combination with fractional coefficients becomes the
+single term (1/D) * (integer combination), and a composition carries the
+product of its factors' contents.  The ladder factors 1/2 and 1/4 and a
+rational gamma are thus applied once per node, not once per monomial of
+every primitive image.
+
+Applying an operator adds c * T(f) for every term into one accumulator
+dict: no intermediate ``Polynomial`` per node.  ``__call__`` scales a
+rational input to integer coefficients first and divides once at the end,
+so the arithmetic inside runs on ``int``.
 
 Primitives act monomial by monomial and always map polynomials to
 polynomials; in particular the divided differences
@@ -9,9 +24,9 @@ polynomials; in particular the divided differences
 
 are realized as exact telescoping sums on exponents, never as division.
 Operators compose with ``*`` (right factor acts first), add with ``+``,
-and scale with rationals; there is no simplification or normal form.
-Finite-degree operator equality on the monomial spanning set is the only
-equality notion.
+and scale with exact rationals (a float is refused).  Finite-degree
+operator equality on the monomial spanning set is the only equality
+notion.
 
 Dunkl operator (A type):      D_j = d_j + beta * sum_{k!=j} (1-s_jk)/(x_j-x_k)
 Cherednik operator (A type):  Dhat_j = x_j D_j + beta * sum_{k<j} s_jk
@@ -22,37 +37,178 @@ Cherednik-type (B):           Dhat_j = z_j D_j + beta * sum_{k<j} (s_jk + t_jt_k
 Rescaled creation/annihilation pairs (the 1/sqrt(2) of the raw ladder
 operators is factored out so that everything stays rational):
 
-    A_j = -d_j + 2 x_j - beta * sum (1-s_jk)/(x_j-x_k)        a_j = D_j
-    B_j = -d_j + 2 z_j - beta * sum [...] - gamma (1-t_j)/z_j  b_j = D_j (B type)
+    A_j = -d_j + 2 x_j - beta * sum (1-s_jk)/(x_j-x_k) = 2 x_j - D_j     a_j = D_j
+    B_j = -d_j + 2 z_j - beta * sum [...] - gamma (1-t_j)/z_j = 2 z_j - D_j
+                                                            b_j = D_j (B type)
 
 and h_j = (1/2) A_j a_j + beta * sum_{k<j} s_jk  (Hermite),
     h_j = (1/2) B_j b_j + beta * sum_{k<j} (s_jk + t_jt_ks_jk)  (Laguerre).
+
+The named operators (Dunkl, Cherednik, creation, annihilation, h_j) are
+built once per index and parameter set, and each memoizes the image of
+every monomial it is applied to.  ``cache_info`` reports their number and
+the stored images; ``clear_caches`` drops both.  Composites (commutators,
+raising and shift products) are not memoized.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from functools import partial
+from operator import add
+from typing import NamedTuple
 
-from .combinatorics import all_permutations, reduced_word, sign
+from .combinatorics import all_permutations, permute_exponents, reduced_word, sign
 from .errors import AmbientSizeMismatch, TypeBContextError
-from .parameters import FamilySpec, HERMITE, JACK, LAGUERRE
-from .polynomials import (
-    Polynomial,
-    _canonical,
-    _integral_to_int,
-    monomials_up_to_degree,
-)
+from .parameters import FamilySpec, HERMITE, LAGUERRE
+from .polynomials import Polynomial, _canonical, _integer_part, monomials_up_to_degree
+
+# A term of the normal form is (k, push): ``push(src, out, c)`` adds c times
+# the term's image of the term dict ``src`` into the accumulator ``out``.
+# Every coefficient k is an int, except that of a lone term, which is the
+# operator's content; ``_split_content`` takes it off before evaluation, so
+# every push sees integer inputs and an integer c.
 
 
-@dataclass(frozen=True)
+def _accumulate(terms, src: dict, out: dict, c: int) -> None:
+    for k, push in terms:
+        push(src, out, k if c == 1 else k * c)
+
+
+def _clean(terms: dict) -> dict:
+    return {e: v for e, v in terms.items() if v}
+
+
+def _step(terms):
+    """A callable for one factor: the bare push of a lone unit term."""
+    if len(terms) == 1 and terms[0][0] == 1:
+        return terms[0][1]
+    return partial(_accumulate, terms)
+
+
+class _Chain:
+    """The composition of ``factors`` (integer combinations), in the order
+    they act.  A chain of one factor is a bracketed sum: the body of a
+    content term (1/D) * (integer combination)."""
+
+    __slots__ = ("factors", "_first", "_last")
+
+    def __init__(self, factors):
+        self.factors = factors
+        steps = [_step(terms) for terms in factors]
+        self._last = steps.pop()
+        self._first = tuple(steps)
+
+    def _push(self, src, out, c):
+        for step in self._first:
+            tmp: dict = {}
+            step(src, tmp, 1)
+            src = _clean(tmp)
+            if not src:
+                return
+        self._last(src, out, c)
+
+
+# Interned exponent tuples shared by all memoized images.
+_EXPONENTS: dict = {}
+
+
+class _Memo:
+    """A named operator content * M: the integer combination M and the
+    image under M of every monomial it has met, stored flat as
+    (exponent, coefficient, exponent, coefficient, ...)."""
+
+    __slots__ = ("nvars", "content", "terms", "images")
+
+    def __init__(self, op: "Operator"):
+        self.nvars = op.nvars
+        self.content, self.terms = _split_content(op)
+        self.images: dict = {}
+
+    def _image(self, exps):
+        tmp: dict = {}
+        _accumulate(self.terms, {exps: 1}, tmp, 1)
+        intern = _EXPONENTS.setdefault
+        image = []
+        for e, v in _clean(tmp).items():
+            image += (intern(e, e), v)
+        image = self.images[intern(exps, exps)] = tuple(image)
+        return image
+
+    def _push(self, src, out, c):
+        images = self.images
+        get = out.get
+        for exps, v in src.items():
+            image = images.get(exps)
+            if image is None:
+                image = self._image(exps)
+            if c != 1:
+                v *= c
+            it = iter(image)
+            for e, w in zip(it, it):
+                out[e] = get(e, 0) + v * w
+
+
+def _split_content(op: "Operator"):
+    """(content, integer terms) with op = content * (integer terms)."""
+    terms = op._terms
+    if len(terms) == 1 and type(terms[0][0]) is not int:
+        return terms[0][0], ((1, terms[0][1]),)
+    return 1, terms
+
+
+def _identity_push(src, out, c):
+    get = out.get
+    for e, v in src.items():
+        out[e] = get(e, 0) + v * c
+
+
+def _combination(nvars: int, pairs) -> "Operator":
+    """Normal form of sum k * push over ``pairs``: bracketed sums opened,
+    equal terms merged, and fractional coefficients replaced by one
+    content term (1/D) * (integer combination)."""
+    merged: dict = {}
+    for k, push in pairs:
+        node = getattr(push, "__self__", None)
+        if type(node) is _Chain and len(node.factors) == 1:
+            for k2, push2 in node.factors[0]:
+                merged[push2] = merged.get(push2, 0) + k * k2
+        else:
+            merged[push] = merged.get(push, 0) + k
+    terms = [(_canonical(k), push) for push, k in merged.items() if k]
+    den = math.lcm(*(k.denominator for k, _ in terms if type(k) is not int))
+    if den == 1 or len(terms) == 1:
+        return Operator(nvars, tuple(terms))
+    inner = tuple((_canonical(k * den), push) for k, push in terms)
+    return Operator(nvars, ((Fraction(1, den), _Chain((inner,))._push),))
+
+
+def _factors(op: "Operator"):
+    """(k, factors) with op = k * (composition of factors)."""
+    if len(op._terms) != 1:
+        return 1, (op._terms,)
+    k, push = op._terms[0]
+    node = getattr(push, "__self__", None)
+    if type(node) is _Chain:
+        return k, node.factors
+    if push is _identity_push:
+        return k, ()
+    return k, (((1, push),),)
+
+
 class Operator:
-    """A linear map on polynomials in a fixed number of variables."""
+    """A linear map on polynomials in a fixed number of variables, as a
+    normal-form linear combination of terms (see the module docstring)."""
 
-    nvars: int
-    fn: Callable[[Polynomial], Polynomial] = field(repr=False)
+    __slots__ = ("nvars", "_terms")
+
+    def __init__(self, nvars: int, terms: tuple = ()):
+        self.nvars = nvars
+        self._terms = terms
+
+    def __repr__(self) -> str:
+        return f"Operator({self.nvars} vars, {len(self._terms)} terms)"
 
     def __call__(self, f: Polynomial) -> Polynomial:
         if f.nvars != self.nvars:
@@ -60,32 +216,52 @@ class Operator:
                 f"ambient size mismatch: operator on {self.nvars} vars, "
                 f"polynomial in {f.nvars}"
             )
-        return self.fn(f)
+        src, den = _integer_part(f.terms)
+        content, terms = _split_content(self)
+        scale = content if den == 1 else Fraction(content, den)
+        out: dict = {}
+        _accumulate(terms, src, out, 1)
+        if scale == 1:
+            return Polynomial._trusted(self.nvars, _clean(out))
+        return Polynomial._trusted(
+            self.nvars, {e: _canonical(v * scale) for e, v in out.items() if v}
+        )
 
     def __add__(self, other: "Operator") -> "Operator":
         if not isinstance(other, Operator):
             return NotImplemented
         if other.nvars != self.nvars:
             raise AmbientSizeMismatch("ambient size mismatch in operator sum")
-        return Operator(self.nvars, lambda f, a=self, b=other: a(f) + b(f))
+        return _combination(self.nvars, self._terms + other._terms)
 
     def __sub__(self, other: "Operator") -> "Operator":
         return self + (-other)
 
     def __neg__(self) -> "Operator":
-        return Operator(self.nvars, lambda f, a=self: -a(f))
+        return self._scaled(-1)
 
     def __mul__(self, other) -> "Operator":
-        if isinstance(other, Operator):
-            if other.nvars != self.nvars:
-                raise AmbientSizeMismatch("ambient size mismatch in composition")
-            return Operator(self.nvars, lambda f, a=self, b=other: a(b(f)))
-        c = _canonical(other)
-        return Operator(self.nvars, lambda f, a=self, c=c: a(f) * c)
+        if not isinstance(other, Operator):
+            return self._scaled(other)
+        if other.nvars != self.nvars:
+            raise AmbientSizeMismatch("ambient size mismatch in composition")
+        if not self._terms or not other._terms:
+            return Operator(self.nvars)
+        k_a, outer = _factors(self)
+        k_b, inner = _factors(other)
+        k, factors = k_a * k_b, inner + outer
+        if not factors:
+            return scalar(self.nvars, k)
+        if len(factors) == 1:
+            return _combination(self.nvars, ((k * k2, p) for k2, p in factors[0]))
+        return Operator(self.nvars, ((_canonical(k), _Chain(factors)._push),))
 
     def __rmul__(self, other) -> "Operator":
-        c = _canonical(other)
-        return Operator(self.nvars, lambda f, a=self, c=c: a(f) * c)
+        return self._scaled(other)
+
+    def _scaled(self, value) -> "Operator":
+        c = _canonical(value)
+        return _combination(self.nvars, ((k * c, push) for k, push in self._terms))
 
     def __pow__(self, k: int) -> "Operator":
         if k < 0:
@@ -104,34 +280,47 @@ def apply(op: Operator, f: Polynomial) -> Polynomial:
 # primitives
 
 
+def _leaf(nvars: int, push) -> Operator:
+    return Operator(nvars, ((1, push),))
+
+
 def identity(nvars: int) -> Operator:
-    return Operator(nvars, lambda f: f)
+    return _leaf(nvars, _identity_push)
 
 
 def scalar(nvars: int, value) -> Operator:
     c = _canonical(value)
-    return Operator(nvars, lambda f: f * c)
+    return Operator(nvars, ((c, _identity_push),) if c else ())
 
 
 def multiply_by(p: Polynomial) -> Operator:
-    return Operator(p.nvars, lambda f: p * f)
+    terms, den = _integer_part(p.terms)
+    factor = tuple(terms.items())
+
+    def push(src, out, c):
+        get = out.get
+        for e1, c1 in factor:
+            k = c1 * c
+            for e2, v in src.items():
+                key = tuple(map(add, e1, e2))
+                out[key] = get(key, 0) + k * v
+
+    return Fraction(1, den) * _leaf(p.nvars, push)
 
 
 def derivative(nvars: int, j: int) -> Operator:
     _check_index(nvars, j)
     idx = j - 1
 
-    def act(f: Polynomial) -> Polynomial:
-        out = {}
-        for exps, coeff in f.terms.items():
+    def push(src, out, c):
+        get = out.get
+        for exps, v in src.items():
             e = exps[idx]
-            if e == 0:
-                continue
-            key = exps[:idx] + (e - 1,) + exps[idx + 1 :]
-            out[key] = coeff * e  # the key determines exps: no collisions
-        return Polynomial._trusted(f.nvars, _integral_to_int(out))
+            if e:
+                key = exps[:idx] + (e - 1,) + exps[idx + 1 :]
+                out[key] = get(key, 0) + v * (e * c)
 
-    return Operator(nvars, act)
+    return _leaf(nvars, push)
 
 
 def exchange(nvars: int, i: int, j: int) -> Operator:
@@ -140,7 +329,17 @@ def exchange(nvars: int, i: int, j: int) -> Operator:
     _check_index(nvars, j)
     if i == j:
         raise ValueError("exchange needs two distinct indices")
-    return Operator(nvars, lambda f: f.swap_variables(i, j))
+    a, b = i - 1, j - 1
+
+    def push(src, out, c):
+        get = out.get
+        for exps, v in src.items():
+            e = list(exps)
+            e[a], e[b] = e[b], e[a]
+            key = tuple(e)
+            out[key] = get(key, 0) + v * c
+
+    return _leaf(nvars, push)
 
 
 def sign_flip(nvars: int, j: int) -> Operator:
@@ -148,83 +347,57 @@ def sign_flip(nvars: int, j: int) -> Operator:
     _check_index(nvars, j)
     idx = j - 1
 
-    def act(f: Polynomial) -> Polynomial:
-        return Polynomial._trusted(
-            f.nvars,
-            {
-                exps: (-coeff if exps[idx] % 2 else coeff)
-                for exps, coeff in f.terms.items()
-            },
-        )
+    def push(src, out, c):
+        get = out.get
+        for exps, v in src.items():
+            out[exps] = get(exps, 0) + (-v * c if exps[idx] % 2 else v * c)
 
-    return Operator(nvars, act)
+    return _leaf(nvars, push)
+
+
+def _telescope(nvars: int, j: int, k: int, alternating: bool) -> Operator:
+    """Divided differences by x_j - x_k (``alternating`` false) or by
+    z_j + z_k (true), summed on exponents."""
+    _check_index(nvars, j)
+    _check_index(nvars, k)
+    if j == k:
+        raise ValueError("divided difference needs two distinct indices")
+    ja, ka = j - 1, k - 1
+
+    def push(src, out, c):
+        get = out.get
+        for exps, v in src.items():
+            a, b = exps[ja], exps[ka]
+            if a == b:
+                continue
+            lo, d = (b, a - b) if a > b else (a, b - a)
+            if a > b or (alternating and d % 2):
+                term = v * c
+            else:
+                term = -v * c
+            e = list(exps)
+            for t in range(d):
+                e[ja] = lo + d - 1 - t
+                e[ka] = lo + t
+                key = tuple(e)
+                out[key] = get(key, 0) + term
+                if alternating:
+                    term = -term
+
+    return _leaf(nvars, push)
 
 
 def divided_diff_minus(nvars: int, j: int, k: int) -> Operator:
     """(1 - s_jk) / (x_j - x_k) as an exact telescoping sum."""
-    _check_index(nvars, j)
-    _check_index(nvars, k)
-    if j == k:
-        raise ValueError("divided difference needs two distinct indices")
-    ja, ka = j - 1, k - 1
-
-    def act(f: Polynomial) -> Polynomial:
-        out = {}
-        for exps, coeff in f.terms.items():
-            a, b = exps[ja], exps[ka]
-            if a == b:
-                continue
-            if a > b:
-                lo, d, sgn = b, a - b, coeff
-            else:
-                lo, d, sgn = a, b - a, -coeff
-            e = list(exps)
-            for t in range(d):
-                e[ja] = lo + d - 1 - t
-                e[ka] = lo + t
-                key = tuple(e)
-                new = out.get(key, 0) + sgn
-                if new:
-                    out[key] = new
-                else:
-                    del out[key]
-        return Polynomial._trusted(f.nvars, _integral_to_int(out))
-
-    return Operator(nvars, act)
+    return _telescope(nvars, j, k, alternating=False)
 
 
 def divided_diff_plus(nvars: int, j: int, k: int) -> Operator:
-    """(1 - t_j t_k s_jk) / (z_j + z_k) as an exact telescoping sum."""
-    _check_index(nvars, j)
-    _check_index(nvars, k)
-    if j == k:
-        raise ValueError("divided difference needs two distinct indices")
-    ja, ka = j - 1, k - 1
+    """(1 - t_j t_k s_jk) / (z_j + z_k) as an exact telescoping sum.
 
-    def act(f: Polynomial) -> Polynomial:
-        out = {}
-        for exps, coeff in f.terms.items():
-            a, b = exps[ja], exps[ka]
-            if a == b:
-                continue
-            lo, d = min(a, b), abs(a - b)
-            # z_j^a z_k^b - (-1)^(a+b) z_j^b z_k^a over z_j + z_k;
-            # for a < b an extra factor -(-1)^d appears after refactoring.
-            base = coeff if a > b else (coeff if d % 2 else -coeff)
-            e = list(exps)
-            for t in range(d):
-                e[ja] = lo + d - 1 - t
-                e[ka] = lo + t
-                key = tuple(e)
-                term = base if t % 2 == 0 else -base
-                new = out.get(key, 0) + term
-                if new:
-                    out[key] = new
-                else:
-                    del out[key]
-        return Polynomial._trusted(f.nvars, _integral_to_int(out))
-
-    return Operator(nvars, act)
+    z_j^a z_k^b - (-1)^(a+b) z_j^b z_k^a over z_j + z_k alternates in sign;
+    for a < b an extra factor -(-1)^(a-b) appears after refactoring."""
+    return _telescope(nvars, j, k, alternating=True)
 
 
 def sign_divided(nvars: int, j: int) -> Operator:
@@ -232,24 +405,28 @@ def sign_divided(nvars: int, j: int) -> Operator:
     _check_index(nvars, j)
     idx = j - 1
 
-    def act(f: Polynomial) -> Polynomial:
-        out = {}
-        for exps, coeff in f.terms.items():
-            if exps[idx] % 2 == 0:
-                continue
-            key = exps[:idx] + (exps[idx] - 1,) + exps[idx + 1 :]
-            out[key] = 2 * coeff  # the key determines exps: no collisions
-        return Polynomial._trusted(f.nvars, _integral_to_int(out))
+    def push(src, out, c):
+        get = out.get
+        for exps, v in src.items():
+            e = exps[idx]
+            if e % 2:
+                key = exps[:idx] + (e - 1,) + exps[idx + 1 :]
+                out[key] = get(key, 0) + v * (2 * c)
 
-    return Operator(nvars, act)
+    return _leaf(nvars, push)
 
 
 def permutation_op(w) -> Operator:
     """Operator realization of w in S_N acting by x_i -> x_{w(i)}."""
-    from .combinatorics import apply_permutation
-
     w = tuple(w)
-    return Operator(len(w), lambda f: apply_permutation(w, f))
+
+    def push(src, out, c):
+        get = out.get
+        for exps, v in src.items():
+            key = permute_exponents(w, exps)
+            out[key] = get(key, 0) + v * c
+
+    return _leaf(len(w), push)
 
 
 def commutator(a: Operator, b: Operator) -> Operator:
@@ -262,60 +439,116 @@ def _check_index(nvars: int, j: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# named operators
+# named operators, built once per key and memoized on monomials
+
+_NAMED: dict[tuple, _Memo] = {}
 
 
-def dunkl_a(j: int, spec: FamilySpec) -> Operator:
-    """D_j = d_j + beta * sum_{k!=j} (1 - s_jk)/(x_j - x_k)."""
+class CacheInfo(NamedTuple):
+    operators: int  # named operators built
+    images: int  # monomial images stored across them
+
+
+def cache_info() -> CacheInfo:
+    return CacheInfo(len(_NAMED), sum(len(m.images) for m in _NAMED.values()))
+
+
+def clear_caches() -> None:
+    """Drop every named operator and its images (also for operators still
+    held by callers) and the interned exponents."""
+    for memo in _NAMED.values():
+        memo.images.clear()
+    _NAMED.clear()
+    _EXPONENTS.clear()
+
+
+def _named(key: tuple, build) -> Operator:
+    memo = _NAMED.get(key)
+    if memo is None:
+        memo = _NAMED[key] = _Memo(build())
+    return Operator(memo.nvars, ((memo.content, memo._push),))
+
+
+def _dunkl(n: int, j: int, beta: int, gamma=None) -> Operator:
+    """D_j of type A (gamma None) or B, unmemoized."""
+    op = derivative(n, j)
+    for k in range(1, n + 1):
+        if k != j:
+            diff = divided_diff_minus(n, j, k)
+            if gamma is not None:
+                diff = diff + divided_diff_plus(n, j, k)
+            op = op + beta * diff
+    if gamma is not None:
+        op = op + gamma * sign_divided(n, j)
+    return op
+
+
+def _exchanges(n: int, j: int, beta: int, type_b: bool) -> Operator:
+    """beta * sum_{k<j} s_jk, with the t_j t_k s_jk partners for type B."""
+    op = scalar(n, 0)
+    for k in range(1, j):
+        swap = exchange(n, j, k)
+        if type_b:
+            swap = swap + sign_flip(n, j) * sign_flip(n, k) * swap
+        op = op + beta * swap
+    return op
+
+
+def _coordinate(n: int, j: int) -> Operator:
+    return multiply_by(Polynomial.variable(n, j))
+
+
+def _check_type_a(spec: FamilySpec) -> None:
     if spec.family == LAGUERRE:
         raise TypeBContextError(
             "type-A Dunkl operator requested with a type-B (Laguerre) spec"
         )
+
+
+def _check_type_b(spec: FamilySpec) -> None:
+    if spec.family != LAGUERRE:
+        raise TypeBContextError("type-B primitive in type-A context")
+
+
+def dunkl_a(j: int, spec: FamilySpec) -> Operator:
+    """D_j = d_j + beta * sum_{k!=j} (1 - s_jk)/(x_j - x_k)."""
+    _check_type_a(spec)
     n, beta = spec.n, spec.beta
     _check_index(n, j)
-    op = derivative(n, j)
-    for k in range(1, n + 1):
-        if k != j:
-            op = op + beta * divided_diff_minus(n, j, k)
-    return op
+    return _named(("dunkl_a", n, beta, j), lambda: _dunkl(n, j, beta))
 
 
 def cherednik_a(j: int, spec: FamilySpec) -> Operator:
     """Dhat_j = x_j D_j + beta * sum_{k<j} s_jk; joint eigenbasis =
     non-symmetric Jack polynomials."""
+    _check_type_a(spec)
     n, beta = spec.n, spec.beta
     _check_index(n, j)
-    op = multiply_by(Polynomial.variable(n, j)) * dunkl_a(j, spec)
-    for k in range(1, j):
-        op = op + beta * exchange(n, j, k)
-    return op
+    return _named(
+        ("cherednik_a", n, beta, j),
+        lambda: _coordinate(n, j) * _dunkl(n, j, beta) + _exchanges(n, j, beta, False),
+    )
 
 
 def dunkl_b(j: int, spec: FamilySpec) -> Operator:
     """B-type Dunkl operator, acting in the z variables."""
-    if spec.family != LAGUERRE:
-        raise TypeBContextError("type-B primitive in type-A context")
+    _check_type_b(spec)
     n, beta, gamma = spec.n, spec.beta, spec.gamma
     _check_index(n, j)
-    op = derivative(n, j)
-    for k in range(1, n + 1):
-        if k != j:
-            op = op + beta * (divided_diff_minus(n, j, k) + divided_diff_plus(n, j, k))
-    return op + gamma * sign_divided(n, j)
+    return _named(("dunkl_b", n, beta, gamma, j), lambda: _dunkl(n, j, beta, gamma))
 
 
 def cherednik_b(j: int, spec: FamilySpec) -> Operator:
     """Dhat_j = z_j D_j + beta * sum_{k<j} (s_jk + t_j t_k s_jk); preserves
     the even subring C[z_1^2, ..., z_N^2]."""
-    if spec.family != LAGUERRE:
-        raise TypeBContextError("type-B primitive in type-A context")
-    n, beta = spec.n, spec.beta
+    _check_type_b(spec)
+    n, beta, gamma = spec.n, spec.beta, spec.gamma
     _check_index(n, j)
-    op = multiply_by(Polynomial.variable(n, j)) * dunkl_b(j, spec)
-    for k in range(1, j):
-        swap = exchange(n, j, k)
-        op = op + beta * (swap + sign_flip(n, j) * sign_flip(n, k) * swap)
-    return op
+    return _named(
+        ("cherednik_b", n, beta, gamma, j),
+        lambda: _coordinate(n, j) * _dunkl(n, j, beta, gamma)
+        + _exchanges(n, j, beta, True),
+    )
 
 
 def creation_a(j: int, spec: FamilySpec) -> Operator:
@@ -325,11 +558,9 @@ def creation_a(j: int, spec: FamilySpec) -> Operator:
         raise ValueError("creation_a needs a Hermite spec")
     n, beta = spec.n, spec.beta
     _check_index(n, j)
-    op = -derivative(n, j) + 2 * multiply_by(Polynomial.variable(n, j))
-    for k in range(1, n + 1):
-        if k != j:
-            op = op - beta * divided_diff_minus(n, j, k)
-    return op
+    return _named(
+        ("creation_a", n, beta, j), lambda: 2 * _coordinate(n, j) - _dunkl(n, j, beta)
+    )
 
 
 def annihilation_a(j: int, spec: FamilySpec) -> Operator:
@@ -337,22 +568,20 @@ def annihilation_a(j: int, spec: FamilySpec) -> Operator:
     plain Dunkl operator D_j."""
     if spec.family != HERMITE:
         raise ValueError("annihilation_a needs a Hermite spec")
-    return dunkl_a(j, FamilySpec(JACK, spec.n, spec.beta))
+    return dunkl_a(j, spec)
 
 
 def creation_b(j: int, spec: FamilySpec) -> Operator:
     """Rescaled B-type creation operator.  The sign of the gamma term comes
     from gauge conjugation of -D_j + 2 z_j, giving
     B_j = -d_j + 2 z_j - beta * sum [...] - gamma (1-t_j)/z_j."""
-    if spec.family != LAGUERRE:
-        raise TypeBContextError("type-B primitive in type-A context")
+    _check_type_b(spec)
     n, beta, gamma = spec.n, spec.beta, spec.gamma
     _check_index(n, j)
-    op = -derivative(n, j) + 2 * multiply_by(Polynomial.variable(n, j))
-    for k in range(1, n + 1):
-        if k != j:
-            op = op - beta * (divided_diff_minus(n, j, k) + divided_diff_plus(n, j, k))
-    return op - gamma * sign_divided(n, j)
+    return _named(
+        ("creation_b", n, beta, gamma, j),
+        lambda: 2 * _coordinate(n, j) - _dunkl(n, j, beta, gamma),
+    )
 
 
 def annihilation_b(j: int, spec: FamilySpec) -> Operator:
@@ -367,20 +596,18 @@ def htilde(j: int, spec: FamilySpec) -> Operator:
     The two factored-out sqrt(2) scalings of the ladder pair cancel in the
     product, so h_j = (1/2) * creation * annihilation + exchange terms.
     """
-    n, beta = spec.n, spec.beta
+    n, beta, gamma = spec.n, spec.beta, spec.gamma
     _check_index(n, j)
-    if spec.family == HERMITE:
-        op = Fraction(1, 2) * (creation_a(j, spec) * annihilation_a(j, spec))
-        for k in range(1, j):
-            op = op + beta * exchange(n, j, k)
-        return op
-    if spec.family == LAGUERRE:
-        op = Fraction(1, 2) * (creation_b(j, spec) * annihilation_b(j, spec))
-        for k in range(1, j):
-            swap = exchange(n, j, k)
-            op = op + beta * (swap + sign_flip(n, j) * sign_flip(n, k) * swap)
-        return op
-    raise ValueError("htilde needs a Hermite or Laguerre spec")
+    if spec.family not in (HERMITE, LAGUERRE):
+        raise ValueError("htilde needs a Hermite or Laguerre spec")
+
+    def build() -> Operator:
+        lower = _dunkl(n, j, beta, gamma)
+        raised = 2 * _coordinate(n, j) - lower
+        ladder = Fraction(1, 2) * (raised * lower)
+        return ladder + _exchanges(n, j, beta, spec.family == LAGUERRE)
+
+    return _named(("htilde", spec.family, n, beta, gamma, j), build)
 
 
 def deformed_transposition(nvars: int, j: int, beta: int) -> Operator:
@@ -409,30 +636,19 @@ def symmetrizer(nvars: int, kind: str, beta: int | None = None) -> Operator:
     """
     if nvars > MAX_SYMMETRIZER_N:
         raise ValueError(f"symmetrizer limited to N <= {MAX_SYMMETRIZER_N}")
-    norm = Fraction(1, math.factorial(nvars))
+    perms = list(all_permutations(nvars))
     if kind == "plus":
-        ops = [permutation_op(w) for w in all_permutations(nvars)]
-        signs = [1] * len(ops)
+        words = [permutation_op(w) for w in perms]
     elif kind == "minus":
-        perms = list(all_permutations(nvars))
-        ops = [permutation_op(w) for w in perms]
-        signs = [sign(w) for w in perms]
+        words = [sign(w) * permutation_op(w) for w in perms]
     elif kind == "minus_deformed":
         if beta is None:
             raise ValueError("minus_deformed symmetrizer needs beta")
-        perms = list(all_permutations(nvars))
-        ops = [deformed_word_op(nvars, w, beta) for w in perms]
-        signs = [sign(w) for w in perms]
+        words = [sign(w) * deformed_word_op(nvars, w, beta) for w in perms]
     else:
         raise ValueError(f"unknown symmetrizer kind {kind!r}")
-
-    def act(f: Polynomial) -> Polynomial:
-        total = Polynomial.zero(f.nvars)
-        for s, op in zip(signs, ops):
-            total = total + s * op(f)
-        return total * norm
-
-    return Operator(nvars, act)
+    total = _combination(nvars, [term for op in words for term in op._terms])
+    return Fraction(1, math.factorial(nvars)) * total
 
 
 def sutherland_expanded_apply(f: Polynomial, beta: int) -> Polynomial:
@@ -449,10 +665,7 @@ def sutherland_expanded_apply(f: Polynomial, beta: int) -> Polynomial:
     from .polynomials import divide_exact
 
     n = f.nvars
-    euler = [
-        multiply_by(Polynomial.variable(n, j)) * derivative(n, j)
-        for j in range(1, n + 1)
-    ]
+    euler = [_coordinate(n, j) * derivative(n, j) for j in range(1, n + 1)]
     total = Polynomial.zero(n)
     for j in range(n):
         total = total + euler[j](euler[j](f))
@@ -509,8 +722,7 @@ def operator_from_string(text: str, spec: FamilySpec) -> Operator:
     if name == "exchange":
         return exchange(spec.n, params["i"], params["j"])
     if name == "signflip":
-        if spec.family != LAGUERRE:
-            raise TypeBContextError("type-B primitive in type-A context")
+        _check_type_b(spec)
         return sign_flip(spec.n, params["j"])
     if name not in _NAMED_CONSTRUCTORS:
         raise ValueError(f"unknown operator name {name!r}")

@@ -41,7 +41,7 @@ from .combinatorics import (
 )
 from .errors import DivergentWeightError, HeckePolyError
 from .parameters import FamilySpec, HERMITE, JACK, LAGUERRE
-from .polynomials import Exponent, Polynomial, vandermonde
+from .polynomials import Exponent, Polynomial, _integer_part, vandermonde
 
 
 @dataclass(frozen=True)
@@ -246,11 +246,8 @@ def _laguerre_moment_num(n: int, beta: int, p: int, q: int, exps: Exponent) -> i
 
 def _integer_terms(f: Polynomial) -> tuple[int, list]:
     """(L, [(exps, |exps|, L * coeff)]) with L the lcm of the denominators."""
-    scale = math.lcm(*(c.denominator for c in f.terms.values()))
-    return scale, [
-        (exps, sum(exps), c.numerator * (scale // c.denominator))
-        for exps, c in f.terms.items()
-    ]
+    terms, scale = _integer_part(f.terms)
+    return scale, [(exps, sum(exps), c) for exps, c in terms.items()]
 
 
 def _moment_pairing(f: Polynomial, g: Polynomial, moment, denominator) -> Fraction:

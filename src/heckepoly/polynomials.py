@@ -9,7 +9,7 @@ to nonzero exact coefficients.  An integer value is stored as a plain
 Integer coefficients keep ``Fraction`` off the hot path: with an integer
 coupling every operator primitive has integer matrix entries.  The public
 accessors ``coefficient``, ``constant_term`` and ``leading`` still return
-``Fraction``.
+``Fraction``.  A ``float`` coefficient or scalar raises ``TypeError``.
 
 Exponents may be negative (Laurent monomials appear in constant-term
 pairings).  Every ring operation is exact, so polynomial identity testing
@@ -23,6 +23,7 @@ makes all outputs byte-deterministic.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import add
 from typing import Iterable, Iterator, Mapping
@@ -39,15 +40,27 @@ _ZERO = Fraction(0)
 
 
 def _canonical(value) -> Coefficient:
-    """An exact scalar in stored form: int when integral, else Fraction."""
+    """An exact scalar in stored form: int when integral, else Fraction.
+    A float is refused: its binary expansion is not the value meant."""
     if type(value) is int:
         return value
+    if isinstance(value, float):
+        raise TypeError(f"inexact float scalar {value!r}: use int or Fraction")
     c = value if type(value) is Fraction else Fraction(value)
     return c.numerator if c.denominator == 1 else c
 
 
 def _as_fraction(c: Coefficient) -> Fraction:
     return c if type(c) is Fraction else Fraction(c)
+
+
+def _integer_part(terms: dict) -> tuple[dict, int]:
+    """(integer terms, D) with ``terms`` = integer terms / D, where D is the
+    lcm of the denominators; ``terms`` itself when D = 1."""
+    den = math.lcm(*(c.denominator for c in terms.values() if type(c) is not int))
+    if den == 1:
+        return terms, 1
+    return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
 
 
 def _integral_to_int(terms: dict) -> dict:
@@ -269,7 +282,7 @@ class Polynomial:
 
     def scale_variables(self, c) -> "Polynomial":
         """Substitute x_j -> c*x_j (c must be a nonzero rational)."""
-        c = Fraction(c)
+        c = _canonical(c)
         return Polynomial(
             self.nvars, {exps: coeff * c ** sum(exps) for exps, coeff in self.terms.items()}
         )

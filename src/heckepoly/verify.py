@@ -41,10 +41,8 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 import random
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -61,6 +59,7 @@ from .combinatorics import (
 from .errors import HeckePolyError
 from .families import (
     NonSymLabel,
+    _elementary_symmetric,
     composition_spectrum,
     decode_even,
     encode_even,
@@ -110,8 +109,11 @@ class GridSpec:
     rand_polys: int = 50
 
     def __post_init__(self):
-        if max(self.ns) > 4 or self.degree > 6 or max(self.betas) > 3:
-            raise ValueError("grid out of bounds: N <= 4, degree <= 6, beta <= 3")
+        out_of_bounds = (
+            min(self.ns) < 2 or max(self.ns) > 4 or self.degree > 6 or max(self.betas) > 3
+        )
+        if out_of_bounds:
+            raise ValueError("grid out of bounds: 2 <= N <= 4, degree <= 6, beta <= 3")
         if self.pairs < 1 or self.rand_polys < 1:
             raise ValueError("grid counts must be positive: pairs >= 1, rand_polys >= 1")
         object.__setattr__(self, "gammas", tuple(Fraction(g) for g in self.gammas))
@@ -467,22 +469,12 @@ def suite_jack_eigen(grid: GridSpec) -> SuiteReport:
                     for idx in subset:
                         g = chers[idx](g)
                     image = image + g
-                expected = _elementary(values, k) * j_poly.poly
+                expected = _elementary_symmetric(values, k) * j_poly.poly
                 if image != expected:
                     ok = False
                     break
             report.record(params, ok)
     return report
-
-
-def _elementary(values, k: int) -> Fraction:
-    total = Fraction(0)
-    for subset in itertools.combinations(values, k):
-        term = Fraction(1)
-        for v in subset:
-            term *= v
-        total += term
-    return total
 
 
 def suite_jack_orth(grid: GridSpec) -> SuiteReport:
@@ -1042,14 +1034,6 @@ SUITE_OPERATIONS = {
 }
 
 
-def max_workers() -> int:
-    try:
-        value = int(os.environ.get("HECKE_POLY_THREADS", "1"))
-    except ValueError:
-        return 1
-    return max(1, value)
-
-
 def run_suite(name: str, grid: GridSpec | None = None) -> SuiteReport:
     if name not in SUITES:
         raise ValueError(f"unknown suite name {name!r}")
@@ -1058,12 +1042,7 @@ def run_suite(name: str, grid: GridSpec | None = None) -> SuiteReport:
 
 def run_all(grid: GridSpec | None = None, names=None) -> list[SuiteReport]:
     grid = grid or GridSpec()
-    names = list(names or SUITES)
-    workers = max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda s: run_suite(s, grid), names))
-    return [run_suite(name, grid) for name in names]
+    return [run_suite(name, grid) for name in names or SUITES]
 
 
 def reports_to_json(reports: list[SuiteReport]) -> str:

@@ -242,3 +242,12 @@ def test_cli_deterministic_across_processes():
     second = subprocess.run(args, capture_output=True, text=True)
     assert first.returncode == 0 and second.returncode == 0
     assert first.stdout == second.stdout
+
+
+def test_verify_rejects_single_variable_grid():
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--suite", "appendix_A", "--n-list", "1", "--beta-list", "1",
+              "--max-weight", "1", "--degree", "1"])
+    text = str(info.value.code)
+    assert text.startswith("error: ") and "2 <= N <= 4" in text
+    assert "\n" not in text

@@ -296,3 +296,186 @@ def test_linearity_of_apply():
     g = Polynomial.monomial((0, 3))
     assert op(f + g) == op(f) + op(g)
     assert op(f * Fraction(2, 3)) == op(f) * Fraction(2, 3)
+
+
+# ---------------------------------------------------------------------------
+# independent oracle: every divided difference by exact polynomial division
+
+
+def _partial(f, j):
+    out = {}
+    for exps, c in f.terms.items():
+        if exps[j - 1]:
+            e = list(exps)
+            e[j - 1] -= 1
+            out[tuple(e)] = c * exps[j - 1]
+    return Polynomial(f.nvars, out)
+
+
+def _flip(f, j):
+    return Polynomial(
+        f.nvars, {e: (-c if e[j - 1] % 2 else c) for e, c in f.terms.items()}
+    )
+
+
+def _var(n, j):
+    return Polynomial.variable(n, j)
+
+
+def _ref_minus(f, j, k):
+    return divide_exact(f - f.swap_variables(j, k), _var(f.nvars, j) - _var(f.nvars, k))
+
+
+def _ref_plus(f, j, k):
+    mirrored = _flip(_flip(f.swap_variables(j, k), j), k)
+    return divide_exact(f - mirrored, _var(f.nvars, j) + _var(f.nvars, k))
+
+
+def _ref_sign(f, j):
+    return divide_exact(f - _flip(f, j), _var(f.nvars, j))
+
+
+def _ref_exchange_sum(f, j, beta, type_b):
+    total = Polynomial.zero(f.nvars)
+    for k in range(1, j):
+        swapped = f.swap_variables(j, k)
+        total = total + swapped
+        if type_b:
+            total = total + _flip(_flip(swapped, j), k)
+    return beta * total
+
+
+def _ref_difference_sum(f, j, beta, type_b):
+    total = Polynomial.zero(f.nvars)
+    for k in range(1, f.nvars + 1):
+        if k != j:
+            total = total + _ref_minus(f, j, k)
+            if type_b:
+                total = total + _ref_plus(f, j, k)
+    return beta * total
+
+
+def _ref_dunkl(f, j, beta, gamma=None):
+    out = _partial(f, j) + _ref_difference_sum(f, j, beta, gamma is not None)
+    return out if gamma is None else out + gamma * _ref_sign(f, j)
+
+
+def _ref_creation(f, j, beta, gamma=None):
+    out = -_partial(f, j) + 2 * _var(f.nvars, j) * f
+    out = out - _ref_difference_sum(f, j, beta, gamma is not None)
+    return out if gamma is None else out - gamma * _ref_sign(f, j)
+
+
+def _ref_cherednik_a(f, j, beta):
+    return _var(f.nvars, j) * _ref_dunkl(f, j, beta) + _ref_exchange_sum(f, j, beta, False)
+
+
+def _ref_cherednik_b(f, j, beta, gamma):
+    return _var(f.nvars, j) * _ref_dunkl(f, j, beta, gamma) + _ref_exchange_sum(
+        f, j, beta, True
+    )
+
+
+def _ref_htilde(f, j, beta, gamma=None):
+    lowered = _ref_dunkl(f, j, beta, gamma)
+    ladder = _ref_creation(lowered, j, beta, gamma) * Fraction(1, 2)
+    return ladder + _ref_exchange_sum(f, j, beta, gamma is not None)
+
+
+def _random_poly(rng, n, degree):
+    exps = list(monomials_up_to_degree(n, degree))
+    terms = {
+        tuple(rng.choice(exps)): Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        for _ in range(rng.randint(1, 6))
+    }
+    return Polynomial(n, terms)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("beta", [0, 1, 2])
+def test_named_operators_against_division_oracle(n, beta):
+    gamma = Fraction(1, 3)
+    jac, her, lag = jack_spec(n, beta), hermite_spec(n, beta), laguerre_spec(n, beta, gamma)
+    pairs = []
+    for j in range(1, n + 1):
+        pairs += [
+            (ops.dunkl_a(j, jac), lambda f, j=j: _ref_dunkl(f, j, beta)),
+            (ops.cherednik_a(j, jac), lambda f, j=j: _ref_cherednik_a(f, j, beta)),
+            (ops.creation_a(j, her), lambda f, j=j: _ref_creation(f, j, beta)),
+            (ops.htilde(j, her), lambda f, j=j: _ref_htilde(f, j, beta)),
+            (ops.dunkl_b(j, lag), lambda f, j=j: _ref_dunkl(f, j, beta, gamma)),
+            (ops.cherednik_b(j, lag), lambda f, j=j: _ref_cherednik_b(f, j, beta, gamma)),
+            (ops.creation_b(j, lag), lambda f, j=j: _ref_creation(f, j, beta, gamma)),
+            (ops.htilde(j, lag), lambda f, j=j: _ref_htilde(f, j, beta, gamma)),
+        ]
+    rng = random.Random(100 * n + beta)
+    polys = [_random_poly(rng, n, 4) for _ in range(3)]
+    for op, reference in pairs:
+        for f in polys:
+            expected = reference(f)
+            assert op(f) == expected
+            assert op(f) == expected  # warm: every image now comes from the memo
+
+
+def test_combinations_against_division_oracle():
+    """Sums, integer and fractional scalars, compositions and powers of
+    memoized operators, against the same expression over the oracle."""
+    n, beta, gamma = 3, 1, Fraction(2, 5)
+    jac, her, lag = jack_spec(n, beta), hermite_spec(n, beta), laguerre_spec(n, beta, gamma)
+    a, b = ops.cherednik_a(1, jac), ops.dunkl_a(2, jac)
+    h, d = ops.htilde(3, her), ops.dunkl_b(2, lag)
+    expr = (3 * a - Fraction(1, 2) * h) * (2 * b + ops.scalar(n, Fraction(1, 3))) - a**2
+    expr = expr + Fraction(3, 4) * (d * h) - (-2) * (b * d * a)
+
+    def reference(f):
+        g = 2 * _ref_dunkl(f, 2, beta) + f * Fraction(1, 3)
+        out = 3 * _ref_cherednik_a(g, 1, beta) - _ref_htilde(g, 3, beta) * Fraction(1, 2)
+        out = out - _ref_cherednik_a(_ref_cherednik_a(f, 1, beta), 1, beta)
+        out = out + _ref_dunkl(_ref_htilde(f, 3, beta), 2, beta, gamma) * Fraction(3, 4)
+        inner = _ref_dunkl(_ref_cherednik_a(f, 1, beta), 2, beta, gamma)
+        return out + 2 * _ref_dunkl(inner, 2, beta)
+
+    rng = random.Random(17)
+    for _ in range(4):
+        f = _random_poly(rng, n, 3)
+        assert expr(f) == reference(f)
+        assert expr(f) == reference(f)
+
+
+_NAMED = [
+    ops.dunkl_a, ops.cherednik_a, ops.creation_a, ops.annihilation_a,
+    ops.dunkl_b, ops.cherednik_b, ops.creation_b, ops.annihilation_b, ops.htilde,
+]
+
+
+def test_caches_cold_warm_and_cleared():
+    specs = [jack_spec(3, 2), hermite_spec(3, 1), laguerre_spec(3, 1, Fraction(1, 2))]
+    rng = random.Random(5)
+    polys = [_random_poly(rng, 3, 3) for _ in range(3)]
+
+    def named_results():
+        results = []
+        for spec in specs:
+            for constructor in _NAMED:
+                try:
+                    op = constructor(2, spec)
+                except (ValueError, TypeBContextError):  # family mismatch
+                    continue
+                results.append([op(f) for f in polys])
+        return results
+
+    ops.clear_caches()
+    assert ops.cache_info() == (0, 0)
+    cold = named_results()
+    info = ops.cache_info()
+    assert info.operators > 0 and info.images > 0
+    warm = named_results()
+    assert ops.cache_info() == info
+    held = ops.htilde(2, specs[1])
+    before = held(polys[0])
+    ops.clear_caches()
+    assert ops.cache_info() == (0, 0)
+    assert held(polys[0]) == before  # a held operator recomputes its images
+    cleared = named_results()
+    assert cold == warm == cleared
+    assert ops.cache_info() == info

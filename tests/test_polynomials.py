@@ -90,7 +90,22 @@ def test_integral_results_are_int():
     assert type(ops.derivative(1, 1)(half * x).terms[(1,)]) is int
     assert type(ops.sign_divided(1, 1)(half).terms[(0,)]) is int
     assert Polynomial(1, {(1,): Fraction(4, 2)}).terms == {(1,): 2}
-    assert Polynomial(1, {(1,): 0.5}).terms == {(1,): Fraction(1, 2)}
+
+
+def test_float_scalars_rejected():
+    x = Polynomial.variable(1, 1)
+    with pytest.raises(TypeError, match="float"):
+        Polynomial(1, {(1,): 0.1})
+    with pytest.raises(TypeError, match="float"):
+        x * 0.5
+    with pytest.raises(TypeError, match="float"):
+        x + 0.5
+    with pytest.raises(TypeError, match="float"):
+        0.5 * ops.derivative(1, 1)
+    with pytest.raises(TypeError, match="float"):
+        ops.derivative(1, 1) * 0.5
+    with pytest.raises(TypeError, match="float"):
+        ops.scalar(1, 0.5)
 
 
 def test_basic_arithmetic():

@@ -41,6 +41,8 @@ def test_unknown_suite():
 def test_grid_bounds():
     with pytest.raises(ValueError, match="grid out of bounds"):
         GridSpec(ns=(5,))
+    with pytest.raises(ValueError, match="grid out of bounds"):
+        GridSpec(ns=(1, 2))
     with pytest.raises(ValueError):
         GridSpec(degree=7)
     with pytest.raises(ValueError):
@@ -143,14 +145,3 @@ def test_empty_suite_fails():
         GridSpec(pairs=0)
     with pytest.raises(ValueError, match="must be positive"):
         GridSpec(rand_polys=-1)
-
-
-def test_thread_env_cap(monkeypatch):
-    from heckepoly import verify
-
-    monkeypatch.setenv("HECKE_POLY_THREADS", "2")
-    assert verify.max_workers() == 2
-    reports = run_all(SMALL, ["jack_orth", "norm_equiv_appB"])
-    assert all(r.passed for r in reports)
-    monkeypatch.setenv("HECKE_POLY_THREADS", "junk")
-    assert verify.max_workers() == 1
