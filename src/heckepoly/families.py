@@ -20,6 +20,20 @@ sqrt(2), so the intertwiner applied to a homogeneous f of degree d is
 which makes every family polynomial exactly rational.  Under this
 convention sigma_A(J_lam) *is* the monic Hermite polynomial and
 sigma_B(J_lam) the monic Laguerre polynomial.
+
+The Gram route (the default for Hermite and Laguerre) runs on integers.
+m_mu and m_nu have integer coefficients and are homogeneous, so the Gram
+entry <m_mu, m_nu> is one integer numerator over the pairing's denominator
+of degree |mu| + |nu|: 2^((d+D)/2) for Gauss, q^(d+D) for Laguerre, with
+D = beta N(N-1) and gamma + 1/2 = p/q (see ``pairings``).  The numerators
+come from the pairings' integer moment kernel and are memoized per spec
+and unordered pair (mu, nu), so all labels of a spec share them.  The
+system, scaled to one common denominator, is solved by fraction-free
+(Bareiss) elimination, with one Fraction per unknown at the end.
+
+Constructions, weights, moments, Gram numerators and the shift
+calibration are cached for the life of the process; ``cache_info``
+reports the entries each cache holds and ``clear_caches`` empties them.
 """
 
 from __future__ import annotations
@@ -50,8 +64,9 @@ from .errors import (
     HeckePolyError,
     SpectrumCollisionError,
 )
+from .pairings import _integer_terms, _moment_kernel, _moment_sums
 from .parameters import FamilySpec, HERMITE, JACK, LAGUERRE
-from .polynomials import Polynomial, monomials_of_degree
+from .polynomials import Polynomial, _canonical, monomials_of_degree
 
 Partition = tuple[int, ...]
 
@@ -145,14 +160,11 @@ def symmetric_spectrum(lam, n: int, beta: int) -> tuple[int, ...]:
     return tuple(lam[n - j] + beta * (j - 1) for j in range(1, n + 1))
 
 
-def _elementary_symmetric(values, k: int) -> Fraction:
-    values = list(values)
-    if k == 0:
-        return Fraction(1)
-    table = [Fraction(0)] * (k + 1)
-    table[0] = Fraction(1)
+def _elementary_symmetric(values, k: int):
+    """e_k(values); an int when the values are integers."""
+    table = [1] + [0] * k
     for v in values:
-        for i in range(min(k, len(table) - 1), 0, -1):
+        for i in range(k, 0, -1):
             table[i] += table[i - 1] * v
     return table[k]
 
@@ -446,7 +458,7 @@ def hermite(lam, spec: FamilySpec, method: str = "gram") -> FamilyPolynomial:
         raise ValueError("hermite needs a Hermite spec")
     lam = pad_partition(lam, spec.n)
     if method == "gram":
-        poly = _hermite_gram(lam, spec)
+        poly = _hermite_gram(lam, spec.n, spec.beta)
     elif method == "intertwined":
         jack_poly = jack(lam, FamilySpec(JACK, spec.n, spec.beta)).poly
         poly = sigma_a(jack_poly, spec)
@@ -463,22 +475,25 @@ def hermite(lam, spec: FamilySpec, method: str = "gram") -> FamilyPolynomial:
 
 
 @lru_cache(maxsize=None)
-def _hermite_gram_cached(lam, n: int, beta: int) -> Polynomial:
-    from .pairings import gauss_pairing
-
-    spec = FamilySpec(HERMITE, n, beta)
-    return _gram_solve(
-        lam, n, lambda f, g: gauss_pairing(f, g, spec).q
-    )
+def _hermite_gram(lam, n: int, beta: int) -> Polynomial:
+    return _gram_solve(lam, FamilySpec(HERMITE, n, beta))
 
 
-def _hermite_gram(lam, spec: FamilySpec) -> Polynomial:
-    return _hermite_gram_cached(lam, spec.n, spec.beta)
+# Gram numerators <m_mu, m_nu> * denominator(|mu| + |nu|) per spec and
+# unordered pair (mu, nu): every label of a spec reads the same table.
+_GRAM_NUMERATORS: dict[FamilySpec, dict[tuple[Partition, Partition], int]] = {}
 
 
-def _gram_solve(lam, n: int, pairing) -> Polynomial:
+def _gram_solve(lam, spec: FamilySpec) -> Polynomial:
     """Monic-in-m_lam polynomial orthogonal to every m_mu with mu strictly
-    below lam in the cross-degree dominance order."""
+    below lam in the cross-degree dominance order, under the Gauss or
+    Laguerre pairing of spec.
+
+    m_mu and m_nu are homogeneous with integer coefficients, so each Gram
+    entry is one integer numerator over the pairing's denominator of the
+    degree |mu| + |nu|.  The system is scaled to the denominator of the
+    top degree 2|lam| and solved fraction-free."""
+    n = spec.n
     companions = [
         mu
         for mu in partitions_up_to(sum(lam), n)
@@ -487,20 +502,64 @@ def _gram_solve(lam, n: int, pairing) -> Polynomial:
     m_lam = monomial_symmetric(n, lam)
     if not companions:
         return m_lam
-    basis = [monomial_symmetric(n, mu) for mu in companions]
-    # the pairings are symmetric: fill the upper triangle and mirror it
-    size = len(basis)
-    rows = [[None] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(i, size):
-            rows[i][j] = rows[j][i] = pairing(basis[j], basis[i])
-    rhs = [-pairing(m_lam, m_nu) for m_nu in basis]
-    solution = _solve_linear(rows, rhs)
-    poly = m_lam
-    for coeff, b in zip(solution, basis):
+    moment, denominator = _moment_kernel(spec)
+    top = denominator(2 * sum(lam))
+    scale = [top // denominator(d) for d in range(2 * sum(lam) + 1)]
+    numerators = _GRAM_NUMERATORS.setdefault(spec, {})
+    terms: dict[Partition, list] = {}
+
+    def entry(mu, nu) -> int:
+        degree = sum(mu) + sum(nu)
+        key = (mu, nu) if mu <= nu else (nu, mu)
+        num = numerators.get(key)
+        if num is None:
+            for part in key:
+                if part not in terms:
+                    terms[part] = _integer_terms(monomial_symmetric(n, part))[1]
+            num = numerators[key] = _moment_sums(terms[mu], terms[nu], moment).get(degree, 0)
+        return num * scale[degree]
+
+    rows = [[entry(mu, nu) for nu in companions] for mu in companions]
+    rhs = [-entry(lam, mu) for mu in companions]
+    out = dict(m_lam.terms)
+    for coeff, mu in zip(_solve_bareiss(rows, rhs), companions):
         if coeff:
-            poly = poly + coeff * b
-    return poly
+            out.update(dict.fromkeys(monomial_symmetric(n, mu).terms, _canonical(coeff)))
+    return Polynomial._trusted(n, out)
+
+
+def _solve_bareiss(rows, rhs) -> list[Fraction]:
+    """Solve the square integer system rows . x = rhs exactly.
+
+    Fraction-free (Bareiss) elimination with row pivoting keeps every
+    entry an integer: step k replaces each lower row by
+    (pivot * row - row[k] * pivot row) / previous pivot, an exact division.
+    The last pivot d is the determinant up to sign, so d x is an integer
+    vector (Cramer); back-substitution finds it in integers and returns
+    the Fractions (d x)_i / d."""
+    size = len(rows)
+    aug = [list(row) + [value] for row, value in zip(rows, rhs)]
+    prev = 1
+    for k in range(size):
+        pivot = next((r for r in range(k, size) if aug[r][k]), None)
+        if pivot is None:
+            raise HeckePolyError("singular linear system in Gram construction")
+        aug[k], aug[pivot] = aug[pivot], aug[k]
+        head = aug[k]
+        lead = head[k]
+        for row in aug[k + 1 :]:
+            factor = row[k]
+            for c in range(k + 1, size + 1):
+                row[c] = (lead * row[c] - factor * head[c]) // prev
+        prev = lead
+    scaled = [0] * size
+    for i in range(size - 1, -1, -1):
+        row = aug[i]
+        total = prev * row[size]
+        for j in range(i + 1, size):
+            total -= row[j] * scaled[j]
+        scaled[i] = total // row[i]
+    return [Fraction(v, prev) for v in scaled]
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +572,7 @@ def laguerre(lam, spec: FamilySpec, method: str = "gram") -> FamilyPolynomial:
         raise ValueError("laguerre needs a Laguerre spec")
     lam = pad_partition(lam, spec.n)
     if method == "gram":
-        poly = _laguerre_gram_cached(lam, spec.n, spec.beta, spec.gamma)
+        poly = _laguerre_gram(lam, spec.n, spec.beta, spec.gamma)
     elif method == "intertwined":
         jack_poly = jack(lam, FamilySpec(JACK, spec.n, spec.beta)).poly
         poly = sigma_b(jack_poly, spec)
@@ -530,11 +589,8 @@ def laguerre(lam, spec: FamilySpec, method: str = "gram") -> FamilyPolynomial:
 
 
 @lru_cache(maxsize=None)
-def _laguerre_gram_cached(lam, n: int, beta: int, gamma) -> Polynomial:
-    from .pairings import laguerre_pairing
-
-    spec = FamilySpec(LAGUERRE, n, beta, gamma)
-    return _gram_solve(lam, n, lambda f, g: laguerre_pairing(f, g, spec).q)
+def _laguerre_gram(lam, n: int, beta: int, gamma) -> Polynomial:
+    return _gram_solve(lam, FamilySpec(LAGUERRE, n, beta, gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -583,28 +639,6 @@ def _assert_image_leading(poly: Polynomial, base: FamilyPolynomial) -> None:
                 )
 
 
-# ---------------------------------------------------------------------------
-# exact linear algebra
-
-
-def _solve_linear(rows, rhs):
-    """Solve a square exact-rational system by Gaussian elimination."""
-    size = len(rows)
-    aug = [list(map(Fraction, row)) + [Fraction(value)] for row, value in zip(rows, rhs)]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if aug[r][col]), None)
-        if pivot is None:
-            raise HeckePolyError("singular linear system in Gram construction")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(size):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [aug[r][size] for r in range(size)]
-
-
 def construct(label, spec: FamilySpec, method: str | None = None) -> FamilyPolynomial:
     """Family-dispatching convenience constructor used by the CLI."""
     if isinstance(label, NonSymLabel):
@@ -618,3 +652,44 @@ def construct(label, spec: FamilySpec, method: str | None = None) -> FamilyPolyn
     if spec.family == HERMITE:
         return hermite(label, spec, method or "gram")
     return laguerre(label, spec, method or "gram")
+
+
+# ---------------------------------------------------------------------------
+# caches
+
+
+def _lru_caches() -> dict:
+    from . import pairings, shift  # shift imports this module
+
+    caches = (
+        _nonsym_jack_poly,
+        _jack_triangular,
+        _hermite_gram,
+        _laguerre_gram,
+        pairings._vandermonde_power,
+        pairings._weight_terms,
+        pairings._ct_weight,
+        pairings._weight_by_parity,
+        pairings._gauss_table,
+        pairings._rising_table,
+        pairings._gauss_moment_num,
+        pairings._laguerre_moment_num,
+        shift.calibrate,
+    )
+    return {f"{fn.__module__.rpartition('.')[2]}.{fn.__name__}": fn for fn in caches}
+
+
+def cache_info() -> dict[str, int]:
+    """Entries held by each construction and pairing cache (the lru_caches
+    of families, pairings and shift.calibrate, and the Gram numerators).
+    The operator memo has its own ``operators.cache_info``."""
+    info = {name: fn.cache_info().currsize for name, fn in _lru_caches().items()}
+    info["families.gram_numerators"] = sum(map(len, _GRAM_NUMERATORS.values()))
+    return info
+
+
+def clear_caches() -> None:
+    """Empty every cache that ``cache_info`` reports."""
+    for fn in _lru_caches().values():
+        fn.cache_clear()
+    _GRAM_NUMERATORS.clear()

@@ -46,9 +46,11 @@ and h_j = (1/2) A_j a_j + beta * sum_{k<j} s_jk  (Hermite),
 
 The named operators (Dunkl, Cherednik, creation, annihilation, h_j) are
 built once per index and parameter set, and each memoizes the image of
-every monomial it is applied to.  ``cache_info`` reports their number and
-the stored images; ``clear_caches`` drops both.  Composites (commutators,
-raising and shift products) are not memoized.
+every monomial it is applied to.  Composites that callers reuse (the
+raising operators and the shift Y-products) are built once per key through
+``composite``; they memoize no images of their own, their named factors
+do.  ``cache_info`` reports the named operators, their stored images and
+the composites; ``clear_caches`` drops all three.
 """
 
 from __future__ import annotations
@@ -442,24 +444,38 @@ def _check_index(nvars: int, j: int) -> None:
 # named operators, built once per key and memoized on monomials
 
 _NAMED: dict[tuple, _Memo] = {}
+_COMPOSITES: dict[tuple, Operator] = {}
 
 
 class CacheInfo(NamedTuple):
     operators: int  # named operators built
     images: int  # monomial images stored across them
+    composites: int  # composite operators built through ``composite``
 
 
 def cache_info() -> CacheInfo:
-    return CacheInfo(len(_NAMED), sum(len(m.images) for m in _NAMED.values()))
+    return CacheInfo(
+        len(_NAMED), sum(len(m.images) for m in _NAMED.values()), len(_COMPOSITES)
+    )
 
 
 def clear_caches() -> None:
     """Drop every named operator and its images (also for operators still
-    held by callers) and the interned exponents."""
+    held by callers), the composites and the interned exponents."""
     for memo in _NAMED.values():
         memo.images.clear()
     _NAMED.clear()
+    _COMPOSITES.clear()
     _EXPONENTS.clear()
+
+
+def composite(key: tuple, build) -> Operator:
+    """The operator ``build()`` returns, built once per key (until
+    ``clear_caches``); the key names everything the operator depends on."""
+    op = _COMPOSITES.get(key)
+    if op is None:
+        op = _COMPOSITES[key] = build()
+    return op
 
 
 def _named(key: tuple, build) -> Operator:

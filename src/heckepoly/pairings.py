@@ -18,7 +18,9 @@ degree D = beta N(N-1), so the weighted moment of x^e is an integer
 numerator over 2^((|e|+D)/2) (Gauss) or q^(|e|+D) (Laguerre).  Numerators
 are cached per exponent; a pairing scales f and g to integer coefficients,
 sums integer products per total degree and divides once per degree, so the
-values stay exact Fractions.
+values stay exact Fractions.  The constant-term pairing likewise sums
+integer products against the integer terms of its Laurent weight and
+divides once.
 
 Transcendental prefactors are tracked symbolically in ScaledRational, so
 norm equalities stay decidable.
@@ -30,7 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from operator import add
+from operator import add, sub
 
 from . import operators as ops
 from .combinatorics import (
@@ -128,9 +130,21 @@ def _vandermonde_power(n: int, beta: int) -> Polynomial:
 
 
 @lru_cache(maxsize=None)
-def _ct_weight(n: int, beta: int) -> Polynomial:
-    shift = tuple([-beta * (n - 1)] * n)
-    return _vandermonde_power(n, beta) * Polynomial.monomial(shift)
+def _weight_terms(n: int, beta: int) -> tuple[tuple[Exponent, int], ...]:
+    """Integer terms of the squared Vandermonde power."""
+    return tuple(
+        (exps, coeff.numerator)
+        for exps, coeff in _vandermonde_power(n, beta).terms.items()
+    )
+
+
+@lru_cache(maxsize=None)
+def _ct_weight(n: int, beta: int) -> dict[Exponent, int]:
+    """Integer terms of the Laurent weight W * x^(-beta(N-1)) per variable."""
+    shift = beta * (n - 1)
+    return {
+        tuple(e - shift for e in exps): coeff for exps, coeff in _weight_terms(n, beta)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +165,8 @@ def ct_pairing(f: Polynomial, g: Polynomial, spec: FamilySpec) -> Fraction:
     """Constant-term pairing of the trigonometric (Jack) picture.
 
     [f(x) g(1/x) W]_0 collapses to a weight-coefficient lookup per term
-    pair, so the Laurent weight is expanded only once per (N, beta).
+    pair, so the Laurent weight is expanded only once per (N, beta).  The
+    sum runs over the integer parts of f and g and divides once.
     """
     if spec.family != JACK:
         raise ValueError("ct_pairing needs a Jack spec")
@@ -160,27 +175,20 @@ def ct_pairing(f: Polynomial, g: Polynomial, spec: FamilySpec) -> Fraction:
     _check_sizes(f, g, spec)
     n, beta = spec.n, spec.beta
     sign = -1 if (beta * n * (n - 1) // 2) % 2 else 1
-    weight = _ct_weight(n, beta)
-    total = Fraction(0)
-    for a, ca in f.terms.items():
-        for b, cb in g.terms.items():
-            w = weight.coefficient(tuple(bi - ai for ai, bi in zip(a, b)))
+    weight = _ct_weight(n, beta).get
+    f_terms, f_scale = _integer_part(f.terms)
+    g_terms, g_scale = _integer_part(g.terms)
+    total = 0
+    for a, ca in f_terms.items():
+        for b, cb in g_terms.items():
+            w = weight(tuple(map(sub, b, a)))
             if w:
                 total += ca * cb * w
-    return sign * total
+    return Fraction(sign * total, f_scale * g_scale)
 
 
 # the integer moment kernel of the Gauss and Laguerre pairings: numerators
 # over a denominator fixed by the total degree (see the module docstring)
-
-
-@lru_cache(maxsize=None)
-def _weight_terms(n: int, beta: int) -> tuple[tuple[Exponent, int], ...]:
-    """Integer terms of the squared Vandermonde power."""
-    return tuple(
-        (exps, coeff.numerator)
-        for exps, coeff in _vandermonde_power(n, beta).terms.items()
-    )
 
 
 @lru_cache(maxsize=None)
@@ -250,22 +258,56 @@ def _integer_terms(f: Polynomial) -> tuple[int, list]:
     return scale, [(exps, sum(exps), c) for exps, c in terms.items()]
 
 
-def _moment_pairing(f: Polynomial, g: Polynomial, moment, denominator) -> Fraction:
-    """sum_{a,b} f_a g_b moment(a+b) / denominator(|a|+|b|): integer
-    products summed per total degree, one Fraction per degree."""
-    if f.is_laurent() or g.is_laurent():
-        raise ValueError("moment pairing inputs must be ordinary polynomials")
-    f_scale, f_terms = _integer_terms(f)
-    g_scale, g_terms = _integer_terms(g)
-    buckets: dict[int, int] = {}
+def _laguerre_base(spec: FamilySpec) -> Fraction:
+    """gamma + 1/2, the base of the Laguerre moments; the weight diverges
+    unless it is positive."""
+    if spec.gamma <= Fraction(-1, 2):
+        raise DivergentWeightError("divergent weight: gamma must exceed -1/2")
+    return spec.gamma + Fraction(1, 2)
+
+
+def _moment_kernel(spec: FamilySpec):
+    """(moment, denominator) of the Gauss (Hermite spec) or Laguerre
+    pairing: the weighted moment of x^e is moment(e) / denominator(|e|)."""
+    n, beta = spec.n, spec.beta
+    weight_degree = beta * n * (n - 1)
+    if spec.family == HERMITE:
+        return (
+            partial(_gauss_moment_num, n, beta),
+            lambda d: 2 ** ((d + weight_degree) // 2),
+        )
+    base = _laguerre_base(spec)
+    p, q = base.numerator, base.denominator
+    return (
+        partial(_laguerre_moment_num, n, beta, p, q),
+        lambda d: q ** (d + weight_degree),
+    )
+
+
+def _moment_sums(f_terms, g_terms, moment) -> dict[int, int]:
+    """sum_{a,b} F_a G_b moment(a+b) over integer terms (as listed by
+    _integer_terms), one integer per total degree |a|+|b|."""
+    sums: dict[int, int] = {}
     for a, a_deg, ca in f_terms:
         for b, b_deg, cb in g_terms:
             num = moment(tuple(map(add, a, b)))
             if num:
                 d = a_deg + b_deg
-                buckets[d] = buckets.get(d, 0) + ca * cb * num
+                sums[d] = sums.get(d, 0) + ca * cb * num
+    return sums
+
+
+def _moment_pairing(f: Polynomial, g: Polynomial, kernel) -> Fraction:
+    """sum_{a,b} f_a g_b moment(a+b) / denominator(|a|+|b|): integer
+    products summed per total degree, one Fraction per degree."""
+    if f.is_laurent() or g.is_laurent():
+        raise ValueError("moment pairing inputs must be ordinary polynomials")
+    moment, denominator = kernel
+    f_scale, f_terms = _integer_terms(f)
+    g_scale, g_terms = _integer_terms(g)
+    sums = _moment_sums(f_terms, g_terms, moment)
     total = sum(
-        (Fraction(num, denominator(d)) for d, num in buckets.items()), Fraction(0)
+        (Fraction(num, denominator(d)) for d, num in sums.items()), Fraction(0)
     )
     return total / (f_scale * g_scale)
 
@@ -275,23 +317,7 @@ def gauss_pairing(f: Polynomial, g: Polynomial, spec: FamilySpec) -> ScaledRatio
     if spec.family != HERMITE:
         raise ValueError("gauss_pairing needs a Hermite spec")
     _check_sizes(f, g, spec)
-    n, beta = spec.n, spec.beta
-    weight_degree = beta * n * (n - 1)
-    total = _moment_pairing(
-        f,
-        g,
-        partial(_gauss_moment_num, n, beta),
-        lambda d: 2 ** ((d + weight_degree) // 2),
-    )
-    return ScaledRational(total, pi_half=n)
-
-
-def _laguerre_base(spec: FamilySpec) -> Fraction:
-    """gamma + 1/2, the base of the Laguerre moments; the weight diverges
-    unless it is positive."""
-    if spec.gamma <= Fraction(-1, 2):
-        raise DivergentWeightError("divergent weight: gamma must exceed -1/2")
-    return spec.gamma + Fraction(1, 2)
+    return ScaledRational(_moment_pairing(f, g, _moment_kernel(spec)), pi_half=spec.n)
 
 
 def laguerre_pairing(f: Polynomial, g: Polynomial, spec: FamilySpec) -> ScaledRational:
@@ -299,18 +325,9 @@ def laguerre_pairing(f: Polynomial, g: Polynomial, spec: FamilySpec) -> ScaledRa
     Gaussian weight; values are rational multiples of Gamma(gamma+1/2)^N."""
     if spec.family != LAGUERRE:
         raise ValueError("laguerre_pairing needs a Laguerre spec")
-    base = _laguerre_base(spec)
+    kernel = _moment_kernel(spec)  # a divergent gamma fails first
     _check_sizes(f, g, spec)
-    n, beta = spec.n, spec.beta
-    p, q = base.numerator, base.denominator
-    weight_degree = beta * n * (n - 1)
-    total = _moment_pairing(
-        f,
-        g,
-        partial(_laguerre_moment_num, n, beta, p, q),
-        lambda d: q ** (d + weight_degree),
-    )
-    return ScaledRational(total, gamma_base=n)
+    return ScaledRational(_moment_pairing(f, g, kernel), gamma_base=spec.n)
 
 
 def dunkl_pairing(

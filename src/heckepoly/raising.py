@@ -68,14 +68,19 @@ def _cherednik_factor(j: int, spec: FamilySpec) -> ops.Operator:
 
 
 def raising_operator(m: int, spec: FamilySpec) -> ops.Operator:
-    """The m-factor raising operator in its family realization.
+    """The m-factor raising operator in its family realization, built once
+    per (m, spec).
 
     Acts on x-polynomials for Jack/Hermite and on z-polynomials for
     Laguerre (use the u <-> z codec around it for squared variables).
     """
+    if not 1 <= m <= spec.n:
+        raise ValueError(f"raising index {m} out of range 1..{spec.n}")
+    return ops.composite(("raising", m, spec), lambda: _build_raising(m, spec))
+
+
+def _build_raising(m: int, spec: FamilySpec) -> ops.Operator:
     n, beta = spec.n, spec.beta
-    if not 1 <= m <= n:
-        raise ValueError(f"raising index {m} out of range 1..{n}")
     total = ops.scalar(n, 0)
     for subset in itertools.combinations(range(1, n + 1), m):
         term = ops.identity(n)

@@ -86,10 +86,15 @@ def _cherednik_family(spec: FamilySpec):
 
 
 def _y_product(spec: FamilySpec, sign: int) -> ops.Operator:
-    """prod_{i<j} (sign*beta - C_i + C_j) in the family realization.
+    """prod_{i<j} (sign*beta - C_i + C_j) in the family realization, built
+    once per (spec, sign).
 
     Acts on x-polynomials (Jack/Hermite) or z-polynomials (Laguerre, where
     C_j = h_j/2 realizes the level-beta Cherednik operator)."""
+    return ops.composite(("y_product", spec, sign), lambda: _build_y_product(spec, sign))
+
+
+def _build_y_product(spec: FamilySpec, sign: int) -> ops.Operator:
     n, beta = spec.n, spec.beta
     chers = _cherednik_family(spec)
     half = Fraction(1, 2) if spec.family == LAGUERRE else Fraction(1)

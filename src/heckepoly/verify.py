@@ -110,10 +110,16 @@ class GridSpec:
 
     def __post_init__(self):
         out_of_bounds = (
-            min(self.ns) < 2 or max(self.ns) > 4 or self.degree > 6 or max(self.betas) > 3
+            min(self.ns) < 2
+            or max(self.ns) > 4
+            or not 1 <= self.max_weight <= 6
+            or self.degree > 6
+            or max(self.betas) > 3
         )
         if out_of_bounds:
-            raise ValueError("grid out of bounds: 2 <= N <= 4, degree <= 6, beta <= 3")
+            raise ValueError(
+                "grid out of bounds: 2 <= N <= 4, 1 <= max_weight <= 6, degree <= 6, beta <= 3"
+            )
         if self.pairs < 1 or self.rand_polys < 1:
             raise ValueError("grid counts must be positive: pairs >= 1, rand_polys >= 1")
         object.__setattr__(self, "gammas", tuple(Fraction(g) for g in self.gammas))

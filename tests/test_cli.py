@@ -251,3 +251,35 @@ def test_verify_rejects_single_variable_grid():
     text = str(info.value.code)
     assert text.startswith("error: ") and "2 <= N <= 4" in text
     assert "\n" not in text
+
+
+@pytest.mark.parametrize("weight", ["-3", "0", "7", "40"])
+def test_verify_rejects_weight_out_of_bounds(weight):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--suite", "norms_all", "--max-weight", weight])
+    text = str(info.value.code)
+    assert text.startswith("error: ") and "1 <= max_weight <= 6" in text
+    assert "\n" not in text
+
+
+@pytest.mark.parametrize("weight", ["1", "6"])
+def test_verify_accepts_weight_at_bounds(weight, capsys):
+    code, out = run_cli(
+        ["verify", "--suite", "jack_eigen", "--n-list", "2", "--beta-list", "1",
+         "--max-weight", weight, "--degree", "2"],
+        capsys,
+    )
+    assert code == 0 and out.startswith("jack_eigen: PASS")
+
+
+def test_python_dash_m_entry_point():
+    args = [
+        sys.executable, "-m", "heckepoly", "verify", "--suite", "jack_eigen",
+        "--n-list", "2", "--beta-list", "1", "--max-weight", "2", "--degree", "2",
+    ]
+    done = subprocess.run(args, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("jack_eigen: PASS")
+    bad = subprocess.run(args[:-4] + ["--max-weight", "-3"], capture_output=True, text=True)
+    assert bad.returncode == 1
+    assert bad.stderr.strip().startswith("error: grid out of bounds")

@@ -1,6 +1,7 @@
 """Family constructions: triangularity, spectra, intertwiners, and
 cross-method agreement."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -232,3 +233,90 @@ def test_spec_guards():
         hermite((1, 0), jack_spec(2, 1))
     with pytest.raises(ValueError):
         laguerre((1, 0), jack_spec(2, 1))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("beta", [0, 1, 2])
+def test_gram_equals_intertwined(n, beta):
+    # gamma != 1/2 gives a Laguerre denominator q != 2, so the Gram system
+    # is scaled to a common denominator that is not a power of two
+    specs = [hermite_spec(n, beta)] + [
+        laguerre_spec(n, beta, Fraction(g)) for g in ("0", "1/3", "7/5")
+    ]
+    for spec in specs:
+        build = hermite if spec.family == "hermite" else laguerre
+        for lam in partitions_up_to(3, n):
+            gram = build(lam, spec, "gram").poly
+            assert gram == build(lam, spec, "intertwined").poly, (spec, lam)
+
+
+def _solve_fraction(rows, rhs):
+    """Reference Gauss-Jordan elimination over Fraction."""
+    size = len(rows)
+    aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    for col in range(size):
+        pivot = next(r for r in range(col, size) if aug[r][col])
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        aug[col] = [v / aug[col][col] for v in aug[col]]
+        for r in range(size):
+            if r != col:
+                aug[r] = [a - aug[r][col] * b for a, b in zip(aug[r], aug[col])]
+    return [row[size] for row in aug]
+
+
+def test_bareiss_solve_against_fraction_reference():
+    from heckepoly.errors import HeckePolyError
+    from heckepoly.families import _solve_bareiss
+
+    swap = [[0, 2, 1], [3, 1, 0], [1, 0, 4]]  # zero leading entry: a row swap
+    assert _solve_bareiss(swap, [1, 2, 3]) == _solve_fraction(swap, [1, 2, 3])
+    later_swap = [[1, 2, 3], [2, 4, 1], [1, 3, 5]]  # zero pivot at step two
+    assert _solve_bareiss(later_swap, [4, -1, 7]) == _solve_fraction(later_swap, [4, -1, 7])
+    rng = random.Random(3)
+    for size in range(1, 7):
+        for _ in range(5):
+            rows = [[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)]
+            rhs = [rng.randint(-50, 50) for _ in range(size)]
+            try:
+                expected = _solve_fraction(rows, rhs)
+            except StopIteration:  # singular draw
+                continue
+            solution = _solve_bareiss(rows, rhs)
+            assert solution == expected
+            assert all(type(v) is Fraction for v in solution)
+    singular = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
+    with pytest.raises(HeckePolyError, match="singular linear system in Gram construction"):
+        _solve_bareiss(singular, [1, 2, 3])
+
+
+def test_construction_caches_cold_warm_and_cleared():
+    from heckepoly import families
+    from heckepoly.pairings import ct_pairing, gauss_pairing, laguerre_pairing, norm_formula
+
+    specs = [jack_spec(3, 2), hermite_spec(3, 1), laguerre_spec(2, 2, Fraction(1, 3))]
+    pair = {"jack": lambda f, s: ct_pairing(f, f, s),
+            "hermite": lambda f, s: gauss_pairing(f, f, s),
+            "laguerre": lambda f, s: laguerre_pairing(f, f, s)}
+
+    def results():
+        out = []
+        for spec in specs:
+            for lam in partitions_up_to(3, spec.n):
+                poly = families.construct(lam, spec).poly
+                out.append((poly, pair[spec.family](poly, spec),
+                            norm_formula(lam, spec, "hook_form")))
+        return out
+
+    families.clear_caches()
+    assert not any(families.cache_info().values())
+    cold = results()
+    info = families.cache_info()
+    assert info["families.gram_numerators"] > 0
+    assert info["pairings._gauss_moment_num"] > 0 and info["pairings._ct_weight"] > 0
+    warm = results()
+    assert families.cache_info() == info
+    families.clear_caches()
+    assert not any(families.cache_info().values())
+    cleared = results()
+    assert cold == warm == cleared
+    assert families.cache_info() == info

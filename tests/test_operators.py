@@ -465,7 +465,7 @@ def test_caches_cold_warm_and_cleared():
         return results
 
     ops.clear_caches()
-    assert ops.cache_info() == (0, 0)
+    assert ops.cache_info() == (0, 0, 0)
     cold = named_results()
     info = ops.cache_info()
     assert info.operators > 0 and info.images > 0
@@ -474,7 +474,7 @@ def test_caches_cold_warm_and_cleared():
     held = ops.htilde(2, specs[1])
     before = held(polys[0])
     ops.clear_caches()
-    assert ops.cache_info() == (0, 0)
+    assert ops.cache_info() == (0, 0, 0)
     assert held(polys[0]) == before  # a held operator recomputes its images
     cleared = named_results()
     assert cold == warm == cleared

@@ -194,3 +194,33 @@ def test_norm_recursion_closure():
         assert norm_recursion_check(lam, hermite_spec(2, 1))
         assert norm_recursion_check(lam, laguerre_spec(2, 1, Fraction(1, 2)))
     assert norm_recursion_check((1, 0, 0), jack_spec(3, 1))
+
+
+def test_composites_built_once_and_cleared():
+    from heckepoly import operators as ops
+    from heckepoly.raising import raising_operator
+    from heckepoly.shift import _y_product
+
+    specs = [jack_spec(3, 1), hermite_spec(3, 2), laguerre_spec(3, 1, Fraction(1, 2))]
+    polys = {spec: construct((1, 0, 0), spec).poly for spec in specs}
+
+    def images():
+        out = []
+        for spec in specs:
+            f = polys[spec] if spec.family != "laguerre" else polys[spec].stretch(2)
+            out.append([raising_operator(m, spec)(f) for m in (1, 2, 3)])
+            out.append([_y_product(spec, sign)(f) for sign in (1, -1)])
+        return out
+
+    ops.clear_caches()
+    cold = images()
+    info = ops.cache_info()
+    assert info.composites == len(specs) * (3 + 2)
+    assert raising_operator(2, specs[0]) is raising_operator(2, specs[0])
+    assert _y_product(specs[1], -1) is _y_product(specs[1], -1)
+    assert images() == cold and ops.cache_info() == info
+    held = raising_operator(1, specs[2])
+    ops.clear_caches()
+    assert ops.cache_info().composites == 0
+    assert raising_operator(1, specs[2]) is not held
+    assert images() == cold and ops.cache_info() == info

@@ -47,6 +47,11 @@ def test_grid_bounds():
         GridSpec(degree=7)
     with pytest.raises(ValueError):
         GridSpec(betas=(4,))
+    for weight in (0, -3, 7):
+        with pytest.raises(ValueError, match="1 <= max_weight <= 6"):
+            GridSpec(max_weight=weight)
+    assert GridSpec(max_weight=1).max_weight == 1
+    assert GridSpec(max_weight=6).max_weight == 6
 
 
 def test_reports_deterministic_and_reproducible():
