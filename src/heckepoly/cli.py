@@ -22,7 +22,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import operators as ops_module
@@ -91,33 +90,6 @@ def _spec_from(args) -> FamilySpec:
         return FamilySpec(args.family, args.n, args.beta, gamma)
     except ValueError as err:
         raise SystemExit(f"usage error: {err}")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Canonical invocation record; parse(render(config)) == config."""
-
-    command: str
-    options: tuple[tuple[str, str], ...] = field(default_factory=tuple)
-
-    def render(self) -> list[str]:
-        argv = [self.command]
-        for key, value in self.options:
-            argv.extend([f"--{key}", value])
-        return argv
-
-    @classmethod
-    def parse(cls, argv) -> "RunConfig":
-        command = argv[0]
-        pairs = []
-        i = 1
-        while i < len(argv):
-            key = argv[i]
-            if not key.startswith("--") or i + 1 >= len(argv):
-                raise ValueError(f"malformed option list at {key!r}")
-            pairs.append((key[2:], argv[i + 1]))
-            i += 2
-        return cls(command, tuple(pairs))
 
 
 def _emit(args, text: str) -> None:

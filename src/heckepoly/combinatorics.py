@@ -7,6 +7,11 @@ are tuples in one-line notation with 1-based images: w = (w(1), ..., w(N)).
 The combined order on (partition, permutation) labels is dominance on the
 partition with Bruhat on the permutation as tie-break; triangular solves
 use any linear extension of it.
+
+The S_N-orbit of an exponent vector (its distinct permutations) is cached
+per vector.  A symmetric polynomial is read in the monomial basis m_lam in
+one pass over its terms, counting each orbit's members against the
+cached orbit size.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .errors import AmbientSizeMismatch
@@ -323,19 +329,47 @@ def label_sort_key(comp: Sequence[int]) -> tuple:
 # symmetric-polynomial helpers
 
 
+@lru_cache(maxsize=None)
+def orbit(lam: Partition) -> tuple[tuple[int, ...], ...]:
+    """The distinct permutations of the exponent vector lam (the S_N-orbit
+    of x^lam), lam itself first."""
+    return tuple(dict.fromkeys(itertools.permutations(lam)))
+
+
+def orbit_size(lam: Sequence[int]) -> int:
+    """|O(lam)| = N!/#stab(lam)."""
+    return len(orbit(tuple(lam)))
+
+
 def monomial_symmetric(nvars: int, lam: Sequence[int]) -> Polynomial:
     """Monomial symmetric polynomial m_lam: sum of all distinct permutations
     of the exponent vector lam."""
     lam = pad_partition(lam, nvars)
-    exps = set(itertools.permutations(lam))
-    return Polynomial(nvars, {e: 1 for e in exps})
+    return Polynomial._trusted(nvars, dict.fromkeys(orbit(lam), 1))
 
 
-def is_symmetric(f: Polynomial) -> bool:
-    for i in range(1, f.nvars):
-        if f.swap_variables(i, i + 1) != f:
-            return False
-    return True
+def _orbit_coefficients(terms: dict) -> dict[Partition, object]:
+    """The m_lam coefficients, as stored, of the symmetric polynomial with
+    these terms, read in one pass that also counts each orbit's members.
+    Raises ValueError on Laurent or non-symmetric terms."""
+    out: dict[Partition, object] = {}
+    present: dict[Partition, int] = {}
+    for exps, coeff in terms.items():
+        lam = tuple(sorted(exps, reverse=True))
+        seen = out.get(lam)
+        if seen is None:
+            if lam[-1] < 0:
+                raise ValueError("monomial-basis expansion needs a non-Laurent input")
+            out[lam] = coeff
+            present[lam] = 1
+        elif seen != coeff:
+            raise ValueError("not symmetric: unequal coefficients on an orbit")
+        else:
+            present[lam] += 1
+    for lam, count in present.items():
+        if count != orbit_size(lam):
+            raise ValueError("not symmetric: incomplete orbit")
+    return out
 
 
 def to_monomial_basis(f: Polynomial) -> dict[Partition, Fraction]:
@@ -344,26 +378,7 @@ def to_monomial_basis(f: Polynomial) -> dict[Partition, Fraction]:
     Raises ValueError if f is not symmetric (orbits incomplete or with
     unequal coefficients).
     """
-    out: dict[Partition, Fraction] = {}
-    seen: dict[Partition, Fraction] = {}
-    for exps, coeff in f.terms.items():
-        lam = tuple(sorted(exps, reverse=True))
-        if any(e < 0 for e in lam):
-            raise ValueError("monomial-basis expansion needs a non-Laurent input")
-        if lam in seen:
-            if seen[lam] != coeff:
-                raise ValueError("not symmetric: unequal coefficients on an orbit")
-        else:
-            seen[lam] = coeff
-            out[lam] = Fraction(coeff)
-    for lam, coeff in out.items():
-        orbit_size = len(set(itertools.permutations(lam)))
-        present = sum(
-            1 for exps in f.terms if tuple(sorted(exps, reverse=True)) == lam
-        )
-        if present != orbit_size:
-            raise ValueError("not symmetric: incomplete orbit")
-    return out
+    return {lam: Fraction(c) for lam, c in _orbit_coefficients(f.terms).items()}
 
 
 def random_polynomial(

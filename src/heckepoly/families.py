@@ -25,19 +25,26 @@ The Gram route (the default for Hermite and Laguerre) runs on integers.
 m_mu and m_nu have integer coefficients and are homogeneous, so the Gram
 entry <m_mu, m_nu> is one integer numerator over the pairing's denominator
 of degree |mu| + |nu|: 2^((d+D)/2) for Gauss, q^(d+D) for Laguerre, with
-D = beta N(N-1) and gamma + 1/2 = p/q (see ``pairings``).  The numerators
-come from the pairings' integer moment kernel and are memoized per spec
-and unordered pair (mu, nu), so all labels of a spec share them.  The
+D = beta N(N-1) and gamma + 1/2 = p/q.  The numerators are read from the
+pairings' orbit table, memoized per spec and unordered pair (mu, nu), so
+all labels of a spec and the pairings share them (see ``pairings``).  The
 system, scaled to one common denominator, is solved by fraction-free
 (Bareiss) elimination, with one Fraction per unknown at the end.
 
-Constructions, weights, moments, Gram numerators and the shift
+The symmetric Jack triangular solve runs on integers as well: the
+e_k(Dhat) images of m_mu share their subset prefixes (one operator
+application per nonempty subset of the indices), are expanded by orbit in
+int, and the back-substitution keeps integer numerators over one common
+denominator.
+
+Constructions, weights, moments, orbits, orbit numerators and the shift
 calibration are cached for the life of the process; ``cache_info``
 reports the entries each cache holds and ``clear_caches`` empties them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -51,7 +58,9 @@ from .combinatorics import (
     is_min_coset_rep,
     label_sort_key,
     label_to_composition,
+    _orbit_coefficients,
     monomial_symmetric,
+    orbit,
     pad_partition,
     partitions_of,
     partitions_up_to,
@@ -64,7 +73,7 @@ from .errors import (
     HeckePolyError,
     SpectrumCollisionError,
 )
-from .pairings import _integer_terms, _moment_kernel, _moment_sums
+from .pairings import _ORBIT_NUMERATORS, _moment_kernel, _orbit_numerator
 from .parameters import FamilySpec, HERMITE, JACK, LAGUERRE
 from .polynomials import Polynomial, _canonical, monomials_of_degree
 
@@ -280,25 +289,17 @@ def jack(lam, spec: FamilySpec, method: str = "triangular") -> FamilyPolynomial:
 @lru_cache(maxsize=None)
 def _jack_triangular(lam, n: int, beta: int) -> Polynomial:
     """Back-substitution against the commuting family e_k(Dhat_1..Dhat_N)
-    on the monomial-symmetric basis of weight |lam|."""
+    on the monomial-symmetric basis of weight |lam|.
+
+    The images of m_mu have integer coefficients and are expanded by orbit
+    in int; the coefficients of the result are kept as integer numerators
+    over one common denominator."""
     weight = sum(lam)
     basis = sorted(partitions_of(weight, n))  # ascending lex refines dominance
     index = {mu: i for i, mu in enumerate(basis)}
     top = index[lam]
     spec = FamilySpec(JACK, n, beta)
     chers = [ops.cherednik_a(j, spec) for j in range(1, n + 1)]
-
-    def e_k_image(f: Polynomial, k: int) -> Polynomial:
-        # e_k of the commuting operators, expanded over k-subsets
-        import itertools
-
-        total = Polynomial.zero(n)
-        for subset in itertools.combinations(range(n), k):
-            g = f
-            for j in subset:
-                g = chers[j](g)
-            total = total + g
-        return total
 
     def spectrum_values(mu) -> list[int]:
         return [mu[i] + beta * (n - 1 - i) for i in range(n)]
@@ -309,47 +310,73 @@ def _jack_triangular(lam, n: int, beta: int) -> Polynomial:
     ]
     target = eigen[top]
 
-    columns = []  # columns[i] = expansion of each e_k image of m_{basis[i]}
+    columns = []  # columns[i][k-1] = m-expansion of e_k(Dhat) m_{basis[i]}
     for i in range(top + 1):
-        m_mu = monomial_symmetric(n, basis[i])
-        per_k = []
-        for k in range(1, n + 1):
-            expansion = to_monomial_basis(e_k_image(m_mu, k))
+        per_k = [
+            _orbit_coefficients(image)
+            for image in _elementary_images(monomial_symmetric(n, basis[i]), chers)
+        ]
+        for expansion in per_k:
             for nu in expansion:
                 if index[nu] > i:
                     raise HeckePolyError(
                         "triangularity violated in the symmetric action"
                     )
-            per_k.append(expansion)
         columns.append(per_k)
 
-    coeffs = [Fraction(0)] * (top + 1)
-    coeffs[top] = Fraction(1)
+    # coefficient of m_{basis[i]} = nums[i] / den
+    nums = [0] * (top + 1)
+    nums[top] = 1
+    den = 1
     for i in range(top - 1, -1, -1):
         mu = basis[i]
-        residuals = []
-        for k in range(n):
-            r = Fraction(0)
-            for i2 in range(i + 1, top + 1):
-                if coeffs[i2]:
-                    r += coeffs[i2] * columns[i2][k].get(mu, Fraction(0))
-            residuals.append(r)
-        for k in range(n):
-            if target[k] != eigen[i][k]:
-                coeffs[i] = residuals[k] / (target[k] - eigen[i][k])
-                break
-        else:
-            if any(residuals):
+
+        def residual(k: int) -> int:
+            return sum(
+                nums[i2] * columns[i2][k].get(mu, 0)
+                for i2 in range(i + 1, top + 1)
+                if nums[i2]
+            )
+
+        k = next((k for k in range(n) if target[k] != eigen[i][k]), None)
+        if k is None:
+            if any(residual(k) for k in range(n)):
                 raise SpectrumCollisionError(
                     f"spectrum collision between {lam} and {mu}"
                 )
-            coeffs[i] = Fraction(0)
+            continue
+        # coefficient = residual / (den * gap): move everything onto the
+        # denominator den * gap / g
+        r, gap = residual(k), target[k] - eigen[i][k]
+        g = math.gcd(r, gap) if gap > 0 else -math.gcd(r, gap)
+        factor = gap // g
+        if factor != 1:
+            den *= factor
+            for i2 in range(i + 1, top + 1):
+                nums[i2] *= factor
+        nums[i] = r // g
 
-    poly = Polynomial.zero(n)
-    for i in range(top + 1):
-        if coeffs[i]:
-            poly = poly + coeffs[i] * monomial_symmetric(n, basis[i])
-    return poly
+    out: dict = {}
+    for mu, num in zip(basis, nums):
+        if num:
+            out.update(dict.fromkeys(orbit(mu), _canonical(Fraction(num, den))))
+    return Polynomial._trusted(n, out)
+
+
+def _elementary_images(f: Polynomial, chers) -> list[dict]:
+    """Term dicts of e_k(chers) f for k = 1..N, summed over k-subsets S.
+    The image of S is chers[max S] applied to the image of S without
+    max S, so each nonempty subset costs one application."""
+    n = len(chers)
+    images = [f] + [None] * ((1 << n) - 1)
+    sums: list[dict] = [{} for _ in range(n)]
+    for subset in range(1, 1 << n):
+        high = subset.bit_length() - 1
+        image = images[subset] = chers[high](images[subset ^ (1 << high)])
+        acc = sums[subset.bit_count() - 1]
+        for exps, c in image.terms.items():
+            acc[exps] = acc.get(exps, 0) + c
+    return [{e: c for e, c in acc.items() if c} for acc in sums]
 
 
 def _jack_symmetrized(lam, n: int, beta: int) -> Polynomial:
@@ -479,20 +506,15 @@ def _hermite_gram(lam, n: int, beta: int) -> Polynomial:
     return _gram_solve(lam, FamilySpec(HERMITE, n, beta))
 
 
-# Gram numerators <m_mu, m_nu> * denominator(|mu| + |nu|) per spec and
-# unordered pair (mu, nu): every label of a spec reads the same table.
-_GRAM_NUMERATORS: dict[FamilySpec, dict[tuple[Partition, Partition], int]] = {}
-
-
 def _gram_solve(lam, spec: FamilySpec) -> Polynomial:
     """Monic-in-m_lam polynomial orthogonal to every m_mu with mu strictly
     below lam in the cross-degree dominance order, under the Gauss or
     Laguerre pairing of spec.
 
-    m_mu and m_nu are homogeneous with integer coefficients, so each Gram
-    entry is one integer numerator over the pairing's denominator of the
-    degree |mu| + |nu|.  The system is scaled to the denominator of the
-    top degree 2|lam| and solved fraction-free."""
+    Each Gram entry <m_mu, m_nu> is one integer numerator of the pairings'
+    orbit table over the pairing's denominator of the degree |mu| + |nu|.
+    The system is scaled to the denominator of the top degree 2|lam| and
+    solved fraction-free."""
     n = spec.n
     companions = [
         mu
@@ -502,29 +524,20 @@ def _gram_solve(lam, spec: FamilySpec) -> Polynomial:
     m_lam = monomial_symmetric(n, lam)
     if not companions:
         return m_lam
-    moment, denominator = _moment_kernel(spec)
+    denominator = _moment_kernel(spec)[1]
+    numerator = _orbit_numerator(spec)
     top = denominator(2 * sum(lam))
     scale = [top // denominator(d) for d in range(2 * sum(lam) + 1)]
-    numerators = _GRAM_NUMERATORS.setdefault(spec, {})
-    terms: dict[Partition, list] = {}
 
     def entry(mu, nu) -> int:
-        degree = sum(mu) + sum(nu)
-        key = (mu, nu) if mu <= nu else (nu, mu)
-        num = numerators.get(key)
-        if num is None:
-            for part in key:
-                if part not in terms:
-                    terms[part] = _integer_terms(monomial_symmetric(n, part))[1]
-            num = numerators[key] = _moment_sums(terms[mu], terms[nu], moment).get(degree, 0)
-        return num * scale[degree]
+        return numerator(mu, nu) * scale[sum(mu) + sum(nu)]
 
     rows = [[entry(mu, nu) for nu in companions] for mu in companions]
     rhs = [-entry(lam, mu) for mu in companions]
     out = dict(m_lam.terms)
     for coeff, mu in zip(_solve_bareiss(rows, rhs), companions):
         if coeff:
-            out.update(dict.fromkeys(monomial_symmetric(n, mu).terms, _canonical(coeff)))
+            out.update(dict.fromkeys(orbit(mu), _canonical(coeff)))
     return Polynomial._trusted(n, out)
 
 
@@ -659,9 +672,10 @@ def construct(label, spec: FamilySpec, method: str | None = None) -> FamilyPolyn
 
 
 def _lru_caches() -> dict:
-    from . import pairings, shift  # shift imports this module
+    from . import combinatorics, pairings, shift  # shift imports this module
 
     caches = (
+        combinatorics.orbit,
         _nonsym_jack_poly,
         _jack_triangular,
         _hermite_gram,
@@ -681,10 +695,11 @@ def _lru_caches() -> dict:
 
 def cache_info() -> dict[str, int]:
     """Entries held by each construction and pairing cache (the lru_caches
-    of families, pairings and shift.calibrate, and the Gram numerators).
+    of families and pairings, combinatorics.orbit, shift.calibrate, and
+    the pairings' orbit numerators).
     The operator memo has its own ``operators.cache_info``."""
     info = {name: fn.cache_info().currsize for name, fn in _lru_caches().items()}
-    info["families.gram_numerators"] = sum(map(len, _GRAM_NUMERATORS.values()))
+    info["pairings.orbit_numerators"] = sum(map(len, _ORBIT_NUMERATORS.values()))
     return info
 
 
@@ -692,4 +707,4 @@ def clear_caches() -> None:
     """Empty every cache that ``cache_info`` reports."""
     for fn in _lru_caches().values():
         fn.cache_clear()
-    _GRAM_NUMERATORS.clear()
+    _ORBIT_NUMERATORS.clear()

@@ -274,10 +274,6 @@ class Operator:
         return result
 
 
-def apply(op: Operator, f: Polynomial) -> Polynomial:
-    return op(f)
-
-
 # ---------------------------------------------------------------------------
 # primitives
 

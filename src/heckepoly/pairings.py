@@ -22,6 +22,14 @@ values stay exact Fractions.  The constant-term pairing likewise sums
 integer products against the integer terms of its Laurent weight and
 divides once.
 
+Every weight is S_N-invariant, so <m_mu, m_nu> is a sum over one orbit
+against a representative of the other, times that representative's orbit
+size.  Its integer numerator is memoized per spec and unordered pair
+(mu, nu) in one table for all three pairings, which the Gram route of
+``families`` reads too.  When both inputs are symmetric, a pairing reads
+their m_mu coefficients in one pass and sums c_mu d_nu numerator(mu, nu);
+otherwise it runs over every pair of terms.
+
 Transcendental prefactors are tracked symbolically in ScaledRational, so
 norm equalities stay decidable.
 """
@@ -36,7 +44,10 @@ from operator import add, sub
 
 from . import operators as ops
 from .combinatorics import (
+    Partition,
+    _orbit_coefficients,
     conjugate,
+    orbit,
     pad_partition,
     partition_cells,
     stabilizer_order,
@@ -148,6 +159,77 @@ def _ct_weight(n: int, beta: int) -> dict[Exponent, int]:
 
 
 # ---------------------------------------------------------------------------
+# orbit numerators <m_mu, m_nu>, shared by the pairings and the Gram route
+
+# spec -> {(mu, nu) with mu <= nu: numerator of <m_mu, m_nu>}
+_ORBIT_NUMERATORS: dict[FamilySpec, dict[tuple[Partition, Partition], int]] = {}
+
+
+def _orbit_numerator(spec: FamilySpec):
+    """numerator(mu, nu) of <m_mu, m_nu> under the pairing of spec, for
+    padded partitions: over denominator(|mu| + |nu|) of ``_moment_kernel``
+    for Gauss and Laguerre, and the constant-term value without its sign
+    for Jack.  Memoized per spec and unordered pair.
+
+    The pairing sums value(a, b), the moment of x^(a+b) or the Laurent
+    weight coefficient at b - a, over O(mu) x O(nu).  W is symmetric, so
+    value is invariant under permuting a and b together, and the double
+    sum is |O(rep)| times the sum over the other orbit for one rep of the
+    larger orbit.  The weight coefficient is even too (W(1/x) = W(x)), so
+    rep may come from either side."""
+    table = _ORBIT_NUMERATORS.get(spec)
+    if table is None:
+        table = _ORBIT_NUMERATORS[spec] = {}
+    if spec.family == JACK:
+        weight = _ct_weight(spec.n, spec.beta).get
+
+        def value(rep, b):
+            return weight(tuple(map(sub, b, rep)), 0)
+    else:
+        moment = _moment_kernel(spec)[0]
+
+        def value(rep, b):
+            return moment(tuple(map(add, rep, b)))
+
+    def numerator(mu, nu) -> int:
+        key = (mu, nu) if mu <= nu else (nu, mu)
+        num = table.get(key)
+        if num is None:
+            big, small = orbit(mu), orbit(nu)
+            if len(big) < len(small):
+                big, small = small, big
+            rep = big[0]
+            num = table[key] = len(big) * sum(value(rep, b) for b in small)
+        return num
+
+    return numerator
+
+
+def _orbit_parts(f_terms: dict, g_terms: dict):
+    """The m_mu coefficients of both term dicts, or None unless both are
+    symmetric."""
+    try:
+        return _orbit_coefficients(f_terms), _orbit_coefficients(g_terms)
+    except ValueError:
+        return None
+
+
+def _orbit_sums(f_orbits: dict, g_orbits: dict, numerator) -> dict[int, int]:
+    """sum_{mu,nu} c_mu d_nu numerator(mu, nu) over the m_mu coefficients
+    of two symmetric integer polynomials, one integer per degree |mu|+|nu|
+    (the constant-term pairing adds them up)."""
+    sums: dict[int, int] = {}
+    for mu, cm in f_orbits.items():
+        mu_deg = sum(mu)
+        for nu, cn in g_orbits.items():
+            num = numerator(mu, nu)
+            if num:
+                d = mu_deg + sum(nu)
+                sums[d] = sums.get(d, 0) + cm * cn * num
+    return sums
+
+
+# ---------------------------------------------------------------------------
 # the three pairings
 
 
@@ -166,7 +248,8 @@ def ct_pairing(f: Polynomial, g: Polynomial, spec: FamilySpec) -> Fraction:
 
     [f(x) g(1/x) W]_0 collapses to a weight-coefficient lookup per term
     pair, so the Laurent weight is expanded only once per (N, beta).  The
-    sum runs over the integer parts of f and g and divides once.
+    sum runs over the integer parts of f and g and divides once; when both
+    are symmetric it runs over their orbits (see ``_orbit_numerator``).
     """
     if spec.family != JACK:
         raise ValueError("ct_pairing needs a Jack spec")
@@ -175,15 +258,19 @@ def ct_pairing(f: Polynomial, g: Polynomial, spec: FamilySpec) -> Fraction:
     _check_sizes(f, g, spec)
     n, beta = spec.n, spec.beta
     sign = -1 if (beta * n * (n - 1) // 2) % 2 else 1
-    weight = _ct_weight(n, beta).get
     f_terms, f_scale = _integer_part(f.terms)
     g_terms, g_scale = _integer_part(g.terms)
-    total = 0
-    for a, ca in f_terms.items():
-        for b, cb in g_terms.items():
-            w = weight(tuple(map(sub, b, a)))
-            if w:
-                total += ca * cb * w
+    orbits = _orbit_parts(f_terms, g_terms)
+    if orbits:
+        total = sum(_orbit_sums(*orbits, _orbit_numerator(spec)).values())
+    else:
+        total = 0
+        weight = _ct_weight(n, beta).get
+        for a, ca in f_terms.items():
+            for b, cb in g_terms.items():
+                w = weight(tuple(map(sub, b, a)))
+                if w:
+                    total += ca * cb * w
     return Fraction(sign * total, f_scale * g_scale)
 
 
@@ -252,12 +339,6 @@ def _laguerre_moment_num(n: int, beta: int, p: int, q: int, exps: Exponent) -> i
     return _weighted_moment(_weight_terms(n, beta), table, exps)
 
 
-def _integer_terms(f: Polynomial) -> tuple[int, list]:
-    """(L, [(exps, |exps|, L * coeff)]) with L the lcm of the denominators."""
-    terms, scale = _integer_part(f.terms)
-    return scale, [(exps, sum(exps), c) for exps, c in terms.items()]
-
-
 def _laguerre_base(spec: FamilySpec) -> Fraction:
     """gamma + 1/2, the base of the Laguerre moments; the weight diverges
     unless it is positive."""
@@ -284,12 +365,14 @@ def _moment_kernel(spec: FamilySpec):
     )
 
 
-def _moment_sums(f_terms, g_terms, moment) -> dict[int, int]:
-    """sum_{a,b} F_a G_b moment(a+b) over integer terms (as listed by
-    _integer_terms), one integer per total degree |a|+|b|."""
+def _moment_sums(f_terms: dict, g_terms: dict, moment) -> dict[int, int]:
+    """sum_{a,b} F_a G_b moment(a+b) over integer terms, one integer per
+    total degree |a|+|b|."""
+    g_list = [(b, sum(b), cb) for b, cb in g_terms.items()]
     sums: dict[int, int] = {}
-    for a, a_deg, ca in f_terms:
-        for b, b_deg, cb in g_terms:
+    for a, ca in f_terms.items():
+        a_deg = sum(a)
+        for b, b_deg, cb in g_list:
             num = moment(tuple(map(add, a, b)))
             if num:
                 d = a_deg + b_deg
@@ -297,15 +380,21 @@ def _moment_sums(f_terms, g_terms, moment) -> dict[int, int]:
     return sums
 
 
-def _moment_pairing(f: Polynomial, g: Polynomial, kernel) -> Fraction:
+def _moment_pairing(f: Polynomial, g: Polynomial, spec: FamilySpec) -> Fraction:
     """sum_{a,b} f_a g_b moment(a+b) / denominator(|a|+|b|): integer
-    products summed per total degree, one Fraction per degree."""
+    products summed per total degree, one Fraction per degree.  Symmetric
+    f and g are summed over their orbits instead of their terms."""
+    moment, denominator = _moment_kernel(spec)  # a divergent gamma fails first
+    _check_sizes(f, g, spec)
     if f.is_laurent() or g.is_laurent():
         raise ValueError("moment pairing inputs must be ordinary polynomials")
-    moment, denominator = kernel
-    f_scale, f_terms = _integer_terms(f)
-    g_scale, g_terms = _integer_terms(g)
-    sums = _moment_sums(f_terms, g_terms, moment)
+    f_terms, f_scale = _integer_part(f.terms)
+    g_terms, g_scale = _integer_part(g.terms)
+    orbits = _orbit_parts(f_terms, g_terms)
+    if orbits:
+        sums = _orbit_sums(*orbits, _orbit_numerator(spec))
+    else:
+        sums = _moment_sums(f_terms, g_terms, moment)
     total = sum(
         (Fraction(num, denominator(d)) for d, num in sums.items()), Fraction(0)
     )
@@ -316,8 +405,7 @@ def gauss_pairing(f: Polynomial, g: Polynomial, spec: FamilySpec) -> ScaledRatio
     """Gaussian pairing with the squared Vandermonde-power ground state."""
     if spec.family != HERMITE:
         raise ValueError("gauss_pairing needs a Hermite spec")
-    _check_sizes(f, g, spec)
-    return ScaledRational(_moment_pairing(f, g, _moment_kernel(spec)), pi_half=spec.n)
+    return ScaledRational(_moment_pairing(f, g, spec), pi_half=spec.n)
 
 
 def laguerre_pairing(f: Polynomial, g: Polynomial, spec: FamilySpec) -> ScaledRational:
@@ -325,9 +413,7 @@ def laguerre_pairing(f: Polynomial, g: Polynomial, spec: FamilySpec) -> ScaledRa
     Gaussian weight; values are rational multiples of Gamma(gamma+1/2)^N."""
     if spec.family != LAGUERRE:
         raise ValueError("laguerre_pairing needs a Laguerre spec")
-    kernel = _moment_kernel(spec)  # a divergent gamma fails first
-    _check_sizes(f, g, spec)
-    return ScaledRational(_moment_pairing(f, g, kernel), gamma_base=spec.n)
+    return ScaledRational(_moment_pairing(f, g, spec), gamma_base=spec.n)
 
 
 def dunkl_pairing(

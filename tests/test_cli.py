@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from heckepoly.cli import RunConfig, main, parse_partition, parse_rational
+from heckepoly.cli import main, parse_partition, parse_rational
 from heckepoly.polynomials import Polynomial
 
 
@@ -210,14 +210,6 @@ def test_usage_errors():
     with pytest.raises(SystemExit):
         main(["norm", "--family", "jack", "--lambda", "1,1,1", "--n", "2",
               "--beta", "1"])  # too many parts for the ambient size
-
-
-def test_run_config_round_trip():
-    config = RunConfig(
-        "verify",
-        (("suite", "norms_all"), ("n-list", "2,3"), ("seed", "5")),
-    )
-    assert RunConfig.parse(config.render()) == config
 
 
 def test_output_file(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Partitions, permutations, and the two triangularity orders, checked
 against brute-force oracles."""
 
+from fractions import Fraction
+
 import pytest
 
 from heckepoly.combinatorics import (
@@ -18,6 +20,8 @@ from heckepoly.combinatorics import (
     length,
     longest_element,
     monomial_symmetric,
+    orbit,
+    orbit_size,
     pad_partition,
     partitions_of,
     partitions_up_to,
@@ -203,6 +207,36 @@ def test_monomial_symmetric_and_expansion():
     assert expansion == {(2, 1, 0): 1, (1, 1, 1): 3}
     with pytest.raises(ValueError, match="not symmetric"):
         to_monomial_basis(Polynomial.variable(2, 1))
+
+
+def test_to_monomial_basis_rejections():
+    m = monomial_symmetric(3, (2, 1))
+    with pytest.raises(ValueError, match="not symmetric: incomplete orbit"):
+        to_monomial_basis(m - Polynomial.monomial((0, 1, 2)))
+    with pytest.raises(ValueError, match="not symmetric: unequal coefficients"):
+        to_monomial_basis(m + Polynomial.monomial((0, 1, 2)))
+    with pytest.raises(ValueError, match="not symmetric: incomplete orbit"):
+        to_monomial_basis(monomial_symmetric(3, (1, 1)) + Polynomial.monomial((3, 0, 0)))
+    with pytest.raises(ValueError, match="non-Laurent"):
+        to_monomial_basis(Polynomial.monomial((-1, -1)))
+    with pytest.raises(ValueError, match="non-Laurent"):
+        to_monomial_basis(Polynomial(2, {(1, -1): 1, (-1, 1): 1}))
+    # values come back as Fraction, also for integer coefficients
+    expansion = to_monomial_basis(Fraction(1, 2) * m + 3 * Polynomial.one(3))
+    assert expansion == {(2, 1, 0): Fraction(1, 2), (0, 0, 0): 3}
+    assert all(type(v) is Fraction for v in expansion.values())
+    assert to_monomial_basis(Polynomial.zero(2)) == {}
+
+
+def test_orbit_against_permutations():
+    from itertools import permutations
+
+    for n in range(1, 6):
+        for lam in partitions_up_to(5, n):
+            distinct = set(permutations(lam))
+            assert orbit_size(lam) == len(distinct) == len(orbit(lam))
+            assert set(orbit(lam)) == distinct and orbit(lam)[0] == lam
+            assert set(monomial_symmetric(n, lam).terms) == distinct
 
 
 def test_partition_helpers():

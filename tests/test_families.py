@@ -311,7 +311,7 @@ def test_construction_caches_cold_warm_and_cleared():
     assert not any(families.cache_info().values())
     cold = results()
     info = families.cache_info()
-    assert info["families.gram_numerators"] > 0
+    assert info["pairings.orbit_numerators"] > 0
     assert info["pairings._gauss_moment_num"] > 0 and info["pairings._ct_weight"] > 0
     warm = results()
     assert families.cache_info() == info
@@ -320,3 +320,73 @@ def test_construction_caches_cold_warm_and_cleared():
     cleared = results()
     assert cold == warm == cleared
     assert families.cache_info() == info
+
+
+def _jack_fraction_reference(n, beta, weight):
+    """Every Jack polynomial of one weight by the triangular solve written
+    out in Fraction: e_k(Dhat) images summed over k-subsets, expanded by
+    ``to_monomial_basis``, back-substituted one coefficient at a time."""
+    from itertools import combinations
+
+    from heckepoly.combinatorics import partitions_of, to_monomial_basis
+
+    spec = jack_spec(n, beta)
+    chers = [ops.cherednik_a(j, spec) for j in range(1, n + 1)]
+    basis = sorted(partitions_of(weight, n))
+    columns = []
+    for mu in basis:
+        m_mu = monomial_symmetric(n, mu)
+        per_k = []
+        for k in range(1, n + 1):
+            image = Polynomial.zero(n)
+            for subset in combinations(range(n), k):
+                g = m_mu
+                for j in subset:
+                    g = chers[j](g)
+                image = image + g
+            per_k.append(to_monomial_basis(image))
+        columns.append(per_k)
+
+    def eigen(mu):
+        values = [mu[i] + beta * (n - 1 - i) for i in range(n)]
+        out = []
+        for k in range(1, n + 1):
+            total = 0
+            for subset in combinations(values, k):
+                prod = 1
+                for v in subset:
+                    prod *= v
+                total += prod
+            out.append(total)
+        return out
+
+    spectra = [eigen(mu) for mu in basis]
+    polys = {}
+    for top, lam in enumerate(basis):
+        coeffs = {top: Fraction(1)}
+        for i in range(top - 1, -1, -1):
+            gaps = [t - e for t, e in zip(spectra[top], spectra[i])]
+            k = next(k for k, gap in enumerate(gaps) if gap)
+            residual = sum(
+                (c * columns[i2][k].get(basis[i], 0) for i2, c in coeffs.items()),
+                Fraction(0),
+            )
+            coeffs[i] = residual / gaps[k]
+        polys[lam] = sum(
+            (c * monomial_symmetric(n, basis[i]) for i, c in coeffs.items()),
+            Polynomial.zero(n),
+        )
+    return polys
+
+
+def test_jack_triangular_against_fraction_reference_and_symmetrized():
+    from heckepoly.families import _jack_symmetrized, _jack_triangular
+
+    for n in (1, 2, 3, 4):
+        for beta in (0, 1, 2, 3):
+            for weight in range(5 if n == 4 else 6):
+                reference = _jack_fraction_reference(n, beta, weight)
+                for lam, expected in reference.items():
+                    poly = _jack_triangular(lam, n, beta)
+                    assert poly == expected, (n, beta, lam)
+                    assert poly == _jack_symmetrized(lam, n, beta), (n, beta, lam)

@@ -2,8 +2,10 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heckepoly import operators as ops
 from heckepoly.combinatorics import (
@@ -24,7 +26,7 @@ from heckepoly.pairings import (
     shift_constants,
 )
 from heckepoly.parameters import hermite_spec, jack_spec, laguerre_spec
-from heckepoly.polynomials import Polynomial
+from heckepoly.polynomials import Polynomial, vandermonde
 
 
 def test_scaled_rational_algebra():
@@ -242,3 +244,140 @@ def test_shift_constants():
     assert shift_constants((1, 0), 2, 1) == (2, 4)
     c, ct = shift_constants((2, 1, 0), 3, 2)
     assert c > 0 and ct > 0
+
+
+# -- the orbit path of symmetric inputs ------------------------------------------
+
+GAMMAS = (Fraction(0), Fraction(1, 3), Fraction(7, 5))
+
+
+@lru_cache(maxsize=None)
+def _weight_lookup(n, beta):
+    """Coefficient of x^e in prod (x_i - x_j)^(2 beta), by expansion."""
+    return (vandermonde(n) ** (2 * beta)).terms
+
+
+@lru_cache(maxsize=None)
+def _moment_oracle(spec):
+    """e -> weighted moment of x^e (Hermite: units of pi^(N/2); Laguerre:
+    units of Gamma(gamma+1/2)^N), summed over the expanded weight."""
+    import math
+
+    if spec.family == "hermite":
+
+        def one(k):
+            if k % 2:
+                return Fraction(0)
+            return Fraction(math.factorial(k), 4 ** (k // 2) * math.factorial(k // 2))
+    else:
+        base = spec.gamma + Fraction(1, 2)
+
+        def one(k):
+            out = Fraction(1)
+            for i in range(k):
+                out *= base + i
+            return out
+
+    weight = _weight_lookup(spec.n, spec.beta)
+    cache = {}
+
+    def moment(e):
+        key = tuple(sorted(e))
+        if key not in cache:
+            total = Fraction(0)
+            for w, c in weight.items():
+                term = Fraction(c)
+                for a, b in zip(key, w):
+                    term *= one(a + b)
+                total += term
+            cache[key] = total
+        return cache[key]
+
+    return moment
+
+
+def double_sum(f, g, spec):
+    """The pairing as a term-by-term double sum over f and g."""
+    n, beta = spec.n, spec.beta
+    if spec.family == "jack":
+        weight = _weight_lookup(n, beta)
+        shift = beta * (n - 1)
+        sgn = (-1) ** (beta * n * (n - 1) // 2)
+        total = Fraction(0)
+        for a, ca in f.terms.items():
+            for b, cb in g.terms.items():
+                e = tuple(y - x + shift for x, y in zip(a, b))
+                total += ca * cb * weight.get(e, 0)
+        return sgn * total
+    moment = _moment_oracle(spec)
+    return sum(
+        (ca * cb * moment(tuple(x + y for x, y in zip(a, b)))
+         for a, ca in f.terms.items() for b, cb in g.terms.items()),
+        Fraction(0),
+    )
+
+
+def pair_q(f, g, spec):
+    if spec.family == "jack":
+        return ct_pairing(f, g, spec)
+    if spec.family == "hermite":
+        return gauss_pairing(f, g, spec).q
+    return laguerre_pairing(f, g, spec).q
+
+
+def symmetric_strategy(n, max_weight):
+    """Rational combinations of m_mu, |mu| <= max_weight, with per-orbit
+    denominators."""
+    labels = list(partitions_up_to(max_weight, n))
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    return st.dictionaries(st.sampled_from(labels), coeff, max_size=4).map(
+        lambda parts: sum(
+            (c * monomial_symmetric(n, mu) for mu, c in parts.items()),
+            Polynomial.zero(n),
+        )
+    )
+
+
+@st.composite
+def symmetric_pairing_case(draw):
+    n = draw(st.sampled_from((2, 3, 4)))
+    beta = draw(st.sampled_from((0, 1, 2)))
+    family = draw(st.sampled_from(("jack", "hermite", "laguerre")))
+    if family == "jack":
+        spec = jack_spec(n, beta)
+    elif family == "hermite":
+        spec = hermite_spec(n, beta)
+    else:
+        spec = laguerre_spec(n, beta, draw(st.sampled_from(GAMMAS)))
+    max_weight = 4 if n < 4 else 2
+    return spec, draw(symmetric_strategy(n, max_weight)), draw(symmetric_strategy(n, max_weight))
+
+
+@settings(max_examples=60, deadline=None)
+@given(symmetric_pairing_case())
+def test_orbit_path_equals_double_sum(case):
+    from heckepoly import families
+
+    spec, f, g = case
+    families.clear_caches()
+    assert pair_q(f, g, spec) == double_sum(f, g, spec)
+    if f and g:  # symmetric inputs are paired through the orbit-numerator table
+        assert families.cache_info()["pairings.orbit_numerators"] > 0
+
+
+def test_nonsymmetric_input_takes_the_general_path():
+    from heckepoly import families
+
+    rng = random.Random(41)
+    for spec in (jack_spec(3, 1), hermite_spec(3, 2), laguerre_spec(3, 1, Fraction(7, 5))):
+        f = Fraction(2, 3) * monomial_symmetric(3, (2, 1, 0)) + monomial_symmetric(3, (1, 0, 0))
+        g = f + Fraction(1, 5) * Polynomial.monomial((2, 0, 1))  # unequal on one orbit
+        g2 = f + Polynomial.monomial((3, 0, 0))  # an incomplete orbit
+        h = random_polynomial(3, 3, rng) * Fraction(1, 3)
+        for left, right in ((f, g), (g, f), (f, g2), (f, h)):
+            families.clear_caches()
+            assert pair_q(left, right, spec) == double_sum(left, right, spec)
+            assert families.cache_info()["pairings.orbit_numerators"] == 0
+        families.clear_caches()
+        assert pair_q(f, f, spec) == double_sum(f, f, spec)
+        assert families.cache_info()["pairings.orbit_numerators"] > 0

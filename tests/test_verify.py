@@ -84,7 +84,6 @@ def test_dunkl_pairing_suite_records_verdict():
 
 def test_operation_coverage():
     catalog = {
-        "operators.apply",
         "operators.dunkl_a",
         "operators.cherednik_a",
         "operators.dunkl_b",
@@ -150,3 +149,23 @@ def test_empty_suite_fails():
         GridSpec(pairs=0)
     with pytest.raises(ValueError, match="must be positive"):
         GridSpec(rand_polys=-1)
+
+
+def test_appendix_a_reduced_words():
+    from heckepoly.combinatorics import (
+        compose,
+        identity_perm,
+        longest_element,
+        transposition,
+    )
+    from heckepoly.verify import _w0_words
+
+    for n in range(2, 6):
+        words = _w0_words(n)
+        for word in words:
+            assert len(word) == n * (n - 1) // 2
+            product = identity_perm(n)
+            for i in word:
+                product = compose(product, transposition(n, i, i + 1))
+            assert product == longest_element(n)
+        assert (words[0] != words[1]) == (n >= 3)
