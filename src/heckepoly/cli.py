@@ -26,15 +26,9 @@ from fractions import Fraction
 
 from . import operators as ops_module
 from .errors import HeckePolyError
-from .families import NonSymLabel, construct
+from .families import NonSymLabel, construct, realization
 from .parameters import FamilySpec, LAGUERRE
-from .pairings import (
-    ScaledRational,
-    ct_pairing,
-    gauss_pairing,
-    laguerre_pairing,
-    norm_formula,
-)
+from .pairings import norm_formula
 from .polynomials import Polynomial
 from .raising import raising_apply
 from .shift import calibrate, shift_apply
@@ -100,10 +94,6 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _var_letter(family: str) -> str:
-    return "u" if family == LAGUERRE else "x"
-
-
 def cmd_poly(args) -> int:
     spec = _spec_from(args)
     lam = parse_partition(args.lam)
@@ -122,7 +112,7 @@ def cmd_poly(args) -> int:
         _emit(args, json.dumps(result.to_json_dict(), sort_keys=True, indent=2))
     else:
         lines = [
-            result.poly.pretty(_var_letter(spec.family)),
+            result.poly.pretty(realization(spec).letter),
             "eigenvalues: " + ", ".join(str(e) for e in result.eigenvalues),
             f"construction: {result.construction}",
         ]
@@ -166,12 +156,7 @@ def cmd_pair(args) -> int:
     except (HeckePolyError, ValueError, KeyError) as err:
         raise SystemExit(f"usage error: {err}")
     try:
-        if spec.family == "jack":
-            value = ScaledRational(ct_pairing(f, g, spec))
-        elif spec.family == "hermite":
-            value = gauss_pairing(f, g, spec)
-        else:
-            value = laguerre_pairing(f, g, spec)
+        value = realization(spec).pair(f, g)
     except (HeckePolyError, ValueError) as err:
         raise SystemExit(f"error: {err}")
     if args.format == "json":
@@ -199,7 +184,7 @@ def cmd_raise(args) -> int:
         _emit(
             args,
             f"constant: {constant}\nlabel: {list(raised.label)}\n"
-            + raised.poly.pretty(_var_letter(spec.family)),
+            + raised.poly.pretty(realization(spec).letter),
         )
     return 0
 
@@ -230,7 +215,7 @@ def cmd_shift(args) -> int:
             args,
             f"constant: {constant}\nlabel: {list(shifted.label)} at beta="
             f"{shifted.spec.beta}\ncalibration: {json.dumps(report.to_json_dict(), sort_keys=True)}\n"
-            + shifted.poly.pretty(_var_letter(spec.family)),
+            + shifted.poly.pretty(realization(spec).letter),
         )
     return 0
 

@@ -1,5 +1,10 @@
 """Jack, multivariable Hermite, and multivariable Laguerre polynomials.
 
+The three families are three representations of one degenerate double
+affine Hecke algebra.  A ``Realization`` per family spec holds what tells
+them apart; the raising and shift operators, the intertwiners and the
+constructions are written once against it.
+
 Each family is built by several independent routes that must agree exactly:
 
 * non-symmetric Jack: triangular joint-eigenvector solve for the commuting
@@ -47,9 +52,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from . import operators as ops
+from . import pairings
 from .combinatorics import (
     all_permutations,
     apply_permutation,
@@ -73,7 +79,12 @@ from .errors import (
     HeckePolyError,
     SpectrumCollisionError,
 )
-from .pairings import _ORBIT_NUMERATORS, _moment_kernel, _orbit_numerator
+from .pairings import (
+    _ORBIT_NUMERATORS,
+    ScaledRational,
+    _moment_kernel,
+    _orbit_numerator,
+)
 from .parameters import FamilySpec, HERMITE, JACK, LAGUERRE
 from .polynomials import Polynomial, _canonical, monomials_of_degree
 
@@ -135,6 +146,127 @@ class FamilyPolynomial:
             "eigenvalues": [int(e) for e in self.eigenvalues],
             "poly": self.poly.to_json_dict(),
         }
+
+
+# ---------------------------------------------------------------------------
+# realizations
+
+
+class Realization:
+    """One family as a representation of the degenerate double affine
+    Hecke algebra: the images x_j -> V_j and Dhat_j -> C_j of its
+    generators (s_jk acts as itself), and what comes with them.
+
+        family    V_j        C_j       codec      pairing
+        jack      x_j        Dhat_j    identity   ct_pairing
+        hermite   A_j/2      h_j       identity   gauss_pairing
+        laguerre  B_j^2/4    h_j/2     u = z^2    laguerre_pairing
+
+    V_j = ladder_scale * L_j^stretch, L_j the creation operator ``ladder``.
+    The operators act on z-polynomials for Laguerre; ``apply`` reads them
+    through the codec u_j = z_j^stretch.  An instance holds only its spec,
+    and the family's data (class attributes of the subclasses below) are
+    names: V_j and C_j are asked of ``operators`` on every call, so
+    ``operators.clear_caches`` drops them, and the pairing, intertwiner and
+    constructors are looked up by name when called.
+    """
+
+    __slots__ = ("spec",)
+
+    letter: str  # variable letter of the printed polynomials
+    ladder: str | None  # operators.<ladder>(j, spec) is L_j
+    stretch: int
+    ladder_scale: Fraction
+    cherednik_op: str  # C_j = cherednik_scale * operators.<cherednik_op>(j, spec)
+    cherednik_scale: Fraction
+    pairing: str  # the pairings function of the family
+    intertwiner: str | None  # sigma_a or sigma_b, applied to the Jack family
+    symmetric_routes: tuple[str, ...]  # routes of a symmetric label, default first
+    nonsym_route: str  # the one route of a non-symmetric label
+
+    def __init__(self, spec: FamilySpec):
+        self.spec = spec
+
+    def coordinate(self, j: int) -> ops.Operator:
+        """V_j, the image of multiplication by x_j."""
+        spec = self.spec
+        if self.ladder is None:
+            return ops.multiply_by(Polynomial.variable(spec.n, j))
+        return self.ladder_scale * getattr(ops, self.ladder)(j, spec) ** self.stretch
+
+    def cherednik(self, j: int) -> ops.Operator:
+        """C_j, the image of the Cherednik operator Dhat_j."""
+        op = getattr(ops, self.cherednik_op)(j, self.spec)
+        return op if self.cherednik_scale == 1 else self.cherednik_scale * op
+
+    def encode(self, f: Polynomial) -> Polynomial:
+        return f if self.stretch == 1 else encode_even(f)
+
+    def decode(self, f: Polynomial) -> Polynomial:
+        return f if self.stretch == 1 else decode_even(f)
+
+    def apply(self, op: ops.Operator, f: Polynomial) -> Polynomial:
+        """op applied to f through the codec."""
+        return self.decode(op(self.encode(f)))
+
+    def pair(self, f: Polynomial, g: Polynomial) -> ScaledRational:
+        """The family pairing <f, g>, as a ScaledRational."""
+        value = getattr(pairings, self.pairing)(f, g, self.spec)
+        return value if isinstance(value, ScaledRational) else ScaledRational(value)
+
+    def intertwine(self, f: Polynomial) -> Polynomial:
+        """sigma(f) = decode(f(V_1, ..., V_N) . 1).  The ladder powers act
+        in integers; each homogeneous component of degree d is rescaled
+        once, by ladder_scale^d."""
+        spec, n = self.spec, self.spec.n
+        ladders = [getattr(ops, self.ladder)(j, spec) for j in range(1, n + 1)]
+        result = Polynomial.zero(n)
+        for degree, component in f.homogeneous_components().items():
+            image = Polynomial.zero(n)
+            for exps, coeff in component.terms.items():
+                cur = Polynomial.one(n)
+                for j, e in enumerate(exps):
+                    for _ in range(self.stretch * e):
+                        cur = ladders[j](cur)
+                image = image + coeff * cur
+            result = result + self.decode(image) * self.ladder_scale**degree
+        return result
+
+
+class _Jack(Realization):
+    __slots__ = ()
+    letter, ladder, stretch, ladder_scale = "x", None, 1, Fraction(1)
+    cherednik_op, cherednik_scale = "cherednik_a", Fraction(1)
+    pairing, intertwiner = "ct_pairing", None
+    symmetric_routes = ("triangular", "symmetrized", "rodrigues")
+    nonsym_route = "triangular"
+
+
+class _Hermite(Realization):
+    __slots__ = ()
+    letter, ladder, stretch, ladder_scale = "x", "creation_a", 1, Fraction(1, 2)
+    cherednik_op, cherednik_scale = "htilde", Fraction(1)
+    pairing, intertwiner = "gauss_pairing", "sigma_a"
+    symmetric_routes = ("gram", "intertwined", "rodrigues")
+    nonsym_route = "intertwined"
+
+
+class _Laguerre(Realization):
+    __slots__ = ()
+    letter, ladder, stretch, ladder_scale = "u", "creation_b", 2, Fraction(1, 4)
+    cherednik_op, cherednik_scale = "htilde", Fraction(1, 2)
+    pairing, intertwiner = "laguerre_pairing", "sigma_b"
+    symmetric_routes = ("gram", "intertwined", "rodrigues")
+    nonsym_route = "intertwined"
+
+
+_REALIZATIONS = {JACK: _Jack, HERMITE: _Hermite, LAGUERRE: _Laguerre}
+
+
+def realization(spec: FamilySpec) -> Realization:
+    """The realization of spec's family: the one place that tells the
+    three families apart."""
+    return _REALIZATIONS[spec.family](spec)
 
 
 # ---------------------------------------------------------------------------
@@ -251,15 +383,17 @@ def _nonsym_jack_poly(comp, n: int, beta: int):
 
 
 def _assert_nonsym_triangular(poly: Polynomial, label: NonSymLabel) -> None:
+    """x^comp has coefficient 1 and every other term of its degree a lower
+    label.  Terms of lower degree are not checked: the Jack polynomials
+    have none, their intertwiner images do."""
     comp = label.composition()
     if poly.coefficient(comp) != 1:
-        raise HeckePolyError("leading coefficient is not 1")
-    pair = (label.lam, label.w)
+        raise HeckePolyError(f"leading coefficient of x^{comp} is not 1")
+    degree, pair = sum(comp), (label.lam, label.w)
     for exps in poly.terms:
-        if exps == comp:
-            continue
-        if not precedes(composition_to_label(exps), pair):
-            raise HeckePolyError(f"companion {exps} is not lower than the label")
+        if sum(exps) == degree and exps != comp:
+            if not precedes(composition_to_label(exps), pair):
+                raise HeckePolyError(f"companion {exps} is not lower than the label")
 
 
 # ---------------------------------------------------------------------------
@@ -269,17 +403,20 @@ def _assert_nonsym_triangular(poly: Polynomial, label: NonSymLabel) -> None:
 def jack(lam, spec: FamilySpec, method: str = "triangular") -> FamilyPolynomial:
     if spec.family != JACK:
         raise ValueError("jack needs a Jack spec")
+    return _symmetric(lam, spec, method)
+
+
+def _symmetric(lam, spec: FamilySpec, method: str) -> FamilyPolynomial:
+    """The monic symmetric polynomial of label lam by the route ``method``
+    of spec's family, checked triangular in the m_mu basis."""
+    if method not in realization(spec).symmetric_routes:
+        raise ValueError(f"unknown {spec.family.capitalize()} construction {method!r}")
     lam = pad_partition(lam, spec.n)
-    if method == "triangular":
-        poly = _jack_triangular(lam, spec.n, spec.beta)
-    elif method == "symmetrized":
-        poly = _jack_symmetrized(lam, spec.n, spec.beta)
-    elif method == "rodrigues":
+    if method == "rodrigues":
         from .raising import rodrigues
 
         return rodrigues(lam, spec)
-    else:
-        raise ValueError(f"unknown Jack construction {method!r}")
+    poly = _ROUTES[method](lam, spec)
     _assert_symmetric_triangular(poly, lam)
     return FamilyPolynomial(
         lam, spec, poly, method, symmetric_spectrum(lam, spec.n, spec.beta)
@@ -405,19 +542,7 @@ def sigma_a(f: Polynomial, spec: FamilySpec) -> Polynomial:
     degree-d components map to 2^(-d) f(A_1..A_N) . 1."""
     if spec.family != HERMITE:
         raise ValueError("sigma_a needs a Hermite spec")
-    n = spec.n
-    creators = [ops.creation_a(j, spec) for j in range(1, n + 1)]
-    result = Polynomial.zero(n)
-    for degree, component in f.homogeneous_components().items():
-        image = Polynomial.zero(n)
-        for exps, coeff in component.terms.items():
-            cur = Polynomial.one(n)
-            for j, e in enumerate(exps):
-                for _ in range(e):
-                    cur = creators[j](cur)
-            image = image + coeff * cur
-        result = result + image * Fraction(1, 2**degree)
-    return result
+    return realization(spec).intertwine(f)
 
 
 def sigma_b(f: Polynomial, spec: FamilySpec) -> Polynomial:
@@ -425,19 +550,7 @@ def sigma_b(f: Polynomial, spec: FamilySpec) -> Polynomial:
     1, and re-encodes the (necessarily even) image in u = z^2."""
     if spec.family != LAGUERRE:
         raise ValueError("sigma_b needs a Laguerre spec")
-    n = spec.n
-    creators = [ops.creation_b(j, spec) for j in range(1, n + 1)]
-    result = Polynomial.zero(n)
-    for degree, component in f.homogeneous_components().items():
-        image = Polynomial.zero(n)
-        for exps, coeff in component.terms.items():
-            cur = Polynomial.one(n)
-            for j, e in enumerate(exps):
-                for _ in range(2 * e):
-                    cur = creators[j](cur)
-            image = image + coeff * cur
-        result = result + decode_even(image) * Fraction(1, 4**degree)
-    return result
+    return realization(spec).intertwine(f)
 
 
 def encode_even(f_u: Polynomial) -> Polynomial:
@@ -458,55 +571,35 @@ def decode_even(f_z: Polynomial) -> Polynomial:
 def rho_b_cherednik(j: int, spec: FamilySpec):
     """Image of the A-type Cherednik operator in the squared-variable
     representation: (1/2) h_j read through the u = z^2 codec."""
-    h = ops.htilde(j, spec)
-
-    def act(f_u: Polynomial) -> Polynomial:
-        return decode_even(h(encode_even(f_u))) * Fraction(1, 2)
-
-    return act
-
-
-def rho_b_coordinate(j: int, spec: FamilySpec):
-    """Image of multiplication by x_j: B_j^2/4 through the codec."""
-    b = ops.creation_b(j, spec)
-
-    def act(f_u: Polynomial) -> Polynomial:
-        return decode_even(b(b(encode_even(f_u)))) * Fraction(1, 4)
-
-    return act
+    real = realization(spec)
+    return partial(real.apply, real.cherednik(j))
 
 
 # ---------------------------------------------------------------------------
-# Hermite
+# Hermite and Laguerre
 
 
 def hermite(lam, spec: FamilySpec, method: str = "gram") -> FamilyPolynomial:
     if spec.family != HERMITE:
         raise ValueError("hermite needs a Hermite spec")
-    lam = pad_partition(lam, spec.n)
-    if method == "gram":
-        poly = _hermite_gram(lam, spec.n, spec.beta)
-    elif method == "intertwined":
-        jack_poly = jack(lam, FamilySpec(JACK, spec.n, spec.beta)).poly
-        poly = sigma_a(jack_poly, spec)
-    elif method == "rodrigues":
-        from .raising import rodrigues
+    return _symmetric(lam, spec, method)
 
-        return rodrigues(lam, spec)
-    else:
-        raise ValueError(f"unknown Hermite construction {method!r}")
-    _assert_symmetric_triangular(poly, lam)
-    return FamilyPolynomial(
-        lam, spec, poly, method, symmetric_spectrum(lam, spec.n, spec.beta)
-    )
+
+def laguerre(lam, spec: FamilySpec, method: str = "gram") -> FamilyPolynomial:
+    """Multivariable Laguerre polynomial, expressed in u_j = z_j^2."""
+    if spec.family != LAGUERRE:
+        raise ValueError("laguerre needs a Laguerre spec")
+    return _symmetric(lam, spec, method)
+
+
+def _intertwined(lam, spec: FamilySpec) -> Polynomial:
+    """sigma_a or sigma_b (found by name when called) of the Jack polynomial."""
+    jack_poly = jack(lam, FamilySpec(JACK, spec.n, spec.beta)).poly
+    return globals()[realization(spec).intertwiner](jack_poly, spec)
 
 
 @lru_cache(maxsize=None)
-def _hermite_gram(lam, n: int, beta: int) -> Polynomial:
-    return _gram_solve(lam, FamilySpec(HERMITE, n, beta))
-
-
-def _gram_solve(lam, spec: FamilySpec) -> Polynomial:
+def _gram(lam, spec: FamilySpec) -> Polynomial:
     """Monic-in-m_lam polynomial orthogonal to every m_mu with mu strictly
     below lam in the cross-degree dominance order, under the Gauss or
     Laguerre pairing of spec.
@@ -575,35 +668,14 @@ def _solve_bareiss(rows, rhs) -> list[Fraction]:
     return [Fraction(v, prev) for v in scaled]
 
 
-# ---------------------------------------------------------------------------
-# Laguerre
-
-
-def laguerre(lam, spec: FamilySpec, method: str = "gram") -> FamilyPolynomial:
-    """Multivariable Laguerre polynomial, expressed in u_j = z_j^2."""
-    if spec.family != LAGUERRE:
-        raise ValueError("laguerre needs a Laguerre spec")
-    lam = pad_partition(lam, spec.n)
-    if method == "gram":
-        poly = _laguerre_gram(lam, spec.n, spec.beta, spec.gamma)
-    elif method == "intertwined":
-        jack_poly = jack(lam, FamilySpec(JACK, spec.n, spec.beta)).poly
-        poly = sigma_b(jack_poly, spec)
-    elif method == "rodrigues":
-        from .raising import rodrigues
-
-        return rodrigues(lam, spec)
-    else:
-        raise ValueError(f"unknown Laguerre construction {method!r}")
-    _assert_symmetric_triangular(poly, lam)
-    return FamilyPolynomial(
-        lam, spec, poly, method, symmetric_spectrum(lam, spec.n, spec.beta)
-    )
-
-
-@lru_cache(maxsize=None)
-def _laguerre_gram(lam, n: int, beta: int, gamma) -> Polynomial:
-    return _gram_solve(lam, FamilySpec(LAGUERRE, n, beta, gamma))
+# symmetric route -> the monic polynomial of a padded label (Rodrigues
+# returns a FamilyPolynomial of its own, see ``_symmetric``)
+_ROUTES = {
+    "triangular": lambda lam, spec: _jack_triangular(lam, spec.n, spec.beta),
+    "symmetrized": lambda lam, spec: _jack_symmetrized(lam, spec.n, spec.beta),
+    "gram": _gram,
+    "intertwined": _intertwined,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -615,13 +687,7 @@ def nonsym_hermite(label: NonSymLabel, spec: FamilySpec) -> FamilyPolynomial:
     eigenvector of the h_j with the transported spectrum."""
     if spec.family != HERMITE:
         raise ValueError("nonsym_hermite needs a Hermite spec")
-    base = nonsym_jack(
-        NonSymLabel(pad_partition(label.lam, spec.n), label.w),
-        FamilySpec(JACK, spec.n, spec.beta),
-    )
-    poly = sigma_a(base.poly, spec)
-    _assert_image_leading(poly, base)
-    return FamilyPolynomial(base.label, spec, poly, "intertwined", base.eigenvalues)
+    return _nonsym_intertwined(label, spec)
 
 
 def nonsym_laguerre(label: NonSymLabel, spec: FamilySpec) -> FamilyPolynomial:
@@ -629,42 +695,33 @@ def nonsym_laguerre(label: NonSymLabel, spec: FamilySpec) -> FamilyPolynomial:
     eigenvalues."""
     if spec.family != LAGUERRE:
         raise ValueError("nonsym_laguerre needs a Laguerre spec")
+    return _nonsym_intertwined(label, spec)
+
+
+def _nonsym_intertwined(label: NonSymLabel, spec: FamilySpec) -> FamilyPolynomial:
     base = nonsym_jack(
         NonSymLabel(pad_partition(label.lam, spec.n), label.w),
         FamilySpec(JACK, spec.n, spec.beta),
     )
-    poly = sigma_b(base.poly, spec)
-    _assert_image_leading(poly, base)
+    poly = globals()[realization(spec).intertwiner](base.poly, spec)
+    _assert_nonsym_triangular(poly, base.label)
     return FamilyPolynomial(base.label, spec, poly, "intertwined", base.eigenvalues)
 
 
-def _assert_image_leading(poly: Polynomial, base: FamilyPolynomial) -> None:
-    comp = base.label.composition()
-    if poly.coefficient(comp) != 1:
-        raise HeckePolyError("intertwiner image lost its unit leading term")
-    degree = sum(comp)
-    pair = (base.label.lam, base.label.w)
-    for exps in poly.terms:
-        if sum(exps) == degree and exps != comp:
-            if not precedes(composition_to_label(exps), pair):
-                raise HeckePolyError(
-                    f"companion {exps} is not lower than the label"
-                )
-
-
 def construct(label, spec: FamilySpec, method: str | None = None) -> FamilyPolynomial:
-    """Family-dispatching convenience constructor used by the CLI."""
+    """Family-dispatching constructor (``jack``, ``nonsym_hermite``, ...,
+    found by name when called).  A symmetric label takes any route of its
+    family, the default when method is None; a non-symmetric label has one
+    route, so method must be None or that route."""
+    real = realization(spec)
     if isinstance(label, NonSymLabel):
-        if spec.family == JACK:
-            return nonsym_jack(label, spec)
-        if spec.family == HERMITE:
-            return nonsym_hermite(label, spec)
-        return nonsym_laguerre(label, spec)
-    if spec.family == JACK:
-        return jack(label, spec, method or "triangular")
-    if spec.family == HERMITE:
-        return hermite(label, spec, method or "gram")
-    return laguerre(label, spec, method or "gram")
+        if method not in (None, real.nonsym_route):
+            raise ValueError(
+                f"non-symmetric {spec.family} polynomials are built by the "
+                f"{real.nonsym_route!r} route, not {method!r}"
+            )
+        return globals()[f"nonsym_{spec.family}"](label, spec)
+    return globals()[spec.family](label, spec, method or real.symmetric_routes[0])
 
 
 # ---------------------------------------------------------------------------
@@ -672,14 +729,13 @@ def construct(label, spec: FamilySpec, method: str | None = None) -> FamilyPolyn
 
 
 def _lru_caches() -> dict:
-    from . import combinatorics, pairings, shift  # shift imports this module
+    from . import combinatorics, shift  # shift imports this module
 
     caches = (
         combinatorics.orbit,
         _nonsym_jack_poly,
         _jack_triangular,
-        _hermite_gram,
-        _laguerre_gram,
+        _gram,
         pairings._vandermonde_power,
         pairings._weight_terms,
         pairings._ct_weight,

@@ -40,6 +40,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import combinations
 from operator import add, sub
 
 from . import operators as ops
@@ -54,7 +55,7 @@ from .combinatorics import (
 )
 from .errors import DivergentWeightError, HeckePolyError
 from .parameters import FamilySpec, HERMITE, JACK, LAGUERRE
-from .polynomials import Exponent, Polynomial, _integer_part, vandermonde
+from .polynomials import Exponent, Polynomial, _integer_part
 
 
 @dataclass(frozen=True)
@@ -137,7 +138,14 @@ class ScaledRational:
 
 @lru_cache(maxsize=None)
 def _vandermonde_power(n: int, beta: int) -> Polynomial:
-    return vandermonde(n) ** (2 * beta)
+    """prod_{i<j} (x_i - x_j)^(2 beta) as a product of binomial powers;
+    powering the whole Vandermonde product multiplies far larger
+    intermediates."""
+    total = Polynomial.one(n)
+    for i, j in combinations(range(1, n + 1), 2):
+        binomial = Polynomial.variable(n, i) - Polynomial.variable(n, j)
+        total = total * binomial ** (2 * beta)
+    return total
 
 
 @lru_cache(maxsize=None)

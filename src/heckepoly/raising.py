@@ -5,9 +5,9 @@ The degree-raising operator with m factors is the ordered sum
     R_m = sum_{k_1 < ... < k_m}  V_{k_1} ... V_{k_m}
           (C_{k_1} + beta(2-k_1)) (C_{k_2} + beta(3-k_2)) ... (C_{k_m} + beta(m-k_m+1))
 
-where (V_j, C_j) is the family realization of (multiplication by x_j,
-Cherednik operator): (x_j, Dhat_j) for Jack, (A_j/2, h_j) for Hermite and
-(B_j^2/4, h_j/2) for Laguerre.  Its action adds one box to each of the
+where (V_j, C_j) are the images of (multiplication by x_j, Cherednik
+operator) in the family's ``families.Realization``.  The operator is
+written once against them.  Its action adds one box to each of the
 first m rows of the label:
 
     R_m F_lam = const * F_{lam + (1^m)},
@@ -40,31 +40,12 @@ from .errors import NotProportionalError, RodriguesSingularError
 from .families import (
     FamilyPolynomial,
     construct,
-    decode_even,
-    encode_even,
+    realization,
     symmetric_spectrum,
     _assert_symmetric_triangular,
 )
-from .parameters import FamilySpec, HERMITE, JACK, LAGUERRE
+from .parameters import FamilySpec
 from .polynomials import Polynomial
-
-
-def _variable_factor(j: int, spec: FamilySpec) -> ops.Operator:
-    n = spec.n
-    if spec.family == JACK:
-        return ops.multiply_by(Polynomial.variable(n, j))
-    if spec.family == HERMITE:
-        return Fraction(1, 2) * ops.creation_a(j, spec)
-    b = ops.creation_b(j, spec)
-    return Fraction(1, 4) * (b * b)
-
-
-def _cherednik_factor(j: int, spec: FamilySpec) -> ops.Operator:
-    if spec.family == JACK:
-        return ops.cherednik_a(j, spec)
-    if spec.family == HERMITE:
-        return ops.htilde(j, spec)
-    return Fraction(1, 2) * ops.htilde(j, spec)
 
 
 def raising_operator(m: int, spec: FamilySpec) -> ops.Operator:
@@ -72,7 +53,7 @@ def raising_operator(m: int, spec: FamilySpec) -> ops.Operator:
     per (m, spec).
 
     Acts on x-polynomials for Jack/Hermite and on z-polynomials for
-    Laguerre (use the u <-> z codec around it for squared variables).
+    Laguerre; ``Realization.apply`` reads it through the u <-> z codec.
     """
     if not 1 <= m <= spec.n:
         raise ValueError(f"raising index {m} out of range 1..{spec.n}")
@@ -81,15 +62,14 @@ def raising_operator(m: int, spec: FamilySpec) -> ops.Operator:
 
 def _build_raising(m: int, spec: FamilySpec) -> ops.Operator:
     n, beta = spec.n, spec.beta
+    real = realization(spec)
     total = ops.scalar(n, 0)
     for subset in itertools.combinations(range(1, n + 1), m):
         term = ops.identity(n)
         for i, k in enumerate(subset, start=1):
-            term = term * (
-                _cherednik_factor(k, spec) + ops.scalar(n, beta * (i + 1 - k))
-            )
+            term = term * (real.cherednik(k) + ops.scalar(n, beta * (i + 1 - k)))
         for k in reversed(subset):
-            term = _variable_factor(k, spec) * term
+            term = real.coordinate(k) * term
         total = total + term
     return total
 
@@ -112,18 +92,16 @@ def raising_apply(m: int, family_poly: FamilyPolynomial):
     """Apply the raising operator; returns (constant, raised FamilyPolynomial)
     after verifying exact proportionality.
 
-    Requires every nonzero part of the label to sit in the first m rows."""
+    Requires 1 <= m <= N and every nonzero part of the label to sit in the
+    first m rows."""
     spec = family_poly.spec
+    op = raising_operator(m, spec)  # checks m first
     lam = pad_partition(family_poly.label, spec.n)
     if any(p > 0 for p in lam[m:]):
         raise ValueError(
             f"raising with m={m} needs a label with at most {m} nonzero parts, got {lam}"
         )
-    op = raising_operator(m, spec)
-    if spec.family == LAGUERRE:
-        image = decode_even(op(encode_even(family_poly.poly)))
-    else:
-        image = op(family_poly.poly)
+    image = realization(spec).apply(op, family_poly.poly)
     constant = raising_constant(lam, m, spec)
     target_label = add_to_first_parts(lam, m)
     target = construct(target_label, spec)
@@ -154,18 +132,15 @@ def rodrigues(lam, spec: FamilySpec) -> FamilyPolynomial:
         raise RodriguesSingularError(
             f"Rodrigues prefactor singular for {lam} at beta={beta}"
         )
-    current = Polynomial.one(n)
-    if spec.family == LAGUERRE:
-        current = encode_even(current)
+    real = realization(spec)
+    current = real.encode(Polynomial.one(n))
     for m in range(1, n + 1):
         steps = lam[m - 1] - (lam[m] if m < n else 0)
         if steps:
             op = raising_operator(m, spec)
             for _ in range(steps):
                 current = op(current)
-    if spec.family == LAGUERRE:
-        current = decode_even(current)
-    poly = current * (Fraction(1) / hooks)
+    poly = real.decode(current) * (Fraction(1) / hooks)
     _assert_symmetric_triangular(poly, lam)
     return FamilyPolynomial(
         lam, spec, poly, "rodrigues", symmetric_spectrum(lam, n, beta)

@@ -1,7 +1,8 @@
 """Shift operators between coupling levels beta and beta+1.
 
-With X the Vandermonde factor and C_j the family realization of the
-Cherednik operators at level beta, the two candidate products are
+With X the Vandermonde factor and C_j the image of the Cherednik
+operators at level beta in the family's ``families.Realization``, the two
+candidate products are
 
     Y(+) = prod_{i<j} (+beta - C_i + C_j)
     Y(-) = prod_{i<j} (-beta - C_i + C_j)
@@ -44,20 +45,9 @@ from .errors import (
     NotDivisibleError,
     NotProportionalError,
 )
-from .families import (
-    FamilyPolynomial,
-    construct,
-    decode_even,
-    encode_even,
-)
-from .pairings import (
-    ScaledRational,
-    ct_pairing,
-    gauss_pairing,
-    laguerre_pairing,
-    shift_constants,
-)
-from .parameters import FamilySpec, HERMITE, JACK, LAGUERRE
+from .families import FamilyPolynomial, construct, realization
+from .pairings import shift_constants
+from .parameters import FamilySpec, JACK
 from .polynomials import Polynomial, divide_exact, vandermonde
 
 
@@ -79,12 +69,6 @@ class CalibrationReport:
         }
 
 
-def _cherednik_family(spec: FamilySpec):
-    if spec.family == JACK:
-        return [ops.cherednik_a(j, spec) for j in range(1, spec.n + 1)]
-    return [ops.htilde(j, spec) for j in range(1, spec.n + 1)]
-
-
 def _y_product(spec: FamilySpec, sign: int) -> ops.Operator:
     """prod_{i<j} (sign*beta - C_i + C_j) in the family realization, built
     once per (spec, sign).
@@ -96,20 +80,17 @@ def _y_product(spec: FamilySpec, sign: int) -> ops.Operator:
 
 def _build_y_product(spec: FamilySpec, sign: int) -> ops.Operator:
     n, beta = spec.n, spec.beta
-    chers = _cherednik_family(spec)
-    half = Fraction(1, 2) if spec.family == LAGUERRE else Fraction(1)
+    real = realization(spec)
+    chers = [real.cherednik(j) for j in range(1, n + 1)]
     total = ops.identity(n)
     for i, j in itertools.combinations(range(n), 2):
-        factor = ops.scalar(n, sign * beta) - half * chers[i] + half * chers[j]
+        factor = ops.scalar(n, sign * beta) - chers[i] + chers[j]
         total = factor * total
     return total
 
 
 def _apply_y(f: Polynomial, spec: FamilySpec, sign: int) -> Polynomial:
-    op = _y_product(spec, sign)
-    if spec.family == LAGUERRE:
-        return decode_even(op(encode_even(f)))
-    return op(f)
+    return realization(spec).apply(_y_product(spec, sign), f)
 
 
 def apply_g(f: Polynomial, spec: FamilySpec, assignment: str = "swapped") -> Polynomial:
@@ -207,22 +188,14 @@ def shift_apply(direction: str, family_poly: FamilyPolynomial):
     return constant, target
 
 
-def _pairing_value(f: Polynomial, g: Polynomial, spec: FamilySpec) -> ScaledRational:
-    if spec.family == JACK:
-        return ScaledRational(ct_pairing(f, g, spec))
-    if spec.family == HERMITE:
-        return gauss_pairing(f, g, spec)
-    return laguerre_pairing(f, g, spec)
-
-
 def duality_check(f: Polynomial, g: Polynomial, spec: FamilySpec) -> bool:
     """<G f, g> at level beta+1 equals <f, Ghat g> at level beta, exactly.
 
     f and g must be symmetric (u-variable symmetric for Laguerre)."""
     report = calibrate(spec.family, spec.n, spec.beta, spec.gamma)
     upper = spec.with_beta(spec.beta + 1)
-    lhs = _pairing_value(apply_g(f, spec, report.assignment), g, upper)
-    rhs = _pairing_value(f, apply_ghat(g, spec, report.assignment), spec)
+    lhs = realization(upper).pair(apply_g(f, spec, report.assignment), g)
+    rhs = realization(spec).pair(f, apply_ghat(g, spec, report.assignment))
     return lhs == rhs
 
 
@@ -282,6 +255,6 @@ def norm_recursion_check(lam, spec: FamilySpec) -> bool:
     upper = spec.with_beta(spec.beta + 1)
     f_up = construct(lam, upper)
     f_low = construct(raised, spec)
-    lhs = _pairing_value(f_up.poly, f_up.poly, upper)
-    rhs = _pairing_value(f_low.poly, f_low.poly, spec)
+    lhs = realization(upper).pair(f_up.poly, f_up.poly)
+    rhs = realization(spec).pair(f_low.poly, f_low.poly)
     return lhs.q * c_val == rhs.q * ct_val

@@ -45,6 +45,7 @@ import random
 import zlib
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from . import operators as ops
 from .combinatorics import (
@@ -62,15 +63,11 @@ from .families import (
     NonSymLabel,
     _elementary_symmetric,
     composition_spectrum,
+    construct,
     decode_even,
     encode_even,
-    hermite,
     jack,
-    laguerre,
-    nonsym_hermite,
-    nonsym_jack,
-    nonsym_laguerre,
-    rho_b_cherednik,
+    realization,
     sigma_a,
     sigma_b,
 )
@@ -78,7 +75,6 @@ from .pairings import (
     ct_pairing,
     dunkl_pairing,
     gauss_pairing,
-    laguerre_pairing,
     norm_formula,
     shift_constants,
 )
@@ -189,6 +185,14 @@ def _check_operator(report, params, op_a, op_b, degree) -> None:
 
 def _laguerre_specs(n: int, beta: int, grid: GridSpec):
     return [FamilySpec(LAGUERRE, n, beta, g) for g in grid.gammas]
+
+
+def _spec_params(spec: FamilySpec) -> dict:
+    """n, beta and, for a Laguerre spec, gamma: the case parameters."""
+    params = {"n": spec.n, "beta": spec.beta}
+    if spec.gamma is not None:
+        params["gamma"] = str(spec.gamma)
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -430,32 +434,19 @@ def suite_dunkl_commute(grid: GridSpec) -> SuiteReport:
 def suite_nonsym_eigen(grid: GridSpec) -> SuiteReport:
     report = SuiteReport("nonsym_eigen", grid.to_json_dict())
     for n, beta in itertools.product(grid.ns, grid.betas):
-        jack_sp = FamilySpec(JACK, n, beta)
-        chers = [ops.cherednik_a(j, jack_sp) for j in range(1, n + 1)]
-        herm_sp = FamilySpec(HERMITE, n, beta)
-        h_ops = [ops.htilde(j, herm_sp) for j in range(1, n + 1)]
-        lag_sp = FamilySpec(LAGUERRE, n, beta, grid.gammas[-1])
-        rho = [rho_b_cherednik(j, lag_sp) for j in range(1, n + 1)]
+        reals = [realization(spec) for spec in _family_specs(n, beta, grid)]
+        chers = [[real.cherednik(j) for j in range(1, n + 1)] for real in reals]
         for comp in monomials_up_to_degree(n, grid.max_weight):
             label = NonSymLabel.from_composition(comp)
             params = {"n": n, "beta": beta, "composition": list(comp)}
-            e_poly = nonsym_jack(label, jack_sp)
             spectrum = composition_spectrum(comp, beta)
-            ok = all(
-                chers[j](e_poly.poly) == spectrum[j] * e_poly.poly
-                for j in range(n)
-            )
-            report.record(dict(params, family="jack"), ok)
-            if sum(comp) > 2:
-                continue  # intertwined spectra on the lighter sub-grid
-            e_h = nonsym_hermite(label, herm_sp)
-            ok = all(
-                h_ops[j](e_h.poly) == spectrum[j] * e_h.poly for j in range(n)
-            )
-            report.record(dict(params, family="hermite"), ok)
-            e_l = nonsym_laguerre(label, lag_sp)
-            ok = all(rho[j](e_l.poly) == spectrum[j] * e_l.poly for j in range(n))
-            report.record(dict(params, family="laguerre"), ok)
+            # Jack everywhere, the intertwined spectra on the lighter sub-grid
+            for real, c_ops in zip(reals[: 1 if sum(comp) > 2 else None], chers):
+                poly = construct(label, real.spec).poly
+                ok = all(
+                    real.apply(c_ops[j], poly) == spectrum[j] * poly for j in range(n)
+                )
+                report.record(dict(params, family=real.spec.family), ok)
     return report
 
 
@@ -501,72 +492,51 @@ def suite_jack_orth(grid: GridSpec) -> SuiteReport:
     return report
 
 
-def suite_intertwine_a(grid: GridSpec) -> SuiteReport:
-    report = SuiteReport("intertwine_A", grid.to_json_dict())
+def _intertwine(suite: str, grid: GridSpec, family: str, gammas, sigma, every_query):
+    """sigma(Q f) == rho(Q) sigma(f) on random f, for Q a Cherednik operator
+    Dhat_j (rho(Q) = C_j of the realization) or a transposition s_ij
+    (rho(Q) = s_ij); every query per trial, or one in turn."""
+    report = SuiteReport(suite, grid.to_json_dict())
     for n, beta in itertools.product(grid.ns, grid.betas):
         jack_sp = FamilySpec(JACK, n, beta)
-        herm_sp = FamilySpec(HERMITE, n, beta)
-        chers = [ops.cherednik_a(j, jack_sp) for j in range(1, n + 1)]
-        h_ops = [ops.htilde(j, herm_sp) for j in range(1, n + 1)]
-        rng = _rng(grid, "intertwine_A", n, beta)
-        queries = [(f"Dhat_{j + 1}", chers[j], h_ops[j]) for j in range(n)] + [
-            (
-                f"s_{i + 1}{j + 1}",
-                ops.exchange(n, i + 1, j + 1),
-                ops.exchange(n, i + 1, j + 1),
-            )
-            for i, j in itertools.combinations(range(n), 2)
-        ]
-        for trial in range(grid.rand_polys):
-            f = random_polynomial(n, 3, rng)
-            image = sigma_a(f, herm_sp)
-            for name, q_op, rho_q in queries:
-                lhs = sigma_a(q_op(f), herm_sp)
-                rhs = rho_q(image)
-                report.record(
-                    {"n": n, "beta": beta, "trial": trial, "Q": name},
-                    lhs == rhs,
-                    lhs.pretty(),
-                    rhs.pretty(),
+        for gamma in gammas:
+            spec = FamilySpec(family, n, beta, gamma)
+            real = realization(spec)
+            tag = (n, beta) if gamma is None else (n, beta, str(gamma))
+            rng = _rng(grid, suite, *tag)
+            queries = [
+                (
+                    f"Dhat_{j}",
+                    ops.cherednik_a(j, jack_sp),
+                    partial(real.apply, real.cherednik(j)),
                 )
+                for j in range(1, n + 1)
+            ] + [
+                (f"s_{i}{j}", ops.exchange(n, i, j), ops.exchange(n, i, j))
+                for i, j in itertools.combinations(range(1, n + 1), 2)
+            ]
+            for trial in range(grid.rand_polys):
+                f = random_polynomial(n, 3, rng)
+                image = sigma(f, spec)
+                chosen = queries if every_query else [queries[trial % len(queries)]]
+                for name, q_op, rho_q in chosen:
+                    lhs = sigma(q_op(f), spec)
+                    rhs = rho_q(image)
+                    report.record(
+                        dict(_spec_params(spec), trial=trial, Q=name),
+                        lhs == rhs,
+                        lhs.pretty(),
+                        rhs.pretty(),
+                    )
     return report
+
+
+def suite_intertwine_a(grid: GridSpec) -> SuiteReport:
+    return _intertwine("intertwine_A", grid, HERMITE, (None,), sigma_a, True)
 
 
 def suite_intertwine_b(grid: GridSpec) -> SuiteReport:
-    report = SuiteReport("intertwine_B", grid.to_json_dict())
-    for n, beta in itertools.product(grid.ns, grid.betas):
-        jack_sp = FamilySpec(JACK, n, beta)
-        chers = [ops.cherednik_a(j, jack_sp) for j in range(1, n + 1)]
-        for lag_sp in _laguerre_specs(n, beta, grid):
-            rng = _rng(grid, "intertwine_B", n, beta, str(lag_sp.gamma))
-            rho = [rho_b_cherednik(j, lag_sp) for j in range(1, n + 1)]
-            for trial in range(grid.rand_polys):
-                f = random_polynomial(n, 3, rng)
-                image = sigma_b(f, lag_sp)
-                pick = trial % (n + n * (n - 1) // 2)
-                if pick < n:
-                    name = f"Dhat_{pick + 1}"
-                    lhs = sigma_b(chers[pick](f), lag_sp)
-                    rhs = rho[pick](image)
-                else:
-                    pairs = list(itertools.combinations(range(1, n + 1), 2))
-                    i, j = pairs[pick - n]
-                    name = f"s_{i}{j}"
-                    lhs = sigma_b(f.swap_variables(i, j), lag_sp)
-                    rhs = image.swap_variables(i, j)
-                report.record(
-                    {
-                        "n": n,
-                        "beta": beta,
-                        "gamma": str(lag_sp.gamma),
-                        "trial": trial,
-                        "Q": name,
-                    },
-                    lhs == rhs,
-                    lhs.pretty(),
-                    rhs.pretty(),
-                )
-    return report
+    return _intertwine("intertwine_B", grid, LAGUERRE, grid.gammas, sigma_b, False)
 
 
 def suite_res_b(grid: GridSpec) -> SuiteReport:
@@ -598,47 +568,46 @@ def suite_res_b(grid: GridSpec) -> SuiteReport:
     return report
 
 
-def suite_hermite_is_sigma_jack(grid: GridSpec) -> SuiteReport:
-    report = SuiteReport("hermite_is_sigma_jack", grid.to_json_dict())
+def _gram_is_sigma_jack(suite: str, grid: GridSpec, family: str, gammas):
+    report = SuiteReport(suite, grid.to_json_dict())
     for n, beta in itertools.product(grid.ns, grid.betas):
-        spec = FamilySpec(HERMITE, n, beta)
-        for lam in partitions_up_to(grid.max_weight, n):
-            direct = hermite(lam, spec, method="gram")
-            image = hermite(lam, spec, method="intertwined")
-            report.record(
-                {"n": n, "beta": beta, "lambda": list(lam)},
-                direct.poly == image.poly,
-                direct.poly.pretty(),
-                image.poly.pretty(),
-            )
-    return report
-
-
-def suite_laguerre_is_sigma_jack(grid: GridSpec) -> SuiteReport:
-    report = SuiteReport("laguerre_is_sigma_jack", grid.to_json_dict())
-    for n, beta in itertools.product(grid.ns, grid.betas):
-        for spec in _laguerre_specs(n, beta, grid):
+        for gamma in gammas:
+            spec = FamilySpec(family, n, beta, gamma)
+            letter = realization(spec).letter
             for lam in partitions_up_to(grid.max_weight, n):
-                direct = laguerre(lam, spec, method="gram")
-                image = laguerre(lam, spec, method="intertwined")
+                direct = construct(lam, spec, "gram")
+                image = construct(lam, spec, "intertwined")
                 report.record(
-                    {
-                        "n": n,
-                        "beta": beta,
-                        "gamma": str(spec.gamma),
-                        "lambda": list(lam),
-                    },
+                    {**_spec_params(spec), "lambda": list(lam)},
                     direct.poly == image.poly,
-                    direct.poly.pretty("u"),
-                    image.poly.pretty("u"),
+                    direct.poly.pretty(letter),
+                    image.poly.pretty(letter),
                 )
     return report
 
 
-def _family_specs(n: int, beta: int, grid: GridSpec):
-    yield FamilySpec(JACK, n, beta)
-    yield FamilySpec(HERMITE, n, beta)
-    yield FamilySpec(LAGUERRE, n, beta, grid.gammas[-1])
+def suite_hermite_is_sigma_jack(grid: GridSpec) -> SuiteReport:
+    return _gram_is_sigma_jack("hermite_is_sigma_jack", grid, HERMITE, (None,))
+
+
+def suite_laguerre_is_sigma_jack(grid: GridSpec) -> SuiteReport:
+    return _gram_is_sigma_jack("laguerre_is_sigma_jack", grid, LAGUERRE, grid.gammas)
+
+
+def _family_specs(n: int, beta: int, grid: GridSpec) -> list[FamilySpec]:
+    """One spec per family; Laguerre at the last gamma of the grid."""
+    return [
+        FamilySpec(JACK, n, beta),
+        FamilySpec(HERMITE, n, beta),
+        FamilySpec(LAGUERRE, n, beta, grid.gammas[-1]),
+    ]
+
+
+def _grid_specs(n: int, beta: int, grid: GridSpec) -> list[FamilySpec]:
+    """Jack, Hermite, and Laguerre at every gamma of the grid."""
+    return [FamilySpec(JACK, n, beta), FamilySpec(HERMITE, n, beta)] + _laguerre_specs(
+        n, beta, grid
+    )
 
 
 def suite_raising_all(grid: GridSpec) -> SuiteReport:
@@ -647,8 +616,6 @@ def suite_raising_all(grid: GridSpec) -> SuiteReport:
     for n, beta in itertools.product(grid.ns, grid.betas):
         for spec in _family_specs(n, beta, grid):
             for lam in partitions_up_to(max_weight, n):
-                from .families import construct
-
                 base = construct(lam, spec)
                 rows = sum(1 for p in lam if p)
                 for m in range(max(rows, 1), n + 1):
@@ -677,8 +644,6 @@ def suite_rodrigues_all(grid: GridSpec) -> SuiteReport:
         if beta == 0:
             continue  # hook prefactor is singular; construction falls back
         for spec in _family_specs(n, beta, grid):
-            from .families import construct
-
             for lam in partitions_up_to(grid.max_weight, n):
                 chain = rodrigues(lam, spec)
                 direct = construct(lam, spec)
@@ -702,8 +667,6 @@ def suite_shift_all(grid: GridSpec) -> SuiteReport:
     max_weight = min(2, grid.max_weight)
     for n, beta in itertools.product(grid.ns, grid.betas):
         for spec in _family_specs(n, beta, grid):
-            from .families import construct
-
             cal = calibrate(spec.family, n, beta, spec.gamma)
             calibrations[f"{spec.family},N={n},beta={beta}"] = cal.to_json_dict()
             delta = staircase(n)
@@ -741,9 +704,7 @@ def suite_shift_all(grid: GridSpec) -> SuiteReport:
 def suite_duality_all(grid: GridSpec) -> SuiteReport:
     report = SuiteReport("duality_all", grid.to_json_dict())
     for n, beta in itertools.product(grid.ns, grid.betas):
-        specs = [FamilySpec(JACK, n, beta), FamilySpec(HERMITE, n, beta)]
-        specs.extend(_laguerre_specs(n, beta, grid))
-        for spec in specs:
+        for spec in _grid_specs(n, beta, grid):
             rng = _rng(grid, "duality", spec.family, n, beta, str(spec.gamma))
             for trial in range(grid.pairs):
                 f = random_symmetric_polynomial(n, 3, rng)
@@ -764,42 +725,18 @@ def suite_duality_all(grid: GridSpec) -> SuiteReport:
 def suite_norms_all(grid: GridSpec) -> SuiteReport:
     report = SuiteReport("norms_all", grid.to_json_dict())
     for n, beta in itertools.product(grid.ns, grid.betas):
-        jack_sp = FamilySpec(JACK, n, beta)
-        herm_sp = FamilySpec(HERMITE, n, beta)
+        specs = _grid_specs(n, beta, grid)
         for lam in partitions_up_to(grid.max_weight, n):
-            j_poly = jack(lam, jack_sp).poly
-            value = ct_pairing(j_poly, j_poly, jack_sp)
-            for form in ("product_form", "hook_form"):
-                formula = norm_formula(lam, jack_sp, form)
-                report.record(
-                    {"family": "jack", "n": n, "beta": beta,
-                     "lambda": list(lam), "form": form},
-                    value == formula.q and formula.pi_half == 0,
-                    str(value),
-                    formula.render(),
-                )
-            h_poly = hermite(lam, herm_sp).poly
-            h_value = gauss_pairing(h_poly, h_poly, herm_sp)
-            for form in ("product_form", "hook_form"):
-                formula = norm_formula(lam, herm_sp, form)
-                report.record(
-                    {"family": "hermite", "n": n, "beta": beta,
-                     "lambda": list(lam), "form": form},
-                    h_value.q == formula.q and formula.pi_half == n,
-                    h_value.render(),
-                    formula.render(),
-                )
-            for lag_sp in _laguerre_specs(n, beta, grid):
-                l_poly = laguerre(lam, lag_sp).poly
-                l_value = laguerre_pairing(l_poly, l_poly, lag_sp)
+            for spec in specs:
+                poly = construct(lam, spec).poly
+                value = realization(spec).pair(poly, poly)
+                params = {**_spec_params(spec), "family": spec.family, "lambda": list(lam)}
                 for form in ("product_form", "hook_form"):
-                    formula = norm_formula(lam, lag_sp, form)
+                    formula = norm_formula(lam, spec, form)
                     report.record(
-                        {"family": "laguerre", "n": n, "beta": beta,
-                         "gamma": str(lag_sp.gamma), "lambda": list(lam),
-                         "form": form},
-                        l_value.q == formula.q and formula.gamma_base == n,
-                        l_value.render(),
+                        dict(params, form=form),
+                        value == formula,
+                        value.render(),
                         formula.render(),
                     )
     return report
@@ -808,9 +745,7 @@ def suite_norms_all(grid: GridSpec) -> SuiteReport:
 def suite_norm_equiv_appb(grid: GridSpec) -> SuiteReport:
     report = SuiteReport("norm_equiv_appB", grid.to_json_dict())
     for n, beta in itertools.product(grid.ns, grid.betas):
-        specs = [FamilySpec(JACK, n, beta), FamilySpec(HERMITE, n, beta)]
-        specs.extend(_laguerre_specs(n, beta, grid))
-        for spec in specs:
+        for spec in _grid_specs(n, beta, grid):
             for lam in partitions_up_to(grid.max_weight, n):
                 product = norm_formula(lam, spec, "product_form")
                 hook = norm_formula(lam, spec, "hook_form")

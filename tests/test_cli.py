@@ -112,6 +112,37 @@ def test_pair_input_errors(family, f, g, message):
     assert "\n" not in text
 
 
+@pytest.mark.parametrize("family", ["jack", "hermite"])
+@pytest.mark.parametrize("method", ["bogus", "gram"])
+def test_poly_nonsymmetric_rejects_foreign_route(family, method):
+    # a non-symmetric label has one route per family; any other is an error
+    with pytest.raises(SystemExit) as info:
+        main(["poly", "--family", family, "--lambda", "1,0", "--n", "2",
+              "--beta", "1", "--w", "2,1", "--method", method])
+    text = str(info.value.code)
+    assert text.startswith("error: ") and repr(method) in text
+    assert "\n" not in text
+
+
+@pytest.mark.parametrize("family, method", [("jack", "triangular"),
+                                            ("hermite", "intertwined")])
+def test_poly_nonsymmetric_accepts_its_route(family, method, capsys):
+    code, out = run_cli(
+        ["poly", "--family", family, "--lambda", "1,0", "--n", "2", "--beta", "1",
+         "--w", "2,1", "--method", method, "--format", "json"],
+        capsys,
+    )
+    assert code == 0 and json.loads(out)["construction"] == method
+
+
+@pytest.mark.parametrize("m", ["0", "-1", "3"])
+def test_raise_index_checked_before_label(m):
+    with pytest.raises(SystemExit) as info:
+        main(["raise", "--family", "laguerre", "--gamma", "1/2", "--lambda", "1",
+              "--n", "2", "--beta", "1", "--m", m])
+    assert str(info.value.code) == f"error: raising index {m} out of range 1..2"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -390,3 +390,55 @@ def test_jack_triangular_against_fraction_reference_and_symmetrized():
                     poly = _jack_triangular(lam, n, beta)
                     assert poly == expected, (n, beta, lam)
                     assert poly == _jack_symmetrized(lam, n, beta), (n, beta, lam)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [jack_spec(n, beta) for n in (2, 3) for beta in (0, 1, 2)]
+    + [hermite_spec(n, beta) for n in (2, 3) for beta in (0, 1, 2)]
+    + [laguerre_spec(n, beta, gamma)
+       for n in (2, 3) for beta in (0, 1, 2) for gamma in (0, Fraction(1, 3))],
+    ids=lambda spec: "-".join(f"{k}={v}" for k, v in spec.to_json_dict().items()),
+)
+def test_realizations_satisfy_degenerate_daha_relations(spec):
+    """Every realization (V_j, C_j, s_jk) satisfies the relations that
+    daha_relations checks for (x_j, Dhat_j, s_jk), read through its codec
+    on every monomial of degree <= 3."""
+    from itertools import combinations
+
+    from heckepoly.families import realization
+
+    real = realization(spec)
+    n, beta = spec.n, spec.beta
+    V = [real.coordinate(j) for j in range(1, n + 1)]
+    C = [real.cherednik(j) for j in range(1, n + 1)]
+
+    def s(i, j):
+        return ops.exchange(n, i, j)
+
+    relations = []
+    for i, j in combinations(range(n), 2):
+        relations.append((f"[C_{i+1},C_{j+1}]", ops.commutator(C[i], C[j]), ops.scalar(n, 0)))
+        relations.append((f"[V_{i+1},V_{j+1}]", ops.commutator(V[i], V[j]), ops.scalar(n, 0)))
+    for j in range(1, n):
+        relations.append((
+            f"C_{j+1} s_{j} - s_{j} C_{j}",
+            C[j] * s(j, j + 1) - s(j, j + 1) * C[j - 1],
+            ops.scalar(n, beta),
+        ))
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i == j:
+                rhs = V[i - 1]
+                for k in range(1, i):
+                    rhs = rhs + beta * (V[k - 1] * s(i, k))
+                for k in range(i + 1, n + 1):
+                    rhs = rhs + beta * (V[i - 1] * s(i, k))
+            else:
+                rhs = (-beta) * (V[min(i, j) - 1] * s(i, j))
+            relations.append((f"[C_{i},V_{j}]", ops.commutator(C[i - 1], V[j - 1]), rhs))
+
+    for name, lhs, rhs in relations:
+        for exps in monomials_up_to_degree(n, 3):
+            f = Polynomial.monomial(exps)
+            assert real.apply(lhs, f) == real.apply(rhs, f), (name, exps)

@@ -381,3 +381,13 @@ def test_nonsymmetric_input_takes_the_general_path():
         families.clear_caches()
         assert pair_q(f, f, spec) == double_sum(f, f, spec)
         assert families.cache_info()["pairings.orbit_numerators"] > 0
+
+
+def test_vandermonde_power_is_the_product_of_binomials():
+    from heckepoly.pairings import _vandermonde_power
+
+    for n in (1, 2, 3, 4):
+        for beta in (0, 1, 2, 3):
+            power = _vandermonde_power.__wrapped__(n, beta)
+            assert power == vandermonde(n) ** (2 * beta), (n, beta)
+            assert all(type(c) is int for c in power.terms.values())
