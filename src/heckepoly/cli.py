@@ -97,14 +97,11 @@ def _emit(args, text: str) -> None:
 def cmd_poly(args) -> int:
     spec = _spec_from(args)
     lam = parse_partition(args.lam)
-    if args.w is not None:
-        w = parse_permutation(args.w)
-        if len(lam) < len(w):
-            lam = lam + (0,) * (len(w) - len(lam))
-        label = NonSymLabel(lam, w)
-    else:
-        label = lam
+    label = lam
     try:
+        if args.w is not None:
+            w = parse_permutation(args.w)
+            label = NonSymLabel(lam + (0,) * (len(w) - len(lam)), w)
         result = construct(label, spec, args.method)
     except (HeckePolyError, ValueError) as err:
         raise SystemExit(f"error: {err}")

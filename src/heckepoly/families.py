@@ -62,6 +62,7 @@ from .combinatorics import (
     composition_to_label,
     extended_dominance_lt,
     is_min_coset_rep,
+    is_permutation,
     label_sort_key,
     label_to_composition,
     _orbit_coefficients,
@@ -104,6 +105,8 @@ class NonSymLabel:
         object.__setattr__(self, "w", tuple(self.w))
         if len(self.lam) != len(self.w):
             raise ValueError("label partition and permutation lengths differ")
+        if not is_permutation(self.w):
+            raise ValueError(f"{self.w} is not a permutation of 1..{len(self.w)}")
         if not is_min_coset_rep(self.lam, self.w):
             raise ValueError(
                 f"{self.w} is not the minimal-length representative for {self.lam}"

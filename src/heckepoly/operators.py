@@ -563,16 +563,22 @@ def cherednik_b(j: int, spec: FamilySpec) -> Operator:
     )
 
 
+def _creation(j: int, spec: FamilySpec) -> Operator:
+    """2 x_j - D_j, with the type-B D_j when the spec has a gamma."""
+    n, beta, gamma = spec.n, spec.beta, spec.gamma
+    _check_index(n, j)
+    return _named(
+        ("creation", n, beta, gamma, j),
+        lambda: 2 * _coordinate(n, j) - _dunkl(n, j, beta, gamma),
+    )
+
+
 def creation_a(j: int, spec: FamilySpec) -> Operator:
     """Rescaled gauge-transformed creation operator
     A_j = -d_j + 2 x_j - beta * sum_{k!=j} (1-s_jk)/(x_j-x_k)."""
     if spec.family != HERMITE:
         raise ValueError("creation_a needs a Hermite spec")
-    n, beta = spec.n, spec.beta
-    _check_index(n, j)
-    return _named(
-        ("creation_a", n, beta, j), lambda: 2 * _coordinate(n, j) - _dunkl(n, j, beta)
-    )
+    return _creation(j, spec)
 
 
 def annihilation_a(j: int, spec: FamilySpec) -> Operator:
@@ -588,12 +594,7 @@ def creation_b(j: int, spec: FamilySpec) -> Operator:
     from gauge conjugation of -D_j + 2 z_j, giving
     B_j = -d_j + 2 z_j - beta * sum [...] - gamma (1-t_j)/z_j."""
     _check_type_b(spec)
-    n, beta, gamma = spec.n, spec.beta, spec.gamma
-    _check_index(n, j)
-    return _named(
-        ("creation_b", n, beta, gamma, j),
-        lambda: 2 * _coordinate(n, j) - _dunkl(n, j, beta, gamma),
-    )
+    return _creation(j, spec)
 
 
 def annihilation_b(j: int, spec: FamilySpec) -> Operator:
@@ -617,7 +618,7 @@ def htilde(j: int, spec: FamilySpec) -> Operator:
         lower = _dunkl(n, j, beta, gamma)
         raised = 2 * _coordinate(n, j) - lower
         ladder = Fraction(1, 2) * (raised * lower)
-        return ladder + _exchanges(n, j, beta, spec.family == LAGUERRE)
+        return ladder + _exchanges(n, j, beta, gamma is not None)
 
     return _named(("htilde", spec.family, n, beta, gamma, j), build)
 

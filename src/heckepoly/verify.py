@@ -5,6 +5,15 @@ its identity in exact arithmetic, and aggregates a SuiteReport.  Random
 inputs come from a counter-free seeded generator (crc32 of the case tag
 mixed with the grid seed), so reports are byte-reproducible.
 
+The operator-identity suites (daha_relations, dunkl_commute, appendix_A)
+are relation tables.  A table is a generator per context, say (N, beta),
+that builds the context's operators once and then yields one row
+(relation label, lhs operator, rhs operator) per identity and index.
+``_check_relations`` runs a table: each row is one case, checked by
+``_check_operator`` on every monomial up to the grid degree, and a failure
+carries the first monomial on which the two sides differ.  A new identity
+is a new ``yield`` in its table.
+
 Suite names:
   daha_relations     defining relations of the degenerate affine Hecke
                      algebra presentation (coordinates, Cherednik
@@ -41,11 +50,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 import zlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from operator import methodcaller
 
 from . import operators as ops
 from .combinatorics import (
@@ -150,6 +161,14 @@ class SuiteReport:
         else:
             self.failures.append({"params": params, "lhs": lhs, "rhs": rhs})
 
+    def check(self, params: dict, lhs, rhs, render=str) -> None:
+        """Record lhs == rhs as one case; the witnesses are rendered only on
+        failure."""
+        if lhs == rhs:
+            self.record(params, True)
+        else:
+            self.record(params, False, render(lhs), render(rhs))
+
     @property
     def passed(self) -> bool:
         """True when at least one case ran and every case passed."""
@@ -164,6 +183,10 @@ class SuiteReport:
             "failures": self.failures,
             "calibration": self.calibration,
         }
+
+
+_pretty = methodcaller("pretty")
+_render = methodcaller("render")
 
 
 def _rng(grid: GridSpec, *tag) -> random.Random:
@@ -183,6 +206,14 @@ def _check_operator(report, params, op_a, op_b, degree) -> None:
     report.record(params, True)
 
 
+def _check_relations(report, params, rows, degree) -> None:
+    """Run one context's relation table: each row (relation, lhs, rhs) is
+    one case.  ``rows`` is a generator, so each row's operators are built
+    in its own case, between the previous record and its own."""
+    for relation, lhs, rhs in rows:
+        _check_operator(report, dict(params, relation=relation), lhs, rhs, degree)
+
+
 def _laguerre_specs(n: int, beta: int, grid: GridSpec):
     return [FamilySpec(LAGUERRE, n, beta, g) for g in grid.gammas]
 
@@ -199,235 +230,116 @@ def _spec_params(spec: FamilySpec) -> dict:
 # suites
 
 
+def _generators(n: int):
+    """The coordinate operators x_j and the transpositions s_ij (i != j)."""
+    idx = range(1, n + 1)
+    x = {j: ops.multiply_by(Polynomial.variable(n, j)) for j in idx}
+    s = {(i, j): ops.exchange(n, i, j) for i, j in itertools.permutations(idx, 2)}
+    return x, s
+
+
+def _daha_rows(n: int, beta: int):
+    """The relations among x_j, Dhat_j and s_j = s_{j,j+1}."""
+    idx = range(1, n + 1)
+    spec = FamilySpec(JACK, n, beta)
+    dhat = {j: ops.cherednik_a(j, spec) for j in idx}
+    x, s = _generators(n)
+    zero, beta_op = ops.scalar(n, 0), ops.scalar(n, beta)
+    for i, j in itertools.combinations(idx, 2):
+        yield f"[Dhat_{i},Dhat_{j}]=0", ops.commutator(dhat[i], dhat[j]), zero
+        yield f"[x_{i},x_{j}]=0", ops.commutator(x[i], x[j]), zero
+    for j in range(1, n):
+        yield f"s_{j}^2=1", s[j, j + 1] * s[j, j + 1], ops.identity(n)
+    for j in range(1, n - 1):
+        a, b = s[j, j + 1], s[j + 1, j + 2]
+        yield f"braid s_{j} s_{j+1}", a * b * a, b * a * b
+    for i, j in itertools.combinations(range(1, n), 2):
+        if j - i >= 2:
+            yield f"[s_{i},s_{j}]=0", ops.commutator(s[i, i + 1], s[j, j + 1]), zero
+    for i, j in itertools.permutations(idx, 2):
+        yield f"x_{i} s_{i}{j} = s_{i}{j} x_{j}", x[i] * s[i, j], s[i, j] * x[j]
+    for j, k in itertools.combinations(idx, 2):
+        for i in idx:
+            if i not in (j, k):
+                yield f"x_{i} s_{j}{k} = s_{j}{k} x_{i}", x[i] * s[j, k], s[j, k] * x[i]
+    for j in range(1, n):
+        sj = s[j, j + 1]
+        yield (f"Dhat_{j+1} s_{j} - s_{j} Dhat_{j} = beta",
+               dhat[j + 1] * sj - sj * dhat[j], beta_op)
+        yield (f"s_{j} Dhat_{j+1} - Dhat_{j} s_{j} = beta",
+               sj * dhat[j + 1] - dhat[j] * sj, beta_op)
+    for i in range(1, n):
+        for j in idx:
+            if j not in (i, i + 1):
+                yield f"[s_{i},Dhat_{j}]=0", ops.commutator(s[i, i + 1], dhat[j]), zero
+    for i, j in itertools.product(idx, repeat=2):
+        lhs = ops.commutator(dhat[i], x[j])
+        if i == j:
+            rhs = sum((beta * (x[min(i, k)] * s[i, k]) for k in idx if k != i), x[i])
+        else:
+            rhs = (-beta) * (x[min(i, j)] * s[i, j])
+        yield f"[Dhat_{i},x_{j}] case split", lhs, rhs
+
+
 def suite_daha_relations(grid: GridSpec) -> SuiteReport:
     report = SuiteReport("daha_relations", grid.to_json_dict())
-    deg = grid.degree
     for n, beta in itertools.product(grid.ns, grid.betas):
-        spec = FamilySpec(JACK, n, beta)
-        dhat = [ops.cherednik_a(j, spec) for j in range(1, n + 1)]
-        x = [ops.multiply_by(Polynomial.variable(n, j)) for j in range(1, n + 1)]
-        s_adj = [ops.exchange(n, j, j + 1) for j in range(1, n)]
-        zero = ops.scalar(n, 0)
-        beta_op = ops.scalar(n, beta)
-        params = {"n": n, "beta": beta}
-
-        for i, j in itertools.combinations(range(n), 2):
-            _check_operator(
-                report,
-                dict(params, relation=f"[Dhat_{i+1},Dhat_{j+1}]=0"),
-                ops.commutator(dhat[i], dhat[j]),
-                zero,
-                deg,
-            )
-            _check_operator(
-                report,
-                dict(params, relation=f"[x_{i+1},x_{j+1}]=0"),
-                ops.commutator(x[i], x[j]),
-                zero,
-                deg,
-            )
-        for j in range(n - 1):
-            _check_operator(
-                report,
-                dict(params, relation=f"s_{j+1}^2=1"),
-                s_adj[j] * s_adj[j],
-                ops.identity(n),
-                deg,
-            )
-        for j in range(n - 2):
-            _check_operator(
-                report,
-                dict(params, relation=f"braid s_{j+1} s_{j+2}"),
-                s_adj[j] * s_adj[j + 1] * s_adj[j],
-                s_adj[j + 1] * s_adj[j] * s_adj[j + 1],
-                deg,
-            )
-        for i, j in itertools.combinations(range(n - 1), 2):
-            if abs(i - j) >= 2:
-                _check_operator(
-                    report,
-                    dict(params, relation=f"[s_{i+1},s_{j+1}]=0"),
-                    ops.commutator(s_adj[i], s_adj[j]),
-                    zero,
-                    deg,
-                )
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i == j:
-                    continue
-                s_ij = ops.exchange(n, i, j)
-                _check_operator(
-                    report,
-                    dict(params, relation=f"x_{i} s_{i}{j} = s_{i}{j} x_{j}"),
-                    x[i - 1] * s_ij,
-                    s_ij * x[j - 1],
-                    deg,
-                )
-        for j, k in itertools.combinations(range(1, n + 1), 2):
-            s_jk = ops.exchange(n, j, k)
-            for i in range(1, n + 1):
-                if i in (j, k):
-                    continue
-                _check_operator(
-                    report,
-                    dict(params, relation=f"x_{i} s_{j}{k} = s_{j}{k} x_{i}"),
-                    x[i - 1] * s_jk,
-                    s_jk * x[i - 1],
-                    deg,
-                )
-        for j in range(n - 1):
-            _check_operator(
-                report,
-                dict(params, relation=f"Dhat_{j+2} s_{j+1} - s_{j+1} Dhat_{j+1} = beta"),
-                dhat[j + 1] * s_adj[j] - s_adj[j] * dhat[j],
-                beta_op,
-                deg,
-            )
-            _check_operator(
-                report,
-                dict(params, relation=f"s_{j+1} Dhat_{j+2} - Dhat_{j+1} s_{j+1} = beta"),
-                s_adj[j] * dhat[j + 1] - dhat[j] * s_adj[j],
-                beta_op,
-                deg,
-            )
-        for i in range(n - 1):
-            for j in range(1, n + 1):
-                if j in (i + 1, i + 2):
-                    continue
-                _check_operator(
-                    report,
-                    dict(params, relation=f"[s_{i+1},Dhat_{j}]=0"),
-                    ops.commutator(s_adj[i], dhat[j - 1]),
-                    zero,
-                    deg,
-                )
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                lhs = ops.commutator(dhat[i - 1], x[j - 1])
-                if i == j:
-                    rhs = x[i - 1]
-                    for k in range(1, i):
-                        rhs = rhs + beta * (x[k - 1] * ops.exchange(n, i, k))
-                    for k in range(i + 1, n + 1):
-                        rhs = rhs + beta * (x[i - 1] * ops.exchange(n, i, k))
-                else:
-                    small = min(i, j)
-                    rhs = (-beta) * (x[small - 1] * ops.exchange(n, i, j))
-                _check_operator(
-                    report,
-                    dict(params, relation=f"[Dhat_{i},x_{j}] case split"),
-                    lhs,
-                    rhs,
-                    deg,
-                )
+        rows = _daha_rows(n, beta)
+        _check_relations(report, {"n": n, "beta": beta}, rows, grid.degree)
     return report
+
+
+def _dunkl_rows(spec: FamilySpec):
+    """Commutation, reflection and [D_i, x_j] relations of the Dunkl
+    operators: type A for a Jack spec, type B (z_j, with the sign flips
+    t_j and their terms) for a Laguerre one."""
+    n, beta, gamma = spec.n, spec.beta, spec.gamma
+    type_b = gamma is not None
+    idx = range(1, n + 1)
+    dunkl = {j: (ops.dunkl_b if type_b else ops.dunkl_a)(j, spec) for j in idx}
+    x, s = _generators(n)
+    t = {j: ops.sign_flip(n, j) for j in idx} if type_b else {}
+    zero = ops.scalar(n, 0)
+
+    def swap(i, k, sign):
+        """s_ik, plus sign * t_i t_k s_ik in type B."""
+        return s[i, k] + sign * (t[i] * t[k] * s[i, k]) if type_b else s[i, k]
+
+    for i, j in itertools.combinations(idx, 2):
+        yield f"[D_{i},D_{j}]=0", ops.commutator(dunkl[i], dunkl[j]), zero
+        yield f"s D_{j} = D_{i} s", s[i, j] * dunkl[j], dunkl[i] * s[i, j]
+        if not type_b:
+            for k in idx:
+                if k not in (i, j):
+                    yield (f"s_{i}{j} D_{k} commute",
+                           s[i, j] * dunkl[k], dunkl[k] * s[i, j])
+    if type_b:
+        for j in idx:
+            yield (f"t_{j} D_{j} = -D_{j} t_{j}",
+                   t[j] * dunkl[j], (-1) * (dunkl[j] * t[j]))
+            for k in idx:
+                if k != j:
+                    yield f"t_{j} D_{k} commute", t[j] * dunkl[k], dunkl[k] * t[j]
+    letter = "z" if type_b else "x"
+    for i, j in itertools.product(idx, repeat=2):
+        lhs = ops.commutator(dunkl[i], x[j])
+        if i == j:
+            rhs = ops.identity(n) + 2 * gamma * t[i] if type_b else ops.identity(n)
+            rhs = sum((beta * swap(i, k, 1) for k in idx if k != i), rhs)
+        else:
+            rhs = (-beta) * swap(i, j, -1)
+        yield f"[D_{i},{letter}_{j}]", lhs, rhs
 
 
 def suite_dunkl_commute(grid: GridSpec) -> SuiteReport:
     report = SuiteReport("dunkl_commute", grid.to_json_dict())
-    deg = grid.degree
-    for n, beta in itertools.product(grid.ns, grid.betas):
-        spec = FamilySpec(JACK, n, beta)
-        dunkl = [ops.dunkl_a(j, spec) for j in range(1, n + 1)]
-        x = [ops.multiply_by(Polynomial.variable(n, j)) for j in range(1, n + 1)]
-        zero = ops.scalar(n, 0)
-        params = {"n": n, "beta": beta, "type": "A"}
-        for i, j in itertools.combinations(range(n), 2):
-            _check_operator(
-                report,
-                dict(params, relation=f"[D_{i+1},D_{j+1}]=0"),
-                ops.commutator(dunkl[i], dunkl[j]),
-                zero,
-                deg,
-            )
-            s_ij = ops.exchange(n, i + 1, j + 1)
-            _check_operator(
-                report,
-                dict(params, relation=f"s D_{j+1} = D_{i+1} s"),
-                s_ij * dunkl[j],
-                dunkl[i] * s_ij,
-                deg,
-            )
-            for k in range(n):
-                if k in (i, j):
-                    continue
-                _check_operator(
-                    report,
-                    dict(params, relation=f"s_{i+1}{j+1} D_{k+1} commute"),
-                    s_ij * dunkl[k],
-                    dunkl[k] * s_ij,
-                    deg,
-                )
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                lhs = ops.commutator(dunkl[i - 1], x[j - 1])
-                if i == j:
-                    rhs = ops.identity(n)
-                    for k in range(1, n + 1):
-                        if k != i:
-                            rhs = rhs + beta * ops.exchange(n, i, k)
-                else:
-                    rhs = (-beta) * ops.exchange(n, i, j)
-                _check_operator(
-                    report, dict(params, relation=f"[D_{i},x_{j}]"), lhs, rhs, deg
-                )
-    for n, beta in itertools.product(grid.ns, grid.betas):
-        for spec in _laguerre_specs(n, beta, grid):
-            dunkl = [ops.dunkl_b(j, spec) for j in range(1, n + 1)]
-            z = [ops.multiply_by(Polynomial.variable(n, j)) for j in range(1, n + 1)]
-            t = [ops.sign_flip(n, j) for j in range(1, n + 1)]
-            zero = ops.scalar(n, 0)
-            params = {"n": n, "beta": beta, "gamma": str(spec.gamma), "type": "B"}
-            for i, j in itertools.combinations(range(n), 2):
-                _check_operator(
-                    report,
-                    dict(params, relation=f"[D_{i+1},D_{j+1}]=0"),
-                    ops.commutator(dunkl[i], dunkl[j]),
-                    zero,
-                    deg,
-                )
-                s_ij = ops.exchange(n, i + 1, j + 1)
-                _check_operator(
-                    report,
-                    dict(params, relation=f"s D_{j+1} = D_{i+1} s"),
-                    s_ij * dunkl[j],
-                    dunkl[i] * s_ij,
-                    deg,
-                )
-            for j in range(n):
-                _check_operator(
-                    report,
-                    dict(params, relation=f"t_{j+1} D_{j+1} = -D_{j+1} t_{j+1}"),
-                    t[j] * dunkl[j],
-                    (-1) * (dunkl[j] * t[j]),
-                    deg,
-                )
-                for k in range(n):
-                    if k != j:
-                        _check_operator(
-                            report,
-                            dict(params, relation=f"t_{j+1} D_{k+1} commute"),
-                            t[j] * dunkl[k],
-                            dunkl[k] * t[j],
-                            deg,
-                        )
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    lhs = ops.commutator(dunkl[i - 1], z[j - 1])
-                    if i == j:
-                        rhs = ops.identity(n) + 2 * spec.gamma * t[i - 1]
-                        for k in range(1, n + 1):
-                            if k != i:
-                                s_ik = ops.exchange(n, i, k)
-                                rhs = rhs + beta * (
-                                    s_ik + t[i - 1] * t[k - 1] * s_ik
-                                )
-                    else:
-                        s_ij = ops.exchange(n, i, j)
-                        rhs = (-beta) * (s_ij - t[i - 1] * t[j - 1] * s_ij)
-                    _check_operator(
-                        report, dict(params, relation=f"[D_{i},z_{j}]"), lhs, rhs, deg
-                    )
+    pairs = list(itertools.product(grid.ns, grid.betas))
+    specs = [FamilySpec(JACK, n, beta) for n, beta in pairs] + [
+        spec for n, beta in pairs for spec in _laguerre_specs(n, beta, grid)
+    ]
+    for spec in specs:
+        params = dict(_spec_params(spec), type="A" if spec.gamma is None else "B")
+        _check_relations(report, params, _dunkl_rows(spec), grid.degree)
     return report
 
 
@@ -483,12 +395,7 @@ def suite_jack_orth(grid: GridSpec) -> SuiteReport:
         polys = {lam: jack(lam, spec).poly for lam in labels}
         for lam, mu in itertools.combinations(labels, 2):
             value = ct_pairing(polys[lam], polys[mu], spec)
-            report.record(
-                {"n": n, "beta": beta, "pair": [list(lam), list(mu)]},
-                value == 0,
-                str(value),
-                "0",
-            )
+            report.check({"n": n, "beta": beta, "pair": [list(lam), list(mu)]}, value, 0)
     return report
 
 
@@ -520,13 +427,11 @@ def _intertwine(suite: str, grid: GridSpec, family: str, gammas, sigma, every_qu
                 image = sigma(f, spec)
                 chosen = queries if every_query else [queries[trial % len(queries)]]
                 for name, q_op, rho_q in chosen:
-                    lhs = sigma(q_op(f), spec)
-                    rhs = rho_q(image)
-                    report.record(
+                    report.check(
                         dict(_spec_params(spec), trial=trial, Q=name),
-                        lhs == rhs,
-                        lhs.pretty(),
-                        rhs.pretty(),
+                        sigma(q_op(f), spec),
+                        rho_q(image),
+                        _pretty,
                     )
     return report
 
@@ -573,15 +478,13 @@ def _gram_is_sigma_jack(suite: str, grid: GridSpec, family: str, gammas):
     for n, beta in itertools.product(grid.ns, grid.betas):
         for gamma in gammas:
             spec = FamilySpec(family, n, beta, gamma)
-            letter = realization(spec).letter
+            render = methodcaller("pretty", realization(spec).letter)
             for lam in partitions_up_to(grid.max_weight, n):
-                direct = construct(lam, spec, "gram")
-                image = construct(lam, spec, "intertwined")
-                report.record(
+                report.check(
                     {**_spec_params(spec), "lambda": list(lam)},
-                    direct.poly == image.poly,
-                    direct.poly.pretty(letter),
-                    image.poly.pretty(letter),
+                    construct(lam, spec, "gram").poly,
+                    construct(lam, spec, "intertwined").poly,
+                    render,
                 )
     return report
 
@@ -631,10 +534,7 @@ def suite_raising_all(grid: GridSpec) -> SuiteReport:
                     except HeckePolyError as err:
                         report.record(params, False, str(err), "")
                         continue
-                    expected = raising_constant(lam, m, spec)
-                    report.record(
-                        params, constant == expected, str(constant), str(expected)
-                    )
+                    report.check(params, constant, raising_constant(lam, m, spec))
     return report
 
 
@@ -645,18 +545,16 @@ def suite_rodrigues_all(grid: GridSpec) -> SuiteReport:
             continue  # hook prefactor is singular; construction falls back
         for spec in _family_specs(n, beta, grid):
             for lam in partitions_up_to(grid.max_weight, n):
-                chain = rodrigues(lam, spec)
-                direct = construct(lam, spec)
-                report.record(
+                report.check(
                     {
                         "family": spec.family,
                         "n": n,
                         "beta": beta,
                         "lambda": list(lam),
                     },
-                    chain.poly == direct.poly,
-                    chain.poly.pretty(),
-                    direct.poly.pretty(),
+                    rodrigues(lam, spec).poly,
+                    construct(lam, spec).poly,
+                    _pretty,
                 )
     return report
 
@@ -732,12 +630,11 @@ def suite_norms_all(grid: GridSpec) -> SuiteReport:
                 value = realization(spec).pair(poly, poly)
                 params = {**_spec_params(spec), "family": spec.family, "lambda": list(lam)}
                 for form in ("product_form", "hook_form"):
-                    formula = norm_formula(lam, spec, form)
-                    report.record(
+                    report.check(
                         dict(params, form=form),
-                        value == formula,
-                        value.render(),
-                        formula.render(),
+                        value,
+                        norm_formula(lam, spec, form),
+                        _render,
                     )
     return report
 
@@ -747,9 +644,7 @@ def suite_norm_equiv_appb(grid: GridSpec) -> SuiteReport:
     for n, beta in itertools.product(grid.ns, grid.betas):
         for spec in _grid_specs(n, beta, grid):
             for lam in partitions_up_to(grid.max_weight, n):
-                product = norm_formula(lam, spec, "product_form")
-                hook = norm_formula(lam, spec, "hook_form")
-                report.record(
+                report.check(
                     {
                         "family": spec.family,
                         "n": n,
@@ -757,9 +652,9 @@ def suite_norm_equiv_appb(grid: GridSpec) -> SuiteReport:
                         "gamma": str(spec.gamma),
                         "lambda": list(lam),
                     },
-                    product == hook,
-                    product.render(),
-                    hook.render(),
+                    norm_formula(lam, spec, "product_form"),
+                    norm_formula(lam, spec, "hook_form"),
+                    _render,
                 )
     return report
 
@@ -772,95 +667,48 @@ def _w0_words(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return word, tuple(n - i for i in word)
 
 
+def _appendix_rows(n: int, beta: int):
+    """Deformed transposition relations and the annihilation properties of
+    the (deformed) antisymmetrizer."""
+    shat = {j: ops.deformed_transposition(n, j, beta) for j in range(1, n)}
+    one, zero = ops.identity(n), ops.scalar(n, 0)
+    for j in shat:
+        yield f"shat_{j}^2 = 1", shat[j] * shat[j], one
+    for j in range(1, n - 1):
+        a, b = shat[j], shat[j + 1]
+        yield f"braid shat_{j} shat_{j+1}", a * b * a, b * a * b
+    yield (
+        "reduced-word independence for w0",
+        *(math.prod((shat[i] for i in word), start=one) for word in _w0_words(n)),
+    )
+    p_minus = ops.symmetrizer(n, "minus")
+    p_def = ops.symmetrizer(n, "minus_deformed", beta)
+    for j in shat:
+        yield f"P- deformed o (shat_{j}+1) = 0", p_def * (shat[j] + one), zero
+        yield f"(shat_{j}+1) o P- deformed = 0", (shat[j] + one) * p_def, zero
+    w0 = longest_element(n)
+    complement = one - sign(w0) * ops.permutation_op(w0)
+    yield "P- o (1 - eps w0) = 0", p_minus * complement, zero
+    yield "(1 - eps w0) o P- = 0", complement * p_minus, zero
+
+
 def suite_appendix_a(grid: GridSpec) -> SuiteReport:
     report = SuiteReport("appendix_A", grid.to_json_dict())
     deg = min(4, grid.degree)
     for n, beta in itertools.product(grid.ns, grid.betas):
         params = {"n": n, "beta": beta}
-        shats = [ops.deformed_transposition(n, j, beta) for j in range(1, n)]
-        for j, shat in enumerate(shats):
-            _check_operator(
-                report,
-                dict(params, relation=f"shat_{j+1}^2 = 1"),
-                shat * shat,
-                ops.identity(n),
-                deg,
+        _check_relations(report, params, _appendix_rows(n, beta), deg)
+        jack_sp, herm_sp, lag_sp = _family_specs(n, beta, grid)
+        for relation, spec, form in (
+            ("deformed P- annihilates (Y'-Yhat') f", jack_sp, "primitive"),
+            ("P- annihilates (Y-Yhat) f, Cherednik model", jack_sp, "rho"),
+            ("P- annihilates (Y-Yhat) f, Hermite model", herm_sp, "rho"),
+            ("P- annihilates (Y-Yhat) f, Laguerre model", lag_sp, "rho"),
+        ):
+            report.record(
+                dict(params, relation=relation),
+                antisymmetrizer_lemma_check(spec, deg, form=form),
             )
-        for j in range(n - 2):
-            _check_operator(
-                report,
-                dict(params, relation=f"braid shat_{j+1} shat_{j+2}"),
-                shats[j] * shats[j + 1] * shats[j],
-                shats[j + 1] * shats[j] * shats[j + 1],
-                deg,
-            )
-        w0 = longest_element(n)
-        built = []
-        for word in _w0_words(n):
-            op = ops.identity(n)
-            for i in word:
-                op = op * shats[i - 1]
-            built.append(op)
-        _check_operator(
-            report,
-            dict(params, relation="reduced-word independence for w0"),
-            built[0],
-            built[1],
-            deg,
-        )
-        p_minus = ops.symmetrizer(n, "minus")
-        p_def = ops.symmetrizer(n, "minus_deformed", beta)
-        for j, shat in enumerate(shats):
-            _check_operator(
-                report,
-                dict(params, relation=f"P- deformed o (shat_{j+1}+1) = 0"),
-                p_def * (shat + ops.identity(n)),
-                ops.scalar(n, 0),
-                deg,
-            )
-            _check_operator(
-                report,
-                dict(params, relation=f"(shat_{j+1}+1) o P- deformed = 0"),
-                (shat + ops.identity(n)) * p_def,
-                ops.scalar(n, 0),
-                deg,
-            )
-        eps = sign(w0)
-        w0_op = ops.permutation_op(w0)
-        complement = ops.identity(n) - eps * w0_op
-        _check_operator(
-            report,
-            dict(params, relation="P- o (1 - eps w0) = 0"),
-            p_minus * complement,
-            ops.scalar(n, 0),
-            deg,
-        )
-        _check_operator(
-            report,
-            dict(params, relation="(1 - eps w0) o P- = 0"),
-            complement * p_minus,
-            ops.scalar(n, 0),
-            deg,
-        )
-        spec = FamilySpec(JACK, n, beta)
-        report.record(
-            dict(params, relation="deformed P- annihilates (Y'-Yhat') f"),
-            antisymmetrizer_lemma_check(spec, deg, form="primitive"),
-        )
-        report.record(
-            dict(params, relation="P- annihilates (Y-Yhat) f, Cherednik model"),
-            antisymmetrizer_lemma_check(spec, deg, form="rho"),
-        )
-        report.record(
-            dict(params, relation="P- annihilates (Y-Yhat) f, Hermite model"),
-            antisymmetrizer_lemma_check(FamilySpec(HERMITE, n, beta), deg, form="rho"),
-        )
-        report.record(
-            dict(params, relation="P- annihilates (Y-Yhat) f, Laguerre model"),
-            antisymmetrizer_lemma_check(
-                FamilySpec(LAGUERRE, n, beta, grid.gammas[-1]), deg, form="rho"
-            ),
-        )
     return report
 
 
@@ -912,12 +760,11 @@ def suite_sutherland_form(grid: GridSpec) -> SuiteReport:
             for op in chers:
                 g = op(f) - offset * f
                 restricted = restricted + (op(g) - offset * g)
-            expanded = ops.sutherland_expanded_apply(f, beta)
-            report.record(
+            report.check(
                 {"n": n, "beta": beta, "lambda": list(lam)},
-                restricted == expanded,
-                restricted.pretty(),
-                expanded.pretty(),
+                restricted,
+                ops.sutherland_expanded_apply(f, beta),
+                _pretty,
             )
     return report
 

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
 criterion.
 """
 
+import hashlib
 import json
 import math
 import subprocess
@@ -107,15 +108,21 @@ def test_criterion_7_appendix_a():
                "antisymmetrizer annihilation (degree 4, N<=3)", report.passed)
 
 
+CRITERION_8_ARGS = [
+    sys.executable, "-m", "heckepoly.cli", "verify", "--all",
+    "--n-list", "2", "--beta-list", "0,1", "--gamma-list", "1/2",
+    "--max-weight", "2", "--degree", "3", "--pairs", "3",
+    "--rand-polys", "5", "--seed", "20240811", "--format", "json",
+]
+
+# sha256 of the criterion-8 report: a change that alters any byte of the
+# report has to update it, and say why
+CRITERION_8_SHA256 = "7d983891166a9d78a9b23862d5a9b83e8987d70623de57bc45185ece43166245"
+
+
 def test_criterion_8_determinism():
-    args = [
-        sys.executable, "-m", "heckepoly.cli", "verify", "--all",
-        "--n-list", "2", "--beta-list", "0,1", "--gamma-list", "1/2",
-        "--max-weight", "2", "--degree", "3", "--pairs", "3",
-        "--rand-polys", "5", "--seed", "20240811", "--format", "json",
-    ]
-    first = subprocess.run(args, capture_output=True)
-    second = subprocess.run(args, capture_output=True)
+    first = subprocess.run(CRITERION_8_ARGS, capture_output=True)
+    second = subprocess.run(CRITERION_8_ARGS, capture_output=True)
     payload = json.loads(first.stdout)
     _report(8, "verify --all is byte-deterministic for a fixed seed",
             first.returncode == 0
@@ -123,3 +130,9 @@ def test_criterion_8_determinism():
             and first.stdout == second.stdout
             and payload["all_passed"] is True
             and len(payload["reports"]) == 19)
+
+
+def test_criterion_8_report_is_pinned():
+    run = subprocess.run(CRITERION_8_ARGS, capture_output=True)
+    assert run.returncode == 0
+    assert hashlib.sha256(run.stdout).hexdigest() == CRITERION_8_SHA256

@@ -124,6 +124,22 @@ def test_poly_nonsymmetric_rejects_foreign_route(family, method):
     assert "\n" not in text
 
 
+@pytest.mark.parametrize(
+    "lam, w, message",
+    [
+        ("1,0", "1,1", "(1, 1) is not a permutation of 1..2"),
+        ("1,0", "3,1", "(3, 1) is not a permutation of 1..2"),
+        ("1,0,0", "2,1", "label partition and permutation lengths differ"),
+    ],
+    ids=["repeated", "out-of-range", "length-mismatch"],
+)
+def test_poly_rejects_bad_permutation(lam, w, message):
+    with pytest.raises(SystemExit) as info:
+        main(["poly", "--family", "jack", "--lambda", lam, "--n", "2", "--beta", "1",
+              "--w", w])
+    assert str(info.value.code) == f"error: {message}"
+
+
 @pytest.mark.parametrize("family, method", [("jack", "triangular"),
                                             ("hermite", "intertwined")])
 def test_poly_nonsymmetric_accepts_its_route(family, method, capsys):

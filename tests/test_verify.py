@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from heckepoly import families
+from heckepoly import operators as ops
 from heckepoly.verify import (
     GridSpec,
     SUITES,
@@ -169,3 +171,72 @@ def test_appendix_a_reduced_words():
                 product = compose(product, transposition(n, i, i + 1))
             assert product == longest_element(n)
         assert (words[0] != words[1]) == (n >= 3)
+
+
+def test_check_renders_witnesses_only_on_failure():
+    from heckepoly.verify import SuiteReport
+
+    def render(value):
+        rendered.append(value)
+        return f"<{value}>"
+
+    rendered = []
+    report = SuiteReport("demo", {})
+    report.check({"case": 1}, Fraction(1, 2), Fraction(1, 2), render)
+    assert rendered == [] and report.passed
+    report.check({"case": 2}, Fraction(1, 2), 0, render)
+    report.check({"case": 3}, Fraction(1, 3), 0)
+    assert rendered == [Fraction(1, 2), 0]
+    assert report.cases_run == 3 and report.cases_passed == 1
+    assert report.failures == [
+        {"params": {"case": 2}, "lhs": "<1/2>", "rhs": "<0>"},
+        {"params": {"case": 3}, "lhs": "1/3", "rhs": "0"},
+    ]
+
+
+RELATION_SUITES = ("daha_relations", "dunkl_commute", "appendix_A")
+
+
+@pytest.mark.parametrize(
+    "grid, counts",
+    [(SMALL, (22, 32, 20)), (GridSpec(), (132, 378, 72))],
+    ids=["small", "default"],
+)
+def test_relation_tables_keep_every_case(grid, counts):
+    assert [run_suite(name, grid).cases_run for name in RELATION_SUITES] == list(counts)
+
+
+def _shift_last_cherednik(cherednik_a):
+    def planted(j, spec):
+        op = cherednik_a(j, spec)
+        return op + ops.identity(spec.n) if j == spec.n else op
+
+    return planted
+
+
+# one planted operator defect per relation suite: (operators attribute,
+# wrapper of the original)
+PLANTED = {
+    "daha_relations": ("cherednik_a", _shift_last_cherednik),  # Dhat_N + 1
+    "dunkl_commute": (
+        "_dunkl",  # beta + 1 in both Dunkl types
+        lambda dunkl: lambda n, j, beta, gamma=None: dunkl(n, j, beta + 1, gamma),
+    ),
+    "appendix_A": ("permutation_op", lambda perm: lambda w: 2 * perm(w)),
+}
+
+
+@pytest.mark.parametrize("name", RELATION_SUITES)
+def test_relation_tables_catch_planted_defect(name, monkeypatch):
+    attr, plant = PLANTED[name]
+    ops.clear_caches()
+    families.clear_caches()
+    monkeypatch.setattr(ops, attr, plant(getattr(ops, attr)))
+    try:
+        report = run_suite(name, SMALL)
+    finally:
+        monkeypatch.undo()
+        ops.clear_caches()
+        families.clear_caches()
+    assert report.failures and not report.passed
+    assert all("monomial" in failure["params"] for failure in report.failures)
