@@ -2,8 +2,9 @@
 
 The three families are three representations of one degenerate double
 affine Hecke algebra.  A ``Realization`` per family spec holds what tells
-them apart; the raising and shift operators, the intertwiners and the
-constructions are written once against it.
+their operators apart; the raising and shift operators, the intertwiners
+and the constructions are written once against it.  What tells their
+pairings apart, the weights and moments, is the kernel of ``pairings``.
 
 Each family is built by several independent routes that must agree exactly:
 
@@ -28,9 +29,9 @@ sigma_B(J_lam) the monic Laguerre polynomial.
 
 The Gram route (the default for Hermite and Laguerre) runs on integers.
 m_mu and m_nu have integer coefficients and are homogeneous, so the Gram
-entry <m_mu, m_nu> is one integer numerator over the pairing's denominator
-of degree |mu| + |nu|: 2^((d+D)/2) for Gauss, q^(d+D) for Laguerre, with
-D = beta N(N-1) and gamma + 1/2 = p/q.  The numerators are read from the
+entry <m_mu, m_nu> is one integer numerator over the denominator that the
+pairings' kernel gives the degree |mu| + |nu|: 2^((d+D)/2) for Gauss,
+q^(d+D) for Laguerre, with D = beta N(N-1) and gamma + 1/2 = p/q.  The numerators are read from the
 pairings' orbit table, memoized per spec and unordered pair (mu, nu), so
 all labels of a spec and the pairings share them (see ``pairings``).  The
 system, scaled to one common denominator, is solved by fraction-free
@@ -42,9 +43,10 @@ application per nonempty subset of the indices), are expanded by orbit in
 int, and the back-substitution keeps integer numerators over one common
 denominator.
 
-Constructions, weights, moments, orbits, orbit numerators and the shift
-calibration are cached for the life of the process; ``cache_info``
-reports the entries each cache holds and ``clear_caches`` empties them.
+Constructions, weights, moments, pairing kernels, orbits, orbit
+numerators and the shift calibration are cached for the life of the
+process; ``cache_info`` reports the entries each cache holds and
+``clear_caches`` empties them.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from . import operators as ops
 from . import pairings
@@ -83,7 +85,7 @@ from .errors import (
 from .pairings import (
     _ORBIT_NUMERATORS,
     ScaledRational,
-    _moment_kernel,
+    _kernel,
     _orbit_numerator,
 )
 from .parameters import FamilySpec, HERMITE, JACK, LAGUERRE
@@ -268,7 +270,8 @@ _REALIZATIONS = {JACK: _Jack, HERMITE: _Hermite, LAGUERRE: _Laguerre}
 
 def realization(spec: FamilySpec) -> Realization:
     """The realization of spec's family: the one place that tells the
-    three families apart."""
+    three families' operators and routes apart (``pairings._kernel``
+    holds their weights)."""
     return _REALIZATIONS[spec.family](spec)
 
 
@@ -571,13 +574,6 @@ def decode_even(f_z: Polynomial) -> Polynomial:
     return Polynomial(f_z.nvars, out)
 
 
-def rho_b_cherednik(j: int, spec: FamilySpec):
-    """Image of the A-type Cherednik operator in the squared-variable
-    representation: (1/2) h_j read through the u = z^2 codec."""
-    real = realization(spec)
-    return partial(real.apply, real.cherednik(j))
-
-
 # ---------------------------------------------------------------------------
 # Hermite and Laguerre
 
@@ -608,7 +604,7 @@ def _gram(lam, spec: FamilySpec) -> Polynomial:
     Laguerre pairing of spec.
 
     Each Gram entry <m_mu, m_nu> is one integer numerator of the pairings'
-    orbit table over the pairing's denominator of the degree |mu| + |nu|.
+    orbit table over the kernel's denominator of the degree |mu| + |nu|.
     The system is scaled to the denominator of the top degree 2|lam| and
     solved fraction-free."""
     n = spec.n
@@ -620,7 +616,7 @@ def _gram(lam, spec: FamilySpec) -> Polynomial:
     m_lam = monomial_symmetric(n, lam)
     if not companions:
         return m_lam
-    denominator = _moment_kernel(spec)[1]
+    denominator = _kernel(spec).denominator
     numerator = _orbit_numerator(spec)
     top = denominator(2 * sum(lam))
     scale = [top // denominator(d) for d in range(2 * sum(lam) + 1)]
@@ -747,6 +743,7 @@ def _lru_caches() -> dict:
         pairings._rising_table,
         pairings._gauss_moment_num,
         pairings._laguerre_moment_num,
+        pairings._kernel,
         shift.calibrate,
     )
     return {f"{fn.__module__.rpartition('.')[2]}.{fn.__name__}": fn for fn in caches}

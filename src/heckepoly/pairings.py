@@ -14,13 +14,16 @@ non-negative integer:
       = p (p+q) ... (p+(k-1)q) / q^k * Gamma(gamma+1/2),  gamma+1/2 = p/q
 
 The weight W = prod (x_i-x_j)^(2 beta) has integer coefficients and total
-degree D = beta N(N-1), so the weighted moment of x^e is an integer
-numerator over 2^((|e|+D)/2) (Gauss) or q^(|e|+D) (Laguerre).  Numerators
-are cached per exponent; a pairing scales f and g to integer coefficients,
-sums integer products per total degree and divides once per degree, so the
-values stay exact Fractions.  The constant-term pairing likewise sums
-integer products against the integer terms of its Laurent weight and
-divides once.
+degree D = beta N(N-1).  So each pairing is, in integers, one kernel per
+spec (``_kernel``, the only code here that tells the families apart):
+<x^a, x^b> is value(a, b) over denominator(|a| + |b|) times fixed
+transcendental base powers.  The value is the Laurent weight coefficient
+at b - a (Jack) or the cached moment numerator of x^(a+b) (Gauss,
+Laguerre); the denominator is the constant-term sign, 2^((d+D)/2) or
+q^(d+D).  One body pairs f and g for all three families: it scales them
+to integer coefficients, sums integer products per total degree and
+divides once.  The kernel also holds the one-variable moment of degree k
+that the closed-form norms multiply in, so the norms have one body too.
 
 Every weight is S_N-invariant, so <m_mu, m_nu> is a sum over one orbit
 against a representative of the other, times that representative's orbit
@@ -39,9 +42,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import combinations
 from operator import add, sub
+from typing import Callable, NamedTuple
 
 from . import operators as ops
 from .combinatorics import (
@@ -53,7 +57,7 @@ from .combinatorics import (
     partition_cells,
     stabilizer_order,
 )
-from .errors import DivergentWeightError, HeckePolyError
+from .errors import AmbientSizeMismatch, DivergentWeightError, HeckePolyError
 from .parameters import FamilySpec, HERMITE, JACK, LAGUERRE
 from .polynomials import Exponent, Polynomial, _integer_part
 
@@ -167,123 +171,7 @@ def _ct_weight(n: int, beta: int) -> dict[Exponent, int]:
 
 
 # ---------------------------------------------------------------------------
-# orbit numerators <m_mu, m_nu>, shared by the pairings and the Gram route
-
-# spec -> {(mu, nu) with mu <= nu: numerator of <m_mu, m_nu>}
-_ORBIT_NUMERATORS: dict[FamilySpec, dict[tuple[Partition, Partition], int]] = {}
-
-
-def _orbit_numerator(spec: FamilySpec):
-    """numerator(mu, nu) of <m_mu, m_nu> under the pairing of spec, for
-    padded partitions: over denominator(|mu| + |nu|) of ``_moment_kernel``
-    for Gauss and Laguerre, and the constant-term value without its sign
-    for Jack.  Memoized per spec and unordered pair.
-
-    The pairing sums value(a, b), the moment of x^(a+b) or the Laurent
-    weight coefficient at b - a, over O(mu) x O(nu).  W is symmetric, so
-    value is invariant under permuting a and b together, and the double
-    sum is |O(rep)| times the sum over the other orbit for one rep of the
-    larger orbit.  The weight coefficient is even too (W(1/x) = W(x)), so
-    rep may come from either side."""
-    table = _ORBIT_NUMERATORS.get(spec)
-    if table is None:
-        table = _ORBIT_NUMERATORS[spec] = {}
-    if spec.family == JACK:
-        weight = _ct_weight(spec.n, spec.beta).get
-
-        def value(rep, b):
-            return weight(tuple(map(sub, b, rep)), 0)
-    else:
-        moment = _moment_kernel(spec)[0]
-
-        def value(rep, b):
-            return moment(tuple(map(add, rep, b)))
-
-    def numerator(mu, nu) -> int:
-        key = (mu, nu) if mu <= nu else (nu, mu)
-        num = table.get(key)
-        if num is None:
-            big, small = orbit(mu), orbit(nu)
-            if len(big) < len(small):
-                big, small = small, big
-            rep = big[0]
-            num = table[key] = len(big) * sum(value(rep, b) for b in small)
-        return num
-
-    return numerator
-
-
-def _orbit_parts(f_terms: dict, g_terms: dict):
-    """The m_mu coefficients of both term dicts, or None unless both are
-    symmetric."""
-    try:
-        return _orbit_coefficients(f_terms), _orbit_coefficients(g_terms)
-    except ValueError:
-        return None
-
-
-def _orbit_sums(f_orbits: dict, g_orbits: dict, numerator) -> dict[int, int]:
-    """sum_{mu,nu} c_mu d_nu numerator(mu, nu) over the m_mu coefficients
-    of two symmetric integer polynomials, one integer per degree |mu|+|nu|
-    (the constant-term pairing adds them up)."""
-    sums: dict[int, int] = {}
-    for mu, cm in f_orbits.items():
-        mu_deg = sum(mu)
-        for nu, cn in g_orbits.items():
-            num = numerator(mu, nu)
-            if num:
-                d = mu_deg + sum(nu)
-                sums[d] = sums.get(d, 0) + cm * cn * num
-    return sums
-
-
-# ---------------------------------------------------------------------------
-# the three pairings
-
-
-def _check_sizes(f: Polynomial, g: Polynomial, spec: FamilySpec) -> None:
-    from .errors import AmbientSizeMismatch
-
-    if f.nvars != spec.n or g.nvars != spec.n:
-        raise AmbientSizeMismatch(
-            f"ambient size mismatch: pairing at N={spec.n} got polynomials in "
-            f"{f.nvars} and {g.nvars} variables"
-        )
-
-
-def ct_pairing(f: Polynomial, g: Polynomial, spec: FamilySpec) -> Fraction:
-    """Constant-term pairing of the trigonometric (Jack) picture.
-
-    [f(x) g(1/x) W]_0 collapses to a weight-coefficient lookup per term
-    pair, so the Laurent weight is expanded only once per (N, beta).  The
-    sum runs over the integer parts of f and g and divides once; when both
-    are symmetric it runs over their orbits (see ``_orbit_numerator``).
-    """
-    if spec.family != JACK:
-        raise ValueError("ct_pairing needs a Jack spec")
-    if f.is_laurent() or g.is_laurent():
-        raise ValueError("ct_pairing inputs must be ordinary polynomials")
-    _check_sizes(f, g, spec)
-    n, beta = spec.n, spec.beta
-    sign = -1 if (beta * n * (n - 1) // 2) % 2 else 1
-    f_terms, f_scale = _integer_part(f.terms)
-    g_terms, g_scale = _integer_part(g.terms)
-    orbits = _orbit_parts(f_terms, g_terms)
-    if orbits:
-        total = sum(_orbit_sums(*orbits, _orbit_numerator(spec)).values())
-    else:
-        total = 0
-        weight = _ct_weight(n, beta).get
-        for a, ca in f_terms.items():
-            for b, cb in g_terms.items():
-                w = weight(tuple(map(sub, b, a)))
-                if w:
-                    total += ca * cb * w
-    return Fraction(sign * total, f_scale * g_scale)
-
-
-# the integer moment kernel of the Gauss and Laguerre pairings: numerators
-# over a denominator fixed by the total degree (see the module docstring)
+# the pairing kernel: the one place that tells the three pairings apart
 
 
 @lru_cache(maxsize=None)
@@ -347,73 +235,160 @@ def _laguerre_moment_num(n: int, beta: int, p: int, q: int, exps: Exponent) -> i
     return _weighted_moment(_weight_terms(n, beta), table, exps)
 
 
-def _laguerre_base(spec: FamilySpec) -> Fraction:
-    """gamma + 1/2, the base of the Laguerre moments; the weight diverges
-    unless it is positive."""
-    if spec.gamma <= Fraction(-1, 2):
-        raise DivergentWeightError("divergent weight: gamma must exceed -1/2")
-    return spec.gamma + Fraction(1, 2)
+class _Kernel(NamedTuple):
+    """The pairing of one spec in integers (see ``_kernel``)."""
+
+    value: Callable[[Exponent, Exponent], int]  # of the term pair (x^a, x^b)
+    denominator: Callable[[int], int]  # of the total degree |a| + |b|
+    bases: tuple[int, int]  # (pi_half, gamma_base) of the values
+    moment: Callable[[int], tuple[int, int]] | None  # one variable, degree k
 
 
-def _moment_kernel(spec: FamilySpec):
-    """(moment, denominator) of the Gauss (Hermite spec) or Laguerre
-    pairing: the weighted moment of x^e is moment(e) / denominator(|e|)."""
+@lru_cache(maxsize=None)
+def _kernel(spec: FamilySpec) -> _Kernel:
+    """<x^a, x^b> = value(a, b) / denominator(|a| + |b|) times the bases
+    pi^(pi_half/2) Gamma(gamma+1/2)^gamma_base, and the one-variable
+    moment (numerator, denominator) of degree k that the norms multiply in:
+
+        family    value(a, b)          denominator(d)             moment(k)
+        jack      W x^(-beta(N-1)) at  (-1)^(beta N(N-1)/2)        none
+                  b - a
+        hermite   Gauss moment of a+b  2^((d+D)/2)                1/2^k
+        laguerre  moment of a+b        q^(d+D), gamma+1/2 = p/q   (gamma+1/2)_k
+
+    A Laguerre spec with gamma <= -1/2 raises DivergentWeightError.  The
+    weight and moments are read from their own caches on every call."""
     n, beta = spec.n, spec.beta
     weight_degree = beta * n * (n - 1)
+    if spec.family == JACK:
+        sign = -1 if (weight_degree // 2) % 2 else 1
+
+        def value(a, b):
+            return _ct_weight(n, beta).get(tuple(map(sub, b, a)), 0)
+
+        return _Kernel(value, lambda d: sign, (0, 0), None)
     if spec.family == HERMITE:
-        return (
-            partial(_gauss_moment_num, n, beta),
-            lambda d: 2 ** ((d + weight_degree) // 2),
+
+        def value(a, b):
+            return _gauss_moment_num(n, beta, tuple(map(add, a, b)))
+
+        return _Kernel(
+            value, lambda d: 2 ** ((d + weight_degree) // 2), (n, 0), lambda k: (1, 2**k)
         )
-    base = _laguerre_base(spec)
+    if spec.gamma <= Fraction(-1, 2):
+        raise DivergentWeightError("divergent weight: gamma must exceed -1/2")
+    base = spec.gamma + Fraction(1, 2)
     p, q = base.numerator, base.denominator
-    return (
-        partial(_laguerre_moment_num, n, beta, p, q),
+
+    def value(a, b):
+        return _laguerre_moment_num(n, beta, p, q, tuple(map(add, a, b)))
+
+    return _Kernel(
+        value,
         lambda d: q ** (d + weight_degree),
+        (0, n),
+        lambda k: (_rising_table(p, q, k)[k], q**k),
     )
 
 
-def _moment_sums(f_terms: dict, g_terms: dict, moment) -> dict[int, int]:
-    """sum_{a,b} F_a G_b moment(a+b) over integer terms, one integer per
-    total degree |a|+|b|."""
+# ---------------------------------------------------------------------------
+# orbit numerators <m_mu, m_nu>, shared by the pairings and the Gram route
+
+# spec -> {(mu, nu) with mu <= nu: numerator of <m_mu, m_nu>}
+_ORBIT_NUMERATORS: dict[FamilySpec, dict[tuple[Partition, Partition], int]] = {}
+
+
+def _orbit_numerator(spec: FamilySpec):
+    """numerator(mu, nu) of <m_mu, m_nu> over the kernel's denominator of
+    |mu| + |nu|, for padded partitions; memoized per spec and unordered
+    pair.
+
+    The pairing sums the kernel's value(a, b) over O(mu) x O(nu).  W is
+    symmetric, so value is invariant under permuting a and b together,
+    and the double sum is |O(rep)| times the sum over the other orbit for
+    one rep of the larger orbit.  The constant-term value is even too
+    (W(1/x) = W(x)), so rep may come from either side."""
+    table = _ORBIT_NUMERATORS.get(spec)
+    if table is None:
+        table = _ORBIT_NUMERATORS[spec] = {}
+    value = _kernel(spec).value
+
+    def numerator(mu, nu) -> int:
+        key = (mu, nu) if mu <= nu else (nu, mu)
+        num = table.get(key)
+        if num is None:
+            big, small = orbit(mu), orbit(nu)
+            if len(big) < len(small):
+                big, small = small, big
+            rep = big[0]
+            num = table[key] = len(big) * sum(value(rep, b) for b in small)
+        return num
+
+    return numerator
+
+
+def _degree_sums(f_terms: dict, g_terms: dict, value) -> dict[int, int]:
+    """sum_{a,b} F_a G_b value(a, b) over two integer coefficient dicts,
+    keyed by monomial exponents or by orbit labels, one integer per total
+    degree |a| + |b|."""
     g_list = [(b, sum(b), cb) for b, cb in g_terms.items()]
     sums: dict[int, int] = {}
     for a, ca in f_terms.items():
         a_deg = sum(a)
         for b, b_deg, cb in g_list:
-            num = moment(tuple(map(add, a, b)))
+            num = value(a, b)
             if num:
                 d = a_deg + b_deg
                 sums[d] = sums.get(d, 0) + ca * cb * num
     return sums
 
 
-def _moment_pairing(f: Polynomial, g: Polynomial, spec: FamilySpec) -> Fraction:
-    """sum_{a,b} f_a g_b moment(a+b) / denominator(|a|+|b|): integer
-    products summed per total degree, one Fraction per degree.  Symmetric
-    f and g are summed over their orbits instead of their terms."""
-    moment, denominator = _moment_kernel(spec)  # a divergent gamma fails first
-    _check_sizes(f, g, spec)
+# ---------------------------------------------------------------------------
+# the three pairings
+
+
+def _pairing(f: Polynomial, g: Polynomial, spec: FamilySpec) -> Fraction:
+    """sum_{a,b} f_a g_b value(a, b) / denominator(|a| + |b|) under the
+    kernel of spec, as one Fraction: the integer parts of f and g are
+    summed per degree, and every degree is brought to the denominator of
+    the top one (each denominator divides the next).  Symmetric f and g
+    are summed over their orbits instead of their terms."""
+    kernel = _kernel(spec)  # a divergent gamma fails first
+    if f.nvars != spec.n or g.nvars != spec.n:
+        raise AmbientSizeMismatch(
+            f"ambient size mismatch: pairing at N={spec.n} got polynomials in "
+            f"{f.nvars} and {g.nvars} variables"
+        )
     if f.is_laurent() or g.is_laurent():
-        raise ValueError("moment pairing inputs must be ordinary polynomials")
+        raise ValueError("pairing inputs must be ordinary polynomials")
     f_terms, f_scale = _integer_part(f.terms)
     g_terms, g_scale = _integer_part(g.terms)
-    orbits = _orbit_parts(f_terms, g_terms)
-    if orbits:
-        sums = _orbit_sums(*orbits, _orbit_numerator(spec))
+    try:
+        orbits = _orbit_coefficients(f_terms), _orbit_coefficients(g_terms)
+    except ValueError:  # not both symmetric: pair term by term
+        sums = _degree_sums(f_terms, g_terms, kernel.value)
     else:
-        sums = _moment_sums(f_terms, g_terms, moment)
-    total = sum(
-        (Fraction(num, denominator(d)) for d, num in sums.items()), Fraction(0)
-    )
-    return total / (f_scale * g_scale)
+        sums = _degree_sums(*orbits, _orbit_numerator(spec))
+    top = kernel.denominator(max(sums, default=0))
+    total = sum(num * (top // kernel.denominator(d)) for d, num in sums.items())
+    return Fraction(total, top * f_scale * g_scale)
+
+
+def ct_pairing(f: Polynomial, g: Polynomial, spec: FamilySpec) -> Fraction:
+    """Constant-term pairing of the trigonometric (Jack) picture.
+
+    [f(x) g(1/x) W]_0 collapses to a weight-coefficient lookup per term
+    pair, so the Laurent weight is expanded only once per (N, beta)."""
+    if spec.family != JACK:
+        raise ValueError("ct_pairing needs a Jack spec")
+    return _pairing(f, g, spec)
 
 
 def gauss_pairing(f: Polynomial, g: Polynomial, spec: FamilySpec) -> ScaledRational:
     """Gaussian pairing with the squared Vandermonde-power ground state."""
     if spec.family != HERMITE:
         raise ValueError("gauss_pairing needs a Hermite spec")
-    return ScaledRational(_moment_pairing(f, g, spec), pi_half=spec.n)
+    return ScaledRational(_pairing(f, g, spec), *_kernel(spec).bases)
 
 
 def laguerre_pairing(f: Polynomial, g: Polynomial, spec: FamilySpec) -> ScaledRational:
@@ -421,7 +396,7 @@ def laguerre_pairing(f: Polynomial, g: Polynomial, spec: FamilySpec) -> ScaledRa
     Gaussian weight; values are rational multiples of Gamma(gamma+1/2)^N."""
     if spec.family != LAGUERRE:
         raise ValueError("laguerre_pairing needs a Laguerre spec")
-    return ScaledRational(_moment_pairing(f, g, spec), gamma_base=spec.n)
+    return ScaledRational(_pairing(f, g, spec), *_kernel(spec).bases)
 
 
 def dunkl_pairing(
@@ -464,105 +439,79 @@ def dunkl_pairing(
 def norm_formula(lam, spec: FamilySpec, form: str = "product_form") -> ScaledRational:
     """Both closed forms of the squared norm of the monic family polynomial.
 
-    The displayed product/hook expressions hold for beta >= 1; at beta = 0
+    The displayed product/hook expressions hold for beta >= 1.  At beta = 0
     the weight degenerates and the hook form is singular, so both forms
-    return the exact direct-product value (N!/#stab(lam) times the
-    one-variable norms).  A Laguerre spec with gamma <= -1/2 raises
+    return the product form divided by #stab(lam): the exact direct
+    product of one-variable norms over the N!/#stab(lam) distinct monomial
+    placements.  Integer numerators and denominators are multiplied out
+    and divided once.  A Laguerre spec with gamma <= -1/2 raises
     DivergentWeightError, as its pairing does.
     """
     if form not in ("product_form", "hook_form"):
         raise ValueError(f"unknown norm form {form!r}")
     lam = pad_partition(lam, spec.n)
     n, beta = spec.n, spec.beta
-    if beta == 0:
-        return _norm_beta_zero(lam, spec)
-
-    if form == "product_form":
-        body = Fraction(math.factorial(n)) * _norm_ratio_product(lam, n, beta)
-        if spec.family != JACK:
-            for j in range(1, n + 1):
-                body *= math.factorial(lam[j - 1] + beta * (n - j))
-    elif spec.family == JACK:
-        body = _hook_norm_body_jack(lam, n, beta)
+    kernel = _kernel(spec)
+    degrees = [part + beta * (n - j) for j, part in enumerate(lam, 1)]
+    if form == "product_form" or beta == 0:
+        num, den = _norm_ratio_product(lam, n, beta)
+        num *= math.factorial(n)
+        if kernel.moment:
+            num *= math.prod(map(math.factorial, degrees))
+        if beta == 0:
+            den *= stabilizer_order(lam)
+    elif kernel.moment:
+        num, den = _hook_norm_body_hl(lam, n, beta)
     else:
-        body = _hook_norm_body_hl(lam, n, beta)
-
-    if spec.family == JACK:
-        return ScaledRational(body)
-    if spec.family == HERMITE:
-        scale = Fraction(1, 2 ** (sum(lam) + beta * n * (n - 1) // 2))
-        return ScaledRational(body * scale, pi_half=n)
-    degrees = [lam[j - 1] + beta * (n - j) for j in range(1, n + 1)]
-    return ScaledRational(body * _pochhammer_product(spec, degrees), gamma_base=n)
+        num, den = _hook_norm_body_jack(lam, n, beta)
+    if kernel.moment:
+        for k in degrees:
+            k_num, k_den = kernel.moment(k)
+            num *= k_num
+            den *= k_den
+    return ScaledRational(Fraction(num, den), *kernel.bases)
 
 
-def _pochhammer_product(spec: FamilySpec, degrees) -> Fraction:
-    """prod_j (gamma+1/2)_{k_j} over the given degrees k_j."""
-    base = _laguerre_base(spec)
-    p, q = base.numerator, base.denominator
-    numerator = 1
-    for k in degrees:
-        numerator *= _rising_table(p, q, k)[k]
-    return Fraction(numerator, q ** sum(degrees))
-
-
-def _norm_ratio_product(lam, n: int, beta: int) -> Fraction:
-    out = Fraction(1)
+def _norm_ratio_product(lam, n: int, beta: int) -> tuple[int, int]:
+    """(numerator, denominator) of the ratio product of the product form."""
+    num = den = 1
     for k in range(1, beta + 1):
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
-                num = lam[i - 1] - lam[j - 1] - k + beta * (j - i + 1)
-                den = lam[i - 1] - lam[j - 1] + k + beta * (j - i - 1)
-                out *= Fraction(num, den)
-    return out
+                num *= lam[i - 1] - lam[j - 1] - k + beta * (j - i + 1)
+                den *= lam[i - 1] - lam[j - 1] + k + beta * (j - i - 1)
+    return num, den
 
 
-def _hook_norm_body_jack(lam, n: int, beta: int) -> Fraction:
-    """(N beta)!/(beta!)^N times the cell product of the hook rewrite."""
+def _hook_norm_body_jack(lam, n: int, beta: int) -> tuple[int, int]:
+    """(N beta)!/(beta!)^N times the cell product of the hook rewrite, as
+    (numerator, denominator)."""
     lam_conj = conjugate(lam)
-    cells = Fraction(1)
+    num, den = math.factorial(n * beta), math.factorial(beta) ** n
     for i, j in partition_cells(lam):
         arm_co = j - 1 + beta * (n - i + 1)
         leg_co = j + beta * (n - i)
         upper = lam[i - 1] - j + 1 + beta * (lam_conj[j - 1] - i)
         lower = lam[i - 1] - j + beta * (lam_conj[j - 1] - i + 1)
-        cells *= Fraction(arm_co * upper, leg_co * lower)
-    head = Fraction(math.factorial(n * beta), math.factorial(beta) ** n)
-    return head * cells
+        num *= arm_co * upper
+        den *= leg_co * lower
+    return num, den
 
 
-def _hook_norm_body_hl(lam, n: int, beta: int) -> Fraction:
+def _hook_norm_body_hl(lam, n: int, beta: int) -> tuple[int, int]:
     """Hermite/Laguerre hook rewrite: head prod_j (j beta)!/(beta!)^N and a
-    cell product without the leg denominator of the trigonometric case."""
+    cell product without the leg denominator of the trigonometric case,
+    as (numerator, denominator)."""
     lam_conj = conjugate(lam)
-    cells = Fraction(1)
+    num = math.prod(math.factorial(j * beta) for j in range(1, n + 1))
+    den = math.factorial(beta) ** n
     for i, j in partition_cells(lam):
         arm_co = j - 1 + beta * (n - i + 1)
         upper = lam[i - 1] - j + 1 + beta * (lam_conj[j - 1] - i)
         lower = lam[i - 1] - j + beta * (lam_conj[j - 1] - i + 1)
-        cells *= Fraction(arm_co * upper, lower)
-    head = Fraction(1)
-    for j in range(1, n + 1):
-        head *= math.factorial(j * beta)
-    return head / Fraction(math.factorial(beta) ** n) * cells
-
-
-def _norm_beta_zero(lam, spec: FamilySpec) -> ScaledRational:
-    """Exact beta = 0 norms: direct products of one-variable norms over the
-    N!/#stab distinct monomial placements."""
-    n = spec.n
-    count = Fraction(math.factorial(n), stabilizer_order(lam))
-    if spec.family == JACK:
-        return ScaledRational(count)
-    if spec.family == HERMITE:
-        body = count * Fraction(1, 2 ** sum(lam))
-        for p in lam:
-            body *= math.factorial(p)
-        return ScaledRational(body, pi_half=n)
-    body = count * _pochhammer_product(spec, lam)
-    for p in lam:
-        body *= math.factorial(p)
-    return ScaledRational(body, gamma_base=n)
+        num *= arm_co * upper
+        den *= lower
+    return num, den
 
 
 def shift_constants(lam, n: int, beta: int) -> tuple[Fraction, Fraction]:

@@ -397,9 +397,3 @@ def divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
         rem = rem - Polynomial(f.nvars, {q_exps: q_coeff}) * g
     return Polynomial(f.nvars, quotient)
 
-
-def product(polys: Iterable[Polynomial], nvars: int) -> Polynomial:
-    result = Polynomial.one(nvars)
-    for p in polys:
-        result = result * p
-    return result

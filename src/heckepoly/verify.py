@@ -14,6 +14,10 @@ that builds the context's operators once and then yields one row
 carries the first monomial on which the two sides differ.  A new identity
 is a new ``yield`` in its table.
 
+A suite that raises fails: ``run_suite`` returns its report as one failing
+case whose params carry the exception type and message, and the suites
+after it still run.
+
 Suite names:
   daha_relations     defining relations of the degenerate affine Hecke
                      algebra presentation (coordinates, Cherednik
@@ -826,9 +830,17 @@ SUITE_OPERATIONS = {
 
 
 def run_suite(name: str, grid: GridSpec | None = None) -> SuiteReport:
+    """Run one suite.  A suite that raises fails with one case that carries
+    the exception, so the suites after it still run."""
     if name not in SUITES:
         raise ValueError(f"unknown suite name {name!r}")
-    return SUITES[name](grid or GridSpec())
+    grid = grid or GridSpec()
+    try:
+        return SUITES[name](grid)
+    except Exception as exc:
+        report = SuiteReport(name, grid.to_json_dict())
+        report.record({"exception": type(exc).__name__, "message": str(exc)}, False)
+        return report
 
 
 def run_all(grid: GridSpec | None = None, names=None) -> list[SuiteReport]:

@@ -15,10 +15,26 @@ from fractions import Fraction
 from heckepoly.pairings import ct_pairing, gauss_pairing, laguerre_pairing, norm_formula
 from heckepoly.parameters import hermite_spec, jack_spec, laguerre_spec
 from heckepoly.polynomials import Polynomial
-from heckepoly.verify import GridSpec, run_suite
+from heckepoly.verify import GridSpec, reports_to_json, run_suite
 
 FULL = GridSpec(ns=(2, 3), betas=(0, 1, 2), max_weight=4, degree=5, seed=1,
                 pairs=20, rand_polys=50)
+
+
+# sha256 of reports_to_json over each criterion's reports on FULL: a change
+# that alters any byte of them has to update the digest, and say why
+FULL_SHA256 = {
+    2: "cb86aabb7206711036cc6364f971d7b1915d780adcb9893a2abaff606f79fa55",
+    3: "f0e3360f2db0b92df2caca13e057bc6cd3a52c1683df7bbb21a1ce4fcea9470d",
+    4: "f1a42b29230ec17a1bdb3e0cde9bb186069e84bb979b15a52e77afa006fdb536",
+    5: "4ef574100cb2e9c0b81553d7f180f8f255e5b6a3f8d127bb5efe39424c055dd7",
+    6: "8348dc8018b3661eff27896fa3c33b5a74ba43c0f0d84a28ad42f60769992bcf",
+}
+
+
+def _assert_pinned(criterion, *reports):
+    digest = hashlib.sha256(reports_to_json(list(reports)).encode()).hexdigest()
+    assert digest == FULL_SHA256[criterion], f"criterion {criterion} report changed"
 
 
 def _report(criterion, name, passed):
@@ -39,6 +55,7 @@ def test_criterion_1_daha_relations():
 def test_criterion_2_eigen_structure():
     nonsym = run_suite("nonsym_eigen", FULL)
     sym = run_suite("jack_eigen", FULL)
+    _assert_pinned(2, nonsym, sym)
     _report(2, "eigen-structure (joint spectra, generating-parameter "
                "coefficients)", nonsym.passed and sym.passed)
 
@@ -48,6 +65,7 @@ def test_criterion_3_intertwiners():
     b = run_suite("intertwine_B", FULL)
     h = run_suite("hermite_is_sigma_jack", FULL)
     lag = run_suite("laguerre_is_sigma_jack", FULL)
+    _assert_pinned(3, a, b, h, lag)
     assert a.cases_run >= 50 * len(FULL.ns) * len(FULL.betas)
     _report(3, "intertwiners (50 seeded polynomials per configuration; "
                "Hermite/Laguerre are intertwiner images)",
@@ -57,6 +75,7 @@ def test_criterion_3_intertwiners():
 def test_criterion_4_raising_rodrigues():
     raising = run_suite("raising_all", FULL)
     chain = run_suite("rodrigues_all", FULL)
+    _assert_pinned(4, raising, chain)
     _report(4, "raising constants and Rodrigues = direct construction",
             raising.passed and chain.passed)
 
@@ -64,6 +83,7 @@ def test_criterion_4_raising_rodrigues():
 def test_criterion_5_shift_duality():
     duality = run_suite("duality_all", FULL)
     shifts = run_suite("shift_all", FULL)
+    _assert_pinned(5, duality, shifts)
     calibration_emitted = bool(shifts.calibration) and all(
         entry["assignment"] in ("swapped", "paper")
         and entry["global_sign"] in (-1, 1)
@@ -79,6 +99,7 @@ def test_criterion_6_norms():
     norms = run_suite("norms_all", FULL)
     equivalence = run_suite("norm_equiv_appB", FULL)
     elapsed = time.time() - start
+    _assert_pinned(6, norms, equivalence)
 
     anchors = True
     for n in (2, 3):

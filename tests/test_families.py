@@ -3,6 +3,7 @@ cross-method agreement."""
 
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -25,7 +26,7 @@ from heckepoly.families import (
     nonsym_hermite,
     nonsym_jack,
     nonsym_laguerre,
-    rho_b_cherednik,
+    realization,
     sigma_a,
     sigma_b,
     symmetric_spectrum,
@@ -140,7 +141,8 @@ def test_sigma_b_examples():
     jack_sp = jack_spec(2, 1)
     f = Polynomial.variable(2, 1)
     lhs = sigma_b(ops.cherednik_a(1, jack_sp)(f), spec2)
-    rhs = rho_b_cherednik(1, spec2)(sigma_b(f, spec2))
+    real = realization(spec2)
+    rhs = real.apply(real.cherednik(1), sigma_b(f, spec2))
     assert lhs == rhs
 
 
@@ -176,7 +178,8 @@ def test_nonsym_hermite_laguerre():
 
     l_spec = laguerre_spec(2, 1, Fraction(1, 2))
     assert nonsym_laguerre(label0, l_spec).poly == Polynomial.one(2)
-    rho = [rho_b_cherednik(j, l_spec) for j in (1, 2)]
+    l_real = realization(l_spec)
+    rho = [partial(l_real.apply, l_real.cherednik(j)) for j in (1, 2)]
     for comp in [(1, 0), (0, 1), (1, 1), (2, 0)]:
         lab = NonSymLabel.from_composition(comp)
         e_l = nonsym_laguerre(lab, l_spec)
@@ -313,6 +316,7 @@ def test_construction_caches_cold_warm_and_cleared():
     info = families.cache_info()
     assert info["pairings.orbit_numerators"] > 0
     assert info["pairings._gauss_moment_num"] > 0 and info["pairings._ct_weight"] > 0
+    assert info["pairings._kernel"] == len(specs)
     warm = results()
     assert families.cache_info() == info
     families.clear_caches()
@@ -405,8 +409,6 @@ def test_realizations_satisfy_degenerate_daha_relations(spec):
     daha_relations checks for (x_j, Dhat_j, s_jk), read through its codec
     on every monomial of degree <= 3."""
     from itertools import combinations
-
-    from heckepoly.families import realization
 
     real = realization(spec)
     n, beta = spec.n, spec.beta

@@ -14,7 +14,7 @@ from heckepoly.combinatorics import (
     random_polynomial,
     random_symmetric_polynomial,
 )
-from heckepoly.errors import DivergentWeightError, HeckePolyError
+from heckepoly.errors import AmbientSizeMismatch, DivergentWeightError, HeckePolyError
 from heckepoly.families import hermite, jack, laguerre, sigma_a
 from heckepoly.pairings import (
     ScaledRational,
@@ -143,6 +143,36 @@ def test_laguerre_pairing_values():
             for form in ("product_form", "hook_form"):
                 with pytest.raises(DivergentWeightError, match="divergent weight"):
                     norm_formula((1, 0), laguerre_spec(2, beta, gamma), form)
+
+
+GUARDED_PAIRINGS = {
+    # pairing: (its spec, a spec of another family)
+    ct_pairing: (jack_spec(2, 1), hermite_spec(2, 1)),
+    gauss_pairing: (hermite_spec(2, 1), laguerre_spec(2, 1, Fraction(1, 3))),
+    laguerre_pairing: (laguerre_spec(2, 1, Fraction(1, 3)), jack_spec(2, 1)),
+}
+
+
+@pytest.mark.parametrize("pairing", GUARDED_PAIRINGS, ids=lambda fn: fn.__name__)
+def test_pairing_input_guards(pairing):
+    spec, foreign = GUARDED_PAIRINGS[pairing]
+    x = Polynomial.variable(2, 1)
+    laurent = Polynomial.monomial((-1, 2))
+    wide = Polynomial.variable(3, 1)
+    with pytest.raises(ValueError, match=f"{pairing.__name__} needs a"):
+        pairing(x, x, foreign)
+    for f, g in ((laurent, x), (x, laurent)):
+        with pytest.raises(ValueError, match="ordinary polynomials"):
+            pairing(f, g, spec)
+    for f, g in ((wide, x), (x, wide), (Polynomial.one(1), Polynomial.one(1))):
+        with pytest.raises(AmbientSizeMismatch, match="ambient size mismatch"):
+            pairing(f, g, spec)
+    if pairing is laguerre_pairing:  # a divergent gamma fails before any other check
+        for gamma in (Fraction(-1, 2), -3):
+            divergent = laguerre_spec(2, 1, gamma)
+            for f, g in ((x, x), (laurent, x), (wide, laurent)):
+                with pytest.raises(DivergentWeightError, match="divergent weight"):
+                    pairing(f, g, divergent)
 
 
 def test_laguerre_htilde_selfadjoint():

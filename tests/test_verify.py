@@ -240,3 +240,37 @@ def test_relation_tables_catch_planted_defect(name, monkeypatch):
         families.clear_caches()
     assert report.failures and not report.passed
     assert all("monomial" in failure["params"] for failure in report.failures)
+
+
+def test_crashing_suite_is_reported(monkeypatch, capsys):
+    """With Dhat_N + 1 planted, several suites raise; each becomes one
+    failing case carrying the exception, and every suite still reports."""
+    from heckepoly.cli import main
+
+    attr, plant = PLANTED["daha_relations"]
+    ops.clear_caches()
+    families.clear_caches()
+    monkeypatch.setattr(ops, attr, plant(getattr(ops, attr)))
+    try:
+        reports = run_all(SMALL)
+        code = main([
+            "verify", "--all", "--n-list", "2", "--beta-list", "0,1",
+            "--gamma-list", "1/2", "--max-weight", "3", "--degree", "3",
+            "--seed", "7", "--pairs", "3", "--rand-polys", "4",
+        ])
+    finally:
+        monkeypatch.undo()
+        ops.clear_caches()
+        families.clear_caches()
+    assert [r.suite for r in reports] == list(SUITES)
+    crashed = [r for r in reports if any("exception" in f["params"] for f in r.failures)]
+    assert crashed and not any(r.passed for r in crashed)
+    for report in crashed:
+        assert (report.cases_run, report.cases_passed) == (1, 0)
+        assert set(report.failures[0]["params"]) == {"exception", "message"}
+    assert "jack_orth" in {r.suite for r in crashed}
+    assert any(r.passed for r in reports)  # the suites the defect misses still pass
+    out = capsys.readouterr().out
+    assert code == 1
+    assert len([line for line in out.splitlines() if not line.startswith(" ")]) == len(SUITES)
+    assert '"exception": "ValueError"' in out
