@@ -37,11 +37,14 @@ all labels of a spec and the pairings share them (see ``pairings``).  The
 system, scaled to one common denominator, is solved by fraction-free
 (Bareiss) elimination, with one Fraction per unknown at the end.
 
-The symmetric Jack triangular solve runs on integers as well: the
-e_k(Dhat) images of m_mu share their subset prefixes (one operator
-application per nonempty subset of the indices), are expanded by orbit in
-int, and the back-substitution keeps integer numerators over one common
-denominator.
+Both Jack triangular routes are one integer solve, ``_eigen_solve``: the
+joint eigenvector of commuting operators triangular on a basis, found by
+back-substitution in integer numerators over one common denominator.  The
+non-symmetric E_eta passes the Dhat_j images of the monomials of degree
+|eta| with their Cherednik spectra; the symmetric J_lam passes the
+e_k(Dhat) images of the m_mu of weight |lam| (one operator application per
+nonempty index subset, expanded by orbit in int) with their e_k
+eigenvalues.
 
 Constructions, weights, moments, pairing kernels, orbits, orbit
 numerators and the shift calibration are cached for the life of the
@@ -317,6 +320,55 @@ def _elementary_symmetric(values, k: int):
 
 
 # ---------------------------------------------------------------------------
+# the joint eigenvector solve
+
+
+def _eigen_solve(basis, columns, eigen, top: int, case: str) -> tuple[list[int], int]:
+    """The joint eigenvector of commuting operators, triangular on basis,
+    whose leading element is basis[top] with coefficient 1.
+
+    columns[i][k] maps basis elements to the integer coefficients of the
+    k-th operator applied to basis[i] (i <= top); eigen[i] is the
+    eigenvalue tuple of basis[i].  Back-substitution keeps the
+    coefficient of basis[i] as nums[i] / den, integers over one common
+    denominator; returns (nums, den).  case names the solve in errors."""
+    index = {b: i for i, b in enumerate(basis)}
+    for i, per_k in enumerate(columns):
+        if any(index[b] > i for image in per_k for b in image):
+            raise HeckePolyError(f"triangularity violated in the operator action at {case}")
+    target = eigen[top]
+    nums = [0] * (top + 1)
+    nums[top] = 1
+    den = 1
+    for i in range(top - 1, -1, -1):
+        b = basis[i]
+
+        def residual(k: int) -> int:
+            return sum(
+                nums[i2] * columns[i2][k].get(b, 0)
+                for i2 in range(i + 1, top + 1)
+                if nums[i2]
+            )
+
+        k = next((k for k in range(len(target)) if target[k] != eigen[i][k]), None)
+        if k is None:
+            if any(residual(k) for k in range(len(target))):
+                raise SpectrumCollisionError(f"spectrum collision with {b} at {case}")
+            continue
+        # coefficient = residual / (den * gap): move everything onto the
+        # denominator den * gap / g
+        r, gap = residual(k), target[k] - eigen[i][k]
+        g = math.gcd(r, gap) if gap > 0 else -math.gcd(r, gap)
+        factor = gap // g
+        if factor != 1:
+            den *= factor
+            for i2 in range(i + 1, top + 1):
+                nums[i2] *= factor
+        nums[i] = r // g
+    return nums, den
+
+
+# ---------------------------------------------------------------------------
 # non-symmetric Jack
 
 
@@ -332,59 +384,22 @@ def nonsym_jack(label: NonSymLabel, spec: FamilySpec) -> FamilyPolynomial:
 
 @lru_cache(maxsize=None)
 def _nonsym_jack_poly(comp, n: int, beta: int):
-    """Triangular solve for the joint Cherednik eigenvector with leading
-    monomial x^comp; returns (polynomial, spectrum)."""
-    degree = sum(comp)
-    basis = sorted(monomials_of_degree(n, degree), key=label_sort_key)
-    index = {b: i for i, b in enumerate(basis)}
-    top = index[tuple(comp)]
-    spec = FamilySpec(JACK, n, beta)
-    chers = [ops.cherednik_a(j, spec) for j in range(1, n + 1)]
-    spectra = [composition_spectrum(b, beta) for b in basis]
-    target = spectra[top]
-
-    # images[j][i] = Dhat_j applied to the i-th basis monomial
-    images = []
-    for j in range(n):
-        row = []
-        for i in range(top + 1):
-            img = chers[j](Polynomial.monomial(basis[i]))
-            for exps in img.terms:
-                if index[exps] > i:
-                    raise HeckePolyError(
-                        "triangularity violated in the Cherednik action"
-                    )
-            row.append(img)
-        images.append(row)
-
-    coeffs = [Fraction(0)] * (top + 1)
-    coeffs[top] = Fraction(1)
-    for i in range(top - 1, -1, -1):
-        b = basis[i]
-        residuals = []
-        for j in range(n):
-            r = Fraction(0)
-            for i2 in range(i + 1, top + 1):
-                if coeffs[i2]:
-                    r += coeffs[i2] * images[j][i2].coefficient(b)
-            residuals.append(r)
-        for j in range(n):
-            if target[j] != spectra[i][j]:
-                coeffs[i] = residuals[j] / (target[j] - spectra[i][j])
-                break
-        else:
-            if any(residuals):
-                raise SpectrumCollisionError(
-                    f"spectrum collision between {comp} and {b}"
-                )
-            coeffs[i] = Fraction(0)
-
-    poly = Polynomial(n, {basis[i]: coeffs[i] for i in range(top + 1) if coeffs[i]})
+    """Joint Dhat_j eigenvector with leading monomial x^comp on the monomials
+    of degree |comp|, by ``_eigen_solve``; returns (polynomial, spectrum)."""
+    basis = sorted(monomials_of_degree(n, sum(comp)), key=label_sort_key)
+    top = basis.index(tuple(comp))
+    chers = [ops.cherednik_a(j, FamilySpec(JACK, n, beta)) for j in range(1, n + 1)]
+    columns = [[c(Polynomial.monomial(b)).terms for c in chers] for b in basis[: top + 1]]
+    eigen = [composition_spectrum(b, beta) for b in basis[: top + 1]]
+    case = f"N={n}, beta={beta}, label {comp}"
+    nums, den = _eigen_solve(basis, columns, eigen, top, case)
+    poly = Polynomial._trusted(
+        n, {b: _canonical(Fraction(num, den)) for b, num in zip(basis, nums) if num}
+    )
+    target = eigen[top]
     for j in range(n):
         if chers[j](poly) != poly * target[j]:
-            raise SpectrumCollisionError(
-                f"joint eigenvector solve inconsistent at {comp}"
-            )
+            raise SpectrumCollisionError(f"joint eigenvector solve inconsistent at {case}")
     return poly, target
 
 
@@ -431,74 +446,23 @@ def _symmetric(lam, spec: FamilySpec, method: str) -> FamilyPolynomial:
 
 @lru_cache(maxsize=None)
 def _jack_triangular(lam, n: int, beta: int) -> Polynomial:
-    """Back-substitution against the commuting family e_k(Dhat_1..Dhat_N)
-    on the monomial-symmetric basis of weight |lam|.
-
-    The images of m_mu have integer coefficients and are expanded by orbit
-    in int; the coefficients of the result are kept as integer numerators
-    over one common denominator."""
-    weight = sum(lam)
-    basis = sorted(partitions_of(weight, n))  # ascending lex refines dominance
-    index = {mu: i for i, mu in enumerate(basis)}
-    top = index[lam]
-    spec = FamilySpec(JACK, n, beta)
-    chers = [ops.cherednik_a(j, spec) for j in range(1, n + 1)]
-
-    def spectrum_values(mu) -> list[int]:
-        return [mu[i] + beta * (n - 1 - i) for i in range(n)]
-
-    eigen = [
-        tuple(_elementary_symmetric(spectrum_values(mu), k) for k in range(1, n + 1))
-        for mu in basis
-    ]
-    target = eigen[top]
-
-    columns = []  # columns[i][k-1] = m-expansion of e_k(Dhat) m_{basis[i]}
-    for i in range(top + 1):
-        per_k = [
-            _orbit_coefficients(image)
-            for image in _elementary_images(monomial_symmetric(n, basis[i]), chers)
-        ]
-        for expansion in per_k:
-            for nu in expansion:
-                if index[nu] > i:
-                    raise HeckePolyError(
-                        "triangularity violated in the symmetric action"
-                    )
-        columns.append(per_k)
-
-    # coefficient of m_{basis[i]} = nums[i] / den
-    nums = [0] * (top + 1)
-    nums[top] = 1
-    den = 1
-    for i in range(top - 1, -1, -1):
-        mu = basis[i]
-
-        def residual(k: int) -> int:
-            return sum(
-                nums[i2] * columns[i2][k].get(mu, 0)
-                for i2 in range(i + 1, top + 1)
-                if nums[i2]
-            )
-
-        k = next((k for k in range(n) if target[k] != eigen[i][k]), None)
-        if k is None:
-            if any(residual(k) for k in range(n)):
-                raise SpectrumCollisionError(
-                    f"spectrum collision between {lam} and {mu}"
-                )
-            continue
-        # coefficient = residual / (den * gap): move everything onto the
-        # denominator den * gap / g
-        r, gap = residual(k), target[k] - eigen[i][k]
-        g = math.gcd(r, gap) if gap > 0 else -math.gcd(r, gap)
-        factor = gap // g
-        if factor != 1:
-            den *= factor
-            for i2 in range(i + 1, top + 1):
-                nums[i2] *= factor
-        nums[i] = r // g
-
+    """Joint e_k(Dhat_1..Dhat_N) eigenvector with leading m_lam on the
+    monomial-symmetric basis of weight |lam|, by ``_eigen_solve``; the
+    images of m_mu have integer coefficients and are expanded by orbit."""
+    basis = sorted(partitions_of(sum(lam), n))  # ascending lex refines dominance
+    top = basis.index(lam)
+    chers = [ops.cherednik_a(j, FamilySpec(JACK, n, beta)) for j in range(1, n + 1)]
+    case = f"N={n}, beta={beta}, lambda={lam}"
+    columns, eigen = [], []
+    for mu in basis[: top + 1]:
+        images = _elementary_images(monomial_symmetric(n, mu), chers)
+        try:
+            columns.append([_orbit_coefficients(image) for image in images])
+        except ValueError as exc:
+            raise ValueError(f"{exc} in e_k(Dhat) m_{mu} at {case}") from exc
+        values = [mu[i] + beta * (n - 1 - i) for i in range(n)]
+        eigen.append([_elementary_symmetric(values, k) for k in range(1, n + 1)])
+    nums, den = _eigen_solve(basis, columns, eigen, top, case)
     out: dict = {}
     for mu, num in zip(basis, nums):
         if num:

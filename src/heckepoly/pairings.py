@@ -347,13 +347,8 @@ def _degree_sums(f_terms: dict, g_terms: dict, value) -> dict[int, int]:
 # the three pairings
 
 
-def _pairing(f: Polynomial, g: Polynomial, spec: FamilySpec) -> Fraction:
-    """sum_{a,b} f_a g_b value(a, b) / denominator(|a| + |b|) under the
-    kernel of spec, as one Fraction: the integer parts of f and g are
-    summed per degree, and every degree is brought to the denominator of
-    the top one (each denominator divides the next).  Symmetric f and g
-    are summed over their orbits instead of their terms."""
-    kernel = _kernel(spec)  # a divergent gamma fails first
+def _check_inputs(f: Polynomial, g: Polynomial, spec: FamilySpec) -> None:
+    """f and g are ordinary polynomials in spec's N variables."""
     if f.nvars != spec.n or g.nvars != spec.n:
         raise AmbientSizeMismatch(
             f"ambient size mismatch: pairing at N={spec.n} got polynomials in "
@@ -361,6 +356,16 @@ def _pairing(f: Polynomial, g: Polynomial, spec: FamilySpec) -> Fraction:
         )
     if f.is_laurent() or g.is_laurent():
         raise ValueError("pairing inputs must be ordinary polynomials")
+
+
+def _pairing(f: Polynomial, g: Polynomial, spec: FamilySpec) -> Fraction:
+    """sum_{a,b} f_a g_b value(a, b) / denominator(|a| + |b|) under the
+    kernel of spec, as one Fraction: the integer parts of f and g are
+    summed per degree, and every degree is brought to the denominator of
+    the top one (each denominator divides the next).  Symmetric f and g
+    are summed over their orbits instead of their terms."""
+    kernel = _kernel(spec)  # a divergent gamma fails first
+    _check_inputs(f, g, spec)
     f_terms, f_scale = _integer_part(f.terms)
     g_terms, g_scale = _integer_part(g.terms)
     try:
@@ -414,6 +419,7 @@ def dunkl_pairing(
     at variant="dunkl", scale=1/2 (measured, not assumed: see the
     dunkl_pairing_prop verification suite).
     """
+    _check_inputs(f, g, spec)
     base_spec = FamilySpec(JACK, spec.n, spec.beta)
     if variant == "dunkl":
         operators = [ops.dunkl_a(j, base_spec) for j in range(1, spec.n + 1)]

@@ -280,13 +280,6 @@ class Polynomial:
             {tuple(e * factor for e in exps): c for exps, c in self.terms.items()},
         )
 
-    def scale_variables(self, c) -> "Polynomial":
-        """Substitute x_j -> c*x_j (c must be a nonzero rational)."""
-        c = _canonical(c)
-        return Polynomial(
-            self.nvars, {exps: coeff * c ** sum(exps) for exps, coeff in self.terms.items()}
-        )
-
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:

@@ -67,20 +67,23 @@ def test_nonsym_jack_examples():
     assert e.poly == x2 + Fraction(3, 4) * x1
 
 
-def test_nonsym_jack_triangularity_and_eigen():
-    for n, beta in [(2, 2), (3, 1)]:
-        spec = jack_spec(n, beta)
-        chers = [ops.cherednik_a(j, spec) for j in range(1, n + 1)]
-        for comp in monomials_up_to_degree(n, 3):
-            label = NonSymLabel.from_composition(comp)
-            e_poly = nonsym_jack(label, spec)
-            spectrum = composition_spectrum(comp, beta)
-            for j in range(n):
-                assert chers[j](e_poly.poly) == spectrum[j] * e_poly.poly
-            assert e_poly.poly.coefficient(comp) == 1
-            for exps in e_poly.poly.terms:
-                if exps != tuple(comp):
-                    assert precedes(composition_to_label(exps), (label.lam, label.w))
+@pytest.mark.parametrize("beta", [0, 1, 2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_nonsym_jack_triangularity_and_eigen(n, beta):
+    """The eigen equations, the leading coefficient and the order of the
+    companions define E_eta; none of them uses the triangular solve."""
+    spec = jack_spec(n, beta)
+    chers = [ops.cherednik_a(j, spec) for j in range(1, n + 1)]
+    for comp in monomials_up_to_degree(n, 4 if n < 4 else 3):
+        label = NonSymLabel.from_composition(comp)
+        e_poly = nonsym_jack(label, spec)
+        spectrum = composition_spectrum(comp, beta)
+        for j in range(n):
+            assert chers[j](e_poly.poly) == spectrum[j] * e_poly.poly
+        assert e_poly.poly.coefficient(comp) == 1
+        for exps in e_poly.poly.terms:
+            if exps != tuple(comp):
+                assert precedes(composition_to_label(exps), (label.lam, label.w))
 
 
 def test_jack_examples_and_methods_agree():

@@ -269,6 +269,8 @@ def test_crashing_suite_is_reported(monkeypatch, capsys):
         assert (report.cases_run, report.cases_passed) == (1, 0)
         assert set(report.failures[0]["params"]) == {"exception", "message"}
     assert "jack_orth" in {r.suite for r in crashed}
+    orth = next(r for r in crashed if r.suite == "jack_orth")
+    assert "N=2, beta=0" in orth.failures[0]["params"]["message"]  # names the case
     assert any(r.passed for r in reports)  # the suites the defect misses still pass
     out = capsys.readouterr().out
     assert code == 1
