@@ -158,10 +158,6 @@ def partition_cells(lam: Sequence[int]) -> Iterator[tuple[int, int]]:
 # permutations
 
 
-def identity_perm(nvars: int) -> Permutation:
-    return tuple(range(1, nvars + 1))
-
-
 def is_permutation(w: Sequence[int]) -> bool:
     return sorted(w) == list(range(1, len(w) + 1))
 

@@ -438,7 +438,7 @@ def _symmetric(lam, spec: FamilySpec, method: str) -> FamilyPolynomial:
 
         return rodrigues(lam, spec)
     poly = _ROUTES[method](lam, spec)
-    _assert_symmetric_triangular(poly, lam)
+    _assert_symmetric_triangular(poly, lam, spec)
     return FamilyPolynomial(
         lam, spec, poly, method, symmetric_spectrum(lam, spec.n, spec.beta)
     )
@@ -494,13 +494,19 @@ def _jack_symmetrized(lam, n: int, beta: int) -> Polynomial:
     return total * Fraction(1, stabilizer_order(lam))
 
 
-def _assert_symmetric_triangular(poly: Polynomial, lam) -> None:
-    expansion = to_monomial_basis(poly)
+def _assert_symmetric_triangular(poly: Polynomial, lam, spec: FamilySpec) -> None:
+    def error(kind, message):  # the case is named only when one is raised
+        return kind(f"{message} at N={spec.n}, beta={spec.beta}, lambda={lam}")
+
+    try:
+        expansion = to_monomial_basis(poly)
+    except ValueError as exc:
+        raise error(ValueError, exc) from exc
     if expansion.get(lam) != 1:
-        raise HeckePolyError("leading coefficient of m_lam is not 1")
+        raise error(HeckePolyError, "leading coefficient of m_lam is not 1")
     for mu in expansion:
         if mu != lam and not extended_dominance_lt(mu, lam):
-            raise HeckePolyError(f"companion {mu} is not below {lam}")
+            raise error(HeckePolyError, f"companion {mu} is not below {lam}")
 
 
 # ---------------------------------------------------------------------------

@@ -141,7 +141,7 @@ def rodrigues(lam, spec: FamilySpec) -> FamilyPolynomial:
             for _ in range(steps):
                 current = op(current)
     poly = real.decode(current) * (Fraction(1) / hooks)
-    _assert_symmetric_triangular(poly, lam)
+    _assert_symmetric_triangular(poly, lam, spec)
     return FamilyPolynomial(
         lam, spec, poly, "rodrigues", symmetric_spectrum(lam, n, beta)
     )

@@ -1,22 +1,30 @@
 """Named verification suites: every identity as an exact pass/fail case.
 
-Each suite walks a (N, beta, gamma, degree) grid, evaluates both sides of
-its identity in exact arithmetic, and aggregates a SuiteReport.  Random
-inputs come from a counter-free seeded generator (crc32 of the case tag
-mixed with the grid seed), so reports are byte-reproducible.
+Each suite walks a (N, beta, gamma, degree) grid and checks its identity
+case by case, in exact arithmetic.  Random inputs come from a counter-free
+seeded generator (crc32 of the case tag mixed with the grid seed), so
+reports are byte-reproducible.
+
+A suite is a generator of cases.  Called with the grid, it yields one
+``(params, thunk)`` pair per case, computes what its cases share between
+yields, and may return a calibration dict.  A thunk returns True, False
+or a ``Failure``: the rendered witnesses and any params its check found,
+such as the first monomial on which two operators differ.  It runs before
+its generator resumes, so it may close over the loop variables.  A new
+suite is one generator, named in ``SUITES``.
+
+``_run_cases`` alone records cases.  A thunk that raises fails its case,
+whose params gain the exception type and message, and the suite goes on.
+A generator that raises ends its suite with one failing case carrying
+only the exception.  Either way the cases already run are kept, and the
+suites after it still run.
 
 The operator-identity suites (daha_relations, dunkl_commute, appendix_A)
 are relation tables.  A table is a generator per context, say (N, beta),
 that builds the context's operators once and then yields one row
 (relation label, lhs operator, rhs operator) per identity and index.
-``_check_relations`` runs a table: each row is one case, checked by
-``_check_operator`` on every monomial up to the grid degree, and a failure
-carries the first monomial on which the two sides differ.  A new identity
-is a new ``yield`` in its table.
-
-A suite that raises fails: ``run_suite`` returns its report as one failing
-case whose params carry the exception type and message, and the suites
-after it still run.
+``_relation_cases`` makes each row a case, checked on every monomial up to
+the grid degree.  A new identity is a new ``yield`` in its table.
 
 Suite names:
   daha_relations     defining relations of the degenerate affine Hecke
@@ -61,6 +69,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from operator import methodcaller
+from typing import NamedTuple
 
 from . import operators as ops
 from .combinatorics import (
@@ -73,7 +82,6 @@ from .combinatorics import (
     sign,
     staircase,
 )
-from .errors import HeckePolyError
 from .families import (
     NonSymLabel,
     _elementary_symmetric,
@@ -165,14 +173,6 @@ class SuiteReport:
         else:
             self.failures.append({"params": params, "lhs": lhs, "rhs": rhs})
 
-    def check(self, params: dict, lhs, rhs, render=str) -> None:
-        """Record lhs == rhs as one case; the witnesses are rendered only on
-        failure."""
-        if lhs == rhs:
-            self.record(params, True)
-        else:
-            self.record(params, False, render(lhs), render(rhs))
-
     @property
     def passed(self) -> bool:
         """True when at least one case ran and every case passed."""
@@ -189,6 +189,46 @@ class SuiteReport:
         }
 
 
+class Failure(NamedTuple):
+    """A failing case: the rendered witnesses and the params its check found."""
+
+    lhs: str
+    rhs: str
+    found: dict | None = None
+
+
+def _same(lhs, rhs, render=str):
+    """lhs == rhs as a case outcome, rendering the witnesses only on failure."""
+    return lhs == rhs or Failure(render(lhs), render(rhs))
+
+
+def _exception_params(exc: Exception) -> dict:
+    return {"exception": type(exc).__name__, "message": str(exc)}
+
+
+def _run_cases(name: str, cases, grid: GridSpec) -> SuiteReport:
+    """Run suite ``name``, the case generator ``cases``, on the grid."""
+    report = SuiteReport(name, grid.to_json_dict())
+    stream = cases(grid)
+    while True:
+        try:
+            params, thunk = next(stream)
+        except StopIteration as stop:
+            report.calibration = stop.value
+            return report
+        except Exception as exc:  # between cases: the suite ends here
+            report.record(_exception_params(exc), False)
+            return report
+        try:
+            outcome = thunk()
+        except Exception as exc:
+            outcome = Failure("", "", _exception_params(exc))
+        if isinstance(outcome, Failure):
+            report.record({**params, **(outcome.found or {})}, False, outcome.lhs, outcome.rhs)
+        else:
+            report.record(params, outcome)
+
+
 _pretty = methodcaller("pretty")
 _render = methodcaller("render")
 
@@ -198,28 +238,45 @@ def _rng(grid: GridSpec, *tag) -> random.Random:
     return random.Random(grid.seed * 2654435761 + digest)
 
 
-def _check_operator(report, params, op_a, op_b, degree) -> None:
-    for exps in monomials_up_to_degree(op_a.nvars, degree):
-        mono = Polynomial.monomial(exps)
-        lhs, rhs = op_a(mono), op_b(mono)
-        if lhs != rhs:
-            report.record(
-                dict(params, monomial=list(exps)), False, lhs.pretty(), rhs.pretty()
-            )
-            return
-    report.record(params, True)
+def _relation_cases(params, rows, degree):
+    """One case per row (relation, lhs, rhs) of a relation table: the two
+    operators agree on every monomial up to ``degree``, and a failure
+    carries the first monomial on which they differ.  ``rows`` is a
+    generator, so each row's operators are built just before its case."""
+    for relation, op_a, op_b in rows:
+        def case():
+            for exps in monomials_up_to_degree(op_a.nvars, degree):
+                mono = Polynomial.monomial(exps)
+                lhs, rhs = op_a(mono), op_b(mono)
+                if lhs != rhs:
+                    return Failure(lhs.pretty(), rhs.pretty(), {"monomial": list(exps)})
+            return True
+
+        yield dict(params, relation=relation), case
 
 
-def _check_relations(report, params, rows, degree) -> None:
-    """Run one context's relation table: each row (relation, lhs, rhs) is
-    one case.  ``rows`` is a generator, so each row's operators are built
-    in its own case, between the previous record and its own."""
-    for relation, lhs, rhs in rows:
-        _check_operator(report, dict(params, relation=relation), lhs, rhs, degree)
+def _hermite_specs(n: int, beta: int, grid: GridSpec):
+    return [FamilySpec(HERMITE, n, beta)]
 
 
 def _laguerre_specs(n: int, beta: int, grid: GridSpec):
     return [FamilySpec(LAGUERRE, n, beta, g) for g in grid.gammas]
+
+
+def _family_specs(n: int, beta: int, grid: GridSpec) -> list[FamilySpec]:
+    """One spec per family; Laguerre at the last gamma of the grid."""
+    return [
+        FamilySpec(JACK, n, beta),
+        FamilySpec(HERMITE, n, beta),
+        FamilySpec(LAGUERRE, n, beta, grid.gammas[-1]),
+    ]
+
+
+def _grid_specs(n: int, beta: int, grid: GridSpec) -> list[FamilySpec]:
+    """Jack, Hermite, and Laguerre at every gamma of the grid."""
+    return [FamilySpec(JACK, n, beta), FamilySpec(HERMITE, n, beta)] + _laguerre_specs(
+        n, beta, grid
+    )
 
 
 def _spec_params(spec: FamilySpec) -> dict:
@@ -228,6 +285,11 @@ def _spec_params(spec: FamilySpec) -> dict:
     if spec.gamma is not None:
         params["gamma"] = str(spec.gamma)
     return params
+
+
+def _label_params(spec: FamilySpec, lam, **extra) -> dict:
+    """family, n, beta and lambda, then extra: the case parameters."""
+    return {"family": spec.family, "n": spec.n, "beta": spec.beta, "lambda": list(lam)} | extra
 
 
 # ---------------------------------------------------------------------------
@@ -285,12 +347,9 @@ def _daha_rows(n: int, beta: int):
         yield f"[Dhat_{i},x_{j}] case split", lhs, rhs
 
 
-def suite_daha_relations(grid: GridSpec) -> SuiteReport:
-    report = SuiteReport("daha_relations", grid.to_json_dict())
+def _daha_relations(grid: GridSpec):
     for n, beta in itertools.product(grid.ns, grid.betas):
-        rows = _daha_rows(n, beta)
-        _check_relations(report, {"n": n, "beta": beta}, rows, grid.degree)
-    return report
+        yield from _relation_cases({"n": n, "beta": beta}, _daha_rows(n, beta), grid.degree)
 
 
 def _dunkl_rows(spec: FamilySpec):
@@ -335,20 +394,17 @@ def _dunkl_rows(spec: FamilySpec):
         yield f"[D_{i},{letter}_{j}]", lhs, rhs
 
 
-def suite_dunkl_commute(grid: GridSpec) -> SuiteReport:
-    report = SuiteReport("dunkl_commute", grid.to_json_dict())
+def _dunkl_commute(grid: GridSpec):
     pairs = list(itertools.product(grid.ns, grid.betas))
     specs = [FamilySpec(JACK, n, beta) for n, beta in pairs] + [
         spec for n, beta in pairs for spec in _laguerre_specs(n, beta, grid)
     ]
     for spec in specs:
         params = dict(_spec_params(spec), type="A" if spec.gamma is None else "B")
-        _check_relations(report, params, _dunkl_rows(spec), grid.degree)
-    return report
+        yield from _relation_cases(params, _dunkl_rows(spec), grid.degree)
 
 
-def suite_nonsym_eigen(grid: GridSpec) -> SuiteReport:
-    report = SuiteReport("nonsym_eigen", grid.to_json_dict())
+def _nonsym_eigen(grid: GridSpec):
     for n, beta in itertools.product(grid.ns, grid.betas):
         reals = [realization(spec) for spec in _family_specs(n, beta, grid)]
         chers = [[real.cherednik(j) for j in range(1, n + 1)] for real in reals]
@@ -358,62 +414,58 @@ def suite_nonsym_eigen(grid: GridSpec) -> SuiteReport:
             spectrum = composition_spectrum(comp, beta)
             # Jack everywhere, the intertwined spectra on the lighter sub-grid
             for real, c_ops in zip(reals[: 1 if sum(comp) > 2 else None], chers):
-                poly = construct(label, real.spec).poly
-                ok = all(
-                    real.apply(c_ops[j], poly) == spectrum[j] * poly for j in range(n)
-                )
-                report.record(dict(params, family=real.spec.family), ok)
-    return report
+                def case():
+                    poly = construct(label, real.spec).poly
+                    return all(
+                        real.apply(c_ops[j], poly) == spectrum[j] * poly for j in range(n)
+                    )
+
+                yield dict(params, family=real.spec.family), case
 
 
-def suite_jack_eigen(grid: GridSpec) -> SuiteReport:
-    report = SuiteReport("jack_eigen", grid.to_json_dict())
+def _jack_eigen(grid: GridSpec):
     for n, beta in itertools.product(grid.ns, grid.betas):
         spec = FamilySpec(JACK, n, beta)
         chers = [ops.cherednik_a(j, spec) for j in range(1, n + 1)]
         for lam in partitions_up_to(grid.max_weight, n):
-            params = {"n": n, "beta": beta, "lambda": list(lam)}
-            j_poly = jack(lam, spec)
-            values = [lam[i] + beta * (n - 1 - i) for i in range(n)]
-            ok = True
-            for k in range(1, n + 1):
-                image = Polynomial.zero(n)
-                for subset in itertools.combinations(range(n), k):
-                    g = j_poly.poly
-                    for idx in subset:
-                        g = chers[idx](g)
-                    image = image + g
-                expected = _elementary_symmetric(values, k) * j_poly.poly
-                if image != expected:
-                    ok = False
-                    break
-            report.record(params, ok)
-    return report
+            def case():
+                j_poly = jack(lam, spec).poly
+                values = [lam[i] + beta * (n - 1 - i) for i in range(n)]
+                for k in range(1, n + 1):
+                    image = Polynomial.zero(n)
+                    for subset in itertools.combinations(range(n), k):
+                        g = j_poly
+                        for idx in subset:
+                            g = chers[idx](g)
+                        image = image + g
+                    if image != _elementary_symmetric(values, k) * j_poly:
+                        return False
+                return True
+
+            yield {"n": n, "beta": beta, "lambda": list(lam)}, case
 
 
-def suite_jack_orth(grid: GridSpec) -> SuiteReport:
-    report = SuiteReport("jack_orth", grid.to_json_dict())
+def _jack_orth(grid: GridSpec):
     for n, beta in itertools.product(grid.ns, grid.betas):
         spec = FamilySpec(JACK, n, beta)
         labels = list(partitions_up_to(grid.max_weight, n))
         polys = {lam: jack(lam, spec).poly for lam in labels}
         for lam, mu in itertools.combinations(labels, 2):
-            value = ct_pairing(polys[lam], polys[mu], spec)
-            report.check({"n": n, "beta": beta, "pair": [list(lam), list(mu)]}, value, 0)
-    return report
+            params = {"n": n, "beta": beta, "pair": [list(lam), list(mu)]}
+            yield params, lambda: _same(ct_pairing(polys[lam], polys[mu], spec), 0)
 
 
-def _intertwine(suite: str, grid: GridSpec, family: str, gammas, sigma, every_query):
-    """sigma(Q f) == rho(Q) sigma(f) on random f, for Q a Cherednik operator
-    Dhat_j (rho(Q) = C_j of the realization) or a transposition s_ij
-    (rho(Q) = s_ij); every query per trial, or one in turn."""
-    report = SuiteReport(suite, grid.to_json_dict())
+def _intertwine(suite: str, specs, every_query: bool, grid: GridSpec):
+    """sigma(Q f) == rho(Q) sigma(f) on random f, for each of specs(n, beta,
+    grid) and Q a Cherednik operator Dhat_j (rho(Q) = C_j of the realization)
+    or a transposition s_ij (rho(Q) = s_ij); every query per trial, or one
+    in turn."""
     for n, beta in itertools.product(grid.ns, grid.betas):
         jack_sp = FamilySpec(JACK, n, beta)
-        for gamma in gammas:
-            spec = FamilySpec(family, n, beta, gamma)
+        for spec in specs(n, beta, grid):
             real = realization(spec)
-            tag = (n, beta) if gamma is None else (n, beta, str(gamma))
+            sigma = globals()[real.intertwiner]  # sigma_a or sigma_b, imported above
+            tag = (n, beta) if spec.gamma is None else (n, beta, str(spec.gamma))
             rng = _rng(grid, suite, *tag)
             queries = [
                 (
@@ -431,25 +483,11 @@ def _intertwine(suite: str, grid: GridSpec, family: str, gammas, sigma, every_qu
                 image = sigma(f, spec)
                 chosen = queries if every_query else [queries[trial % len(queries)]]
                 for name, q_op, rho_q in chosen:
-                    report.check(
-                        dict(_spec_params(spec), trial=trial, Q=name),
-                        sigma(q_op(f), spec),
-                        rho_q(image),
-                        _pretty,
-                    )
-    return report
+                    params = dict(_spec_params(spec), trial=trial, Q=name)
+                    yield params, lambda: _same(sigma(q_op(f), spec), rho_q(image), _pretty)
 
 
-def suite_intertwine_a(grid: GridSpec) -> SuiteReport:
-    return _intertwine("intertwine_A", grid, HERMITE, (None,), sigma_a, True)
-
-
-def suite_intertwine_b(grid: GridSpec) -> SuiteReport:
-    return _intertwine("intertwine_B", grid, LAGUERRE, grid.gammas, sigma_b, False)
-
-
-def suite_res_b(grid: GridSpec) -> SuiteReport:
-    report = SuiteReport("res_B", grid.to_json_dict())
+def _res_b(grid: GridSpec):
     u_degree = 6  # squared-variable degree; cheap because the action is sparse
     for n, beta in itertools.product(grid.ns, grid.betas):
         jack_sp = FamilySpec(JACK, n, beta)
@@ -458,67 +496,34 @@ def suite_res_b(grid: GridSpec) -> SuiteReport:
             cher_b = [ops.cherednik_b(j, lag_sp) for j in range(1, n + 1)]
             params = {"n": n, "beta": beta, "gamma": str(lag_sp.gamma)}
             for j in range(n):
-                ok = True
-                witness = ("", "")
-                for exps in monomials_up_to_degree(n, u_degree):
-                    f_u = Polynomial.monomial(exps)
-                    image = cher_b[j](encode_even(f_u))
-                    if any(e % 2 for e_vec in image.terms for e in e_vec):
-                        ok = False
-                        witness = (image.pretty(), "even polynomial")
-                        break
-                    lhs = decode_even(image)
-                    rhs = 2 * chers[j](f_u)
-                    if lhs != rhs:
-                        ok = False
-                        witness = (lhs.pretty(), rhs.pretty())
-                        break
-                report.record(dict(params, j=j + 1), ok, *witness)
-    return report
+                def case():
+                    for exps in monomials_up_to_degree(n, u_degree):
+                        f_u = Polynomial.monomial(exps)
+                        image = cher_b[j](encode_even(f_u))
+                        if any(e % 2 for e_vec in image.terms for e in e_vec):
+                            return Failure(image.pretty(), "even polynomial")
+                        lhs, rhs = decode_even(image), 2 * chers[j](f_u)
+                        if lhs != rhs:
+                            return Failure(lhs.pretty(), rhs.pretty())
+                    return True
+
+                yield dict(params, j=j + 1), case
 
 
-def _gram_is_sigma_jack(suite: str, grid: GridSpec, family: str, gammas):
-    report = SuiteReport(suite, grid.to_json_dict())
+def _gram_is_sigma_jack(specs, grid: GridSpec):
+    """Gram construction == intertwiner image, for each of specs(n, beta, grid)."""
     for n, beta in itertools.product(grid.ns, grid.betas):
-        for gamma in gammas:
-            spec = FamilySpec(family, n, beta, gamma)
+        for spec in specs(n, beta, grid):
             render = methodcaller("pretty", realization(spec).letter)
             for lam in partitions_up_to(grid.max_weight, n):
-                report.check(
-                    {**_spec_params(spec), "lambda": list(lam)},
+                yield {**_spec_params(spec), "lambda": list(lam)}, lambda: _same(
                     construct(lam, spec, "gram").poly,
                     construct(lam, spec, "intertwined").poly,
                     render,
                 )
-    return report
 
 
-def suite_hermite_is_sigma_jack(grid: GridSpec) -> SuiteReport:
-    return _gram_is_sigma_jack("hermite_is_sigma_jack", grid, HERMITE, (None,))
-
-
-def suite_laguerre_is_sigma_jack(grid: GridSpec) -> SuiteReport:
-    return _gram_is_sigma_jack("laguerre_is_sigma_jack", grid, LAGUERRE, grid.gammas)
-
-
-def _family_specs(n: int, beta: int, grid: GridSpec) -> list[FamilySpec]:
-    """One spec per family; Laguerre at the last gamma of the grid."""
-    return [
-        FamilySpec(JACK, n, beta),
-        FamilySpec(HERMITE, n, beta),
-        FamilySpec(LAGUERRE, n, beta, grid.gammas[-1]),
-    ]
-
-
-def _grid_specs(n: int, beta: int, grid: GridSpec) -> list[FamilySpec]:
-    """Jack, Hermite, and Laguerre at every gamma of the grid."""
-    return [FamilySpec(JACK, n, beta), FamilySpec(HERMITE, n, beta)] + _laguerre_specs(
-        n, beta, grid
-    )
-
-
-def suite_raising_all(grid: GridSpec) -> SuiteReport:
-    report = SuiteReport("raising_all", grid.to_json_dict())
+def _raising_all(grid: GridSpec):
     max_weight = min(3, grid.max_weight)
     for n, beta in itertools.product(grid.ns, grid.betas):
         for spec in _family_specs(n, beta, grid):
@@ -526,45 +531,23 @@ def suite_raising_all(grid: GridSpec) -> SuiteReport:
                 base = construct(lam, spec)
                 rows = sum(1 for p in lam if p)
                 for m in range(max(rows, 1), n + 1):
-                    params = {
-                        "family": spec.family,
-                        "n": n,
-                        "beta": beta,
-                        "lambda": list(lam),
-                        "m": m,
-                    }
-                    try:
-                        constant, _ = raising_apply(m, base)
-                    except HeckePolyError as err:
-                        report.record(params, False, str(err), "")
-                        continue
-                    report.check(params, constant, raising_constant(lam, m, spec))
-    return report
+                    yield _label_params(spec, lam, m=m), lambda: _same(
+                        raising_apply(m, base)[0], raising_constant(lam, m, spec)
+                    )
 
 
-def suite_rodrigues_all(grid: GridSpec) -> SuiteReport:
-    report = SuiteReport("rodrigues_all", grid.to_json_dict())
+def _rodrigues_all(grid: GridSpec):
     for n, beta in itertools.product(grid.ns, grid.betas):
         if beta == 0:
             continue  # hook prefactor is singular; construction falls back
         for spec in _family_specs(n, beta, grid):
             for lam in partitions_up_to(grid.max_weight, n):
-                report.check(
-                    {
-                        "family": spec.family,
-                        "n": n,
-                        "beta": beta,
-                        "lambda": list(lam),
-                    },
-                    rodrigues(lam, spec).poly,
-                    construct(lam, spec).poly,
-                    _pretty,
+                yield _label_params(spec, lam), lambda: _same(
+                    rodrigues(lam, spec).poly, construct(lam, spec).poly, _pretty
                 )
-    return report
 
 
-def suite_shift_all(grid: GridSpec) -> SuiteReport:
-    report = SuiteReport("shift_all", grid.to_json_dict())
+def _shift_all(grid: GridSpec):
     calibrations = {}
     max_weight = min(2, grid.max_weight)
     for n, beta in itertools.product(grid.ns, grid.betas):
@@ -572,60 +555,37 @@ def suite_shift_all(grid: GridSpec) -> SuiteReport:
             cal = calibrate(spec.family, n, beta, spec.gamma)
             calibrations[f"{spec.family},N={n},beta={beta}"] = cal.to_json_dict()
             delta = staircase(n)
+
+            def shifted(direction, label, label_spec, expected):
+                const, _ = shift_apply(direction, construct(label, label_spec))
+                ok = abs(const) == expected and const == cal.global_sign * expected
+                return ok or Failure(str(const), str(expected))
+
             for lam in partitions_up_to(max_weight, n):
-                params = {
-                    "family": spec.family,
-                    "n": n,
-                    "beta": beta,
-                    "lambda": list(lam),
-                }
+                params = _label_params(spec, lam)
                 c_val, ct_val = shift_constants(lam, n, beta)
                 raised = tuple(p + d for p, d in zip(lam, delta))
-                try:
-                    const, _ = shift_apply("G", construct(raised, spec))
-                    ok = abs(const) == c_val and const == cal.global_sign * c_val
-                    report.record(
-                        dict(params, direction="G"), ok, str(const), str(c_val)
-                    )
-                    upper = construct(lam, spec.with_beta(beta + 1))
-                    const2, _ = shift_apply("G_hat", upper)
-                    ok = abs(const2) == ct_val and const2 == cal.global_sign * ct_val
-                    report.record(
-                        dict(params, direction="G_hat"), ok, str(const2), str(ct_val)
-                    )
-                    report.record(
-                        dict(params, relation="norm recursion"),
-                        norm_recursion_check(lam, spec),
-                    )
-                except HeckePolyError as err:
-                    report.record(params, False, str(err), "")
-    report.calibration = calibrations
-    return report
+                yield dict(params, direction="G"), partial(shifted, "G", raised, spec, c_val)
+                yield (dict(params, direction="G_hat"),
+                       partial(shifted, "G_hat", lam, spec.with_beta(beta + 1), ct_val))
+                yield (dict(params, relation="norm recursion"),
+                       partial(norm_recursion_check, lam, spec))
+    return calibrations
 
 
-def suite_duality_all(grid: GridSpec) -> SuiteReport:
-    report = SuiteReport("duality_all", grid.to_json_dict())
+def _duality_all(grid: GridSpec):
     for n, beta in itertools.product(grid.ns, grid.betas):
         for spec in _grid_specs(n, beta, grid):
             rng = _rng(grid, "duality", spec.family, n, beta, str(spec.gamma))
             for trial in range(grid.pairs):
                 f = random_symmetric_polynomial(n, 3, rng)
                 g = random_symmetric_polynomial(n, 3, rng)
-                report.record(
-                    {
-                        "family": spec.family,
-                        "n": n,
-                        "beta": beta,
-                        "gamma": str(spec.gamma),
-                        "trial": trial,
-                    },
-                    duality_check(f, g, spec),
-                )
-    return report
+                params = {"family": spec.family, "n": n, "beta": beta,
+                          "gamma": str(spec.gamma), "trial": trial}
+                yield params, partial(duality_check, f, g, spec)
 
 
-def suite_norms_all(grid: GridSpec) -> SuiteReport:
-    report = SuiteReport("norms_all", grid.to_json_dict())
+def _norms_all(grid: GridSpec):
     for n, beta in itertools.product(grid.ns, grid.betas):
         specs = _grid_specs(n, beta, grid)
         for lam in partitions_up_to(grid.max_weight, n):
@@ -634,33 +594,20 @@ def suite_norms_all(grid: GridSpec) -> SuiteReport:
                 value = realization(spec).pair(poly, poly)
                 params = {**_spec_params(spec), "family": spec.family, "lambda": list(lam)}
                 for form in ("product_form", "hook_form"):
-                    report.check(
-                        dict(params, form=form),
-                        value,
-                        norm_formula(lam, spec, form),
-                        _render,
+                    yield dict(params, form=form), lambda: _same(
+                        value, norm_formula(lam, spec, form), _render
                     )
-    return report
 
 
-def suite_norm_equiv_appb(grid: GridSpec) -> SuiteReport:
-    report = SuiteReport("norm_equiv_appB", grid.to_json_dict())
+def _norm_equiv_appb(grid: GridSpec):
     for n, beta in itertools.product(grid.ns, grid.betas):
         for spec in _grid_specs(n, beta, grid):
             for lam in partitions_up_to(grid.max_weight, n):
-                report.check(
-                    {
-                        "family": spec.family,
-                        "n": n,
-                        "beta": beta,
-                        "gamma": str(spec.gamma),
-                        "lambda": list(lam),
-                    },
+                yield _label_params(spec, lam, gamma=str(spec.gamma)), lambda: _same(
                     norm_formula(lam, spec, "product_form"),
                     norm_formula(lam, spec, "hook_form"),
                     _render,
                 )
-    return report
 
 
 def _w0_words(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -696,12 +643,11 @@ def _appendix_rows(n: int, beta: int):
     yield "(1 - eps w0) o P- = 0", complement * p_minus, zero
 
 
-def suite_appendix_a(grid: GridSpec) -> SuiteReport:
-    report = SuiteReport("appendix_A", grid.to_json_dict())
+def _appendix_a(grid: GridSpec):
     deg = min(4, grid.degree)
     for n, beta in itertools.product(grid.ns, grid.betas):
         params = {"n": n, "beta": beta}
-        _check_relations(report, params, _appendix_rows(n, beta), deg)
+        yield from _relation_cases(params, _appendix_rows(n, beta), deg)
         jack_sp, herm_sp, lag_sp = _family_specs(n, beta, grid)
         for relation, spec, form in (
             ("deformed P- annihilates (Y'-Yhat') f", jack_sp, "primitive"),
@@ -709,94 +655,91 @@ def suite_appendix_a(grid: GridSpec) -> SuiteReport:
             ("P- annihilates (Y-Yhat) f, Hermite model", herm_sp, "rho"),
             ("P- annihilates (Y-Yhat) f, Laguerre model", lag_sp, "rho"),
         ):
-            report.record(
-                dict(params, relation=relation),
-                antisymmetrizer_lemma_check(spec, deg, form=form),
-            )
-    return report
+            case = partial(antisymmetrizer_lemma_check, spec, deg, form=form)
+            yield dict(params, relation=relation), case
 
 
-def suite_dunkl_pairing_prop(grid: GridSpec) -> SuiteReport:
-    report = SuiteReport("dunkl_pairing_prop", grid.to_json_dict())
+def _dunkl_pairing_prop(grid: GridSpec):
     verdict: dict[str, bool] = {}
     for n, beta in itertools.product(grid.ns, grid.betas):
         herm_sp = FamilySpec(HERMITE, n, beta)
         one = gauss_pairing(Polynomial.one(n), Polynomial.one(n), herm_sp)
         rng = _rng(grid, "dunkl_pairing", n, beta)
-        cases = []
+        trials = []
         for _ in range(6):
             f = random_symmetric_polynomial(n, 3, rng)
             g = random_symmetric_polynomial(n, 3, rng)
             lhs = gauss_pairing(sigma_a(f, herm_sp), sigma_a(g, herm_sp), herm_sp)
-            cases.append((f, g, lhs))
+            trials.append((f, g, lhs))
+
+        def agrees(tag, variant, scale):
+            ok = all(
+                lhs.q == one.q * dunkl_pairing(f, g, herm_sp, variant, scale)
+                for f, g, lhs in trials
+            )
+            verdict[tag] = verdict.get(tag, True) and ok
+            return ok
+
         for variant in ("dunkl", "cherednik"):
             for scale in (Fraction(1), Fraction(1, 2)):
                 tag = f"{variant},scale={scale}"
-                all_ok = True
-                for f, g, lhs in cases:
-                    rhs = one.q * dunkl_pairing(f, g, herm_sp, variant, scale)
-                    if lhs.q != rhs:
-                        all_ok = False
-                        break
-                verdict.setdefault(tag, True)
-                verdict[tag] = verdict[tag] and all_ok
-                if variant == "dunkl" and scale == Fraction(1, 2):
-                    report.record(
-                        {"n": n, "beta": beta, "choice": tag}, all_ok
-                    )
-    report.calibration = {
+                case = partial(agrees, tag, variant, scale)
+                if tag == "dunkl,scale=1/2":  # the one choice recorded as a case
+                    yield {"n": n, "beta": beta, "choice": tag}, case
+                else:
+                    case()
+    return {
         "proportionality": verdict,
         "resolved": "plain Dunkl operators at per-variable scale 1/2 "
         "(the rational ladder convention halves each substituted variable)",
     }
-    return report
 
 
-def suite_sutherland_form(grid: GridSpec) -> SuiteReport:
-    report = SuiteReport("sutherland_form", grid.to_json_dict())
+def _sutherland_form(grid: GridSpec):
     for n, beta in itertools.product(grid.ns, grid.betas):
         spec = FamilySpec(JACK, n, beta)
         chers = [ops.cherednik_a(j, spec) for j in range(1, n + 1)]
         offset = Fraction(beta * (n - 1), 2)
         for lam in partitions_up_to(min(5, grid.max_weight + 1), n):
-            f = monomial_symmetric(n, lam)
-            restricted = Polynomial.zero(n)
-            for op in chers:
-                g = op(f) - offset * f
-                restricted = restricted + (op(g) - offset * g)
-            report.check(
-                {"n": n, "beta": beta, "lambda": list(lam)},
-                restricted,
-                ops.sutherland_expanded_apply(f, beta),
-                _pretty,
-            )
-    return report
+            def case():
+                f = monomial_symmetric(n, lam)
+                restricted = Polynomial.zero(n)
+                for op in chers:
+                    g = op(f) - offset * f
+                    restricted = restricted + (op(g) - offset * g)
+                return _same(restricted, ops.sutherland_expanded_apply(f, beta), _pretty)
+
+            yield {"n": n, "beta": beta, "lambda": list(lam)}, case
 
 
 # ---------------------------------------------------------------------------
 # registry
 
 
+# name -> grid -> SuiteReport, one distinct callable per suite
 SUITES = {
-    "daha_relations": suite_daha_relations,
-    "dunkl_commute": suite_dunkl_commute,
-    "nonsym_eigen": suite_nonsym_eigen,
-    "jack_eigen": suite_jack_eigen,
-    "jack_orth": suite_jack_orth,
-    "intertwine_A": suite_intertwine_a,
-    "intertwine_B": suite_intertwine_b,
-    "res_B": suite_res_b,
-    "hermite_is_sigma_jack": suite_hermite_is_sigma_jack,
-    "laguerre_is_sigma_jack": suite_laguerre_is_sigma_jack,
-    "raising_all": suite_raising_all,
-    "rodrigues_all": suite_rodrigues_all,
-    "shift_all": suite_shift_all,
-    "duality_all": suite_duality_all,
-    "norms_all": suite_norms_all,
-    "norm_equiv_appB": suite_norm_equiv_appb,
-    "appendix_A": suite_appendix_a,
-    "dunkl_pairing_prop": suite_dunkl_pairing_prop,
-    "sutherland_form": suite_sutherland_form,
+    name: partial(_run_cases, name, cases)
+    for name, cases in (
+        ("daha_relations", _daha_relations),
+        ("dunkl_commute", _dunkl_commute),
+        ("nonsym_eigen", _nonsym_eigen),
+        ("jack_eigen", _jack_eigen),
+        ("jack_orth", _jack_orth),
+        ("intertwine_A", partial(_intertwine, "intertwine_A", _hermite_specs, True)),
+        ("intertwine_B", partial(_intertwine, "intertwine_B", _laguerre_specs, False)),
+        ("res_B", _res_b),
+        ("hermite_is_sigma_jack", partial(_gram_is_sigma_jack, _hermite_specs)),
+        ("laguerre_is_sigma_jack", partial(_gram_is_sigma_jack, _laguerre_specs)),
+        ("raising_all", _raising_all),
+        ("rodrigues_all", _rodrigues_all),
+        ("shift_all", _shift_all),
+        ("duality_all", _duality_all),
+        ("norms_all", _norms_all),
+        ("norm_equiv_appB", _norm_equiv_appb),
+        ("appendix_A", _appendix_a),
+        ("dunkl_pairing_prop", _dunkl_pairing_prop),
+        ("sutherland_form", _sutherland_form),
+    )
 }
 
 # operations exercised by each suite (union must cover the public surface;
@@ -830,21 +773,12 @@ SUITE_OPERATIONS = {
 
 
 def run_suite(name: str, grid: GridSpec | None = None) -> SuiteReport:
-    """Run one suite.  A suite that raises fails with one case that carries
-    the exception, so the suites after it still run."""
     if name not in SUITES:
         raise ValueError(f"unknown suite name {name!r}")
-    grid = grid or GridSpec()
-    try:
-        return SUITES[name](grid)
-    except Exception as exc:
-        report = SuiteReport(name, grid.to_json_dict())
-        report.record({"exception": type(exc).__name__, "message": str(exc)}, False)
-        return report
+    return SUITES[name](grid or GridSpec())
 
 
 def run_all(grid: GridSpec | None = None, names=None) -> list[SuiteReport]:
-    grid = grid or GridSpec()
     return [run_suite(name, grid) for name in names or SUITES]
 
 

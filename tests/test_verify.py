@@ -156,7 +156,6 @@ def test_empty_suite_fails():
 def test_appendix_a_reduced_words():
     from heckepoly.combinatorics import (
         compose,
-        identity_perm,
         longest_element,
         transposition,
     )
@@ -166,26 +165,29 @@ def test_appendix_a_reduced_words():
         words = _w0_words(n)
         for word in words:
             assert len(word) == n * (n - 1) // 2
-            product = identity_perm(n)
+            product = tuple(range(1, n + 1))
             for i in word:
                 product = compose(product, transposition(n, i, i + 1))
             assert product == longest_element(n)
         assert (words[0] != words[1]) == (n >= 3)
 
 
-def test_check_renders_witnesses_only_on_failure():
-    from heckepoly.verify import SuiteReport
+def test_same_renders_witnesses_only_on_failure():
+    from heckepoly.verify import _run_cases, _same
 
     def render(value):
         rendered.append(value)
         return f"<{value}>"
 
     rendered = []
-    report = SuiteReport("demo", {})
-    report.check({"case": 1}, Fraction(1, 2), Fraction(1, 2), render)
-    assert rendered == [] and report.passed
-    report.check({"case": 2}, Fraction(1, 2), 0, render)
-    report.check({"case": 3}, Fraction(1, 3), 0)
+    assert _same(Fraction(1, 2), Fraction(1, 2), render) is True
+    assert rendered == []
+    cases = [
+        ({"case": 1}, lambda: _same(Fraction(1, 2), Fraction(1, 2), render)),
+        ({"case": 2}, lambda: _same(Fraction(1, 2), 0, render)),
+        ({"case": 3}, lambda: _same(Fraction(1, 3), 0)),
+    ]
+    report = _run_cases("demo", lambda grid: iter(cases), SMALL)
     assert rendered == [Fraction(1, 2), 0]
     assert report.cases_run == 3 and report.cases_passed == 1
     assert report.failures == [
@@ -196,14 +198,22 @@ def test_check_renders_witnesses_only_on_failure():
 
 RELATION_SUITES = ("daha_relations", "dunkl_commute", "appendix_A")
 
+# cases per suite, in SUITES order
+CASE_COUNTS = {
+    "small": (22, 32, 44, 12, 30, 24, 8, 4, 12, 12, 60, 18, 72, 18, 72, 36, 20, 2, 18),
+    "default": (132, 378, 246, 60, 273, 1350, 900, 45, 60, 180, 243, 120, 216, 600,
+                600, 300, 72, 6, 84),
+}
+SMALL_COUNTS = dict(zip(SUITES, CASE_COUNTS["small"]))
+
 
 @pytest.mark.parametrize(
     "grid, counts",
-    [(SMALL, (22, 32, 20)), (GridSpec(), (132, 378, 72))],
+    [(SMALL, CASE_COUNTS["small"]), (GridSpec(), CASE_COUNTS["default"])],
     ids=["small", "default"],
 )
-def test_relation_tables_keep_every_case(grid, counts):
-    assert [run_suite(name, grid).cases_run for name in RELATION_SUITES] == list(counts)
+def test_suites_keep_every_case(grid, counts):
+    assert [run_suite(name, grid).cases_run for name in SUITES] == list(counts)
 
 
 def _shift_last_cherednik(cherednik_a):
@@ -243,8 +253,8 @@ def test_relation_tables_catch_planted_defect(name, monkeypatch):
 
 
 def test_crashing_suite_is_reported(monkeypatch, capsys):
-    """With Dhat_N + 1 planted, several suites raise; each becomes one
-    failing case carrying the exception, and every suite still reports."""
+    """With Dhat_N + 1 planted, many cases raise; each fails alone, carrying
+    its params and the exception, and every suite still reports."""
     from heckepoly.cli import main
 
     attr, plant = PLANTED["daha_relations"]
@@ -266,8 +276,15 @@ def test_crashing_suite_is_reported(monkeypatch, capsys):
     crashed = [r for r in reports if any("exception" in f["params"] for f in r.failures)]
     assert crashed and not any(r.passed for r in crashed)
     for report in crashed:
-        assert (report.cases_run, report.cases_passed) == (1, 0)
-        assert set(report.failures[0]["params"]) == {"exception", "message"}
+        *inside, last = [f["params"] for f in report.failures if "exception" in f["params"]]
+        # a case that raises fails alone, with its own params ...
+        assert all(set(params) > {"exception", "message"} for params in inside)
+        if set(last) > {"exception", "message"}:
+            assert report.cases_run == SMALL_COUNTS[report.suite]  # ... and the rest still run
+        else:  # raised between cases: the suite ends there, keeping the cases run
+            assert report.failures[-1]["params"] is last
+            assert report.cases_run < SMALL_COUNTS[report.suite]
+    assert any(r.cases_run == SMALL_COUNTS[r.suite] for r in crashed)
     assert "jack_orth" in {r.suite for r in crashed}
     orth = next(r for r in crashed if r.suite == "jack_orth")
     assert "N=2, beta=0" in orth.failures[0]["params"]["message"]  # names the case
@@ -276,3 +293,52 @@ def test_crashing_suite_is_reported(monkeypatch, capsys):
     assert code == 1
     assert len([line for line in out.splitlines() if not line.startswith(" ")]) == len(SUITES)
     assert '"exception": "ValueError"' in out
+
+
+def test_crash_in_one_case_keeps_the_others(monkeypatch):
+    """A case that raises fails alone: every other case of its suite runs."""
+    from heckepoly import verify
+
+    raising_constant = verify.raising_constant
+    crashing = ((2, 1), 2, "hermite", 1)  # lambda, m, family, beta
+
+    def planted(lam, m, spec):
+        if (tuple(lam), m, spec.family, spec.beta) == crashing:
+            raise RuntimeError("planted")
+        return raising_constant(lam, m, spec)
+
+    ops.clear_caches()
+    families.clear_caches()
+    monkeypatch.setattr(verify, "raising_constant", planted)
+    try:
+        report = run_suite("raising_all", SMALL)
+    finally:
+        monkeypatch.undo()
+        ops.clear_caches()
+        families.clear_caches()
+    assert report.cases_run == SMALL_COUNTS["raising_all"]
+    assert report.cases_passed == report.cases_run - 1
+    params = {"family": "hermite", "n": 2, "beta": 1, "lambda": [2, 1], "m": 2}
+    assert report.failures == [{
+        "params": {**params, "exception": "RuntimeError", "message": "planted"},
+        "lhs": "",
+        "rhs": "",
+    }]
+
+
+def test_rodrigues_error_names_the_case(monkeypatch):
+    from heckepoly.errors import HeckePolyError
+    from heckepoly.parameters import jack_spec
+    from heckepoly.raising import rodrigues
+
+    attr, plant = PLANTED["daha_relations"]
+    ops.clear_caches()
+    families.clear_caches()
+    monkeypatch.setattr(ops, attr, plant(getattr(ops, attr)))
+    try:
+        with pytest.raises((HeckePolyError, ValueError), match="at N=2, beta=1, lambda="):
+            rodrigues((2, 1), jack_spec(2, 1))
+    finally:
+        monkeypatch.undo()
+        ops.clear_caches()
+        families.clear_caches()
