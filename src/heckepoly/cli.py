@@ -13,6 +13,17 @@ Conventions: partitions are comma lists ("2,1"; empty string = empty
 partition), permutations are one-line comma lists ("2,1,3"), rationals are
 "p/q" strings.  Output is byte-deterministic for a fixed invocation and
 seed.
+
+Exit codes, for every command:
+  0  everything passed
+  1  a counterexample: a verify case failed, or a check the command runs
+     came out false (a raise or shift image not proportional to its
+     target, a construction that is not triangular)
+  2  a usage or input error: bad options, a malformed value, a grid out
+     of bounds, a label or parameter the construction rejects
+A counterexample outside ``verify`` and every input error end in one
+``error: ...`` (or ``usage error: ...``) line on stderr; an option the
+argument parser rejects also prints the usage line.
 """
 
 from __future__ import annotations
@@ -23,9 +34,17 @@ import io
 import json
 import sys
 from fractions import Fraction
+from typing import NoReturn
 
 from . import operators as ops_module
-from .errors import HeckePolyError
+from .errors import (
+    AmbientSizeMismatch,
+    DivergentWeightError,
+    EvennessViolation,
+    HeckePolyError,
+    RodriguesSingularError,
+    TypeBContextError,
+)
 from .families import NonSymLabel, construct, realization
 from .parameters import FamilySpec, LAGUERRE
 from .pairings import norm_formula
@@ -35,6 +54,27 @@ from .shift import calibrate, shift_apply
 from .verify import GridSpec, SUITES, reports_to_json, run_all
 
 
+EXIT_PASS, EXIT_COUNTEREXAMPLE, EXIT_INPUT = 0, 1, 2
+
+# errors that reject the input; any other HeckePolyError is a failed check
+_INPUT_ERRORS = (
+    ValueError,
+    AmbientSizeMismatch,
+    DivergentWeightError,
+    EvennessViolation,
+    RodriguesSingularError,
+    TypeBContextError,
+)
+
+
+def _fail(message: str, err: Exception | None = None) -> NoReturn:
+    """Write the one-line message to stderr and exit with EXIT_INPUT, or
+    with EXIT_COUNTEREXAMPLE when err is a failed check."""
+    sys.stderr.write(message + "\n")
+    failed_check = err is not None and not isinstance(err, _INPUT_ERRORS)
+    raise SystemExit(EXIT_COUNTEREXAMPLE if failed_check else EXIT_INPUT)
+
+
 def parse_partition(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
@@ -42,7 +82,7 @@ def parse_partition(text: str) -> tuple[int, ...]:
     try:
         parts = tuple(int(p) for p in text.split(","))
     except ValueError:
-        raise SystemExit(f"usage error: malformed partition {text!r}")
+        _fail(f"usage error: malformed partition {text!r}")
     return parts
 
 
@@ -50,14 +90,14 @@ def parse_permutation(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(p) for p in text.split(","))
     except ValueError:
-        raise SystemExit(f"usage error: malformed permutation {text!r}")
+        _fail(f"usage error: malformed permutation {text!r}")
 
 
 def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise SystemExit(f"usage error: malformed rational {text!r}")
+        _fail(f"usage error: malformed rational {text!r}")
 
 
 def int_list(text: str) -> tuple[int, ...]:
@@ -79,11 +119,11 @@ def rational_list(text: str) -> tuple[Fraction, ...]:
 def _spec_from(args) -> FamilySpec:
     gamma = parse_rational(args.gamma) if args.gamma is not None else None
     if args.family == LAGUERRE and gamma is None:
-        raise SystemExit("usage error: the laguerre family needs --gamma")
+        _fail("usage error: the laguerre family needs --gamma")
     try:
         return FamilySpec(args.family, args.n, args.beta, gamma)
     except ValueError as err:
-        raise SystemExit(f"usage error: {err}")
+        _fail(f"usage error: {err}")
 
 
 def _emit(args, text: str) -> None:
@@ -104,7 +144,7 @@ def cmd_poly(args) -> int:
             label = NonSymLabel(lam + (0,) * (len(w) - len(lam)), w)
         result = construct(label, spec, args.method)
     except (HeckePolyError, ValueError) as err:
-        raise SystemExit(f"error: {err}")
+        _fail(f"error: {err}", err)
     if args.format == "json":
         _emit(args, json.dumps(result.to_json_dict(), sort_keys=True, indent=2))
     else:
@@ -114,7 +154,7 @@ def cmd_poly(args) -> int:
             f"construction: {result.construction}",
         ]
         _emit(args, "\n".join(lines))
-    return 0
+    return EXIT_PASS
 
 
 def cmd_norm(args) -> int:
@@ -123,12 +163,12 @@ def cmd_norm(args) -> int:
     try:
         value = norm_formula(lam, spec, args.form)
     except (HeckePolyError, ValueError) as err:
-        raise SystemExit(f"error: {err}")
+        _fail(f"error: {err}", err)
     if args.format == "json":
         _emit(args, json.dumps(value.to_json_dict(), sort_keys=True, indent=2))
     else:
         _emit(args, value.render())
-    return 0
+    return EXIT_PASS
 
 
 def _read_poly(text: str) -> Polynomial:
@@ -144,23 +184,23 @@ def cmd_pair(args) -> int:
         f = _read_poly(args.f)
         g = _read_poly(args.g)
     except (HeckePolyError, OSError, ValueError, KeyError, TypeError) as err:
-        raise SystemExit(f"error: cannot read polynomial: {err}")
+        _fail(f"error: cannot read polynomial: {err}")
     try:
         if args.apply_f:
             f = ops_module.operator_from_string(args.apply_f, spec)(f)
         if args.apply_g:
             g = ops_module.operator_from_string(args.apply_g, spec)(g)
     except (HeckePolyError, ValueError, KeyError) as err:
-        raise SystemExit(f"usage error: {err}")
+        _fail(f"usage error: {err}")
     try:
         value = realization(spec).pair(f, g)
     except (HeckePolyError, ValueError) as err:
-        raise SystemExit(f"error: {err}")
+        _fail(f"error: {err}", err)
     if args.format == "json":
         _emit(args, json.dumps(value.to_json_dict(), sort_keys=True, indent=2))
     else:
         _emit(args, value.render())
-    return 0
+    return EXIT_PASS
 
 
 def cmd_raise(args) -> int:
@@ -170,7 +210,7 @@ def cmd_raise(args) -> int:
         base = construct(lam, spec, args.method)
         constant, raised = raising_apply(args.m, base)
     except (HeckePolyError, ValueError) as err:
-        raise SystemExit(f"error: {err}")
+        _fail(f"error: {err}", err)
     if args.format == "json":
         payload = {
             "constant": str(constant),
@@ -183,7 +223,7 @@ def cmd_raise(args) -> int:
             f"constant: {constant}\nlabel: {list(raised.label)}\n"
             + raised.poly.pretty(realization(spec).letter),
         )
-    return 0
+    return EXIT_PASS
 
 
 def cmd_shift(args) -> int:
@@ -193,7 +233,7 @@ def cmd_shift(args) -> int:
         base = construct(lam, spec, args.method)
         constant, shifted = shift_apply(args.direction, base)
     except (HeckePolyError, ValueError) as err:
-        raise SystemExit(f"error: {err}")
+        _fail(f"error: {err}", err)
     report = calibrate(
         spec.family,
         spec.n,
@@ -214,7 +254,7 @@ def cmd_shift(args) -> int:
             f"{shifted.spec.beta}\ncalibration: {json.dumps(report.to_json_dict(), sort_keys=True)}\n"
             + shifted.poly.pretty(realization(spec).letter),
         )
-    return 0
+    return EXIT_PASS
 
 
 def _grid_from(args) -> GridSpec:
@@ -230,7 +270,7 @@ def _grid_from(args) -> GridSpec:
             rand_polys=args.rand_polys,
         )
     except ValueError as err:
-        raise SystemExit(f"error: {err}")
+        _fail(f"error: {err}", err)
 
 
 def cmd_verify(args) -> int:
@@ -250,7 +290,7 @@ def cmd_verify(args) -> int:
             for failure in rep.failures:
                 lines.append(f"  counterexample: {json.dumps(failure, sort_keys=True)}")
         _emit(args, "\n".join(lines))
-    return 0 if all(r.passed for r in reports) else 1
+    return EXIT_PASS if all(r.passed for r in reports) else EXIT_COUNTEREXAMPLE
 
 
 def cmd_table(args) -> int:
@@ -264,7 +304,7 @@ def cmd_table(args) -> int:
             norm_product = norm_formula(lam, spec, "product_form").render()
             norm_hook = norm_formula(lam, spec, "hook_form").render()
         except (HeckePolyError, ValueError) as err:
-            raise SystemExit(f"error: {err}")
+            _fail(f"error: {err}", err)
         rows.append(
             {
                 "family": spec.family,
@@ -297,7 +337,7 @@ def cmd_table(args) -> int:
         writer.writeheader()
         writer.writerows(rows)
         _emit(args, buffer.getvalue())
-    return 0
+    return EXIT_PASS
 
 
 def build_parser() -> argparse.ArgumentParser:

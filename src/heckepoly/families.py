@@ -46,10 +46,18 @@ e_k(Dhat) images of the m_mu of weight |lam| (one operator application per
 nonempty index subset, expanded by orbit in int) with their e_k
 eigenvalues.
 
-Constructions, weights, moments, pairing kernels, orbits, orbit
-numerators and the shift calibration are cached for the life of the
-process; ``cache_info`` reports the entries each cache holds and
-``clear_caches`` empties them.
+Every construction is cached once it is checked: one dict maps (padded
+partition or NonSymLabel, spec, route) to its FamilyPolynomial, for every
+route of both kinds of label (``raising.rodrigues`` shares the entry of
+``construct(lam, spec, "rodrigues")``).  It is filled below the public
+constructors, so a route body and its triangularity check run once per
+key; a route never reads another route's entry, so a cross-check compares
+two constructions; a construction that raises is not stored.  Weights,
+moments, pairing kernels, orbits, orbit numerators, Vandermonde products
+and the shift calibration are cached too, all for the life of the
+process; ``cache_info`` reports the entries each cache holds (the
+constructions as ``families.constructions``) and ``clear_caches`` empties
+them.
 """
 
 from __future__ import annotations
@@ -57,7 +65,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from . import operators as ops
 from . import pairings
@@ -375,14 +382,16 @@ def _eigen_solve(basis, columns, eigen, top: int, case: str) -> tuple[list[int],
 def nonsym_jack(label: NonSymLabel, spec: FamilySpec) -> FamilyPolynomial:
     if spec.family != JACK:
         raise ValueError("nonsym_jack needs a Jack spec")
-    lam = pad_partition(label.lam, spec.n)
-    label = NonSymLabel(lam, label.w)
-    poly, spectrum = _nonsym_jack_poly(label.composition(), spec.n, spec.beta)
-    _assert_nonsym_triangular(poly, label)
-    return FamilyPolynomial(label, spec, poly, "triangular", spectrum)
+    label = NonSymLabel(pad_partition(label.lam, spec.n), label.w)
+
+    def build():
+        poly, spectrum = _nonsym_jack_poly(label.composition(), spec.n, spec.beta)
+        _assert_nonsym_triangular(poly, label)
+        return FamilyPolynomial(label, spec, poly, "triangular", spectrum)
+
+    return _checked((label, spec, "triangular"), build)
 
 
-@lru_cache(maxsize=None)
 def _nonsym_jack_poly(comp, n: int, beta: int):
     """Joint Dhat_j eigenvector with leading monomial x^comp on the monomials
     of degree |comp|, by ``_eigen_solve``; returns (polynomial, spectrum)."""
@@ -433,18 +442,16 @@ def _symmetric(lam, spec: FamilySpec, method: str) -> FamilyPolynomial:
     if method not in realization(spec).symmetric_routes:
         raise ValueError(f"unknown {spec.family.capitalize()} construction {method!r}")
     lam = pad_partition(lam, spec.n)
-    if method == "rodrigues":
-        from .raising import rodrigues
 
-        return rodrigues(lam, spec)
-    poly = _ROUTES[method](lam, spec)
-    _assert_symmetric_triangular(poly, lam, spec)
-    return FamilyPolynomial(
-        lam, spec, poly, method, symmetric_spectrum(lam, spec.n, spec.beta)
-    )
+    def build():
+        poly = _ROUTES[method](lam, spec)
+        _assert_symmetric_triangular(poly, lam, spec)
+        spectrum = symmetric_spectrum(lam, spec.n, spec.beta)
+        return FamilyPolynomial(lam, spec, poly, method, spectrum)
+
+    return _checked((lam, spec, method), build)
 
 
-@lru_cache(maxsize=None)
 def _jack_triangular(lam, n: int, beta: int) -> Polynomial:
     """Joint e_k(Dhat_1..Dhat_N) eigenvector with leading m_lam on the
     monomial-symmetric basis of weight |lam|, by ``_eigen_solve``; the
@@ -487,7 +494,8 @@ def _elementary_images(f: Polynomial, chers) -> list[dict]:
 
 
 def _jack_symmetrized(lam, n: int, beta: int) -> Polynomial:
-    e_poly, _ = _nonsym_jack_poly(lam, n, beta)  # composition = lam, w = id
+    identity = tuple(range(1, n + 1))  # composition = lam
+    e_poly = nonsym_jack(NonSymLabel(lam, identity), FamilySpec(JACK, n, beta)).poly
     total = Polynomial.zero(n)
     for w in all_permutations(n):
         total = total + apply_permutation(w, e_poly)
@@ -567,7 +575,6 @@ def _intertwined(lam, spec: FamilySpec) -> Polynomial:
     return globals()[realization(spec).intertwiner](jack_poly, spec)
 
 
-@lru_cache(maxsize=None)
 def _gram(lam, spec: FamilySpec) -> Polynomial:
     """Monic-in-m_lam polynomial orthogonal to every m_mu with mu strictly
     below lam in the cross-degree dominance order, under the Gauss or
@@ -637,13 +644,19 @@ def _solve_bareiss(rows, rhs) -> list[Fraction]:
     return [Fraction(v, prev) for v in scaled]
 
 
-# symmetric route -> the monic polynomial of a padded label (Rodrigues
-# returns a FamilyPolynomial of its own, see ``_symmetric``)
+def _rodrigues(lam, spec: FamilySpec) -> Polynomial:
+    from .raising import _rodrigues_chain  # raising imports this module
+
+    return _rodrigues_chain(lam, spec)
+
+
+# symmetric route -> the monic polynomial of a padded label
 _ROUTES = {
     "triangular": lambda lam, spec: _jack_triangular(lam, spec.n, spec.beta),
     "symmetrized": lambda lam, spec: _jack_symmetrized(lam, spec.n, spec.beta),
     "gram": _gram,
     "intertwined": _intertwined,
+    "rodrigues": _rodrigues,
 }
 
 
@@ -668,13 +681,15 @@ def nonsym_laguerre(label: NonSymLabel, spec: FamilySpec) -> FamilyPolynomial:
 
 
 def _nonsym_intertwined(label: NonSymLabel, spec: FamilySpec) -> FamilyPolynomial:
-    base = nonsym_jack(
-        NonSymLabel(pad_partition(label.lam, spec.n), label.w),
-        FamilySpec(JACK, spec.n, spec.beta),
-    )
-    poly = globals()[realization(spec).intertwiner](base.poly, spec)
-    _assert_nonsym_triangular(poly, base.label)
-    return FamilyPolynomial(base.label, spec, poly, "intertwined", base.eigenvalues)
+    label = NonSymLabel(pad_partition(label.lam, spec.n), label.w)
+
+    def build():
+        base = nonsym_jack(label, FamilySpec(JACK, spec.n, spec.beta))
+        poly = globals()[realization(spec).intertwiner](base.poly, spec)
+        _assert_nonsym_triangular(poly, label)
+        return FamilyPolynomial(label, spec, poly, "intertwined", base.eigenvalues)
+
+    return _checked((label, spec, "intertwined"), build)
 
 
 def construct(label, spec: FamilySpec, method: str | None = None) -> FamilyPolynomial:
@@ -696,15 +711,27 @@ def construct(label, spec: FamilySpec, method: str | None = None) -> FamilyPolyn
 # ---------------------------------------------------------------------------
 # caches
 
+# (padded partition or NonSymLabel, spec, route) -> its checked
+# FamilyPolynomial; every route of every family fills it
+_CONSTRUCTIONS: dict = {}
+
+
+def _checked(key, build) -> FamilyPolynomial:
+    """The construction of key = (padded label, spec, route): cached, or
+    built and checked by ``build()`` and stored.  An exception stores
+    nothing, so it is raised again on every request."""
+    found = _CONSTRUCTIONS.get(key)
+    if found is None:
+        found = _CONSTRUCTIONS[key] = build()
+    return found
+
 
 def _lru_caches() -> dict:
-    from . import combinatorics, shift  # shift imports this module
+    from . import combinatorics, polynomials, shift  # shift imports this module
 
     caches = (
         combinatorics.orbit,
-        _nonsym_jack_poly,
-        _jack_triangular,
-        _gram,
+        polynomials.vandermonde,
         pairings._vandermonde_power,
         pairings._weight_terms,
         pairings._ct_weight,
@@ -720,17 +747,20 @@ def _lru_caches() -> dict:
 
 
 def cache_info() -> dict[str, int]:
-    """Entries held by each construction and pairing cache (the lru_caches
-    of families and pairings, combinatorics.orbit, shift.calibrate, and
-    the pairings' orbit numerators).
+    """Entries held by each construction and pairing cache: the checked
+    constructions (``families.constructions``), the lru_caches of pairings,
+    combinatorics.orbit, polynomials.vandermonde and shift.calibrate, and
+    the pairings' orbit numerators.
     The operator memo has its own ``operators.cache_info``."""
-    info = {name: fn.cache_info().currsize for name, fn in _lru_caches().items()}
+    info = {"families.constructions": len(_CONSTRUCTIONS)}
+    info.update((name, fn.cache_info().currsize) for name, fn in _lru_caches().items())
     info["pairings.orbit_numerators"] = sum(map(len, _ORBIT_NUMERATORS.values()))
     return info
 
 
 def clear_caches() -> None:
     """Empty every cache that ``cache_info`` reports."""
+    _CONSTRUCTIONS.clear()
     for fn in _lru_caches().values():
         fn.cache_clear()
     _ORBIT_NUMERATORS.clear()

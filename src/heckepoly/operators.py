@@ -13,7 +13,8 @@ every primitive image.
 Applying an operator adds c * T(f) for every term into one accumulator
 dict: no intermediate ``Polynomial`` per node.  ``__call__`` scales a
 rational input to integer coefficients first and divides once at the end,
-so the arithmetic inside runs on ``int``.
+so the arithmetic inside runs on ``int``; the final rescaling by p/q
+stores v*p // q when q divides v*p, and otherwise one Fraction.
 
 Primitives act monomial by monomial and always map polynomials to
 polynomials; in particular the divided differences
@@ -225,9 +226,13 @@ class Operator:
         _accumulate(terms, src, out, 1)
         if scale == 1:
             return Polynomial._trusted(self.nvars, _clean(out))
-        return Polynomial._trusted(
-            self.nvars, {e: _canonical(v * scale) for e, v in out.items() if v}
-        )
+        p, q = scale.numerator, scale.denominator
+        scaled = {}
+        for e, v in out.items():
+            if v:
+                v *= p
+                scaled[e] = v // q if v % q == 0 else Fraction(v, q)
+        return Polynomial._trusted(self.nvars, scaled)
 
     def __add__(self, other: "Operator") -> "Operator":
         if not isinstance(other, Operator):

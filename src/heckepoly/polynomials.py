@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from operator import add
 from typing import Iterable, Iterator, Mapping
 
@@ -353,8 +354,9 @@ def monomials_up_to_degree(nvars: int, degree: int) -> Iterator[Exponent]:
         yield from monomials_of_degree(nvars, d)
 
 
+@lru_cache(maxsize=8)
 def vandermonde(nvars: int) -> Polynomial:
-    """The alternating product prod_{i<j} (x_i - x_j)."""
+    """The alternating product prod_{i<j} (x_i - x_j), built once per size."""
     result = Polynomial.one(nvars)
     for i in range(1, nvars + 1):
         for j in range(i + 1, nvars + 1):

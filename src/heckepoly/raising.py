@@ -37,13 +37,7 @@ from .combinatorics import (
     partition_cells,
 )
 from .errors import NotProportionalError, RodriguesSingularError
-from .families import (
-    FamilyPolynomial,
-    construct,
-    realization,
-    symmetric_spectrum,
-    _assert_symmetric_triangular,
-)
+from .families import FamilyPolynomial, construct, realization, _symmetric
 from .parameters import FamilySpec
 from .polynomials import Polynomial
 
@@ -124,9 +118,14 @@ def hook_product(lam, beta: int) -> Fraction:
 def rodrigues(lam, spec: FamilySpec) -> FamilyPolynomial:
     """Rodrigues-type construction: raising chain applied to 1, scaled by
     the inverse hook product (the chain constant telescopes to exactly the
-    hook product in every realization)."""
+    hook product in every realization).  The same cached construction as
+    ``construct(lam, spec, "rodrigues")``."""
+    return _symmetric(lam, spec, "rodrigues")
+
+
+def _rodrigues_chain(lam, spec: FamilySpec) -> Polynomial:
+    """The Rodrigues polynomial of the padded label lam, unchecked."""
     n, beta = spec.n, spec.beta
-    lam = pad_partition(lam, n)
     hooks = hook_product(lam, beta)
     if hooks == 0:
         raise RodriguesSingularError(
@@ -140,8 +139,4 @@ def rodrigues(lam, spec: FamilySpec) -> FamilyPolynomial:
             op = raising_operator(m, spec)
             for _ in range(steps):
                 current = op(current)
-    poly = real.decode(current) * (Fraction(1) / hooks)
-    _assert_symmetric_triangular(poly, lam, spec)
-    return FamilyPolynomial(
-        lam, spec, poly, "rodrigues", symmetric_spectrum(lam, n, beta)
-    )
+    return real.decode(current) * (Fraction(1) / hooks)

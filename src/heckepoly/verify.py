@@ -6,12 +6,15 @@ seeded generator (crc32 of the case tag mixed with the grid seed), so
 reports are byte-reproducible.
 
 A suite is a generator of cases.  Called with the grid, it yields one
-``(params, thunk)`` pair per case, computes what its cases share between
-yields, and may return a calibration dict.  A thunk returns True, False
-or a ``Failure``: the rendered witnesses and any params its check found,
-such as the first monomial on which two operators differ.  It runs before
-its generator resumes, so it may close over the loop variables.  A new
-suite is one generator, named in ``SUITES``.
+``(params, thunk)`` pair per case and may return a calibration dict.
+Work that may raise runs inside the thunks, also where cases share it:
+the family polynomials come from the construction cache of ``families``,
+and a value several cases need is computed by whichever of them runs
+first.  A thunk returns True, False or a ``Failure``: the rendered
+witnesses and any params its check found, such as the first monomial on
+which two operators differ.  It runs before its generator resumes, so it
+may close over the loop variables.  A new suite is one generator, named
+in ``SUITES``.
 
 ``_run_cases`` alone records cases.  A thunk that raises fails its case,
 whose params gain the exception type and message, and the suite goes on.
@@ -67,7 +70,7 @@ import random
 import zlib
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from operator import methodcaller
 from typing import NamedTuple
 
@@ -449,10 +452,11 @@ def _jack_orth(grid: GridSpec):
     for n, beta in itertools.product(grid.ns, grid.betas):
         spec = FamilySpec(JACK, n, beta)
         labels = list(partitions_up_to(grid.max_weight, n))
-        polys = {lam: jack(lam, spec).poly for lam in labels}
         for lam, mu in itertools.combinations(labels, 2):
             params = {"n": n, "beta": beta, "pair": [list(lam), list(mu)]}
-            yield params, lambda: _same(ct_pairing(polys[lam], polys[mu], spec), 0)
+            yield params, lambda: _same(
+                ct_pairing(jack(lam, spec).poly, jack(mu, spec).poly, spec), 0
+            )
 
 
 def _intertwine(suite: str, specs, every_query: bool, grid: GridSpec):
@@ -528,11 +532,11 @@ def _raising_all(grid: GridSpec):
     for n, beta in itertools.product(grid.ns, grid.betas):
         for spec in _family_specs(n, beta, grid):
             for lam in partitions_up_to(max_weight, n):
-                base = construct(lam, spec)
                 rows = sum(1 for p in lam if p)
                 for m in range(max(rows, 1), n + 1):
                     yield _label_params(spec, lam, m=m), lambda: _same(
-                        raising_apply(m, base)[0], raising_constant(lam, m, spec)
+                        raising_apply(m, construct(lam, spec))[0],
+                        raising_constant(lam, m, spec),
                     )
 
 
@@ -552,11 +556,12 @@ def _shift_all(grid: GridSpec):
     max_weight = min(2, grid.max_weight)
     for n, beta in itertools.product(grid.ns, grid.betas):
         for spec in _family_specs(n, beta, grid):
-            cal = calibrate(spec.family, n, beta, spec.gamma)
-            calibrations[f"{spec.family},N={n},beta={beta}"] = cal.to_json_dict()
+            key = f"{spec.family},N={n},beta={beta}"
             delta = staircase(n)
 
             def shifted(direction, label, label_spec, expected):
+                cal = calibrate(spec.family, n, beta, spec.gamma)
+                calibrations[key] = cal.to_json_dict()
                 const, _ = shift_apply(direction, construct(label, label_spec))
                 ok = abs(const) == expected and const == cal.global_sign * expected
                 return ok or Failure(str(const), str(expected))
@@ -590,12 +595,15 @@ def _norms_all(grid: GridSpec):
         specs = _grid_specs(n, beta, grid)
         for lam in partitions_up_to(grid.max_weight, n):
             for spec in specs:
-                poly = construct(lam, spec).poly
-                value = realization(spec).pair(poly, poly)
+                @cache  # once, in whichever case runs first
+                def value():
+                    poly = construct(lam, spec).poly
+                    return realization(spec).pair(poly, poly)
+
                 params = {**_spec_params(spec), "family": spec.family, "lambda": list(lam)}
                 for form in ("product_form", "hook_form"):
                     yield dict(params, form=form), lambda: _same(
-                        value, norm_formula(lam, spec, form), _render
+                        value(), norm_formula(lam, spec, form), _render
                     )
 
 

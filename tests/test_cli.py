@@ -16,6 +16,17 @@ def run_cli(args, capsys):
     return code, out
 
 
+def input_error(args, capsys) -> str:
+    """Run a command that must fail on its input: exit code 2 and exactly
+    one line on stderr, which is returned."""
+    with pytest.raises(SystemExit) as info:
+        main(args)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith("\n") and err.count("\n") == 1
+    return err[:-1]
+
+
 def test_poly_jack_example(capsys):
     code, out = run_cli(
         ["poly", "--family", "jack", "--lambda", "2,0", "--n", "2", "--beta", "1"],
@@ -103,25 +114,19 @@ _ONE_IN_3 = json.dumps(Polynomial.one(3).to_json_dict())
     ],
     ids=["divergent-weight", "size-mismatch", "malformed-json"],
 )
-def test_pair_input_errors(family, f, g, message):
-    with pytest.raises(SystemExit) as info:
-        main(["pair", "--family", *family, "--n", "2", "--beta", "1",
-              "--f", f, "--g", g])
-    text = str(info.value.code)
+def test_pair_input_errors(family, f, g, message, capsys):
+    text = input_error(["pair", "--family", *family, "--n", "2", "--beta", "1",
+                        "--f", f, "--g", g], capsys)
     assert text.startswith("error: ") and message in text
-    assert "\n" not in text
 
 
 @pytest.mark.parametrize("family", ["jack", "hermite"])
 @pytest.mark.parametrize("method", ["bogus", "gram"])
-def test_poly_nonsymmetric_rejects_foreign_route(family, method):
+def test_poly_nonsymmetric_rejects_foreign_route(family, method, capsys):
     # a non-symmetric label has one route per family; any other is an error
-    with pytest.raises(SystemExit) as info:
-        main(["poly", "--family", family, "--lambda", "1,0", "--n", "2",
-              "--beta", "1", "--w", "2,1", "--method", method])
-    text = str(info.value.code)
+    text = input_error(["poly", "--family", family, "--lambda", "1,0", "--n", "2",
+                        "--beta", "1", "--w", "2,1", "--method", method], capsys)
     assert text.startswith("error: ") and repr(method) in text
-    assert "\n" not in text
 
 
 @pytest.mark.parametrize(
@@ -133,11 +138,10 @@ def test_poly_nonsymmetric_rejects_foreign_route(family, method):
     ],
     ids=["repeated", "out-of-range", "length-mismatch"],
 )
-def test_poly_rejects_bad_permutation(lam, w, message):
-    with pytest.raises(SystemExit) as info:
-        main(["poly", "--family", "jack", "--lambda", lam, "--n", "2", "--beta", "1",
-              "--w", w])
-    assert str(info.value.code) == f"error: {message}"
+def test_poly_rejects_bad_permutation(lam, w, message, capsys):
+    text = input_error(["poly", "--family", "jack", "--lambda", lam, "--n", "2",
+                        "--beta", "1", "--w", w], capsys)
+    assert text == f"error: {message}"
 
 
 @pytest.mark.parametrize("family, method", [("jack", "triangular"),
@@ -152,11 +156,10 @@ def test_poly_nonsymmetric_accepts_its_route(family, method, capsys):
 
 
 @pytest.mark.parametrize("m", ["0", "-1", "3"])
-def test_raise_index_checked_before_label(m):
-    with pytest.raises(SystemExit) as info:
-        main(["raise", "--family", "laguerre", "--gamma", "1/2", "--lambda", "1",
-              "--n", "2", "--beta", "1", "--m", m])
-    assert str(info.value.code) == f"error: raising index {m} out of range 1..2"
+def test_raise_index_checked_before_label(m, capsys):
+    text = input_error(["raise", "--family", "laguerre", "--gamma", "1/2", "--lambda",
+                        "1", "--n", "2", "--beta", "1", "--m", m], capsys)
+    assert text == f"error: raising index {m} out of range 1..2"
 
 
 @pytest.mark.parametrize(
@@ -167,21 +170,15 @@ def test_raise_index_checked_before_label(m):
     ],
     ids=["rand-polys", "pairs"],
 )
-def test_verify_rejects_empty_grid(argv):
-    with pytest.raises(SystemExit) as info:
-        main(["verify", *argv])
-    text = str(info.value.code)
+def test_verify_rejects_empty_grid(argv, capsys):
+    text = input_error(["verify", *argv], capsys)
     assert text.startswith("error: ") and "must be positive" in text
-    assert "\n" not in text
 
 
-def test_table_divergent_weight():
-    with pytest.raises(SystemExit) as info:
-        main(["table", "--family", "laguerre", "--n", "2", "--beta", "1",
-              "--gamma", "-1", "--max-weight", "1"])
-    text = str(info.value.code)
+def test_table_divergent_weight(capsys):
+    text = input_error(["table", "--family", "laguerre", "--n", "2", "--beta", "1",
+                        "--gamma", "-1", "--max-weight", "1"], capsys)
     assert text.startswith("error: ") and "divergent weight" in text
-    assert "\n" not in text
 
 
 @pytest.mark.parametrize(
@@ -243,20 +240,68 @@ def test_table_command_rfc4180(capsys):
     assert "\r" in out  # RFC 4180 line endings from the csv writer
 
 
-def test_usage_errors():
-    with pytest.raises(SystemExit):
-        parse_partition("2,x")
-    with pytest.raises(SystemExit):
-        parse_rational("1/0")
-    with pytest.raises(SystemExit):
-        main(["poly", "--family", "laguerre", "--lambda", "1", "--n", "1",
-              "--beta", "0"])  # missing gamma
-    with pytest.raises(SystemExit):
-        main(["poly", "--family", "jack", "--lambda", "1,2", "--n", "2",
-              "--beta", "1"])  # not weakly decreasing
-    with pytest.raises(SystemExit):
-        main(["norm", "--family", "jack", "--lambda", "1,1,1", "--n", "2",
-              "--beta", "1"])  # too many parts for the ambient size
+def test_usage_errors(capsys):
+    for parse, text in ((parse_partition, "2,x"), (parse_rational, "1/0")):
+        with pytest.raises(SystemExit) as info:
+            parse(text)
+        assert info.value.code == 2
+        assert capsys.readouterr().err.startswith("usage error: malformed")
+    for argv in (
+        ["poly", "--family", "laguerre", "--lambda", "1", "--n", "1",
+         "--beta", "0"],  # missing gamma
+        ["poly", "--family", "jack", "--lambda", "1,2", "--n", "2",
+         "--beta", "1"],  # not weakly decreasing
+        ["norm", "--family", "jack", "--lambda", "1,1,1", "--n", "2",
+         "--beta", "1"],  # too many parts for the ambient size
+    ):
+        assert "error: " in input_error(argv, capsys)
+
+
+def test_exit_code_2_for_a_grid_out_of_bounds(capsys):
+    text = input_error(["verify", "--n-list", "9"], capsys)
+    assert text.startswith("error: grid out of bounds")
+
+
+def test_exit_code_1_for_a_failing_verify_case(monkeypatch, capsys):
+    """A planted defect (Dhat_N + 1) is a counterexample, not an input error."""
+    from heckepoly import families
+    from heckepoly import operators as ops
+
+    cherednik_a = ops.cherednik_a
+
+    def planted(j, spec):
+        op = cherednik_a(j, spec)
+        return op + ops.identity(spec.n) if j == spec.n else op
+
+    ops.clear_caches()
+    families.clear_caches()
+    monkeypatch.setattr(ops, "cherednik_a", planted)
+    try:
+        code, out = run_cli(["verify", "--suite", "daha_relations", "--n-list", "2",
+                             "--beta-list", "1", "--degree", "2"], capsys)
+    finally:
+        monkeypatch.undo()
+        ops.clear_caches()
+        families.clear_caches()
+    assert code == 1
+    assert out.startswith("daha_relations: FAIL") and "counterexample: " in out
+
+
+def test_exit_code_1_for_a_failed_check(monkeypatch, capsys):
+    """A raise image that is not proportional to its target is a
+    counterexample: one error line, exit code 1."""
+    from heckepoly import cli
+    from heckepoly.errors import NotProportionalError
+
+    def not_proportional(m, base):
+        raise NotProportionalError("not proportional: planted")
+
+    monkeypatch.setattr(cli, "raising_apply", not_proportional)
+    with pytest.raises(SystemExit) as info:
+        main(["raise", "--family", "jack", "--lambda", "1,0", "--n", "2",
+              "--beta", "1", "--m", "1"])
+    assert info.value.code == 1
+    assert capsys.readouterr().err == "error: not proportional: planted\n"
 
 
 def test_output_file(tmp_path, capsys):
@@ -283,22 +328,16 @@ def test_cli_deterministic_across_processes():
     assert first.stdout == second.stdout
 
 
-def test_verify_rejects_single_variable_grid():
-    with pytest.raises(SystemExit) as info:
-        main(["verify", "--suite", "appendix_A", "--n-list", "1", "--beta-list", "1",
-              "--max-weight", "1", "--degree", "1"])
-    text = str(info.value.code)
+def test_verify_rejects_single_variable_grid(capsys):
+    text = input_error(["verify", "--suite", "appendix_A", "--n-list", "1",
+                        "--beta-list", "1", "--max-weight", "1", "--degree", "1"], capsys)
     assert text.startswith("error: ") and "2 <= N <= 4" in text
-    assert "\n" not in text
 
 
 @pytest.mark.parametrize("weight", ["-3", "0", "7", "40"])
-def test_verify_rejects_weight_out_of_bounds(weight):
-    with pytest.raises(SystemExit) as info:
-        main(["verify", "--suite", "norms_all", "--max-weight", weight])
-    text = str(info.value.code)
+def test_verify_rejects_weight_out_of_bounds(weight, capsys):
+    text = input_error(["verify", "--suite", "norms_all", "--max-weight", weight], capsys)
     assert text.startswith("error: ") and "1 <= max_weight <= 6" in text
-    assert "\n" not in text
 
 
 @pytest.mark.parametrize("weight", ["1", "6"])
@@ -320,5 +359,5 @@ def test_python_dash_m_entry_point():
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("jack_eigen: PASS")
     bad = subprocess.run(args[:-4] + ["--max-weight", "-3"], capture_output=True, text=True)
-    assert bad.returncode == 1
+    assert bad.returncode == 2
     assert bad.stderr.strip().startswith("error: grid out of bounds")

@@ -317,6 +317,8 @@ def test_construction_caches_cold_warm_and_cleared():
     assert not any(families.cache_info().values())
     cold = results()
     info = families.cache_info()
+    labels = sum(len(list(partitions_up_to(3, spec.n))) for spec in specs)
+    assert info["families.constructions"] == labels  # one per label, default route
     assert info["pairings.orbit_numerators"] > 0
     assert info["pairings._gauss_moment_num"] > 0 and info["pairings._ct_weight"] > 0
     assert info["pairings._kernel"] == len(specs)
@@ -327,6 +329,80 @@ def test_construction_caches_cold_warm_and_cleared():
     cleared = results()
     assert cold == warm == cleared
     assert families.cache_info() == info
+
+
+def test_construction_cache_one_entry_per_label_spec_and_route():
+    """Each (label, spec, route) is built and checked once: every symmetric
+    route and both non-symmetric routes give one entry, named by the route;
+    rodrigues() and construct(..., "rodrigues") share theirs; no route reads
+    another's; a failed construction stores nothing."""
+    from heckepoly import families
+    from heckepoly.errors import RodriguesSingularError
+    from heckepoly.raising import rodrigues
+
+    lam, label = (2, 1), NonSymLabel((1, 0), (2, 1))
+    specs = [jack_spec(2, 1), hermite_spec(2, 1), laguerre_spec(2, 1, Fraction(1, 3))]
+
+    def size():
+        return families.cache_info()["families.constructions"]
+
+    def build_all():
+        out = {}
+        for spec in specs:  # Jack first: the other families' routes read it
+            for route in realization(spec).symmetric_routes:
+                out[spec, route] = families.construct(lam, spec, route)
+            out[spec, "nonsym"] = families.construct(label, spec)
+        return out
+
+    families.clear_caches()
+    # symmetrized adds E_lam, the one entry beyond one per route and label
+    built, grew = {}, {}
+    for spec in specs:
+        for route in realization(spec).symmetric_routes:
+            before = size()
+            built[spec, route] = families.construct(lam, spec, route)
+            grew[spec.family, route] = size() - before
+        before = size()
+        built[spec, "nonsym"] = families.construct(label, spec)
+        grew[spec.family, "nonsym"] = size() - before
+    assert grew == {
+        ("jack", "triangular"): 1, ("jack", "symmetrized"): 2, ("jack", "rodrigues"): 1,
+        ("jack", "nonsym"): 1,
+        ("hermite", "gram"): 1, ("hermite", "intertwined"): 1, ("hermite", "rodrigues"): 1,
+        ("hermite", "nonsym"): 1,
+        ("laguerre", "gram"): 1, ("laguerre", "intertwined"): 1,
+        ("laguerre", "rodrigues"): 1, ("laguerre", "nonsym"): 1,
+    }
+    for (spec, route), fp in built.items():
+        expected = realization(spec).nonsym_route if route == "nonsym" else route
+        assert fp.construction == expected
+    count = size()
+    warm = build_all()
+    assert size() == count
+    assert all(warm[key] is built[key] for key in built)
+    for spec in specs:
+        assert rodrigues(lam, spec) is built[spec, "rodrigues"]
+        assert rodrigues(list(lam), spec) is built[spec, "rodrigues"]
+    for spec in specs[1:]:
+        gram, intertwined = built[spec, "gram"], built[spec, "intertwined"]
+        assert gram is not intertwined and gram.poly == intertwined.poly
+    assert size() == count
+
+    singular = jack_spec(2, 0)
+    for _ in range(2):
+        with pytest.raises(RodriguesSingularError):
+            families.construct(lam, singular, "rodrigues")
+        with pytest.raises(RodriguesSingularError):
+            rodrigues(lam, singular)
+    assert size() == count
+
+    families.clear_caches()
+    assert size() == 0
+    cleared = build_all()
+    assert {k: v.to_json_dict() for k, v in cleared.items()} == {
+        k: v.to_json_dict() for k, v in built.items()
+    }
+    assert size() == count
 
 
 def _jack_fraction_reference(n, beta, weight):

@@ -276,16 +276,14 @@ def test_crashing_suite_is_reported(monkeypatch, capsys):
     crashed = [r for r in reports if any("exception" in f["params"] for f in r.failures)]
     assert crashed and not any(r.passed for r in crashed)
     for report in crashed:
-        *inside, last = [f["params"] for f in report.failures if "exception" in f["params"]]
         # a case that raises fails alone, with its own params ...
-        assert all(set(params) > {"exception", "message"} for params in inside)
-        if set(last) > {"exception", "message"}:
-            assert report.cases_run == SMALL_COUNTS[report.suite]  # ... and the rest still run
-        else:  # raised between cases: the suite ends there, keeping the cases run
-            assert report.failures[-1]["params"] is last
-            assert report.cases_run < SMALL_COUNTS[report.suite]
-    assert any(r.cases_run == SMALL_COUNTS[r.suite] for r in crashed)
-    assert "jack_orth" in {r.suite for r in crashed}
+        raised = [f["params"] for f in report.failures if "exception" in f["params"]]
+        assert all(set(params) > {"exception", "message"} for params in raised)
+    # ... and the rest still run, also where cases share work (jack_orth's
+    # Jack polynomials, raising_all's and shift_all's constructions and
+    # shift_all's calibration, norms_all's pairing value)
+    assert all(r.cases_run == SMALL_COUNTS[r.suite] for r in reports)
+    assert {"jack_orth", "raising_all", "shift_all", "norms_all"} <= {r.suite for r in crashed}
     orth = next(r for r in crashed if r.suite == "jack_orth")
     assert "N=2, beta=0" in orth.failures[0]["params"]["message"]  # names the case
     assert any(r.passed for r in reports)  # the suites the defect misses still pass
@@ -293,6 +291,24 @@ def test_crashing_suite_is_reported(monkeypatch, capsys):
     assert code == 1
     assert len([line for line in out.splitlines() if not line.startswith(" ")]) == len(SUITES)
     assert '"exception": "ValueError"' in out
+
+
+def test_crash_between_cases_ends_the_suite():
+    """A generator that raises between cases ends its suite with one failing
+    case carrying only the exception; the cases already run are kept."""
+    from heckepoly.verify import _run_cases
+
+    def cases(grid):
+        yield {"case": 1}, lambda: True
+        raise RuntimeError("planted")
+
+    report = _run_cases("demo", cases, SMALL)
+    assert report.cases_run == 2 and report.cases_passed == 1
+    assert report.failures == [{
+        "params": {"exception": "RuntimeError", "message": "planted"},
+        "lhs": "",
+        "rhs": "",
+    }]
 
 
 def test_crash_in_one_case_keeps_the_others(monkeypatch):
