@@ -4,6 +4,7 @@ polynomial families they generate: intertwiners, raising operators, shift
 operators, inner products, and closed-form norms, all over exact rational
 arithmetic."""
 
+from .caches import cache_info, clear_caches
 from .combinatorics import (
     bruhat_leq,
     conjugate,
@@ -48,7 +49,9 @@ __all__ = [
     "Polynomial",
     "ScaledRational",
     "bruhat_leq",
+    "cache_info",
     "calibrate",
+    "clear_caches",
     "conjugate",
     "ct_pairing",
     "divide_exact",

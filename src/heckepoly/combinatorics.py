@@ -20,9 +20,9 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, Sequence
 
+from .caches import memo
 from .errors import AmbientSizeMismatch
 from .polynomials import Polynomial
 
@@ -325,7 +325,7 @@ def label_sort_key(comp: Sequence[int]) -> tuple:
 # symmetric-polynomial helpers
 
 
-@lru_cache(maxsize=None)
+@memo
 def orbit(lam: Partition) -> tuple[tuple[int, ...], ...]:
     """The distinct permutations of the exponent vector lam (the S_N-orbit
     of x^lam), lam itself first."""

@@ -46,18 +46,13 @@ e_k(Dhat) images of the m_mu of weight |lam| (one operator application per
 nonempty index subset, expanded by orbit in int) with their e_k
 eigenvalues.
 
-Every construction is cached once it is checked: one dict maps (padded
-partition or NonSymLabel, spec, route) to its FamilyPolynomial, for every
-route of both kinds of label (``raising.rodrigues`` shares the entry of
-``construct(lam, spec, "rodrigues")``).  It is filled below the public
-constructors, so a route body and its triangularity check run once per
-key; a route never reads another route's entry, so a cross-check compares
-two constructions; a construction that raises is not stored.  Weights,
-moments, pairing kernels, orbits, orbit numerators, Vandermonde products
-and the shift calibration are cached too, all for the life of the
-process; ``cache_info`` reports the entries each cache holds (the
-constructions as ``families.constructions``) and ``clear_caches`` empties
-them.
+Every construction is cached once it is checked, per (padded partition
+or NonSymLabel, spec, route), by the three memos ``_checked_*`` (see
+``caches``): a route body and its triangularity check run once per key
+(``raising.rodrigues`` shares the entry of ``construct(lam, spec,
+"rodrigues")``), a route never reads another route's entry, so a
+cross-check compares two constructions, and a construction that raises
+is not stored.
 """
 
 from __future__ import annotations
@@ -68,6 +63,7 @@ from fractions import Fraction
 
 from . import operators as ops
 from . import pairings
+from .caches import memo
 from .combinatorics import (
     all_permutations,
     apply_permutation,
@@ -92,12 +88,7 @@ from .errors import (
     HeckePolyError,
     SpectrumCollisionError,
 )
-from .pairings import (
-    _ORBIT_NUMERATORS,
-    ScaledRational,
-    _kernel,
-    _orbit_numerator,
-)
+from .pairings import ScaledRational, _kernel, _orbit_numerator
 from .parameters import FamilySpec, HERMITE, JACK, LAGUERRE
 from .polynomials import Polynomial, _canonical, monomials_of_degree
 
@@ -182,7 +173,7 @@ class Realization:
     through the codec u_j = z_j^stretch.  An instance holds only its spec,
     and the family's data (class attributes of the subclasses below) are
     names: V_j and C_j are asked of ``operators`` on every call, so
-    ``operators.clear_caches`` drops them, and the pairing, intertwiner and
+    ``clear_caches`` drops them, and the pairing, intertwiner and
     constructors are looked up by name when called.
     """
 
@@ -382,14 +373,14 @@ def _eigen_solve(basis, columns, eigen, top: int, case: str) -> tuple[list[int],
 def nonsym_jack(label: NonSymLabel, spec: FamilySpec) -> FamilyPolynomial:
     if spec.family != JACK:
         raise ValueError("nonsym_jack needs a Jack spec")
-    label = NonSymLabel(pad_partition(label.lam, spec.n), label.w)
+    return _checked_nonsym_jack(NonSymLabel(pad_partition(label.lam, spec.n), label.w), spec)
 
-    def build():
-        poly, spectrum = _nonsym_jack_poly(label.composition(), spec.n, spec.beta)
-        _assert_nonsym_triangular(poly, label)
-        return FamilyPolynomial(label, spec, poly, "triangular", spectrum)
 
-    return _checked((label, spec, "triangular"), build)
+@memo
+def _checked_nonsym_jack(label: NonSymLabel, spec: FamilySpec) -> FamilyPolynomial:
+    poly, spectrum = _nonsym_jack_poly(label.composition(), spec.n, spec.beta)
+    _assert_nonsym_triangular(poly, label)
+    return FamilyPolynomial(label, spec, poly, "triangular", spectrum)
 
 
 def _nonsym_jack_poly(comp, n: int, beta: int):
@@ -441,40 +432,52 @@ def _symmetric(lam, spec: FamilySpec, method: str) -> FamilyPolynomial:
     of spec's family, checked triangular in the m_mu basis."""
     if method not in realization(spec).symmetric_routes:
         raise ValueError(f"unknown {spec.family.capitalize()} construction {method!r}")
-    lam = pad_partition(lam, spec.n)
+    return _checked_symmetric(pad_partition(lam, spec.n), spec, method)
 
-    def build():
-        poly = _ROUTES[method](lam, spec)
-        _assert_symmetric_triangular(poly, lam, spec)
-        spectrum = symmetric_spectrum(lam, spec.n, spec.beta)
-        return FamilyPolynomial(lam, spec, poly, method, spectrum)
 
-    return _checked((lam, spec, method), build)
+@memo
+def _checked_symmetric(lam, spec: FamilySpec, method: str) -> FamilyPolynomial:
+    poly = _ROUTES[method](lam, spec)
+    _assert_symmetric_triangular(poly, lam, spec)
+    spectrum = symmetric_spectrum(lam, spec.n, spec.beta)
+    return FamilyPolynomial(lam, spec, poly, method, spectrum)
 
 
 def _jack_triangular(lam, n: int, beta: int) -> Polynomial:
     """Joint e_k(Dhat_1..Dhat_N) eigenvector with leading m_lam on the
-    monomial-symmetric basis of weight |lam|, by ``_eigen_solve``; the
-    images of m_mu have integer coefficients and are expanded by orbit."""
+    monomial-symmetric basis of weight |lam|, by ``_eigen_solve`` on the
+    columns of the m_mu below it."""
     basis = sorted(partitions_of(sum(lam), n))  # ascending lex refines dominance
     top = basis.index(lam)
-    chers = [ops.cherednik_a(j, FamilySpec(JACK, n, beta)) for j in range(1, n + 1)]
     case = f"N={n}, beta={beta}, lambda={lam}"
     columns, eigen = [], []
     for mu in basis[: top + 1]:
-        images = _elementary_images(monomial_symmetric(n, mu), chers)
         try:
-            columns.append([_orbit_coefficients(image) for image in images])
-        except ValueError as exc:
-            raise ValueError(f"{exc} in e_k(Dhat) m_{mu} at {case}") from exc
-        values = [mu[i] + beta * (n - 1 - i) for i in range(n)]
-        eigen.append([_elementary_symmetric(values, k) for k in range(1, n + 1)])
+            column, values = _jack_column(n, beta, mu)
+        except ValueError as exc:  # an e_k(Dhat) image is not symmetric
+            raise HeckePolyError(f"{exc} in e_k(Dhat) m_{mu} at {case}") from exc
+        columns.append(column)
+        eigen.append(values)
     nums, den = _eigen_solve(basis, columns, eigen, top, case)
     out: dict = {}
     for mu, num in zip(basis, nums):
         if num:
             out.update(dict.fromkeys(orbit(mu), _canonical(Fraction(num, den))))
     return Polynomial._trusted(n, out)
+
+
+@memo
+def _jack_column(n: int, beta: int, mu: Partition):
+    """The orbit coefficients of e_k(Dhat) m_mu for k = 1..N (the images
+    have integer coefficients) and their eigenvalues e_k(mu_i + beta(N-1-i)),
+    shared by every label of the weight |mu| at or above mu."""
+    chers = [ops.cherednik_a(j, FamilySpec(JACK, n, beta)) for j in range(1, n + 1)]
+    images = _elementary_images(monomial_symmetric(n, mu), chers)
+    values = [mu[i] + beta * (n - 1 - i) for i in range(n)]
+    return (
+        tuple(_orbit_coefficients(image) for image in images),
+        tuple(_elementary_symmetric(values, k) for k in range(1, n + 1)),
+    )
 
 
 def _elementary_images(f: Polynomial, chers) -> list[dict]:
@@ -508,8 +511,8 @@ def _assert_symmetric_triangular(poly: Polynomial, lam, spec: FamilySpec) -> Non
 
     try:
         expansion = to_monomial_basis(poly)
-    except ValueError as exc:
-        raise error(ValueError, exc) from exc
+    except ValueError as exc:  # not symmetric
+        raise error(HeckePolyError, exc) from exc
     if expansion.get(lam) != 1:
         raise error(HeckePolyError, "leading coefficient of m_lam is not 1")
     for mu in expansion:
@@ -681,15 +684,15 @@ def nonsym_laguerre(label: NonSymLabel, spec: FamilySpec) -> FamilyPolynomial:
 
 
 def _nonsym_intertwined(label: NonSymLabel, spec: FamilySpec) -> FamilyPolynomial:
-    label = NonSymLabel(pad_partition(label.lam, spec.n), label.w)
+    return _checked_intertwined(NonSymLabel(pad_partition(label.lam, spec.n), label.w), spec)
 
-    def build():
-        base = nonsym_jack(label, FamilySpec(JACK, spec.n, spec.beta))
-        poly = globals()[realization(spec).intertwiner](base.poly, spec)
-        _assert_nonsym_triangular(poly, label)
-        return FamilyPolynomial(label, spec, poly, "intertwined", base.eigenvalues)
 
-    return _checked((label, spec, "intertwined"), build)
+@memo
+def _checked_intertwined(label: NonSymLabel, spec: FamilySpec) -> FamilyPolynomial:
+    base = nonsym_jack(label, FamilySpec(JACK, spec.n, spec.beta))
+    poly = globals()[realization(spec).intertwiner](base.poly, spec)
+    _assert_nonsym_triangular(poly, label)
+    return FamilyPolynomial(label, spec, poly, "intertwined", base.eigenvalues)
 
 
 def construct(label, spec: FamilySpec, method: str | None = None) -> FamilyPolynomial:
@@ -707,60 +710,3 @@ def construct(label, spec: FamilySpec, method: str | None = None) -> FamilyPolyn
         return globals()[f"nonsym_{spec.family}"](label, spec)
     return globals()[spec.family](label, spec, method or real.symmetric_routes[0])
 
-
-# ---------------------------------------------------------------------------
-# caches
-
-# (padded partition or NonSymLabel, spec, route) -> its checked
-# FamilyPolynomial; every route of every family fills it
-_CONSTRUCTIONS: dict = {}
-
-
-def _checked(key, build) -> FamilyPolynomial:
-    """The construction of key = (padded label, spec, route): cached, or
-    built and checked by ``build()`` and stored.  An exception stores
-    nothing, so it is raised again on every request."""
-    found = _CONSTRUCTIONS.get(key)
-    if found is None:
-        found = _CONSTRUCTIONS[key] = build()
-    return found
-
-
-def _lru_caches() -> dict:
-    from . import combinatorics, polynomials, shift  # shift imports this module
-
-    caches = (
-        combinatorics.orbit,
-        polynomials.vandermonde,
-        pairings._vandermonde_power,
-        pairings._weight_terms,
-        pairings._ct_weight,
-        pairings._weight_by_parity,
-        pairings._gauss_table,
-        pairings._rising_table,
-        pairings._gauss_moment_num,
-        pairings._laguerre_moment_num,
-        pairings._kernel,
-        shift.calibrate,
-    )
-    return {f"{fn.__module__.rpartition('.')[2]}.{fn.__name__}": fn for fn in caches}
-
-
-def cache_info() -> dict[str, int]:
-    """Entries held by each construction and pairing cache: the checked
-    constructions (``families.constructions``), the lru_caches of pairings,
-    combinatorics.orbit, polynomials.vandermonde and shift.calibrate, and
-    the pairings' orbit numerators.
-    The operator memo has its own ``operators.cache_info``."""
-    info = {"families.constructions": len(_CONSTRUCTIONS)}
-    info.update((name, fn.cache_info().currsize) for name, fn in _lru_caches().items())
-    info["pairings.orbit_numerators"] = sum(map(len, _ORBIT_NUMERATORS.values()))
-    return info
-
-
-def clear_caches() -> None:
-    """Empty every cache that ``cache_info`` reports."""
-    _CONSTRUCTIONS.clear()
-    for fn in _lru_caches().values():
-        fn.cache_clear()
-    _ORBIT_NUMERATORS.clear()

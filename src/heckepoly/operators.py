@@ -47,11 +47,8 @@ and h_j = (1/2) A_j a_j + beta * sum_{k<j} s_jk  (Hermite),
 
 The named operators (Dunkl, Cherednik, creation, annihilation, h_j) are
 built once per index and parameter set, and each memoizes the image of
-every monomial it is applied to.  Composites that callers reuse (the
-raising operators and the shift Y-products) are built once per key through
-``composite``; they memoize no images of their own, their named factors
-do.  ``cache_info`` reports the named operators, their stored images and
-the composites; ``clear_caches`` drops all three.
+every monomial it is applied to; both are registered in ``caches``, as
+``operators.named`` and ``operators.images``.
 """
 
 from __future__ import annotations
@@ -60,8 +57,8 @@ import math
 from fractions import Fraction
 from functools import partial
 from operator import add
-from typing import NamedTuple
 
+from .caches import register
 from .combinatorics import all_permutations, permute_exponents, reduced_word, sign
 from .errors import AmbientSizeMismatch, TypeBContextError
 from .parameters import FamilySpec, HERMITE, LAGUERRE
@@ -445,38 +442,19 @@ def _check_index(nvars: int, j: int) -> None:
 # named operators, built once per key and memoized on monomials
 
 _NAMED: dict[tuple, _Memo] = {}
-_COMPOSITES: dict[tuple, Operator] = {}
 
 
-class CacheInfo(NamedTuple):
-    operators: int  # named operators built
-    images: int  # monomial images stored across them
-    composites: int  # composite operators built through ``composite``
-
-
-def cache_info() -> CacheInfo:
-    return CacheInfo(
-        len(_NAMED), sum(len(m.images) for m in _NAMED.values()), len(_COMPOSITES)
-    )
-
-
-def clear_caches() -> None:
-    """Drop every named operator and its images (also for operators still
-    held by callers), the composites and the interned exponents."""
+def _clear_images() -> None:
+    """Drop the images of every named operator, also of one still held by
+    a caller, and the interned exponents."""
     for memo in _NAMED.values():
         memo.images.clear()
-    _NAMED.clear()
-    _COMPOSITES.clear()
     _EXPONENTS.clear()
 
 
-def composite(key: tuple, build) -> Operator:
-    """The operator ``build()`` returns, built once per key (until
-    ``clear_caches``); the key names everything the operator depends on."""
-    op = _COMPOSITES.get(key)
-    if op is None:
-        op = _COMPOSITES[key] = build()
-    return op
+# images first: clearing the operators forgets which ones hold them
+register("operators.images", lambda: sum(len(m.images) for m in _NAMED.values()), _clear_images)
+register("operators.named", lambda: len(_NAMED), _NAMED.clear)
 
 
 def _named(key: tuple, build) -> Operator:

@@ -42,12 +42,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from operator import add, sub
 from typing import Callable, NamedTuple
 
 from . import operators as ops
+from .caches import memo, register
 from .combinatorics import (
     Partition,
     _orbit_coefficients,
@@ -140,7 +140,7 @@ class ScaledRational:
 # weights (cached per (N, beta): they dominate pairing cost)
 
 
-@lru_cache(maxsize=None)
+@memo
 def _vandermonde_power(n: int, beta: int) -> Polynomial:
     """prod_{i<j} (x_i - x_j)^(2 beta) as a product of binomial powers;
     powering the whole Vandermonde product multiplies far larger
@@ -152,7 +152,7 @@ def _vandermonde_power(n: int, beta: int) -> Polynomial:
     return total
 
 
-@lru_cache(maxsize=None)
+@memo
 def _weight_terms(n: int, beta: int) -> tuple[tuple[Exponent, int], ...]:
     """Integer terms of the squared Vandermonde power."""
     return tuple(
@@ -161,7 +161,7 @@ def _weight_terms(n: int, beta: int) -> tuple[tuple[Exponent, int], ...]:
     )
 
 
-@lru_cache(maxsize=None)
+@memo
 def _ct_weight(n: int, beta: int) -> dict[Exponent, int]:
     """Integer terms of the Laurent weight W * x^(-beta(N-1)) per variable."""
     shift = beta * (n - 1)
@@ -174,7 +174,7 @@ def _ct_weight(n: int, beta: int) -> dict[Exponent, int]:
 # the pairing kernel: the one place that tells the three pairings apart
 
 
-@lru_cache(maxsize=None)
+@memo
 def _weight_by_parity(n: int, beta: int) -> dict[Exponent, tuple]:
     """Weight terms grouped by the parity vector of their exponent."""
     groups: dict[Exponent, list] = {}
@@ -183,7 +183,7 @@ def _weight_by_parity(n: int, beta: int) -> dict[Exponent, tuple]:
     return {parity: tuple(terms) for parity, terms in groups.items()}
 
 
-@lru_cache(maxsize=None)
+@memo
 def _gauss_table(k: int) -> tuple[int, ...]:
     """(j-1)!! for even j and 0 for odd j, j = 0..k: the one-variable
     moment int x^j e^(-x^2) dx / pi^(1/2) times 2^(j/2)."""
@@ -193,7 +193,7 @@ def _gauss_table(k: int) -> tuple[int, ...]:
     return tuple(table)
 
 
-@lru_cache(maxsize=None)
+@memo
 def _rising_table(p: int, q: int, k: int) -> tuple[int, ...]:
     """Numerators p (p+q) ... (p+(j-1)q) of the rising factorials
     (p/q)_j, j = 0..k; the denominator of (p/q)_j is q^j."""
@@ -212,7 +212,7 @@ def _weighted_moment(weight, table, exps) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
+@memo
 def _gauss_moment_num(n: int, beta: int, exps: Exponent) -> int:
     """Moment of x^exps against W, in units of pi^(N/2), times
     2^((|exps| + D)/2).  Only weight terms of the parity of exps count."""
@@ -224,7 +224,7 @@ def _gauss_moment_num(n: int, beta: int, exps: Exponent) -> int:
     return _weighted_moment(weight, table, exps)
 
 
-@lru_cache(maxsize=None)
+@memo
 def _laguerre_moment_num(n: int, beta: int, p: int, q: int, exps: Exponent) -> int:
     """Moment of u^exps against W, in units of Gamma(gamma+1/2)^N, times
     q^(|exps| + D) where gamma + 1/2 = p/q."""
@@ -244,7 +244,7 @@ class _Kernel(NamedTuple):
     moment: Callable[[int], tuple[int, int]] | None  # one variable, degree k
 
 
-@lru_cache(maxsize=None)
+@memo
 def _kernel(spec: FamilySpec) -> _Kernel:
     """<x^a, x^b> = value(a, b) / denominator(|a| + |b|) times the bases
     pi^(pi_half/2) Gamma(gamma+1/2)^gamma_base, and the one-variable
@@ -296,6 +296,11 @@ def _kernel(spec: FamilySpec) -> _Kernel:
 
 # spec -> {(mu, nu) with mu <= nu: numerator of <m_mu, m_nu>}
 _ORBIT_NUMERATORS: dict[FamilySpec, dict[tuple[Partition, Partition], int]] = {}
+register(
+    "pairings.orbit_numerators",
+    lambda: sum(map(len, _ORBIT_NUMERATORS.values())),
+    _ORBIT_NUMERATORS.clear,
+)
 
 
 def _orbit_numerator(spec: FamilySpec):

@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from operator import add
 from typing import Iterable, Iterator, Mapping
 
+from .caches import memo
 from .errors import AmbientSizeMismatch, NotDivisibleError
 
 # Exponent vector: one integer per ambient variable (negative = Laurent).
@@ -354,7 +354,7 @@ def monomials_up_to_degree(nvars: int, degree: int) -> Iterator[Exponent]:
         yield from monomials_of_degree(nvars, d)
 
 
-@lru_cache(maxsize=8)
+@memo
 def vandermonde(nvars: int) -> Polynomial:
     """The alternating product prod_{i<j} (x_i - x_j), built once per size."""
     result = Polynomial.one(nvars)

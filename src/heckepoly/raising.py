@@ -30,6 +30,7 @@ import itertools
 from fractions import Fraction
 
 from . import operators as ops
+from .caches import memo
 from .combinatorics import (
     add_to_first_parts,
     conjugate,
@@ -42,6 +43,7 @@ from .parameters import FamilySpec
 from .polynomials import Polynomial
 
 
+@memo
 def raising_operator(m: int, spec: FamilySpec) -> ops.Operator:
     """The m-factor raising operator in its family realization, built once
     per (m, spec).
@@ -51,10 +53,6 @@ def raising_operator(m: int, spec: FamilySpec) -> ops.Operator:
     """
     if not 1 <= m <= spec.n:
         raise ValueError(f"raising index {m} out of range 1..{spec.n}")
-    return ops.composite(("raising", m, spec), lambda: _build_raising(m, spec))
-
-
-def _build_raising(m: int, spec: FamilySpec) -> ops.Operator:
     n, beta = spec.n, spec.beta
     real = realization(spec)
     total = ops.scalar(n, 0)

@@ -31,9 +31,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from . import operators as ops
+from .caches import memo
 from .combinatorics import (
     monomial_symmetric,
     pad_partition,
@@ -69,16 +69,13 @@ class CalibrationReport:
         }
 
 
+@memo
 def _y_product(spec: FamilySpec, sign: int) -> ops.Operator:
     """prod_{i<j} (sign*beta - C_i + C_j) in the family realization, built
     once per (spec, sign).
 
     Acts on x-polynomials (Jack/Hermite) or z-polynomials (Laguerre, where
     C_j = h_j/2 realizes the level-beta Cherednik operator)."""
-    return ops.composite(("y_product", spec, sign), lambda: _build_y_product(spec, sign))
-
-
-def _build_y_product(spec: FamilySpec, sign: int) -> ops.Operator:
     n, beta = spec.n, spec.beta
     real = realization(spec)
     chers = [real.cherednik(j) for j in range(1, n + 1)]
@@ -110,7 +107,7 @@ def apply_ghat(f: Polynomial, spec: FamilySpec, assignment: str = "swapped") -> 
     return _apply_y(vandermonde(spec.n) * f, spec, sign)
 
 
-@lru_cache(maxsize=None)
+@memo
 def calibrate(family: str, n: int, beta: int, gamma=None) -> CalibrationReport:
     """Probe both role assignments at the empty label and freeze the one
     that divides exactly and lands on the expected family polynomial."""

@@ -264,7 +264,7 @@ def test_exit_code_2_for_a_grid_out_of_bounds(capsys):
 
 def test_exit_code_1_for_a_failing_verify_case(monkeypatch, capsys):
     """A planted defect (Dhat_N + 1) is a counterexample, not an input error."""
-    from heckepoly import families
+    from heckepoly import clear_caches
     from heckepoly import operators as ops
 
     cherednik_a = ops.cherednik_a
@@ -273,16 +273,14 @@ def test_exit_code_1_for_a_failing_verify_case(monkeypatch, capsys):
         op = cherednik_a(j, spec)
         return op + ops.identity(spec.n) if j == spec.n else op
 
-    ops.clear_caches()
-    families.clear_caches()
+    clear_caches()
     monkeypatch.setattr(ops, "cherednik_a", planted)
     try:
         code, out = run_cli(["verify", "--suite", "daha_relations", "--n-list", "2",
                              "--beta-list", "1", "--degree", "2"], capsys)
     finally:
         monkeypatch.undo()
-        ops.clear_caches()
-        families.clear_caches()
+        clear_caches()
     assert code == 1
     assert out.startswith("daha_relations: FAIL") and "counterexample: " in out
 
@@ -302,6 +300,34 @@ def test_exit_code_1_for_a_failed_check(monkeypatch, capsys):
               "--beta", "1", "--m", "1"])
     assert info.value.code == 1
     assert capsys.readouterr().err == "error: not proportional: planted\n"
+
+
+@pytest.mark.parametrize("method", [[], ["--method", "rodrigues"]])
+def test_exit_code_1_for_a_construction_that_is_not_symmetric(method, monkeypatch, capsys):
+    """With Dhat_N + 1 planted the Jack construction is not symmetric: a
+    failed check, not an input error."""
+    from heckepoly import clear_caches
+    from heckepoly import operators as ops
+
+    cherednik_a = ops.cherednik_a
+
+    def planted(j, spec):
+        op = cherednik_a(j, spec)
+        return op + ops.identity(spec.n) if j == spec.n else op
+
+    clear_caches()
+    monkeypatch.setattr(ops, "cherednik_a", planted)
+    try:
+        with pytest.raises(SystemExit) as info:
+            main(["poly", "--family", "jack", "--lambda", "2,1", "--n", "2",
+                  "--beta", "1", *method])
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    assert info.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: not symmetric") and err.count("\n") == 1
+    assert "at N=2, beta=1, lambda=(2, 1)" in err
 
 
 def test_output_file(tmp_path, capsys):

@@ -295,8 +295,13 @@ def test_bareiss_solve_against_fraction_reference():
         _solve_bareiss(singular, [1, 2, 3])
 
 
+def _constructions(info) -> int:
+    """Entries of the three checked-construction caches."""
+    return sum(size for name, size in info.items() if name.startswith("families._checked_"))
+
+
 def test_construction_caches_cold_warm_and_cleared():
-    from heckepoly import families
+    from heckepoly import cache_info, clear_caches, families
     from heckepoly.pairings import ct_pairing, gauss_pairing, laguerre_pairing, norm_formula
 
     specs = [jack_spec(3, 2), hermite_spec(3, 1), laguerre_spec(2, 2, Fraction(1, 3))]
@@ -313,22 +318,22 @@ def test_construction_caches_cold_warm_and_cleared():
                             norm_formula(lam, spec, "hook_form")))
         return out
 
-    families.clear_caches()
-    assert not any(families.cache_info().values())
+    clear_caches()
+    assert not any(cache_info().values())
     cold = results()
-    info = families.cache_info()
+    info = cache_info()
     labels = sum(len(list(partitions_up_to(3, spec.n))) for spec in specs)
-    assert info["families.constructions"] == labels  # one per label, default route
+    assert _constructions(info) == labels  # one per label, default route
     assert info["pairings.orbit_numerators"] > 0
     assert info["pairings._gauss_moment_num"] > 0 and info["pairings._ct_weight"] > 0
     assert info["pairings._kernel"] == len(specs)
     warm = results()
-    assert families.cache_info() == info
-    families.clear_caches()
-    assert not any(families.cache_info().values())
+    assert cache_info() == info
+    clear_caches()
+    assert not any(cache_info().values())
     cleared = results()
     assert cold == warm == cleared
-    assert families.cache_info() == info
+    assert cache_info() == info
 
 
 def test_construction_cache_one_entry_per_label_spec_and_route():
@@ -336,7 +341,7 @@ def test_construction_cache_one_entry_per_label_spec_and_route():
     route and both non-symmetric routes give one entry, named by the route;
     rodrigues() and construct(..., "rodrigues") share theirs; no route reads
     another's; a failed construction stores nothing."""
-    from heckepoly import families
+    from heckepoly import cache_info, clear_caches, families
     from heckepoly.errors import RodriguesSingularError
     from heckepoly.raising import rodrigues
 
@@ -344,7 +349,7 @@ def test_construction_cache_one_entry_per_label_spec_and_route():
     specs = [jack_spec(2, 1), hermite_spec(2, 1), laguerre_spec(2, 1, Fraction(1, 3))]
 
     def size():
-        return families.cache_info()["families.constructions"]
+        return _constructions(cache_info())
 
     def build_all():
         out = {}
@@ -354,7 +359,7 @@ def test_construction_cache_one_entry_per_label_spec_and_route():
             out[spec, "nonsym"] = families.construct(label, spec)
         return out
 
-    families.clear_caches()
+    clear_caches()
     # symmetrized adds E_lam, the one entry beyond one per route and label
     built, grew = {}, {}
     for spec in specs:
@@ -396,7 +401,7 @@ def test_construction_cache_one_entry_per_label_spec_and_route():
             rodrigues(lam, singular)
     assert size() == count
 
-    families.clear_caches()
+    clear_caches()
     assert size() == 0
     cleared = build_all()
     assert {k: v.to_json_dict() for k, v in cleared.items()} == {

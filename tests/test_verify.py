@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from heckepoly import families
+from heckepoly import clear_caches
 from heckepoly import operators as ops
 from heckepoly.verify import (
     GridSpec,
@@ -239,15 +239,13 @@ PLANTED = {
 @pytest.mark.parametrize("name", RELATION_SUITES)
 def test_relation_tables_catch_planted_defect(name, monkeypatch):
     attr, plant = PLANTED[name]
-    ops.clear_caches()
-    families.clear_caches()
+    clear_caches()
     monkeypatch.setattr(ops, attr, plant(getattr(ops, attr)))
     try:
         report = run_suite(name, SMALL)
     finally:
         monkeypatch.undo()
-        ops.clear_caches()
-        families.clear_caches()
+        clear_caches()
     assert report.failures and not report.passed
     assert all("monomial" in failure["params"] for failure in report.failures)
 
@@ -258,8 +256,7 @@ def test_crashing_suite_is_reported(monkeypatch, capsys):
     from heckepoly.cli import main
 
     attr, plant = PLANTED["daha_relations"]
-    ops.clear_caches()
-    families.clear_caches()
+    clear_caches()
     monkeypatch.setattr(ops, attr, plant(getattr(ops, attr)))
     try:
         reports = run_all(SMALL)
@@ -270,8 +267,7 @@ def test_crashing_suite_is_reported(monkeypatch, capsys):
         ])
     finally:
         monkeypatch.undo()
-        ops.clear_caches()
-        families.clear_caches()
+        clear_caches()
     assert [r.suite for r in reports] == list(SUITES)
     crashed = [r for r in reports if any("exception" in f["params"] for f in r.failures)]
     assert crashed and not any(r.passed for r in crashed)
@@ -290,7 +286,7 @@ def test_crashing_suite_is_reported(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert len([line for line in out.splitlines() if not line.startswith(" ")]) == len(SUITES)
-    assert '"exception": "ValueError"' in out
+    assert '"exception": "HeckePolyError"' in out
 
 
 def test_crash_between_cases_ends_the_suite():
@@ -323,15 +319,13 @@ def test_crash_in_one_case_keeps_the_others(monkeypatch):
             raise RuntimeError("planted")
         return raising_constant(lam, m, spec)
 
-    ops.clear_caches()
-    families.clear_caches()
+    clear_caches()
     monkeypatch.setattr(verify, "raising_constant", planted)
     try:
         report = run_suite("raising_all", SMALL)
     finally:
         monkeypatch.undo()
-        ops.clear_caches()
-        families.clear_caches()
+        clear_caches()
     assert report.cases_run == SMALL_COUNTS["raising_all"]
     assert report.cases_passed == report.cases_run - 1
     params = {"family": "hermite", "n": 2, "beta": 1, "lambda": [2, 1], "m": 2}
@@ -348,13 +342,11 @@ def test_rodrigues_error_names_the_case(monkeypatch):
     from heckepoly.raising import rodrigues
 
     attr, plant = PLANTED["daha_relations"]
-    ops.clear_caches()
-    families.clear_caches()
+    clear_caches()
     monkeypatch.setattr(ops, attr, plant(getattr(ops, attr)))
     try:
         with pytest.raises((HeckePolyError, ValueError), match="at N=2, beta=1, lambda="):
             rodrigues((2, 1), jack_spec(2, 1))
     finally:
         monkeypatch.undo()
-        ops.clear_caches()
-        families.clear_caches()
+        clear_caches()
