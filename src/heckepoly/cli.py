@@ -14,13 +14,20 @@ partition), permutations are one-line comma lists ("2,1,3"), rationals are
 "p/q" strings.  Output is byte-deterministic for a fixed invocation and
 seed.
 
+One runner: ``main`` parses the options and builds the family spec, and
+each ``cmd_*`` returns its exit code, its JSON payload and its text in the
+other format (pretty, or CSV for ``table``).  Only ``main`` writes the
+output and turns an exception into an exit code.
+
 Exit codes, for every command:
   0  everything passed
   1  a counterexample: a verify case failed, or a check the command runs
      came out false (a raise or shift image not proportional to its
      target, a construction that is not triangular)
   2  a usage or input error: bad options, a malformed value, a grid out
-     of bounds, a label or parameter the construction rejects
+     of bounds (N, weight, degree, beta or gamma, or an empty list), a
+     label or parameter the construction rejects, an --output path that
+     cannot be written
 A counterexample outside ``verify`` and every input error end in one
 ``error: ...`` (or ``usage error: ...``) line on stderr; an option the
 argument parser rejects also prints the usage line.
@@ -33,10 +40,12 @@ import csv
 import io
 import json
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from typing import NoReturn
 
 from . import operators as ops_module
+from .combinatorics import partitions_up_to
 from .errors import (
     AmbientSizeMismatch,
     DivergentWeightError,
@@ -59,6 +68,7 @@ EXIT_PASS, EXIT_COUNTEREXAMPLE, EXIT_INPUT = 0, 1, 2
 # errors that reject the input; any other HeckePolyError is a failed check
 _INPUT_ERRORS = (
     ValueError,
+    OSError,
     AmbientSizeMismatch,
     DivergentWeightError,
     EvennessViolation,
@@ -126,51 +136,6 @@ def _spec_from(args) -> FamilySpec:
         _fail(f"usage error: {err}")
 
 
-def _emit(args, text: str) -> None:
-    if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
-def cmd_poly(args) -> int:
-    spec = _spec_from(args)
-    lam = parse_partition(args.lam)
-    label = lam
-    try:
-        if args.w is not None:
-            w = parse_permutation(args.w)
-            label = NonSymLabel(lam + (0,) * (len(w) - len(lam)), w)
-        result = construct(label, spec, args.method)
-    except (HeckePolyError, ValueError) as err:
-        _fail(f"error: {err}", err)
-    if args.format == "json":
-        _emit(args, json.dumps(result.to_json_dict(), sort_keys=True, indent=2))
-    else:
-        lines = [
-            result.poly.pretty(realization(spec).letter),
-            "eigenvalues: " + ", ".join(str(e) for e in result.eigenvalues),
-            f"construction: {result.construction}",
-        ]
-        _emit(args, "\n".join(lines))
-    return EXIT_PASS
-
-
-def cmd_norm(args) -> int:
-    spec = _spec_from(args)
-    lam = parse_partition(args.lam)
-    try:
-        value = norm_formula(lam, spec, args.form)
-    except (HeckePolyError, ValueError) as err:
-        _fail(f"error: {err}", err)
-    if args.format == "json":
-        _emit(args, json.dumps(value.to_json_dict(), sort_keys=True, indent=2))
-    else:
-        _emit(args, value.render())
-    return EXIT_PASS
-
-
 def _read_poly(text: str) -> Polynomial:
     if text.startswith("@"):
         with open(text[1:], "r", encoding="utf-8") as fh:
@@ -178,8 +143,26 @@ def _read_poly(text: str) -> Polynomial:
     return Polynomial.from_json_dict(json.loads(text))
 
 
-def cmd_pair(args) -> int:
-    spec = _spec_from(args)
+def cmd_poly(args, spec: FamilySpec):
+    label = parse_partition(args.lam)
+    if args.w is not None:
+        w = parse_permutation(args.w)
+        label = NonSymLabel(label + (0,) * (len(w) - len(label)), w)
+    result = construct(label, spec, args.method)
+    text = "\n".join([
+        result.poly.pretty(realization(spec).letter),
+        "eigenvalues: " + ", ".join(str(e) for e in result.eigenvalues),
+        f"construction: {result.construction}",
+    ])
+    return EXIT_PASS, result.to_json_dict(), text
+
+
+def cmd_norm(args, spec: FamilySpec):
+    value = norm_formula(parse_partition(args.lam), spec, args.form)
+    return EXIT_PASS, value.to_json_dict(), value.render()
+
+
+def cmd_pair(args, spec: FamilySpec):
     try:
         f = _read_poly(args.f)
         g = _read_poly(args.g)
@@ -192,119 +175,58 @@ def cmd_pair(args) -> int:
             g = ops_module.operator_from_string(args.apply_g, spec)(g)
     except (HeckePolyError, ValueError, KeyError) as err:
         _fail(f"usage error: {err}")
-    try:
-        value = realization(spec).pair(f, g)
-    except (HeckePolyError, ValueError) as err:
-        _fail(f"error: {err}", err)
-    if args.format == "json":
-        _emit(args, json.dumps(value.to_json_dict(), sort_keys=True, indent=2))
-    else:
-        _emit(args, value.render())
-    return EXIT_PASS
+    value = realization(spec).pair(f, g)
+    return EXIT_PASS, value.to_json_dict(), value.render()
 
 
-def cmd_raise(args) -> int:
-    spec = _spec_from(args)
-    lam = parse_partition(args.lam)
-    try:
-        base = construct(lam, spec, args.method)
-        constant, raised = raising_apply(args.m, base)
-    except (HeckePolyError, ValueError) as err:
-        _fail(f"error: {err}", err)
-    if args.format == "json":
-        payload = {
-            "constant": str(constant),
-            "result": raised.to_json_dict(),
-        }
-        _emit(args, json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        _emit(
-            args,
-            f"constant: {constant}\nlabel: {list(raised.label)}\n"
-            + raised.poly.pretty(realization(spec).letter),
-        )
-    return EXIT_PASS
-
-
-def cmd_shift(args) -> int:
-    spec = _spec_from(args)
-    lam = parse_partition(args.lam)
-    try:
-        base = construct(lam, spec, args.method)
-        constant, shifted = shift_apply(args.direction, base)
-    except (HeckePolyError, ValueError) as err:
-        _fail(f"error: {err}", err)
-    report = calibrate(
-        spec.family,
-        spec.n,
-        spec.beta if args.direction == "G" else spec.beta - 1,
-        spec.gamma,
+def cmd_raise(args, spec: FamilySpec):
+    base = construct(parse_partition(args.lam), spec, args.method)
+    constant, raised = raising_apply(args.m, base)
+    payload = {"constant": str(constant), "result": raised.to_json_dict()}
+    text = (
+        f"constant: {constant}\nlabel: {list(raised.label)}\n"
+        + raised.poly.pretty(realization(spec).letter)
     )
-    if args.format == "json":
-        payload = {
-            "constant": str(constant),
-            "calibration": report.to_json_dict(),
-            "result": shifted.to_json_dict(),
-        }
-        _emit(args, json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        _emit(
-            args,
-            f"constant: {constant}\nlabel: {list(shifted.label)} at beta="
-            f"{shifted.spec.beta}\ncalibration: {json.dumps(report.to_json_dict(), sort_keys=True)}\n"
-            + shifted.poly.pretty(realization(spec).letter),
-        )
-    return EXIT_PASS
+    return EXIT_PASS, payload, text
 
 
-def _grid_from(args) -> GridSpec:
-    try:
-        return GridSpec(
-            ns=args.n_list,
-            betas=args.beta_list,
-            gammas=args.gamma_list,
-            max_weight=args.max_weight,
-            degree=args.degree,
-            seed=args.seed,
-            pairs=args.pairs,
-            rand_polys=args.rand_polys,
-        )
-    except ValueError as err:
-        _fail(f"error: {err}", err)
+def cmd_shift(args, spec: FamilySpec):
+    base = construct(parse_partition(args.lam), spec, args.method)
+    constant, shifted = shift_apply(args.direction, base)
+    source_beta = spec.beta if args.direction == "G" else spec.beta - 1
+    calibration = calibrate(spec.family, spec.n, source_beta, spec.gamma).to_json_dict()
+    payload = {
+        "constant": str(constant),
+        "calibration": calibration,
+        "result": shifted.to_json_dict(),
+    }
+    text = (
+        f"constant: {constant}\nlabel: {list(shifted.label)} at beta="
+        f"{shifted.spec.beta}\ncalibration: {json.dumps(calibration, sort_keys=True)}\n"
+        + shifted.poly.pretty(realization(spec).letter)
+    )
+    return EXIT_PASS, payload, text
 
 
-def cmd_verify(args) -> int:
-    grid = _grid_from(args)
-    if args.suite and not args.all:
-        names = [args.suite]
-    else:
-        names = list(SUITES)
-    reports = run_all(grid, names)
-    if args.format == "json":
-        _emit(args, reports_to_json(reports))
-    else:
-        lines = []
-        for rep in reports:
-            status = "PASS" if rep.passed else "FAIL"
-            lines.append(f"{rep.suite}: {status} ({rep.cases_passed}/{rep.cases_run})")
-            for failure in rep.failures:
-                lines.append(f"  counterexample: {json.dumps(failure, sort_keys=True)}")
-        _emit(args, "\n".join(lines))
-    return EXIT_PASS if all(r.passed for r in reports) else EXIT_COUNTEREXAMPLE
+def cmd_verify(args, _spec: None):
+    grid = GridSpec(**{field.name: getattr(args, field.name) for field in fields(GridSpec)})
+    reports = run_all(grid, [args.suite] if args.suite and not args.all else list(SUITES))
+    lines = []
+    for rep in reports:
+        status = "PASS" if rep.passed else "FAIL"
+        lines.append(f"{rep.suite}: {status} ({rep.cases_passed}/{rep.cases_run})")
+        for failure in rep.failures:
+            lines.append(f"  counterexample: {json.dumps(failure, sort_keys=True)}")
+    code = EXIT_PASS if all(r.passed for r in reports) else EXIT_COUNTEREXAMPLE
+    return code, reports_to_json(reports), "\n".join(lines)
 
 
-def cmd_table(args) -> int:
-    spec = _spec_from(args)
-    from .combinatorics import partitions_up_to
-
+def cmd_table(args, spec: FamilySpec):
+    if args.max_weight < 0:
+        raise ValueError(f"max_weight must be non-negative, got {args.max_weight}")
     rows = []
     for lam in partitions_up_to(args.max_weight, spec.n):
-        try:
-            poly = construct(lam, spec)
-            norm_product = norm_formula(lam, spec, "product_form").render()
-            norm_hook = norm_formula(lam, spec, "hook_form").render()
-        except (HeckePolyError, ValueError) as err:
-            _fail(f"error: {err}", err)
+        poly = construct(lam, spec)
         rows.append(
             {
                 "family": spec.family,
@@ -312,32 +234,16 @@ def cmd_table(args) -> int:
                 "n": spec.n,
                 "beta": spec.beta,
                 "gamma": str(spec.gamma) if spec.gamma is not None else "",
-                "norm_product": norm_product,
-                "norm_hook": norm_hook,
+                "norm_product": norm_formula(lam, spec, "product_form").render(),
+                "norm_hook": norm_formula(lam, spec, "hook_form").render(),
                 "eigenvalues": ";".join(str(e) for e in poly.eigenvalues),
             }
         )
-    if args.format == "json":
-        _emit(args, json.dumps(rows, sort_keys=True, indent=2))
-    else:
-        buffer = io.StringIO()
-        writer = csv.DictWriter(
-            buffer,
-            fieldnames=[
-                "family",
-                "lambda",
-                "n",
-                "beta",
-                "gamma",
-                "norm_product",
-                "norm_hook",
-                "eigenvalues",
-            ],
-        )
-        writer.writeheader()
-        writer.writerows(rows)
-        _emit(args, buffer.getvalue())
-    return EXIT_PASS
+    buffer = io.StringIO()
+    writer = csv.DictWriter(buffer, fieldnames=list(rows[0]))
+    writer.writeheader()
+    writer.writerows(rows)
+    return EXIT_PASS, rows, buffer.getvalue()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -348,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def family_options(p, need_lambda=True):
+    def family_options(p, need_lambda=True, formats=("pretty", "json")):
         p.add_argument("--family", required=True, choices=["jack", "hermite", "laguerre"])
         if need_lambda:
             p.add_argument("--lambda", dest="lam", required=True,
@@ -356,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--beta", type=int, required=True)
         p.add_argument("--gamma", help="rational p/q (laguerre only)")
-        p.add_argument("--format", default="pretty", choices=["pretty", "json"])
+        p.add_argument("--format", default=formats[0], choices=formats)
         p.add_argument("--output", help="write to a file instead of stdout")
 
     p_poly = sub.add_parser("poly", help="construct a family polynomial")
@@ -396,9 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", choices=sorted(SUITES))
     p_verify.add_argument("--all", action="store_true",
                           help="run every suite (default when --suite is absent)")
-    p_verify.add_argument("--n-list", type=int_list, default="2,3")
-    p_verify.add_argument("--beta-list", type=int_list, default="0,1,2")
-    p_verify.add_argument("--gamma-list", type=rational_list, default="0,1/3,1/2")
+    p_verify.add_argument("--n-list", dest="ns", type=int_list, default="2,3")
+    p_verify.add_argument("--beta-list", dest="betas", type=int_list, default="0,1,2")
+    p_verify.add_argument("--gamma-list", dest="gammas", type=rational_list,
+                          default="0,1/3,1/2")
     p_verify.add_argument("--max-weight", type=int, default=4)
     p_verify.add_argument("--degree", type=int, default=5)
     p_verify.add_argument("--seed", type=int, default=1)
@@ -409,23 +316,34 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(fn=cmd_verify)
 
     p_table = sub.add_parser("table", help="labels x norms x eigenvalues")
-    p_table.add_argument("--family", required=True,
-                         choices=["jack", "hermite", "laguerre"])
+    family_options(p_table, need_lambda=False, formats=("csv", "json"))
     p_table.add_argument("--max-weight", type=int, required=True)
-    p_table.add_argument("--n", type=int, required=True)
-    p_table.add_argument("--beta", type=int, required=True)
-    p_table.add_argument("--gamma")
-    p_table.add_argument("--format", default="csv", choices=["csv", "json"])
-    p_table.add_argument("--output")
     p_table.set_defaults(fn=cmd_table)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.fn(args)
+    """Run one command: emit its JSON payload (serialized here unless the
+    command already did, as verify's report is) or its other format, and
+    turn an exception into one error line and its exit code."""
+    args = build_parser().parse_args(argv)
+    try:
+        spec = None if args.command == "verify" else _spec_from(args)
+        code, payload, text = args.fn(args, spec)
+        if args.format == "json":
+            text = payload if isinstance(payload, str) else json.dumps(
+                payload, sort_keys=True, indent=2
+            )
+        text = text if text.endswith("\n") else text + "\n"
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except (HeckePolyError, ValueError, OSError) as err:
+        _fail(f"error: {err}", err)
+    return code
 
 
 if __name__ == "__main__":

@@ -166,20 +166,6 @@ def all_permutations(nvars: int) -> Iterator[Permutation]:
     return itertools.permutations(range(1, nvars + 1))
 
 
-def compose(u: Permutation, w: Permutation) -> Permutation:
-    """(u o w)(i) = u(w(i))."""
-    if len(u) != len(w):
-        raise AmbientSizeMismatch("ambient size mismatch in permutation composition")
-    return tuple(u[w[i] - 1] for i in range(len(w)))
-
-
-def inverse(w: Permutation) -> Permutation:
-    out = [0] * len(w)
-    for i, img in enumerate(w, start=1):
-        out[img - 1] = i
-    return tuple(out)
-
-
 def length(w: Permutation) -> int:
     """Coxeter length = inversion count."""
     return sum(
@@ -196,12 +182,6 @@ def sign(w: Permutation) -> int:
 
 def longest_element(nvars: int) -> Permutation:
     return tuple(range(nvars, 0, -1))
-
-
-def transposition(nvars: int, i: int, j: int) -> Permutation:
-    w = list(range(1, nvars + 1))
-    w[i - 1], w[j - 1] = w[j - 1], w[i - 1]
-    return tuple(w)
 
 
 def reduced_word(w: Permutation) -> tuple[int, ...]:

@@ -627,15 +627,13 @@ MAX_SYMMETRIZER_N = 6
 def symmetrizer(nvars: int, kind: str, beta: int | None = None) -> Operator:
     """Group-averaged operators over S_N.
 
-    kind "plus": (1/N!) sum_w w; "minus": signed average; "minus_deformed":
-    signed average of the deformed transposition words (needs beta).
+    kind "minus": (1/N!) sum_w sign(w) w; "minus_deformed": signed average
+    of the deformed transposition words (needs beta).
     """
     if nvars > MAX_SYMMETRIZER_N:
         raise ValueError(f"symmetrizer limited to N <= {MAX_SYMMETRIZER_N}")
     perms = list(all_permutations(nvars))
-    if kind == "plus":
-        words = [permutation_op(w) for w in perms]
-    elif kind == "minus":
+    if kind == "minus":
         words = [sign(w) * permutation_op(w) for w in perms]
     elif kind == "minus_deformed":
         if beta is None:

@@ -57,7 +57,7 @@ from .combinatorics import (
     partition_cells,
     stabilizer_order,
 )
-from .errors import AmbientSizeMismatch, DivergentWeightError, HeckePolyError
+from .errors import AmbientSizeMismatch, DivergentWeightError
 from .parameters import FamilySpec, HERMITE, JACK, LAGUERRE
 from .polynomials import Exponent, Polynomial, _integer_part
 
@@ -66,8 +66,7 @@ from .polynomials import Exponent, Polynomial, _integer_part
 class ScaledRational:
     """Exact value q * pi^(pi_half/2) * Gamma(gamma+1/2)^gamma_base.
 
-    Addition requires matching base powers; zero is normalized to powers
-    (0, 0) so it is absorbing for comparisons.
+    Zero is normalized to powers (0, 0), so every zero compares equal.
     """
 
     q: Fraction
@@ -81,37 +80,6 @@ class ScaledRational:
             object.__setattr__(self, "gamma_base", 0)
         if self.pi_half < 0 or self.gamma_base < 0:
             raise ValueError("base powers must be non-negative")
-
-    def __add__(self, other: "ScaledRational") -> "ScaledRational":
-        if not isinstance(other, ScaledRational):
-            other = ScaledRational(Fraction(other))
-        if self.q == 0:
-            return other
-        if other.q == 0:
-            return self
-        if (self.pi_half, self.gamma_base) != (other.pi_half, other.gamma_base):
-            raise HeckePolyError("cannot add values with different base powers")
-        return ScaledRational(self.q + other.q, self.pi_half, self.gamma_base)
-
-    def __mul__(self, other) -> "ScaledRational":
-        if isinstance(other, ScaledRational):
-            return ScaledRational(
-                self.q * other.q,
-                self.pi_half + other.pi_half,
-                self.gamma_base + other.gamma_base,
-            )
-        return ScaledRational(self.q * Fraction(other), self.pi_half, self.gamma_base)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "ScaledRational":
-        return ScaledRational(-self.q, self.pi_half, self.gamma_base)
-
-    def __sub__(self, other: "ScaledRational") -> "ScaledRational":
-        return self + (-other)
-
-    def is_zero(self) -> bool:
-        return self.q == 0
 
     def render(self) -> str:
         """Plain-text rendering like "3/2 · π^{1/2} · Γ(γ+1/2)^2"; a unit

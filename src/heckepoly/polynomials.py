@@ -258,22 +258,6 @@ class Polynomial:
 
     # -- variable transforms -----------------------------------------------
 
-    def invert_variables(self) -> "Polynomial":
-        """Substitute x_j -> 1/x_j for every variable (Laurent reversal)."""
-        return Polynomial(
-            self.nvars, {tuple(-e for e in exps): c for exps, c in self.terms.items()}
-        )
-
-    def swap_variables(self, i: int, j: int) -> "Polynomial":
-        """Exchange variables x_i and x_j (1-based)."""
-        a, b = i - 1, j - 1
-        out: dict[Exponent, Coefficient] = {}
-        for exps, coeff in self.terms.items():
-            e = list(exps)
-            e[a], e[b] = e[b], e[a]
-            out[tuple(e)] = coeff
-        return Polynomial._trusted(self.nvars, out)
-
     def stretch(self, factor: int) -> "Polynomial":
         """Substitute x_j -> x_j^factor in every variable."""
         return Polynomial(

@@ -132,20 +132,22 @@ class GridSpec:
     rand_polys: int = 50
 
     def __post_init__(self):
+        object.__setattr__(self, "gammas", tuple(Fraction(g) for g in self.gammas))
         out_of_bounds = (
-            min(self.ns) < 2
-            or max(self.ns) > 4
+            not (self.ns and self.betas and self.gammas)
+            or not all(2 <= n <= 4 for n in self.ns)
             or not 1 <= self.max_weight <= 6
-            or self.degree > 6
-            or max(self.betas) > 3
+            or not 1 <= self.degree <= 6
+            or not all(0 <= beta <= 3 for beta in self.betas)
+            or not all(gamma > Fraction(-1, 2) for gamma in self.gammas)
         )
         if out_of_bounds:
             raise ValueError(
-                "grid out of bounds: 2 <= N <= 4, 1 <= max_weight <= 6, degree <= 6, beta <= 3"
+                "grid out of bounds: non-empty lists with 2 <= N <= 4, 0 <= beta <= 3, "
+                "gamma > -1/2; 1 <= max_weight <= 6, 1 <= degree <= 6"
             )
         if self.pairs < 1 or self.rand_polys < 1:
             raise ValueError("grid counts must be positive: pairs >= 1, rand_polys >= 1")
-        object.__setattr__(self, "gammas", tuple(Fraction(g) for g in self.gammas))
 
     def to_json_dict(self) -> dict:
         return {

@@ -1,12 +1,16 @@
 """Command-line interface: spec examples, round trips, and determinism."""
 
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from heckepoly import cli
 from heckepoly.cli import main, parse_partition, parse_rational
+from heckepoly.errors import NotProportionalError
 from heckepoly.polynomials import Polynomial
 
 
@@ -262,6 +266,92 @@ def test_exit_code_2_for_a_grid_out_of_bounds(capsys):
     assert text.startswith("error: grid out of bounds")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--suite", "daha_relations", "--n-list", "2", "--beta-list", "1", "--degree", "-1"],
+        ["--suite", "jack_orth", "--beta-list=-1"],
+        ["--suite", "norms_all", "--gamma-list=-1"],
+    ],
+    ids=["degree", "beta", "gamma"],
+)
+def test_verify_rejects_grid_below_bounds(argv, capsys):
+    """A grid that would check nothing or record a bad parameter as a
+    counterexample is an input error."""
+    text = input_error(["verify", *argv], capsys)
+    assert text.startswith("error: grid out of bounds")
+
+
+def test_table_rejects_negative_weight(capsys):
+    text = input_error(["table", "--family", "jack", "--n", "2", "--beta", "1",
+                        "--max-weight", "-1"], capsys)
+    assert text == "error: max_weight must be non-negative, got -1"
+    _, out = run_cli(["table", "--family", "jack", "--n", "2", "--beta", "1",
+                      "--max-weight", "0"], capsys)
+    assert out.splitlines()[1:] == ['jack,"0,0",2,1,,2,2,0;1']
+
+
+def test_unwritable_output_is_an_input_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.txt"
+    text = input_error(["poly", "--family", "jack", "--lambda", "1", "--n", "2",
+                        "--beta", "1", "--output", str(target)], capsys)
+    assert text.startswith("error: ") and str(target) in text
+    assert not target.exists()
+
+
+_JACK = ["--family", "jack", "--n", "2", "--beta", "1"]
+_RUNNER_CASES = {
+    # command: (argv that runs, argv with an input error, cli name to plant a failure in)
+    "poly": (["poly", *_JACK, "--lambda", "1"], ["poly", *_JACK, "--lambda", "1,2"],
+             "construct"),
+    "norm": (["norm", *_JACK, "--lambda", "1"], ["norm", *_JACK, "--lambda", "1,1,1"],
+             "norm_formula"),
+    "pair": (["pair", *_JACK, "--f", _ONE_IN_2, "--g", _ONE_IN_2],
+             ["pair", *_JACK, "--f", _ONE_IN_2, "--g", _ONE_IN_3], "realization"),
+    "raise": (["raise", *_JACK, "--lambda", "1", "--m", "1"],
+              ["raise", *_JACK, "--lambda", "1", "--m", "5"], "raising_apply"),
+    "shift": (["shift", *_JACK, "--lambda", "1", "--direction", "G"],
+              ["shift", "--family", "hermite", "--n", "2", "--beta", "0", "--lambda", "1",
+               "--direction", "G_hat"], "shift_apply"),
+    "table": (["table", *_JACK, "--max-weight", "1"],
+              ["table", *_JACK, "--max-weight", "-1"], "construct"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_RUNNER_CASES))
+def test_runner_exit_codes(command, monkeypatch, capsys):
+    """Every command goes through the one runner: an input error exits 2
+    and a failed check exits 1, each with exactly one line on stderr."""
+    argv, bad_input, target = _RUNNER_CASES[command]
+    assert input_error(bad_input, capsys).startswith("error: ")
+
+    def planted(*args, **kwargs):
+        raise NotProportionalError("not proportional: planted")
+
+    monkeypatch.setattr(cli, target, planted)
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: not proportional: planted\n" and captured.out == ""
+
+
+def test_only_main_emits_and_maps_errors():
+    """Only main passes an exception to _fail, and no command branches on
+    the output format."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    commands = [fn.name for fn in functions if fn.name.startswith("cmd_")]
+    assert len(commands) == 7
+    for fn in functions:
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "_fail":
+                passes_error = len(node.args) + len(node.keywords) > 1
+                assert not passes_error or fn.name == "main", fn.name
+            if fn.name in commands and isinstance(node, ast.Attribute):
+                assert node.attr != "format", fn.name
+
+
 def test_exit_code_1_for_a_failing_verify_case(monkeypatch, capsys):
     """A planted defect (Dhat_N + 1) is a counterexample, not an input error."""
     from heckepoly import clear_caches
@@ -288,8 +378,6 @@ def test_exit_code_1_for_a_failing_verify_case(monkeypatch, capsys):
 def test_exit_code_1_for_a_failed_check(monkeypatch, capsys):
     """A raise image that is not proportional to its target is a
     counterexample: one error line, exit code 1."""
-    from heckepoly import cli
-    from heckepoly.errors import NotProportionalError
 
     def not_proportional(m, base):
         raise NotProportionalError("not proportional: planted")

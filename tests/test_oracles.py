@@ -29,7 +29,8 @@ def ct_pairing_bruteforce(f, g, spec):
     shift = Polynomial.monomial(tuple([-beta * (n - 1)] * n))
     weight = vandermonde(n) ** (2 * beta) * shift
     sgn = (-1) ** (beta * n * (n - 1) // 2)
-    return sgn * (f * g.invert_variables() * weight).constant_term()
+    g_inverted = Polynomial(g.nvars, {tuple(-e for e in exps): c for exps, c in g.terms.items()})
+    return sgn * (f * g_inverted * weight).constant_term()
 
 
 def gauss_moment(k):

@@ -54,6 +54,19 @@ def test_grid_bounds():
             GridSpec(max_weight=weight)
     assert GridSpec(max_weight=1).max_weight == 1
     assert GridSpec(max_weight=6).max_weight == 6
+    for bad in (
+        {"degree": 0},
+        {"degree": -1},
+        {"betas": (1, -1)},
+        {"gammas": (Fraction(1, 2), Fraction(-1, 2))},
+        {"gammas": (-1,)},
+        {"ns": ()},
+        {"betas": ()},
+        {"gammas": ()},
+    ):
+        with pytest.raises(ValueError, match="grid out of bounds"):
+            GridSpec(**bad)
+    assert GridSpec(degree=1, betas=(0,), gammas=(Fraction(-1, 3),)).degree == 1
 
 
 def test_reports_deterministic_and_reproducible():
@@ -154,11 +167,7 @@ def test_empty_suite_fails():
 
 
 def test_appendix_a_reduced_words():
-    from heckepoly.combinatorics import (
-        compose,
-        longest_element,
-        transposition,
-    )
+    from heckepoly.combinatorics import longest_element
     from heckepoly.verify import _w0_words
 
     for n in range(2, 6):
@@ -167,7 +176,7 @@ def test_appendix_a_reduced_words():
             assert len(word) == n * (n - 1) // 2
             product = tuple(range(1, n + 1))
             for i in word:
-                product = compose(product, transposition(n, i, i + 1))
+                product = product[: i - 1] + (product[i], product[i - 1]) + product[i + 1 :]
             assert product == longest_element(n)
         assert (words[0] != words[1]) == (n >= 3)
 
