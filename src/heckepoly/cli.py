@@ -23,7 +23,8 @@ Exit codes, for every command:
   0  everything passed
   1  a counterexample: a verify case failed, or a check the command runs
      came out false (a raise or shift image not proportional to its
-     target, a construction that is not triangular)
+     target, a construction that is not triangular, a sigma_B or
+     Laguerre operator image that is not even)
   2  a usage or input error: bad options, a malformed value, a grid out
      of bounds (N, weight, degree, beta or gamma, or an empty list), a
      label or parameter the construction rejects, an --output path that
@@ -49,7 +50,6 @@ from .combinatorics import partitions_up_to
 from .errors import (
     AmbientSizeMismatch,
     DivergentWeightError,
-    EvennessViolation,
     HeckePolyError,
     RodriguesSingularError,
     TypeBContextError,
@@ -71,7 +71,6 @@ _INPUT_ERRORS = (
     OSError,
     AmbientSizeMismatch,
     DivergentWeightError,
-    EvennessViolation,
     RodriguesSingularError,
     TypeBContextError,
 )

@@ -108,7 +108,6 @@ class ScaledRational:
 # weights (cached per (N, beta): they dominate pairing cost)
 
 
-@memo
 def _vandermonde_power(n: int, beta: int) -> Polynomial:
     """prod_{i<j} (x_i - x_j)^(2 beta) as a product of binomial powers;
     powering the whole Vandermonde product multiplies far larger

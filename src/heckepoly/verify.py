@@ -7,14 +7,17 @@ reports are byte-reproducible.
 
 A suite is a generator of cases.  Called with the grid, it yields one
 ``(params, thunk)`` pair per case and may return a calibration dict.
-Work that may raise runs inside the thunks, also where cases share it:
-the family polynomials come from the construction cache of ``families``,
-and a value several cases need is computed by whichever of them runs
-first.  A thunk returns True, False or a ``Failure``: the rendered
+The generator only draws the random inputs and builds operators; its
+thunks do everything else, every construction, intertwiner image,
+pairing, raising or shift, also where cases share it: the family
+polynomials come from the construction cache of ``families``, and a
+value several cases need is a cached thunk computed by whichever of them
+runs first.  A thunk returns True, False or a ``Failure``: the rendered
 witnesses and any params its check found, such as the first monomial on
 which two operators differ.  It runs before its generator resumes, so it
 may close over the loop variables.  A new suite is one generator, named
-in ``SUITES``.
+in ``SUITES``; the tests measure which public operations the suites
+call.
 
 ``_run_cases`` alone records cases.  A thunk that raises fails its case,
 whose params gain the exception type and message, and the suite goes on.
@@ -68,7 +71,7 @@ import json
 import math
 import random
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cache, partial
 from operator import methodcaller
@@ -104,7 +107,7 @@ from .pairings import (
     norm_formula,
     shift_constants,
 )
-from .parameters import FamilySpec, HERMITE, JACK, LAGUERRE
+from .parameters import FAMILIES, FamilySpec, HERMITE, JACK, LAGUERRE
 from .polynomials import Polynomial, monomials_up_to_degree
 from .raising import raising_apply, raising_constant, rodrigues
 from .shift import (
@@ -150,16 +153,7 @@ class GridSpec:
             raise ValueError("grid counts must be positive: pairs >= 1, rand_polys >= 1")
 
     def to_json_dict(self) -> dict:
-        return {
-            "ns": list(self.ns),
-            "betas": list(self.betas),
-            "gammas": [str(g) for g in self.gammas],
-            "max_weight": self.max_weight,
-            "degree": self.degree,
-            "seed": self.seed,
-            "pairs": self.pairs,
-            "rand_polys": self.rand_polys,
-        }
+        return asdict(self) | {"gammas": [str(g) for g in self.gammas]}
 
 
 @dataclass
@@ -184,14 +178,7 @@ class SuiteReport:
         return self.cases_run > 0 and self.cases_passed == self.cases_run
 
     def to_json_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "grid": self.grid,
-            "cases_run": self.cases_run,
-            "cases_passed": self.cases_passed,
-            "failures": self.failures,
-            "calibration": self.calibration,
-        }
+        return asdict(self)
 
 
 class Failure(NamedTuple):
@@ -260,28 +247,18 @@ def _relation_cases(params, rows, degree):
         yield dict(params, relation=relation), case
 
 
-def _hermite_specs(n: int, beta: int, grid: GridSpec):
-    return [FamilySpec(HERMITE, n, beta)]
-
-
-def _laguerre_specs(n: int, beta: int, grid: GridSpec):
-    return [FamilySpec(LAGUERRE, n, beta, g) for g in grid.gammas]
-
-
 def _family_specs(n: int, beta: int, grid: GridSpec) -> list[FamilySpec]:
     """One spec per family; Laguerre at the last gamma of the grid."""
+    return [FamilySpec(f, n, beta, grid.gammas[-1] if f == LAGUERRE else None) for f in FAMILIES]
+
+
+def _grid_specs(n: int, beta: int, grid: GridSpec, families=FAMILIES) -> list[FamilySpec]:
+    """One spec per family of families, Laguerre at every gamma of the grid."""
     return [
-        FamilySpec(JACK, n, beta),
-        FamilySpec(HERMITE, n, beta),
-        FamilySpec(LAGUERRE, n, beta, grid.gammas[-1]),
+        FamilySpec(family, n, beta, gamma)
+        for family in families
+        for gamma in (grid.gammas if family == LAGUERRE else (None,))
     ]
-
-
-def _grid_specs(n: int, beta: int, grid: GridSpec) -> list[FamilySpec]:
-    """Jack, Hermite, and Laguerre at every gamma of the grid."""
-    return [FamilySpec(JACK, n, beta), FamilySpec(HERMITE, n, beta)] + _laguerre_specs(
-        n, beta, grid
-    )
 
 
 def _spec_params(spec: FamilySpec) -> dict:
@@ -400,13 +377,11 @@ def _dunkl_rows(spec: FamilySpec):
 
 
 def _dunkl_commute(grid: GridSpec):
-    pairs = list(itertools.product(grid.ns, grid.betas))
-    specs = [FamilySpec(JACK, n, beta) for n, beta in pairs] + [
-        spec for n, beta in pairs for spec in _laguerre_specs(n, beta, grid)
-    ]
-    for spec in specs:
-        params = dict(_spec_params(spec), type="A" if spec.gamma is None else "B")
-        yield from _relation_cases(params, _dunkl_rows(spec), grid.degree)
+    for families in ((JACK,), (LAGUERRE,)):
+        for n, beta in itertools.product(grid.ns, grid.betas):
+            for spec in _grid_specs(n, beta, grid, families):
+                params = dict(_spec_params(spec), type="A" if spec.gamma is None else "B")
+                yield from _relation_cases(params, _dunkl_rows(spec), grid.degree)
 
 
 def _nonsym_eigen(grid: GridSpec):
@@ -461,24 +436,19 @@ def _jack_orth(grid: GridSpec):
             )
 
 
-def _intertwine(suite: str, specs, every_query: bool, grid: GridSpec):
-    """sigma(Q f) == rho(Q) sigma(f) on random f, for each of specs(n, beta,
-    grid) and Q a Cherednik operator Dhat_j (rho(Q) = C_j of the realization)
-    or a transposition s_ij (rho(Q) = s_ij); every query per trial, or one
-    in turn."""
+def _intertwine(suite: str, families, every_query: bool, grid: GridSpec):
+    """sigma(Q f) == rho(Q) sigma(f) on random f, for the grid specs of families
+    and Q a Cherednik operator Dhat_j (rho(Q) = C_j of the realization) or a
+    transposition s_ij (rho(Q) = s_ij); every query per trial, or one in turn."""
     for n, beta in itertools.product(grid.ns, grid.betas):
         jack_sp = FamilySpec(JACK, n, beta)
-        for spec in specs(n, beta, grid):
+        for spec in _grid_specs(n, beta, grid, families):
             real = realization(spec)
             sigma = globals()[real.intertwiner]  # sigma_a or sigma_b, imported above
             tag = (n, beta) if spec.gamma is None else (n, beta, str(spec.gamma))
             rng = _rng(grid, suite, *tag)
             queries = [
-                (
-                    f"Dhat_{j}",
-                    ops.cherednik_a(j, jack_sp),
-                    partial(real.apply, real.cherednik(j)),
-                )
+                (f"Dhat_{j}", ops.cherednik_a(j, jack_sp), partial(real.apply, real.cherednik(j)))
                 for j in range(1, n + 1)
             ] + [
                 (f"s_{i}{j}", ops.exchange(n, i, j), ops.exchange(n, i, j))
@@ -486,11 +456,15 @@ def _intertwine(suite: str, specs, every_query: bool, grid: GridSpec):
             ]
             for trial in range(grid.rand_polys):
                 f = random_polynomial(n, 3, rng)
-                image = sigma(f, spec)
+
+                @cache  # once, in whichever case runs first
+                def image():
+                    return sigma(f, spec)
+
                 chosen = queries if every_query else [queries[trial % len(queries)]]
                 for name, q_op, rho_q in chosen:
                     params = dict(_spec_params(spec), trial=trial, Q=name)
-                    yield params, lambda: _same(sigma(q_op(f), spec), rho_q(image), _pretty)
+                    yield params, lambda: _same(sigma(q_op(f), spec), rho_q(image()), _pretty)
 
 
 def _res_b(grid: GridSpec):
@@ -498,7 +472,7 @@ def _res_b(grid: GridSpec):
     for n, beta in itertools.product(grid.ns, grid.betas):
         jack_sp = FamilySpec(JACK, n, beta)
         chers = [ops.cherednik_a(j, jack_sp) for j in range(1, n + 1)]
-        for lag_sp in _laguerre_specs(n, beta, grid):
+        for lag_sp in _grid_specs(n, beta, grid, (LAGUERRE,)):
             cher_b = [ops.cherednik_b(j, lag_sp) for j in range(1, n + 1)]
             params = {"n": n, "beta": beta, "gamma": str(lag_sp.gamma)}
             for j in range(n):
@@ -516,10 +490,10 @@ def _res_b(grid: GridSpec):
                 yield dict(params, j=j + 1), case
 
 
-def _gram_is_sigma_jack(specs, grid: GridSpec):
-    """Gram construction == intertwiner image, for each of specs(n, beta, grid)."""
+def _gram_is_sigma_jack(families, grid: GridSpec):
+    """Gram construction == intertwiner image, for the grid specs of families."""
     for n, beta in itertools.product(grid.ns, grid.betas):
-        for spec in specs(n, beta, grid):
+        for spec in _grid_specs(n, beta, grid, families):
             render = methodcaller("pretty", realization(spec).letter)
             for lam in partitions_up_to(grid.max_weight, n):
                 yield {**_spec_params(spec), "lambda": list(lam)}, lambda: _same(
@@ -561,20 +535,21 @@ def _shift_all(grid: GridSpec):
             key = f"{spec.family},N={n},beta={beta}"
             delta = staircase(n)
 
-            def shifted(direction, label, label_spec, expected):
+            def shifted(direction, label, label_spec, lam):
                 cal = calibrate(spec.family, n, beta, spec.gamma)
                 calibrations[key] = cal.to_json_dict()
+                c_val, ct_val = shift_constants(lam, n, beta)
+                expected = c_val if direction == "G" else ct_val
                 const, _ = shift_apply(direction, construct(label, label_spec))
                 ok = abs(const) == expected and const == cal.global_sign * expected
                 return ok or Failure(str(const), str(expected))
 
             for lam in partitions_up_to(max_weight, n):
                 params = _label_params(spec, lam)
-                c_val, ct_val = shift_constants(lam, n, beta)
                 raised = tuple(p + d for p, d in zip(lam, delta))
-                yield dict(params, direction="G"), partial(shifted, "G", raised, spec, c_val)
+                yield dict(params, direction="G"), partial(shifted, "G", raised, spec, lam)
                 yield (dict(params, direction="G_hat"),
-                       partial(shifted, "G_hat", lam, spec.with_beta(beta + 1), ct_val))
+                       partial(shifted, "G_hat", lam, spec.with_beta(beta + 1), lam))
                 yield (dict(params, relation="norm recursion"),
                        partial(norm_recursion_check, lam, spec))
     return calibrations
@@ -670,34 +645,36 @@ def _appendix_a(grid: GridSpec):
 
 
 def _dunkl_pairing_prop(grid: GridSpec):
+    """One case per (N, beta): <sigma_A f, sigma_A g> against each operator
+    pairing (variant, scale); the case checks the resolved choice."""
     verdict: dict[str, bool] = {}
     for n, beta in itertools.product(grid.ns, grid.betas):
         herm_sp = FamilySpec(HERMITE, n, beta)
-        one = gauss_pairing(Polynomial.one(n), Polynomial.one(n), herm_sp)
         rng = _rng(grid, "dunkl_pairing", n, beta)
-        trials = []
-        for _ in range(6):
-            f = random_symmetric_polynomial(n, 3, rng)
-            g = random_symmetric_polynomial(n, 3, rng)
-            lhs = gauss_pairing(sigma_a(f, herm_sp), sigma_a(g, herm_sp), herm_sp)
-            trials.append((f, g, lhs))
+        inputs = [
+            (random_symmetric_polynomial(n, 3, rng), random_symmetric_polynomial(n, 3, rng))
+            for _ in range(6)
+        ]
 
-        def agrees(tag, variant, scale):
-            ok = all(
-                lhs.q == one.q * dunkl_pairing(f, g, herm_sp, variant, scale)
-                for f, g, lhs in trials
-            )
-            verdict[tag] = verdict.get(tag, True) and ok
-            return ok
+        def case():
+            one = gauss_pairing(Polynomial.one(n), Polynomial.one(n), herm_sp)
+            trials = [
+                (f, g, gauss_pairing(sigma_a(f, herm_sp), sigma_a(g, herm_sp), herm_sp))
+                for f, g in inputs
+            ]
+            agrees = {
+                f"{variant},scale={scale}": all(
+                    lhs.q == one.q * dunkl_pairing(f, g, herm_sp, variant, scale)
+                    for f, g, lhs in trials
+                )
+                for variant in ("dunkl", "cherednik")
+                for scale in (Fraction(1), Fraction(1, 2))
+            }
+            for tag, ok in agrees.items():
+                verdict[tag] = verdict.get(tag, True) and ok
+            return agrees["dunkl,scale=1/2"]
 
-        for variant in ("dunkl", "cherednik"):
-            for scale in (Fraction(1), Fraction(1, 2)):
-                tag = f"{variant},scale={scale}"
-                case = partial(agrees, tag, variant, scale)
-                if tag == "dunkl,scale=1/2":  # the one choice recorded as a case
-                    yield {"n": n, "beta": beta, "choice": tag}, case
-                else:
-                    case()
+        yield {"n": n, "beta": beta, "choice": "dunkl,scale=1/2"}, case
     return {
         "proportionality": verdict,
         "resolved": "plain Dunkl operators at per-variable scale 1/2 "
@@ -735,11 +712,11 @@ SUITES = {
         ("nonsym_eigen", _nonsym_eigen),
         ("jack_eigen", _jack_eigen),
         ("jack_orth", _jack_orth),
-        ("intertwine_A", partial(_intertwine, "intertwine_A", _hermite_specs, True)),
-        ("intertwine_B", partial(_intertwine, "intertwine_B", _laguerre_specs, False)),
+        ("intertwine_A", partial(_intertwine, "intertwine_A", (HERMITE,), True)),
+        ("intertwine_B", partial(_intertwine, "intertwine_B", (LAGUERRE,), False)),
         ("res_B", _res_b),
-        ("hermite_is_sigma_jack", partial(_gram_is_sigma_jack, _hermite_specs)),
-        ("laguerre_is_sigma_jack", partial(_gram_is_sigma_jack, _laguerre_specs)),
+        ("hermite_is_sigma_jack", partial(_gram_is_sigma_jack, (HERMITE,))),
+        ("laguerre_is_sigma_jack", partial(_gram_is_sigma_jack, (LAGUERRE,))),
         ("raising_all", _raising_all),
         ("rodrigues_all", _rodrigues_all),
         ("shift_all", _shift_all),
@@ -750,35 +727,6 @@ SUITES = {
         ("dunkl_pairing_prop", _dunkl_pairing_prop),
         ("sutherland_form", _sutherland_form),
     )
-}
-
-# operations exercised by each suite (union must cover the public surface;
-# asserted by the test harness)
-SUITE_OPERATIONS = {
-    "daha_relations": ["operators.cherednik_a", "operators.operator_equal"],
-    "dunkl_commute": ["operators.dunkl_a", "operators.dunkl_b"],
-    "nonsym_eigen": ["families.nonsym_jack", "families.nonsym_hermite",
-                     "families.nonsym_laguerre", "operators.htilde"],
-    "jack_eigen": ["families.jack"],
-    "jack_orth": ["pairings.ct_pairing"],
-    "intertwine_A": ["families.sigma_a", "operators.creation_a",
-                     "operators.annihilation_a"],
-    "intertwine_B": ["families.sigma_b", "operators.creation_b",
-                     "operators.annihilation_b"],
-    "res_B": ["operators.cherednik_b"],
-    "hermite_is_sigma_jack": ["families.hermite"],
-    "laguerre_is_sigma_jack": ["families.laguerre"],
-    "raising_all": ["raising.raising_operator", "raising.raising_apply"],
-    "rodrigues_all": ["raising.rodrigues"],
-    "shift_all": ["shift.shift_apply", "shift.calibrate",
-                  "pairings.shift_constants"],
-    "duality_all": ["shift.duality_check"],
-    "norms_all": ["pairings.norm_formula", "pairings.gauss_pairing",
-                  "pairings.laguerre_pairing"],
-    "norm_equiv_appB": ["pairings.norm_formula"],
-    "appendix_A": ["operators.symmetrizer", "shift.antisymmetrizer_lemma_check"],
-    "dunkl_pairing_prop": ["pairings.dunkl_pairing"],
-    "sutherland_form": ["operators.sutherland_expanded_apply"],
 }
 
 

@@ -418,6 +418,28 @@ def test_exit_code_1_for_a_construction_that_is_not_symmetric(method, monkeypatc
     assert "at N=2, beta=1, lambda=(2, 1)" in err
 
 
+def test_exit_code_1_for_an_image_that_is_not_even(monkeypatch, capsys):
+    """With B_j + 1 planted the sigma_B image is not even: the failed
+    evenness check is a counterexample, not an input error."""
+    from heckepoly import clear_caches
+    from heckepoly import operators as ops
+
+    creation_b = ops.creation_b
+    clear_caches()
+    monkeypatch.setattr(
+        ops, "creation_b", lambda j, spec: creation_b(j, spec) + ops.identity(spec.n)
+    )
+    try:
+        with pytest.raises(SystemExit) as info:
+            main(["poly", "--family", "laguerre", "--lambda", "1", "--n", "2", "--beta", "1",
+                  "--gamma", "1/2", "--method", "intertwined"])
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    assert info.value.code == 1
+    assert capsys.readouterr().err == "error: evenness violated\n"
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "out.txt"
     code, out = run_cli(

@@ -414,6 +414,6 @@ def test_vandermonde_power_is_the_product_of_binomials():
 
     for n in (1, 2, 3, 4):
         for beta in (0, 1, 2, 3):
-            power = _vandermonde_power.__wrapped__(n, beta)
+            power = _vandermonde_power(n, beta)
             assert power == vandermonde(n) ** (2 * beta), (n, beta)
             assert all(type(c) is int for c in power.terms.values())

@@ -1,16 +1,19 @@
 """Suite runner: determinism, coverage, and small-grid smoke of every suite."""
 
+import importlib
+import inspect
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
 from heckepoly import clear_caches
 from heckepoly import operators as ops
+from heckepoly import verify
 from heckepoly.verify import (
     GridSpec,
     SUITES,
-    SUITE_OPERATIONS,
     reports_to_json,
     run_all,
     run_suite,
@@ -97,47 +100,130 @@ def test_dunkl_pairing_suite_records_verdict():
     assert verdict["cherednik,scale=1/2"] is False
 
 
+# the public operations the suites must call, as module.name
+CATALOG = (
+    "operators.dunkl_a",
+    "operators.cherednik_a",
+    "operators.dunkl_b",
+    "operators.cherednik_b",
+    "operators.creation_a",
+    "operators.creation_b",
+    "operators.htilde",
+    "operators.symmetrizer",
+    "operators.sutherland_expanded_apply",
+    "families.nonsym_jack",
+    "families.jack",
+    "families.sigma_a",
+    "families.hermite",
+    "families.sigma_b",
+    "families.laguerre",
+    "families.nonsym_hermite",
+    "families.nonsym_laguerre",
+    "pairings.ct_pairing",
+    "pairings.gauss_pairing",
+    "pairings.laguerre_pairing",
+    "pairings.dunkl_pairing",
+    "pairings.norm_formula",
+    "pairings.shift_constants",
+    "raising.raising_operator",
+    "raising.raising_apply",
+    "raising.rodrigues",
+    "shift.shift_apply",
+    "shift.calibrate",
+    "shift.duality_check",
+    "shift.antisymmetrizer_lemma_check",
+)
+
+# the layers whose operations run only inside a case's thunk
+CASE_ONLY = ("families.", "pairings.", "raising.", "shift.")
+
+
+def _measured_calls(run) -> set[str]:
+    """The CATALOG operations that run() calls, seen by a profile hook on
+    their code objects (a memoized one below its cache, which is cleared
+    first)."""
+    codes = {}
+    for name in CATALOG:
+        module, attr = name.split(".")
+        fn = getattr(importlib.import_module(f"heckepoly.{module}"), attr)
+        codes[inspect.unwrap(fn).__code__] = name
+    called = set()
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            called.add(codes[frame.f_code])
+
+    clear_caches()
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+        clear_caches()
+    return called
+
+
+def _cases(name):
+    """The case generator of suite name."""
+    _name, cases = SUITES[name].args
+    return cases
+
+
 def test_operation_coverage():
-    catalog = {
-        "operators.dunkl_a",
-        "operators.cherednik_a",
-        "operators.dunkl_b",
-        "operators.cherednik_b",
-        "operators.creation_a",
-        "operators.annihilation_a",
-        "operators.creation_b",
-        "operators.annihilation_b",
-        "operators.htilde",
-        "operators.symmetrizer",
-        "operators.operator_equal",
-        "operators.sutherland_expanded_apply",
-        "families.nonsym_jack",
-        "families.jack",
-        "families.sigma_a",
-        "families.hermite",
-        "families.sigma_b",
-        "families.laguerre",
-        "families.nonsym_hermite",
-        "families.nonsym_laguerre",
-        "pairings.ct_pairing",
-        "pairings.gauss_pairing",
-        "pairings.laguerre_pairing",
-        "pairings.dunkl_pairing",
-        "pairings.norm_formula",
-        "pairings.shift_constants",
-        "raising.raising_operator",
-        "raising.raising_apply",
-        "raising.rodrigues",
-        "shift.shift_apply",
-        "shift.calibrate",
-        "shift.duality_check",
-        "shift.antisymmetrizer_lemma_check",
-    }
-    covered = set()
-    for names in SUITE_OPERATIONS.values():
-        covered.update(names)
-    assert catalog <= covered, catalog - covered
-    assert set(SUITE_OPERATIONS) == set(SUITES)
+    """run_all calls every cataloged public operation."""
+    called = _measured_calls(lambda: run_all(SMALL))
+    assert called == set(CATALOG), sorted(set(CATALOG) - called)
+
+
+def test_generators_only_draw_inputs_and_build_operators():
+    """Draining every suite's generator without running its thunks calls
+    no construction, intertwiner, pairing, raising or shift operation."""
+
+    def drain():
+        for name in SUITES:
+            for _case in _cases(name)(SMALL):
+                pass
+
+    called = _measured_calls(drain)
+    assert not {name for name in called if name.startswith(CASE_ONLY)}, sorted(called)
+
+
+def _raise_planted(*args, **kwargs):
+    raise RuntimeError("planted")
+
+
+# a planted defect in the work cases share: (module, attribute, wrapper of
+# the original, suites it breaks)
+SHARED_WORK_PLANTS = {
+    "sigma_a raises": (verify, "sigma_a", lambda sigma_a: _raise_planted,
+                       ("intertwine_A", "dunkl_pairing_prop")),
+    "B_j + 1": (ops, "creation_b",
+                lambda creation_b: lambda j, spec: creation_b(j, spec) + ops.identity(spec.n),
+                ("intertwine_B",)),
+}
+
+
+@pytest.mark.parametrize("plant", sorted(SHARED_WORK_PLANTS))
+def test_shared_work_fails_case_by_case(plant, monkeypatch):
+    """Work several cases share fails each of them, with its own params:
+    every case is still recorded."""
+    module, attr, wrap, names = SHARED_WORK_PLANTS[plant]
+    expected = {name: [params for params, _thunk in _cases(name)(SMALL)] for name in names}
+    clear_caches()
+    monkeypatch.setattr(module, attr, wrap(getattr(module, attr)))
+    try:
+        reports = run_all(SMALL, names)
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    for report in reports:
+        assert report.cases_run == SMALL_COUNTS[report.suite] == len(expected[report.suite])
+        assert report.cases_passed == 0
+        raised = [failure["params"] for failure in report.failures]
+        assert all({"exception", "message"} < set(params) for params in raised)
+        own = [{k: v for k, v in p.items() if k not in ("exception", "message")} for p in raised]
+        assert own == expected[report.suite]
 
 
 def test_failure_reporting_carries_counterexample():
