@@ -1,10 +1,10 @@
 """Shift operators between coupling levels, duality, and norm recursion.
 
 The shift pair (G, Ghat) moves between couplings beta and beta+1 through a
-Vandermonde quotient of Cherednik-difference products.  The role
-assignment of the two products is fixed by an explicit calibration probe
-(the exact division only succeeds one way), and the frozen convention is
-reported as metadata.  Duality across the two inner products and the norm
+Vandermonde quotient of Cherednik-difference products: G = X^-1 Y(-) and
+Ghat = Y(+) X, with the global sign (-1)^(N(N-1)/2).  The convention is
+fixed; the calibration check confirms it at the empty label and reports
+it as metadata.  Duality across the two inner products and the norm
 recursion both hold exactly.
 """
 
@@ -17,7 +17,7 @@ from heckepoly.pairings import norm_formula, shift_constants
 from heckepoly.parameters import hermite_spec, jack_spec, laguerre_spec
 from heckepoly.shift import calibrate, duality_check, norm_recursion_check, shift_apply
 
-# Calibration: which product divides by the Vandermonde, and with what sign.
+# Calibration: the fixed convention, checked at the empty label.
 for family, gamma in [("jack", None), ("hermite", None), ("laguerre", Fraction(1, 2))]:
     report = calibrate(family, 3, 1, gamma)
     print(f"{family:8s} N=3: assignment={report.assignment}, "

@@ -5,7 +5,7 @@ Commands:
   norm    closed-form squared norm of the monic family polynomial
   pair    inner product of two polynomials (canonical JSON input)
   raise   apply a raising operator to a family polynomial
-  shift   apply a calibrated shift operator (level beta <-> beta+1)
+  shift   apply a shift operator (level beta <-> beta+1)
   verify  run named verification suites (exit code 0 iff all cases pass)
   table   labels x norms x eigenvalues as CSV or JSON
 
@@ -291,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_raise.add_argument("--method", help="construction route for the input")
     p_raise.set_defaults(fn=cmd_raise)
 
-    p_shift = sub.add_parser("shift", help="apply a calibrated shift operator")
+    p_shift = sub.add_parser("shift", help="apply a shift operator")
     family_options(p_shift)
     p_shift.add_argument("--direction", required=True, choices=["G", "G_hat"])
     p_shift.add_argument("--method", help="construction route for the input")
@@ -301,15 +301,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", choices=sorted(SUITES))
     p_verify.add_argument("--all", action="store_true",
                           help="run every suite (default when --suite is absent)")
-    p_verify.add_argument("--n-list", dest="ns", type=int_list, default="2,3")
-    p_verify.add_argument("--beta-list", dest="betas", type=int_list, default="0,1,2")
+    grid = GridSpec()  # the defaults are the default grid's
+    p_verify.add_argument("--n-list", dest="ns", type=int_list, default=grid.ns)
+    p_verify.add_argument("--beta-list", dest="betas", type=int_list, default=grid.betas)
     p_verify.add_argument("--gamma-list", dest="gammas", type=rational_list,
-                          default="0,1/3,1/2")
-    p_verify.add_argument("--max-weight", type=int, default=4)
-    p_verify.add_argument("--degree", type=int, default=5)
-    p_verify.add_argument("--seed", type=int, default=1)
-    p_verify.add_argument("--pairs", type=int, default=20)
-    p_verify.add_argument("--rand-polys", type=int, default=50)
+                          default=grid.gammas)
+    p_verify.add_argument("--max-weight", type=int, default=grid.max_weight)
+    p_verify.add_argument("--degree", type=int, default=grid.degree)
+    p_verify.add_argument("--seed", type=int, default=grid.seed)
+    p_verify.add_argument("--pairs", type=int, default=grid.pairs)
+    p_verify.add_argument("--rand-polys", type=int, default=grid.rand_polys)
     p_verify.add_argument("--format", default="pretty", choices=["pretty", "json"])
     p_verify.add_argument("--output")
     p_verify.set_defaults(fn=cmd_verify)

@@ -261,10 +261,7 @@ def label_to_composition(lam: Sequence[int], w: Permutation) -> tuple[int, ...]:
     """Exponent vector of the labelled monomial: exponent of x_{w(i)} is lam_i."""
     if len(lam) != len(w):
         raise AmbientSizeMismatch("ambient size mismatch in label")
-    out = [0] * len(w)
-    for i, img in enumerate(w):
-        out[img - 1] = lam[i]
-    return tuple(out)
+    return permute_exponents(w, lam)
 
 
 def composition_to_label(comp: Sequence[int]) -> tuple[Partition, Permutation]:

@@ -38,4 +38,4 @@ class TypeBContextError(HeckePolyError):
 
 
 class CalibrationError(HeckePolyError):
-    """Neither candidate convention passed the shift-operator calibration probe."""
+    """The fixed shift convention failed its check at the empty label."""

@@ -46,13 +46,15 @@ e_k(Dhat) images of the m_mu of weight |lam| (one operator application per
 nonempty index subset, expanded by orbit in int) with their e_k
 eigenvalues.
 
-Every construction is cached once it is checked, per (padded partition
-or NonSymLabel, spec, route), by the three memos ``_checked_*`` (see
-``caches``): a route body and its triangularity check run once per key
-(``raising.rodrigues`` shares the entry of ``construct(lam, spec,
-"rodrigues")``), a route never reads another route's entry, so a
-cross-check compares two constructions, and a construction that raises
-is not stored.
+Every symmetric construction and every non-symmetric Jack polynomial is
+cached once it is checked, per (padded partition or NonSymLabel, spec,
+route), by the two memos ``_checked_*`` (see ``caches``): a route body
+and its triangularity check run once per key (``raising.rodrigues``
+shares the entry of ``construct(lam, spec, "rodrigues")``), a route never
+reads another route's entry, so a cross-check compares two
+constructions, and a construction that raises is not stored.  A
+non-symmetric Hermite or Laguerre polynomial is the intertwiner image of
+the cached E_eta, applied and checked on each call.
 """
 
 from __future__ import annotations
@@ -684,11 +686,8 @@ def nonsym_laguerre(label: NonSymLabel, spec: FamilySpec) -> FamilyPolynomial:
 
 
 def _nonsym_intertwined(label: NonSymLabel, spec: FamilySpec) -> FamilyPolynomial:
-    return _checked_intertwined(NonSymLabel(pad_partition(label.lam, spec.n), label.w), spec)
-
-
-@memo
-def _checked_intertwined(label: NonSymLabel, spec: FamilySpec) -> FamilyPolynomial:
+    """sigma(E_eta) on the cached E_eta, checked triangular on every call."""
+    label = NonSymLabel(pad_partition(label.lam, spec.n), label.w)
     base = nonsym_jack(label, FamilySpec(JACK, spec.n, spec.beta))
     poly = globals()[realization(spec).intertwiner](base.poly, spec)
     _assert_nonsym_triangular(poly, label)

@@ -2,35 +2,33 @@
 
 With X the Vandermonde factor and C_j the image of the Cherednik
 operators at level beta in the family's ``families.Realization``, the two
-candidate products are
+products
 
     Y(+) = prod_{i<j} (+beta - C_i + C_j)
     Y(-) = prod_{i<j} (-beta - C_i + C_j)
 
-Direct computation (the calibration probe below) shows that Y(-) maps
-symmetric polynomials to antisymmetric ones and Y(+) maps antisymmetric
-to symmetric ones, so the working assignment is
+map symmetric polynomials to antisymmetric ones (Y(-)) and antisymmetric
+ones to symmetric ones (Y(+)), so the shift operators are
 
     G    = X^{-1} Y(-)   : level beta     -> level beta+1
     Ghat = Y(+) X        : level beta+1   -> level beta
 
-with a global sign (-1)^(N(N-1)/2) in the shift relations
+and the shift relations carry the global sign (-1)^(N(N-1)/2):
 
     G    F^{(beta)}_{lam+delta} = sign * c_lam       * F^{(beta+1)}_lam
     Ghat F^{(beta+1)}_lam       = sign * c_tilde_lam * F^{(beta)}_{lam+delta}
 
-(constants from shift_constants; delta the staircase).  The probe runs
-both role assignments, freezes the one in which the Vandermonde division
-is exact and the images are proportional, and reports it as calibration
-metadata.  The duality statements and the norm recursion use only the
-sign-invariant combination, so calibration is safe.
+(constants from shift_constants; delta the staircase; see also Baker and
+Forrester, Comm. Math. Phys. 188 (1997) 175-216).  This convention is
+fixed, not searched for: ``calibrate`` checks both relations at the empty
+label, and ``shift_apply`` checks the relation it applies.  The duality
+statement and the norm recursion do not depend on the sign.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import operators as ops
 from .caches import memo
@@ -53,12 +51,13 @@ from .polynomials import Polynomial, divide_exact, vandermonde
 
 @dataclass(frozen=True)
 class CalibrationReport:
-    """Frozen outcome of the role-assignment probe."""
+    """The fixed shift convention, checked at the empty label."""
 
     family: str
-    assignment: str  # "swapped" (Y(-) feeds G) or "paper" (Y(+) feeds G)
     global_sign: int
     witness_n: int
+    # Y(-) feeds G: "swapped" relative to the naive reading of the notation
+    assignment = "swapped"
 
     def to_json_dict(self) -> dict:
         return {
@@ -67,6 +66,11 @@ class CalibrationReport:
             "global_sign": self.global_sign,
             "witness_N": self.witness_n,
         }
+
+
+def global_sign(n: int) -> int:
+    """(-1)^(N(N-1)/2), the sign of both shift relations."""
+    return (-1) ** (n * (n - 1) // 2)
 
 
 @memo
@@ -90,61 +94,43 @@ def _apply_y(f: Polynomial, spec: FamilySpec, sign: int) -> Polynomial:
     return realization(spec).apply(_y_product(spec, sign), f)
 
 
-def apply_g(f: Polynomial, spec: FamilySpec, assignment: str = "swapped") -> Polynomial:
-    """Raw level-raising shift: Vandermonde quotient of the Y image."""
-    sign = -1 if assignment == "swapped" else 1
-    image = _apply_y(f, spec, sign)
+def apply_g(f: Polynomial, spec: FamilySpec) -> Polynomial:
+    """G f = X^{-1} Y(-) f, from level beta (spec) to level beta+1."""
+    image = _apply_y(f, spec, -1)
     if not image:
         return image
     return divide_exact(image, vandermonde(spec.n))
 
 
-def apply_ghat(f: Polynomial, spec: FamilySpec, assignment: str = "swapped") -> Polynomial:
-    """Raw level-lowering shift: Y image of the Vandermonde multiple.
-
-    spec is the *lower* level beta; f lives at level beta+1."""
-    sign = 1 if assignment == "swapped" else -1
-    return _apply_y(vandermonde(spec.n) * f, spec, sign)
+def apply_ghat(f: Polynomial, spec: FamilySpec) -> Polynomial:
+    """Ghat f = Y(+) (X f), from level beta+1 to level beta (spec)."""
+    return _apply_y(vandermonde(spec.n) * f, spec, 1)
 
 
 @memo
 def calibrate(family: str, n: int, beta: int, gamma=None) -> CalibrationReport:
-    """Probe both role assignments at the empty label and freeze the one
-    that divides exactly and lands on the expected family polynomial."""
+    """Check both shift relations, with the global sign, at the empty
+    label: G F^{(beta)}_delta and Ghat F^{(beta+1)}_0."""
     spec = FamilySpec(family, n, beta, gamma)
-    delta = staircase(n)
-    source = construct(delta, spec)
-    upper = construct((0,) * n, spec.with_beta(beta + 1))
-    lower = construct((0,) * n, spec)
-    c_val, ct_val = shift_constants((0,) * n, n, beta)
-    for assignment in ("swapped", "paper"):
-        try:
-            g_img = apply_g(source.poly, spec, assignment)
-        except NotDivisibleError:
-            continue
-        sign = _proportionality_sign(g_img, upper.poly, c_val)
-        if sign is None:
-            continue
-        ghat_img = apply_ghat(lower.poly, spec, assignment)
-        sign2 = _proportionality_sign(ghat_img, source.poly, ct_val)
-        if sign2 != sign:
-            continue
-        return CalibrationReport(family, assignment, sign, n)
-    raise CalibrationError(
-        f"no shift-operator role assignment verified for {family} at N={n}, beta={beta}"
-    )
-
-
-def _proportionality_sign(image: Polynomial, target: Polynomial, magnitude: Fraction):
-    if image == magnitude * target:
-        return 1
-    if image == -magnitude * target:
-        return -1
-    return None
+    source = construct(staircase(n), spec).poly
+    empty = (0,) * n
+    target = construct(empty, spec.with_beta(beta + 1)).poly
+    c_val, ct_val = shift_constants(empty, n, beta)
+    sign = global_sign(n)
+    try:
+        holds = (apply_g(source, spec) == sign * c_val * target
+                 and apply_ghat(target, spec) == sign * ct_val * source)
+    except NotDivisibleError:
+        holds = False
+    if not holds:
+        raise CalibrationError(
+            f"shift relations with sign {sign} fail for {family} at N={n}, beta={beta}"
+        )
+    return CalibrationReport(family, sign, n)
 
 
 def shift_apply(direction: str, family_poly: FamilyPolynomial):
-    """Apply the calibrated shift operator.
+    """Apply a shift operator and check its relation.
 
     direction "G": input is the level-beta polynomial at label lam+delta;
     returns (signed constant, level-(beta+1) polynomial at lam).
@@ -162,22 +148,20 @@ def shift_apply(direction: str, family_poly: FamilyPolynomial):
             a < b for a, b in zip(lowered, lowered[1:])
         ):
             raise ValueError(f"label {lam} is not of the form lam+delta")
-        report = calibrate(spec.family, n, base_spec.beta, spec.gamma)
-        image = apply_g(family_poly.poly, base_spec, report.assignment)
+        image = apply_g(family_poly.poly, base_spec)
         target = construct(lowered, spec.with_beta(spec.beta + 1))
         magnitude = shift_constants(lowered, n, base_spec.beta)[0]
     elif direction == "G_hat":
         if spec.beta < 1:
             raise ValueError("G_hat lowers the level; needs beta >= 1")
         base_spec = spec.with_beta(spec.beta - 1)
-        report = calibrate(spec.family, n, base_spec.beta, spec.gamma)
-        image = apply_ghat(family_poly.poly, base_spec, report.assignment)
+        image = apply_ghat(family_poly.poly, base_spec)
         raised = tuple(p + d for p, d in zip(lam, delta))
         target = construct(raised, base_spec)
         magnitude = shift_constants(lam, n, base_spec.beta)[1]
     else:
         raise ValueError(f"unknown shift direction {direction!r}")
-    constant = report.global_sign * magnitude
+    constant = global_sign(n) * magnitude
     if image != constant * target.poly:
         raise NotProportionalError(
             f"not proportional: shift {direction} at {lam}, {spec}"
@@ -189,10 +173,9 @@ def duality_check(f: Polynomial, g: Polynomial, spec: FamilySpec) -> bool:
     """<G f, g> at level beta+1 equals <f, Ghat g> at level beta, exactly.
 
     f and g must be symmetric (u-variable symmetric for Laguerre)."""
-    report = calibrate(spec.family, spec.n, spec.beta, spec.gamma)
     upper = spec.with_beta(spec.beta + 1)
-    lhs = realization(upper).pair(apply_g(f, spec, report.assignment), g)
-    rhs = realization(spec).pair(f, apply_ghat(g, spec, report.assignment))
+    lhs = realization(upper).pair(apply_g(f, spec), g)
+    rhs = realization(spec).pair(f, apply_ghat(g, spec))
     return lhs == rhs
 
 
@@ -243,7 +226,7 @@ def _coordinate_y(n: int, signed_beta: int) -> Polynomial:
 
 def norm_recursion_check(lam, spec: FamilySpec) -> bool:
     """<F^{(beta+1)}_lam, same> == (c_tilde/c) <F^{(beta)}_{lam+delta}, same>;
-    the calibrated signs cancel in the ratio."""
+    the signs of the shift relations cancel in the ratio."""
     n = spec.n
     lam = pad_partition(lam, n)
     delta = staircase(n)

@@ -51,8 +51,8 @@ Suite names:
                      Gram construction equals the intertwiner image
   raising_all        raising operators hit the predicted label and constant
   rodrigues_all      Rodrigues chain equals the direct construction
-  shift_all          calibrated shift relations with the closed-form
-                     constants (emits the calibration report)
+  shift_all          shift relations with sign (-1)^(N(N-1)/2) and the
+                     closed-form constants (emits the calibration report)
   duality_all        <G f, g>^(beta+1) = <f, Ghat g>^(beta) on random pairs
   norms_all          pairing-computed norms equal both closed forms
   norm_equiv_appB    product form == hook form across the grid
@@ -556,12 +556,22 @@ def _shift_all(grid: GridSpec):
 
 
 def _duality_all(grid: GridSpec):
+    """Random symmetric f and g of weight <= 3.  Y(-) f is antisymmetric,
+    so G f = 0 while deg f < |delta|: where |delta| > 3 (N >= 4), f also
+    gets the terms +-m_{delta+mu}, |mu| <= 2, and G f is nonzero."""
     for n, beta in itertools.product(grid.ns, grid.betas):
+        delta = staircase(n)
+        tops = [
+            monomial_symmetric(n, tuple(d + m for d, m in zip(delta, mu)))
+            for mu in partitions_up_to(2, n)
+        ] if sum(delta) > 3 else []
         for spec in _grid_specs(n, beta, grid):
             rng = _rng(grid, "duality", spec.family, n, beta, str(spec.gamma))
             for trial in range(grid.pairs):
                 f = random_symmetric_polynomial(n, 3, rng)
                 g = random_symmetric_polynomial(n, 3, rng)
+                for top in tops:
+                    f = f + rng.choice((-1, 1)) * top
                 params = {"family": spec.family, "n": n, "beta": beta,
                           "gamma": str(spec.gamma), "trial": trial}
                 yield params, partial(duality_check, f, g, spec)

@@ -85,8 +85,8 @@ def test_criterion_5_shift_duality():
     shifts = run_suite("shift_all", FULL)
     _assert_pinned(5, duality, shifts)
     calibration_emitted = bool(shifts.calibration) and all(
-        entry["assignment"] in ("swapped", "paper")
-        and entry["global_sign"] in (-1, 1)
+        entry["assignment"] == "swapped"
+        and entry["global_sign"] == (-1) ** (entry["witness_N"] * (entry["witness_N"] - 1) // 2)
         for entry in shifts.calibration.values()
     )
     _report(5, "duality (20 seeded pairs per configuration) and calibrated "

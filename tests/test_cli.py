@@ -222,6 +222,15 @@ def test_shift_command(capsys):
     assert data["result"]["spec"]["beta"] == 2
 
 
+def test_verify_defaults_are_the_default_grid():
+    from dataclasses import fields
+
+    from heckepoly.verify import GridSpec
+
+    args = cli.build_parser().parse_args(["verify"])
+    assert {f.name: getattr(args, f.name) for f in fields(GridSpec)} == vars(GridSpec())
+
+
 def test_verify_command_exit_code(capsys):
     code, out = run_cli(
         ["verify", "--suite", "norm_equiv_appB", "--n-list", "2",

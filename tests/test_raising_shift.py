@@ -110,9 +110,9 @@ def test_calibration_probes():
     for beta in (1, 2):
         spec = jack_spec(2, beta)
         m1 = monomial_symmetric(2, (1, 0))
-        assert apply_g(m1, spec, "swapped") == Polynomial.constant(2, -1)
+        assert apply_g(m1, spec) == Polynomial.constant(2, -1)
         x_poly = Polynomial.variable(2, 1) - Polynomial.variable(2, 2)
-        ghat_img = apply_ghat(Polynomial.one(2), spec, "swapped")
+        ghat_img = apply_ghat(Polynomial.one(2), spec)
         assert ghat_img == -(1 + 2 * beta) * m1
     for family, gamma in [("jack", None), ("hermite", None), ("laguerre", Fraction(1, 2))]:
         for n in (2, 3):

@@ -2,6 +2,7 @@
 
 import importlib
 import inspect
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -10,7 +11,8 @@ import pytest
 
 from heckepoly import clear_caches
 from heckepoly import operators as ops
-from heckepoly import verify
+from heckepoly import shift, verify
+from heckepoly.families import realization
 from heckepoly.verify import (
     GridSpec,
     SUITES,
@@ -29,6 +31,10 @@ SMALL = GridSpec(
     pairs=3,
     rand_polys=4,
 )
+SMALL_ARGV = [
+    "--n-list", "2", "--beta-list", "0,1", "--gamma-list", "1/2", "--max-weight", "3",
+    "--degree", "3", "--seed", "7", "--pairs", "3", "--rand-polys", "4",
+]
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
@@ -89,7 +95,10 @@ def test_shift_suite_emits_calibration():
     assert report.calibration
     sample = next(iter(report.calibration.values()))
     assert set(sample) == {"family", "assignment", "global_sign", "witness_N"}
-    assert sample["assignment"] in ("swapped", "paper")
+    for entry in report.calibration.values():
+        n = entry["witness_N"]
+        assert entry["assignment"] == "swapped"
+        assert entry["global_sign"] == (-1) ** (n * (n - 1) // 2)
 
 
 def test_dunkl_pairing_suite_records_verdict():
@@ -345,6 +354,65 @@ def test_relation_tables_catch_planted_defect(name, monkeypatch):
     assert all("monomial" in failure["params"] for failure in report.failures)
 
 
+def _negated_y(y_product):
+    return lambda spec, sign: -1 * y_product(spec, sign)
+
+
+def _exchanged_y(y_product):
+    """prod_{i<j} (sign*beta + C_i - C_j): C_i and C_j exchanged in every factor."""
+
+    def planted(spec, sign):
+        n = spec.n
+        chers = [realization(spec).cherednik(j) for j in range(1, n + 1)]
+        total = ops.identity(n)
+        for i, j in itertools.combinations(range(n), 2):
+            total = (ops.scalar(n, sign * spec.beta) + chers[i] - chers[j]) * total
+        return total
+
+    return planted
+
+
+# a planted defect in the shift Y-products: wrapper of shift._y_product
+SHIFT_PLANTS = {"-Y": _negated_y, "C_i <-> C_j": _exchanged_y}
+
+
+@pytest.mark.parametrize("plant", sorted(SHIFT_PLANTS))
+def test_shift_suite_catches_planted_defect(plant, monkeypatch, capsys):
+    """The shift convention is fixed, not measured: a sign or a role error
+    in the Y-products fails shift_all, and verify exits 1."""
+    from heckepoly.cli import main
+
+    clear_caches()
+    monkeypatch.setattr(shift, "_y_product", SHIFT_PLANTS[plant](shift._y_product))
+    try:
+        code = main(["verify", "--suite", "shift_all", *SMALL_ARGV])
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    assert code == 1
+    assert capsys.readouterr().out.startswith("shift_all: FAIL")
+
+
+N4 = GridSpec(ns=(4,), betas=(1,), gammas=(Fraction(1, 2),), pairs=1)
+
+
+@pytest.mark.parametrize("operator", ["apply_g", "apply_ghat"])
+def test_duality_catches_doubled_shift_at_n4(operator, monkeypatch):
+    """At N = 4 each duality case has both sides nonzero (f has a part of
+    weight >= |delta|), so doubling G or Ghat fails every case on unequal
+    sides, not by an exception."""
+    original = getattr(shift, operator)
+    clear_caches()
+    monkeypatch.setattr(shift, operator, lambda *args: 2 * original(*args))
+    try:
+        report = run_suite("duality_all", N4)
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    assert report.cases_run == 3 and report.cases_passed == 0
+    assert not any("exception" in failure["params"] for failure in report.failures)
+
+
 def test_crashing_suite_is_reported(monkeypatch, capsys):
     """With Dhat_N + 1 planted, many cases raise; each fails alone, carrying
     its params and the exception, and every suite still reports."""
@@ -355,11 +423,7 @@ def test_crashing_suite_is_reported(monkeypatch, capsys):
     monkeypatch.setattr(ops, attr, plant(getattr(ops, attr)))
     try:
         reports = run_all(SMALL)
-        code = main([
-            "verify", "--all", "--n-list", "2", "--beta-list", "0,1",
-            "--gamma-list", "1/2", "--max-weight", "3", "--degree", "3",
-            "--seed", "7", "--pairs", "3", "--rand-polys", "4",
-        ])
+        code = main(["verify", "--all", *SMALL_ARGV])
     finally:
         monkeypatch.undo()
         clear_caches()
