@@ -25,7 +25,9 @@ sqrt(2), so the intertwiner applied to a homogeneous f of degree d is
 
 which makes every family polynomial exactly rational.  Under this
 convention sigma_A(J_lam) *is* the monic Hermite polynomial and
-sigma_B(J_lam) the monic Laguerre polynomial.
+sigma_B(J_lam) the monic Laguerre polynomial.  The ladder words of the
+terms of f share their prefixes (``operators.apply_words``), act in
+integers and are summed over one common denominator.
 
 The Gram route (the default for Hermite and Laguerre) runs on integers.
 m_mu and m_nu have integer coefficients and are homogeneous, so the Gram
@@ -42,9 +44,9 @@ joint eigenvector of commuting operators triangular on a basis, found by
 back-substitution in integer numerators over one common denominator.  The
 non-symmetric E_eta passes the Dhat_j images of the monomials of degree
 |eta| with their Cherednik spectra; the symmetric J_lam passes the
-e_k(Dhat) images of the m_mu of weight |lam| (one operator application per
-nonempty index subset, expanded by orbit in int) with their e_k
-eigenvalues.
+e_k(Dhat) images of the m_mu of weight |lam| (the index subsets are words
+that share prefixes, so one operator application per nonempty subset,
+expanded by orbit in int) with their e_k eigenvalues.
 
 Every symmetric construction and every non-symmetric Jack polynomial is
 cached once it is checked, per (padded partition or NonSymLabel, spec,
@@ -59,6 +61,7 @@ the cached E_eta, applied and checked on each call.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -188,6 +191,7 @@ class Realization:
     cherednik_op: str  # C_j = cherednik_scale * operators.<cherednik_op>(j, spec)
     cherednik_scale: Fraction
     pairing: str  # the pairings function of the family
+    graded: bool  # the pairing vanishes on x^a, x^b unless |a| = |b|
     intertwiner: str | None  # sigma_a or sigma_b, applied to the Jack family
     symmetric_routes: tuple[str, ...]  # routes of a symmetric label, default first
     nonsym_route: str  # the one route of a non-symmetric label
@@ -223,29 +227,25 @@ class Realization:
         return value if isinstance(value, ScaledRational) else ScaledRational(value)
 
     def intertwine(self, f: Polynomial) -> Polynomial:
-        """sigma(f) = decode(f(V_1, ..., V_N) . 1).  The ladder powers act
-        in integers; each homogeneous component of degree d is rescaled
-        once, by ladder_scale^d."""
+        """sigma(f) = decode(f(V_1, ..., V_N) . 1): the term x^a is the
+        ladder word L^(stretch a) applied to 1 and weighted by
+        ladder_scale^|a|.  The words share their prefixes, act in integers,
+        and the weighted sum is divided once (``operators.apply_words``)."""
         spec, n = self.spec, self.spec.n
         ladders = [getattr(ops, self.ladder)(j, spec) for j in range(1, n + 1)]
-        result = Polynomial.zero(n)
-        for degree, component in f.homogeneous_components().items():
-            image = Polynomial.zero(n)
-            for exps, coeff in component.terms.items():
-                cur = Polynomial.one(n)
-                for j, e in enumerate(exps):
-                    for _ in range(self.stretch * e):
-                        cur = ladders[j](cur)
-                image = image + coeff * cur
-            result = result + self.decode(image) * self.ladder_scale**degree
-        return result
+        words = {
+            ops.exponent_word(exps, self.stretch): coeff * self.ladder_scale ** sum(exps)
+            for exps, coeff in f.terms.items()
+        }
+        (image,) = ops.apply_words(Polynomial.one(n), [words], ladders)
+        return self.decode(image)
 
 
 class _Jack(Realization):
     __slots__ = ()
     letter, ladder, stretch, ladder_scale = "x", None, 1, Fraction(1)
     cherednik_op, cherednik_scale = "cherednik_a", Fraction(1)
-    pairing, intertwiner = "ct_pairing", None
+    pairing, intertwiner, graded = "ct_pairing", None, True
     symmetric_routes = ("triangular", "symmetrized", "rodrigues")
     nonsym_route = "triangular"
 
@@ -254,7 +254,7 @@ class _Hermite(Realization):
     __slots__ = ()
     letter, ladder, stretch, ladder_scale = "x", "creation_a", 1, Fraction(1, 2)
     cherednik_op, cherednik_scale = "htilde", Fraction(1)
-    pairing, intertwiner = "gauss_pairing", "sigma_a"
+    pairing, intertwiner, graded = "gauss_pairing", "sigma_a", False
     symmetric_routes = ("gram", "intertwined", "rodrigues")
     nonsym_route = "intertwined"
 
@@ -263,7 +263,7 @@ class _Laguerre(Realization):
     __slots__ = ()
     letter, ladder, stretch, ladder_scale = "u", "creation_b", 2, Fraction(1, 4)
     cherednik_op, cherednik_scale = "htilde", Fraction(1, 2)
-    pairing, intertwiner = "laguerre_pairing", "sigma_b"
+    pairing, intertwiner, graded = "laguerre_pairing", "sigma_b", False
     symmetric_routes = ("gram", "intertwined", "rodrigues")
     nonsym_route = "intertwined"
 
@@ -477,25 +477,18 @@ def _jack_column(n: int, beta: int, mu: Partition):
     images = _elementary_images(monomial_symmetric(n, mu), chers)
     values = [mu[i] + beta * (n - 1 - i) for i in range(n)]
     return (
-        tuple(_orbit_coefficients(image) for image in images),
+        tuple(_orbit_coefficients(image.terms) for image in images),
         tuple(_elementary_symmetric(values, k) for k in range(1, n + 1)),
     )
 
 
-def _elementary_images(f: Polynomial, chers) -> list[dict]:
-    """Term dicts of e_k(chers) f for k = 1..N, summed over k-subsets S.
-    The image of S is chers[max S] applied to the image of S without
-    max S, so each nonempty subset costs one application."""
+def _elementary_images(f: Polynomial, chers) -> list[Polynomial]:
+    """e_k(chers) f for k = 1..N, summed over the k-subsets S, each applied
+    in increasing index order.  The word of S is the word of S without
+    max S followed by max S, so each nonempty subset costs one application."""
     n = len(chers)
-    images = [f] + [None] * ((1 << n) - 1)
-    sums: list[dict] = [{} for _ in range(n)]
-    for subset in range(1, 1 << n):
-        high = subset.bit_length() - 1
-        image = images[subset] = chers[high](images[subset ^ (1 << high)])
-        acc = sums[subset.bit_count() - 1]
-        for exps, c in image.terms.items():
-            acc[exps] = acc.get(exps, 0) + c
-    return [{e: c for e, c in acc.items() if c} for acc in sums]
+    sums = [dict.fromkeys(itertools.combinations(range(n), k), 1) for k in range(1, n + 1)]
+    return ops.apply_words(f, sums, chers)
 
 
 def _jack_symmetrized(lam, n: int, beta: int) -> Polynomial:

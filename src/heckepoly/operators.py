@@ -27,7 +27,16 @@ are realized as exact telescoping sums on exponents, never as division.
 Operators compose with ``*`` (right factor acts first), add with ``+``,
 and scale with exact rationals (a float is refused).  Finite-degree
 operator equality on the monomial spanning set is the only equality
-notion.
+notion: ``first_difference`` runs both normal forms on each monomial in
+integers and builds polynomials only for the witnesses of a difference.
+
+A family of operator words applied to one seed is evaluated by shared
+prefixes (``apply_words``): a word's image is its last step applied to
+the image of the word without it, so every prefix is applied once.  The
+word of x^a is L_1^a_1 then L_2^a_2, ... (``exponent_word``), which serves
+the intertwiners, the operator pairing and the e_k(Dhat) images; the
+deformed antisymmetrizer peels first left descents of S_N, T_w f =
+shat_i(T_{s_i w} f), and costs N! - 1 deformed transpositions per push.
 
 Dunkl operator (A type):      D_j = d_j + beta * sum_{k!=j} (1-s_jk)/(x_j-x_k)
 Cherednik operator (A type):  Dhat_j = x_j D_j + beta * sum_{k<j} s_jk
@@ -80,6 +89,13 @@ def _clean(terms: dict) -> dict:
     return {e: v for e, v in terms.items() if v}
 
 
+def _apply_terms(terms, src: dict) -> dict:
+    """The integer combination ``terms`` applied to src, zeros dropped."""
+    out: dict = {}
+    _accumulate(terms, src, out, 1)
+    return _clean(out)
+
+
 def _step(terms):
     """A callable for one factor: the bare push of a lone unit term."""
     if len(terms) == 1 and terms[0][0] == 1:
@@ -127,11 +143,9 @@ class _Memo:
         self.images: dict = {}
 
     def _image(self, exps):
-        tmp: dict = {}
-        _accumulate(self.terms, {exps: 1}, tmp, 1)
         intern = _EXPONENTS.setdefault
         image = []
-        for e, v in _clean(tmp).items():
+        for e, v in _apply_terms(self.terms, {exps: 1}).items():
             image += (intern(e, e), v)
         image = self.images[intern(exps, exps)] = tuple(image)
         return image
@@ -156,6 +170,20 @@ def _split_content(op: "Operator"):
     if len(terms) == 1 and type(terms[0][0]) is not int:
         return terms[0][0], ((1, terms[0][1]),)
     return 1, terms
+
+
+def _rescale(nvars: int, out: dict, scale) -> Polynomial:
+    """scale * out for an integer term dict out: v*p // q when q divides
+    v*p, and otherwise one Fraction per term (scale = p/q)."""
+    if scale == 1:
+        return Polynomial._trusted(nvars, _clean(out))
+    p, q = scale.numerator, scale.denominator
+    scaled = {}
+    for e, v in out.items():
+        if v:
+            v *= p
+            scaled[e] = v // q if v % q == 0 else Fraction(v, q)
+    return Polynomial._trusted(nvars, scaled)
 
 
 def _identity_push(src, out, c):
@@ -218,18 +246,9 @@ class Operator:
             )
         src, den = _integer_part(f.terms)
         content, terms = _split_content(self)
-        scale = content if den == 1 else Fraction(content, den)
         out: dict = {}
         _accumulate(terms, src, out, 1)
-        if scale == 1:
-            return Polynomial._trusted(self.nvars, _clean(out))
-        p, q = scale.numerator, scale.denominator
-        scaled = {}
-        for e, v in out.items():
-            if v:
-                v *= p
-                scaled[e] = v // q if v % q == 0 else Fraction(v, q)
-        return Polynomial._trusted(self.nvars, scaled)
+        return _rescale(self.nvars, out, content if den == 1 else Fraction(content, den))
 
     def __add__(self, other: "Operator") -> "Operator":
         if not isinstance(other, Operator):
@@ -613,36 +632,102 @@ def deformed_transposition(nvars: int, j: int, beta: int) -> Operator:
     return exchange(nvars, j, j + 1) - beta * divided_diff_minus(nvars, j, j + 1)
 
 
-def deformed_word_op(nvars: int, w, beta: int) -> Operator:
-    """Product of deformed transpositions along a reduced word of w."""
-    op = identity(nvars)
-    for i in reduced_word(tuple(w)):
-        op = op * deformed_transposition(nvars, i, beta)
-    return op
-
-
 MAX_SYMMETRIZER_N = 6
 
 
 def symmetrizer(nvars: int, kind: str, beta: int | None = None) -> Operator:
     """Group-averaged operators over S_N.
 
-    kind "minus": (1/N!) sum_w sign(w) w; "minus_deformed": signed average
-    of the deformed transposition words (needs beta).
+    kind "minus": (1/N!) sum_w sign(w) w; "minus_deformed": (1/N!) sum_w
+    sign(w) T_w, T_w the deformed transpositions along a reduced word of w
+    (needs an integer beta), pushed as one prefix tree.
     """
     if nvars > MAX_SYMMETRIZER_N:
         raise ValueError(f"symmetrizer limited to N <= {MAX_SYMMETRIZER_N}")
     perms = list(all_permutations(nvars))
     if kind == "minus":
         words = [sign(w) * permutation_op(w) for w in perms]
+        total = _combination(nvars, [term for op in words for term in op._terms])
     elif kind == "minus_deformed":
-        if beta is None:
-            raise ValueError("minus_deformed symmetrizer needs beta")
-        words = [sign(w) * deformed_word_op(nvars, w, beta) for w in perms]
+        if type(beta) is not int:
+            raise ValueError("minus_deformed symmetrizer needs an integer beta")
+        total = _leaf(nvars, _signed_word_sum(nvars, beta, perms))
     else:
         raise ValueError(f"unknown symmetrizer kind {kind!r}")
-    total = _combination(nvars, [term for op in words for term in op._terms])
     return Fraction(1, math.factorial(nvars)) * total
+
+
+def _signed_word_sum(nvars: int, beta: int, perms):
+    """The push of sum_w sign(w) T_w over perms, N! - 1 deformed
+    transpositions per push.  With i the first left descent of w,
+    T_w = shat_i T_{s_i w}, so in the order of application the word of w
+    is reduced_word(w^-1), whose prefixes are the words of the s_i w; the
+    sum runs over v = w^-1, of the same sign.  With an integer beta every
+    shat_i has integer coefficients."""
+    shat = [deformed_transposition(nvars, i, beta) for i in range(1, nvars)]
+    signed = {tuple(i - 1 for i in reduced_word(v)): sign(v) for v in perms}
+
+    def push(src, out, c):
+        images = _word_images(src, signed, shat)
+        get = out.get
+        for word, s in signed.items():
+            k = s * c
+            for e, v in images[word][1].items():
+                out[e] = get(e, 0) + k * v
+
+    return push
+
+
+def exponent_word(exps, power: int = 1) -> tuple[int, ...]:
+    """The word of x^exps with each x_j replaced by L_j^power, in the order
+    of application: L_1 acts first.  At power 1, dropping its last letter k
+    (the last index with exps_k > 0) gives the word of x^(exps - e_k)."""
+    return tuple(j for j, e in enumerate(exps) for _ in range(power * e))
+
+
+def _word_images(seed: dict, words, steps) -> dict:
+    """{word: (content, terms)} for each of ``words`` and each prefix of
+    one: the image of the integer term dict seed under the word, as content
+    times integer terms.  The word (i_1, ..., i_k) applies steps[i_1] first
+    and steps[i_k] last; its image is steps[i_k] applied to the image of
+    (i_1, ..., i_{k-1}), so every prefix is applied once."""
+    split = [_split_content(op) for op in steps]
+    images = {(): (1, seed)}
+
+    def image(word):
+        found = images.get(word)
+        if found is None:
+            content, src = image(word[:-1])
+            step_content, terms = split[word[-1]]
+            found = images[word] = (content * step_content, _apply_terms(terms, src))
+        return found
+
+    for word in words:
+        image(word)
+    return images
+
+
+def apply_words(seed: Polynomial, sums: list[dict], steps) -> list[Polynomial]:
+    """sum_word k * T_word(seed) for each {word: k} of ``sums``, with
+    T_(i_1..i_k) = steps[i_k] ... steps[i_1]: steps[i_1] acts first.  All
+    words share one evaluation of their prefixes (``_word_images``), and
+    each sum is accumulated in integers over one common denominator and
+    divided once."""
+    src, den = _integer_part(seed.terms)
+    images = _word_images(src, dict.fromkeys(w for weights in sums for w in weights), steps)
+    results = []
+    for weights in sums:
+        factors = [(images[w][0] * _canonical(k), images[w][1]) for w, k in weights.items()]
+        common = math.lcm(*(r.denominator for r, _ in factors))
+        total: dict = {}
+        get = total.get
+        for r, image in factors:
+            m = r.numerator * (common // r.denominator)
+            for e, v in image.items():
+                total[e] = get(e, 0) + m * v
+        q = common * den
+        results.append(_rescale(seed.nvars, total, Fraction(1, q) if q > 1 else 1))
+    return results
 
 
 def sutherland_expanded_apply(f: Polynomial, beta: int) -> Polynomial:
@@ -673,15 +758,31 @@ def sutherland_expanded_apply(f: Polynomial, beta: int) -> Polynomial:
     return total + constant * f
 
 
-def operator_equal(op_a: Operator, op_b: Operator, degree: int) -> bool:
-    """Exact agreement on every monomial of total degree <= degree."""
+def first_difference(op_a: Operator, op_b: Operator, degree: int):
+    """The first monomial x^e of total degree <= degree, in
+    ``monomials_up_to_degree`` order, on which op_a and op_b differ, as
+    (e, op_a(x^e), op_b(x^e)); None when they agree on every such monomial.
+
+    Both normal forms run on {e: 1} in integers and their contents p/q are
+    cross-multiplied; polynomials are built only for the witnesses."""
     if op_a.nvars != op_b.nvars:
         raise AmbientSizeMismatch("ambient size mismatch in operator comparison")
+    (c_a, terms_a), (c_b, terms_b) = _split_content(op_a), _split_content(op_b)
+    k_a, k_b = c_a.numerator * c_b.denominator, c_b.numerator * c_a.denominator
     for exps in monomials_up_to_degree(op_a.nvars, degree):
-        mono = Polynomial.monomial(exps)
-        if op_a(mono) != op_b(mono):
-            return False
-    return True
+        lhs, rhs = _apply_terms(terms_a, {exps: 1}), _apply_terms(terms_b, {exps: 1})
+        if k_a != k_b:
+            lhs = {e: k_a * v for e, v in lhs.items()}
+            rhs = {e: k_b * v for e, v in rhs.items()}
+        if lhs != rhs:
+            mono = Polynomial.monomial(exps)
+            return exps, op_a(mono), op_b(mono)
+    return None
+
+
+def operator_equal(op_a: Operator, op_b: Operator, degree: int) -> bool:
+    """Exact agreement on every monomial of total degree <= degree."""
+    return first_difference(op_a, op_b, degree) is None
 
 
 # name -> (constructor, required index names); addressable from the CLI as

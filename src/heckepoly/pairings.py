@@ -22,8 +22,10 @@ at b - a (Jack) or the cached moment numerator of x^(a+b) (Gauss,
 Laguerre); the denominator is the constant-term sign, 2^((d+D)/2) or
 q^(d+D).  One body pairs f and g for all three families: it scales them
 to integer coefficients, sums integer products per total degree and
-divides once.  The kernel also holds the one-variable moment of degree k
-that the closed-form norms multiply in, so the norms have one body too.
+divides once (``_pairing_by_degree`` keeps the degrees apart, for the
+duality check of the graded constant-term pairing).  The kernel also
+holds the one-variable moment of degree k that the closed-form norms
+multiply in, so the norms have one body too.
 
 Every weight is S_N-invariant, so <m_mu, m_nu> is a sum over one orbit
 against a representative of the other, times that representative's orbit
@@ -59,7 +61,7 @@ from .combinatorics import (
 )
 from .errors import AmbientSizeMismatch, DivergentWeightError
 from .parameters import FamilySpec, HERMITE, JACK, LAGUERRE
-from .polynomials import Exponent, Polynomial, _integer_part
+from .polynomials import Exponent, Polynomial, _canonical, _integer_part
 
 
 @dataclass(frozen=True)
@@ -330,12 +332,11 @@ def _check_inputs(f: Polynomial, g: Polynomial, spec: FamilySpec) -> None:
         raise ValueError("pairing inputs must be ordinary polynomials")
 
 
-def _pairing(f: Polynomial, g: Polynomial, spec: FamilySpec) -> Fraction:
-    """sum_{a,b} f_a g_b value(a, b) / denominator(|a| + |b|) under the
-    kernel of spec, as one Fraction: the integer parts of f and g are
-    summed per degree, and every degree is brought to the denominator of
-    the top one (each denominator divides the next).  Symmetric f and g
-    are summed over their orbits instead of their terms."""
+def _pairing_sums(f: Polynomial, g: Polynomial, spec: FamilySpec):
+    """(kernel, sums, scale) with <f, g> = sum_d sums[d] / (denominator(d)
+    * scale) under the kernel of spec: the integer parts of f and g summed
+    per total degree d = |a| + |b|, and the product of their denominators.
+    Symmetric f and g are summed over their orbits instead of their terms."""
     kernel = _kernel(spec)  # a divergent gamma fails first
     _check_inputs(f, g, spec)
     f_terms, f_scale = _integer_part(f.terms)
@@ -346,9 +347,23 @@ def _pairing(f: Polynomial, g: Polynomial, spec: FamilySpec) -> Fraction:
         sums = _degree_sums(f_terms, g_terms, kernel.value)
     else:
         sums = _degree_sums(*orbits, _orbit_numerator(spec))
+    return kernel, sums, f_scale * g_scale
+
+
+def _pairing(f: Polynomial, g: Polynomial, spec: FamilySpec) -> Fraction:
+    """sum_{a,b} f_a g_b value(a, b) / denominator(|a| + |b|) as one
+    Fraction: every degree is brought to the denominator of the top one
+    (each denominator divides the next)."""
+    kernel, sums, scale = _pairing_sums(f, g, spec)
     top = kernel.denominator(max(sums, default=0))
     total = sum(num * (top // kernel.denominator(d)) for d, num in sums.items())
-    return Fraction(total, top * f_scale * g_scale)
+    return Fraction(total, top * scale)
+
+
+def _pairing_by_degree(f: Polynomial, g: Polynomial, spec: FamilySpec) -> dict[int, Fraction]:
+    """The nonzero parts of <f, g> by total degree |a| + |b|: {d: value}."""
+    kernel, sums, scale = _pairing_sums(f, g, spec)
+    return {d: Fraction(num, kernel.denominator(d) * scale) for d, num in sums.items() if num}
 
 
 def ct_pairing(f: Polynomial, g: Polynomial, spec: FamilySpec) -> Fraction:
@@ -386,12 +401,15 @@ def dunkl_pairing(
     """Operator pairing [f(c*Op_1, ..., c*Op_N) g](0).
 
     variant selects plain Dunkl operators (default) or the Cherednik ones;
-    scale is the per-operator factor c.  With the rational ladder
+    scale is the per-operator factor c, an exact rational (a float raises
+    TypeError).  The words x^a of f act on g by shared prefixes
+    (``operators.apply_words``).  With the rational ladder
     convention the Gaussian-induced pairing equals <1,1> times this value
     at variant="dunkl", scale=1/2 (measured, not assumed: see the
     dunkl_pairing_prop verification suite).
     """
     _check_inputs(f, g, spec)
+    scale = _canonical(scale)
     base_spec = FamilySpec(JACK, spec.n, spec.beta)
     if variant == "dunkl":
         operators = [ops.dunkl_a(j, base_spec) for j in range(1, spec.n + 1)]
@@ -399,15 +417,11 @@ def dunkl_pairing(
         operators = [ops.cherednik_a(j, base_spec) for j in range(1, spec.n + 1)]
     else:
         raise ValueError(f"unknown dunkl_pairing variant {variant!r}")
-    scale = Fraction(scale)
-    result = Fraction(0)
-    for exps, coeff in f.terms.items():
-        cur = g
-        for j, e in enumerate(exps):
-            for _ in range(e):
-                cur = operators[j](cur)
-        result += coeff * scale ** sum(exps) * cur.constant_term()
-    return result
+    words = {
+        ops.exponent_word(exps): coeff * scale ** sum(exps) for exps, coeff in f.terms.items()
+    }
+    (image,) = ops.apply_words(g, [words], operators)
+    return image.constant_term()
 
 
 # ---------------------------------------------------------------------------

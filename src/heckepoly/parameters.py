@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .polynomials import _canonical
+
 JACK = "jack"
 HERMITE = "hermite"
 LAGUERRE = "laguerre"
@@ -16,8 +18,9 @@ class FamilySpec:
     """(family, N, beta, gamma) bundle.
 
     beta is a non-negative integer (the coupling is assumed integral so
-    that all weights expand into Laurent polynomials); gamma is a rational
-    parameter present exactly for the Laguerre family.
+    that all weights expand into Laurent polynomials; a bool is refused);
+    gamma is an exact rational parameter present exactly for the Laguerre
+    family (a float raises TypeError).
     """
 
     family: str
@@ -30,12 +33,12 @@ class FamilySpec:
             raise ValueError(f"unknown family {self.family!r}")
         if self.n < 1:
             raise ValueError("need at least one variable")
-        if not isinstance(self.beta, int) or self.beta < 0:
+        if not isinstance(self.beta, int) or isinstance(self.beta, bool) or self.beta < 0:
             raise ValueError("beta must be a non-negative integer")
         if self.family == LAGUERRE:
             if self.gamma is None:
                 raise ValueError("the Laguerre family needs a gamma parameter")
-            object.__setattr__(self, "gamma", Fraction(self.gamma))
+            object.__setattr__(self, "gamma", Fraction(_canonical(self.gamma)))
         elif self.gamma is not None:
             raise ValueError("gamma is only meaningful for the Laguerre family")
 
@@ -58,4 +61,4 @@ def hermite_spec(n: int, beta: int) -> FamilySpec:
 
 
 def laguerre_spec(n: int, beta: int, gamma) -> FamilySpec:
-    return FamilySpec(LAGUERRE, n, beta, Fraction(gamma))
+    return FamilySpec(LAGUERRE, n, beta, gamma)

@@ -249,13 +249,6 @@ class Polynomial:
     def is_laurent(self) -> bool:
         return any(e < 0 for exps in self.terms for e in exps)
 
-    def homogeneous_components(self) -> dict[int, "Polynomial"]:
-        """Split into total-degree components, keyed by degree."""
-        buckets: dict[int, dict[Exponent, Coefficient]] = {}
-        for exps, coeff in self.terms.items():
-            buckets.setdefault(sum(exps), {})[exps] = coeff
-        return {d: Polynomial(self.nvars, t) for d, t in sorted(buckets.items())}
-
     # -- variable transforms -----------------------------------------------
 
     def stretch(self, factor: int) -> "Polynomial":

@@ -22,7 +22,8 @@ and the shift relations carry the global sign (-1)^(N(N-1)/2):
 Forrester, Comm. Math. Phys. 188 (1997) 175-216).  This convention is
 fixed, not searched for: ``calibrate`` checks both relations at the empty
 label, and ``shift_apply`` checks the relation it applies.  The duality
-statement and the norm recursion do not depend on the sign.
+statement and the norm recursion do not depend on the sign; for Jack,
+whose pairing is graded, duality is checked degree by degree.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .errors import (
     NotProportionalError,
 )
 from .families import FamilyPolynomial, construct, realization
-from .pairings import shift_constants
+from .pairings import _pairing_by_degree, shift_constants
 from .parameters import FamilySpec, JACK
 from .polynomials import Polynomial, divide_exact, vandermonde
 
@@ -172,8 +173,17 @@ def shift_apply(direction: str, family_poly: FamilyPolynomial):
 def duality_check(f: Polynomial, g: Polynomial, spec: FamilySpec) -> bool:
     """<G f, g> at level beta+1 equals <f, Ghat g> at level beta, exactly.
 
-    f and g must be symmetric (u-variable symmetric for Laguerre)."""
+    f and g must be symmetric (u-variable symmetric for Laguerre).  Where
+    the pairing is graded (Jack), G lowers the degree by |delta| and Ghat
+    raises it, so the check holds degree by degree: <(G f)_e, g_e> equals
+    <f_{e+|delta|}, (Ghat g)_{e+|delta|}> for every e.  Compared one
+    degree at a time, parts that cancel in the sums cannot hide a defect."""
     upper = spec.with_beta(spec.beta + 1)
+    if realization(spec).graded:
+        shift = 2 * sum(staircase(spec.n))  # in the pair degree |a| + |b| = 2e
+        lhs = _pairing_by_degree(apply_g(f, spec), g, upper)
+        rhs = _pairing_by_degree(f, apply_ghat(g, spec), spec)
+        return {d + shift: value for d, value in lhs.items()} == rhs
     lhs = realization(upper).pair(apply_g(f, spec), g)
     rhs = realization(spec).pair(f, apply_ghat(g, spec))
     return lhs == rhs

@@ -30,7 +30,9 @@ are relation tables.  A table is a generator per context, say (N, beta),
 that builds the context's operators once and then yields one row
 (relation label, lhs operator, rhs operator) per identity and index.
 ``_relation_cases`` makes each row a case, checked on every monomial up to
-the grid degree.  A new identity is a new ``yield`` in its table.
+the grid degree by ``operators.first_difference``, in integers, with
+polynomials built only for the witnesses of a failure.  A new identity is
+a new ``yield`` in its table.
 
 Suite names:
   daha_relations     defining relations of the degenerate affine Hecke
@@ -54,6 +56,7 @@ Suite names:
   shift_all          shift relations with sign (-1)^(N(N-1)/2) and the
                      closed-form constants (emits the calibration report)
   duality_all        <G f, g>^(beta+1) = <f, Ghat g>^(beta) on random pairs
+                     (degree by degree for the graded Jack pairing)
   norms_all          pairing-computed norms equal both closed forms
   norm_equiv_appB    product form == hook form across the grid
   appendix_A         deformed transposition identities and annihilation
@@ -90,6 +93,7 @@ from .combinatorics import (
 )
 from .families import (
     NonSymLabel,
+    _elementary_images,
     _elementary_symmetric,
     composition_spectrum,
     construct,
@@ -108,7 +112,7 @@ from .pairings import (
     shift_constants,
 )
 from .parameters import FAMILIES, FamilySpec, HERMITE, JACK, LAGUERRE
-from .polynomials import Polynomial, monomials_up_to_degree
+from .polynomials import Polynomial, _canonical, monomials_up_to_degree
 from .raising import raising_apply, raising_constant, rodrigues
 from .shift import (
     antisymmetrizer_lemma_check,
@@ -135,7 +139,7 @@ class GridSpec:
     rand_polys: int = 50
 
     def __post_init__(self):
-        object.__setattr__(self, "gammas", tuple(Fraction(g) for g in self.gammas))
+        object.__setattr__(self, "gammas", tuple(Fraction(_canonical(g)) for g in self.gammas))
         out_of_bounds = (
             not (self.ns and self.betas and self.gammas)
             or not all(2 <= n <= 4 for n in self.ns)
@@ -237,12 +241,11 @@ def _relation_cases(params, rows, degree):
     generator, so each row's operators are built just before its case."""
     for relation, op_a, op_b in rows:
         def case():
-            for exps in monomials_up_to_degree(op_a.nvars, degree):
-                mono = Polynomial.monomial(exps)
-                lhs, rhs = op_a(mono), op_b(mono)
-                if lhs != rhs:
-                    return Failure(lhs.pretty(), rhs.pretty(), {"monomial": list(exps)})
-            return True
+            found = ops.first_difference(op_a, op_b, degree)
+            if found is None:
+                return True
+            exps, lhs, rhs = found
+            return Failure(lhs.pretty(), rhs.pretty(), {"monomial": list(exps)})
 
         yield dict(params, relation=relation), case
 
@@ -411,16 +414,10 @@ def _jack_eigen(grid: GridSpec):
             def case():
                 j_poly = jack(lam, spec).poly
                 values = [lam[i] + beta * (n - 1 - i) for i in range(n)]
-                for k in range(1, n + 1):
-                    image = Polynomial.zero(n)
-                    for subset in itertools.combinations(range(n), k):
-                        g = j_poly
-                        for idx in subset:
-                            g = chers[idx](g)
-                        image = image + g
-                    if image != _elementary_symmetric(values, k) * j_poly:
-                        return False
-                return True
+                return all(
+                    image == _elementary_symmetric(values, k) * j_poly
+                    for k, image in enumerate(_elementary_images(j_poly, chers), 1)
+                )
 
             yield {"n": n, "beta": beta, "lambda": list(lam)}, case
 

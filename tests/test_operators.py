@@ -7,7 +7,7 @@ import pytest
 
 from heckepoly import cache_info, clear_caches
 from heckepoly import operators as ops
-from heckepoly.errors import TypeBContextError
+from heckepoly.errors import AmbientSizeMismatch, TypeBContextError
 from heckepoly.parameters import hermite_spec, jack_spec, laguerre_spec
 from heckepoly.polynomials import (
     Polynomial,
@@ -452,6 +452,97 @@ def test_combinations_against_division_oracle():
         f = _random_poly(rng, n, 3)
         assert expr(f) == reference(f)
         assert expr(f) == reference(f)
+
+
+def _word_loop(seed, weights, steps):
+    """sum k * (steps[i_k] ... steps[i_1])(seed), every word applied from
+    the seed up, one step at a time."""
+    total = Polynomial.zero(seed.nvars)
+    for word, k in weights.items():
+        image = seed
+        for i in word:
+            image = steps[i](image)
+        total = total + k * image
+    return total
+
+
+@pytest.mark.parametrize("power", [1, 2])
+def test_apply_words_matches_the_per_term_loop(power):
+    """Exchanges and Cherednik operators do not commute, so equal results
+    pin the order of application: x^a is L_1^a_1 first, then L_2, ..."""
+    n, spec = 3, jack_spec(3, 1)
+    steps = [
+        ops.exchange(n, 1, 2) + ops.cherednik_a(1, spec),
+        Fraction(1, 3) * ops.cherednik_a(2, spec),  # a fractional content
+        ops.exchange(n, 2, 3) - ops.cherednik_a(3, spec),
+    ]
+    rng = random.Random(17)
+    for _ in range(4):
+        f, seed = _random_poly(rng, n, 3), _random_poly(rng, n, 2)
+        sums = [
+            {ops.exponent_word(exps, power): c for exps, c in f.terms.items()},
+            {ops.exponent_word(exps, power)[::-1]: 1 for exps in f.terms},
+        ]
+        assert ops.apply_words(seed, sums, steps) == [_word_loop(seed, w, steps) for w in sums]
+    assert ops.exponent_word((2, 0, 1)) == (0, 0, 2)
+    a, b = Polynomial.monomial((1, 2, 0)), {(0, 1): 1}
+    assert ops.apply_words(a, [b], steps) != ops.apply_words(a, [{(1, 0): 1}], steps)
+
+
+def _word_by_word_antisymmetrizer(n, beta):
+    """(1/N!) sum_w sign(w) shat_{i_1} ... shat_{i_l}, (i_1..i_l) =
+    reduced_word(w), each word its own composition."""
+    from math import factorial
+
+    from heckepoly.combinatorics import all_permutations, reduced_word, sign
+
+    total = ops.scalar(n, 0)
+    for w in all_permutations(n):
+        word = ops.identity(n)
+        for i in reduced_word(w):
+            word = word * ops.deformed_transposition(n, i, beta)
+        total = total + sign(w) * word
+    return Fraction(1, factorial(n)) * total
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("beta", [0, 1, 2])
+def test_prefix_built_antisymmetrizer_equals_the_word_sum(n, beta):
+    prefix = ops.symmetrizer(n, "minus_deformed", beta)
+    assert ops.operator_equal(prefix, _word_by_word_antisymmetrizer(n, beta), 4)
+
+
+def _first_difference_loop(op_a, op_b, degree):
+    for exps in monomials_up_to_degree(op_a.nvars, degree):
+        mono = Polynomial.monomial(exps)
+        if op_a(mono) != op_b(mono):
+            return exps, op_a(mono), op_b(mono)
+    return None
+
+
+def test_first_difference_finds_the_first_monomial_and_its_witnesses():
+    n, spec = 2, jack_spec(2, 1)
+    d1, x1 = ops.dunkl_a(1, spec), ops.multiply_by(Polynomial.variable(n, 1))
+    half = Fraction(1, 2)
+    # the identity with content 1/2: [D_1, x_1] = 1 + beta s_12 at beta = 1
+    one = half * (d1 * x1) - half * (x1 * d1) - half * ops.exchange(n, 1, 2)
+    one = one + half * ops.identity(n)
+    assert ops._split_content(one)[0] == half
+    pairs = [
+        (one, ops.identity(n)),  # equal, only one side has a fraction content
+        (one, 2 * ops.identity(n)),  # the same monomials, values apart
+        (one, ops.exchange(n, 1, 2)),
+        (ops.identity(n), half * ops.exchange(n, 1, 2) + half * ops.identity(n)),
+        (ops.cherednik_a(1, spec) * x1, x1 * ops.cherednik_a(1, spec)),
+    ]
+    for op_a, op_b in pairs:
+        expected = _first_difference_loop(op_a, op_b, 3)
+        assert ops.first_difference(op_a, op_b, 3) == expected
+        assert ops.operator_equal(op_a, op_b, 3) is (expected is None)
+    assert ops.first_difference(*pairs[0], 3) is None
+    assert ops.first_difference(*pairs[1], 3)[0] == (0, 0)
+    with pytest.raises(AmbientSizeMismatch):
+        ops.first_difference(ops.identity(2), ops.identity(3), 1)
 
 
 _NAMED = [

@@ -107,6 +107,28 @@ def test_float_scalars_rejected():
         ops.scalar(1, 0.5)
 
 
+@pytest.mark.parametrize(
+    "case", ["laguerre gamma", "grid gamma", "dunkl_pairing scale", "bool beta"]
+)
+def test_inexact_parameters_rejected(case):
+    """A float gamma or scale would be taken at its binary value (0.1 as
+    3602879701896397/36028797018963968), and a bool beta would be read as
+    0 or 1 and serialised as true."""
+    from heckepoly import FamilySpec, dunkl_pairing, hermite_spec
+    from heckepoly.verify import GridSpec
+
+    x = Polynomial.variable(2, 1)
+    build, error = {
+        "laguerre gamma": (lambda: FamilySpec("laguerre", 2, 1, 0.1), TypeError),
+        "grid gamma": (lambda: GridSpec(gammas=(0.1,)), TypeError),
+        "dunkl_pairing scale": (lambda: dunkl_pairing(x, x, hermite_spec(2, 1), scale=0.1),
+                                TypeError),
+        "bool beta": (lambda: FamilySpec("jack", 2, True), ValueError),
+    }[case]
+    with pytest.raises(error):
+        build()
+
+
 def test_basic_arithmetic():
     x1 = Polynomial.variable(2, 1)
     x2 = Polynomial.variable(2, 2)

@@ -413,6 +413,31 @@ def test_duality_catches_doubled_shift_at_n4(operator, monkeypatch):
     assert not any("exception" in failure["params"] for failure in report.failures)
 
 
+@pytest.mark.parametrize("operator", ["apply_g", "apply_ghat"])
+def test_duality_compares_degree_by_degree(operator, monkeypatch):
+    """On N = 4 with seed 20240811, the Jack beta = 0 case of trial 8 has
+    <G f, g> = <f, Ghat g> = 0, because its degree parts cancel.  The
+    constant-term pairing is graded, so the case compares one degree at a
+    time, and a doubled G or Ghat fails it."""
+    grid = GridSpec(ns=(4,), seed=20240811)
+    target = {"family": "jack", "n": 4, "beta": 0, "gamma": "None", "trial": 8}
+    thunk = next(thunk for params, thunk in _cases("duality_all")(grid) if params == target)
+    f, g, spec = thunk.args
+    upper = spec.with_beta(1)
+    assert realization(upper).pair(shift.apply_g(f, spec), g).q == 0
+    assert realization(spec).pair(f, shift.apply_ghat(g, spec)).q == 0
+    assert thunk() is True
+    original = getattr(shift, operator)
+    clear_caches()
+    shift.calibrate("jack", 4, 0)
+    monkeypatch.setattr(shift, operator, lambda *args: 2 * original(*args))
+    try:
+        assert thunk() is False
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+
+
 def test_crashing_suite_is_reported(monkeypatch, capsys):
     """With Dhat_N + 1 planted, many cases raise; each fails alone, carrying
     its params and the exception, and every suite still reports."""
