@@ -22,14 +22,15 @@ dd = ops.divided_diff_minus(2, 1, 2)
 print("divided difference of x_1^3:", dd(x1**3).pretty())
 # -> x_1^2 + x_1 x_2 + x_2^2, the classic geometric sum
 
-# The Dunkl operator D_1 = d_1 + beta * (1 - s_12)/(x_1 - x_2):
-d1 = ops.dunkl_a(1, spec)
+# The Dunkl operator D_1 = d_1 + beta * (1 - s_12)/(x_1 - x_2); its type
+# (A here) comes from the spec, which has no gamma:
+d1 = ops.dunkl(1, spec)
 print("D_1 x_1 =", d1(x1).pretty(), "(derivative 1 plus exchange weight 1)")
 
 # Cherednik operators commute; check [Dhat_1, Dhat_2] = 0 on every
 # monomial of degree <= 5.
-c1 = ops.cherednik_a(1, spec)
-c2 = ops.cherednik_a(2, spec)
+c1 = ops.cherednik(1, spec)
+c2 = ops.cherednik(2, spec)
 commutes = ops.operator_equal(ops.commutator(c1, c2), ops.scalar(2, 0), 5)
 print("[Dhat_1, Dhat_2] = 0 up to degree 5:", commutes)
 
@@ -47,9 +48,10 @@ print("(1 - t)/z applied to z^3:", sd(z**3).pretty())
 print("(1 - t)/z applied to z^2:", sd(z**2).pretty())
 
 # The B-type Cherednik operator preserves the even subring: applying it
-# to z_1^2 z_2^2 yields only even exponents.
+# to z_1^2 z_2^2 yields only even exponents.  The same constructor gives
+# it, typed B by the Laguerre spec's gamma:
 lag2 = laguerre_spec(2, 1, Fraction(1, 3))
-cb = ops.cherednik_b(1, lag2)
+cb = ops.cherednik(1, lag2)
 image = cb(Polynomial.monomial((2, 2)))
 print("Dhat^B_1 (z_1^2 z_2^2) has only even exponents:",
       all(e % 2 == 0 for exps in image.terms for e in exps))

@@ -19,7 +19,7 @@ from heckepoly.polynomials import Polynomial
 
 # One variable first: the ladder operator squared on the vacuum.
 h1 = hermite_spec(1, 0)
-up = ops.creation_a(1, h1)
+up = ops.creation(1, h1)
 print("A . 1      =", up(Polynomial.one(1)).pretty())
 print("A^2 . 1    =", up(up(Polynomial.one(1))).pretty())
 print("H_(2)      =", hermite((2,), h1).poly.pretty(), " (monic, weight e^{-x^2})")

@@ -168,13 +168,18 @@ def cmd_pair(args, spec: FamilySpec):
     except (HeckePolyError, OSError, ValueError, KeyError, TypeError) as err:
         _fail(f"error: cannot read polynomial: {err}")
     try:
-        if args.apply_f:
-            f = ops_module.operator_from_string(args.apply_f, spec)(f)
-        if args.apply_g:
-            g = ops_module.operator_from_string(args.apply_g, spec)(g)
+        op_f, op_g = (
+            text and ops_module.operator_from_string(text, spec)
+            for text in (args.apply_f, args.apply_g)
+        )
     except (HeckePolyError, ValueError, KeyError) as err:
         _fail(f"usage error: {err}")
-    value = realization(spec).pair(f, g)
+    real = realization(spec)
+    # through the codec: a Laguerre operator acts on z, f and g are in u,
+    # and an image that is not even raises EvennessViolation (exit 1)
+    f = real.apply(op_f, f) if op_f else f
+    g = real.apply(op_g, g) if op_g else g
+    value = real.pair(f, g)
     return EXIT_PASS, value.to_json_dict(), value.render()
 
 

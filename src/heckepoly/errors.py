@@ -34,7 +34,8 @@ class EvennessViolation(HeckePolyError):
 
 
 class TypeBContextError(HeckePolyError):
-    """A type-B primitive (sign flip / sign divided) was requested in a type-A context."""
+    """An operator name's type disagrees with the spec (a sign flip or a
+    "...B" name with a type-A spec, an "...A" name with a type-B one)."""
 
 
 class CalibrationError(HeckePolyError):

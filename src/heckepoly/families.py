@@ -174,7 +174,9 @@ class Realization:
         laguerre  B_j^2/4    h_j/2     u = z^2    laguerre_pairing
 
     V_j = ladder_scale * L_j^stretch, L_j the creation operator ``ladder``.
-    The operators act on z-polynomials for Laguerre; ``apply`` reads them
+    The operators take their type from the spec (``operators.creation`` is
+    A_j on a Hermite spec and B_j on a Laguerre one, ``operators.htilde``
+    likewise), and act on z-polynomials for Laguerre; ``apply`` reads them
     through the codec u_j = z_j^stretch.  An instance holds only its spec,
     and the family's data (class attributes of the subclasses below) are
     names: V_j and C_j are asked of ``operators`` on every call, so
@@ -244,7 +246,7 @@ class Realization:
 class _Jack(Realization):
     __slots__ = ()
     letter, ladder, stretch, ladder_scale = "x", None, 1, Fraction(1)
-    cherednik_op, cherednik_scale = "cherednik_a", Fraction(1)
+    cherednik_op, cherednik_scale = "cherednik", Fraction(1)
     pairing, intertwiner, graded = "ct_pairing", None, True
     symmetric_routes = ("triangular", "symmetrized", "rodrigues")
     nonsym_route = "triangular"
@@ -252,7 +254,7 @@ class _Jack(Realization):
 
 class _Hermite(Realization):
     __slots__ = ()
-    letter, ladder, stretch, ladder_scale = "x", "creation_a", 1, Fraction(1, 2)
+    letter, ladder, stretch, ladder_scale = "x", "creation", 1, Fraction(1, 2)
     cherednik_op, cherednik_scale = "htilde", Fraction(1)
     pairing, intertwiner, graded = "gauss_pairing", "sigma_a", False
     symmetric_routes = ("gram", "intertwined", "rodrigues")
@@ -261,7 +263,7 @@ class _Hermite(Realization):
 
 class _Laguerre(Realization):
     __slots__ = ()
-    letter, ladder, stretch, ladder_scale = "u", "creation_b", 2, Fraction(1, 4)
+    letter, ladder, stretch, ladder_scale = "u", "creation", 2, Fraction(1, 4)
     cherednik_op, cherednik_scale = "htilde", Fraction(1, 2)
     pairing, intertwiner, graded = "laguerre_pairing", "sigma_b", False
     symmetric_routes = ("gram", "intertwined", "rodrigues")
@@ -390,7 +392,7 @@ def _nonsym_jack_poly(comp, n: int, beta: int):
     of degree |comp|, by ``_eigen_solve``; returns (polynomial, spectrum)."""
     basis = sorted(monomials_of_degree(n, sum(comp)), key=label_sort_key)
     top = basis.index(tuple(comp))
-    chers = [ops.cherednik_a(j, FamilySpec(JACK, n, beta)) for j in range(1, n + 1)]
+    chers = [ops.cherednik(j, FamilySpec(JACK, n, beta)) for j in range(1, n + 1)]
     columns = [[c(Polynomial.monomial(b)).terms for c in chers] for b in basis[: top + 1]]
     eigen = [composition_spectrum(b, beta) for b in basis[: top + 1]]
     case = f"N={n}, beta={beta}, label {comp}"
@@ -473,7 +475,7 @@ def _jack_column(n: int, beta: int, mu: Partition):
     """The orbit coefficients of e_k(Dhat) m_mu for k = 1..N (the images
     have integer coefficients) and their eigenvalues e_k(mu_i + beta(N-1-i)),
     shared by every label of the weight |mu| at or above mu."""
-    chers = [ops.cherednik_a(j, FamilySpec(JACK, n, beta)) for j in range(1, n + 1)]
+    chers = [ops.cherednik(j, FamilySpec(JACK, n, beta)) for j in range(1, n + 1)]
     images = _elementary_images(monomial_symmetric(n, mu), chers)
     values = [mu[i] + beta * (n - 1 - i) for i in range(n)]
     return (

@@ -54,10 +54,11 @@ operators is factored out so that everything stays rational):
 and h_j = (1/2) A_j a_j + beta * sum_{k<j} s_jk  (Hermite),
     h_j = (1/2) B_j b_j + beta * sum_{k<j} (s_jk + t_jt_ks_jk)  (Laguerre).
 
-The named operators (Dunkl, Cherednik, creation, annihilation, h_j) are
-built once per index and parameter set, and each memoizes the image of
-every monomial it is applied to; both are registered in ``caches``, as
-``operators.named`` and ``operators.images``.
+The named operators ``dunkl`` (also the annihilation operator),
+``cherednik``, ``creation`` and ``htilde`` are of type B iff the spec has
+a gamma.  Each is built once per key (name, N, beta, gamma, j) and
+memoizes the image of every monomial it is applied to; both are
+registered in ``caches``, as ``operators.named`` and ``operators.images``.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ from operator import add
 from .caches import register
 from .combinatorics import all_permutations, permute_exponents, reduced_word, sign
 from .errors import AmbientSizeMismatch, TypeBContextError
-from .parameters import FamilySpec, HERMITE, LAGUERRE
+from .parameters import FamilySpec
 from .polynomials import Polynomial, _canonical, _integer_part, monomials_up_to_degree
 
 # A term of the normal form is (k, push): ``push(src, out, c)`` adds c times
@@ -448,6 +449,18 @@ def permutation_op(w) -> Operator:
     return _leaf(len(w), push)
 
 
+def stretch(nvars: int, k: int) -> Operator:
+    """x^a -> x^(k a); k = 2 maps a u-polynomial (u_j = z_j^2) to its z-form."""
+
+    def push(src, out, c):
+        get = out.get
+        for exps, v in src.items():
+            key = tuple(k * e for e in exps)
+            out[key] = get(key, 0) + v * c
+
+    return _leaf(nvars, push)
+
+
 def commutator(a: Operator, b: Operator) -> Operator:
     return a * b - b * a
 
@@ -474,13 +487,6 @@ def _clear_images() -> None:
 # images first: clearing the operators forgets which ones hold them
 register("operators.images", lambda: sum(len(m.images) for m in _NAMED.values()), _clear_images)
 register("operators.named", lambda: len(_NAMED), _NAMED.clear)
-
-
-def _named(key: tuple, build) -> Operator:
-    memo = _NAMED.get(key)
-    if memo is None:
-        memo = _NAMED[key] = _Memo(build())
-    return Operator(memo.nvars, ((memo.content, memo._push),))
 
 
 def _dunkl(n: int, j: int, beta: int, gamma=None) -> Operator:
@@ -512,117 +518,58 @@ def _coordinate(n: int, j: int) -> Operator:
     return multiply_by(Polynomial.variable(n, j))
 
 
-def _check_type_a(spec: FamilySpec) -> None:
-    if spec.family == LAGUERRE:
-        raise TypeBContextError(
-            "type-A Dunkl operator requested with a type-B (Laguerre) spec"
-        )
-
-
-def _check_type_b(spec: FamilySpec) -> None:
-    if spec.family != LAGUERRE:
-        raise TypeBContextError("type-B primitive in type-A context")
-
-
-def dunkl_a(j: int, spec: FamilySpec) -> Operator:
-    """D_j = d_j + beta * sum_{k!=j} (1 - s_jk)/(x_j - x_k)."""
-    _check_type_a(spec)
-    n, beta = spec.n, spec.beta
-    _check_index(n, j)
-    return _named(("dunkl_a", n, beta, j), lambda: _dunkl(n, j, beta))
-
-
-def cherednik_a(j: int, spec: FamilySpec) -> Operator:
-    """Dhat_j = x_j D_j + beta * sum_{k<j} s_jk; joint eigenbasis =
-    non-symmetric Jack polynomials."""
-    _check_type_a(spec)
-    n, beta = spec.n, spec.beta
-    _check_index(n, j)
-    return _named(
-        ("cherednik_a", n, beta, j),
-        lambda: _coordinate(n, j) * _dunkl(n, j, beta) + _exchanges(n, j, beta, False),
-    )
-
-
-def dunkl_b(j: int, spec: FamilySpec) -> Operator:
-    """B-type Dunkl operator, acting in the z variables."""
-    _check_type_b(spec)
+def _named(name: str, j: int, spec: FamilySpec, build) -> Operator:
+    """The operator build(N, j, beta, gamma) of spec, built once per key
+    (name, N, beta, gamma, j): type B iff the spec has a gamma."""
     n, beta, gamma = spec.n, spec.beta, spec.gamma
     _check_index(n, j)
-    return _named(("dunkl_b", n, beta, gamma, j), lambda: _dunkl(n, j, beta, gamma))
+    key = (name, n, beta, gamma, j)
+    memo = _NAMED.get(key)
+    if memo is None:
+        memo = _NAMED[key] = _Memo(build(n, j, beta, gamma))
+    return Operator(memo.nvars, ((memo.content, memo._push),))
 
 
-def cherednik_b(j: int, spec: FamilySpec) -> Operator:
-    """Dhat_j = z_j D_j + beta * sum_{k<j} (s_jk + t_j t_k s_jk); preserves
-    the even subring C[z_1^2, ..., z_N^2]."""
-    _check_type_b(spec)
-    n, beta, gamma = spec.n, spec.beta, spec.gamma
-    _check_index(n, j)
-    return _named(
-        ("cherednik_b", n, beta, gamma, j),
-        lambda: _coordinate(n, j) * _dunkl(n, j, beta, gamma)
-        + _exchanges(n, j, beta, True),
-    )
+def dunkl(j: int, spec: FamilySpec) -> Operator:
+    """D_j of the spec's type; also the rescaled annihilation operator of
+    the ladder pair."""
+    return _named("dunkl", j, spec, _dunkl)
 
 
-def _creation(j: int, spec: FamilySpec) -> Operator:
-    """2 x_j - D_j, with the type-B D_j when the spec has a gamma."""
-    n, beta, gamma = spec.n, spec.beta, spec.gamma
-    _check_index(n, j)
-    return _named(
-        ("creation", n, beta, gamma, j),
-        lambda: 2 * _coordinate(n, j) - _dunkl(n, j, beta, gamma),
-    )
+def cherednik(j: int, spec: FamilySpec) -> Operator:
+    """Dhat_j = x_j D_j + beta * sum_{k<j} s_jk (type A; joint eigenbasis =
+    non-symmetric Jack polynomials), or z_j D_j + beta * sum_{k<j} (s_jk +
+    t_j t_k s_jk) (type B; preserves the even subring C[z_1^2, ..., z_N^2])."""
+    return _named("cherednik", j, spec, lambda n, j, beta, gamma: (
+        _coordinate(n, j) * _dunkl(n, j, beta, gamma) + _exchanges(n, j, beta, gamma is not None)
+    ))
 
 
-def creation_a(j: int, spec: FamilySpec) -> Operator:
-    """Rescaled gauge-transformed creation operator
-    A_j = -d_j + 2 x_j - beta * sum_{k!=j} (1-s_jk)/(x_j-x_k)."""
-    if spec.family != HERMITE:
-        raise ValueError("creation_a needs a Hermite spec")
-    return _creation(j, spec)
-
-
-def annihilation_a(j: int, spec: FamilySpec) -> Operator:
-    """Rescaled gauge-transformed annihilation operator: identical to the
-    plain Dunkl operator D_j."""
-    if spec.family != HERMITE:
-        raise ValueError("annihilation_a needs a Hermite spec")
-    return dunkl_a(j, spec)
-
-
-def creation_b(j: int, spec: FamilySpec) -> Operator:
-    """Rescaled B-type creation operator.  The sign of the gamma term comes
-    from gauge conjugation of -D_j + 2 z_j, giving
+def creation(j: int, spec: FamilySpec) -> Operator:
+    """Rescaled gauge-transformed creation operator 2 x_j - D_j: A_j in
+    type A, and in type B, from gauge conjugation of -D_j + 2 z_j,
     B_j = -d_j + 2 z_j - beta * sum [...] - gamma (1-t_j)/z_j."""
-    _check_type_b(spec)
-    return _creation(j, spec)
-
-
-def annihilation_b(j: int, spec: FamilySpec) -> Operator:
-    """Rescaled B-type annihilation operator: the B-type Dunkl operator."""
-    return dunkl_b(j, spec)
+    return _named("creation", j, spec, lambda n, j, beta, gamma: (
+        2 * _coordinate(n, j) - _dunkl(n, j, beta, gamma)
+    ))
 
 
 def htilde(j: int, spec: FamilySpec) -> Operator:
     """Gauge-transformed Cherednik image h_j; the commuting family whose
-    joint eigenbasis gives the Hermite/Laguerre polynomials.
+    joint eigenbasis gives the Hermite (type A) or Laguerre (type B)
+    polynomials.
 
     The two factored-out sqrt(2) scalings of the ladder pair cancel in the
     product, so h_j = (1/2) * creation * annihilation + exchange terms.
     """
-    n, beta, gamma = spec.n, spec.beta, spec.gamma
-    _check_index(n, j)
-    if spec.family not in (HERMITE, LAGUERRE):
-        raise ValueError("htilde needs a Hermite or Laguerre spec")
 
-    def build() -> Operator:
+    def build(n, j, beta, gamma) -> Operator:
         lower = _dunkl(n, j, beta, gamma)
         raised = 2 * _coordinate(n, j) - lower
         ladder = Fraction(1, 2) * (raised * lower)
         return ladder + _exchanges(n, j, beta, gamma is not None)
 
-    return _named(("htilde", spec.family, n, beta, gamma, j), build)
+    return _named("htilde", j, spec, build)
 
 
 def deformed_transposition(nvars: int, j: int, beta: int) -> Operator:
@@ -788,14 +735,10 @@ def operator_equal(op_a: Operator, op_b: Operator, degree: int) -> bool:
 # name -> (constructor, required index names); addressable from the CLI as
 # "name:j=2" or "name:i=1,j=2"
 _NAMED_CONSTRUCTORS = {
-    "dunklA": (dunkl_a, ("j",)),
-    "cherednikA": (cherednik_a, ("j",)),
-    "dunklB": (dunkl_b, ("j",)),
-    "cherednikB": (cherednik_b, ("j",)),
-    "creationA": (creation_a, ("j",)),
-    "annihilationA": (annihilation_a, ("j",)),
-    "creationB": (creation_b, ("j",)),
-    "annihilationB": (annihilation_b, ("j",)),
+    "dunkl": (dunkl, ("j",)),
+    "cherednik": (cherednik, ("j",)),
+    "creation": (creation, ("j",)),
+    "annihilation": (dunkl, ("j",)),
     "htilde": (htilde, ("j",)),
 }
 
@@ -803,8 +746,10 @@ _NAMED_CONSTRUCTORS = {
 def operator_from_string(text: str, spec: FamilySpec) -> Operator:
     """Build a named operator from a parameter string like "cherednikA:j=2".
 
-    Exchange and reflection generators are addressed as "exchange:i=1,j=2"
-    and "signflip:j=1"; everything else dispatches through the family spec.
+    The type comes from the spec (B iff it has a gamma); a trailing "A" or
+    "B" on the name ("dunklB", "creationA") must agree with it, or
+    TypeBContextError is raised.  Exchange and reflection generators are
+    addressed as "exchange:i=1,j=2" and "signflip:j=1" (type B only).
     """
     name, _, params_text = text.partition(":")
     params: dict[str, int] = {}
@@ -814,14 +759,21 @@ def operator_from_string(text: str, spec: FamilySpec) -> Operator:
             if not value:
                 raise ValueError(f"malformed operator parameter {item!r} in {text!r}")
             params[key.strip()] = int(value)
+    type_b = spec.gamma is not None
     if name == "exchange":
         return exchange(spec.n, params["i"], params["j"])
     if name == "signflip":
-        _check_type_b(spec)
+        if not type_b:
+            raise TypeBContextError("type-B primitive in type-A context")
         return sign_flip(spec.n, params["j"])
-    if name not in _NAMED_CONSTRUCTORS:
+    base, letter = (name[:-1], name[-1]) if name[-1:] in ("A", "B") else (name, None)
+    if base not in _NAMED_CONSTRUCTORS:
         raise ValueError(f"unknown operator name {name!r}")
-    constructor, required = _NAMED_CONSTRUCTORS[name]
+    if letter is not None and (letter == "B") != type_b:
+        raise TypeBContextError(
+            f"type-{letter} operator {name!r} requested with a type-{'AB'[type_b]} spec"
+        )
+    constructor, required = _NAMED_CONSTRUCTORS[base]
     missing = [key for key in required if key not in params]
     if missing:
         raise ValueError(f"operator {name!r} needs parameters {required}")

@@ -411,12 +411,9 @@ def dunkl_pairing(
     _check_inputs(f, g, spec)
     scale = _canonical(scale)
     base_spec = FamilySpec(JACK, spec.n, spec.beta)
-    if variant == "dunkl":
-        operators = [ops.dunkl_a(j, base_spec) for j in range(1, spec.n + 1)]
-    elif variant == "cherednik":
-        operators = [ops.cherednik_a(j, base_spec) for j in range(1, spec.n + 1)]
-    else:
+    if variant not in ("dunkl", "cherednik"):
         raise ValueError(f"unknown dunkl_pairing variant {variant!r}")
+    operators = [getattr(ops, variant)(j, base_spec) for j in range(1, spec.n + 1)]
     words = {
         ops.exponent_word(exps): coeff * scale ** sum(exps) for exps, coeff in f.terms.items()
     }

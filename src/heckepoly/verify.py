@@ -25,14 +25,14 @@ A generator that raises ends its suite with one failing case carrying
 only the exception.  Either way the cases already run are kept, and the
 suites after it still run.
 
-The operator-identity suites (daha_relations, dunkl_commute, appendix_A)
-are relation tables.  A table is a generator per context, say (N, beta),
-that builds the context's operators once and then yields one row
-(relation label, lhs operator, rhs operator) per identity and index.
-``_relation_cases`` makes each row a case, checked on every monomial up to
-the grid degree by ``operators.first_difference``, in integers, with
-polynomials built only for the witnesses of a failure.  A new identity is
-a new ``yield`` in its table.
+The operator-identity suites (daha_relations, dunkl_commute, res_B,
+appendix_A) are relation tables.  A table is a generator per context, say
+(N, beta), that builds the context's operators once and then yields one
+row (relation label, lhs operator, rhs operator) per identity and index.
+``_relation_cases`` makes each row a case, checked on every monomial up
+to the grid degree (u-degree 6 for res_B) by ``operators.first_difference``,
+in integers, with polynomials built only for the witnesses of a failure.
+A new identity is a new ``yield`` in its table.
 
 Suite names:
   daha_relations     defining relations of the degenerate affine Hecke
@@ -97,8 +97,6 @@ from .families import (
     _elementary_symmetric,
     composition_spectrum,
     construct,
-    decode_even,
-    encode_even,
     jack,
     realization,
     sigma_a,
@@ -293,7 +291,7 @@ def _daha_rows(n: int, beta: int):
     """The relations among x_j, Dhat_j and s_j = s_{j,j+1}."""
     idx = range(1, n + 1)
     spec = FamilySpec(JACK, n, beta)
-    dhat = {j: ops.cherednik_a(j, spec) for j in idx}
+    dhat = {j: ops.cherednik(j, spec) for j in idx}
     x, s = _generators(n)
     zero, beta_op = ops.scalar(n, 0), ops.scalar(n, beta)
     for i, j in itertools.combinations(idx, 2):
@@ -344,7 +342,7 @@ def _dunkl_rows(spec: FamilySpec):
     n, beta, gamma = spec.n, spec.beta, spec.gamma
     type_b = gamma is not None
     idx = range(1, n + 1)
-    dunkl = {j: (ops.dunkl_b if type_b else ops.dunkl_a)(j, spec) for j in idx}
+    dunkl = {j: ops.dunkl(j, spec) for j in idx}
     x, s = _generators(n)
     t = {j: ops.sign_flip(n, j) for j in idx} if type_b else {}
     zero = ops.scalar(n, 0)
@@ -409,7 +407,7 @@ def _nonsym_eigen(grid: GridSpec):
 def _jack_eigen(grid: GridSpec):
     for n, beta in itertools.product(grid.ns, grid.betas):
         spec = FamilySpec(JACK, n, beta)
-        chers = [ops.cherednik_a(j, spec) for j in range(1, n + 1)]
+        chers = [ops.cherednik(j, spec) for j in range(1, n + 1)]
         for lam in partitions_up_to(grid.max_weight, n):
             def case():
                 j_poly = jack(lam, spec).poly
@@ -445,7 +443,7 @@ def _intertwine(suite: str, families, every_query: bool, grid: GridSpec):
             tag = (n, beta) if spec.gamma is None else (n, beta, str(spec.gamma))
             rng = _rng(grid, suite, *tag)
             queries = [
-                (f"Dhat_{j}", ops.cherednik_a(j, jack_sp), partial(real.apply, real.cherednik(j)))
+                (f"Dhat_{j}", ops.cherednik(j, jack_sp), partial(real.apply, real.cherednik(j)))
                 for j in range(1, n + 1)
             ] + [
                 (f"s_{i}{j}", ops.exchange(n, i, j), ops.exchange(n, i, j))
@@ -464,27 +462,22 @@ def _intertwine(suite: str, families, every_query: bool, grid: GridSpec):
                     yield params, lambda: _same(sigma(q_op(f), spec), rho_q(image()), _pretty)
 
 
+def _res_b_rows(lag_sp: FamilySpec):
+    """The B-type Cherednik operator on even z-polynomials is twice the
+    A-type one in u = z^2: C_j^B S = S (2 Dhat_j), S the stretch u -> z^2.
+    The right side is even, so an odd image fails its row."""
+    n, beta = lag_sp.n, lag_sp.beta
+    jack_sp, s = FamilySpec(JACK, n, beta), ops.stretch(n, 2)
+    for j in range(1, n + 1):
+        yield (f"Dhat_{j}^B S = S 2 Dhat_{j}",
+               ops.cherednik(j, lag_sp) * s, s * (2 * ops.cherednik(j, jack_sp)))
+
+
 def _res_b(grid: GridSpec):
     u_degree = 6  # squared-variable degree; cheap because the action is sparse
     for n, beta in itertools.product(grid.ns, grid.betas):
-        jack_sp = FamilySpec(JACK, n, beta)
-        chers = [ops.cherednik_a(j, jack_sp) for j in range(1, n + 1)]
         for lag_sp in _grid_specs(n, beta, grid, (LAGUERRE,)):
-            cher_b = [ops.cherednik_b(j, lag_sp) for j in range(1, n + 1)]
-            params = {"n": n, "beta": beta, "gamma": str(lag_sp.gamma)}
-            for j in range(n):
-                def case():
-                    for exps in monomials_up_to_degree(n, u_degree):
-                        f_u = Polynomial.monomial(exps)
-                        image = cher_b[j](encode_even(f_u))
-                        if any(e % 2 for e_vec in image.terms for e in e_vec):
-                            return Failure(image.pretty(), "even polynomial")
-                        lhs, rhs = decode_even(image), 2 * chers[j](f_u)
-                        if lhs != rhs:
-                            return Failure(lhs.pretty(), rhs.pretty())
-                    return True
-
-                yield dict(params, j=j + 1), case
+            yield from _relation_cases(_spec_params(lag_sp), _res_b_rows(lag_sp), u_degree)
 
 
 def _gram_is_sigma_jack(families, grid: GridSpec):
@@ -692,7 +685,7 @@ def _dunkl_pairing_prop(grid: GridSpec):
 def _sutherland_form(grid: GridSpec):
     for n, beta in itertools.product(grid.ns, grid.betas):
         spec = FamilySpec(JACK, n, beta)
-        chers = [ops.cherednik_a(j, spec) for j in range(1, n + 1)]
+        chers = [ops.cherednik(j, spec) for j in range(1, n + 1)]
         offset = Fraction(beta * (n - 1), 2)
         for lam in partitions_up_to(min(5, grid.max_weight + 1), n):
             def case():

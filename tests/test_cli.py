@@ -105,6 +105,20 @@ def test_pair_with_named_operators(capsys):
         run_cli(base + ["--apply-f", "bogus:j=1"], capsys)
 
 
+def test_pair_applies_laguerre_operators_through_the_codec(capsys):
+    """f and g are u-polynomials and h_j acts on z: applied through the
+    codec, the self-adjoint h_2 gives one value on either side."""
+    from heckepoly.combinatorics import monomial_symmetric
+
+    f = json.dumps(monomial_symmetric(2, (2, 0)).to_json_dict())
+    g = json.dumps(monomial_symmetric(2, (1, 1)).to_json_dict())
+    base = ["pair", "--family", "laguerre", "--n", "2", "--beta", "1", "--gamma", "1/2",
+            "--f", f, "--g", g, "--format", "json"]
+    _, lhs = run_cli(base + ["--apply-f", "htilde:j=2"], capsys)
+    _, rhs = run_cli(base + ["--apply-g", "htilde:j=2"], capsys)
+    assert lhs == rhs and json.loads(lhs)["q"] == "288"
+
+
 _ONE_IN_2 = json.dumps(Polynomial.one(2).to_json_dict())
 _ONE_IN_3 = json.dumps(Polynomial.one(3).to_json_dict())
 
@@ -366,14 +380,14 @@ def test_exit_code_1_for_a_failing_verify_case(monkeypatch, capsys):
     from heckepoly import clear_caches
     from heckepoly import operators as ops
 
-    cherednik_a = ops.cherednik_a
+    cherednik = ops.cherednik
 
     def planted(j, spec):
-        op = cherednik_a(j, spec)
+        op = cherednik(j, spec)
         return op + ops.identity(spec.n) if j == spec.n else op
 
     clear_caches()
-    monkeypatch.setattr(ops, "cherednik_a", planted)
+    monkeypatch.setattr(ops, "cherednik", planted)
     try:
         code, out = run_cli(["verify", "--suite", "daha_relations", "--n-list", "2",
                              "--beta-list", "1", "--degree", "2"], capsys)
@@ -406,14 +420,14 @@ def test_exit_code_1_for_a_construction_that_is_not_symmetric(method, monkeypatc
     from heckepoly import clear_caches
     from heckepoly import operators as ops
 
-    cherednik_a = ops.cherednik_a
+    cherednik = ops.cherednik
 
     def planted(j, spec):
-        op = cherednik_a(j, spec)
+        op = cherednik(j, spec)
         return op + ops.identity(spec.n) if j == spec.n else op
 
     clear_caches()
-    monkeypatch.setattr(ops, "cherednik_a", planted)
+    monkeypatch.setattr(ops, "cherednik", planted)
     try:
         with pytest.raises(SystemExit) as info:
             main(["poly", "--family", "jack", "--lambda", "2,1", "--n", "2",
@@ -433,10 +447,10 @@ def test_exit_code_1_for_an_image_that_is_not_even(monkeypatch, capsys):
     from heckepoly import clear_caches
     from heckepoly import operators as ops
 
-    creation_b = ops.creation_b
+    creation = ops.creation
     clear_caches()
     monkeypatch.setattr(
-        ops, "creation_b", lambda j, spec: creation_b(j, spec) + ops.identity(spec.n)
+        ops, "creation", lambda j, spec: creation(j, spec) + ops.identity(spec.n)
     )
     try:
         with pytest.raises(SystemExit) as info:

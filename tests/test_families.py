@@ -73,7 +73,7 @@ def test_nonsym_jack_triangularity_and_eigen(n, beta):
     """The eigen equations, the leading coefficient and the order of the
     companions define E_eta; none of them uses the triangular solve."""
     spec = jack_spec(n, beta)
-    chers = [ops.cherednik_a(j, spec) for j in range(1, n + 1)]
+    chers = [ops.cherednik(j, spec) for j in range(1, n + 1)]
     for comp in monomials_up_to_degree(n, 4 if n < 4 else 3):
         label = NonSymLabel.from_composition(comp)
         e_poly = nonsym_jack(label, spec)
@@ -121,7 +121,7 @@ def test_sigma_a_examples():
     # intertwining with a Cherednik generator
     jack_sp = jack_spec(2, 1)
     f = Polynomial.monomial((1, 1))
-    lhs = sigma_a(ops.cherednik_a(1, jack_sp)(f), spec)
+    lhs = sigma_a(ops.cherednik(1, jack_sp)(f), spec)
     rhs = ops.htilde(1, spec)(sigma_a(f, spec))
     assert lhs == rhs
 
@@ -143,7 +143,7 @@ def test_sigma_b_examples():
     spec2 = laguerre_spec(2, 1, Fraction(1, 3))
     jack_sp = jack_spec(2, 1)
     f = Polynomial.variable(2, 1)
-    lhs = sigma_b(ops.cherednik_a(1, jack_sp)(f), spec2)
+    lhs = sigma_b(ops.cherednik(1, jack_sp)(f), spec2)
     real = realization(spec2)
     rhs = real.apply(real.cherednik(1), sigma_b(f, spec2))
     assert lhs == rhs
@@ -223,7 +223,7 @@ def test_single_variable_classical_values():
 
 def test_nonsym_high_weight_stress():
     spec = jack_spec(3, 2)
-    chers = [ops.cherednik_a(j, spec) for j in (1, 2, 3)]
+    chers = [ops.cherednik(j, spec) for j in (1, 2, 3)]
     for comp in [(5, 0, 0), (3, 2, 0), (0, 2, 3), (4, 1, 1), (1, 2, 3), (2, 2, 2)]:
         e_poly = nonsym_jack(NonSymLabel.from_composition(comp), spec)
         spectrum = composition_spectrum(comp, 2)
@@ -423,7 +423,7 @@ def _jack_fraction_reference(n, beta, weight):
     from heckepoly.combinatorics import partitions_of, to_monomial_basis
 
     spec = jack_spec(n, beta)
-    chers = [ops.cherednik_a(j, spec) for j in range(1, n + 1)]
+    chers = [ops.cherednik(j, spec) for j in range(1, n + 1)]
     basis = sorted(partitions_of(weight, n))
     columns = []
     for mu in basis:

@@ -59,7 +59,7 @@ def test_ct_pairing_values():
 def test_ct_pairing_bilinear_symmetric_selfadjoint():
     spec = jack_spec(2, 1)
     rng = random.Random(5)
-    dhat = ops.cherednik_a(1, spec)
+    dhat = ops.cherednik(1, spec)
     for _ in range(5):
         f = random_polynomial(2, 4, rng)
         g = random_polynomial(2, 4, rng)
@@ -109,8 +109,8 @@ def test_gauss_adjointness():
     rng = random.Random(17)
     for n, beta in [(2, 1), (2, 2)]:
         spec = hermite_spec(n, beta)
-        up = ops.creation_a(1, spec)
-        down = ops.annihilation_a(1, spec)
+        up = ops.creation(1, spec)
+        down = ops.dunkl(1, spec)
         h1 = ops.htilde(2, spec)
         for _ in range(5):
             f = random_polynomial(n, 3, rng)

@@ -13,6 +13,7 @@ from heckepoly import clear_caches
 from heckepoly import operators as ops
 from heckepoly import shift, verify
 from heckepoly.families import realization
+from heckepoly.polynomials import Polynomial
 from heckepoly.verify import (
     GridSpec,
     SUITES,
@@ -111,12 +112,9 @@ def test_dunkl_pairing_suite_records_verdict():
 
 # the public operations the suites must call, as module.name
 CATALOG = (
-    "operators.dunkl_a",
-    "operators.cherednik_a",
-    "operators.dunkl_b",
-    "operators.cherednik_b",
-    "operators.creation_a",
-    "operators.creation_b",
+    "operators.dunkl",
+    "operators.cherednik",
+    "operators.creation",
     "operators.htilde",
     "operators.symmetrizer",
     "operators.sutherland_expanded_apply",
@@ -207,8 +205,8 @@ def _raise_planted(*args, **kwargs):
 SHARED_WORK_PLANTS = {
     "sigma_a raises": (verify, "sigma_a", lambda sigma_a: _raise_planted,
                        ("intertwine_A", "dunkl_pairing_prop")),
-    "B_j + 1": (ops, "creation_b",
-                lambda creation_b: lambda j, spec: creation_b(j, spec) + ops.identity(spec.n),
+    "B_j + 1": (ops, "creation",
+                lambda creation: lambda j, spec: creation(j, spec) + ops.identity(spec.n),
                 ("intertwine_B",)),
 }
 
@@ -300,7 +298,7 @@ def test_same_renders_witnesses_only_on_failure():
     ]
 
 
-RELATION_SUITES = ("daha_relations", "dunkl_commute", "appendix_A")
+RELATION_SUITES = ("daha_relations", "dunkl_commute", "res_B", "appendix_A")
 
 # cases per suite, in SUITES order
 CASE_COUNTS = {
@@ -320,9 +318,9 @@ def test_suites_keep_every_case(grid, counts):
     assert [run_suite(name, grid).cases_run for name in SUITES] == list(counts)
 
 
-def _shift_last_cherednik(cherednik_a):
+def _shift_last_cherednik(cherednik):
     def planted(j, spec):
-        op = cherednik_a(j, spec)
+        op = cherednik(j, spec)
         return op + ops.identity(spec.n) if j == spec.n else op
 
     return planted
@@ -331,10 +329,16 @@ def _shift_last_cherednik(cherednik_a):
 # one planted operator defect per relation suite: (operators attribute,
 # wrapper of the original)
 PLANTED = {
-    "daha_relations": ("cherednik_a", _shift_last_cherednik),  # Dhat_N + 1
+    "daha_relations": ("cherednik", _shift_last_cherednik),  # Dhat_N + 1
     "dunkl_commute": (
         "_dunkl",  # beta + 1 in both Dunkl types
         lambda dunkl: lambda n, j, beta, gamma=None: dunkl(n, j, beta + 1, gamma),
+    ),
+    "res_B": (  # + z_1 in the type-B Cherednik operators only: odd images
+        "cherednik",
+        lambda cherednik: lambda j, spec: cherednik(j, spec) + ops.multiply_by(
+            Polynomial.variable(spec.n, 1)
+        ) if spec.gamma is not None else cherednik(j, spec),
     ),
     "appendix_A": ("permutation_op", lambda perm: lambda w: 2 * perm(w)),
 }
