@@ -172,7 +172,7 @@ def cmd_pair(args, spec: FamilySpec):
             text and ops_module.operator_from_string(text, spec)
             for text in (args.apply_f, args.apply_g)
         )
-    except (HeckePolyError, ValueError, KeyError) as err:
+    except (HeckePolyError, ValueError) as err:
         _fail(f"usage error: {err}")
     real = realization(spec)
     # through the codec: a Laguerre operator acts on z, f and g are in u,

@@ -68,21 +68,11 @@ def dominance_leq(mu: Sequence[int], lam: Sequence[int]) -> bool:
 
     Pairs of different weight are incomparable (returns False).
     """
-    if len(mu) != len(lam):
-        raise AmbientSizeMismatch("ambient size mismatch in dominance comparison")
-    if sum(mu) != sum(lam):
-        return False
-    total_mu = total_lam = 0
-    for a, b in zip(mu, lam):
-        total_mu += a
-        total_lam += b
-        if total_mu > total_lam:
-            return False
-    return True
+    return dominance_lt(mu, lam) or tuple(mu) == tuple(lam)
 
 
 def dominance_lt(mu: Sequence[int], lam: Sequence[int]) -> bool:
-    return tuple(mu) != tuple(lam) and dominance_leq(mu, lam)
+    return extended_dominance_lt(mu, lam) and sum(mu) == sum(lam)
 
 
 def extended_dominance_lt(mu: Sequence[int], lam: Sequence[int]) -> bool:
@@ -229,14 +219,6 @@ def permute_exponents(w: Permutation, exps: Sequence[int]) -> tuple[int, ...]:
     for i, img in enumerate(w):
         out[img - 1] = exps[i]
     return tuple(out)
-
-
-def apply_permutation(w: Permutation, f: Polynomial) -> Polynomial:
-    if len(w) != f.nvars:
-        raise AmbientSizeMismatch("ambient size mismatch applying permutation")
-    return Polynomial(
-        f.nvars, {permute_exponents(w, e): c for e, c in f.terms.items()}
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ Each family is built by several independent routes that must agree exactly:
 * non-symmetric Jack: triangular joint-eigenvector solve for the commuting
   Cherednik operators on a fixed-degree monomial block;
 * symmetric Jack: triangular solve against the elementary symmetric
-  combinations e_k(Dhat_1, ..., Dhat_N), or symmetrization of the
-  non-symmetric one, or a Rodrigues chain of raising operators;
+  combinations e_k(Dhat_1, ..., Dhat_N), or a Rodrigues chain of raising
+  operators;
 * Hermite: Gram orthogonalization against the Gaussian pairing, or the
   intertwiner image sigma_A of the Jack polynomial, or Rodrigues;
 * Laguerre: same three routes in the squared variables u_j = z_j^2.
@@ -70,8 +70,6 @@ from . import operators as ops
 from . import pairings
 from .caches import memo
 from .combinatorics import (
-    all_permutations,
-    apply_permutation,
     composition_to_label,
     extended_dominance_lt,
     is_min_coset_rep,
@@ -85,7 +83,6 @@ from .combinatorics import (
     partitions_of,
     partitions_up_to,
     precedes,
-    stabilizer_order,
     to_monomial_basis,
 )
 from .errors import (
@@ -248,7 +245,7 @@ class _Jack(Realization):
     letter, ladder, stretch, ladder_scale = "x", None, 1, Fraction(1)
     cherednik_op, cherednik_scale = "cherednik", Fraction(1)
     pairing, intertwiner, graded = "ct_pairing", None, True
-    symmetric_routes = ("triangular", "symmetrized", "rodrigues")
+    symmetric_routes = ("triangular", "rodrigues")
     nonsym_route = "triangular"
 
 
@@ -493,15 +490,6 @@ def _elementary_images(f: Polynomial, chers) -> list[Polynomial]:
     return ops.apply_words(f, sums, chers)
 
 
-def _jack_symmetrized(lam, n: int, beta: int) -> Polynomial:
-    identity = tuple(range(1, n + 1))  # composition = lam
-    e_poly = nonsym_jack(NonSymLabel(lam, identity), FamilySpec(JACK, n, beta)).poly
-    total = Polynomial.zero(n)
-    for w in all_permutations(n):
-        total = total + apply_permutation(w, e_poly)
-    return total * Fraction(1, stabilizer_order(lam))
-
-
 def _assert_symmetric_triangular(poly: Polynomial, lam, spec: FamilySpec) -> None:
     def error(kind, message):  # the case is named only when one is raised
         return kind(f"{message} at N={spec.n}, beta={spec.beta}, lambda={lam}")
@@ -539,7 +527,7 @@ def sigma_b(f: Polynomial, spec: FamilySpec) -> Polynomial:
 
 def encode_even(f_u: Polynomial) -> Polynomial:
     """u-polynomial -> even z-polynomial (u_j = z_j^2)."""
-    return f_u.stretch(2)
+    return ops.stretch(f_u.nvars, 2)(f_u)
 
 
 def decode_even(f_z: Polynomial) -> Polynomial:
@@ -653,7 +641,6 @@ def _rodrigues(lam, spec: FamilySpec) -> Polynomial:
 # symmetric route -> the monic polynomial of a padded label
 _ROUTES = {
     "triangular": lambda lam, spec: _jack_triangular(lam, spec.n, spec.beta),
-    "symmetrized": lambda lam, spec: _jack_symmetrized(lam, spec.n, spec.beta),
     "gram": _gram,
     "intertwined": _intertwined,
     "rodrigues": _rodrigues,

@@ -732,6 +732,12 @@ def operator_equal(op_a: Operator, op_b: Operator, degree: int) -> bool:
     return first_difference(op_a, op_b, degree) is None
 
 
+def _signflip(j: int, spec: FamilySpec) -> Operator:
+    if spec.gamma is None:
+        raise TypeBContextError("type-B primitive in type-A context")
+    return sign_flip(spec.n, j)
+
+
 # name -> (constructor, required index names); addressable from the CLI as
 # "name:j=2" or "name:i=1,j=2"
 _NAMED_CONSTRUCTORS = {
@@ -740,6 +746,8 @@ _NAMED_CONSTRUCTORS = {
     "creation": (creation, ("j",)),
     "annihilation": (dunkl, ("j",)),
     "htilde": (htilde, ("j",)),
+    "exchange": (lambda i, j, spec: exchange(spec.n, i, j), ("i", "j")),
+    "signflip": (_signflip, ("j",)),
 }
 
 
@@ -760,12 +768,6 @@ def operator_from_string(text: str, spec: FamilySpec) -> Operator:
                 raise ValueError(f"malformed operator parameter {item!r} in {text!r}")
             params[key.strip()] = int(value)
     type_b = spec.gamma is not None
-    if name == "exchange":
-        return exchange(spec.n, params["i"], params["j"])
-    if name == "signflip":
-        if not type_b:
-            raise TypeBContextError("type-B primitive in type-A context")
-        return sign_flip(spec.n, params["j"])
     base, letter = (name[:-1], name[-1]) if name[-1:] in ("A", "B") else (name, None)
     if base not in _NAMED_CONSTRUCTORS:
         raise ValueError(f"unknown operator name {name!r}")
@@ -776,5 +778,5 @@ def operator_from_string(text: str, spec: FamilySpec) -> Operator:
     constructor, required = _NAMED_CONSTRUCTORS[base]
     missing = [key for key in required if key not in params]
     if missing:
-        raise ValueError(f"operator {name!r} needs parameters {required}")
+        raise ValueError(f"operator {name!r} needs parameters {', '.join(missing)}")
     return constructor(*(params[key] for key in required), spec)

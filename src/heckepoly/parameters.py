@@ -17,8 +17,9 @@ FAMILIES = (JACK, HERMITE, LAGUERRE)
 class FamilySpec:
     """(family, N, beta, gamma) bundle.
 
-    beta is a non-negative integer (the coupling is assumed integral so
-    that all weights expand into Laurent polynomials; a bool is refused);
+    N is a positive integer and beta a non-negative one (the coupling is
+    assumed integral so that all weights expand into Laurent polynomials;
+    a bool is refused for either);
     gamma is an exact rational parameter present exactly for the Laguerre
     family (a float raises TypeError).
     """
@@ -31,9 +32,9 @@ class FamilySpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        if self.n < 1:
-            raise ValueError("need at least one variable")
-        if not isinstance(self.beta, int) or isinstance(self.beta, bool) or self.beta < 0:
+        if type(self.n) is not int or self.n < 1:
+            raise ValueError("N must be a positive integer")
+        if type(self.beta) is not int or self.beta < 0:
             raise ValueError("beta must be a non-negative integer")
         if self.family == LAGUERRE:
             if self.gamma is None:

@@ -249,15 +249,6 @@ class Polynomial:
     def is_laurent(self) -> bool:
         return any(e < 0 for exps in self.terms for e in exps)
 
-    # -- variable transforms -----------------------------------------------
-
-    def stretch(self, factor: int) -> "Polynomial":
-        """Substitute x_j -> x_j^factor in every variable."""
-        return Polynomial(
-            self.nvars,
-            {tuple(e * factor for e in exps): c for exps, c in self.terms.items()},
-        )
-
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -277,10 +268,14 @@ class Polynomial:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "Polynomial":
-        terms = {
-            tuple(t["exp"]): Fraction(int(t["num"]), int(t["den"]))
-            for t in data["terms"]
-        }
+        """The inverse of ``to_json_dict``; raises ValueError unless every
+        exponent is an integer (not a bool) and every den is nonzero."""
+        terms = {}
+        for t in data["terms"]:
+            exps, den = tuple(t["exp"]), int(t["den"])
+            if not den or any(type(e) is not int for e in exps):
+                raise ValueError(f"term {t} needs integer exponents and a nonzero den")
+            terms[exps] = Fraction(int(t["num"]), den)
         return cls(int(data["vars"]), terms)
 
     def pretty(self, var: str = "x") -> str:

@@ -20,10 +20,10 @@ and the shift relations carry the global sign (-1)^(N(N-1)/2):
 
 (constants from shift_constants; delta the staircase; see also Baker and
 Forrester, Comm. Math. Phys. 188 (1997) 175-216).  This convention is
-fixed, not searched for: ``calibrate`` checks both relations at the empty
-label, and ``shift_apply`` checks the relation it applies.  The duality
-statement and the norm recursion do not depend on the sign; for Jack,
-whose pairing is graded, duality is checked degree by degree.
+fixed, not searched for: ``shift_apply`` checks the relation it applies,
+and ``calibrate`` applies both operators with it at the empty label.  The
+duality statement and the norm recursion do not depend on the sign; for
+Jack, whose pairing is graded, duality is checked degree by degree.
 """
 
 from __future__ import annotations
@@ -39,11 +39,7 @@ from .combinatorics import (
     partitions_up_to,
     staircase,
 )
-from .errors import (
-    CalibrationError,
-    NotDivisibleError,
-    NotProportionalError,
-)
+from .errors import CalibrationError, NotDivisibleError, NotProportionalError
 from .families import FamilyPolynomial, construct, realization
 from .pairings import _pairing_by_degree, shift_constants
 from .parameters import FamilySpec, JACK
@@ -111,22 +107,17 @@ def apply_ghat(f: Polynomial, spec: FamilySpec) -> Polynomial:
 @memo
 def calibrate(family: str, n: int, beta: int, gamma=None) -> CalibrationReport:
     """Check both shift relations, with the global sign, at the empty
-    label: G F^{(beta)}_delta and Ghat F^{(beta+1)}_0."""
+    label: ``shift_apply`` of G to F^{(beta)}_delta and of Ghat to
+    F^{(beta+1)}_0."""
     spec = FamilySpec(family, n, beta, gamma)
-    source = construct(staircase(n), spec).poly
-    empty = (0,) * n
-    target = construct(empty, spec.with_beta(beta + 1)).poly
-    c_val, ct_val = shift_constants(empty, n, beta)
     sign = global_sign(n)
     try:
-        holds = (apply_g(source, spec) == sign * c_val * target
-                 and apply_ghat(target, spec) == sign * ct_val * source)
-    except NotDivisibleError:
-        holds = False
-    if not holds:
+        shift_apply("G", construct(staircase(n), spec))
+        shift_apply("G_hat", construct((0,) * n, spec.with_beta(beta + 1)))
+    except (NotProportionalError, NotDivisibleError) as exc:
         raise CalibrationError(
             f"shift relations with sign {sign} fail for {family} at N={n}, beta={beta}"
-        )
+        ) from exc
     return CalibrationReport(family, sign, n)
 
 
@@ -143,15 +134,14 @@ def shift_apply(direction: str, family_poly: FamilyPolynomial):
     delta = staircase(n)
     lam = pad_partition(family_poly.label, n)
     if direction == "G":
-        base_spec = spec
         lowered = tuple(p - d for p, d in zip(lam, delta))
         if any(p < 0 for p in lowered) or any(
             a < b for a, b in zip(lowered, lowered[1:])
         ):
             raise ValueError(f"label {lam} is not of the form lam+delta")
-        image = apply_g(family_poly.poly, base_spec)
+        image = apply_g(family_poly.poly, spec)
         target = construct(lowered, spec.with_beta(spec.beta + 1))
-        magnitude = shift_constants(lowered, n, base_spec.beta)[0]
+        magnitude = shift_constants(lowered, n, spec.beta)[0]
     elif direction == "G_hat":
         if spec.beta < 1:
             raise ValueError("G_hat lowers the level; needs beta >= 1")

@@ -322,6 +322,29 @@ def test_unwritable_output_is_an_input_error(tmp_path, capsys):
     assert not target.exists()
 
 
+@pytest.mark.parametrize(
+    "term",
+    [
+        {"exp": [0, 0], "num": "1", "den": "0"},
+        {"exp": [0.5, 0], "num": "1", "den": "1"},
+        {"exp": ["1", 0], "num": "1", "den": "1"},
+        {"exp": [True, 0], "num": "1", "den": "1"},
+    ],
+    ids=["zero-den", "float-exponent", "string-exponent", "bool-exponent"],
+)
+def test_pair_rejects_malformed_terms(term, capsys):
+    f = json.dumps({"vars": 2, "terms": [term]})
+    text = input_error(["pair", "--family", "hermite", "--n", "2", "--beta", "1",
+                        "--f", f, "--g", _ONE_IN_2], capsys)
+    assert text.startswith("error: cannot read polynomial")
+
+
+def test_poly_symmetrized_route_is_gone(capsys):
+    text = input_error(["poly", "--family", "jack", "--lambda", "2", "--n", "2", "--beta",
+                        "1", "--method", "symmetrized"], capsys)
+    assert text == "error: unknown Jack construction 'symmetrized'"
+
+
 _JACK = ["--family", "jack", "--n", "2", "--beta", "1"]
 _RUNNER_CASES = {
     # command: (argv that runs, argv with an input error, cli name to plant a failure in)

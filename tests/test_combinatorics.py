@@ -11,6 +11,7 @@ from heckepoly.combinatorics import (
     composition_to_label,
     conjugate,
     dominance_leq,
+    dominance_lt,
     extended_dominance_lt,
     is_min_coset_rep,
     label_to_composition,
@@ -70,6 +71,29 @@ def test_dominance_partial_order_exhaustive():
                     for c in parts:
                         if dominance_leq(a, b) and dominance_leq(b, c):
                             assert dominance_leq(a, c)
+
+
+def test_dominance_functions_match_prefix_sum_oracles_across_weights():
+    def below(mu, lam):  # every prefix sum of mu is at most that of lam
+        return all(sum(mu[:k]) <= sum(lam[:k]) for k in range(1, len(mu) + 1))
+
+    for n in (1, 2, 3, 4):
+        parts = [lam for weight in range(6) for lam in partitions_of(weight, n)]
+        for mu in parts:
+            for lam in parts:
+                same_weight = sum(mu) == sum(lam)
+                assert extended_dominance_lt(mu, lam) == (below(mu, lam) and mu != lam)
+                assert dominance_lt(mu, lam) == (
+                    below(mu, lam) and same_weight and mu != lam
+                )
+                assert dominance_leq(mu, lam) == (below(mu, lam) and same_weight)
+
+
+@pytest.mark.parametrize("function", [dominance_leq, dominance_lt, extended_dominance_lt])
+def test_dominance_unequal_lengths_raise(function):
+    for mu, lam in [((1, 1), (2, 0, 0)), ((1, 0), (2, 1, 0)), ((3,), (1, 1)), ((2, 0, 0), (1, 0))]:
+        with pytest.raises(AmbientSizeMismatch, match="ambient size mismatch"):
+            function(mu, lam)
 
 
 def test_conjugate_involution():

@@ -134,7 +134,8 @@ def test_cherednik_b_restriction():
             ca = ops.cherednik(j, jac)
             for exps in monomials_up_to_degree(n, 3):
                 f_u = Polynomial.monomial(exps)
-                assert ops.stretch(n, 2)(f_u) == encode_even(f_u)
+                doubled = Polynomial.monomial(tuple(2 * e for e in exps))
+                assert ops.stretch(n, 2)(f_u) == doubled and encode_even(f_u) == doubled
                 lhs = decode_even(cb(encode_even(f_u)))
                 assert lhs == 2 * ca(f_u)
 
@@ -254,12 +255,26 @@ def test_operator_from_string():
     assert ops.operator_equal(
         ops.operator_from_string("creationB:j=1", lag), ops.creation(1, lag), 2
     )
+    assert ops.operator_equal(
+        ops.operator_from_string("signflip:j=2", lag), ops.sign_flip(2, 2), 3
+    )
     with pytest.raises(ValueError, match="unknown operator name"):
         ops.operator_from_string("mystery:j=1", spec)
     with pytest.raises(ValueError, match="needs parameters"):
         ops.operator_from_string("dunklA", spec)
-    with pytest.raises(TypeBContextError):
+    with pytest.raises(TypeBContextError, match="type-B primitive in type-A context"):
         ops.operator_from_string("signflip:j=1", spec)
+
+
+@pytest.mark.parametrize(
+    "text, missing",
+    [("exchange:i=1", "j"), ("exchange:j=2", "i"), ("exchange", "i, j"), ("signflip", "j"),
+     ("dunklB:i=1", "j")],
+)
+def test_operator_from_string_names_missing_parameters(text, missing):
+    lag = laguerre_spec(2, 1, Fraction(1, 2))
+    with pytest.raises(ValueError, match=f"needs parameters {missing}$"):
+        ops.operator_from_string(text, lag)
 
 
 def test_creation_b_squared_preserves_even():

@@ -231,5 +231,9 @@ def test_monomial_enumeration():
 
 
 def test_stretch_and_scale():
+    from heckepoly.families import encode_even
+
     u = Polynomial.variable(1, 1)
-    assert (u + 1).stretch(2) == u * u + 1
+    assert encode_even(u + 1) == u * u + 1
+    f = Polynomial(2, {(1, 3): Fraction(1, 2), (0, 0): -1})
+    assert encode_even(f) == Polynomial(2, {(2, 6): Fraction(1, 2), (0, 0): -1})

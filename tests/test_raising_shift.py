@@ -11,7 +11,7 @@ from heckepoly.combinatorics import (
     staircase,
 )
 from heckepoly.errors import RodriguesSingularError
-from heckepoly.families import construct, hermite, jack, laguerre
+from heckepoly.families import construct, encode_even, hermite, jack, laguerre
 from heckepoly.pairings import shift_constants
 from heckepoly.parameters import hermite_spec, jack_spec, laguerre_spec
 from heckepoly.polynomials import Polynomial
@@ -207,7 +207,7 @@ def test_composites_built_once_and_cleared():
     def images():
         out = []
         for spec in specs:
-            f = polys[spec] if spec.family != "laguerre" else polys[spec].stretch(2)
+            f = polys[spec] if spec.family != "laguerre" else encode_even(polys[spec])
             out.append([raising_operator(m, spec)(f) for m in (1, 2, 3)])
             out.append([_y_product(spec, sign)(f) for sign in (1, -1)])
         return out

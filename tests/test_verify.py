@@ -12,7 +12,9 @@ import pytest
 from heckepoly import clear_caches
 from heckepoly import operators as ops
 from heckepoly import shift, verify
+from heckepoly.errors import CalibrationError
 from heckepoly.families import realization
+from heckepoly.parameters import FamilySpec
 from heckepoly.polynomials import Polynomial
 from heckepoly.verify import (
     GridSpec,
@@ -77,6 +79,22 @@ def test_grid_bounds():
         with pytest.raises(ValueError, match="grid out of bounds"):
             GridSpec(**bad)
     assert GridSpec(degree=1, betas=(0,), gammas=(Fraction(-1, 3),)).degree == 1
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{"ns": (2.5,)}, {"betas": (True,)}, {"max_weight": 2.5}, {"degree": True},
+     {"seed": 1.5}, {"pairs": 1.5}, {"rand_polys": 2.0}],
+)
+def test_grid_values_must_be_integers(bad):
+    with pytest.raises(ValueError, match="grid values other than gamma must be integers"):
+        GridSpec(**bad)
+
+
+@pytest.mark.parametrize("n", [2.5, True])
+def test_family_spec_needs_an_integer_n(n):
+    with pytest.raises(ValueError, match="N must be a positive integer"):
+        FamilySpec("jack", n, 1)
 
 
 def test_reports_deterministic_and_reproducible():
@@ -395,6 +413,24 @@ def test_shift_suite_catches_planted_defect(plant, monkeypatch, capsys):
         clear_caches()
     assert code == 1
     assert capsys.readouterr().out.startswith("shift_all: FAIL")
+
+
+@pytest.mark.parametrize("plant", sorted(SHIFT_PLANTS))
+def test_calibrate_fails_under_planted_defect(plant, monkeypatch):
+    """calibrate applies G and Ghat by shift_apply at the empty label, and
+    turns a failed relation into one CalibrationError."""
+    clear_caches()
+    monkeypatch.setattr(shift, "_y_product", SHIFT_PLANTS[plant](shift._y_product))
+    try:
+        for family, gamma in [("jack", None), ("hermite", None), ("laguerre", Fraction(1, 2))]:
+            for n in (2, 3):
+                sign = (-1) ** (n * (n - 1) // 2)
+                message = f"^shift relations with sign {sign} fail for {family} at N={n}, beta=1$"
+                with pytest.raises(CalibrationError, match=message):
+                    shift.calibrate(family, n, 1, gamma)
+    finally:
+        monkeypatch.undo()
+        clear_caches()
 
 
 N4 = GridSpec(ns=(4,), betas=(1,), gammas=(Fraction(1, 2),), pairs=1)
