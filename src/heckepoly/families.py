@@ -26,8 +26,9 @@ sqrt(2), so the intertwiner applied to a homogeneous f of degree d is
 which makes every family polynomial exactly rational.  Under this
 convention sigma_A(J_lam) *is* the monic Hermite polynomial and
 sigma_B(J_lam) the monic Laguerre polynomial.  The ladder words of the
-terms of f share their prefixes (``operators.apply_words``), act in
-integers and are summed over one common denominator.
+terms of f, in letters L_j/2, share their prefixes
+(``operators.apply_words``), act in integers and are summed over one
+common denominator.
 
 The Gram route (the default for Hermite and Laguerre) runs on integers.
 m_mu and m_nu have integer coefficients and are homogeneous, so the Gram
@@ -170,7 +171,8 @@ class Realization:
         hermite   A_j/2      h_j       identity   gauss_pairing
         laguerre  B_j^2/4    h_j/2     u = z^2    laguerre_pairing
 
-    V_j = ladder_scale * L_j^stretch, L_j the creation operator ``ladder``.
+    V_j = (L_j/2)^stretch, L_j the creation operator ``ladder``: each
+    ladder letter carries the gauge's 1/2.
     The operators take their type from the spec (``operators.creation`` is
     A_j on a Hermite spec and B_j on a Laguerre one, ``operators.htilde``
     likewise), and act on z-polynomials for Laguerre; ``apply`` reads them
@@ -186,7 +188,6 @@ class Realization:
     letter: str  # variable letter of the printed polynomials
     ladder: str | None  # operators.<ladder>(j, spec) is L_j
     stretch: int
-    ladder_scale: Fraction
     cherednik_op: str  # C_j = cherednik_scale * operators.<cherednik_op>(j, spec)
     cherednik_scale: Fraction
     pairing: str  # the pairings function of the family
@@ -203,12 +204,15 @@ class Realization:
         spec = self.spec
         if self.ladder is None:
             return ops.multiply_by(Polynomial.variable(spec.n, j))
-        return self.ladder_scale * getattr(ops, self.ladder)(j, spec) ** self.stretch
+        return self._letter(j) ** self.stretch
+
+    def _letter(self, j: int) -> ops.Operator:
+        """L_j/2, one letter of the ladder words."""
+        return Fraction(1, 2) * getattr(ops, self.ladder)(j, self.spec)
 
     def cherednik(self, j: int) -> ops.Operator:
         """C_j, the image of the Cherednik operator Dhat_j."""
-        op = getattr(ops, self.cherednik_op)(j, self.spec)
-        return op if self.cherednik_scale == 1 else self.cherednik_scale * op
+        return self.cherednik_scale * getattr(ops, self.cherednik_op)(j, self.spec)
 
     def encode(self, f: Polynomial) -> Polynomial:
         return f if self.stretch == 1 else encode_even(f)
@@ -227,22 +231,19 @@ class Realization:
 
     def intertwine(self, f: Polynomial) -> Polynomial:
         """sigma(f) = decode(f(V_1, ..., V_N) . 1): the term x^a is the
-        ladder word L^(stretch a) applied to 1 and weighted by
-        ladder_scale^|a|.  The words share their prefixes, act in integers,
-        and the weighted sum is divided once (``operators.apply_words``)."""
-        spec, n = self.spec, self.spec.n
-        ladders = [getattr(ops, self.ladder)(j, spec) for j in range(1, n + 1)]
-        words = {
-            ops.exponent_word(exps, self.stretch): coeff * self.ladder_scale ** sum(exps)
-            for exps, coeff in f.terms.items()
-        }
-        (image,) = ops.apply_words(Polynomial.one(n), [words], ladders)
+        word of letters L_j/2 of x^(stretch a) applied to 1.  The words
+        share their prefixes, act in integers, and the weighted sum is
+        divided once (``operators.apply_words``)."""
+        n = self.spec.n
+        letters = [self._letter(j) for j in range(1, n + 1)]
+        words = {ops.exponent_word(exps, self.stretch): c for exps, c in f.terms.items()}
+        (image,) = ops.apply_words(Polynomial.one(n), [words], letters)
         return self.decode(image)
 
 
 class _Jack(Realization):
     __slots__ = ()
-    letter, ladder, stretch, ladder_scale = "x", None, 1, Fraction(1)
+    letter, ladder, stretch = "x", None, 1
     cherednik_op, cherednik_scale = "cherednik", Fraction(1)
     pairing, intertwiner, graded = "ct_pairing", None, True
     symmetric_routes = ("triangular", "rodrigues")
@@ -251,7 +252,7 @@ class _Jack(Realization):
 
 class _Hermite(Realization):
     __slots__ = ()
-    letter, ladder, stretch, ladder_scale = "x", "creation", 1, Fraction(1, 2)
+    letter, ladder, stretch = "x", "creation", 1
     cherednik_op, cherednik_scale = "htilde", Fraction(1)
     pairing, intertwiner, graded = "gauss_pairing", "sigma_a", False
     symmetric_routes = ("gram", "intertwined", "rodrigues")
@@ -260,7 +261,7 @@ class _Hermite(Realization):
 
 class _Laguerre(Realization):
     __slots__ = ()
-    letter, ladder, stretch, ladder_scale = "u", "creation", 2, Fraction(1, 4)
+    letter, ladder, stretch = "u", "creation", 2
     cherednik_op, cherednik_scale = "htilde", Fraction(1, 2)
     pairing, intertwiner, graded = "laguerre_pairing", "sigma_b", False
     symmetric_routes = ("gram", "intertwined", "rodrigues")

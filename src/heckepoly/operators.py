@@ -1,14 +1,13 @@
 """Linear operators on polynomials, kept in a normal form.
 
-An operator is a flat linear combination sum_i k_i T_i of terms.  A term
-is a primitive, a named operator, or a composition T_m ... T_1 whose
-factors are themselves integer combinations.  Sums merge equal terms,
-integer scalars multiply into the coefficients, and a rational content
-1/D is kept apart: a combination with fractional coefficients becomes the
-single term (1/D) * (integer combination), and a composition carries the
-product of its factors' contents.  The ladder factors 1/2 and 1/4 and a
-rational gamma are thus applied once per node, not once per monomial of
-every primitive image.
+An operator has two fields: an exact rational ``content`` and ``terms``,
+a flat integer combination sum_i k_i T_i.  A term is a primitive, a named
+operator, or a composition T_m ... T_1 of two or more factors, each an
+integer combination.  A scalar multiple multiplies the content only; a sum
+merges equal terms and takes the lcm D of its coefficients' denominators
+as content 1/D; a composition carries the product of its factors'
+contents.  The ladder factor 1/2 and a rational gamma are thus applied
+once per node, not once per monomial of every primitive image.
 
 Applying an operator adds c * T(f) for every term into one accumulator
 dict: no intermediate ``Polynomial`` per node.  ``__call__`` scales a
@@ -74,11 +73,9 @@ from .errors import AmbientSizeMismatch, TypeBContextError
 from .parameters import FamilySpec
 from .polynomials import Polynomial, _canonical, _integer_part, monomials_up_to_degree
 
-# A term of the normal form is (k, push): ``push(src, out, c)`` adds c times
-# the term's image of the term dict ``src`` into the accumulator ``out``.
-# Every coefficient k is an int, except that of a lone term, which is the
-# operator's content; ``_split_content`` takes it off before evaluation, so
-# every push sees integer inputs and an integer c.
+# A term of the normal form is (k, push) with k an int: ``push(src, out, c)``
+# adds c times the term's image of the term dict ``src`` into the
+# accumulator ``out``.  Every push sees integer inputs and an integer c.
 
 
 def _accumulate(terms, src: dict, out: dict, c: int) -> None:
@@ -105,9 +102,8 @@ def _step(terms):
 
 
 class _Chain:
-    """The composition of ``factors`` (integer combinations), in the order
-    they act.  A chain of one factor is a bracketed sum: the body of a
-    content term (1/D) * (integer combination)."""
+    """The composition of ``factors`` (at least two integer combinations),
+    in the order they act."""
 
     __slots__ = ("factors", "_first", "_last")
 
@@ -139,8 +135,7 @@ class _Memo:
     __slots__ = ("nvars", "content", "terms", "images")
 
     def __init__(self, op: "Operator"):
-        self.nvars = op.nvars
-        self.content, self.terms = _split_content(op)
+        self.nvars, self.content, self.terms = op.nvars, op.content, op.terms
         self.images: dict = {}
 
     def _image(self, exps):
@@ -165,14 +160,6 @@ class _Memo:
                 out[e] = get(e, 0) + v * w
 
 
-def _split_content(op: "Operator"):
-    """(content, integer terms) with op = content * (integer terms)."""
-    terms = op._terms
-    if len(terms) == 1 and type(terms[0][0]) is not int:
-        return terms[0][0], ((1, terms[0][1]),)
-    return 1, terms
-
-
 def _rescale(nvars: int, out: dict, scale) -> Polynomial:
     """scale * out for an integer term dict out: v*p // q when q divides
     v*p, and otherwise one Fraction per term (scale = p/q)."""
@@ -193,51 +180,33 @@ def _identity_push(src, out, c):
         out[e] = get(e, 0) + v * c
 
 
-def _combination(nvars: int, pairs) -> "Operator":
-    """Normal form of sum k * push over ``pairs``: bracketed sums opened,
-    equal terms merged, and fractional coefficients replaced by one
-    content term (1/D) * (integer combination)."""
-    merged: dict = {}
-    for k, push in pairs:
-        node = getattr(push, "__self__", None)
-        if type(node) is _Chain and len(node.factors) == 1:
-            for k2, push2 in node.factors[0]:
-                merged[push2] = merged.get(push2, 0) + k * k2
-        else:
-            merged[push] = merged.get(push, 0) + k
-    terms = [(_canonical(k), push) for push, k in merged.items() if k]
-    den = math.lcm(*(k.denominator for k, _ in terms if type(k) is not int))
-    if den == 1 or len(terms) == 1:
-        return Operator(nvars, tuple(terms))
-    inner = tuple((_canonical(k * den), push) for k, push in terms)
-    return Operator(nvars, ((Fraction(1, den), _Chain((inner,))._push),))
-
-
 def _factors(op: "Operator"):
     """(k, factors) with op = k * (composition of factors)."""
-    if len(op._terms) != 1:
-        return 1, (op._terms,)
-    k, push = op._terms[0]
+    if len(op.terms) != 1:
+        return op.content, (op.terms,)
+    k, push = op.terms[0]
     node = getattr(push, "__self__", None)
     if type(node) is _Chain:
-        return k, node.factors
-    if push is _identity_push:
-        return k, ()
-    return k, (((1, push),),)
+        factors = node.factors
+    else:
+        factors = () if push is _identity_push else (((1, push),),)
+    return op.content * k, factors
 
 
 class Operator:
-    """A linear map on polynomials in a fixed number of variables, as a
-    normal-form linear combination of terms (see the module docstring)."""
+    """A linear map on polynomials in a fixed number of variables: the
+    exact rational ``content`` times ``terms``, an integer combination of
+    pushes (see the module docstring)."""
 
-    __slots__ = ("nvars", "_terms")
+    __slots__ = ("nvars", "content", "terms")
 
-    def __init__(self, nvars: int, terms: tuple = ()):
+    def __init__(self, nvars: int, content=1, terms: tuple = ()):
         self.nvars = nvars
-        self._terms = terms
+        self.content = content
+        self.terms = terms
 
     def __repr__(self) -> str:
-        return f"Operator({self.nvars} vars, {len(self._terms)} terms)"
+        return f"Operator({self.nvars} vars, content {self.content}, {len(self.terms)} terms)"
 
     def __call__(self, f: Polynomial) -> Polynomial:
         if f.nvars != self.nvars:
@@ -246,17 +215,27 @@ class Operator:
                 f"polynomial in {f.nvars}"
             )
         src, den = _integer_part(f.terms)
-        content, terms = _split_content(self)
         out: dict = {}
-        _accumulate(terms, src, out, 1)
-        return _rescale(self.nvars, out, content if den == 1 else Fraction(content, den))
+        _accumulate(self.terms, src, out, 1)
+        scale = self.content if den == 1 else Fraction(self.content, den)
+        return _rescale(self.nvars, out, scale)
 
     def __add__(self, other: "Operator") -> "Operator":
+        """Equal terms merged; the lcm D of the coefficients' denominators
+        becomes the content 1/D."""
         if not isinstance(other, Operator):
             return NotImplemented
         if other.nvars != self.nvars:
             raise AmbientSizeMismatch("ambient size mismatch in operator sum")
-        return _combination(self.nvars, self._terms + other._terms)
+        merged: dict = {}
+        for op in (self, other):
+            for k, push in op.terms:
+                merged[push] = merged.get(push, 0) + k * op.content
+        terms = [(k, push) for push, k in merged.items() if k]
+        den = math.lcm(*(k.denominator for k, _ in terms))
+        content = Fraction(1, den) if den > 1 else 1
+        terms = tuple(((k * den).numerator, push) for k, push in terms)
+        return Operator(self.nvars, content, terms)
 
     def __sub__(self, other: "Operator") -> "Operator":
         return self + (-other)
@@ -269,23 +248,25 @@ class Operator:
             return self._scaled(other)
         if other.nvars != self.nvars:
             raise AmbientSizeMismatch("ambient size mismatch in composition")
-        if not self._terms or not other._terms:
+        if not self.terms or not other.terms:
             return Operator(self.nvars)
         k_a, outer = _factors(self)
         k_b, inner = _factors(other)
-        k, factors = k_a * k_b, inner + outer
+        k, factors = _canonical(k_a * k_b), inner + outer
         if not factors:
             return scalar(self.nvars, k)
         if len(factors) == 1:
-            return _combination(self.nvars, ((k * k2, p) for k2, p in factors[0]))
-        return Operator(self.nvars, ((_canonical(k), _Chain(factors)._push),))
+            return Operator(self.nvars, k, factors[0])
+        return Operator(self.nvars, k, ((1, _Chain(factors)._push),))
 
     def __rmul__(self, other) -> "Operator":
         return self._scaled(other)
 
     def _scaled(self, value) -> "Operator":
         c = _canonical(value)
-        return _combination(self.nvars, ((k * c, push) for k, push in self._terms))
+        if not c:
+            return Operator(self.nvars)
+        return Operator(self.nvars, _canonical(self.content * c), self.terms)
 
     def __pow__(self, k: int) -> "Operator":
         if k < 0:
@@ -301,7 +282,7 @@ class Operator:
 
 
 def _leaf(nvars: int, push) -> Operator:
-    return Operator(nvars, ((1, push),))
+    return Operator(nvars, 1, ((1, push),))
 
 
 def identity(nvars: int) -> Operator:
@@ -309,8 +290,7 @@ def identity(nvars: int) -> Operator:
 
 
 def scalar(nvars: int, value) -> Operator:
-    c = _canonical(value)
-    return Operator(nvars, ((c, _identity_push),) if c else ())
+    return value * identity(nvars)
 
 
 def multiply_by(p: Polynomial) -> Operator:
@@ -527,7 +507,7 @@ def _named(name: str, j: int, spec: FamilySpec, build) -> Operator:
     memo = _NAMED.get(key)
     if memo is None:
         memo = _NAMED[key] = _Memo(build(n, j, beta, gamma))
-    return Operator(memo.nvars, ((memo.content, memo._push),))
+    return Operator(memo.nvars, memo.content, ((1, memo._push),))
 
 
 def dunkl(j: int, spec: FamilySpec) -> Operator:
@@ -579,40 +559,25 @@ def deformed_transposition(nvars: int, j: int, beta: int) -> Operator:
     return exchange(nvars, j, j + 1) - beta * divided_diff_minus(nvars, j, j + 1)
 
 
-MAX_SYMMETRIZER_N = 6
+MAX_ANTISYMMETRIZER_N = 6
 
 
-def symmetrizer(nvars: int, kind: str, beta: int | None = None) -> Operator:
-    """Group-averaged operators over S_N.
+def antisymmetrizer(nvars: int, beta: int = 0) -> Operator:
+    """P_- = (1/N!) sum_w sign(w) T_w over S_N, T_w the deformed
+    transpositions along a reduced word of w (needs an integer beta, so
+    that every shat_i has integer coefficients).  At beta = 0 every shat_i
+    is s_i, and P_- is the plain antisymmetrizer (1/N!) sum_w sign(w) w.
 
-    kind "minus": (1/N!) sum_w sign(w) w; "minus_deformed": (1/N!) sum_w
-    sign(w) T_w, T_w the deformed transpositions along a reduced word of w
-    (needs an integer beta), pushed as one prefix tree.
-    """
-    if nvars > MAX_SYMMETRIZER_N:
-        raise ValueError(f"symmetrizer limited to N <= {MAX_SYMMETRIZER_N}")
-    perms = list(all_permutations(nvars))
-    if kind == "minus":
-        words = [sign(w) * permutation_op(w) for w in perms]
-        total = _combination(nvars, [term for op in words for term in op._terms])
-    elif kind == "minus_deformed":
-        if type(beta) is not int:
-            raise ValueError("minus_deformed symmetrizer needs an integer beta")
-        total = _leaf(nvars, _signed_word_sum(nvars, beta, perms))
-    else:
-        raise ValueError(f"unknown symmetrizer kind {kind!r}")
-    return Fraction(1, math.factorial(nvars)) * total
-
-
-def _signed_word_sum(nvars: int, beta: int, perms):
-    """The push of sum_w sign(w) T_w over perms, N! - 1 deformed
-    transpositions per push.  With i the first left descent of w,
-    T_w = shat_i T_{s_i w}, so in the order of application the word of w
-    is reduced_word(w^-1), whose prefixes are the words of the s_i w; the
-    sum runs over v = w^-1, of the same sign.  With an integer beta every
-    shat_i has integer coefficients."""
+    One prefix tree, N! - 1 deformed transpositions per push: with i the
+    first left descent of w, T_w = shat_i T_{s_i w}, so in the order of
+    application the word of w is reduced_word(w^-1), whose prefixes are the
+    words of the s_i w; the sum runs over v = w^-1, of the same sign."""
+    if nvars > MAX_ANTISYMMETRIZER_N:
+        raise ValueError(f"antisymmetrizer limited to N <= {MAX_ANTISYMMETRIZER_N}")
+    if type(beta) is not int:
+        raise ValueError("the antisymmetrizer needs an integer beta")
     shat = [deformed_transposition(nvars, i, beta) for i in range(1, nvars)]
-    signed = {tuple(i - 1 for i in reduced_word(v)): sign(v) for v in perms}
+    signed = {tuple(i - 1 for i in reduced_word(v)): sign(v) for v in all_permutations(nvars)}
 
     def push(src, out, c):
         images = _word_images(src, signed, shat)
@@ -622,7 +587,7 @@ def _signed_word_sum(nvars: int, beta: int, perms):
             for e, v in images[word][1].items():
                 out[e] = get(e, 0) + k * v
 
-    return push
+    return Fraction(1, math.factorial(nvars)) * _leaf(nvars, push)
 
 
 def exponent_word(exps, power: int = 1) -> tuple[int, ...]:
@@ -638,15 +603,14 @@ def _word_images(seed: dict, words, steps) -> dict:
     times integer terms.  The word (i_1, ..., i_k) applies steps[i_1] first
     and steps[i_k] last; its image is steps[i_k] applied to the image of
     (i_1, ..., i_{k-1}), so every prefix is applied once."""
-    split = [_split_content(op) for op in steps]
     images = {(): (1, seed)}
 
     def image(word):
         found = images.get(word)
         if found is None:
             content, src = image(word[:-1])
-            step_content, terms = split[word[-1]]
-            found = images[word] = (content * step_content, _apply_terms(terms, src))
+            step = steps[word[-1]]
+            found = images[word] = (content * step.content, _apply_terms(step.terms, src))
         return found
 
     for word in words:
@@ -714,10 +678,10 @@ def first_difference(op_a: Operator, op_b: Operator, degree: int):
     cross-multiplied; polynomials are built only for the witnesses."""
     if op_a.nvars != op_b.nvars:
         raise AmbientSizeMismatch("ambient size mismatch in operator comparison")
-    (c_a, terms_a), (c_b, terms_b) = _split_content(op_a), _split_content(op_b)
+    c_a, c_b = op_a.content, op_b.content
     k_a, k_b = c_a.numerator * c_b.denominator, c_b.numerator * c_a.denominator
     for exps in monomials_up_to_degree(op_a.nvars, degree):
-        lhs, rhs = _apply_terms(terms_a, {exps: 1}), _apply_terms(terms_b, {exps: 1})
+        lhs, rhs = _apply_terms(op_a.terms, {exps: 1}), _apply_terms(op_b.terms, {exps: 1})
         if k_a != k_b:
             lhs = {e: k_a * v for e, v in lhs.items()}
             rhs = {e: k_b * v for e, v in rhs.items()}
@@ -764,9 +728,12 @@ def operator_from_string(text: str, spec: FamilySpec) -> Operator:
     if params_text:
         for item in params_text.split(","):
             key, _, value = item.partition("=")
+            key = key.strip()
             if not value:
                 raise ValueError(f"malformed operator parameter {item!r} in {text!r}")
-            params[key.strip()] = int(value)
+            if key in params:
+                raise ValueError(f"repeated operator parameter {key!r} in {text!r}")
+            params[key] = int(value)
     type_b = spec.gamma is not None
     base, letter = (name[:-1], name[-1]) if name[-1:] in ("A", "B") else (name, None)
     if base not in _NAMED_CONSTRUCTORS:
@@ -779,4 +746,7 @@ def operator_from_string(text: str, spec: FamilySpec) -> Operator:
     missing = [key for key in required if key not in params]
     if missing:
         raise ValueError(f"operator {name!r} needs parameters {', '.join(missing)}")
+    unknown = [key for key in params if key not in required]
+    if unknown:
+        raise ValueError(f"operator {name!r} takes no parameter {', '.join(unknown)}")
     return constructor(*(params[key] for key in required), spec)

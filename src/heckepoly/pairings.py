@@ -61,7 +61,7 @@ from .combinatorics import (
 )
 from .errors import AmbientSizeMismatch, DivergentWeightError
 from .parameters import FamilySpec, HERMITE, JACK, LAGUERRE
-from .polynomials import Exponent, Polynomial, _canonical, _integer_part
+from .polynomials import Exponent, Polynomial, _integer_part
 
 
 @dataclass(frozen=True)
@@ -402,21 +402,18 @@ def dunkl_pairing(
 
     variant selects plain Dunkl operators (default) or the Cherednik ones;
     scale is the per-operator factor c, an exact rational (a float raises
-    TypeError).  The words x^a of f act on g by shared prefixes
-    (``operators.apply_words``).  With the rational ladder
+    TypeError).  The words x^a of f, in letters c*Op_j, act on g by
+    shared prefixes (``operators.apply_words``).  With the rational ladder
     convention the Gaussian-induced pairing equals <1,1> times this value
     at variant="dunkl", scale=1/2 (measured, not assumed: see the
     dunkl_pairing_prop verification suite).
     """
     _check_inputs(f, g, spec)
-    scale = _canonical(scale)
     base_spec = FamilySpec(JACK, spec.n, spec.beta)
     if variant not in ("dunkl", "cherednik"):
         raise ValueError(f"unknown dunkl_pairing variant {variant!r}")
-    operators = [getattr(ops, variant)(j, base_spec) for j in range(1, spec.n + 1)]
-    words = {
-        ops.exponent_word(exps): coeff * scale ** sum(exps) for exps, coeff in f.terms.items()
-    }
+    operators = [scale * getattr(ops, variant)(j, base_spec) for j in range(1, spec.n + 1)]
+    words = {ops.exponent_word(exps): coeff for exps, coeff in f.terms.items()}
     (image,) = ops.apply_words(g, [words], operators)
     return image.constant_term()
 

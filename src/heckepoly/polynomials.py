@@ -24,6 +24,7 @@ makes all outputs byte-deterministic.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from operator import add
 from typing import Iterable, Iterator, Mapping
@@ -49,6 +50,15 @@ def _canonical(value) -> Coefficient:
         raise TypeError(f"inexact float scalar {value!r}: use int or Fraction")
     c = value if type(value) is Fraction else Fraction(value)
     return c.numerator if c.denominator == 1 else c
+
+
+def _json_int(value) -> int:
+    """An int, or a decimal-integer string such as "-12", as an int."""
+    if type(value) is int:
+        return value
+    if type(value) is str and re.fullmatch(r"-?[0-9]+", value):
+        return int(value)
+    raise ValueError(f"{value!r} is not an integer or a decimal-integer string")
 
 
 def _as_fraction(c: Coefficient) -> Fraction:
@@ -268,15 +278,19 @@ class Polynomial:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "Polynomial":
-        """The inverse of ``to_json_dict``; raises ValueError unless every
-        exponent is an integer (not a bool) and every den is nonzero."""
+        """The inverse of ``to_json_dict``; raises ValueError unless vars
+        and every exponent are integers (not bools), every num and den is
+        an integer or a decimal-integer string, and every den is nonzero."""
+        nvars = data["vars"]
+        if type(nvars) is not int:
+            raise ValueError(f"vars {nvars!r} is not an integer")
         terms = {}
         for t in data["terms"]:
-            exps, den = tuple(t["exp"]), int(t["den"])
+            exps, num, den = tuple(t["exp"]), _json_int(t["num"]), _json_int(t["den"])
             if not den or any(type(e) is not int for e in exps):
                 raise ValueError(f"term {t} needs integer exponents and a nonzero den")
-            terms[exps] = Fraction(int(t["num"]), den)
-        return cls(int(data["vars"]), terms)
+            terms[exps] = Fraction(num, den)
+        return cls(nvars, terms)
 
     def pretty(self, var: str = "x") -> str:
         """Human-readable rendering in descending graded-lex order.

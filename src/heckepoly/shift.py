@@ -182,35 +182,33 @@ def duality_check(f: Polynomial, g: Polynomial, spec: FamilySpec) -> bool:
 def antisymmetrizer_lemma_check(
     spec: FamilySpec, degree: int, form: str = "rho"
 ) -> bool:
-    """Annihilation identities behind the duality proofs.
+    """Annihilation identities behind the duality proofs, over the
+    monomial symmetric m_lam of weight <= degree.
 
     form "rho":       P_- (Y(+) - Y(-)) f = 0 for all symmetric f,
-                      in the family realization of the Cherednik operators;
-    form "primitive": the coordinate model, with the deformed signed
-                      symmetrizer and multiplication operators
+                      in the family realization of the Cherednik operators,
+                      with P_- the antisymmetrizer;
+    form "primitive": the coordinate model, with the deformed antisymmetrizer
+                      at the spec's beta and multiplication by
                       prod_{i<j} (+-beta - x_i + x_j).
     """
     n, beta = spec.n, spec.beta
     if form == "rho":
-        minus = ops.symmetrizer(n, "minus")
-        for lam in partitions_up_to(degree, n):
-            f = monomial_symmetric(n, lam)
-            diff = _apply_y(f, spec, 1) - _apply_y(f, spec, -1)
-            if minus(diff):
-                return False
-        return True
-    if form != "primitive":
+        minus = ops.antisymmetrizer(n)
+
+        def image(f):
+            return _apply_y(f, spec, 1) - _apply_y(f, spec, -1)
+
+    elif form != "primitive":
         raise ValueError(f"unknown antisymmetrizer check form {form!r}")
-    if spec.family != JACK:
+    elif spec.family != JACK:
         raise ValueError("the primitive form lives in the coordinate model")
-    deformed_minus = ops.symmetrizer(n, "minus_deformed", beta)
-    y_plus = _coordinate_y(n, beta)
-    y_minus = _coordinate_y(n, -beta)
-    for lam in partitions_up_to(degree, n):
-        f = monomial_symmetric(n, lam)
-        if deformed_minus((y_plus - y_minus) * f):
-            return False
-    return True
+    else:
+        minus = ops.antisymmetrizer(n, beta)
+        image = (_coordinate_y(n, beta) - _coordinate_y(n, -beta)).__mul__
+    return not any(
+        minus(image(monomial_symmetric(n, lam))) for lam in partitions_up_to(degree, n)
+    )
 
 
 def _coordinate_y(n: int, signed_beta: int) -> Polynomial:

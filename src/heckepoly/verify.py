@@ -615,8 +615,7 @@ def _appendix_rows(n: int, beta: int):
         "reduced-word independence for w0",
         *(math.prod((shat[i] for i in word), start=one) for word in _w0_words(n)),
     )
-    p_minus = ops.symmetrizer(n, "minus")
-    p_def = ops.symmetrizer(n, "minus_deformed", beta)
+    p_minus, p_def = ops.antisymmetrizer(n), ops.antisymmetrizer(n, beta)
     for j in shat:
         yield f"P- deformed o (shat_{j}+1) = 0", p_def * (shat[j] + one), zero
         yield f"(shat_{j}+1) o P- deformed = 0", (shat[j] + one) * p_def, zero

@@ -105,6 +105,13 @@ def test_pair_with_named_operators(capsys):
         run_cli(base + ["--apply-f", "bogus:j=1"], capsys)
 
 
+@pytest.mark.parametrize("text", ["dunkl:j=1,x=3", "exchange:i=1,j=2,k=9", "dunkl:j=1,j=2"])
+def test_pair_rejects_unknown_or_repeated_operator_parameters(text, capsys):
+    message = input_error(["pair", *_JACK, "--f", _ONE_IN_2, "--g", _ONE_IN_2, "--apply-f", text],
+                          capsys)
+    assert message.startswith("usage error: ")
+
+
 def test_pair_applies_laguerre_operators_through_the_codec(capsys):
     """f and g are u-polynomials and h_j acts on z: applied through the
     codec, the self-adjoint h_2 gives one value on either side."""
@@ -322,18 +329,27 @@ def test_unwritable_output_is_an_input_error(tmp_path, capsys):
     assert not target.exists()
 
 
+_TERM = {"exp": [0, 0], "num": "1", "den": "1"}
+
+
 @pytest.mark.parametrize(
-    "term",
+    "poly",
     [
-        {"exp": [0, 0], "num": "1", "den": "0"},
-        {"exp": [0.5, 0], "num": "1", "den": "1"},
-        {"exp": ["1", 0], "num": "1", "den": "1"},
-        {"exp": [True, 0], "num": "1", "den": "1"},
+        {"vars": 2, "terms": [dict(_TERM, den="0")]},
+        {"vars": 2, "terms": [dict(_TERM, exp=[0.5, 0])]},
+        {"vars": 2, "terms": [dict(_TERM, exp=["1", 0])]},
+        {"vars": 2, "terms": [dict(_TERM, exp=[True, 0])]},
+        {"vars": 2, "terms": [dict(_TERM, num=0.5)]},
+        {"vars": 2, "terms": [dict(_TERM, den=1.9)]},
+        {"vars": 2, "terms": [dict(_TERM, num=" 1")]},
+        {"vars": 2.7, "terms": [_TERM]},
+        {"vars": True, "terms": [dict(_TERM, exp=[0])]},
     ],
-    ids=["zero-den", "float-exponent", "string-exponent", "bool-exponent"],
+    ids=["zero-den", "float-exponent", "string-exponent", "bool-exponent", "float-num",
+         "float-den", "padded-num", "float-vars", "bool-vars"],
 )
-def test_pair_rejects_malformed_terms(term, capsys):
-    f = json.dumps({"vars": 2, "terms": [term]})
+def test_pair_rejects_malformed_terms(poly, capsys):
+    f = json.dumps(poly)
     text = input_error(["pair", "--family", "hermite", "--n", "2", "--beta", "1",
                         "--f", f, "--g", _ONE_IN_2], capsys)
     assert text.startswith("error: cannot read polynomial")

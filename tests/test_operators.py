@@ -2,11 +2,13 @@
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from heckepoly import cache_info, clear_caches
 from heckepoly import operators as ops
+from heckepoly.combinatorics import all_permutations, reduced_word, sign
 from heckepoly.errors import AmbientSizeMismatch, TypeBContextError
 from heckepoly.parameters import hermite_spec, jack_spec, laguerre_spec
 from heckepoly.polynomials import (
@@ -185,14 +187,23 @@ def test_htilde_a():
 def test_symmetrizers():
     x1 = Polynomial.variable(2, 1)
     x2 = Polynomial.variable(2, 2)
-    minus = ops.symmetrizer(2, "minus")
+    minus = ops.antisymmetrizer(2)
     assert minus(x1 + x2) == Polynomial.zero(2)
     with pytest.raises(ValueError):
-        ops.symmetrizer(7, "minus")
-    with pytest.raises(ValueError, match="unknown symmetrizer kind"):
-        ops.symmetrizer(2, "plus")
-    with pytest.raises(ValueError):
-        ops.symmetrizer(3, "minus_deformed")
+        ops.antisymmetrizer(7)
+    with pytest.raises(ValueError, match="integer beta"):
+        ops.antisymmetrizer(3, Fraction(1, 2))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_antisymmetrizer_equals_the_signed_permutation_sum(n):
+    """At beta = 0 the prefix tree is (1/N!) sum_w sign(w) w, here summed
+    term by term over ``permutation_op``."""
+    total = ops.scalar(n, 0)
+    for w in all_permutations(n):
+        total = total + sign(w) * ops.permutation_op(w)
+    oracle = Fraction(1, factorial(n)) * total
+    assert ops.operator_equal(ops.antisymmetrizer(n), oracle, 4)
 
 
 def test_deformed_transpositions():
@@ -275,6 +286,17 @@ def test_operator_from_string_names_missing_parameters(text, missing):
     lag = laguerre_spec(2, 1, Fraction(1, 2))
     with pytest.raises(ValueError, match=f"needs parameters {missing}$"):
         ops.operator_from_string(text, lag)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("dunkl:j=1,x=3", "takes no parameter x$"), ("exchange:i=1,j=2,k=9", "takes no parameter k$"),
+     ("dunkl:j=1,j=2", "repeated operator parameter 'j'"),
+     ("exchange:i=1, i=2,j=3", "repeated operator parameter 'i'")],
+)
+def test_operator_from_string_rejects_unknown_and_repeated_parameters(text, message):
+    with pytest.raises(ValueError, match=message):
+        ops.operator_from_string(text, jack_spec(3, 1))
 
 
 def test_creation_b_squared_preserves_even():
@@ -452,15 +474,26 @@ def test_named_operators_against_division_oracle(n, beta):
             assert op(f) == expected  # warm: every image now comes from the memo
 
 
-def test_combinations_against_division_oracle():
+_N, _BETA, _GAMMA = 3, 1, Fraction(2, 5)
+
+
+def _combination_expressions():
     """Sums, integer and fractional scalars, compositions and powers of
-    memoized operators, against the same expression over the oracle."""
-    n, beta, gamma = 3, 1, Fraction(2, 5)
+    memoized operators: the parts of one expression, and the whole last."""
+    n, beta, gamma = _N, _BETA, _GAMMA
     jac, her, lag = jack_spec(n, beta), hermite_spec(n, beta), laguerre_spec(n, beta, gamma)
     a, b = ops.cherednik(1, jac), ops.dunkl(2, jac)
     h, d = ops.htilde(3, her), ops.dunkl(2, lag)
-    expr = (3 * a - Fraction(1, 2) * h) * (2 * b + ops.scalar(n, Fraction(1, 3))) - a**2
-    expr = expr + Fraction(3, 4) * (d * h) - (-2) * (b * d * a)
+    parts = [3 * a - Fraction(1, 2) * h, 2 * b + ops.scalar(n, Fraction(1, 3)), a**2,
+             Fraction(3, 4) * (d * h), (-2) * (b * d * a)]
+    return parts + [parts[0] * parts[1] - parts[2] + parts[3] - parts[4]]
+
+
+def test_combinations_against_division_oracle():
+    """The expression of ``_combination_expressions`` against the same
+    expression over the oracle."""
+    n, beta, gamma = _N, _BETA, _GAMMA
+    expr = _combination_expressions()[-1]
 
     def reference(f):
         g = 2 * _ref_dunkl(f, 2, beta) + f * Fraction(1, 3)
@@ -475,6 +508,35 @@ def test_combinations_against_division_oracle():
         f = _random_poly(rng, n, 3)
         assert expr(f) == reference(f)
         assert expr(f) == reference(f)
+
+
+def _assert_normal_form(op):
+    """content is an int or a Fraction, every coefficient of terms an int,
+    and so inside named operators and compositions of two or more factors."""
+    assert type(op.content) in (int, Fraction)
+    for k, push in op.terms:
+        assert type(k) is int
+        node = getattr(push, "__self__", None)
+        if type(node) is ops._Memo:
+            _assert_normal_form(node)
+        elif type(node) is ops._Chain:
+            assert len(node.factors) >= 2
+            for factor in node.factors:
+                _assert_normal_form(ops.Operator(op.nvars, 1, factor))
+
+
+def test_operators_keep_the_normal_form():
+    n, spec = _N, jack_spec(_N, _BETA)
+    swap, d1 = ops.exchange(n, 1, 2), ops.dunkl(1, spec)
+    fractional = Fraction(1, 2) * swap + Fraction(1, 3) * ops.identity(n)
+    assert fractional.content == Fraction(1, 6)
+    assert sorted(k for k, _ in fractional.terms) == [2, 3]
+    composed = fractional * d1 * Fraction(4, 3) * fractional
+    assert composed.content == Fraction(1, 6) * Fraction(4, 3) * Fraction(1, 6)
+    zero = ops.scalar(n, 0)
+    assert zero.terms == () and type(zero.content) is int
+    for op in _combination_expressions() + [fractional, composed, zero]:
+        _assert_normal_form(op)
 
 
 def _word_loop(seed, weights, steps):
@@ -515,10 +577,6 @@ def test_apply_words_matches_the_per_term_loop(power):
 def _word_by_word_antisymmetrizer(n, beta):
     """(1/N!) sum_w sign(w) shat_{i_1} ... shat_{i_l}, (i_1..i_l) =
     reduced_word(w), each word its own composition."""
-    from math import factorial
-
-    from heckepoly.combinatorics import all_permutations, reduced_word, sign
-
     total = ops.scalar(n, 0)
     for w in all_permutations(n):
         word = ops.identity(n)
@@ -531,7 +589,7 @@ def _word_by_word_antisymmetrizer(n, beta):
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("beta", [0, 1, 2])
 def test_prefix_built_antisymmetrizer_equals_the_word_sum(n, beta):
-    prefix = ops.symmetrizer(n, "minus_deformed", beta)
+    prefix = ops.antisymmetrizer(n, beta)
     assert ops.operator_equal(prefix, _word_by_word_antisymmetrizer(n, beta), 4)
 
 
@@ -550,7 +608,7 @@ def test_first_difference_finds_the_first_monomial_and_its_witnesses():
     # the identity with content 1/2: [D_1, x_1] = 1 + beta s_12 at beta = 1
     one = half * (d1 * x1) - half * (x1 * d1) - half * ops.exchange(n, 1, 2)
     one = one + half * ops.identity(n)
-    assert ops._split_content(one)[0] == half
+    assert one.content == half
     pairs = [
         (one, ops.identity(n)),  # equal, only one side has a fraction content
         (one, 2 * ops.identity(n)),  # the same monomials, values apart

@@ -134,7 +134,7 @@ CATALOG = (
     "operators.cherednik",
     "operators.creation",
     "operators.htilde",
-    "operators.symmetrizer",
+    "operators.antisymmetrizer",
     "operators.sutherland_expanded_apply",
     "families.nonsym_jack",
     "families.jack",
