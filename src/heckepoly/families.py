@@ -57,7 +57,9 @@ shares the entry of ``construct(lam, spec, "rodrigues")``), a route never
 reads another route's entry, so a cross-check compares two
 constructions, and a construction that raises is not stored.  A
 non-symmetric Hermite or Laguerre polynomial is the intertwiner image of
-the cached E_eta, applied and checked on each call.
+the cached E_eta, applied and checked on each call.  The raising and
+shift operators act on symmetric inputs through ``orbit_images``, which
+holds each image op(pre m_mu) once per (spec, operator, pre, mu).
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ from fractions import Fraction
 
 from . import operators as ops
 from . import pairings
-from .caches import memo
+from .caches import memo, register
 from .combinatorics import (
     composition_to_label,
     extended_dominance_lt,
@@ -224,6 +226,20 @@ class Realization:
         """op applied to f through the codec."""
         return self.decode(op(self.encode(f)))
 
+    def apply_symmetric(self, key, op: ops.Operator, f: Polynomial, pre=None) -> Polynomial:
+        """op(pre f) for a symmetric f (else ValueError): the sum of c_mu
+        op(pre m_mu), each image applied once per (spec, key, pre, mu)."""
+        out, tag = {}, None if pre is None else frozenset(pre.terms.items())
+        for mu, c in _orbit_coefficients(f.terms).items():
+            slot = (self.spec, key, tag, mu)
+            image = _ORBIT_IMAGES.get(slot)
+            if image is None:
+                m = monomial_symmetric(f.nvars, mu)
+                image = _ORBIT_IMAGES[slot] = self.apply(op, m if pre is None else pre * m)
+            for exps, v in image.terms.items():
+                out[exps] = out.get(exps, 0) + c * v
+        return Polynomial(f.nvars, out)
+
     def pair(self, f: Polynomial, g: Polynomial) -> ScaledRational:
         """The family pairing <f, g>, as a ScaledRational."""
         value = getattr(pairings, self.pairing)(f, g, self.spec)
@@ -269,6 +285,9 @@ class _Laguerre(Realization):
 
 
 _REALIZATIONS = {JACK: _Jack, HERMITE: _Hermite, LAGUERRE: _Laguerre}
+
+_ORBIT_IMAGES: dict = {}  # (spec, key, pre's terms, mu) -> op(pre m_mu)
+register("families.orbit_images", _ORBIT_IMAGES.__len__, _ORBIT_IMAGES.clear)
 
 
 def realization(spec: FamilySpec) -> Realization:

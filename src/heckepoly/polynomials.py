@@ -280,7 +280,8 @@ class Polynomial:
     def from_json_dict(cls, data: Mapping) -> "Polynomial":
         """The inverse of ``to_json_dict``; raises ValueError unless vars
         and every exponent are integers (not bools), every num and den is
-        an integer or a decimal-integer string, and every den is nonzero."""
+        an integer or a decimal-integer string, every den is nonzero and no
+        exponent repeats."""
         nvars = data["vars"]
         if type(nvars) is not int:
             raise ValueError(f"vars {nvars!r} is not an integer")
@@ -289,6 +290,8 @@ class Polynomial:
             exps, num, den = tuple(t["exp"]), _json_int(t["num"]), _json_int(t["den"])
             if not den or any(type(e) is not int for e in exps):
                 raise ValueError(f"term {t} needs integer exponents and a nonzero den")
+            if exps in terms:
+                raise ValueError(f"exponent {list(exps)} repeated")
             terms[exps] = Fraction(num, den)
         return cls(nvars, terms)
 

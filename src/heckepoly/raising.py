@@ -21,7 +21,8 @@ Iterating the chain from the empty partition and dividing by the hook-type
 product prod_{cells (i,j)} (lam_i - j + beta(lam'_j - i + 1)) recovers the
 monic family polynomial (Rodrigues route); every chain step satisfies the
 length hypothesis because columns grow left to right.  Needs beta >= 1 so
-no hook factor vanishes.
+no hook factor vanishes.  ``raising_apply`` sums the stored images R_m m_mu
+(``Realization.apply_symmetric``); the chain applies R_m directly.
 """
 
 from __future__ import annotations
@@ -93,10 +94,9 @@ def raising_apply(m: int, family_poly: FamilyPolynomial):
         raise ValueError(
             f"raising with m={m} needs a label with at most {m} nonzero parts, got {lam}"
         )
-    image = realization(spec).apply(op, family_poly.poly)
+    image = realization(spec).apply_symmetric(("raise", m), op, family_poly.poly)
     constant = raising_constant(lam, m, spec)
-    target_label = add_to_first_parts(lam, m)
-    target = construct(target_label, spec)
+    target = construct(add_to_first_parts(lam, m), spec)
     if image != constant * target.poly:
         raise NotProportionalError(
             f"not proportional: raising {lam} by (1^{m}) at {spec}"
@@ -132,9 +132,6 @@ def _rodrigues_chain(lam, spec: FamilySpec) -> Polynomial:
     real = realization(spec)
     current = real.encode(Polynomial.one(n))
     for m in range(1, n + 1):
-        steps = lam[m - 1] - (lam[m] if m < n else 0)
-        if steps:
-            op = raising_operator(m, spec)
-            for _ in range(steps):
-                current = op(current)
+        for _ in range(lam[m - 1] - (lam[m] if m < n else 0)):
+            current = raising_operator(m, spec)(current)
     return real.decode(current) * (Fraction(1) / hooks)

@@ -24,6 +24,8 @@ fixed, not searched for: ``shift_apply`` checks the relation it applies,
 and ``calibrate`` applies both operators with it at the empty label.  The
 duality statement and the norm recursion do not depend on the sign; for
 Jack, whose pairing is graded, duality is checked degree by degree.
+G and Ghat take symmetric inputs: ``Realization.apply_symmetric`` sums the
+stored images Y(-) m_mu and Y(+)(X m_mu), each applied once per spec.
 """
 
 from __future__ import annotations
@@ -87,8 +89,8 @@ def _y_product(spec: FamilySpec, sign: int) -> ops.Operator:
     return total
 
 
-def _apply_y(f: Polynomial, spec: FamilySpec, sign: int) -> Polynomial:
-    return realization(spec).apply(_y_product(spec, sign), f)
+def _apply_y(f: Polynomial, spec: FamilySpec, sign: int, pre=None) -> Polynomial:
+    return realization(spec).apply_symmetric(("Y", sign), _y_product(spec, sign), f, pre)
 
 
 def apply_g(f: Polynomial, spec: FamilySpec) -> Polynomial:
@@ -101,7 +103,7 @@ def apply_g(f: Polynomial, spec: FamilySpec) -> Polynomial:
 
 def apply_ghat(f: Polynomial, spec: FamilySpec) -> Polynomial:
     """Ghat f = Y(+) (X f), from level beta+1 to level beta (spec)."""
-    return _apply_y(vandermonde(spec.n) * f, spec, 1)
+    return _apply_y(f, spec, 1, vandermonde(spec.n))
 
 
 @memo
@@ -214,11 +216,7 @@ def antisymmetrizer_lemma_check(
 def _coordinate_y(n: int, signed_beta: int) -> Polynomial:
     total = Polynomial.one(n)
     for i, j in itertools.combinations(range(1, n + 1), 2):
-        total = total * (
-            Polynomial.constant(n, signed_beta)
-            - Polynomial.variable(n, i)
-            + Polynomial.variable(n, j)
-        )
+        total = total * (signed_beta - Polynomial.variable(n, i) + Polynomial.variable(n, j))
     return total
 
 

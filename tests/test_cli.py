@@ -344,9 +344,10 @@ _TERM = {"exp": [0, 0], "num": "1", "den": "1"}
         {"vars": 2, "terms": [dict(_TERM, num=" 1")]},
         {"vars": 2.7, "terms": [_TERM]},
         {"vars": True, "terms": [dict(_TERM, exp=[0])]},
+        {"vars": 2, "terms": [_TERM, dict(_TERM, num="5")]},
     ],
     ids=["zero-den", "float-exponent", "string-exponent", "bool-exponent", "float-num",
-         "float-den", "padded-num", "float-vars", "bool-vars"],
+         "float-den", "padded-num", "float-vars", "bool-vars", "repeated-exponent"],
 )
 def test_pair_rejects_malformed_terms(poly, capsys):
     f = json.dumps(poly)

@@ -11,10 +11,17 @@ from heckepoly.combinatorics import (
     staircase,
 )
 from heckepoly.errors import RodriguesSingularError
-from heckepoly.families import construct, encode_even, hermite, jack, laguerre
+from heckepoly.families import (
+    FamilyPolynomial,
+    construct,
+    encode_even,
+    hermite,
+    jack,
+    laguerre,
+)
 from heckepoly.pairings import shift_constants
 from heckepoly.parameters import hermite_spec, jack_spec, laguerre_spec
-from heckepoly.polynomials import Polynomial
+from heckepoly.polynomials import Polynomial, divide_exact, vandermonde
 from heckepoly.raising import (
     hook_product,
     raising_apply,
@@ -227,3 +234,81 @@ def test_composites_built_once_and_cleared():
     assert composites(cache_info()) == 0
     assert raising_operator(1, specs[2]) is not held
     assert images() == cold and cache_info() == info
+
+
+_MEMO_SPECS = [
+    make(n, beta)
+    for make in (jack_spec, hermite_spec, lambda n, beta: laguerre_spec(n, beta, Fraction(1, 2)))
+    for n in (2, 3)
+    for beta in (0, 1, 2)
+]
+
+
+@pytest.mark.parametrize(
+    "spec", _MEMO_SPECS, ids=lambda s: f"{s.family}-N{s.n}-beta{s.beta}"
+)
+def test_orbit_image_memo_equals_direct_application(spec):
+    """R_1..R_N, Y(-) and Y(+) X through the orbit-image memo equal the
+    operator applied to the whole input, on random symmetric inputs with
+    shared orbits and fractional coefficients, cold and warm."""
+    from heckepoly import clear_caches
+    from heckepoly.families import realization
+    from heckepoly.raising import raising_operator
+    from heckepoly.shift import _y_product
+
+    n, real = spec.n, realization(spec)
+    rng = random.Random(f"{spec}")
+    inputs = [random_symmetric_polynomial(n, 3, rng) for _ in range(3)]
+    inputs.append(Fraction(1, 3) * inputs[0] - Fraction(5, 2) * inputs[1])
+    x = vandermonde(n)
+    clear_caches()
+    for f in inputs:
+        for m in range(1, n + 1):
+            op = raising_operator(m, spec)
+            assert real.apply_symmetric(("raise", m), op, f) == real.apply(op, f)
+        minus, plus = _y_product(spec, -1), _y_product(spec, 1)
+        image = real.apply(minus, f)
+        assert apply_g(f, spec) == (image and divide_exact(image, x))
+        assert apply_ghat(f, spec) == real.apply(plus, x * f)
+    clear_caches()
+
+
+@pytest.mark.parametrize("ghat_first", [False, True])
+def test_y_plus_with_and_without_the_vandermonde_in_one_session(ghat_first):
+    """Y(+)(f) and Y(+)(X f) are different maps: the memo keeps the
+    premultiplier in its key, so neither serves the other's images."""
+    from heckepoly import clear_caches
+    from heckepoly.families import realization
+    from heckepoly.shift import _apply_y, _y_product
+
+    for spec in (jack_spec(2, 1), hermite_spec(3, 1), laguerre_spec(3, 2, Fraction(1, 3))):
+        real, plus = realization(spec), _y_product(spec, 1)
+        f = random_symmetric_polynomial(spec.n, 2, random.Random(spec.n))
+        expected = {"f": real.apply(plus, f), "X f": real.apply(plus, vandermonde(spec.n) * f)}
+        clear_caches()
+        order = ["X f", "f"] if ghat_first else ["f", "X f"]
+        for which in order + order:
+            image = apply_ghat(f, spec) if which == "X f" else _apply_y(f, spec, 1)
+            assert image == expected[which], which
+    clear_caches()
+
+
+def test_orbit_image_memo_rejects_non_symmetric_input():
+    spec = jack_spec(2, 1)
+    with pytest.raises(ValueError, match="not symmetric"):
+        apply_g(Polynomial.variable(2, 1), spec)
+    with pytest.raises(ValueError, match="not symmetric"):
+        apply_ghat(Polynomial.monomial((2, 1)) + Polynomial.monomial((1, 2), 3), spec)
+    with pytest.raises(ValueError, match="not symmetric"):
+        raising_apply(1, FamilyPolynomial((1, 0), spec, Polynomial.variable(2, 1), "x", (1, 1)))
+
+
+def test_orbit_images_are_registered_and_cleared():
+    from heckepoly import cache_info, clear_caches
+
+    clear_caches()
+    assert cache_info()["families.orbit_images"] == 0
+    shift_apply("G", jack((2, 0), jack_spec(2, 1)))
+    assert cache_info()["families.orbit_images"] > 0
+    clear_caches()
+    assert cache_info()["families.orbit_images"] == 0

@@ -11,7 +11,7 @@ import pytest
 
 from heckepoly import clear_caches
 from heckepoly import operators as ops
-from heckepoly import shift, verify
+from heckepoly import families, shift, verify
 from heckepoly.errors import CalibrationError
 from heckepoly.families import realization
 from heckepoly.parameters import FamilySpec
@@ -431,6 +431,44 @@ def test_calibrate_fails_under_planted_defect(plant, monkeypatch):
     finally:
         monkeypatch.undo()
         clear_caches()
+
+
+@pytest.mark.parametrize("plant", sorted(SHIFT_PLANTS))
+def test_shift_plants_fail_after_a_warm_run(plant, monkeypatch):
+    """clear_caches drops the stored orbit images of an unplanted run, so a
+    defect planted after it reaches shift_all."""
+    clear_caches()
+    assert run_suite("shift_all", SMALL).passed
+    clear_caches()
+    monkeypatch.setattr(shift, "_y_product", SHIFT_PLANTS[plant](shift._y_product))
+    try:
+        report = run_suite("shift_all", SMALL)
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    assert report.failures and not report.passed
+
+
+class _DoubledImage(dict):
+    """The orbit-image memo of ``families``, storing the image of m_(1,0)
+    doubled."""
+
+    def __setitem__(self, slot, image):
+        super().__setitem__(slot, 2 * image if slot[-1] == (1, 0) else image)
+
+
+@pytest.mark.parametrize("name", ["shift_all", "raising_all", "duality_all"])
+def test_doubled_orbit_image_fails_its_suites(name, monkeypatch):
+    """Every suite that applies R_m, G or Ghat reads the stored m_mu images:
+    one image stored doubled fails it."""
+    clear_caches()
+    monkeypatch.setattr(families, "_ORBIT_IMAGES", _DoubledImage())
+    try:
+        report = run_suite(name, SMALL)
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    assert report.failures and not report.passed
 
 
 N4 = GridSpec(ns=(4,), betas=(1,), gammas=(Fraction(1, 2),), pairs=1)
