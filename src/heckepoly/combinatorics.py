@@ -299,8 +299,16 @@ def orbit_size(lam: Sequence[int]) -> int:
 def monomial_symmetric(nvars: int, lam: Sequence[int]) -> Polynomial:
     """Monomial symmetric polynomial m_lam: sum of all distinct permutations
     of the exponent vector lam."""
-    lam = pad_partition(lam, nvars)
-    return Polynomial._trusted(nvars, dict.fromkeys(orbit(lam), 1))
+    return from_orbit_form(nvars, {pad_partition(lam, nvars): 1})
+
+
+def from_orbit_form(nvars: int, coeffs: dict) -> Polynomial:
+    """sum_lam c_lam m_lam for padded partitions lam and nonzero stored
+    coefficients c_lam; the polynomial keeps ``coeffs`` as its orbit form."""
+    terms: dict = {}
+    for lam, c in coeffs.items():
+        terms.update(dict.fromkeys(orbit(lam), c))
+    return Polynomial._trusted(nvars, terms, coeffs)
 
 
 def _orbit_coefficients(terms: dict) -> dict[Partition, object]:
@@ -331,9 +339,9 @@ def to_monomial_basis(f: Polynomial) -> dict[Partition, Fraction]:
     """Expand a symmetric polynomial in monomial symmetric functions.
 
     Raises ValueError if f is not symmetric (orbits incomplete or with
-    unequal coefficients).
+    unequal coefficients) or Laurent.
     """
-    return {lam: Fraction(c) for lam, c in _orbit_coefficients(f.terms).items()}
+    return {lam: Fraction(c) for lam, c in f._orbit_form().items()}
 
 
 def random_polynomial(
@@ -357,11 +365,5 @@ def random_symmetric_polynomial(
 ) -> Polynomial:
     """Seeded random symmetric polynomial: small integer combination of
     monomial symmetric functions."""
-    result = Polynomial.zero(nvars)
-    for lam in partitions_up_to(max_weight, nvars):
-        coeff = rng.randint(-2, 2)
-        if coeff:
-            result = result + coeff * monomial_symmetric(nvars, lam)
-    if not result:
-        result = Polynomial.one(nvars)
-    return result
+    coeffs = {lam: c for lam in partitions_up_to(max_weight, nvars) if (c := rng.randint(-2, 2))}
+    return from_orbit_form(nvars, coeffs) if coeffs else Polynomial.one(nvars)

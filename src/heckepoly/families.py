@@ -59,7 +59,8 @@ constructions, and a construction that raises is not stored.  A
 non-symmetric Hermite or Laguerre polynomial is the intertwiner image of
 the cached E_eta, applied and checked on each call.  The raising and
 shift operators act on symmetric inputs through ``orbit_images``, which
-holds each image op(pre m_mu) once per (spec, operator, pre, mu).
+holds the m_nu coefficients of each image op(pre m_mu) / divisor once per
+(spec, operator key, mu).
 """
 
 from __future__ import annotations
@@ -80,22 +81,22 @@ from .combinatorics import (
     label_sort_key,
     label_to_composition,
     _orbit_coefficients,
+    from_orbit_form,
     monomial_symmetric,
-    orbit,
     pad_partition,
     partitions_of,
     partitions_up_to,
     precedes,
-    to_monomial_basis,
 )
 from .errors import (
     EvennessViolation,
     HeckePolyError,
+    NotProportionalError,
     SpectrumCollisionError,
 )
 from .pairings import ScaledRational, _kernel, _orbit_numerator
 from .parameters import FamilySpec, HERMITE, JACK, LAGUERRE
-from .polynomials import Polynomial, _canonical, monomials_of_degree
+from .polynomials import Polynomial, _canonical, divide_exact, monomials_of_degree
 
 Partition = tuple[int, ...]
 
@@ -226,19 +227,36 @@ class Realization:
         """op applied to f through the codec."""
         return self.decode(op(self.encode(f)))
 
-    def apply_symmetric(self, key, op: ops.Operator, f: Polynomial, pre=None) -> Polynomial:
-        """op(pre f) for a symmetric f (else ValueError): the sum of c_mu
-        op(pre m_mu), each image applied once per (spec, key, pre, mu)."""
-        out, tag = {}, None if pre is None else frozenset(pre.terms.items())
-        for mu, c in _orbit_coefficients(f.terms).items():
-            slot = (self.spec, key, tag, mu)
+    def apply_symmetric(self, key, op: ops.Operator, f: Polynomial, pre=None, divisor=None) -> Polynomial:
+        """op(pre f) / divisor for a symmetric f, from ``orbit_image``,
+        carrying its orbit form."""
+        return from_orbit_form(f.nvars, self.orbit_image(key, op, f, pre, divisor))
+
+    def orbit_image(self, key, op: ops.Operator, f: Polynomial, pre=None, divisor=None) -> dict:
+        """The m_nu coefficients of op(pre f) / divisor for a symmetric f
+        (else ValueError): the sum of c_mu times the stored coefficients of
+        op(pre m_mu) / divisor.  Each image is applied, divided exactly and
+        read by orbit once per (spec, key, mu), so a key must fix op, pre
+        and divisor; an image that is not symmetric raises
+        NotProportionalError."""
+        out: dict = {}
+        for mu, c in f._orbit_form().items():
+            slot = (self.spec, key, mu)
             image = _ORBIT_IMAGES.get(slot)
             if image is None:
                 m = monomial_symmetric(f.nvars, mu)
-                image = _ORBIT_IMAGES[slot] = self.apply(op, m if pre is None else pre * m)
-            for exps, v in image.terms.items():
-                out[exps] = out.get(exps, 0) + c * v
-        return Polynomial(f.nvars, out)
+                poly = self.apply(op, m if pre is None else pre * m)
+                if divisor is not None:
+                    poly = divide_exact(poly, divisor)
+                try:
+                    image = _ORBIT_IMAGES[slot] = _orbit_coefficients(poly.terms)
+                except ValueError as exc:
+                    raise NotProportionalError(
+                        f"{exc}: the image of m_{mu} under {key} at {self.spec}"
+                    ) from exc
+            for nu, v in image.items():
+                out[nu] = out.get(nu, 0) + c * v
+        return {nu: _canonical(v) for nu, v in out.items() if v}
 
     def pair(self, f: Polynomial, g: Polynomial) -> ScaledRational:
         """The family pairing <f, g>, as a ScaledRational."""
@@ -286,8 +304,15 @@ class _Laguerre(Realization):
 
 _REALIZATIONS = {JACK: _Jack, HERMITE: _Hermite, LAGUERRE: _Laguerre}
 
-_ORBIT_IMAGES: dict = {}  # (spec, key, pre's terms, mu) -> op(pre m_mu)
+_ORBIT_IMAGES: dict = {}  # (spec, key, mu) -> m_nu coefficients of op(pre m_mu) / divisor
 register("families.orbit_images", _ORBIT_IMAGES.__len__, _ORBIT_IMAGES.clear)
+
+
+def equals_multiple(image: dict, constant, target: Polynomial) -> bool:
+    """image, m_nu coefficients, equals constant * target, a symmetric
+    polynomial, compared orbit by orbit."""
+    constant = _canonical(constant)
+    return image == ({nu: constant * c for nu, c in target._orbit_form().items()} if constant else {})
 
 
 def realization(spec: FamilySpec) -> Realization:
@@ -480,11 +505,8 @@ def _jack_triangular(lam, n: int, beta: int) -> Polynomial:
         columns.append(column)
         eigen.append(values)
     nums, den = _eigen_solve(basis, columns, eigen, top, case)
-    out: dict = {}
-    for mu, num in zip(basis, nums):
-        if num:
-            out.update(dict.fromkeys(orbit(mu), _canonical(Fraction(num, den))))
-    return Polynomial._trusted(n, out)
+    coeffs = {mu: _canonical(Fraction(num, den)) for mu, num in zip(basis, nums) if num}
+    return from_orbit_form(n, coeffs)
 
 
 @memo
@@ -515,7 +537,7 @@ def _assert_symmetric_triangular(poly: Polynomial, lam, spec: FamilySpec) -> Non
         return kind(f"{message} at N={spec.n}, beta={spec.beta}, lambda={lam}")
 
     try:
-        expansion = to_monomial_basis(poly)
+        expansion = poly._orbit_form()
     except ValueError as exc:  # not symmetric
         raise error(HeckePolyError, exc) from exc
     if expansion.get(lam) != 1:
@@ -611,11 +633,11 @@ def _gram(lam, spec: FamilySpec) -> Polynomial:
 
     rows = [[entry(mu, nu) for nu in companions] for mu in companions]
     rhs = [-entry(lam, mu) for mu in companions]
-    out = dict(m_lam.terms)
+    coeffs = {lam: 1}
     for coeff, mu in zip(_solve_bareiss(rows, rhs), companions):
         if coeff:
-            out.update(dict.fromkeys(orbit(mu), _canonical(coeff)))
-    return Polynomial._trusted(n, out)
+            coeffs[mu] = _canonical(coeff)
+    return from_orbit_form(n, coeffs)
 
 
 def _solve_bareiss(rows, rhs) -> list[Fraction]:

@@ -52,7 +52,6 @@ from . import operators as ops
 from .caches import memo, register
 from .combinatorics import (
     Partition,
-    _orbit_coefficients,
     conjugate,
     orbit,
     pad_partition,
@@ -339,15 +338,14 @@ def _pairing_sums(f: Polynomial, g: Polynomial, spec: FamilySpec):
     Symmetric f and g are summed over their orbits instead of their terms."""
     kernel = _kernel(spec)  # a divergent gamma fails first
     _check_inputs(f, g, spec)
-    f_terms, f_scale = _integer_part(f.terms)
-    g_terms, g_scale = _integer_part(g.terms)
     try:
-        orbits = _orbit_coefficients(f_terms), _orbit_coefficients(g_terms)
+        f_terms, g_terms = f._orbit_form(), g._orbit_form()
     except ValueError:  # not both symmetric: pair term by term
-        sums = _degree_sums(f_terms, g_terms, kernel.value)
+        f_terms, g_terms, value = f.terms, g.terms, kernel.value
     else:
-        sums = _degree_sums(*orbits, _orbit_numerator(spec))
-    return kernel, sums, f_scale * g_scale
+        value = _orbit_numerator(spec)
+    (f_terms, f_scale), (g_terms, g_scale) = _integer_part(f_terms), _integer_part(g_terms)
+    return kernel, _degree_sums(f_terms, g_terms, value), f_scale * g_scale
 
 
 def _pairing(f: Polynomial, g: Polynomial, spec: FamilySpec) -> Fraction:

@@ -90,7 +90,7 @@ def grlex_key(exps: Exponent) -> tuple[int, Exponent]:
 class Polynomial:
     """Immutable sparse polynomial; do not mutate ``terms`` after construction."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "terms", "_orbits")  # _orbits: see _orbit_form
 
     def __init__(self, nvars: int, terms: Mapping[Exponent, Coefficient] | None = None):
         if nvars < 1:
@@ -109,13 +109,16 @@ class Polynomial:
         object.__setattr__(self, "terms", clean)
 
     @classmethod
-    def _trusted(cls, nvars: int, terms: dict[Exponent, Coefficient]) -> "Polynomial":
+    def _trusted(cls, nvars: int, terms: dict[Exponent, Coefficient], orbits=None) -> "Polynomial":
         """Adopt ``terms`` without copying or checking it.  The caller
         guarantees tuple keys of length ``nvars`` and canonical nonzero
-        values, and gives up the dict."""
+        values, and gives up the dict; ``orbits``, if given, must be the
+        m_lam coefficients of ``terms``."""
         poly = object.__new__(cls)
         object.__setattr__(poly, "nvars", nvars)
         object.__setattr__(poly, "terms", terms)
+        if orbits is not None:
+            object.__setattr__(poly, "_orbits", orbits)
         return poly
 
     def __setattr__(self, name, value):
@@ -259,6 +262,20 @@ class Polynomial:
     def is_laurent(self) -> bool:
         return any(e < 0 for exps in self.terms for e in exps)
 
+    def _orbit_form(self) -> dict:
+        """The m_lam coefficients of this symmetric polynomial, as stored
+        (``combinatorics._orbit_coefficients``), read once and kept in a
+        private slot; do not mutate the dict.  Raises ValueError on a
+        non-symmetric or Laurent polynomial."""
+        try:
+            return self._orbits
+        except AttributeError:
+            from .combinatorics import _orbit_coefficients  # it imports this module
+
+            form = _orbit_coefficients(self.terms)
+            object.__setattr__(self, "_orbits", form)
+            return form
+
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -368,16 +385,21 @@ def divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
         raise ZeroDivisionError("division by the zero polynomial")
     if f.is_laurent() or g.is_laurent():
         raise NotDivisibleError("not divisible: Laurent division is not supported")
-    g_exps, g_coeff = g.leading()
-    quotient: dict[Exponent, Fraction] = {}
-    rem = f
+    g_exps, g_lead = g.leading()
+    g_terms = list(g.terms.items())
+    quotient: dict[Exponent, Coefficient] = {}
+    rem = dict(f.terms)
     while rem:
-        r_exps, r_coeff = rem.leading()
+        r_exps = max(rem, key=grlex_key)
         q_exps = tuple(a - b for a, b in zip(r_exps, g_exps))
         if any(e < 0 for e in q_exps):
             raise NotDivisibleError("not divisible")
-        q_coeff = r_coeff / g_coeff
-        quotient[q_exps] = quotient.get(q_exps, _ZERO) + q_coeff
-        rem = rem - Polynomial(f.nvars, {q_exps: q_coeff}) * g
-    return Polynomial(f.nvars, quotient)
-
+        q_coeff = quotient[q_exps] = _canonical(rem[r_exps] / g_lead)
+        for exps, c in g_terms:
+            key = tuple(map(add, q_exps, exps))
+            new = rem.get(key, 0) - q_coeff * c
+            if new:
+                rem[key] = new
+            else:
+                del rem[key]
+    return Polynomial._trusted(f.nvars, quotient)

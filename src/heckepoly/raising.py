@@ -21,8 +21,9 @@ Iterating the chain from the empty partition and dividing by the hook-type
 product prod_{cells (i,j)} (lam_i - j + beta(lam'_j - i + 1)) recovers the
 monic family polynomial (Rodrigues route); every chain step satisfies the
 length hypothesis because columns grow left to right.  Needs beta >= 1 so
-no hook factor vanishes.  ``raising_apply`` sums the stored images R_m m_mu
-(``Realization.apply_symmetric``); the chain applies R_m directly.
+no hook factor vanishes.  ``raising_apply`` sums the stored m_nu
+coefficients of R_m m_mu (``Realization.orbit_image``) and compares them
+with the constant times the target's; the chain applies R_m directly.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .combinatorics import (
     partition_cells,
 )
 from .errors import NotProportionalError, RodriguesSingularError
-from .families import FamilyPolynomial, construct, realization, _symmetric
+from .families import FamilyPolynomial, construct, equals_multiple, realization, _symmetric
 from .parameters import FamilySpec
 from .polynomials import Polynomial
 
@@ -94,10 +95,10 @@ def raising_apply(m: int, family_poly: FamilyPolynomial):
         raise ValueError(
             f"raising with m={m} needs a label with at most {m} nonzero parts, got {lam}"
         )
-    image = realization(spec).apply_symmetric(("raise", m), op, family_poly.poly)
+    image = realization(spec).orbit_image(("raise", m), op, family_poly.poly)
     constant = raising_constant(lam, m, spec)
     target = construct(add_to_first_parts(lam, m), spec)
-    if image != constant * target.poly:
+    if not equals_multiple(image, constant, target.poly):
         raise NotProportionalError(
             f"not proportional: raising {lam} by (1^{m}) at {spec}"
         )

@@ -24,8 +24,12 @@ fixed, not searched for: ``shift_apply`` checks the relation it applies,
 and ``calibrate`` applies both operators with it at the empty label.  The
 duality statement and the norm recursion do not depend on the sign; for
 Jack, whose pairing is graded, duality is checked degree by degree.
-G and Ghat take symmetric inputs: ``Realization.apply_symmetric`` sums the
-stored images Y(-) m_mu and Y(+)(X m_mu), each applied once per spec.
+G and Ghat take symmetric inputs: ``Realization.orbit_image`` sums the
+stored m_nu coefficients of X^{-1} Y(-) m_mu and Y(+)(X m_mu), each
+applied (for G divided by X) and checked symmetric once per spec.
+``shift_apply`` compares these sums with the signed constant times the
+target's m_nu coefficients; ``duality_check`` pairs the polynomials that
+``apply_g`` and ``apply_ghat`` build from them (``apply_symmetric``).
 """
 
 from __future__ import annotations
@@ -42,10 +46,10 @@ from .combinatorics import (
     staircase,
 )
 from .errors import CalibrationError, NotDivisibleError, NotProportionalError
-from .families import FamilyPolynomial, construct, realization
+from .families import FamilyPolynomial, construct, equals_multiple, realization
 from .pairings import _pairing_by_degree, shift_constants
 from .parameters import FamilySpec, JACK
-from .polynomials import Polynomial, divide_exact, vandermonde
+from .polynomials import Polynomial, vandermonde
 
 
 @dataclass(frozen=True)
@@ -89,21 +93,29 @@ def _y_product(spec: FamilySpec, sign: int) -> ops.Operator:
     return total
 
 
-def _apply_y(f: Polynomial, spec: FamilySpec, sign: int, pre=None) -> Polynomial:
-    return realization(spec).apply_symmetric(("Y", sign), _y_product(spec, sign), f, pre)
+def _apply_y(f: Polynomial, spec: FamilySpec, sign: int) -> Polynomial:
+    return realization(spec).apply(_y_product(spec, sign), f)
+
+
+def _shift_args(direction: str, spec: FamilySpec) -> tuple:
+    """The orbit-image key, operator, premultiplier and divisor of
+    G = X^{-1} Y(-) or Ghat = Y(+) X."""
+    x = vandermonde(spec.n)
+    if direction == "G":
+        return "G", _y_product(spec, -1), None, x
+    return "G_hat", _y_product(spec, 1), x, None
 
 
 def apply_g(f: Polynomial, spec: FamilySpec) -> Polynomial:
     """G f = X^{-1} Y(-) f, from level beta (spec) to level beta+1."""
-    image = _apply_y(f, spec, -1)
-    if not image:
-        return image
-    return divide_exact(image, vandermonde(spec.n))
+    key, op, pre, divisor = _shift_args("G", spec)
+    return realization(spec).apply_symmetric(key, op, f, pre, divisor)
 
 
 def apply_ghat(f: Polynomial, spec: FamilySpec) -> Polynomial:
     """Ghat f = Y(+) (X f), from level beta+1 to level beta (spec)."""
-    return _apply_y(f, spec, 1, vandermonde(spec.n))
+    key, op, pre, divisor = _shift_args("G_hat", spec)
+    return realization(spec).apply_symmetric(key, op, f, pre, divisor)
 
 
 @memo
@@ -141,21 +153,21 @@ def shift_apply(direction: str, family_poly: FamilyPolynomial):
             a < b for a, b in zip(lowered, lowered[1:])
         ):
             raise ValueError(f"label {lam} is not of the form lam+delta")
-        image = apply_g(family_poly.poly, spec)
-        target = construct(lowered, spec.with_beta(spec.beta + 1))
+        image_spec, label, target_spec = spec, lowered, spec.with_beta(spec.beta + 1)
         magnitude = shift_constants(lowered, n, spec.beta)[0]
     elif direction == "G_hat":
         if spec.beta < 1:
             raise ValueError("G_hat lowers the level; needs beta >= 1")
-        base_spec = spec.with_beta(spec.beta - 1)
-        image = apply_ghat(family_poly.poly, base_spec)
-        raised = tuple(p + d for p, d in zip(lam, delta))
-        target = construct(raised, base_spec)
-        magnitude = shift_constants(lam, n, base_spec.beta)[1]
+        image_spec = target_spec = spec.with_beta(spec.beta - 1)
+        label = tuple(p + d for p, d in zip(lam, delta))
+        magnitude = shift_constants(lam, n, image_spec.beta)[1]
     else:
         raise ValueError(f"unknown shift direction {direction!r}")
+    key, op, pre, divisor = _shift_args(direction, image_spec)
+    image = realization(image_spec).orbit_image(key, op, family_poly.poly, pre, divisor)
+    target = construct(label, target_spec)
     constant = global_sign(n) * magnitude
-    if image != constant * target.poly:
+    if not equals_multiple(image, constant, target.poly):
         raise NotProportionalError(
             f"not proportional: shift {direction} at {lam}, {spec}"
         )

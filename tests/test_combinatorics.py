@@ -254,6 +254,62 @@ def test_to_monomial_basis_rejections():
     assert to_monomial_basis(Polynomial.zero(2)) == {}
 
 
+def _orbit_reading(read, p):
+    """read(p) as values, or the message of the ValueError it raises."""
+    try:
+        return {lam: Fraction(c) for lam, c in read(p).items()}
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_orbit_form_cache_reads_like_orbit_coefficients():
+    """to_monomial_basis reads the polynomial's kept orbit form: on
+    symmetric, non-symmetric and Laurent inputs it gives the values and
+    the ValueError messages of _orbit_coefficients, on every call."""
+    import random
+
+    from heckepoly.combinatorics import _orbit_coefficients, random_symmetric_polynomial
+
+    def direct(p):
+        return _orbit_coefficients(p.terms)
+
+    rng = random.Random(11)
+    inputs = []
+    for n in (2, 3, 4):
+        sym = Fraction(rng.randint(1, 5), rng.randint(1, 4)) * random_symmetric_polynomial(n, 3, rng)
+        bump = Polynomial.monomial((1,) + (0,) * (n - 1))
+        laurent = monomial_symmetric(n, (1,) * n) * Polynomial.monomial((-2,) * n)
+        inputs += [sym, sym + bump, sym - bump * 2, sym + laurent, laurent,
+                   Polynomial.monomial((-1,) + (1,) * (n - 1)), Polynomial.zero(n)]
+    kinds = set()
+    for p in inputs:
+        expected = _orbit_reading(direct, p)
+        kinds.add(type(expected) is str and expected.split(":")[0])
+        for _ in range(2):
+            assert _orbit_reading(to_monomial_basis, p) == expected
+    assert kinds == {False, "not symmetric", "monomial-basis expansion needs a non-Laurent input"}
+
+
+def test_orbit_form_cache_is_per_polynomial():
+    """p, 2 p and p + q each read their own orbit form, whichever is read
+    first, and the slot cannot be set from outside."""
+    p = monomial_symmetric(3, (2, 1)) + Fraction(1, 2) * monomial_symmetric(3, (1,))
+    q = monomial_symmetric(3, (1, 1, 1)) - monomial_symmetric(3, (2, 1))
+    for first in ("p", "derived"):
+        p = p + 0  # a fresh polynomial with nothing read
+        if first == "p":
+            assert to_monomial_basis(p) == {(2, 1, 0): 1, (1, 0, 0): Fraction(1, 2)}
+        twice, total = 2 * p, p + q
+        assert to_monomial_basis(twice) == {(2, 1, 0): 2, (1, 0, 0): 1}
+        assert to_monomial_basis(total) == {(1, 1, 1): 1, (1, 0, 0): Fraction(1, 2)}
+        assert to_monomial_basis(p) == {(2, 1, 0): 1, (1, 0, 0): Fraction(1, 2)}
+        forms = [r._orbit_form() for r in (p, twice, total, q)]
+        assert len({id(form) for form in forms}) == 4
+    with pytest.raises(AttributeError, match="Polynomial is immutable"):
+        p._orbits = {(2, 1, 0): 5}
+    assert to_monomial_basis(p) == {(2, 1, 0): 1, (1, 0, 0): Fraction(1, 2)}
+
+
 def test_orbit_against_permutations():
     from itertools import permutations
 

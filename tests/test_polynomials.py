@@ -188,6 +188,71 @@ def test_divide_exact_examples():
     assert divide_exact(v3 * mono, v3) == mono
 
 
+@settings(max_examples=60, deadline=None)
+@given(rational_poly_strategy(3), rational_poly_strategy(3))
+def test_divide_exact_rational_round_trip(q, g):
+    """Rational quotients and divisors: the quotient is q, its values are
+    stored canonically, and f is left as it was."""
+    if not g:
+        return
+    f = q * g
+    before = dict(f.terms)
+    quotient = divide_exact(f, g)
+    assert quotient == q and quotient * g == f
+    assert_canonical(quotient)
+    assert f.terms == before
+
+
+def test_divide_exact_y_minus_images_at_n4():
+    """Y(-) m_mu is antisymmetric, so X divides it: q X == Y(-) m_mu, with
+    q symmetric, for every mu of weight <= 7 at N = 4."""
+    from heckepoly.combinatorics import monomial_symmetric, partitions_up_to, to_monomial_basis
+    from heckepoly.families import realization
+    from heckepoly.parameters import FamilySpec
+    from heckepoly.shift import _y_product
+
+    x = vandermonde(4)
+    for family, gamma, weight in [("jack", None, 7), ("hermite", None, 7),
+                                  ("laguerre", Fraction(1, 2), 6)]:
+        spec = FamilySpec(family, 4, 1, gamma)
+        real, minus = realization(spec), _y_product(spec, -1)
+        nonzero = 0
+        for mu in partitions_up_to(weight, 4):
+            image = real.apply(minus, monomial_symmetric(4, mu))
+            q = divide_exact(image, x)
+            assert q * x == image
+            to_monomial_basis(q)  # symmetric
+            nonzero += bool(q)
+        assert nonzero >= 2, family
+
+
+def test_divide_exact_failures_keep_their_errors():
+    """Inputs that are not divisible, are Laurent, have a zero divisor or
+    differ in size raise as before, and the dividend is not changed."""
+    x1, x2 = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
+    late = x1 ** 3 + x2 + 1  # the division fails after two quotient terms
+    cases = [
+        (x1 + x2, x1 - x2, NotDivisibleError, "^not divisible$"),
+        (late, x1 - x2, NotDivisibleError, "^not divisible$"),
+        (Polynomial.one(2), x1, NotDivisibleError, "^not divisible$"),
+        (Polynomial(2, {(1, -2): 3}), Polynomial.one(2), NotDivisibleError,
+         "^not divisible: Laurent division is not supported$"),
+        (x1, Polynomial(2, {(-1, 0): 1}), NotDivisibleError,
+         "^not divisible: Laurent division is not supported$"),
+        (x1, Polynomial.zero(2), ZeroDivisionError, "^division by the zero polynomial$"),
+        (Polynomial(2, {(1, -2): 3}), Polynomial.zero(2), ZeroDivisionError,
+         "^division by the zero polynomial$"),
+        (x1, Polynomial.variable(3, 1), AmbientSizeMismatch,
+         "^ambient size mismatch in divide_exact$"),
+    ]
+    for f, g, error, message in cases:
+        before = dict(f.terms)
+        with pytest.raises(error, match=message):
+            divide_exact(f, g)
+        assert f.terms == before
+    assert divide_exact(Polynomial.zero(2), x1 - x2) == Polynomial.zero(2)
+
+
 def test_vandermonde():
     assert vandermonde(1) == Polynomial.one(1)
     x1 = Polynomial.variable(2, 1)

@@ -450,11 +450,13 @@ def test_shift_plants_fail_after_a_warm_run(plant, monkeypatch):
 
 
 class _DoubledImage(dict):
-    """The orbit-image memo of ``families``, storing the image of m_(1,0)
-    doubled."""
+    """The orbit-image memo of ``families``, storing the m_nu coefficients
+    of the image of m_(1,0) doubled."""
 
     def __setitem__(self, slot, image):
-        super().__setitem__(slot, 2 * image if slot[-1] == (1, 0) else image)
+        if slot[-1] == (1, 0):
+            image = {nu: 2 * c for nu, c in image.items()}
+        super().__setitem__(slot, image)
 
 
 @pytest.mark.parametrize("name", ["shift_all", "raising_all", "duality_all"])
@@ -469,6 +471,38 @@ def test_doubled_orbit_image_fails_its_suites(name, monkeypatch):
         monkeypatch.undo()
         clear_caches()
     assert report.failures and not report.passed
+    # the relations fail on their values: duality_all compares, and
+    # shift_apply and raising_apply raise NotProportionalError
+    verdicts = {failure["params"].get("exception") for failure in report.failures}
+    assert verdicts == ({None} if name == "duality_all" else {"NotProportionalError"})
+
+
+def test_non_symmetric_raising_image_fails_raising_all(monkeypatch):
+    """Each stored image is read by orbit, which checks it symmetric: with
+    R_m + x_1 every raising_all case fails.  On Jack and Hermite the orbit
+    reading names it; on Laguerre the odd z-image fails to decode first."""
+    from heckepoly import raising
+
+    original = raising.raising_operator
+
+    def planted(m, spec):
+        return original(m, spec) + ops.multiply_by(Polynomial.variable(spec.n, 1))
+
+    clear_caches()
+    monkeypatch.setattr(raising, "raising_operator", planted)
+    try:
+        report = run_suite("raising_all", SMALL)
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    assert report.cases_run == SMALL_COUNTS["raising_all"] and report.cases_passed == 0
+    for failure in report.failures:
+        params = failure["params"]
+        if params["family"] == "laguerre":
+            assert params["exception"] == "EvennessViolation"
+        else:
+            assert params["exception"] == "NotProportionalError"
+            assert params["message"].startswith("not symmetric: ")
 
 
 N4 = GridSpec(ns=(4,), betas=(1,), gammas=(Fraction(1, 2),), pairs=1)
