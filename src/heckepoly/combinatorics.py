@@ -269,17 +269,6 @@ def is_min_coset_rep(lam: Sequence[int], w: Permutation) -> bool:
     return composition_to_label(label_to_composition(lam, w))[1] == tuple(w)
 
 
-def label_sort_key(comp: Sequence[int]) -> tuple:
-    """Linear extension of the combined order on same-degree labels.
-
-    Dominance-smaller partitions are lexicographically smaller; Bruhat-
-    smaller representatives are shorter.  Trailing image tuple makes the
-    key total.
-    """
-    lam, w = composition_to_label(comp)
-    return (lam, length(w), w)
-
-
 # ---------------------------------------------------------------------------
 # symmetric-polynomial helpers
 

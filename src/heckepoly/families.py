@@ -8,8 +8,8 @@ pairings apart, the weights and moments, is the kernel of ``pairings``.
 
 Each family is built by several independent routes that must agree exactly:
 
-* non-symmetric Jack: triangular joint-eigenvector solve for the commuting
-  Cherednik operators on a fixed-degree monomial block;
+* non-symmetric, all three families: the recursion of Knop and Sahi,
+  whose steps are intertwiners, run in the family's realization;
 * symmetric Jack: triangular solve against the elementary symmetric
   combinations e_k(Dhat_1, ..., Dhat_N), or a Rodrigues chain of raising
   operators;
@@ -40,24 +40,23 @@ all labels of a spec and the pairings share them (see ``pairings``).  The
 system, scaled to one common denominator, is solved by fraction-free
 (Bareiss) elimination, with one Fraction per unknown at the end.
 
-Both Jack triangular routes are one integer solve, ``_eigen_solve``: the
-joint eigenvector of commuting operators triangular on a basis, found by
-back-substitution in integer numerators over one common denominator.  The
-non-symmetric E_eta passes the Dhat_j images of the monomials of degree
-|eta| with their Cherednik spectra; the symmetric J_lam passes the
-e_k(Dhat) images of the m_mu of weight |lam| (the index subsets are words
-that share prefixes, so one operator application per nonempty subset,
-expanded by orbit in int) with their e_k eigenvalues.
+The symmetric Jack triangular route is an integer solve, ``_eigen_solve``:
+the joint eigenvector of commuting operators triangular on a basis, found
+by back-substitution in integer numerators over one common denominator.
+It passes the e_k(Dhat) images of the m_mu of weight |lam| (the index
+subsets are words that share prefixes, so one operator application per
+nonempty subset, expanded by orbit in int) with their e_k eigenvalues.
+The non-symmetric recursion applies no Cherednik operator, so the joint
+spectra check it independently.
 
-Every symmetric construction and every non-symmetric Jack polynomial is
-cached once it is checked, per (padded partition or NonSymLabel, spec,
-route), by the two memos ``_checked_*`` (see ``caches``): a route body
-and its triangularity check run once per key (``raising.rodrigues``
-shares the entry of ``construct(lam, spec, "rodrigues")``), a route never
-reads another route's entry, so a cross-check compares two
-constructions, and a construction that raises is not stored.  A
-non-symmetric Hermite or Laguerre polynomial is the intertwiner image of
-the cached E_eta, applied and checked on each call.  The raising and
+Every construction is cached once it is checked, per (padded partition,
+spec, route) or (NonSymLabel, spec), by the two memos ``_checked_*``
+(see ``caches``): a route body and its triangularity check run once per
+key (``raising.rodrigues`` shares the entry of ``construct(lam, spec,
+"rodrigues")``), a route never reads another route's entry, so a
+cross-check compares two constructions, and a construction that raises
+is not stored.  The recursion reads its own memo, so each E_eta on the
+way to a label is stored too.  The raising and
 shift operators act on symmetric inputs through ``orbit_images``, which
 holds the m_nu coefficients of each image op(pre m_mu) / divisor once per
 (spec, operator key, mu).
@@ -78,7 +77,6 @@ from .combinatorics import (
     extended_dominance_lt,
     is_min_coset_rep,
     is_permutation,
-    label_sort_key,
     label_to_composition,
     _orbit_coefficients,
     from_orbit_form,
@@ -96,7 +94,7 @@ from .errors import (
 )
 from .pairings import ScaledRational, _kernel, _orbit_numerator
 from .parameters import FamilySpec, HERMITE, JACK, LAGUERRE
-from .polynomials import Polynomial, _canonical, divide_exact, monomials_of_degree
+from .polynomials import Polynomial, _canonical, divide_exact
 
 Partition = tuple[int, ...]
 
@@ -281,7 +279,7 @@ class _Jack(Realization):
     cherednik_op, cherednik_scale = "cherednik", Fraction(1)
     pairing, intertwiner, graded = "ct_pairing", None, True
     symmetric_routes = ("triangular", "rodrigues")
-    nonsym_route = "triangular"
+    nonsym_route = "recursion"
 
 
 class _Hermite(Realization):
@@ -290,7 +288,7 @@ class _Hermite(Realization):
     cherednik_op, cherednik_scale = "htilde", Fraction(1)
     pairing, intertwiner, graded = "gauss_pairing", "sigma_a", False
     symmetric_routes = ("gram", "intertwined", "rodrigues")
-    nonsym_route = "intertwined"
+    nonsym_route = "recursion"
 
 
 class _Laguerre(Realization):
@@ -299,7 +297,7 @@ class _Laguerre(Realization):
     cherednik_op, cherednik_scale = "htilde", Fraction(1, 2)
     pairing, intertwiner, graded = "laguerre_pairing", "sigma_b", False
     symmetric_routes = ("gram", "intertwined", "rodrigues")
-    nonsym_route = "intertwined"
+    nonsym_route = "recursion"
 
 
 _REALIZATIONS = {JACK: _Jack, HERMITE: _Hermite, LAGUERRE: _Laguerre}
@@ -369,7 +367,8 @@ def _elementary_symmetric(values, k: int):
 
 def _eigen_solve(basis, columns, eigen, top: int, case: str) -> tuple[list[int], int]:
     """The joint eigenvector of commuting operators, triangular on basis,
-    whose leading element is basis[top] with coefficient 1.
+    whose leading element is basis[top] with coefficient 1; the symmetric
+    Jack route ``_jack_triangular`` passes the e_k(Dhat) images of the m_mu.
 
     columns[i][k] maps basis elements to the integer coefficients of the
     k-th operator applied to basis[i] (i <= top); eigen[i] is the
@@ -413,46 +412,67 @@ def _eigen_solve(basis, columns, eigen, top: int, case: str) -> tuple[list[int],
 
 
 # ---------------------------------------------------------------------------
-# non-symmetric Jack
+# non-symmetric polynomials
 
 
 def nonsym_jack(label: NonSymLabel, spec: FamilySpec) -> FamilyPolynomial:
+    """The non-symmetric Jack polynomial E_eta, by ``_checked_nonsym``."""
     if spec.family != JACK:
         raise ValueError("nonsym_jack needs a Jack spec")
-    return _checked_nonsym_jack(NonSymLabel(pad_partition(label.lam, spec.n), label.w), spec)
+    return _nonsym(label, spec)
+
+
+def nonsym_hermite(label: NonSymLabel, spec: FamilySpec) -> FamilyPolynomial:
+    """The non-symmetric Hermite polynomial, by ``_checked_nonsym``."""
+    if spec.family != HERMITE:
+        raise ValueError("nonsym_hermite needs a Hermite spec")
+    return _nonsym(label, spec)
+
+
+def nonsym_laguerre(label: NonSymLabel, spec: FamilySpec) -> FamilyPolynomial:
+    """The non-symmetric Laguerre polynomial in u = z^2, by ``_checked_nonsym``."""
+    if spec.family != LAGUERRE:
+        raise ValueError("nonsym_laguerre needs a Laguerre spec")
+    return _nonsym(label, spec)
+
+
+def _nonsym(label: NonSymLabel, spec: FamilySpec) -> FamilyPolynomial:
+    return _checked_nonsym(NonSymLabel(pad_partition(label.lam, spec.n), label.w), spec)
 
 
 @memo
-def _checked_nonsym_jack(label: NonSymLabel, spec: FamilySpec) -> FamilyPolynomial:
-    poly, spectrum = _nonsym_jack_poly(label.composition(), spec.n, spec.beta)
+def _checked_nonsym(label: NonSymLabel, spec: FamilySpec) -> FamilyPolynomial:
+    """E_eta in spec's realization by the recursion of Knop and Sahi
+    (Invent. Math. 128 (1997) 9-22), whose steps are intertwiners: E_0 = 1;
+    if eta_1 >= 1, E_eta = V_1 omega E_(eta_2, ..., eta_N, eta_1 - 1) with
+    (omega f)(x) = f(x_2, ..., x_N, x_1); else, with i the first ascent
+    eta_i < eta_(i+1) and ebar the spectrum of s_i eta, E_eta =
+    (s_i + beta / (ebar_i - ebar_(i+1))) E_(s_i eta), a gap of at least
+    1 + beta.  The steps recurse through this memo, so every E on the way
+    is checked triangular and stored once."""
+    eta, n = label.composition(), spec.n
+    real = realization(spec)
+    if not any(eta):
+        poly = Polynomial.one(n)
+    elif eta[0]:
+        prev = _checked_nonsym(NonSymLabel.from_composition(eta[1:] + (eta[0] - 1,)), spec).poly
+        omega = ops.permutation_op(tuple(range(2, n + 1)) + (1,))
+        poly = real.apply(real.coordinate(1), omega(prev))
+    else:
+        i = next(i for i in range(n - 1) if eta[i] < eta[i + 1])
+        swapped = eta[:i] + (eta[i + 1], eta[i]) + eta[i + 2 :]
+        prev = _checked_nonsym(NonSymLabel.from_composition(swapped), spec).poly
+        ebar = composition_spectrum(swapped, spec.beta)
+        scalar = Fraction(spec.beta, ebar[i] - ebar[i + 1])
+        poly = ops.exchange(n, i + 1, i + 2)(prev) + scalar * prev
     _assert_nonsym_triangular(poly, label)
-    return FamilyPolynomial(label, spec, poly, "triangular", spectrum)
-
-
-def _nonsym_jack_poly(comp, n: int, beta: int):
-    """Joint Dhat_j eigenvector with leading monomial x^comp on the monomials
-    of degree |comp|, by ``_eigen_solve``; returns (polynomial, spectrum)."""
-    basis = sorted(monomials_of_degree(n, sum(comp)), key=label_sort_key)
-    top = basis.index(tuple(comp))
-    chers = [ops.cherednik(j, FamilySpec(JACK, n, beta)) for j in range(1, n + 1)]
-    columns = [[c(Polynomial.monomial(b)).terms for c in chers] for b in basis[: top + 1]]
-    eigen = [composition_spectrum(b, beta) for b in basis[: top + 1]]
-    case = f"N={n}, beta={beta}, label {comp}"
-    nums, den = _eigen_solve(basis, columns, eigen, top, case)
-    poly = Polynomial._trusted(
-        n, {b: _canonical(Fraction(num, den)) for b, num in zip(basis, nums) if num}
-    )
-    target = eigen[top]
-    for j in range(n):
-        if chers[j](poly) != poly * target[j]:
-            raise SpectrumCollisionError(f"joint eigenvector solve inconsistent at {case}")
-    return poly, target
+    return FamilyPolynomial(label, spec, poly, "recursion", composition_spectrum(eta, spec.beta))
 
 
 def _assert_nonsym_triangular(poly: Polynomial, label: NonSymLabel) -> None:
     """x^comp has coefficient 1 and every other term of its degree a lower
     label.  Terms of lower degree are not checked: the Jack polynomials
-    have none, their intertwiner images do."""
+    have none, the Hermite and Laguerre ones do."""
     comp = label.composition()
     if poly.coefficient(comp) != 1:
         raise HeckePolyError(f"leading coefficient of x^{comp} is not 1")
@@ -687,35 +707,6 @@ _ROUTES = {
     "intertwined": _intertwined,
     "rodrigues": _rodrigues,
 }
-
-
-# ---------------------------------------------------------------------------
-# non-symmetric Hermite / Laguerre
-
-
-def nonsym_hermite(label: NonSymLabel, spec: FamilySpec) -> FamilyPolynomial:
-    """Intertwiner image of the non-symmetric Jack polynomial; joint
-    eigenvector of the h_j with the transported spectrum."""
-    if spec.family != HERMITE:
-        raise ValueError("nonsym_hermite needs a Hermite spec")
-    return _nonsym_intertwined(label, spec)
-
-
-def nonsym_laguerre(label: NonSymLabel, spec: FamilySpec) -> FamilyPolynomial:
-    """Squared-variable intertwiner image; the h_j realize twice the stored
-    eigenvalues."""
-    if spec.family != LAGUERRE:
-        raise ValueError("nonsym_laguerre needs a Laguerre spec")
-    return _nonsym_intertwined(label, spec)
-
-
-def _nonsym_intertwined(label: NonSymLabel, spec: FamilySpec) -> FamilyPolynomial:
-    """sigma(E_eta) on the cached E_eta, checked triangular on every call."""
-    label = NonSymLabel(pad_partition(label.lam, spec.n), label.w)
-    base = nonsym_jack(label, FamilySpec(JACK, spec.n, spec.beta))
-    poly = globals()[realization(spec).intertwiner](base.poly, spec)
-    _assert_nonsym_triangular(poly, label)
-    return FamilyPolynomial(label, spec, poly, "intertwined", base.eigenvalues)
 
 
 def construct(label, spec: FamilySpec, method: str | None = None) -> FamilyPolynomial:

@@ -40,8 +40,8 @@ Suite names:
                      operators, transpositions)
   dunkl_commute      commutation/reflection relations of the A- and B-type
                      Dunkl operators
-  nonsym_eigen       joint spectra of the non-symmetric Jack family and of
-                     its Hermite/Laguerre intertwiner images
+  nonsym_eigen       joint spectra of the non-symmetric polynomials of all
+                     three families (their recursion applies no C_j)
   jack_eigen         symmetric-family eigenvalues, coefficient-wise in the
                      generating parameter
   jack_orth          pairwise orthogonality under the constant-term pairing
@@ -50,7 +50,8 @@ Suite names:
   res_B              even-sector restriction: the B-type Cherednik operator
                      acts as twice the A-type one in u = z^2
   hermite_is_sigma_jack, laguerre_is_sigma_jack
-                     Gram construction equals the intertwiner image
+                     Gram construction equals sigma(J_lam), and the
+                     non-symmetric recursion sigma(E_eta) of the Jack E_eta
   raising_all        raising operators hit the predicted label and constant
   rodrigues_all      Rodrigues chain equals the direct construction
   shift_all          shift relations with sign (-1)^(N(N-1)/2) and the
@@ -98,6 +99,7 @@ from .families import (
     composition_spectrum,
     construct,
     jack,
+    nonsym_jack,
     realization,
     sigma_a,
     sigma_b,
@@ -395,7 +397,7 @@ def _nonsym_eigen(grid: GridSpec):
             label = NonSymLabel.from_composition(comp)
             params = {"n": n, "beta": beta, "composition": list(comp)}
             spectrum = composition_spectrum(comp, beta)
-            # Jack everywhere, the intertwined spectra on the lighter sub-grid
+            # Jack everywhere, Hermite and Laguerre on the lighter sub-grid
             for real, c_ops in zip(reals[: 1 if sum(comp) > 2 else None], chers):
                 def case():
                     poly = construct(label, real.spec).poly
@@ -483,14 +485,24 @@ def _res_b(grid: GridSpec):
 
 
 def _gram_is_sigma_jack(families, grid: GridSpec):
-    """Gram construction == intertwiner image, for the grid specs of families."""
+    """For the grid specs of families: Gram construction == intertwiner
+    image of J_lam, and the recursion == intertwiner image of E_eta."""
     for n, beta in itertools.product(grid.ns, grid.betas):
+        jack_sp = FamilySpec(JACK, n, beta)
         for spec in _grid_specs(n, beta, grid, families):
-            render = methodcaller("pretty", realization(spec).letter)
+            real = realization(spec)
+            render = methodcaller("pretty", real.letter)
             for lam in partitions_up_to(grid.max_weight, n):
                 yield {**_spec_params(spec), "lambda": list(lam)}, lambda: _same(
                     construct(lam, spec, "gram").poly,
                     construct(lam, spec, "intertwined").poly,
+                    render,
+                )
+            for comp in monomials_up_to_degree(n, grid.max_weight):
+                label = NonSymLabel.from_composition(comp)
+                yield {**_spec_params(spec), "composition": list(comp)}, lambda: _same(
+                    construct(label, spec).poly,
+                    real.intertwine(nonsym_jack(label, jack_sp).poly),
                     render,
                 )
 

@@ -25,7 +25,7 @@ FULL = GridSpec(ns=(2, 3), betas=(0, 1, 2), max_weight=4, degree=5, seed=1,
 # that alters any byte of them has to update the digest, and say why
 FULL_SHA256 = {
     2: "cb86aabb7206711036cc6364f971d7b1915d780adcb9893a2abaff606f79fa55",
-    3: "f0e3360f2db0b92df2caca13e057bc6cd3a52c1683df7bbb21a1ce4fcea9470d",
+    3: "7299ffb9c2e2ddb4b96e8e8414e55268ed55ad39a7984d67b4b9fdc25b9ba1e5",
     4: "f1a42b29230ec17a1bdb3e0cde9bb186069e84bb979b15a52e77afa006fdb536",
     5: "4ef574100cb2e9c0b81553d7f180f8f255e5b6a3f8d127bb5efe39424c055dd7",
     6: "8348dc8018b3661eff27896fa3c33b5a74ba43c0f0d84a28ad42f60769992bcf",
@@ -138,7 +138,7 @@ CRITERION_8_ARGS = [
 
 # sha256 of the criterion-8 report: a change that alters any byte of the
 # report has to update it, and say why
-CRITERION_8_SHA256 = "7d983891166a9d78a9b23862d5a9b83e8987d70623de57bc45185ece43166245"
+CRITERION_8_SHA256 = "597bd5b9c6aaf50bd95806f9799db07b23fa49715cc642e70402e73d911489f9"
 
 
 def test_criterion_8_determinism():

@@ -146,7 +146,7 @@ def test_pair_input_errors(family, f, g, message, capsys):
 
 
 @pytest.mark.parametrize("family", ["jack", "hermite"])
-@pytest.mark.parametrize("method", ["bogus", "gram"])
+@pytest.mark.parametrize("method", ["bogus", "gram", "triangular", "intertwined"])
 def test_poly_nonsymmetric_rejects_foreign_route(family, method, capsys):
     # a non-symmetric label has one route per family; any other is an error
     text = input_error(["poly", "--family", family, "--lambda", "1,0", "--n", "2",
@@ -169,11 +169,12 @@ def test_poly_rejects_bad_permutation(lam, w, message, capsys):
     assert text == f"error: {message}"
 
 
-@pytest.mark.parametrize("family, method", [("jack", "triangular"),
-                                            ("hermite", "intertwined")])
+@pytest.mark.parametrize("family, method", [("jack", "recursion"), ("hermite", "recursion"),
+                                            ("laguerre", "recursion")])
 def test_poly_nonsymmetric_accepts_its_route(family, method, capsys):
+    gamma = ["--gamma", "1/2"] if family == "laguerre" else []
     code, out = run_cli(
-        ["poly", "--family", family, "--lambda", "1,0", "--n", "2", "--beta", "1",
+        ["poly", "--family", family, *gamma, "--lambda", "1,0", "--n", "2", "--beta", "1",
          "--w", "2,1", "--method", method, "--format", "json"],
         capsys,
     )

@@ -10,6 +10,7 @@ import pytest
 from heckepoly import operators as ops
 from heckepoly.combinatorics import (
     all_permutations,
+    length,
     monomial_symmetric,
     partitions_up_to,
     precedes,
@@ -19,6 +20,7 @@ from heckepoly.combinatorics import (
 from heckepoly.errors import EvennessViolation
 from heckepoly.families import (
     NonSymLabel,
+    _eigen_solve,
     composition_spectrum,
     decode_even,
     encode_even,
@@ -34,7 +36,7 @@ from heckepoly.families import (
     symmetric_spectrum,
 )
 from heckepoly.parameters import hermite_spec, jack_spec, laguerre_spec
-from heckepoly.polynomials import Polynomial, monomials_up_to_degree
+from heckepoly.polynomials import Polynomial, monomials_of_degree, monomials_up_to_degree
 
 
 def test_nonsym_label_validation():
@@ -95,6 +97,56 @@ def symmetrized_jack(lam, n: int, beta: int) -> Polynomial:
     total = sum((ops.permutation_op(w)(e_lam) for w in all_permutations(n)),
                 Polynomial.zero(n))
     return total * Fraction(1, stabilizer_order(lam))
+
+
+def _label_sort_key(comp) -> tuple:
+    """A linear extension of the order on same-degree labels: dominance-
+    smaller partitions are lexicographically smaller, Bruhat-smaller
+    representatives shorter, and the image tuple makes the key total."""
+    lam, w = composition_to_label(comp)
+    return (lam, length(w), w)
+
+
+def nonsym_jack_by_eigen_solve(comp, n: int, beta: int) -> Polynomial:
+    """Oracle: E_comp as the joint Dhat_j eigenvector with leading monomial
+    x^comp on the monomials of degree |comp|, by ``_eigen_solve``, checked
+    Dhat_j p = ev_j p."""
+    basis = sorted(monomials_of_degree(n, sum(comp)), key=_label_sort_key)
+    top = basis.index(tuple(comp))
+    chers = [ops.cherednik(j, jack_spec(n, beta)) for j in range(1, n + 1)]
+    columns = [[c(Polynomial.monomial(b)).terms for c in chers] for b in basis[: top + 1]]
+    eigen = [composition_spectrum(b, beta) for b in basis[: top + 1]]
+    nums, den = _eigen_solve(basis, columns, eigen, top, f"N={n}, beta={beta}, label {comp}")
+    poly = Polynomial(n, {b: Fraction(num, den) for b, num in zip(basis, nums) if num})
+    assert all(chers[j](poly) == eigen[top][j] * poly for j in range(n)), (n, beta, comp)
+    return poly
+
+
+# (N, beta, degree): 176 compositions of exactly that degree
+EIGEN_SOLVE_GRID = [(2, 1, 4), (3, 0, 3), (3, 1, 4), (3, 2, 5), (4, 1, 4), (4, 3, 3), (5, 1, 4)]
+
+
+def test_nonsym_jack_equals_the_eigen_solve():
+    comps = [(n, beta, comp) for n, beta, degree in EIGEN_SOLVE_GRID
+             for comp in monomials_of_degree(n, degree)]
+    assert len(comps) == 176
+    for n, beta, comp in comps:
+        e_poly = nonsym_jack(NonSymLabel.from_composition(comp), jack_spec(n, beta)).poly
+        assert e_poly == nonsym_jack_by_eigen_solve(comp, n, beta), (n, beta, comp)
+
+
+@pytest.mark.parametrize("beta", [0, 1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_nonsym_hermite_laguerre_are_sigma_of_the_eigen_solve(n, beta):
+    specs = [hermite_spec(n, beta)] + [laguerre_spec(n, beta, g)
+                                       for g in (Fraction(1, 2), Fraction(1, 3))]
+    for comp in monomials_up_to_degree(n, 3):
+        oracle = nonsym_jack_by_eigen_solve(comp, n, beta)
+        for spec in specs:
+            build, sigma = ((nonsym_hermite, sigma_a) if spec.family == "hermite"
+                            else (nonsym_laguerre, sigma_b))
+            built = build(NonSymLabel.from_composition(comp), spec).poly
+            assert built == sigma(oracle, spec), (spec, comp)
 
 
 def test_jack_examples_and_methods_agree():
@@ -348,8 +400,9 @@ def test_construction_caches_cold_warm_and_cleared():
 
 def test_construction_cache_one_entry_per_label_spec_and_route():
     """Each (label, spec, route) is built and checked once: every symmetric
-    route and the non-symmetric Jack route give one entry, named by the
-    route (a non-symmetric Hermite or Laguerre one is sigma of it);
+    route gives one entry, named by the route, and the non-symmetric
+    recursion one per composition on its way (E_(0,0), E_(1,0), E_(0,1) for
+    the label (1,0),(2,1)); a warm rebuild returns the same objects;
     rodrigues() and construct(..., "rodrigues") share theirs; no route reads
     another's; a failed construction stores nothing."""
     from heckepoly import cache_info, clear_caches, families
@@ -382,11 +435,11 @@ def test_construction_cache_one_entry_per_label_spec_and_route():
         grew[spec.family, "nonsym"] = size() - before
     assert grew == {
         ("jack", "triangular"): 1, ("jack", "rodrigues"): 1,
-        ("jack", "nonsym"): 1,
+        ("jack", "nonsym"): 3,
         ("hermite", "gram"): 1, ("hermite", "intertwined"): 1, ("hermite", "rodrigues"): 1,
-        ("hermite", "nonsym"): 0,
+        ("hermite", "nonsym"): 3,
         ("laguerre", "gram"): 1, ("laguerre", "intertwined"): 1,
-        ("laguerre", "rodrigues"): 1, ("laguerre", "nonsym"): 0,
+        ("laguerre", "rodrigues"): 1, ("laguerre", "nonsym"): 3,
     }
     for (spec, route), fp in built.items():
         expected = realization(spec).nonsym_route if route == "nonsym" else route
@@ -394,10 +447,7 @@ def test_construction_cache_one_entry_per_label_spec_and_route():
     count = size()
     warm = build_all()
     assert size() == count
-    # sigma(E_eta) is applied anew on the cached E_eta
-    rebuilt = {(spec, "nonsym") for spec in specs[1:]}
-    assert all(warm[key] is built[key] for key in built if key not in rebuilt)
-    assert all(warm[key].poly == built[key].poly for key in rebuilt)
+    assert all(warm[key] is built[key] for key in built)
     for spec in specs:
         assert rodrigues(lam, spec) is built[spec, "rodrigues"]
         assert rodrigues(list(lam), spec) is built[spec, "rodrigues"]

@@ -14,7 +14,7 @@ from heckepoly import operators as ops
 from heckepoly import families, shift, verify
 from heckepoly.errors import CalibrationError
 from heckepoly.families import realization
-from heckepoly.parameters import FamilySpec
+from heckepoly.parameters import FAMILIES, FamilySpec
 from heckepoly.polynomials import Polynomial
 from heckepoly.verify import (
     GridSpec,
@@ -251,6 +251,29 @@ def test_shared_work_fails_case_by_case(plant, monkeypatch):
         assert own == expected[report.suite]
 
 
+def test_planted_intertwiner_scalar_fails_nonsym_eigen(monkeypatch, capsys):
+    """beta + 1 in the spectrum the recursion's intertwiner step reads
+    (``verify`` imports its own) fails nonsym_eigen for every family, and
+    verify exits 1.  E_0 and the labels that affine steps alone reach, such
+    as (1,0) and (2,0), take no intertwiner step and pass, so the plant
+    does not fit the table above."""
+    from heckepoly.cli import main
+
+    spectrum = families.composition_spectrum
+    clear_caches()
+    monkeypatch.setattr(families, "composition_spectrum",
+                        lambda comp, beta: spectrum(comp, beta + 1))
+    try:
+        report = run_suite("nonsym_eigen", SMALL)
+        code = main(["verify", "--suite", "nonsym_eigen", *SMALL_ARGV])
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    assert {failure["params"]["family"] for failure in report.failures} == set(FAMILIES)
+    assert code == 1
+    assert capsys.readouterr().out.startswith("nonsym_eigen: FAIL")
+
+
 def test_failure_reporting_carries_counterexample():
     # a deliberately broken comparison must produce a structured failure
     from heckepoly.verify import SuiteReport
@@ -320,8 +343,8 @@ RELATION_SUITES = ("daha_relations", "dunkl_commute", "res_B", "appendix_A")
 
 # cases per suite, in SUITES order
 CASE_COUNTS = {
-    "small": (22, 32, 44, 12, 30, 24, 8, 4, 12, 12, 60, 18, 72, 18, 72, 36, 20, 2, 18),
-    "default": (132, 378, 246, 60, 273, 1350, 900, 45, 60, 180, 243, 120, 216, 600,
+    "small": (22, 32, 44, 12, 30, 24, 8, 4, 32, 32, 60, 18, 72, 18, 72, 36, 20, 2, 18),
+    "default": (132, 378, 246, 60, 273, 1350, 900, 45, 210, 630, 243, 120, 216, 600,
                 600, 300, 72, 6, 84),
 }
 SMALL_COUNTS = dict(zip(SUITES, CASE_COUNTS["small"]))
