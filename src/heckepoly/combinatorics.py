@@ -22,7 +22,7 @@ import random
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .caches import memo
+from .caches import memo, register
 from .errors import AmbientSizeMismatch
 from .polynomials import Polynomial
 
@@ -40,27 +40,29 @@ def is_partition(parts: Sequence[int]) -> bool:
     )
 
 
+_PADDED: dict[tuple[tuple, int], Partition] = {}  # (tuple(parts), N) -> padded label
+register("combinatorics.pad_partition", _PADDED.__len__, _PADDED.clear)
+
+
 def pad_partition(parts: Sequence[int], nvars: int) -> Partition:
+    """parts padded with zeros to length nvars, validated once per (parts,
+    nvars); an invalid label is never stored, so it raises on every call."""
     parts = tuple(parts)
-    if not is_partition(parts):
-        raise ValueError(f"{parts} is not weakly decreasing and non-negative")
-    if len(parts) > nvars and any(p != 0 for p in parts[nvars:]):
-        raise AmbientSizeMismatch(
-            f"ambient size mismatch: partition {parts} has more than {nvars} parts"
-        )
-    return tuple(parts[:nvars]) + (0,) * (nvars - len(parts))
+    padded = _PADDED.get((parts, nvars))
+    if padded is None:
+        if not is_partition(parts):
+            raise ValueError(f"{parts} is not weakly decreasing and non-negative")
+        if any(parts[nvars:]):
+            raise AmbientSizeMismatch(
+                f"ambient size mismatch: partition {parts} has more than {nvars} parts"
+            )
+        padded = _PADDED[parts, nvars] = parts[:nvars] + (0,) * (nvars - len(parts))
+    return padded
 
 
 def conjugate(parts: Sequence[int]) -> Partition:
     """Transpose of the Young diagram (trailing zeros dropped)."""
-    parts = tuple(p for p in parts if p)
-    if not parts:
-        return ()
-    out = [0] * parts[0]
-    for p in parts:
-        for col in range(p):
-            out[col] += 1
-    return tuple(out)
+    return tuple(sum(1 for p in parts if p > col) for col in range(max(parts, default=0)))
 
 
 def dominance_leq(mu: Sequence[int], lam: Sequence[int]) -> bool:

@@ -94,7 +94,7 @@ from .errors import (
 )
 from .pairings import ScaledRational, _kernel, _orbit_numerator
 from .parameters import FamilySpec, HERMITE, JACK, LAGUERRE
-from .polynomials import Polynomial, _canonical, divide_exact
+from .polynomials import Polynomial, _canonical, _integer_part, divide_exact
 
 Partition = tuple[int, ...]
 
@@ -233,12 +233,13 @@ class Realization:
     def orbit_image(self, key, op: ops.Operator, f: Polynomial, pre=None, divisor=None) -> dict:
         """The m_nu coefficients of op(pre f) / divisor for a symmetric f
         (else ValueError): the sum of c_mu times the stored coefficients of
-        op(pre m_mu) / divisor.  Each image is applied, divided exactly and
-        read by orbit once per (spec, key, mu), so a key must fix op, pre
-        and divisor; an image that is not symmetric raises
-        NotProportionalError."""
+        op(pre m_mu) / divisor, over the c_mu scaled to integers, divided
+        once.  Each image is applied, divided exactly and read by orbit once
+        per (spec, key, mu), so a key must fix op, pre and divisor; an image
+        that is not symmetric raises NotProportionalError."""
+        coeffs, den = _integer_part(f._orbit_form())
         out: dict = {}
-        for mu, c in f._orbit_form().items():
+        for mu, c in coeffs.items():
             slot = (self.spec, key, mu)
             image = _ORBIT_IMAGES.get(slot)
             if image is None:
@@ -254,7 +255,7 @@ class Realization:
                     ) from exc
             for nu, v in image.items():
                 out[nu] = out.get(nu, 0) + c * v
-        return {nu: _canonical(v) for nu, v in out.items() if v}
+        return {nu: _canonical(Fraction(v, den) if den > 1 else v) for nu, v in out.items() if v}
 
     def pair(self, f: Polynomial, g: Polynomial) -> ScaledRational:
         """The family pairing <f, g>, as a ScaledRational."""

@@ -75,7 +75,8 @@ class ScaledRational:
     gamma_base: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "q", Fraction(self.q))
+        if type(self.q) is not Fraction:
+            object.__setattr__(self, "q", Fraction(self.q))
         if self.q == 0:
             object.__setattr__(self, "pi_half", 0)
             object.__setattr__(self, "gamma_base", 0)
@@ -320,14 +321,14 @@ def _degree_sums(f_terms: dict, g_terms: dict, value) -> dict[int, int]:
 # the three pairings
 
 
-def _check_inputs(f: Polynomial, g: Polynomial, spec: FamilySpec) -> None:
-    """f and g are ordinary polynomials in spec's N variables."""
+def _check_inputs(f: Polynomial, g: Polynomial, spec: FamilySpec, scan: bool = True) -> None:
+    """f and g are polynomials in spec's N variables, with scan ordinary ones."""
     if f.nvars != spec.n or g.nvars != spec.n:
         raise AmbientSizeMismatch(
             f"ambient size mismatch: pairing at N={spec.n} got polynomials in "
             f"{f.nvars} and {g.nvars} variables"
         )
-    if f.is_laurent() or g.is_laurent():
+    if scan and (f.is_laurent() or g.is_laurent()):
         raise ValueError("pairing inputs must be ordinary polynomials")
 
 
@@ -335,12 +336,15 @@ def _pairing_sums(f: Polynomial, g: Polynomial, spec: FamilySpec):
     """(kernel, sums, scale) with <f, g> = sum_d sums[d] / (denominator(d)
     * scale) under the kernel of spec: the integer parts of f and g summed
     per total degree d = |a| + |b|, and the product of their denominators.
-    Symmetric f and g are summed over their orbits instead of their terms."""
-    kernel = _kernel(spec)  # a divergent gamma fails first
-    _check_inputs(f, g, spec)
+    Symmetric f and g are summed over their orbits instead of their terms;
+    an orbit form proves its polynomial ordinary, so only the term-by-term
+    path scans for Laurent terms."""
+    kernel = _kernel(spec)  # a divergent gamma fails first, then the size
+    _check_inputs(f, g, spec, scan=False)
     try:
         f_terms, g_terms = f._orbit_form(), g._orbit_form()
     except ValueError:  # not both symmetric: pair term by term
+        _check_inputs(f, g, spec)
         f_terms, g_terms, value = f.terms, g.terms, kernel.value
     else:
         value = _orbit_numerator(spec)
@@ -460,10 +464,9 @@ def _norm_ratio_product(lam, n: int, beta: int) -> tuple[int, int]:
     """(numerator, denominator) of the ratio product of the product form."""
     num = den = 1
     for k in range(1, beta + 1):
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                num *= lam[i - 1] - lam[j - 1] - k + beta * (j - i + 1)
-                den *= lam[i - 1] - lam[j - 1] + k + beta * (j - i - 1)
+        for i, j in combinations(range(1, n + 1), 2):
+            num *= lam[i - 1] - lam[j - 1] - k + beta * (j - i + 1)
+            den *= lam[i - 1] - lam[j - 1] + k + beta * (j - i - 1)
     return num, den
 
 
@@ -508,11 +511,9 @@ def shift_constants(lam, n: int, beta: int) -> tuple[Fraction, Fraction]:
     N = 2 (the other orientation makes c vanish identically).
     """
     lam = pad_partition(lam, n)
-    c = Fraction(1)
-    c_tilde = Fraction(1)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            diff = lam[n - j] - lam[n - i] + j - i
-            c *= diff + beta * (j - i - 1)
-            c_tilde *= diff + beta * (j - i + 1)
-    return c, c_tilde
+    c = c_tilde = 1
+    for i, j in combinations(range(1, n + 1), 2):
+        diff = lam[n - j] - lam[n - i] + j - i
+        c *= diff + beta * (j - i - 1)
+        c_tilde *= diff + beta * (j - i + 1)
+    return Fraction(c), Fraction(c_tilde)

@@ -21,7 +21,8 @@ class FamilySpec:
     assumed integral so that all weights expand into Laurent polynomials;
     a bool is refused for either);
     gamma is an exact rational parameter present exactly for the Laguerre
-    family (a float raises TypeError).
+    family (a float raises TypeError).  The hash is computed once, after
+    gamma is canonicalized; equality compares the fields.
     """
 
     family: str
@@ -42,6 +43,10 @@ class FamilySpec:
             object.__setattr__(self, "gamma", Fraction(_canonical(self.gamma)))
         elif self.gamma is not None:
             raise ValueError("gamma is only meaningful for the Laguerre family")
+        object.__setattr__(self, "_hash", hash((self.family, self.n, self.beta, self.gamma)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def with_beta(self, beta: int) -> "FamilySpec":
         return FamilySpec(self.family, self.n, beta, self.gamma)

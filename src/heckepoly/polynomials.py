@@ -295,16 +295,23 @@ class Polynomial:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "Polynomial":
-        """The inverse of ``to_json_dict``; raises ValueError unless vars
-        and every exponent are integers (not bools), every num and den is
-        an integer or a decimal-integer string, every den is nonzero and no
-        exponent repeats."""
-        nvars = data["vars"]
+        """The inverse of ``to_json_dict``; raises ValueError unless data
+        is an object with vars and a terms list of {exp, num, den} objects,
+        vars and every exponent are integers (not bools), every num and den
+        is an integer or a decimal-integer string, every den is nonzero and
+        no exponent repeats."""
+        try:
+            nvars, rows = data["vars"], data["terms"]
+            if not isinstance(rows, (list, tuple)):
+                raise TypeError
+            rows = [(tuple(t["exp"]), t["num"], t["den"], t) for t in rows]
+        except (KeyError, TypeError):
+            raise ValueError('expected {"vars": n, "terms": [{"exp", "num", "den"}, ...]}') from None
         if type(nvars) is not int:
             raise ValueError(f"vars {nvars!r} is not an integer")
         terms = {}
-        for t in data["terms"]:
-            exps, num, den = tuple(t["exp"]), _json_int(t["num"]), _json_int(t["den"])
+        for exps, num, den, t in rows:
+            num, den = _json_int(num), _json_int(den)
             if not den or any(type(e) is not int for e in exps):
                 raise ValueError(f"term {t} needs integer exponents and a nonzero den")
             if exps in terms:

@@ -29,6 +29,7 @@ with the constant times the target's; the chain applies R_m directly.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from . import operators as ops
@@ -75,11 +76,8 @@ def raising_constant(lam, m: int, spec: FamilySpec) -> Fraction:
     is the image of multiplication by x_j under the rational intertwiner
     convention, so no residual power of 2 survives.
     """
-    lam = pad_partition(lam, spec.n)
-    value = Fraction(1)
-    for j in range(1, m + 1):
-        value *= lam[j - 1] + spec.beta * (m - j + 1)
-    return value
+    lam, beta = pad_partition(lam, spec.n), spec.beta
+    return Fraction(math.prod(lam[j - 1] + beta * (m - j + 1) for j in range(1, m + 1)))
 
 
 def raising_apply(m: int, family_poly: FamilyPolynomial):
@@ -108,10 +106,9 @@ def raising_apply(m: int, family_poly: FamilyPolynomial):
 def hook_product(lam, beta: int) -> Fraction:
     """prod over diagram cells (i, j) of (lam_i - j + beta (lam'_j - i + 1))."""
     lam_conj = conjugate(lam)
-    total = Fraction(1)
-    for i, j in partition_cells(lam):
-        total *= lam[i - 1] - j + beta * (lam_conj[j - 1] - i + 1)
-    return total
+    return Fraction(math.prod(
+        lam[i - 1] - j + beta * (lam_conj[j - 1] - i + 1) for i, j in partition_cells(lam)
+    ))
 
 
 def rodrigues(lam, spec: FamilySpec) -> FamilyPolynomial:

@@ -51,7 +51,9 @@ Suite names:
                      acts as twice the A-type one in u = z^2
   hermite_is_sigma_jack, laguerre_is_sigma_jack
                      Gram construction equals sigma(J_lam), and the
-                     non-symmetric recursion sigma(E_eta) of the Jack E_eta
+                     non-symmetric recursion sigma(E_eta) of the Jack E_eta;
+                     both sides of these run the one recursion, so they
+                     check sigma, not the recursion (nonsym_eigen does)
   raising_all        raising operators hit the predicted label and constant
   rodrigues_all      Rodrigues chain equals the direct construction
   shift_all          shift relations with sign (-1)^(N(N-1)/2) and the

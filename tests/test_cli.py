@@ -331,6 +331,8 @@ def test_unwritable_output_is_an_input_error(tmp_path, capsys):
 
 
 _TERM = {"exp": [0, 0], "num": "1", "den": "1"}
+# inputs not of the shape {"vars": .., "terms": [{"exp", "num", "den"}, ..]}
+_MALFORMED_SHAPES = [1, {"vars": 2}, {"vars": 2, "terms": 5}, {"vars": 2, "terms": [5]}]
 
 
 @pytest.mark.parametrize(
@@ -346,15 +348,19 @@ _TERM = {"exp": [0, 0], "num": "1", "den": "1"}
         {"vars": 2.7, "terms": [_TERM]},
         {"vars": True, "terms": [dict(_TERM, exp=[0])]},
         {"vars": 2, "terms": [_TERM, dict(_TERM, num="5")]},
+        *_MALFORMED_SHAPES,
     ],
     ids=["zero-den", "float-exponent", "string-exponent", "bool-exponent", "float-num",
-         "float-den", "padded-num", "float-vars", "bool-vars", "repeated-exponent"],
+         "float-den", "padded-num", "float-vars", "bool-vars", "repeated-exponent",
+         "not-an-object", "no-terms", "int-terms", "int-term"],
 )
 def test_pair_rejects_malformed_terms(poly, capsys):
     f = json.dumps(poly)
     text = input_error(["pair", "--family", "hermite", "--n", "2", "--beta", "1",
                         "--f", f, "--g", _ONE_IN_2], capsys)
     assert text.startswith("error: cannot read polynomial")
+    if poly in _MALFORMED_SHAPES:  # named by the expected shape, not by Python internals
+        assert text.endswith(': expected {"vars": n, "terms": [{"exp", "num", "den"}, ...]}')
 
 
 def test_poly_symmetrized_route_is_gone(capsys):

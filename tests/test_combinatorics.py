@@ -29,6 +29,7 @@ from heckepoly.combinatorics import (
     stabilizer_order,
     to_monomial_basis,
 )
+from heckepoly import cache_info, clear_caches
 from heckepoly.errors import AmbientSizeMismatch
 from heckepoly.polynomials import Polynomial
 
@@ -328,3 +329,27 @@ def test_partition_helpers():
     assert list(partitions_up_to(2, 2)) == [(0, 0), (1, 0), (2, 0), (1, 1)]
     with pytest.raises(AmbientSizeMismatch):
         pad_partition((2, 1, 1), 2)
+
+
+def test_pad_partition_validates_once_and_raises_every_time():
+    """A valid label is validated once per (tuple(parts), N) and stored in
+    a registered cache; an invalid one is never stored, so it raises on
+    every call, also after a valid call of the same parts."""
+    clear_caches()
+    assert pad_partition([2, 1], 3) == (2, 1, 0)  # a list works
+    assert pad_partition((2, 1), 3) is pad_partition([2, 1], 3)
+    assert pad_partition((2, 1, 0, 0), 2) == (2, 1)
+    assert cache_info()["combinatorics.pad_partition"] == 2
+    for _ in range(3):
+        with pytest.raises(ValueError, match="not weakly decreasing and non-negative"):
+            pad_partition([1, 2], 3)
+        with pytest.raises(ValueError, match="not weakly decreasing and non-negative"):
+            pad_partition((2, -1), 3)
+        with pytest.raises(AmbientSizeMismatch, match="has more than 1 parts"):
+            pad_partition([2, 1], 1)
+    assert cache_info()["combinatorics.pad_partition"] == 2
+    clear_caches()
+    assert cache_info()["combinatorics.pad_partition"] == 0
+    with pytest.raises(AmbientSizeMismatch):
+        pad_partition((2, 1, 1), 2)
+    assert pad_partition((2, 1, 1), 3) == (2, 1, 1)

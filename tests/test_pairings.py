@@ -171,6 +171,38 @@ def test_pairing_input_guards(pairing):
                     pairing(f, g, divergent)
 
 
+@pytest.mark.parametrize("pairing", [ct_pairing, gauss_pairing, laguerre_pairing],
+                         ids=lambda fn: fn.__name__)
+def test_pairing_errors_keep_type_message_and_order(pairing):
+    """A Laurent input, symmetric or not, gives the one ValueError; a wrong
+    N gives AmbientSizeMismatch before any Laurent scan; a divergent gamma
+    gives DivergentWeightError before both."""
+    spec = GUARDED_PAIRINGS[pairing][0]
+    x = Polynomial.variable(2, 1)
+    sym = x + Polynomial.variable(2, 2)
+    laurent = Polynomial.monomial((-1, 2))
+    sym_laurent = Polynomial.monomial((-1, -1))  # has no orbit form either
+    wide_laurent = Polynomial.monomial((-1, 0, 0))
+    for f, g in ((laurent, x), (x, laurent), (sym_laurent, sym), (sym, sym_laurent),
+                 (sym_laurent, sym_laurent), (laurent, sym)):
+        with pytest.raises(ValueError) as info:
+            pairing(f, g, spec)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "pairing inputs must be ordinary polynomials"
+    for f, g, sizes in ((wide_laurent, x, "3 and 2"), (sym_laurent, wide_laurent, "2 and 3"),
+                        (wide_laurent, wide_laurent, "3 and 3")):
+        with pytest.raises(AmbientSizeMismatch) as info:
+            pairing(f, g, spec)
+        assert str(info.value) == (
+            f"ambient size mismatch: pairing at N=2 got polynomials in {sizes} variables"
+        )
+    if pairing is laguerre_pairing:
+        for f, g in ((sym, sym), (sym_laurent, sym), (wide_laurent, laurent)):
+            with pytest.raises(DivergentWeightError) as info:
+                pairing(f, g, laguerre_spec(2, 1, Fraction(-1, 2)))
+            assert str(info.value) == "divergent weight: gamma must exceed -1/2"
+
+
 def test_laguerre_htilde_selfadjoint():
     rng = random.Random(23)
     spec = laguerre_spec(2, 1, Fraction(1, 2))

@@ -4,9 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heckepoly.combinatorics import (
     monomial_symmetric,
+    partition_cells,
     random_symmetric_polynomial,
     staircase,
 )
@@ -65,6 +67,36 @@ def test_raising_constants_all_families():
             assert raised.label == (2, 0)
             c2, _ = raising_apply(2, construct((1, 1), spec))
             assert c2 == (1 + 2 * beta) * (1 + beta)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=4), st.integers(0, 3), st.data())
+def test_integer_constants_equal_the_fraction_products(parts, beta, data):
+    """raising_constant, shift_constants and hook_product multiply ints and
+    return Fractions equal to the products taken over Fractions."""
+    n, lam = len(parts), tuple(sorted(parts, reverse=True))
+    m = data.draw(st.integers(1, n))
+    raise_ref = Fraction(1)
+    for j in range(1, m + 1):
+        raise_ref *= lam[j - 1] + beta * (m - j + 1)
+    c_ref = c_tilde_ref = Fraction(1)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            diff = lam[n - j] - lam[n - i] + j - i
+            c_ref *= diff + beta * (j - i - 1)
+            c_tilde_ref *= diff + beta * (j - i + 1)
+    conj = [sum(1 for p in lam if p >= col) for col in range(1, max(lam) + 1)]
+    hook_ref = Fraction(1)
+    for i, j in partition_cells(lam):
+        hook_ref *= lam[i - 1] - j + beta * (conj[j - 1] - i + 1)
+    for spec in (jack_spec(n, beta), laguerre_spec(n, beta, Fraction(1, 3))):
+        value = raising_constant(list(lam), m, spec)
+        assert type(value) is Fraction and value == raise_ref
+    constants = shift_constants(lam, n, beta)
+    assert all(type(c) is Fraction for c in constants)
+    assert constants == (c_ref, c_tilde_ref)
+    hooks = hook_product(lam, beta)
+    assert type(hooks) is Fraction and hooks == hook_ref
 
 
 def test_raising_length_hypothesis():
