@@ -124,11 +124,9 @@ def staircase(nvars: int) -> Partition:
 
 
 def add_to_first_parts(lam: Sequence[int], m: int) -> Partition:
-    """Add one box to each of the first m rows."""
-    out = tuple(p + 1 if i < m else p for i, p in enumerate(lam))
-    if not is_partition(out):
-        raise ValueError(f"adding (1^{m}) to {tuple(lam)} is not a partition")
-    return out
+    """Add one box to each of the first m rows of the partition lam (a
+    partition again; the input is not checked)."""
+    return tuple(p + 1 if i < m else p for i, p in enumerate(lam))
 
 
 def stabilizer_order(lam: Sequence[int]) -> int:

@@ -14,7 +14,8 @@ class NotDivisibleError(HeckePolyError):
 
 
 class SpectrumCollisionError(HeckePolyError):
-    """A triangular eigen-solve hit a repeated eigenvalue tuple."""
+    """A triangular eigen-solve met a gap that cannot be divided by: the
+    Sutherland eigenvalue E(nu) of a label nu below lam is not below E(lam)."""
 
 
 class NotProportionalError(HeckePolyError):

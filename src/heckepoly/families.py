@@ -40,14 +40,16 @@ all labels of a spec and the pairings share them (see ``pairings``).  The
 system, scaled to one common denominator, is solved by fraction-free
 (Bareiss) elimination, with one Fraction per unknown at the end.
 
-The symmetric Jack triangular route is an integer solve, ``_eigen_solve``:
-the joint eigenvector of commuting operators triangular on a basis, found
-by back-substitution in integer numerators over one common denominator.
-It passes the e_k(Dhat) images of the m_mu of weight |lam| (the index
-subsets are words that share prefixes, so one operator application per
-nonempty subset, expanded by orbit in int) with their e_k eigenvalues.
-The non-symmetric recursion applies no Cherednik operator, so the joint
-spectra check it independently.
+The symmetric Jack triangular route applies no operator.  The Sutherland
+operator H (``operators.sutherland_expanded_apply`` less its constant)
+acts on m_mu in closed form, in integers (R. P. Stanley, Adv. Math. 77
+(1989) 76-115, Thm 3.1): H m_mu = E(mu) m_mu + 2 beta sum_nu h_(nu mu)
+m_nu, the nu strictly below mu.  J_lam is its eigenvector with leading
+m_lam, found by back-substitution over the dominance down-set of lam in
+integer numerators over one common denominator.  E(lam) - E(nu) > 0 for
+nu < lam, so one eigenvalue separates lam from every nu it meets.  Both
+the non-symmetric recursion and this route apply no Cherednik operator,
+so the joint spectra check them independently.
 
 Every construction is cached once it is checked, per (padded partition,
 spec, route) or (NonSymLabel, spec), by the two memos ``_checked_*``
@@ -74,6 +76,7 @@ from . import pairings
 from .caches import memo, register
 from .combinatorics import (
     composition_to_label,
+    dominance_lt,
     extended_dominance_lt,
     is_min_coset_rep,
     is_permutation,
@@ -314,10 +317,11 @@ def equals_multiple(image: dict, constant, target: Polynomial) -> bool:
     return image == ({nu: constant * c for nu, c in target._orbit_form().items()} if constant else {})
 
 
+@memo
 def realization(spec: FamilySpec) -> Realization:
-    """The realization of spec's family: the one place that tells the
-    three families' operators and routes apart (``pairings._kernel``
-    holds their weights)."""
+    """The realization of spec's family, one instance per spec: the one
+    place that tells the three families' operators and routes apart
+    (``pairings._kernel`` holds their weights)."""
     return _REALIZATIONS[spec.family](spec)
 
 
@@ -360,56 +364,6 @@ def _elementary_symmetric(values, k: int):
         for i in range(k, 0, -1):
             table[i] += table[i - 1] * v
     return table[k]
-
-
-# ---------------------------------------------------------------------------
-# the joint eigenvector solve
-
-
-def _eigen_solve(basis, columns, eigen, top: int, case: str) -> tuple[list[int], int]:
-    """The joint eigenvector of commuting operators, triangular on basis,
-    whose leading element is basis[top] with coefficient 1; the symmetric
-    Jack route ``_jack_triangular`` passes the e_k(Dhat) images of the m_mu.
-
-    columns[i][k] maps basis elements to the integer coefficients of the
-    k-th operator applied to basis[i] (i <= top); eigen[i] is the
-    eigenvalue tuple of basis[i].  Back-substitution keeps the
-    coefficient of basis[i] as nums[i] / den, integers over one common
-    denominator; returns (nums, den).  case names the solve in errors."""
-    index = {b: i for i, b in enumerate(basis)}
-    for i, per_k in enumerate(columns):
-        if any(index[b] > i for image in per_k for b in image):
-            raise HeckePolyError(f"triangularity violated in the operator action at {case}")
-    target = eigen[top]
-    nums = [0] * (top + 1)
-    nums[top] = 1
-    den = 1
-    for i in range(top - 1, -1, -1):
-        b = basis[i]
-
-        def residual(k: int) -> int:
-            return sum(
-                nums[i2] * columns[i2][k].get(b, 0)
-                for i2 in range(i + 1, top + 1)
-                if nums[i2]
-            )
-
-        k = next((k for k in range(len(target)) if target[k] != eigen[i][k]), None)
-        if k is None:
-            if any(residual(k) for k in range(len(target))):
-                raise SpectrumCollisionError(f"spectrum collision with {b} at {case}")
-            continue
-        # coefficient = residual / (den * gap): move everything onto the
-        # denominator den * gap / g
-        r, gap = residual(k), target[k] - eigen[i][k]
-        g = math.gcd(r, gap) if gap > 0 else -math.gcd(r, gap)
-        factor = gap // g
-        if factor != 1:
-            den *= factor
-            for i2 in range(i + 1, top + 1):
-                nums[i2] *= factor
-        nums[i] = r // g
-    return nums, den
 
 
 # ---------------------------------------------------------------------------
@@ -511,43 +465,61 @@ def _checked_symmetric(lam, spec: FamilySpec, method: str) -> FamilyPolynomial:
 
 
 def _jack_triangular(lam, n: int, beta: int) -> Polynomial:
-    """Joint e_k(Dhat_1..Dhat_N) eigenvector with leading m_lam on the
-    monomial-symmetric basis of weight |lam|, by ``_eigen_solve`` on the
-    columns of the m_mu below it."""
-    basis = sorted(partitions_of(sum(lam), n))  # ascending lex refines dominance
-    top = basis.index(lam)
-    case = f"N={n}, beta={beta}, lambda={lam}"
-    columns, eigen = [], []
-    for mu in basis[: top + 1]:
-        try:
-            column, values = _jack_column(n, beta, mu)
-        except ValueError as exc:  # an e_k(Dhat) image is not symmetric
-            raise HeckePolyError(f"{exc} in e_k(Dhat) m_{mu} at {case}") from exc
-        columns.append(column)
-        eigen.append(values)
-    nums, den = _eigen_solve(basis, columns, eigen, top, case)
-    coeffs = {mu: _canonical(Fraction(num, den)) for mu, num in zip(basis, nums) if num}
-    return from_orbit_form(n, coeffs)
+    """The eigenvector of the Sutherland operator H with leading m_lam, in
+    the m_mu basis, applying no operator: c_lam = 1 and, for each nu of
+    the dominance down-set of lam in descending lex order,
+
+        c_nu = 2 beta sum_mu h_(nu mu) c_mu / (E(lam) - E(nu)),
+
+    kept as integer numerators over one common denominator.  Only the
+    down-set is visited: incomparable labels can share E, such as (4,1,1)
+    and (3,3,0) at every beta."""
+    top = _sutherland_energy(lam, beta)
+    nums, den = {lam: 1}, 1
+    for nu in partitions_of(sum(lam), n):
+        if not dominance_lt(nu, lam):
+            continue
+        gap = top - _sutherland_energy(nu, beta)
+        if gap <= 0:
+            raise SpectrumCollisionError(
+                f"spectrum collision with {nu} at N={n}, beta={beta}, lambda={lam}")
+        r = 2 * beta * sum(h * nums.get(mu, 0) for mu, h in _sutherland_raising(nu).items())
+        if r:
+            g = math.gcd(r, gap)
+            factor = gap // g
+            if factor != 1:
+                den *= factor
+                nums = {mu: v * factor for mu, v in nums.items()}
+            nums[nu] = r // g
+    return from_orbit_form(n, {mu: _canonical(Fraction(nums[mu], den)) for mu in reversed(nums)})
 
 
-@memo
-def _jack_column(n: int, beta: int, mu: Partition):
-    """The orbit coefficients of e_k(Dhat) m_mu for k = 1..N (the images
-    have integer coefficients) and their eigenvalues e_k(mu_i + beta(N-1-i)),
-    shared by every label of the weight |mu| at or above mu."""
-    chers = [ops.cherednik(j, FamilySpec(JACK, n, beta)) for j in range(1, n + 1)]
-    images = _elementary_images(monomial_symmetric(n, mu), chers)
-    values = [mu[i] + beta * (n - 1 - i) for i in range(n)]
-    return (
-        tuple(_orbit_coefficients(image.terms) for image in images),
-        tuple(_elementary_symmetric(values, k) for k in range(1, n + 1)),
-    )
+def _sutherland_energy(mu, beta: int) -> int:
+    """E(mu) = sum_i mu_i^2 + beta sum_i (N + 1 - 2i) mu_i, the coefficient
+    of m_mu in H m_mu."""
+    return sum(p * p + beta * (len(mu) - 1 - 2 * i) * p for i, p in enumerate(mu))
+
+
+def _sutherland_raising(nu) -> dict:
+    """{mu: h_(nu mu)} for the mu != nu whose image H m_mu has the m_nu
+    coefficient 2 beta h_(nu mu) != 0: moving t = 1..nu_k from part k to a
+    part j < k and sorting gives mu, and adds nu_j - nu_k + 2t to h."""
+    out: dict = {}
+    for j, k in itertools.combinations(range(len(nu)), 2):
+        for t in range(1, nu[k] + 1):
+            moved = list(nu)
+            moved[j] += t
+            moved[k] -= t
+            mu = tuple(sorted(moved, reverse=True))
+            out[mu] = out.get(mu, 0) + nu[j] - nu[k] + 2 * t
+    return out
 
 
 def _elementary_images(f: Polynomial, chers) -> list[Polynomial]:
-    """e_k(chers) f for k = 1..N, summed over the k-subsets S, each applied
-    in increasing index order.  The word of S is the word of S without
-    max S followed by max S, so each nonempty subset costs one application."""
+    """e_k(chers) f for k = 1..N (verify's jack_eigen), summed over the
+    k-subsets S, each applied in increasing index order.  The word of S is
+    the word of S without max S followed by max S, so each nonempty subset
+    costs one application."""
     n = len(chers)
     sums = [dict.fromkeys(itertools.combinations(range(n), k), 1) for k in range(1, n + 1)]
     return ops.apply_words(f, sums, chers)

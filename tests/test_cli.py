@@ -462,19 +462,28 @@ def test_exit_code_1_for_a_failed_check(monkeypatch, capsys):
 
 @pytest.mark.parametrize("method", [[], ["--method", "rodrigues"]])
 def test_exit_code_1_for_a_construction_that_is_not_symmetric(method, monkeypatch, capsys):
-    """With Dhat_N + 1 planted the Jack construction is not symmetric: a
-    failed check, not an input error."""
-    from heckepoly import clear_caches
+    """With Dhat_N + 1 planted the Rodrigues Jack construction is not
+    symmetric: a failed check, not an input error.  The default triangular
+    route applies no operator and builds its result in the m_mu basis, so
+    there the plant adds x_1 to what the route returns."""
+    from heckepoly import clear_caches, families
     from heckepoly import operators as ops
 
     cherednik = ops.cherednik
+    triangular = families._ROUTES["triangular"]
 
     def planted(j, spec):
         op = cherednik(j, spec)
         return op + ops.identity(spec.n) if j == spec.n else op
 
+    def planted_route(lam, spec):
+        return triangular(lam, spec) + Polynomial.variable(spec.n, 1)
+
     clear_caches()
-    monkeypatch.setattr(ops, "cherednik", planted)
+    if method:
+        monkeypatch.setattr(ops, "cherednik", planted)
+    else:
+        monkeypatch.setitem(families._ROUTES, "triangular", planted_route)
     try:
         with pytest.raises(SystemExit) as info:
             main(["poly", "--family", "jack", "--lambda", "2,1", "--n", "2",

@@ -2,6 +2,7 @@
 cross-method agreement."""
 
 import dataclasses
+import math
 import random
 from fractions import Fraction
 from functools import partial
@@ -18,10 +19,9 @@ from heckepoly.combinatorics import (
     composition_to_label,
     stabilizer_order,
 )
-from heckepoly.errors import EvennessViolation
+from heckepoly.errors import EvennessViolation, HeckePolyError, SpectrumCollisionError
 from heckepoly.families import (
     NonSymLabel,
-    _eigen_solve,
     composition_spectrum,
     decode_even,
     encode_even,
@@ -98,6 +98,51 @@ def symmetrized_jack(lam, n: int, beta: int) -> Polynomial:
     total = sum((ops.permutation_op(w)(e_lam) for w in all_permutations(n)),
                 Polynomial.zero(n))
     return total * Fraction(1, stabilizer_order(lam))
+
+
+def _eigen_solve(basis, columns, eigen, top: int, case: str) -> tuple[list[int], int]:
+    """Oracle: the joint eigenvector of commuting operators, triangular on
+    basis, whose leading element is basis[top] with coefficient 1.
+
+    columns[i][k] maps basis elements to the integer coefficients of the
+    k-th operator applied to basis[i] (i <= top); eigen[i] is the
+    eigenvalue tuple of basis[i].  Back-substitution keeps the
+    coefficient of basis[i] as nums[i] / den, integers over one common
+    denominator; returns (nums, den).  case names the solve in errors."""
+    index = {b: i for i, b in enumerate(basis)}
+    for i, per_k in enumerate(columns):
+        if any(index[b] > i for image in per_k for b in image):
+            raise HeckePolyError(f"triangularity violated in the operator action at {case}")
+    target = eigen[top]
+    nums = [0] * (top + 1)
+    nums[top] = 1
+    den = 1
+    for i in range(top - 1, -1, -1):
+        b = basis[i]
+
+        def residual(k: int) -> int:
+            return sum(
+                nums[i2] * columns[i2][k].get(b, 0)
+                for i2 in range(i + 1, top + 1)
+                if nums[i2]
+            )
+
+        k = next((k for k in range(len(target)) if target[k] != eigen[i][k]), None)
+        if k is None:
+            if any(residual(k) for k in range(len(target))):
+                raise SpectrumCollisionError(f"spectrum collision with {b} at {case}")
+            continue
+        # coefficient = residual / (den * gap): move everything onto the
+        # denominator den * gap / g
+        r, gap = residual(k), target[k] - eigen[i][k]
+        g = math.gcd(r, gap) if gap > 0 else -math.gcd(r, gap)
+        factor = gap // g
+        if factor != 1:
+            den *= factor
+            for i2 in range(i + 1, top + 1):
+                nums[i2] *= factor
+        nums[i] = r // g
+    return nums, den
 
 
 def _label_sort_key(comp) -> tuple:
@@ -560,6 +605,90 @@ def test_jack_triangular_against_fraction_reference_and_symmetrized():
                     poly = _jack_triangular(lam, n, beta)
                     assert poly == expected, (n, beta, lam)
                     assert poly == symmetrized_jack(lam, n, beta), (n, beta, lam)
+
+
+def test_sutherland_closed_form_is_the_operator_on_m_mu():
+    """H m_mu = E(mu) m_mu + 2 beta sum_nu h_(nu mu) m_nu, read against the
+    orbit coefficients of ``sutherland_expanded_apply`` less its constant."""
+    from heckepoly.combinatorics import _orbit_coefficients, partitions_of
+    from heckepoly.families import _sutherland_energy, _sutherland_raising
+
+    for n in (1, 2, 3, 4):
+        for weight in range(6):
+            labels = list(partitions_of(weight, n))
+            raised = {nu: _sutherland_raising(nu) for nu in labels}
+            for beta in (0, 1, 2, 3):
+                constant = Fraction(beta * beta * n * (n * n - 1), 12)
+                for mu in labels:
+                    m_mu = monomial_symmetric(n, mu)
+                    image = ops.sutherland_expanded_apply(m_mu, beta) - constant * m_mu
+                    expected = {mu: _sutherland_energy(mu, beta)}
+                    for nu in labels:
+                        if beta and mu in raised[nu]:
+                            expected[nu] = 2 * beta * raised[nu][mu]
+                    expected = {nu: c for nu, c in expected.items() if c}
+                    assert _orbit_coefficients(image.terms) == expected, (n, beta, mu)
+
+
+def jack_by_eigen_solve(n: int, beta: int, weight: int) -> dict:
+    """Oracle: {lam: J_lam} for the labels of one weight, each the joint
+    e_k(Dhat) eigenvector with leading m_lam on the m_mu of that weight,
+    by ``_eigen_solve`` on the integer orbit coefficients of the images."""
+    from heckepoly.combinatorics import _orbit_coefficients, partitions_of
+    from heckepoly.families import _elementary_images, _elementary_symmetric
+
+    basis = sorted(partitions_of(weight, n))  # ascending lex refines dominance
+    chers = [ops.cherednik(j, jack_spec(n, beta)) for j in range(1, n + 1)]
+    columns, eigen = [], []
+    for mu in basis:
+        images = _elementary_images(monomial_symmetric(n, mu), chers)
+        columns.append([_orbit_coefficients(image.terms) for image in images])
+        values = [mu[i] + beta * (n - 1 - i) for i in range(n)]
+        eigen.append([_elementary_symmetric(values, k) for k in range(1, n + 1)])
+    out = {}
+    for top, lam in enumerate(basis):
+        nums, den = _eigen_solve(basis, columns[: top + 1], eigen, top, f"N={n}, beta={beta}")
+        out[lam] = sum((Fraction(num, den) * monomial_symmetric(n, mu)
+                        for mu, num in zip(basis, nums) if num), Polynomial.zero(n))
+    return out
+
+
+def test_jack_triangular_equals_the_eigen_solve():
+    count = 0
+    for n in (1, 2, 3, 4, 5):
+        for beta in (0, 1, 2, 3):
+            for weight in range(5 if n == 5 else 6):
+                for lam, oracle in jack_by_eigen_solve(n, beta, weight).items():
+                    assert jack(lam, jack_spec(n, beta)).poly == oracle, (n, beta, lam)
+                    count += 1
+    assert count == 4 * (6 + 12 + 16 + 18 + 12)  # labels per beta, N = 1..5
+
+
+def test_jack_triangular_applies_no_operator():
+    """A cold J_lam fills no operator image: jack_eigen, which applies
+    e_k(Dhat) to it, shares no work with the route it checks."""
+    from heckepoly import cache_info, clear_caches
+    from heckepoly.families import construct
+
+    clear_caches()
+    try:
+        for lam in ((2, 1, 0), (3, 1, 1), (2, 2, 1)):
+            assert construct(lam, jack_spec(3, 2)).construction == "triangular"
+        assert cache_info()["operators.images"] == 0
+    finally:
+        clear_caches()
+
+
+def test_one_realization_per_spec():
+    from heckepoly import cache_info, clear_caches
+
+    spec = laguerre_spec(2, 1, Fraction(1, 2))
+    real = realization(spec)
+    assert realization(laguerre_spec(2, 1, "1/2")) is real
+    assert cache_info()["families.realization"] > 0
+    clear_caches()
+    assert cache_info()["families.realization"] == 0
+    assert realization(spec) is not real and realization(spec).spec == spec
 
 
 @pytest.mark.parametrize(

@@ -105,6 +105,19 @@ def test_raising_length_hypothesis():
         raising_apply(1, jack((2, 1), spec))
 
 
+@pytest.mark.parametrize("lam, m", [((2, 1), 1), ((1, 1, 1), 1), ((1, 1, 1), 2), ((2, 2, 1), 2)])
+def test_raising_rejects_labels_that_add_to_first_parts_does_not_check(lam, m):
+    """``add_to_first_parts`` does not check its output.  raising_apply
+    rejects a label with a part beyond row m, and ``pad_partition`` a label
+    that is not a partition, before it is called."""
+    spec = jack_spec(len(lam), 1)
+    with pytest.raises(ValueError, match="nonzero parts"):
+        raising_apply(m, jack(lam, spec))
+    poly = monomial_symmetric(len(lam), lam)
+    with pytest.raises(ValueError, match="not weakly decreasing"):
+        raising_apply(len(lam), FamilyPolynomial((0,) + lam[1:], spec, poly, "triangular", ()))
+
+
 def test_raising_witness_decomposition():
     # outside the length hypothesis the image is a two-term Jack combination
     spec = jack_spec(2, 1)

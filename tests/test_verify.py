@@ -274,6 +274,46 @@ def test_planted_intertwiner_scalar_fails_nonsym_eigen(monkeypatch, capsys):
     assert capsys.readouterr().out.startswith("nonsym_eigen: FAIL")
 
 
+def _raising_plus_t(nu) -> dict:
+    """``families._sutherland_raising`` with + t in place of + 2t."""
+    out = {}
+    for j, k in itertools.combinations(range(len(nu)), 2):
+        for t in range(1, nu[k] + 1):
+            moved = list(nu)
+            moved[j] += t
+            moved[k] -= t
+            mu = tuple(sorted(moved, reverse=True))
+            out[mu] = out.get(mu, 0) + nu[j] - nu[k] + t
+    return out
+
+
+def test_planted_sutherland_coefficient_fails_jack_eigen(monkeypatch, capsys):
+    """jack_eigen applies e_k(Dhat) to a J_lam that the triangular route
+    built without operators, so a wrong h_(nu mu) fails it and verify
+    exits 1; a constant E leaves no gap to divide by."""
+    from heckepoly.cli import main
+    from heckepoly.errors import SpectrumCollisionError
+
+    clear_caches()
+    monkeypatch.setattr(families, "_sutherland_raising", _raising_plus_t)
+    try:
+        report = run_suite("jack_eigen", SMALL)
+        code = main(["verify", "--suite", "jack_eigen", *SMALL_ARGV])
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    assert not report.passed and code == 1
+    assert {failure["params"]["beta"] for failure in report.failures} == {1}
+    assert capsys.readouterr().out.startswith("jack_eigen: FAIL")
+    monkeypatch.setattr(families, "_sutherland_energy", lambda mu, beta: 0)
+    try:
+        with pytest.raises(SpectrumCollisionError, match=r"\(1, 1\)"):
+            families.jack((2, 0), FamilySpec("jack", 2, 1))
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+
+
 def test_failure_reporting_carries_counterexample():
     # a deliberately broken comparison must produce a structured failure
     from heckepoly.verify import SuiteReport
@@ -574,13 +614,16 @@ def test_duality_compares_degree_by_degree(operator, monkeypatch):
 
 
 def test_crashing_suite_is_reported(monkeypatch, capsys):
-    """With Dhat_N + 1 planted, many cases raise; each fails alone, carrying
-    its params and the exception, and every suite still reports."""
+    """With Dhat_N + 1 and a constant Sutherland eigenvalue planted (the
+    triangular Jack route reads no Cherednik operator), many cases raise;
+    each fails alone, carrying its params and the exception, and every
+    suite still reports."""
     from heckepoly.cli import main
 
     attr, plant = PLANTED["daha_relations"]
     clear_caches()
     monkeypatch.setattr(ops, attr, plant(getattr(ops, attr)))
+    monkeypatch.setattr(families, "_sutherland_energy", lambda mu, beta: 0)
     try:
         reports = run_all(SMALL)
         code = main(["verify", "--all", *SMALL_ARGV])
