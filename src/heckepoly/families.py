@@ -30,15 +30,15 @@ terms of f, in letters L_j/2, share their prefixes
 (``operators.apply_words``), act in integers and are summed over one
 common denominator.
 
-The Gram route (the default for Hermite and Laguerre) runs on integers.
-m_mu and m_nu have integer coefficients and are homogeneous, so the Gram
-entry <m_mu, m_nu> is one integer numerator over the denominator that the
-pairings' kernel gives the degree |mu| + |nu|: 2^((d+D)/2) for Gauss,
-q^(d+D) for Laguerre, with D = beta N(N-1) and gamma + 1/2 = p/q.  The numerators are read from the
-pairings' orbit table, memoized per spec and unordered pair (mu, nu), so
-all labels of a spec and the pairings share them (see ``pairings``).  The
-system, scaled to one common denominator, is solved by fraction-free
-(Bareiss) elimination, with one Fraction per unknown at the end.
+The Gram route (the default for Hermite and Laguerre) is one growing
+fraction-free Gram-Schmidt elimination per spec (``_gram``, its rows in
+``families.gram_rows``).  The pairings' orbit numerators of <m_mu, m_nu>
+are the Gram matrix of the basis s_mu m_mu, s_mu s_nu the kernel's
+denominator of |mu| + |nu| where the numerator is not 0, so stored rows
+never change as the weight grows.  A label appends itself and the labels
+below it that the elimination lacks, each orthogonalized against every
+earlier row, incomparable ones included: the orthogonality theorem makes
+it F_lam, and the triangularity check of every construction confirms it.
 
 The symmetric Jack triangular route applies no operator.  The Sutherland
 operator H (``operators.sutherland_expanded_apply`` less its constant)
@@ -598,73 +598,61 @@ def _intertwined(lam, spec: FamilySpec) -> Polynomial:
     return globals()[realization(spec).intertwiner](jack_poly, spec)
 
 
+_GRAM_ROWS: dict = {}  # spec -> (label -> row number, [(L_k, pivot) per row])
+register("families.gram_rows", lambda: sum(len(rows) for _, rows in _GRAM_ROWS.values()),
+         _GRAM_ROWS.clear)
+
+
 def _gram(lam, spec: FamilySpec) -> Polynomial:
-    """Monic-in-m_lam polynomial orthogonal to every m_mu with mu strictly
-    below lam in the cross-degree dominance order, under the Gauss or
-    Laguerre pairing of spec.
-
-    Each Gram entry <m_mu, m_nu> is one integer numerator of the pairings'
-    orbit table over the kernel's denominator of the degree |mu| + |nu|.
-    The system is scaled to the denominator of the top degree 2|lam| and
-    solved fraction-free."""
-    n = spec.n
-    companions = [
-        mu
-        for mu in partitions_up_to(sum(lam), n)
-        if extended_dominance_lt(mu, lam)
-    ]
-    m_lam = monomial_symmetric(n, lam)
-    if not companions:
-        return m_lam
+    """The row L of lam in spec's elimination, once lam and the labels
+    below it that the elimination lacks are appended in (weight, lex)
+    order, read back monic in the m_mu basis:
+    c_nu = L[nu] den(|nu| + |lam|) / (L[lam] den(2|lam|))."""
+    index, rows = _GRAM_ROWS.setdefault(spec, ({}, []))
+    if lam not in index:
+        new = [mu for mu in partitions_up_to(sum(lam), spec.n)
+               if mu not in index and (mu == lam or extended_dominance_lt(mu, lam))]
+        for mu in sorted(new, key=lambda mu: (sum(mu), mu)):
+            _gram_append(spec, index, rows, mu)
+    row, labels, weight = rows[index[lam]][0], list(index), sum(lam)
     denominator = _kernel(spec).denominator
+    top = row[index[lam]] * denominator(2 * weight)
+    return from_orbit_form(spec.n, {
+        labels[i]: _canonical(Fraction(v * denominator(sum(labels[i]) + weight), top))
+        for i, v in row.items()
+    })
+
+
+def _gram_append(spec: FamilySpec, index: dict, rows: list, mu) -> None:
+    """Append mu to the elimination (index, rows) of spec.  Its labels are
+    a down-set of extended dominance, numbered in a linear extension of
+    it; row k keeps L_k, the integers with sum_i L_k[i] s_i m_i orthogonal
+    to every earlier row and L_k[k] the leading k-minor of the Gram matrix
+    G, by a Bareiss elimination of [G | I] on that row alone: by the
+    symmetry of G its multiplier at step j is sum_i L_j[i] G[i][k], so
+    only the L_j and the pivots (leading minors) are kept."""
     numerator = _orbit_numerator(spec)
-    top = denominator(2 * sum(lam))
-    scale = [top // denominator(d) for d in range(2 * sum(lam) + 1)]
-
-    def entry(mu, nu) -> int:
-        return numerator(mu, nu) * scale[sum(mu) + sum(nu)]
-
-    rows = [[entry(mu, nu) for nu in companions] for mu in companions]
-    rhs = [-entry(lam, mu) for mu in companions]
-    coeffs = {lam: 1}
-    for coeff, mu in zip(_solve_bareiss(rows, rhs), companions):
-        if coeff:
-            coeffs[mu] = _canonical(coeff)
-    return from_orbit_form(n, coeffs)
-
-
-def _solve_bareiss(rows, rhs) -> list[Fraction]:
-    """Solve the square integer system rows . x = rhs exactly.
-
-    Fraction-free (Bareiss) elimination with row pivoting keeps every
-    entry an integer: step k replaces each lower row by
-    (pivot * row - row[k] * pivot row) / previous pivot, an exact division.
-    The last pivot d is the determinant up to sign, so d x is an integer
-    vector (Cramer); back-substitution finds it in integers and returns
-    the Fractions (d x)_i / d."""
-    size = len(rows)
-    aug = [list(row) + [value] for row, value in zip(rows, rhs)]
-    prev = 1
-    for k in range(size):
-        pivot = next((r for r in range(k, size) if aug[r][k]), None)
-        if pivot is None:
-            raise HeckePolyError("singular linear system in Gram construction")
-        aug[k], aug[pivot] = aug[pivot], aug[k]
-        head = aug[k]
-        lead = head[k]
-        for row in aug[k + 1 :]:
-            factor = row[k]
-            for c in range(k + 1, size + 1):
-                row[c] = (lead * row[c] - factor * head[c]) // prev
-        prev = lead
-    scaled = [0] * size
-    for i in range(size - 1, -1, -1):
-        row = aug[i]
-        total = prev * row[size]
-        for j in range(i + 1, size):
-            total -= row[j] * scaled[j]
-        scaled[i] = total // row[i]
-    return [Fraction(v, prev) for v in scaled]
+    column = [numerator(nu, mu) for nu in index] + [numerator(mu, mu)]
+    # the reduced row is row * prev / base: a step whose multiplier is 0
+    # only scales it by pivot / prev, so runs of those are not applied
+    row, prev, base = {len(rows): 1}, 1, 1
+    for pivot_row, pivot in rows:
+        factor = sum(v * column[i] for i, v in pivot_row.items())
+        if factor:
+            if base != prev:
+                row = {i: v * prev // base for i, v in row.items()}
+            row = {i: v * pivot for i, v in row.items()}
+            for i, v in pivot_row.items():
+                row[i] = row.get(i, 0) - factor * v
+            row, base = {i: v // prev for i, v in row.items() if v}, pivot
+        prev = pivot
+    if base != prev:
+        row = {i: v * prev // base for i, v in row.items()}
+    pivot = sum(v * column[i] for i, v in row.items())
+    if pivot <= 0:  # the pairing is positive definite
+        raise HeckePolyError(f"Gram matrix not positive definite at {mu} for {spec}")
+    index[mu] = len(rows)
+    rows.append((row, pivot))
 
 
 def _rodrigues(lam, spec: FamilySpec) -> Polynomial:

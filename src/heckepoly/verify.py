@@ -159,6 +159,9 @@ class GridSpec:
             )
         if self.pairs < 1 or self.rand_polys < 1:
             raise ValueError("grid counts must be positive: pairs >= 1, rand_polys >= 1")
+        for name, values in (("N", self.ns), ("beta", self.betas), ("gamma", self.gammas)):
+            if len(set(values)) < len(values):  # each case would run once per copy
+                raise ValueError(f"grid repeats a value: {name} in {', '.join(map(str, values))}")
 
     def to_json_dict(self) -> dict:
         return asdict(self) | {"gammas": [str(g) for g in self.gammas]}

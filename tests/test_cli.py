@@ -298,6 +298,19 @@ def test_exit_code_2_for_a_grid_out_of_bounds(capsys):
 
 
 @pytest.mark.parametrize(
+    "flag, value, message",
+    [("--n-list", "2,2", "N in 2, 2"), ("--beta-list", "1,0,1", "beta in 1, 0, 1"),
+     ("--gamma-list", "1/2,2/4", "gamma in 1/2, 1/2")],
+    ids=["n-list", "beta-list", "gamma-list"],
+)
+def test_exit_code_2_for_a_repeated_grid_value(flag, value, message, capsys):
+    """A repeated N, beta or gamma, compared after canonicalisation, would
+    run each of its cases once per copy: an input error."""
+    text = input_error(["verify", "--suite", "norms_all", flag, value], capsys)
+    assert text == f"error: grid repeats a value: {message}"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["--suite", "daha_relations", "--n-list", "2", "--beta-list", "1", "--degree", "-1"],

@@ -12,6 +12,8 @@ import pytest
 from heckepoly import operators as ops
 from heckepoly.combinatorics import (
     all_permutations,
+    extended_dominance_lt,
+    from_orbit_form,
     length,
     monomial_symmetric,
     partitions_up_to,
@@ -36,8 +38,14 @@ from heckepoly.families import (
     sigma_b,
     symmetric_spectrum,
 )
+from heckepoly.pairings import _kernel, _orbit_numerator
 from heckepoly.parameters import hermite_spec, jack_spec, laguerre_spec
-from heckepoly.polynomials import Polynomial, monomials_of_degree, monomials_up_to_degree
+from heckepoly.polynomials import (
+    Polynomial,
+    _canonical,
+    monomials_of_degree,
+    monomials_up_to_degree,
+)
 
 
 def test_nonsym_label_validation():
@@ -382,6 +390,68 @@ def test_gram_equals_intertwined(n, beta):
             assert gram == build(lam, spec, "intertwined").poly, (spec, lam)
 
 
+def gram_by_bareiss(lam, spec) -> Polynomial:
+    """The oracle of the gram route: the monic-in-m_lam polynomial
+    orthogonal to every m_mu with mu strictly below lam in extended
+    dominance, by one Bareiss solve over the down-set of lam alone.  Each
+    Gram entry <m_mu, m_nu> is one integer numerator of the pairings'
+    orbit table over the kernel's denominator of |mu| + |nu|; the system
+    is scaled to the denominator of the top degree 2|lam|."""
+    n = spec.n
+    companions = [mu for mu in partitions_up_to(sum(lam), n) if extended_dominance_lt(mu, lam)]
+    if not companions:
+        return monomial_symmetric(n, lam)
+    denominator = _kernel(spec).denominator
+    numerator = _orbit_numerator(spec)
+    top = denominator(2 * sum(lam))
+    scale = [top // denominator(d) for d in range(2 * sum(lam) + 1)]
+
+    def entry(mu, nu) -> int:
+        return numerator(mu, nu) * scale[sum(mu) + sum(nu)]
+
+    rows = [[entry(mu, nu) for nu in companions] for mu in companions]
+    rhs = [-entry(lam, mu) for mu in companions]
+    coeffs = {lam: 1}
+    for coeff, mu in zip(_solve_bareiss(rows, rhs), companions):
+        if coeff:
+            coeffs[mu] = _canonical(coeff)
+    return from_orbit_form(n, coeffs)
+
+
+def _solve_bareiss(rows, rhs) -> list[Fraction]:
+    """Solve the square integer system rows . x = rhs exactly.
+
+    Fraction-free (Bareiss) elimination with row pivoting keeps every
+    entry an integer: step k replaces each lower row by
+    (pivot * row - row[k] * pivot row) / previous pivot, an exact division.
+    The last pivot d is the determinant up to sign, so d x is an integer
+    vector (Cramer); back-substitution finds it in integers and returns
+    the Fractions (d x)_i / d."""
+    size = len(rows)
+    aug = [list(row) + [value] for row, value in zip(rows, rhs)]
+    prev = 1
+    for k in range(size):
+        pivot = next((r for r in range(k, size) if aug[r][k]), None)
+        if pivot is None:
+            raise HeckePolyError("singular linear system in Gram construction")
+        aug[k], aug[pivot] = aug[pivot], aug[k]
+        head = aug[k]
+        lead = head[k]
+        for row in aug[k + 1 :]:
+            factor = row[k]
+            for c in range(k + 1, size + 1):
+                row[c] = (lead * row[c] - factor * head[c]) // prev
+        prev = lead
+    scaled = [0] * size
+    for i in range(size - 1, -1, -1):
+        row = aug[i]
+        total = prev * row[size]
+        for j in range(i + 1, size):
+            total -= row[j] * scaled[j]
+        scaled[i] = total // row[i]
+    return [Fraction(v, prev) for v in scaled]
+
+
 def _solve_fraction(rows, rhs):
     """Reference Gauss-Jordan elimination over Fraction."""
     size = len(rows)
@@ -397,9 +467,6 @@ def _solve_fraction(rows, rhs):
 
 
 def test_bareiss_solve_against_fraction_reference():
-    from heckepoly.errors import HeckePolyError
-    from heckepoly.families import _solve_bareiss
-
     swap = [[0, 2, 1], [3, 1, 0], [1, 0, 4]]  # zero leading entry: a row swap
     assert _solve_bareiss(swap, [1, 2, 3]) == _solve_fraction(swap, [1, 2, 3])
     later_swap = [[1, 2, 3], [2, 4, 1], [1, 3, 5]]  # zero pivot at step two
@@ -419,6 +486,128 @@ def test_bareiss_solve_against_fraction_reference():
     singular = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
     with pytest.raises(HeckePolyError, match="singular linear system in Gram construction"):
         _solve_bareiss(singular, [1, 2, 3])
+
+
+# every partition of weight <= 5 (<= 4 at N = 4), Hermite and Laguerre
+GRAM_REQUESTS = [
+    (spec, lam)
+    for n in (1, 2, 3, 4)
+    for beta in range(4)
+    for spec in [hermite_spec(n, beta)]
+    + [laguerre_spec(n, beta, Fraction(g)) for g in ("0", "1/3", "1/2", "2")]
+    for lam in partitions_up_to(4 if n == 4 else 5, n)
+]
+
+
+@pytest.fixture(scope="module")
+def gram_oracle():
+    return {(spec, lam): gram_by_bareiss(lam, spec) for spec, lam in GRAM_REQUESTS}
+
+
+def _gram_stream(order: str) -> list:
+    """GRAM_REQUESTS in a request order; None stands for clear_caches()."""
+    if order == "ascending":
+        return list(GRAM_REQUESTS)
+    if order == "descending":
+        return sorted(GRAM_REQUESTS, key=lambda request: -sum(request[1]))
+    kind, seed = order.split("-")
+    stream = list(GRAM_REQUESTS)
+    random.Random(int(seed)).shuffle(stream)  # interleaves the specs
+    if kind == "cleared":
+        stream.insert(len(stream) // 2, None)
+    return stream
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled-1", "shuffled-2",
+                                   "cleared-3"])
+def test_gram_rows_equal_the_per_label_solve(order, gram_oracle):
+    """Each label of the growing elimination equals the per-label solve
+    over its own down-set, whatever labels and specs came before it, and
+    every elimination holds a down-set of extended dominance in a linear
+    extension of it: the labels below each row are earlier rows."""
+    from heckepoly import clear_caches
+    from heckepoly.families import _GRAM_ROWS, construct
+
+    clear_caches()
+    for request in _gram_stream(order):
+        if request is None:
+            clear_caches()
+            continue
+        spec, lam = request
+        assert construct(lam, spec, "gram").poly == gram_oracle[spec, lam], (spec, lam)
+    for spec, (index, _rows) in _GRAM_ROWS.items():
+        labels = list(index)
+        assert list(index.values()) == list(range(len(labels)))
+        for k, mu in enumerate(labels):
+            below = {nu for nu in partitions_up_to(sum(mu), spec.n) if extended_dominance_lt(nu, mu)}
+            assert below <= set(labels[:k]), (spec, mu)
+            assert not any(extended_dominance_lt(nu, mu) for nu in labels[k + 1 :]), (spec, mu)
+    clear_caches()
+
+
+@pytest.mark.parametrize("spec", [hermite_spec(2, 1), laguerre_spec(2, 1, Fraction(1, 2))],
+                         ids=["hermite", "laguerre"])
+def test_perturbed_incomparable_pair_fails_the_later_label(spec, monkeypatch):
+    """(3,0) and (2,2) are incomparable.  With <m_(3,0), m_(2,2)> off by
+    one, the row of (2,2) appended after (3,0) is no longer orthogonal to
+    F_(3,0) alone, and its triangularity check fails.  Built into an
+    elimination without (3,0) it never reads the pair, and neither did the
+    per-label solve, whose system for (2,2) held its down-set only."""
+    from heckepoly import clear_caches, families
+    from heckepoly.families import construct
+
+    def perturbed(spec):
+        numerator = _orbit_numerator(spec)
+        return lambda mu, nu: numerator(mu, nu) + ({mu, nu} == {(3, 0), (2, 2)})
+
+    clear_caches()
+    monkeypatch.setattr(families, "_orbit_numerator", perturbed)
+    try:
+        expected = construct((2, 2), spec, "intertwined").poly
+        assert construct((2, 2), spec, "gram").poly == expected
+        clear_caches()
+        construct((3, 0), spec, "gram")
+        with pytest.raises(HeckePolyError, match=r"companion \(3, 0\) is not below \(2, 2\)"):
+            construct((2, 2), spec, "gram")
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+
+
+def test_gram_rejects_a_pairing_that_is_not_positive(monkeypatch):
+    """A pivot <= 0 means the pairing is not positive definite on the rows:
+    the label raises, and the elimination keeps only the rows before it."""
+    from heckepoly import cache_info, clear_caches, families
+
+    def planted(spec):
+        numerator = _orbit_numerator(spec)
+        return lambda mu, nu: numerator(mu, nu) * (-1 if mu == nu == (1, 0) else 1)
+
+    clear_caches()
+    monkeypatch.setattr(families, "_orbit_numerator", planted)
+    try:
+        with pytest.raises(HeckePolyError, match=r"not positive definite at \(1, 0\)"):
+            families.construct((1, 0), hermite_spec(2, 1))
+        assert cache_info()["families.gram_rows"] == 1  # the row of (0, 0)
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+
+
+def test_gram_rows_are_registered_and_cleared():
+    from heckepoly import cache_info, clear_caches
+    from heckepoly.families import construct
+
+    clear_caches()
+    assert cache_info()["families.gram_rows"] == 0
+    construct((2, 1), hermite_spec(2, 1))  # (0,0), (1,0), (1,1), (2,0), (2,1)
+    assert cache_info()["families.gram_rows"] == 5
+    construct((1, 1), hermite_spec(2, 1))
+    construct((1, 0), laguerre_spec(2, 1, Fraction(1, 3)))
+    assert cache_info()["families.gram_rows"] == 7
+    assert _constructions(cache_info()) == 3
+    clear_caches()
+    assert cache_info()["families.gram_rows"] == 0
 
 
 def _constructions(info) -> int:

@@ -1,5 +1,6 @@
 """Suite runner: determinism, coverage, and small-grid smoke of every suite."""
 
+import dataclasses
 import importlib
 import inspect
 import itertools
@@ -79,6 +80,16 @@ def test_grid_bounds():
         with pytest.raises(ValueError, match="grid out of bounds"):
             GridSpec(**bad)
     assert GridSpec(degree=1, betas=(0,), gammas=(Fraction(-1, 3),)).degree == 1
+
+
+@pytest.mark.parametrize(
+    "repeated",
+    [{"ns": (2, 3, 2)}, {"betas": (1, 1)}, {"gammas": (Fraction(1, 2), Fraction(2, 4))},
+     {"gammas": (0, "0/3")}],
+)
+def test_grid_rejects_a_repeated_value(repeated):
+    with pytest.raises(ValueError, match="grid repeats a value"):
+        GridSpec(**repeated)
 
 
 @pytest.mark.parametrize(
@@ -312,6 +323,46 @@ def test_planted_sutherland_coefficient_fails_jack_eigen(monkeypatch, capsys):
     finally:
         monkeypatch.undo()
         clear_caches()
+
+
+def _inverted_read_back(kernel):
+    """``pairings._kernel`` as the Gram route of ``families`` reads it,
+    every denominator inverted, so the read-back ratio den(|nu| + |lam|) /
+    den(2|lam|) is inverted too."""
+
+    def planted(spec):
+        value = kernel(spec)
+        return value._replace(denominator=lambda d: Fraction(1, value.denominator(d)))
+
+    return planted
+
+
+def test_inverted_gram_read_back_fails_sigma_jack(monkeypatch, capsys):
+    """The Gram route reads its rows back through the ratio den(|nu| +
+    |lam|) / den(2|lam|); inverted, both *_is_sigma_jack suites fail and
+    verify exits 1.  At gamma = 1/2 the Laguerre denominator q^(d+D) is
+    1, so there the ratio is 1 and the plant changes nothing: the Laguerre
+    suite needs another gamma to see it."""
+    from heckepoly.cli import main
+
+    third = dataclasses.replace(SMALL, gammas=(Fraction(1, 3),))
+    argv = [*SMALL_ARGV[:4], "--gamma-list", "1/3", *SMALL_ARGV[6:]]
+    clear_caches()
+    monkeypatch.setattr(families, "_kernel", _inverted_read_back(families._kernel))
+    try:
+        hermite = run_suite("hermite_is_sigma_jack", SMALL)
+        at_half = run_suite("laguerre_is_sigma_jack", SMALL)
+        laguerre = run_suite("laguerre_is_sigma_jack", third)
+        codes = [main(["verify", "--suite", f"{family}_is_sigma_jack", *args])
+                 for family, args in (("hermite", SMALL_ARGV), ("laguerre", argv))]
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    assert not hermite.passed and not laguerre.passed and at_half.passed
+    assert {failure["params"]["beta"] for failure in laguerre.failures} == {0, 1}
+    assert codes == [1, 1]
+    out = capsys.readouterr().out
+    assert "hermite_is_sigma_jack: FAIL" in out and "laguerre_is_sigma_jack: FAIL" in out
 
 
 def test_failure_reporting_carries_counterexample():
