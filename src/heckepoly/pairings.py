@@ -7,7 +7,7 @@ non-negative integer:
 * constant-term pairing (trigonometric picture):
       <f, g> = (-1)^(beta N(N-1)/2) [ f(x) g(1/x) prod (x_i-x_j)^(2 beta)
                                       prod x_j^(-beta(N-1)) ]_0
-* Gaussian pairing: monomial moments  int x^(2k) e^(-x^2) dx
+* Gaussian pairing: one-variable moments  int x^(2k) e^(-x^2) dx
       = (2k)!/(4^k k!) * pi^(1/2) = (2k-1)!!/2^k * pi^(1/2)
 * Laguerre pairing (u = z^2): moments  int |z|^(2 gamma) z^(2k) e^(-z^2) dz
       = (gamma+1/2)(gamma+3/2)...(gamma+k-1/2) * Gamma(gamma+1/2)
@@ -20,7 +20,10 @@ spec (``_kernel``, the only code here that tells the families apart):
 transcendental base powers.  The value is the Laurent weight coefficient
 at b - a (Jack) or the cached moment numerator of x^(a+b) (Gauss,
 Laguerre); the denominator is the constant-term sign, 2^((d+D)/2) or
-q^(d+D).  One body pairs f and g for all three families: it scales them
+q^(d+D).  M(0), and any moment of degree above 32, sums one-variable
+moments over the terms of W; every other moment is an integer recurrence
+over lower ones, by Dunkl integration by parts (``_moment_terms``).  One
+body pairs f and g for all three families: it scales them
 to integer coefficients, sums integer products per total degree and
 divides once (``_pairing_by_degree`` keeps the degrees apart, for the
 duality check of the graded constant-term pairing).  The kernel also
@@ -144,15 +147,6 @@ def _ct_weight(n: int, beta: int) -> dict[Exponent, int]:
 
 
 @memo
-def _weight_by_parity(n: int, beta: int) -> dict[Exponent, tuple]:
-    """Weight terms grouped by the parity vector of their exponent."""
-    groups: dict[Exponent, list] = {}
-    for exps, coeff in _weight_terms(n, beta):
-        groups.setdefault(tuple(e % 2 for e in exps), []).append((exps, coeff))
-    return {parity: tuple(terms) for parity, terms in groups.items()}
-
-
-@memo
 def _gauss_table(k: int) -> tuple[int, ...]:
     """(j-1)!! for even j and 0 for odd j, j = 0..k: the one-variable
     moment int x^j e^(-x^2) dx / pi^(1/2) times 2^(j/2)."""
@@ -172,36 +166,60 @@ def _rising_table(p: int, q: int, k: int) -> tuple[int, ...]:
     return tuple(table)
 
 
-def _weighted_moment(weight, table, exps) -> int:
-    total = 0
-    for w_exps, coeff in weight:
-        for e, w in zip(exps, w_exps):
-            coeff *= table[e + w]
-        total += coeff
-    return total
+def _moment_terms(c: Exponent, beta: int, step: int, p: int, q: int) -> dict[Exponent, int]:
+    """{b: coefficient} with M(c) = sum coefficient M(b) over sorted b (W is
+    symmetric), for a sorted exponent c != 0 with last index j.  D_j is
+    adjoint to 2 x_j under the Gauss weight, and d/du_j (u_j f W)
+    integrates to 0 under the Laguerre one (M. Rösler, Comm. Math. Phys.
+    192 (1998) 519-542; T. H. Baker and P. J. Forrester, Comm. Math. Phys.
+    188 (1997) 175-216), so with a = c - (step - 1) e_j
+
+        M(c) = ((c_j - 1) q + p) M(c - step e_j)
+               + q beta sum_{k != j} sum_b [(1 - s_jk)/(x_j - x_k) x^a]_b M(b)
+
+    in the kernel's units: step 2, p/q = 0/1 (Gauss); step 1, p/q =
+    gamma + 1/2 (Laguerre).  The divided difference telescopes, for s > r:
+    (x_j^s x_k^r - x_j^r x_k^s)/(x_j - x_k) = sum_{i=r}^{s-1} x_j^i x_k^(r+s-1-i)."""
+    j = len(c) - 1
+    top = c[j] - step + 1
+    diagonal = (c[j] - 1) * q + p
+    terms = {tuple(sorted(c[:j] + (c[j] - step,))): diagonal} if diagonal else {}
+    e = list(c)
+    for k in range(j):
+        low, high = sorted((c[k], top))
+        coeff = q * beta if top > c[k] else -q * beta
+        for i in range(low, high):
+            e[j], e[k] = i, low + high - 1 - i
+            b = tuple(sorted(e))
+            terms[b] = terms.get(b, 0) + coeff
+        e[k] = c[k]
+    return {b: v for b, v in terms.items() if v}
+
+
+# Above this total degree a moment is one weight sum, which also bounds the
+# recursion's depth: from u_2^600 at N = 2 the recursion would first fill
+# every lower moment, 90,301 of them (24 s on one Xeon core under CPython
+# 3.11), for a weight of three terms.
+_RECURSION_DEGREE = 32
 
 
 @memo
-def _gauss_moment_num(n: int, beta: int, exps: Exponent) -> int:
-    """Moment of x^exps against W, in units of pi^(N/2), times
-    2^((|exps| + D)/2).  Only weight terms of the parity of exps count."""
+def _moment_num(n: int, beta: int, step: int, p: int, q: int, exps: Exponent) -> int:
+    """Moment numerator of x^exps in ``_moment_terms``'s units, summed from
+    lower moments down to M(0), the weight summed against the one-variable
+    moments of Gauss (step 2) or Laguerre (step 1)."""
     key = tuple(sorted(exps))
-    if key != exps:  # W is symmetric: compute once per sorted exponent
-        return _gauss_moment_num(n, beta, key)
-    weight = _weight_by_parity(n, beta).get(tuple(e % 2 for e in exps), ())
-    table = _gauss_table(max(exps) + 2 * beta * (n - 1))
-    return _weighted_moment(weight, table, exps)
-
-
-@memo
-def _laguerre_moment_num(n: int, beta: int, p: int, q: int, exps: Exponent) -> int:
-    """Moment of u^exps against W, in units of Gamma(gamma+1/2)^N, times
-    q^(|exps| + D) where gamma + 1/2 = p/q."""
-    key = tuple(sorted(exps))
-    if key != exps:
-        return _laguerre_moment_num(n, beta, p, q, key)
-    table = _rising_table(p, q, max(exps) + 2 * beta * (n - 1))
-    return _weighted_moment(_weight_terms(n, beta), table, exps)
+    if key != exps:  # compute once per sorted exponent
+        return _moment_num(n, beta, step, p, q, key)
+    if sum(key) % step:
+        return 0
+    if not key[-1] or sum(key) > _RECURSION_DEGREE:
+        k = key[-1] + 2 * beta * (n - 1)
+        one = _gauss_table(k) if step == 2 else _rising_table(p, q, k)
+        return sum(coeff * math.prod(one[e + w] for e, w in zip(key, w_exps))
+                   for w_exps, coeff in _weight_terms(n, beta))
+    terms = _moment_terms(key, beta, step, p, q)
+    return sum(v * _moment_num(n, beta, step, p, q, b) for b, v in terms.items())
 
 
 class _Kernel(NamedTuple):
@@ -211,6 +229,7 @@ class _Kernel(NamedTuple):
     denominator: Callable[[int], int]  # of the total degree |a| + |b|
     bases: tuple[int, int]  # (pi_half, gamma_base) of the values
     moment: Callable[[int], tuple[int, int]] | None  # one variable, degree k
+    step: int = 1  # value(a, b) is 0 unless step divides |a| + |b|
 
 
 @memo
@@ -237,23 +256,14 @@ def _kernel(spec: FamilySpec) -> _Kernel:
 
         return _Kernel(value, lambda d: sign, (0, 0), None)
     if spec.family == HERMITE:
-
-        def value(a, b):
-            return _gauss_moment_num(n, beta, tuple(map(add, a, b)))
-
-        return _Kernel(
-            value, lambda d: 2 ** ((d + weight_degree) // 2), (n, 0), lambda k: (1, 2**k)
-        )
+        return _Kernel(lambda a, b: _moment_num(n, beta, 2, 0, 1, tuple(map(add, a, b))),
+                       lambda d: 2 ** ((d + weight_degree) // 2), (n, 0), lambda k: (1, 2**k), 2)
     if spec.gamma <= Fraction(-1, 2):
         raise DivergentWeightError("divergent weight: gamma must exceed -1/2")
     base = spec.gamma + Fraction(1, 2)
     p, q = base.numerator, base.denominator
-
-    def value(a, b):
-        return _laguerre_moment_num(n, beta, p, q, tuple(map(add, a, b)))
-
     return _Kernel(
-        value,
+        lambda a, b: _moment_num(n, beta, 1, p, q, tuple(map(add, a, b))),
         lambda d: q ** (d + weight_degree),
         (0, n),
         lambda k: (_rising_table(p, q, k)[k], q**k),
@@ -281,11 +291,13 @@ def _orbit_numerator(spec: FamilySpec):
     symmetric, so value is invariant under permuting a and b together,
     and the double sum is |O(rep)| times the sum over the other orbit for
     one rep of the larger orbit.  The constant-term value is even too
-    (W(1/x) = W(x)), so rep may come from either side."""
+    (W(1/x) = W(x)), so rep may come from either side.  A pair whose
+    degree the kernel's step does not divide is 0 without a sum."""
     table = _ORBIT_NUMERATORS.get(spec)
     if table is None:
         table = _ORBIT_NUMERATORS[spec] = {}
-    value = _kernel(spec).value
+    kernel = _kernel(spec)
+    value, step = kernel.value, kernel.step
 
     def numerator(mu, nu) -> int:
         key = (mu, nu) if mu <= nu else (nu, mu)
@@ -295,7 +307,8 @@ def _orbit_numerator(spec: FamilySpec):
             if len(big) < len(small):
                 big, small = small, big
             rep = big[0]
-            num = table[key] = len(big) * sum(value(rep, b) for b in small)
+            odd = (sum(mu) + sum(nu)) % step
+            num = table[key] = 0 if odd else len(big) * sum(value(rep, b) for b in small)
         return num
 
     return numerator

@@ -2,8 +2,10 @@
 
 import ast
 import json
+import math
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -89,6 +91,23 @@ def test_pair_command(capsys):
         capsys,
     )
     assert out.strip() == "2"
+
+
+@pytest.mark.parametrize("family, exps, expected", [
+    # (u_1 - u_2)^2 against 1!, 600!, 601!, 602!: 600! (2 - 2*601 + 601*602)
+    (["laguerre", "--gamma", "1/2"], [0, 600], f"{math.factorial(600) * 360602} · Γ(γ+1/2)^2"),
+    # (1/2) g(1200) + g(1202) with g(k) = (k-1)!!/2^(k/2): 601 * 1199!!/2^600
+    (["hermite"], [0, 1200], f"{Fraction(601 * math.prod(range(1, 1200, 2)), 2**600)} · π"),
+])
+def test_pair_of_one_high_power(family, exps, expected, capsys):
+    """A single high power pairs by one weight sum, with no recursion limit."""
+    f = json.dumps({"vars": 2, "terms": [{"exp": exps, "num": "1", "den": "1"}]})
+    g = json.dumps(Polynomial.one(2).to_json_dict())
+    code, out = run_cli(
+        ["pair", "--family", *family, "--n", "2", "--beta", "1", "--f", f, "--g", g], capsys
+    )
+    assert code == 0
+    assert out.strip() == expected
 
 
 def test_pair_with_named_operators(capsys):

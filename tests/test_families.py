@@ -640,7 +640,7 @@ def test_construction_caches_cold_warm_and_cleared():
     labels = sum(len(list(partitions_up_to(3, spec.n))) for spec in specs)
     assert _constructions(info) == labels  # one per label, default route
     assert info["pairings.orbit_numerators"] > 0
-    assert info["pairings._gauss_moment_num"] > 0 and info["pairings._ct_weight"] > 0
+    assert info["pairings._moment_num"] > 0 and info["pairings._ct_weight"] > 0
     assert info["pairings._kernel"] == len(specs)
     warm = results()
     assert cache_info() == info

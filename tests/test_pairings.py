@@ -449,3 +449,152 @@ def test_vandermonde_power_is_the_product_of_binomials():
             power = _vandermonde_power(n, beta)
             assert power == vandermonde(n) ** (2 * beta), (n, beta)
             assert all(type(c) is int for c in power.terms.values())
+
+
+# -- moments by Dunkl integration by parts -----------------------------------
+
+MOMENT_GAMMAS = (Fraction(-1, 3), Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2))
+
+
+@lru_cache(maxsize=None)
+def _integer_weight(n, beta):
+    """(exponent, integer coefficient) terms of prod_{i<j} (x_i - x_j)^(2 beta),
+    multiplied out one binomial at a time."""
+    from itertools import combinations
+    from math import comb
+
+    terms = {(0,) * n: 1}
+    for i, j in combinations(range(n), 2):
+        product = {}
+        for exps, coeff in terms.items():
+            for t in range(2 * beta + 1):
+                e = list(exps)
+                e[i] += 2 * beta - t
+                e[j] += t
+                key = tuple(e)
+                product[key] = product.get(key, 0) + coeff * comb(2 * beta, t) * (-1) ** t
+        terms = {e: c for e, c in product.items() if c}
+    return tuple(terms.items())
+
+
+@lru_cache(maxsize=None)
+def _one_variable_moments(spec, top):
+    """(k-1)!! for even k and 0 for odd k (Gauss), or p (p+q) ... (p+(k-1)q)
+    with gamma + 1/2 = p/q (Laguerre), for k = 0..top."""
+    from math import prod
+
+    if spec.family == "hermite":
+        return [0 if k % 2 else prod(range(1, k, 2)) for k in range(top + 1)]
+    base = spec.gamma + Fraction(1, 2)
+    return [prod(base.numerator + i * base.denominator for i in range(k))
+            for k in range(top + 1)]
+
+
+def moment_by_weight_sum(spec, exps):
+    """The moment numerator of x^exps in the pairing kernel's units (Gauss:
+    times 2^((|exps| + D)/2); Laguerre: times q^(|exps| + D)), as the
+    weight summed against the one-variable moments."""
+    from math import prod
+    from operator import add
+
+    one = _one_variable_moments(spec, max(exps) + 2 * spec.beta * (spec.n - 1))
+    return sum(coeff * prod(map(one.__getitem__, map(add, exps, w_exps)))
+               for w_exps, coeff in _integer_weight(spec.n, spec.beta))
+
+
+def test_moment_recurrence_equals_the_weight_sum(monkeypatch):
+    """Every sorted exponent of degree <= 9 (<= 6 at N = 5), N = 1..5,
+    beta = 0..3 (0..1 at N = 5, where the weight has 38,621 and 185,041
+    terms at beta = 2 and 3), Gauss and five Laguerre gammas: the kernel's
+    moment equals the weight sum, and the package sums its own weight only
+    for M(0), once per spec."""
+    from heckepoly import clear_caches, pairings
+
+    summed = []
+    weight_terms = pairings._weight_terms
+    monkeypatch.setattr(pairings, "_weight_terms",
+                        lambda n, beta: summed.append((n, beta)) or weight_terms(n, beta))
+    clear_caches()
+    checked = specs = 0
+    try:
+        for n in range(1, 6):
+            top = 9 if n < 5 else 6
+            exps = [tuple(sorted(mu)) for mu in partitions_up_to(top, n)]
+            for beta in range(4 if n < 5 else 2):
+                for spec in [hermite_spec(n, beta)] + [
+                    laguerre_spec(n, beta, gamma) for gamma in MOMENT_GAMMAS
+                ]:
+                    value, zero = pairings._kernel(spec).value, (0,) * n
+                    for c in exps:
+                        assert value(zero, c) == moment_by_weight_sum(spec, c), (spec, c)
+                    checked += len(exps)
+                    specs += 1
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    assert checked == 4284
+    assert len(summed) == specs
+
+
+def test_high_single_exponents_are_weight_sums():
+    """Above the recursion's degree bound a moment is one weight sum, so a
+    single high power fills no lower moments (and meets no recursion
+    limit)."""
+    from heckepoly import cache_info, clear_caches
+    from heckepoly.pairings import _RECURSION_DEGREE
+
+    clear_caches()
+    cases = ((hermite_spec(2, 1), (1200, 0)), (laguerre_spec(2, 1, Fraction(1, 2)), (0, 600)),
+             (hermite_spec(3, 2), (0, 0, _RECURSION_DEGREE + 2)))
+    for spec, c in cases:
+        f = Polynomial.monomial(c)
+        assert pair_q(f, Polynomial.one(spec.n), spec) == Fraction(
+            moment_by_weight_sum(spec, tuple(sorted(c))),
+            moment_by_weight_sum(spec, (0,) * spec.n),
+        ) * pair_q(Polynomial.one(spec.n), Polynomial.one(spec.n), spec) / (
+            2 ** (sum(c) // 2) if spec.family == "hermite" else 1
+        )
+    # per case x^c, its sorted exponent and M(0), nothing in between
+    held = sum(len({c, tuple(sorted(c)), (0,) * spec.n}) for spec, c in cases)
+    assert cache_info()["pairings._moment_num"] == held == 7
+    clear_caches()
+
+
+def test_gauss_orbit_pairs_of_odd_degree_are_zero_without_a_sum(monkeypatch):
+    """The Gauss kernel's step 2 makes <m_mu, m_nu> with |mu| + |nu| odd 0
+    before any moment is read."""
+    from heckepoly import clear_caches, pairings
+
+    kernel = pairings._kernel
+
+    def no_values(spec):
+        def value(a, b):
+            raise AssertionError("a moment was read")
+        return kernel(spec)._replace(value=value)
+
+    spec = hermite_spec(3, 1)
+    clear_caches()
+    monkeypatch.setattr(pairings, "_kernel", no_values)
+    try:
+        numerator = pairings._orbit_numerator(spec)
+        assert numerator((2, 1, 0), (1, 1, 0)) == numerator((1, 0, 0), (0, 0, 0)) == 0
+        with pytest.raises(AssertionError, match="a moment was read"):
+            numerator((1, 0, 0), (1, 0, 0))
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    assert pairings._kernel(spec).step == 2
+    assert pairings._kernel(laguerre_spec(3, 1, Fraction(1, 2))).step == 1
+    assert pairings._kernel(jack_spec(3, 1)).step == 1
+
+
+def test_cold_symmetric_pairings_apply_no_operator():
+    from heckepoly import cache_info, clear_caches
+
+    for spec in (hermite_spec(3, 2), laguerre_spec(3, 1, Fraction(1, 3))):
+        f = monomial_symmetric(3, (2, 1, 0)) + Fraction(1, 2) * monomial_symmetric(3, (1, 1, 0))
+        clear_caches()
+        assert pair_q(f, f, spec) == double_sum(f, f, spec)
+        assert cache_info()["pairings._moment_num"] > 0
+        assert cache_info()["operators.images"] == 0
+    clear_caches()

@@ -325,6 +325,38 @@ def test_planted_sutherland_coefficient_fails_jack_eigen(monkeypatch, capsys):
         clear_caches()
 
 
+MOMENT_PLANTS = {
+    # beta + 1 in the divided-difference coefficient q beta
+    "divided_difference": lambda terms: lambda c, beta, step, p, q: terms(c, beta + 1, step, p, q),
+    # p + 1 in the Laguerre diagonal factor (c_j - 1) q + p
+    "laguerre_diagonal": lambda terms: lambda c, beta, step, p, q: terms(
+        c, beta, step, p + 1 if step == 1 else p, q),
+}
+
+
+@pytest.mark.parametrize("plant", sorted(MOMENT_PLANTS))
+def test_planted_moment_recurrence_fails_norms_all(plant, monkeypatch, capsys):
+    """norms_all compares the pairings, whose moments come from the
+    recurrence of ``pairings._moment_terms``, with the closed-form norms, so
+    a wrong recurrence coefficient fails it and verify exits 1."""
+    from heckepoly import pairings
+    from heckepoly.cli import main
+
+    clear_caches()
+    monkeypatch.setattr(pairings, "_moment_terms", MOMENT_PLANTS[plant](pairings._moment_terms))
+    try:
+        report = run_suite("norms_all", SMALL)
+        code = main(["verify", "--suite", "norms_all", *SMALL_ARGV])
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    families_failed = {failure["params"]["family"] for failure in report.failures}
+    assert families_failed == ({"hermite", "laguerre"} if plant == "divided_difference"
+                               else {"laguerre"})
+    assert code == 1
+    assert capsys.readouterr().out.startswith("norms_all: FAIL")
+
+
 def _inverted_read_back(kernel):
     """``pairings._kernel`` as the Gram route of ``families`` reads it,
     every denominator inverted, so the read-back ratio den(|nu| + |lam|) /
