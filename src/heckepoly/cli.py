@@ -55,7 +55,7 @@ from .errors import (
     TypeBContextError,
 )
 from .families import NonSymLabel, construct, realization
-from .parameters import FamilySpec, LAGUERRE
+from .parameters import FamilySpec
 from .pairings import norm_formula
 from .polynomials import Polynomial
 from .raising import raising_apply
@@ -127,8 +127,6 @@ def rational_list(text: str) -> tuple[Fraction, ...]:
 
 def _spec_from(args) -> FamilySpec:
     gamma = parse_rational(args.gamma) if args.gamma is not None else None
-    if args.family == LAGUERRE and gamma is None:
-        _fail("usage error: the laguerre family needs --gamma")
     try:
         return FamilySpec(args.family, args.n, args.beta, gamma)
     except ValueError as err:

@@ -58,10 +58,10 @@ key (``raising.rodrigues`` shares the entry of ``construct(lam, spec,
 "rodrigues")``), a route never reads another route's entry, so a
 cross-check compares two constructions, and a construction that raises
 is not stored.  The recursion reads its own memo, so each E_eta on the
-way to a label is stored too.  The raising and
-shift operators act on symmetric inputs through ``orbit_images``, which
-holds the m_nu coefficients of each image op(pre m_mu) / divisor once per
-(spec, operator key, mu).
+way to a label is stored too.  R_m, G, Ghat, e_k(Dhat) and sigma keep
+symmetric polynomials symmetric, so each acts on a symmetric input through
+``Realization.orbit_image``, from its images of the m_mu, stored once per
+(spec, key, mu) in ``families.orbit_images``.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ from .errors import (
 )
 from .pairings import ScaledRational, _kernel, _orbit_numerator
 from .parameters import FamilySpec, HERMITE, JACK, LAGUERRE
-from .polynomials import Polynomial, _canonical, _integer_part, divide_exact
+from .polynomials import Polynomial, _canonical, _integer_part
 
 Partition = tuple[int, ...]
 
@@ -183,8 +183,8 @@ class Realization:
     through the codec u_j = z_j^stretch.  An instance holds only its spec,
     and the family's data (class attributes of the subclasses below) are
     names: V_j and C_j are asked of ``operators`` on every call, so
-    ``clear_caches`` drops them, and the pairing, intertwiner and
-    constructors are looked up by name when called.
+    ``clear_caches`` drops them, and the pairing, the constructors and
+    (in verify) the intertwiner are looked up by name when called.
     """
 
     __slots__ = ("spec",)
@@ -198,7 +198,6 @@ class Realization:
     graded: bool  # the pairing vanishes on x^a, x^b unless |a| = |b|
     intertwiner: str | None  # sigma_a or sigma_b, applied to the Jack family
     symmetric_routes: tuple[str, ...]  # routes of a symmetric label, default first
-    nonsym_route: str  # the one route of a non-symmetric label
 
     def __init__(self, spec: FamilySpec):
         self.spec = spec
@@ -218,44 +217,39 @@ class Realization:
         """C_j, the image of the Cherednik operator Dhat_j."""
         return self.cherednik_scale * getattr(ops, self.cherednik_op)(j, self.spec)
 
-    def encode(self, f: Polynomial) -> Polynomial:
-        return f if self.stretch == 1 else encode_even(f)
-
     def decode(self, f: Polynomial) -> Polynomial:
         return f if self.stretch == 1 else decode_even(f)
 
     def apply(self, op: ops.Operator, f: Polynomial) -> Polynomial:
         """op applied to f through the codec."""
-        return self.decode(op(self.encode(f)))
+        return self.decode(op(f if self.stretch == 1 else encode_even(f)))
 
-    def apply_symmetric(self, key, op: ops.Operator, f: Polynomial, pre=None, divisor=None) -> Polynomial:
-        """op(pre f) / divisor for a symmetric f, from ``orbit_image``,
+    def apply_symmetric(self, key, image_of, f: Polynomial) -> Polynomial:
+        """The map image_of applied to a symmetric f, from ``orbit_image``,
         carrying its orbit form."""
-        return from_orbit_form(f.nvars, self.orbit_image(key, op, f, pre, divisor))
+        return from_orbit_form(f.nvars, self.orbit_image(key, image_of, f))
 
-    def orbit_image(self, key, op: ops.Operator, f: Polynomial, pre=None, divisor=None) -> dict:
-        """The m_nu coefficients of op(pre f) / divisor for a symmetric f
-        (else ValueError): the sum of c_mu times the stored coefficients of
-        op(pre m_mu) / divisor, over the c_mu scaled to integers, divided
-        once.  Each image is applied, divided exactly and read by orbit once
-        per (spec, key, mu), so a key must fix op, pre and divisor; an image
-        that is not symmetric raises NotProportionalError."""
+    def orbit_image(self, key, image_of, f: Polynomial) -> dict:
+        """The m_nu coefficients of L f for a symmetric f (else ValueError)
+        and a linear L = image_of on the m_mu: the sum of c_mu times the
+        stored coefficients of image_of(m_mu), over the c_mu scaled to
+        integers, divided once.  Each image is built and read by orbit once
+        per (spec, key, mu), so a key must fix image_of; an image that is
+        not symmetric raises NotProportionalError."""
         coeffs, den = _integer_part(f._orbit_form())
         out: dict = {}
         for mu, c in coeffs.items():
             slot = (self.spec, key, mu)
             image = _ORBIT_IMAGES.get(slot)
             if image is None:
-                m = monomial_symmetric(f.nvars, mu)
-                poly = self.apply(op, m if pre is None else pre * m)
-                if divisor is not None:
-                    poly = divide_exact(poly, divisor)
+                poly = image_of(monomial_symmetric(f.nvars, mu))
                 try:
-                    image = _ORBIT_IMAGES[slot] = _orbit_coefficients(poly.terms)
+                    _ORBIT_IMAGES[slot] = _orbit_coefficients(poly.terms)
                 except ValueError as exc:
                     raise NotProportionalError(
                         f"{exc}: the image of m_{mu} under {key} at {self.spec}"
                     ) from exc
+                image = _ORBIT_IMAGES[slot]  # the first use reads what later ones do
             for nu, v in image.items():
                 out[nu] = out.get(nu, 0) + c * v
         return {nu: _canonical(Fraction(v, den) if den > 1 else v) for nu, v in out.items() if v}
@@ -273,8 +267,7 @@ class Realization:
         n = self.spec.n
         letters = [self._letter(j) for j in range(1, n + 1)]
         words = {ops.exponent_word(exps, self.stretch): c for exps, c in f.terms.items()}
-        (image,) = ops.apply_words(Polynomial.one(n), [words], letters)
-        return self.decode(image)
+        return self.decode(ops.apply_words(Polynomial.one(n), words, letters))
 
 
 class _Jack(Realization):
@@ -283,7 +276,6 @@ class _Jack(Realization):
     cherednik_op, cherednik_scale = "cherednik", Fraction(1)
     pairing, intertwiner, graded = "ct_pairing", None, True
     symmetric_routes = ("triangular", "rodrigues")
-    nonsym_route = "recursion"
 
 
 class _Hermite(Realization):
@@ -292,7 +284,6 @@ class _Hermite(Realization):
     cherednik_op, cherednik_scale = "htilde", Fraction(1)
     pairing, intertwiner, graded = "gauss_pairing", "sigma_a", False
     symmetric_routes = ("gram", "intertwined", "rodrigues")
-    nonsym_route = "recursion"
 
 
 class _Laguerre(Realization):
@@ -301,12 +292,12 @@ class _Laguerre(Realization):
     cherednik_op, cherednik_scale = "htilde", Fraction(1, 2)
     pairing, intertwiner, graded = "laguerre_pairing", "sigma_b", False
     symmetric_routes = ("gram", "intertwined", "rodrigues")
-    nonsym_route = "recursion"
 
 
 _REALIZATIONS = {JACK: _Jack, HERMITE: _Hermite, LAGUERRE: _Laguerre}
+NONSYM_ROUTE = "recursion"  # the one route of a non-symmetric label, in every family
 
-_ORBIT_IMAGES: dict = {}  # (spec, key, mu) -> m_nu coefficients of op(pre m_mu) / divisor
+_ORBIT_IMAGES: dict = {}  # (spec, key, mu) -> m_nu coefficients of image_of(m_mu)
 register("families.orbit_images", _ORBIT_IMAGES.__len__, _ORBIT_IMAGES.clear)
 
 
@@ -421,7 +412,7 @@ def _checked_nonsym(label: NonSymLabel, spec: FamilySpec) -> FamilyPolynomial:
         scalar = Fraction(spec.beta, ebar[i] - ebar[i + 1])
         poly = ops.exchange(n, i + 1, i + 2)(prev) + scalar * prev
     _assert_nonsym_triangular(poly, label)
-    return FamilyPolynomial(label, spec, poly, "recursion", composition_spectrum(eta, spec.beta))
+    return FamilyPolynomial(label, spec, poly, NONSYM_ROUTE, composition_spectrum(eta, spec.beta))
 
 
 def _assert_nonsym_triangular(poly: Polynomial, label: NonSymLabel) -> None:
@@ -458,7 +449,10 @@ def _symmetric(lam, spec: FamilySpec, method: str) -> FamilyPolynomial:
 
 @memo
 def _checked_symmetric(lam, spec: FamilySpec, method: str) -> FamilyPolynomial:
-    poly = _ROUTES[method](lam, spec)
+    try:
+        poly = _ROUTES[method](lam, spec)
+    except NotProportionalError as exc:  # a stored image that is not symmetric
+        raise _case_error(NotProportionalError, exc, lam, spec) from exc
     _assert_symmetric_triangular(poly, lam, spec)
     spectrum = symmetric_spectrum(lam, spec.n, spec.beta)
     return FamilyPolynomial(lam, spec, poly, method, spectrum)
@@ -515,29 +509,21 @@ def _sutherland_raising(nu) -> dict:
     return out
 
 
-def _elementary_images(f: Polynomial, chers) -> list[Polynomial]:
-    """e_k(chers) f for k = 1..N (verify's jack_eigen), summed over the
-    k-subsets S, each applied in increasing index order.  The word of S is
-    the word of S without max S followed by max S, so each nonempty subset
-    costs one application."""
-    n = len(chers)
-    sums = [dict.fromkeys(itertools.combinations(range(n), k), 1) for k in range(1, n + 1)]
-    return ops.apply_words(f, sums, chers)
+def _case_error(kind, message, lam, spec: FamilySpec) -> HeckePolyError:
+    """kind(message), naming the case; built only when one is raised."""
+    return kind(f"{message} at N={spec.n}, beta={spec.beta}, lambda={lam}")
 
 
 def _assert_symmetric_triangular(poly: Polynomial, lam, spec: FamilySpec) -> None:
-    def error(kind, message):  # the case is named only when one is raised
-        return kind(f"{message} at N={spec.n}, beta={spec.beta}, lambda={lam}")
-
     try:
         expansion = poly._orbit_form()
     except ValueError as exc:  # not symmetric
-        raise error(HeckePolyError, exc) from exc
+        raise _case_error(HeckePolyError, exc, lam, spec) from exc
     if expansion.get(lam) != 1:
-        raise error(HeckePolyError, "leading coefficient of m_lam is not 1")
+        raise _case_error(HeckePolyError, "leading coefficient of m_lam is not 1", lam, spec)
     for mu in expansion:
         if mu != lam and not extended_dominance_lt(mu, lam):
-            raise error(HeckePolyError, f"companion {mu} is not below {lam}")
+            raise _case_error(HeckePolyError, f"companion {mu} is not below {lam}", lam, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -593,9 +579,10 @@ def laguerre(lam, spec: FamilySpec, method: str = "gram") -> FamilyPolynomial:
 
 
 def _intertwined(lam, spec: FamilySpec) -> Polynomial:
-    """sigma_a or sigma_b (found by name when called) of the Jack polynomial."""
-    jack_poly = jack(lam, FamilySpec(JACK, spec.n, spec.beta)).poly
-    return globals()[realization(spec).intertwiner](jack_poly, spec)
+    """sigma (sigma_a or sigma_b) of the Jack polynomial, from the stored
+    sigma images of its m_mu."""
+    real, jack_poly = realization(spec), jack(lam, FamilySpec(JACK, spec.n, spec.beta)).poly
+    return real.apply_symmetric("sigma", real.intertwine, jack_poly)
 
 
 _GRAM_ROWS: dict = {}  # spec -> (label -> row number, [(L_k, pivot) per row])
@@ -675,13 +662,12 @@ def construct(label, spec: FamilySpec, method: str | None = None) -> FamilyPolyn
     found by name when called).  A symmetric label takes any route of its
     family, the default when method is None; a non-symmetric label has one
     route, so method must be None or that route."""
-    real = realization(spec)
     if isinstance(label, NonSymLabel):
-        if method not in (None, real.nonsym_route):
+        if method not in (None, NONSYM_ROUTE):
             raise ValueError(
                 f"non-symmetric {spec.family} polynomials are built by the "
-                f"{real.nonsym_route!r} route, not {method!r}"
+                f"{NONSYM_ROUTE!r} route, not {method!r}"
             )
         return globals()[f"nonsym_{spec.family}"](label, spec)
-    return globals()[spec.family](label, spec, method or real.symmetric_routes[0])
+    return globals()[spec.family](label, spec, method or realization(spec).symmetric_routes[0])
 

@@ -33,9 +33,9 @@ A family of operator words applied to one seed is evaluated by shared
 prefixes (``apply_words``): a word's image is its last step applied to
 the image of the word without it, so every prefix is applied once.  The
 word of x^a is L_1^a_1 then L_2^a_2, ... (``exponent_word``), which serves
-the intertwiners, the operator pairing and the e_k(Dhat) images; the
-deformed antisymmetrizer peels first left descents of S_N, T_w f =
-shat_i(T_{s_i w} f), and costs N! - 1 deformed transpositions per push.
+the intertwiners and the operator pairing; the deformed antisymmetrizer
+peels first left descents of S_N, T_w f = shat_i(T_{s_i w} f), and costs
+N! - 1 deformed transpositions per push.
 
 Dunkl operator (A type):      D_j = d_j + beta * sum_{k!=j} (1-s_jk)/(x_j-x_k)
 Cherednik operator (A type):  Dhat_j = x_j D_j + beta * sum_{k<j} s_jk
@@ -618,27 +618,24 @@ def _word_images(seed: dict, words, steps) -> dict:
     return images
 
 
-def apply_words(seed: Polynomial, sums: list[dict], steps) -> list[Polynomial]:
-    """sum_word k * T_word(seed) for each {word: k} of ``sums``, with
+def apply_words(seed: Polynomial, weights: dict, steps) -> Polynomial:
+    """sum_word k * T_word(seed) over the {word: k} of ``weights``, with
     T_(i_1..i_k) = steps[i_k] ... steps[i_1]: steps[i_1] acts first.  All
     words share one evaluation of their prefixes (``_word_images``), and
-    each sum is accumulated in integers over one common denominator and
+    the sum is accumulated in integers over one common denominator and
     divided once."""
     src, den = _integer_part(seed.terms)
-    images = _word_images(src, dict.fromkeys(w for weights in sums for w in weights), steps)
-    results = []
-    for weights in sums:
-        factors = [(images[w][0] * _canonical(k), images[w][1]) for w, k in weights.items()]
-        common = math.lcm(*(r.denominator for r, _ in factors))
-        total: dict = {}
-        get = total.get
-        for r, image in factors:
-            m = r.numerator * (common // r.denominator)
-            for e, v in image.items():
-                total[e] = get(e, 0) + m * v
-        q = common * den
-        results.append(_rescale(seed.nvars, total, Fraction(1, q) if q > 1 else 1))
-    return results
+    images = _word_images(src, weights, steps)
+    factors = [(images[w][0] * _canonical(k), images[w][1]) for w, k in weights.items()]
+    common = math.lcm(*(r.denominator for r, _ in factors))
+    total: dict = {}
+    get = total.get
+    for r, image in factors:
+        m = r.numerator * (common // r.denominator)
+        for e, v in image.items():
+            total[e] = get(e, 0) + m * v
+    q = common * den
+    return _rescale(seed.nvars, total, Fraction(1, q) if q > 1 else 1)
 
 
 def sutherland_expanded_apply(f: Polynomial, beta: int) -> Polynomial:

@@ -429,8 +429,7 @@ def dunkl_pairing(
         raise ValueError(f"unknown dunkl_pairing variant {variant!r}")
     operators = [scale * getattr(ops, variant)(j, base_spec) for j in range(1, spec.n + 1)]
     words = {ops.exponent_word(exps): coeff for exps, coeff in f.terms.items()}
-    (image,) = ops.apply_words(g, [words], operators)
-    return image.constant_term()
+    return ops.apply_words(g, words, operators).constant_term()
 
 
 # ---------------------------------------------------------------------------

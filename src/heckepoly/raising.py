@@ -21,9 +21,10 @@ Iterating the chain from the empty partition and dividing by the hook-type
 product prod_{cells (i,j)} (lam_i - j + beta(lam'_j - i + 1)) recovers the
 monic family polynomial (Rodrigues route); every chain step satisfies the
 length hypothesis because columns grow left to right.  Needs beta >= 1 so
-no hook factor vanishes.  ``raising_apply`` sums the stored m_nu
-coefficients of R_m m_mu (``Realization.orbit_image``) and compares them
-with the constant times the target's; the chain applies R_m directly.
+no hook factor vanishes.  ``raising_apply`` and the chain read R_m through
+the stored m_nu coefficients of R_m m_mu (``Realization.orbit_image``):
+the one compares their sum with the constant times the target's, each
+step of the other is that sum as a polynomial.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import partial
 
 from . import operators as ops
 from .caches import memo
@@ -93,7 +95,8 @@ def raising_apply(m: int, family_poly: FamilyPolynomial):
         raise ValueError(
             f"raising with m={m} needs a label with at most {m} nonzero parts, got {lam}"
         )
-    image = realization(spec).orbit_image(("raise", m), op, family_poly.poly)
+    real = realization(spec)
+    image = real.orbit_image(("raise", m), partial(real.apply, op), family_poly.poly)
     constant = raising_constant(lam, m, spec)
     target = construct(add_to_first_parts(lam, m), spec)
     if not equals_multiple(image, constant, target.poly):
@@ -128,8 +131,9 @@ def _rodrigues_chain(lam, spec: FamilySpec) -> Polynomial:
             f"Rodrigues prefactor singular for {lam} at beta={beta}"
         )
     real = realization(spec)
-    current = real.encode(Polynomial.one(n))
+    current = Polynomial.one(n)
     for m in range(1, n + 1):
+        image_of = partial(real.apply, raising_operator(m, spec))
         for _ in range(lam[m - 1] - (lam[m] if m < n else 0)):
-            current = raising_operator(m, spec)(current)
-    return real.decode(current) * (Fraction(1) / hooks)
+            current = real.apply_symmetric(("raise", m), image_of, current)
+    return current * (Fraction(1) / hooks)

@@ -26,7 +26,7 @@ duality statement and the norm recursion do not depend on the sign; for
 Jack, whose pairing is graded, duality is checked degree by degree.
 G and Ghat take symmetric inputs: ``Realization.orbit_image`` sums the
 stored m_nu coefficients of X^{-1} Y(-) m_mu and Y(+)(X m_mu), each
-applied (for G divided by X) and checked symmetric once per spec.
+built (``_shift_image``) and checked symmetric once per spec.
 ``shift_apply`` compares these sums with the signed constant times the
 target's m_nu coefficients; ``duality_check`` pairs the polynomials that
 ``apply_g`` and ``apply_ghat`` build from them (``apply_symmetric``).
@@ -49,7 +49,7 @@ from .errors import CalibrationError, NotDivisibleError, NotProportionalError
 from .families import FamilyPolynomial, construct, equals_multiple, realization
 from .pairings import _pairing_by_degree, shift_constants
 from .parameters import FamilySpec, JACK
-from .polynomials import Polynomial, vandermonde
+from .polynomials import Polynomial, divide_exact, vandermonde
 
 
 @dataclass(frozen=True)
@@ -97,25 +97,27 @@ def _apply_y(f: Polynomial, spec: FamilySpec, sign: int) -> Polynomial:
     return realization(spec).apply(_y_product(spec, sign), f)
 
 
-def _shift_args(direction: str, spec: FamilySpec) -> tuple:
-    """The orbit-image key, operator, premultiplier and divisor of
-    G = X^{-1} Y(-) or Ghat = Y(+) X."""
-    x = vandermonde(spec.n)
+@memo
+def _shift_image(direction: str, spec: FamilySpec):
+    """m -> X^{-1} Y(-) m (direction "G") or m -> Y(+)(X m) ("G_hat"),
+    the orbit-image map of the shift operator, built once per
+    (direction, spec)."""
+    real, x = realization(spec), vandermonde(spec.n)
     if direction == "G":
-        return "G", _y_product(spec, -1), None, x
-    return "G_hat", _y_product(spec, 1), x, None
+        minus = _y_product(spec, -1)
+        return lambda m: divide_exact(real.apply(minus, m), x)
+    plus = _y_product(spec, 1)
+    return lambda m: real.apply(plus, x * m)
 
 
 def apply_g(f: Polynomial, spec: FamilySpec) -> Polynomial:
     """G f = X^{-1} Y(-) f, from level beta (spec) to level beta+1."""
-    key, op, pre, divisor = _shift_args("G", spec)
-    return realization(spec).apply_symmetric(key, op, f, pre, divisor)
+    return realization(spec).apply_symmetric("G", _shift_image("G", spec), f)
 
 
 def apply_ghat(f: Polynomial, spec: FamilySpec) -> Polynomial:
     """Ghat f = Y(+) (X f), from level beta+1 to level beta (spec)."""
-    key, op, pre, divisor = _shift_args("G_hat", spec)
-    return realization(spec).apply_symmetric(key, op, f, pre, divisor)
+    return realization(spec).apply_symmetric("G_hat", _shift_image("G_hat", spec), f)
 
 
 @memo
@@ -163,8 +165,8 @@ def shift_apply(direction: str, family_poly: FamilyPolynomial):
         magnitude = shift_constants(lam, n, image_spec.beta)[1]
     else:
         raise ValueError(f"unknown shift direction {direction!r}")
-    key, op, pre, divisor = _shift_args(direction, image_spec)
-    image = realization(image_spec).orbit_image(key, op, family_poly.poly, pre, divisor)
+    image_of = _shift_image(direction, image_spec)
+    image = realization(image_spec).orbit_image(direction, image_of, family_poly.poly)
     target = construct(label, target_spec)
     constant = global_sign(n) * magnitude
     if not equals_multiple(image, constant, target.poly):

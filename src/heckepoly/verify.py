@@ -96,10 +96,10 @@ from .combinatorics import (
 )
 from .families import (
     NonSymLabel,
-    _elementary_images,
     _elementary_symmetric,
     composition_spectrum,
     construct,
+    equals_multiple,
     jack,
     nonsym_jack,
     realization,
@@ -416,14 +416,21 @@ def _nonsym_eigen(grid: GridSpec):
 def _jack_eigen(grid: GridSpec):
     for n, beta in itertools.product(grid.ns, grid.betas):
         spec = FamilySpec(JACK, n, beta)
+        real = realization(spec)
         chers = [ops.cherednik(j, spec) for j in range(1, n + 1)]
+        # e_k(Dhat) for k = 1..N, each k-subset applied in increasing index order
+        images = [partial(real.apply, sum(
+            (math.prod(reversed(subset)) for subset in itertools.combinations(chers, k)),
+            ops.scalar(n, 0),
+        )) for k in range(1, n + 1)]
         for lam in partitions_up_to(grid.max_weight, n):
             def case():
                 j_poly = jack(lam, spec).poly
                 values = [lam[i] + beta * (n - 1 - i) for i in range(n)]
                 return all(
-                    image == _elementary_symmetric(values, k) * j_poly
-                    for k, image in enumerate(_elementary_images(j_poly, chers), 1)
+                    equals_multiple(real.orbit_image(("e", k), image_of, j_poly),
+                                    _elementary_symmetric(values, k), j_poly)
+                    for k, image_of in enumerate(images, 1)
                 )
 
             yield {"n": n, "beta": beta, "lambda": list(lam)}, case

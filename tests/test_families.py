@@ -2,6 +2,7 @@
 cross-method agreement."""
 
 import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -695,7 +696,7 @@ def test_construction_cache_one_entry_per_label_spec_and_route():
         ("laguerre", "rodrigues"): 1, ("laguerre", "nonsym"): 3,
     }
     for (spec, route), fp in built.items():
-        expected = realization(spec).nonsym_route if route == "nonsym" else route
+        expected = families.NONSYM_ROUTE if route == "nonsym" else route
         assert fp.construction == expected
     count = size()
     warm = build_all()
@@ -822,15 +823,19 @@ def test_sutherland_closed_form_is_the_operator_on_m_mu():
 def jack_by_eigen_solve(n: int, beta: int, weight: int) -> dict:
     """Oracle: {lam: J_lam} for the labels of one weight, each the joint
     e_k(Dhat) eigenvector with leading m_lam on the m_mu of that weight,
-    by ``_eigen_solve`` on the integer orbit coefficients of the images."""
+    by ``_eigen_solve`` on the integer orbit coefficients of the images.
+    The image of e_k(Dhat) is the sum of its k-subsets' words in the
+    Cherednik operators, applied by ``operators.apply_words``."""
     from heckepoly.combinatorics import _orbit_coefficients, partitions_of
-    from heckepoly.families import _elementary_images, _elementary_symmetric
+    from heckepoly.families import _elementary_symmetric
 
     basis = sorted(partitions_of(weight, n))  # ascending lex refines dominance
     chers = [ops.cherednik(j, jack_spec(n, beta)) for j in range(1, n + 1)]
+    subsets = [dict.fromkeys(itertools.combinations(range(n), k), 1) for k in range(1, n + 1)]
     columns, eigen = [], []
     for mu in basis:
-        images = _elementary_images(monomial_symmetric(n, mu), chers)
+        m = monomial_symmetric(n, mu)
+        images = [ops.apply_words(m, weights, chers) for weights in subsets]
         columns.append([_orbit_coefficients(image.terms) for image in images])
         values = [mu[i] + beta * (n - 1 - i) for i in range(n)]
         eigen.append([_elementary_symmetric(values, k) for k in range(1, n + 1)])

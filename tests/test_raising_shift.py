@@ -1,7 +1,10 @@
 """Raising operators, Rodrigues chains, shift operators, and duality."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -293,10 +296,12 @@ _MEMO_SPECS = [
     "spec", _MEMO_SPECS, ids=lambda s: f"{s.family}-N{s.n}-beta{s.beta}"
 )
 def test_orbit_image_memo_equals_direct_application(spec):
-    """R_1..R_N, Y(-) and Y(+) X through the orbit-image memo equal the
-    operator applied to the whole input, on random symmetric inputs with
-    shared orbits and fractional coefficients, cold and warm."""
+    """R_1..R_N, Y(-), Y(+) X, and e_1..e_N(Dhat) (Jack) or sigma (Hermite,
+    Laguerre) through the orbit-image memo equal the map applied to the
+    whole input, on random symmetric inputs with shared orbits and
+    fractional coefficients, cold and warm."""
     from heckepoly import clear_caches
+    from heckepoly import operators as ops
     from heckepoly.families import realization
     from heckepoly.raising import raising_operator
     from heckepoly.shift import _y_product
@@ -306,22 +311,34 @@ def test_orbit_image_memo_equals_direct_application(spec):
     inputs = [random_symmetric_polynomial(n, 3, rng) for _ in range(3)]
     inputs.append(Fraction(1, 3) * inputs[0] - Fraction(5, 2) * inputs[1])
     x = vandermonde(n)
+    chers = [ops.cherednik(j, spec) for j in range(1, n + 1)]
+    elementary = [
+        sum((math.prod(subset) for subset in itertools.combinations(chers, k)), ops.scalar(n, 0))
+        for k in range(1, n + 1)
+    ]
     clear_caches()
     for f in inputs:
         for m in range(1, n + 1):
             op = raising_operator(m, spec)
-            assert real.apply_symmetric(("raise", m), op, f) == real.apply(op, f)
+            assert real.apply_symmetric(("raise", m), partial(real.apply, op), f) == real.apply(op, f)
         minus, plus = _y_product(spec, -1), _y_product(spec, 1)
         image = real.apply(minus, f)
         assert apply_g(f, spec) == (image and divide_exact(image, x))
         assert apply_ghat(f, spec) == real.apply(plus, x * f)
+        if spec.family == "jack":
+            for k, e_k in enumerate(elementary, 1):
+                words = dict.fromkeys(itertools.combinations(range(n), k), 1)
+                image = real.apply_symmetric(("e", k), partial(real.apply, e_k), f)
+                assert image == ops.apply_words(f, words, chers)
+        else:
+            assert real.apply_symmetric("sigma", real.intertwine, f) == real.intertwine(f)
     clear_caches()
 
 
 @pytest.mark.parametrize("ghat_first", [False, True])
 def test_y_plus_with_and_without_the_vandermonde_in_one_session(ghat_first):
-    """Y(+)(f) and Y(+)(X f) are different maps: the memo keeps the
-    premultiplier in its key, so neither serves the other's images."""
+    """Y(+)(f) and Y(+)(X f) are different maps: Ghat reads its own stored
+    images and Y(+) alone is applied directly, so neither serves the other."""
     from heckepoly import clear_caches
     from heckepoly.families import realization
     from heckepoly.shift import _apply_y, _y_product
@@ -346,6 +363,23 @@ def test_orbit_image_memo_rejects_non_symmetric_input():
         apply_ghat(Polynomial.monomial((2, 1)) + Polynomial.monomial((1, 2), 3), spec)
     with pytest.raises(ValueError, match="not symmetric"):
         raising_apply(1, FamilyPolynomial((1, 0), spec, Polynomial.variable(2, 1), "x", (1, 1)))
+
+
+def test_rodrigues_chain_stores_the_raising_images():
+    """A cold Rodrigues chain fills the ("raise", m) images that
+    raising_apply reads: raising along the chain adds no stored image."""
+    from heckepoly import cache_info, clear_caches, families
+
+    lam = (2, 1, 0)
+    for spec in (jack_spec(3, 1), hermite_spec(3, 1), laguerre_spec(3, 2, Fraction(1, 3))):
+        clear_caches()
+        rodrigues(lam, spec)
+        assert {slot[1] for slot in families._ORBIT_IMAGES} == {("raise", 1), ("raise", 2)}
+        count = cache_info()["families.orbit_images"]
+        raising_apply(1, construct((0, 0, 0), spec))
+        raising_apply(2, construct((1, 0, 0), spec))
+        assert cache_info()["families.orbit_images"] == count
+    clear_caches()
 
 
 def test_orbit_images_are_registered_and_cleared():

@@ -605,10 +605,24 @@ class _DoubledImage(dict):
         super().__setitem__(slot, image)
 
 
-@pytest.mark.parametrize("name", ["shift_all", "raising_all", "duality_all"])
+# suite -> the exception names of its failures, None where a case compares
+# unequal values: the doubled image of m_(1,0) is read from its first use,
+# so calibrate, the first shift of each spec, fails in shift_all
+DOUBLED_IMAGE_VERDICTS = {
+    "shift_all": {"CalibrationError"},
+    "raising_all": {"NotProportionalError"},
+    "duality_all": {None},
+    "rodrigues_all": {"HeckePolyError"},  # leading coefficient of m_lam not 1
+    "jack_eigen": {None},
+    "hermite_is_sigma_jack": {"HeckePolyError"},
+    "laguerre_is_sigma_jack": {"HeckePolyError"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOUBLED_IMAGE_VERDICTS))
 def test_doubled_orbit_image_fails_its_suites(name, monkeypatch):
-    """Every suite that applies R_m, G or Ghat reads the stored m_mu images:
-    one image stored doubled fails it."""
+    """Every suite that applies R_m, G, Ghat, e_k(Dhat) or sigma reads the
+    stored m_mu images: one image stored doubled fails it."""
     clear_caches()
     monkeypatch.setattr(families, "_ORBIT_IMAGES", _DoubledImage())
     try:
@@ -617,10 +631,8 @@ def test_doubled_orbit_image_fails_its_suites(name, monkeypatch):
         monkeypatch.undo()
         clear_caches()
     assert report.failures and not report.passed
-    # the relations fail on their values: duality_all compares, and
-    # shift_apply and raising_apply raise NotProportionalError
     verdicts = {failure["params"].get("exception") for failure in report.failures}
-    assert verdicts == ({None} if name == "duality_all" else {"NotProportionalError"})
+    assert verdicts == DOUBLED_IMAGE_VERDICTS[name]
 
 
 def test_non_symmetric_raising_image_fails_raising_all(monkeypatch):
