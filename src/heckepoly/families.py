@@ -27,8 +27,8 @@ which makes every family polynomial exactly rational.  Under this
 convention sigma_A(J_lam) *is* the monic Hermite polynomial and
 sigma_B(J_lam) the monic Laguerre polynomial.  The ladder words of the
 terms of f, in letters L_j/2, share their prefixes
-(``operators.apply_words``), act in integers and are summed over one
-common denominator.
+(``operators.apply_words``), act in integers, are kept per spec in
+``families.sigma_words`` and are summed over one common denominator.
 
 The Gram route (the default for Hermite and Laguerre) is one growing
 fraction-free Gram-Schmidt elimination per spec (``_gram``, its rows in
@@ -261,13 +261,15 @@ class Realization:
 
     def intertwine(self, f: Polynomial) -> Polynomial:
         """sigma(f) = decode(f(V_1, ..., V_N) . 1): the term x^a is the
-        word of letters L_j/2 of x^(stretch a) applied to 1.  The words
-        share their prefixes, act in integers, and the weighted sum is
-        divided once (``operators.apply_words``)."""
-        n = self.spec.n
-        letters = [self._letter(j) for j in range(1, n + 1)]
+        word of letters L_j/2 of x^(stretch a) applied to 1.  Each word's
+        image is kept in integers in one store per spec (``sigma_words``),
+        so a new word costs one letter applied to its prefix's, and the
+        letters are built only for a new word; the stored images are summed
+        and divided once (``operators.apply_words``)."""
+        n, store = self.spec.n, _SIGMA_WORDS.setdefault(self.spec, {})
         words = {ops.exponent_word(exps, self.stretch): c for exps, c in f.terms.items()}
-        return self.decode(ops.apply_words(Polynomial.one(n), words, letters))
+        letters = [self._letter(j) for j in range(1, n + 1)] if words.keys() - store.keys() else ()
+        return self.decode(ops.apply_words(Polynomial.one(n), words, letters, store))
 
 
 class _Jack(Realization):
@@ -299,6 +301,8 @@ NONSYM_ROUTE = "recursion"  # the one route of a non-symmetric label, in every f
 
 _ORBIT_IMAGES: dict = {}  # (spec, key, mu) -> m_nu coefficients of image_of(m_mu)
 register("families.orbit_images", _ORBIT_IMAGES.__len__, _ORBIT_IMAGES.clear)
+_SIGMA_WORDS: dict = {}  # spec -> {ladder word: (content, integer terms) of its image of 1}
+register("families.sigma_words", lambda: sum(map(len, _SIGMA_WORDS.values())), _SIGMA_WORDS.clear)
 
 
 def equals_multiple(image: dict, constant, target: Polynomial) -> bool:

@@ -33,9 +33,9 @@ A family of operator words applied to one seed is evaluated by shared
 prefixes (``apply_words``): a word's image is its last step applied to
 the image of the word without it, so every prefix is applied once.  The
 word of x^a is L_1^a_1 then L_2^a_2, ... (``exponent_word``), which serves
-the intertwiners and the operator pairing; the deformed antisymmetrizer
-peels first left descents of S_N, T_w f = shat_i(T_{s_i w} f), and costs
-N! - 1 deformed transpositions per push.
+the intertwiners (they keep the images) and the operator pairing; the
+deformed antisymmetrizer peels first left descents of S_N, T_w f =
+shat_i(T_{s_i w} f), and costs N! - 1 deformed transpositions a monomial.
 
 Dunkl operator (A type):      D_j = d_j + beta * sum_{k!=j} (1-s_jk)/(x_j-x_k)
 Cherednik operator (A type):  Dhat_j = x_j D_j + beta * sum_{k<j} s_jk
@@ -54,10 +54,13 @@ and h_j = (1/2) A_j a_j + beta * sum_{k<j} s_jk  (Hermite),
     h_j = (1/2) B_j b_j + beta * sum_{k<j} (s_jk + t_jt_ks_jk)  (Laguerre).
 
 The named operators ``dunkl`` (also the annihilation operator),
-``cherednik``, ``creation`` and ``htilde`` are of type B iff the spec has
-a gamma.  Each is built once per key (name, N, beta, gamma, j) and
-memoizes the image of every monomial it is applied to; both are
-registered in ``caches``, as ``operators.named`` and ``operators.images``.
+``cherednik``, ``creation`` and ``htilde``, of type B iff the spec has a
+gamma, are built once per key (name, N, j, beta, gamma), and
+``antisymmetrizer`` once per (name, N, beta).  Each memoizes the image of
+every monomial it is applied to; both are registered in ``caches``, as
+``operators.named`` and ``operators.images``.  Dhat_j, A_j and h_j are
+built on the named D_j (h_j = A_j D_j / 2 + ...), so each image of D_j is
+computed once and read by all four.
 """
 
 from __future__ import annotations
@@ -498,30 +501,33 @@ def _coordinate(n: int, j: int) -> Operator:
     return multiply_by(Polynomial.variable(n, j))
 
 
-def _named(name: str, j: int, spec: FamilySpec, build) -> Operator:
-    """The operator build(N, j, beta, gamma) of spec, built once per key
-    (name, N, beta, gamma, j): type B iff the spec has a gamma."""
-    n, beta, gamma = spec.n, spec.beta, spec.gamma
-    _check_index(n, j)
-    key = (name, n, beta, gamma, j)
+def _named(key: tuple, build) -> Operator:
+    """The operator build(*key[1:]), built once per key (name, ...) and
+    memoized on monomials."""
     memo = _NAMED.get(key)
     if memo is None:
-        memo = _NAMED[key] = _Memo(build(n, j, beta, gamma))
+        memo = _NAMED[key] = _Memo(build(*key[1:]))
     return Operator(memo.nvars, memo.content, ((1, memo._push),))
+
+
+def _typed(name: str, j: int, spec: FamilySpec, build) -> Operator:
+    """build(N, j, beta, gamma) of spec, named: type B iff it has a gamma."""
+    _check_index(spec.n, j)
+    return _named((name, spec.n, j, spec.beta, spec.gamma), build)
 
 
 def dunkl(j: int, spec: FamilySpec) -> Operator:
     """D_j of the spec's type; also the rescaled annihilation operator of
     the ladder pair."""
-    return _named("dunkl", j, spec, _dunkl)
+    return _typed("dunkl", j, spec, _dunkl)
 
 
 def cherednik(j: int, spec: FamilySpec) -> Operator:
     """Dhat_j = x_j D_j + beta * sum_{k<j} s_jk (type A; joint eigenbasis =
     non-symmetric Jack polynomials), or z_j D_j + beta * sum_{k<j} (s_jk +
     t_j t_k s_jk) (type B; preserves the even subring C[z_1^2, ..., z_N^2])."""
-    return _named("cherednik", j, spec, lambda n, j, beta, gamma: (
-        _coordinate(n, j) * _dunkl(n, j, beta, gamma) + _exchanges(n, j, beta, gamma is not None)
+    return _typed("cherednik", j, spec, lambda n, j, beta, gamma: (
+        _coordinate(n, j) * dunkl(j, spec) + _exchanges(n, j, beta, gamma is not None)
     ))
 
 
@@ -529,8 +535,8 @@ def creation(j: int, spec: FamilySpec) -> Operator:
     """Rescaled gauge-transformed creation operator 2 x_j - D_j: A_j in
     type A, and in type B, from gauge conjugation of -D_j + 2 z_j,
     B_j = -d_j + 2 z_j - beta * sum [...] - gamma (1-t_j)/z_j."""
-    return _named("creation", j, spec, lambda n, j, beta, gamma: (
-        2 * _coordinate(n, j) - _dunkl(n, j, beta, gamma)
+    return _typed("creation", j, spec, lambda n, j, beta, gamma: (
+        2 * _coordinate(n, j) - dunkl(j, spec)
     ))
 
 
@@ -540,16 +546,13 @@ def htilde(j: int, spec: FamilySpec) -> Operator:
     polynomials.
 
     The two factored-out sqrt(2) scalings of the ladder pair cancel in the
-    product, so h_j = (1/2) * creation * annihilation + exchange terms.
+    product, so h_j = (1/2) * creation * annihilation + exchange terms,
+    which is Dhat_j - (1/2) D_j^2.
     """
-
-    def build(n, j, beta, gamma) -> Operator:
-        lower = _dunkl(n, j, beta, gamma)
-        raised = 2 * _coordinate(n, j) - lower
-        ladder = Fraction(1, 2) * (raised * lower)
-        return ladder + _exchanges(n, j, beta, gamma is not None)
-
-    return _named("htilde", j, spec, build)
+    return _typed("htilde", j, spec, lambda n, j, beta, gamma: (
+        Fraction(1, 2) * (creation(j, spec) * dunkl(j, spec))
+        + _exchanges(n, j, beta, gamma is not None)
+    ))
 
 
 def deformed_transposition(nvars: int, j: int, beta: int) -> Operator:
@@ -567,20 +570,25 @@ def antisymmetrizer(nvars: int, beta: int = 0) -> Operator:
     transpositions along a reduced word of w (needs an integer beta, so
     that every shat_i has integer coefficients).  At beta = 0 every shat_i
     is s_i, and P_- is the plain antisymmetrizer (1/N!) sum_w sign(w) w.
+    A named operator, built once per (N, beta).
 
-    One prefix tree, N! - 1 deformed transpositions per push: with i the
-    first left descent of w, T_w = shat_i T_{s_i w}, so in the order of
+    One prefix tree, N! - 1 deformed transpositions per monomial: with i
+    the first left descent of w, T_w = shat_i T_{s_i w}, so in the order of
     application the word of w is reduced_word(w^-1), whose prefixes are the
     words of the s_i w; the sum runs over v = w^-1, of the same sign."""
     if nvars > MAX_ANTISYMMETRIZER_N:
         raise ValueError(f"antisymmetrizer limited to N <= {MAX_ANTISYMMETRIZER_N}")
     if type(beta) is not int:
         raise ValueError("the antisymmetrizer needs an integer beta")
+    return _named(("antisymmetrizer", nvars, beta), _antisymmetrizer)
+
+
+def _antisymmetrizer(nvars: int, beta: int) -> Operator:
     shat = [deformed_transposition(nvars, i, beta) for i in range(1, nvars)]
     signed = {tuple(i - 1 for i in reduced_word(v)): sign(v) for v in all_permutations(nvars)}
 
     def push(src, out, c):
-        images = _word_images(src, signed, shat)
+        images = _word_images(src, signed, shat, {})
         get = out.get
         for word, s in signed.items():
             k = s * c
@@ -597,35 +605,36 @@ def exponent_word(exps, power: int = 1) -> tuple[int, ...]:
     return tuple(j for j, e in enumerate(exps) for _ in range(power * e))
 
 
-def _word_images(seed: dict, words, steps) -> dict:
+def _word_images(seed: dict, words, steps, images: dict) -> dict:
     """{word: (content, terms)} for each of ``words`` and each prefix of
     one: the image of the integer term dict seed under the word, as content
     times integer terms.  The word (i_1, ..., i_k) applies steps[i_1] first
     and steps[i_k] last; its image is steps[i_k] applied to the image of
-    (i_1, ..., i_{k-1}), so every prefix is applied once."""
-    images = {(): (1, seed)}
+    (i_1, ..., i_{k-1}), so every prefix is applied once.  ``images`` holds
+    the earlier images of the same seed and steps, if any: it is filled in
+    place, and every image is read back from it."""
+    images.setdefault((), (1, seed))
 
     def image(word):
-        found = images.get(word)
-        if found is None:
+        if word not in images:
             content, src = image(word[:-1])
             step = steps[word[-1]]
-            found = images[word] = (content * step.content, _apply_terms(step.terms, src))
-        return found
+            images[word] = (content * step.content, _apply_terms(step.terms, src))
+        return images[word]
 
     for word in words:
         image(word)
     return images
 
 
-def apply_words(seed: Polynomial, weights: dict, steps) -> Polynomial:
+def apply_words(seed: Polynomial, weights: dict, steps, images=None) -> Polynomial:
     """sum_word k * T_word(seed) over the {word: k} of ``weights``, with
     T_(i_1..i_k) = steps[i_k] ... steps[i_1]: steps[i_1] acts first.  All
-    words share one evaluation of their prefixes (``_word_images``), and
-    the sum is accumulated in integers over one common denominator and
-    divided once."""
+    words share one evaluation of their prefixes (``_word_images``, which
+    keeps them in ``images`` when given), and the sum is accumulated in
+    integers over one common denominator and divided once."""
     src, den = _integer_part(seed.terms)
-    images = _word_images(src, weights, steps)
+    images = _word_images(src, weights, steps, {} if images is None else images)
     factors = [(images[w][0] * _canonical(k), images[w][1]) for w, k in weights.items()]
     common = math.lcm(*(r.denominator for r, _ in factors))
     total: dict = {}

@@ -266,6 +266,61 @@ def test_sigma_b_examples():
     assert lhs == rhs
 
 
+def _storeless_sigma(f, spec) -> Polynomial:
+    """sigma(f) by the shared-prefix evaluation ``Realization.intertwine``
+    runs, with no store: every word image is computed afresh."""
+    real = realization(spec)
+    letters = [Fraction(1, 2) * ops.creation(j, spec) for j in range(1, spec.n + 1)]
+    words = {ops.exponent_word(exps, real.stretch): c for exps, c in f.terms.items()}
+    return real.decode(ops.apply_words(Polynomial.one(spec.n), words, letters))
+
+
+@pytest.mark.parametrize("family", ["hermite", "laguerre"])
+def test_sigma_word_store_equals_a_storeless_evaluation(family):
+    """intertwine keeps its ladder-word images in one store per spec,
+    ``families.sigma_words``: its images equal the storeless evaluation
+    cold, warm and after clear_caches, and a sigma of words already
+    stored adds no entry."""
+    from heckepoly import cache_info, clear_caches
+    from heckepoly.combinatorics import random_polynomial
+    from heckepoly.parameters import FamilySpec
+
+    gammas = (None,) if family == "hermite" else (0, Fraction(1, 3), Fraction(1, 2))
+    specs = [FamilySpec(family, n, beta, gamma)
+             for n in (2, 3) for beta in (0, 1, 2) for gamma in gammas]
+    rng = random.Random(29)
+    polys = {spec: [random_polynomial(spec.n, 3, rng) for _ in range(3)] for spec in specs}
+
+    def images():
+        return {spec: [realization(spec).intertwine(f) for f in fs] for spec, fs in polys.items()}
+
+    def stored():
+        return cache_info()["families.sigma_words"]
+
+    clear_caches()
+    expected = {spec: [_storeless_sigma(f, spec) for f in fs] for spec, fs in polys.items()}
+    assert stored() == 0
+    cold = images()
+    filled = stored()
+    assert filled > 0
+    assert images() == cold == expected
+    assert stored() == filled
+    clear_caches()
+    assert stored() == 0
+    assert images() == expected and stored() == filled
+    clear_caches()
+    # one entry per word and prefix: x1^2 x2 is 2s letters 0, then s letters 1
+    real = realization(specs[0])
+    s = real.stretch
+    real.intertwine(Polynomial.monomial((2, 1)))
+    assert stored() == 3 * s + 1
+    real.intertwine(Polynomial.monomial((1, 0)) - 3 * Polynomial.monomial((2, 0)))
+    assert stored() == 3 * s + 1  # both words are prefixes of the first
+    real.intertwine(Polynomial.monomial((0, 1)))
+    assert stored() == 4 * s + 1
+    clear_caches()
+
+
 def test_laguerre_examples():
     u = Polynomial.variable(1, 1)
     spec1 = laguerre_spec(1, 0, Fraction(1, 2))

@@ -658,3 +658,40 @@ def test_caches_cold_warm_and_cleared():
     cleared = named_results()
     assert cold == warm == cleared
     assert cache_info() == info
+
+
+@pytest.mark.parametrize("spec", [hermite_spec(3, 1), laguerre_spec(3, 1, Fraction(1, 3))])
+def test_named_operators_share_the_dunkl_images(spec):
+    """h_j is built on the named A_j and D_j, and A_j and Dhat_j on D_j:
+    applying h_j alone stores images under all three keys, and D_j, A_j
+    and Dhat_j then find the images of D_j they need already stored."""
+    f = _random_poly(random.Random(11), 3, 3)
+    clear_caches()
+    ops.htilde(2, spec)(f)
+    stored = {key[0] for key, memo in ops._NAMED.items() if memo.images}
+    assert stored == {"dunkl", "creation", "htilde"}
+    dunkl_images = ops._NAMED[("dunkl", 3, 2, spec.beta, spec.gamma)].images
+    count = len(dunkl_images)
+    ops.dunkl(2, spec)(f)
+    ops.creation(2, spec)(f)
+    assert len(dunkl_images) == count
+    ops.cherednik(2, spec)(f)
+    assert len(dunkl_images) == count
+    assert {key[0] for key in ops._NAMED} == stored | {"cherednik"}
+    clear_caches()
+
+
+def test_antisymmetrizer_is_built_once_per_n_and_beta():
+    clear_caches()
+    minus = ops.antisymmetrizer(3, 1)
+    assert cache_info()["operators.named"] == 1
+    assert ops.antisymmetrizer(3, 1).terms == minus.terms
+    assert cache_info()["operators.named"] == 1
+    ops.antisymmetrizer(3, 0)
+    assert cache_info()["operators.named"] == 2
+    x = Polynomial.monomial((2, 1, 0))
+    minus(x)
+    assert cache_info()["operators.images"] == 1
+    minus(x)
+    assert cache_info()["operators.images"] == 1
+    clear_caches()

@@ -397,6 +397,46 @@ def test_inverted_gram_read_back_fails_sigma_jack(monkeypatch, capsys):
     assert "hermite_is_sigma_jack: FAIL" in out and "laguerre_is_sigma_jack: FAIL" in out
 
 
+class _DoublingStore(dict):
+    """A sigma word store that keeps twice the image of ``word``, from the
+    moment that image is first stored."""
+
+    def __init__(self, word):
+        super().__init__()
+        self.word = word
+
+    def __setitem__(self, word, image):
+        content, terms = image
+        super().__setitem__(word, (2 * content, terms) if word == self.word else image)
+
+
+@pytest.mark.parametrize("family, suites", [
+    ("hermite", ("intertwine_A", "hermite_is_sigma_jack")),
+    ("laguerre", ("intertwine_B", "laguerre_is_sigma_jack")),
+])
+def test_doubled_sigma_word_image_fails_the_sigma_suites(family, suites):
+    """The image of the one-letter word L_1/2 doubled as it is stored in
+    the spec's sigma store: the first sigma that fills it already returns
+    the doubled image (the first use reads what later uses read), and both
+    suites of the family fail."""
+    gamma = Fraction(1, 2) if family == "laguerre" else None
+    specs = [FamilySpec(family, 2, beta, gamma) for beta in SMALL.betas]
+    x1 = Polynomial.variable(2, 1)
+    clear_caches()
+    try:
+        right = realization(specs[-1]).intertwine(x1)
+        clear_caches()
+        for spec in specs:
+            families._SIGMA_WORDS[spec] = _DoublingStore((0,))
+        assert realization(specs[-1]).intertwine(x1) == 2 * right
+        reports = run_all(SMALL, suites)
+    finally:
+        clear_caches()
+    assert [report.suite for report in reports] == list(suites)
+    for report in reports:
+        assert report.cases_run > 0 and not report.passed, report.suite
+
+
 def test_failure_reporting_carries_counterexample():
     # a deliberately broken comparison must produce a structured failure
     from heckepoly.verify import SuiteReport
