@@ -324,15 +324,6 @@ def _orbit_coefficients(terms: dict) -> dict[Partition, object]:
     return out
 
 
-def to_monomial_basis(f: Polynomial) -> dict[Partition, Fraction]:
-    """Expand a symmetric polynomial in monomial symmetric functions.
-
-    Raises ValueError if f is not symmetric (orbits incomplete or with
-    unequal coefficients) or Laurent.
-    """
-    return {lam: Fraction(c) for lam, c in f._orbit_form().items()}
-
-
 def random_polynomial(
     nvars: int, max_degree: int, rng: random.Random, terms: int = 6
 ) -> Polynomial:

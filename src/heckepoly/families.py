@@ -1,7 +1,8 @@
 """Jack, multivariable Hermite, and multivariable Laguerre polynomials.
 
 The three families are three representations of one degenerate double
-affine Hecke algebra.  A ``Realization`` per family spec holds what tells
+affine Hecke algebra.  A ``Realization`` per family spec, one subclass per
+family whose methods call its operators and pairing, holds what tells
 their operators apart; the raising and shift operators, the intertwiners
 and the constructions are written once against it.  What tells their
 pairings apart, the weights and moments, is the kernel of ``pairings``.
@@ -170,52 +171,44 @@ class Realization:
     Hecke algebra: the images x_j -> V_j and Dhat_j -> C_j of its
     generators (s_jk acts as itself), and what comes with them.
 
-        family    V_j        C_j       codec      pairing
+        family    V_j        C_j       codec      pair
         jack      x_j        Dhat_j    identity   ct_pairing
         hermite   A_j/2      h_j       identity   gauss_pairing
         laguerre  B_j^2/4    h_j/2     u = z^2    laguerre_pairing
 
-    V_j = (L_j/2)^stretch, L_j the creation operator ``ladder``: each
-    ladder letter carries the gauge's 1/2.
+    V_j = letter_j^stretch: the ladder letter L_j/2, L_j the creation
+    operator, carries the gauge's 1/2; the Jack letter is x_j (sigma = 1).
     The operators take their type from the spec (``operators.creation`` is
     A_j on a Hermite spec and B_j on a Laguerre one, ``operators.htilde``
     likewise), and act on z-polynomials for Laguerre; ``apply`` reads them
-    through the codec u_j = z_j^stretch.  An instance holds only its spec,
-    and the family's data (class attributes of the subclasses below) are
-    names: V_j and C_j are asked of ``operators`` on every call, so
-    ``clear_caches`` drops them, and the pairing, the constructors and
-    (in verify) the intertwiner are looked up by name when called.
+    through the codec u_j = z_j^stretch.  ``pair(f, g)`` is the family
+    pairing as a ScaledRational.  An instance holds only its spec; each
+    subclass names in its methods the ``operators`` and ``pairings``
+    functions it calls, through their modules, on every call, so
+    ``clear_caches`` drops the operators they build.
     """
 
     __slots__ = ("spec",)
 
-    letter: str  # variable letter of the printed polynomials
-    ladder: str | None  # operators.<ladder>(j, spec) is L_j
-    stretch: int
-    cherednik_op: str  # C_j = cherednik_scale * operators.<cherednik_op>(j, spec)
-    cherednik_scale: Fraction
-    pairing: str  # the pairings function of the family
-    graded: bool  # the pairing vanishes on x^a, x^b unless |a| = |b|
-    intertwiner: str | None  # sigma_a or sigma_b, applied to the Jack family
-    symmetric_routes: tuple[str, ...]  # routes of a symmetric label, default first
+    letter = "x"  # variable letter of the printed polynomials
+    stretch = 1
+    graded = False  # the pairing vanishes on x^a, x^b unless |a| = |b|
+    symmetric_routes = ("gram", "intertwined", "rodrigues")  # default first
 
     def __init__(self, spec: FamilySpec):
         self.spec = spec
 
     def coordinate(self, j: int) -> ops.Operator:
         """V_j, the image of multiplication by x_j."""
-        spec = self.spec
-        if self.ladder is None:
-            return ops.multiply_by(Polynomial.variable(spec.n, j))
         return self._letter(j) ** self.stretch
 
     def _letter(self, j: int) -> ops.Operator:
         """L_j/2, one letter of the ladder words."""
-        return Fraction(1, 2) * getattr(ops, self.ladder)(j, self.spec)
+        return Fraction(1, 2) * ops.creation(j, self.spec)
 
     def cherednik(self, j: int) -> ops.Operator:
         """C_j, the image of the Cherednik operator Dhat_j."""
-        return self.cherednik_scale * getattr(ops, self.cherednik_op)(j, self.spec)
+        return ops.htilde(j, self.spec)
 
     def decode(self, f: Polynomial) -> Polynomial:
         return f if self.stretch == 1 else decode_even(f)
@@ -254,11 +247,6 @@ class Realization:
                 out[nu] = out.get(nu, 0) + c * v
         return {nu: _canonical(Fraction(v, den) if den > 1 else v) for nu, v in out.items() if v}
 
-    def pair(self, f: Polynomial, g: Polynomial) -> ScaledRational:
-        """The family pairing <f, g>, as a ScaledRational."""
-        value = getattr(pairings, self.pairing)(f, g, self.spec)
-        return value if isinstance(value, ScaledRational) else ScaledRational(value)
-
     def intertwine(self, f: Polynomial) -> Polynomial:
         """sigma(f) = decode(f(V_1, ..., V_N) . 1): the term x^a is the
         word of letters L_j/2 of x^(stretch a) applied to 1.  Each word's
@@ -274,26 +262,35 @@ class Realization:
 
 class _Jack(Realization):
     __slots__ = ()
-    letter, ladder, stretch = "x", None, 1
-    cherednik_op, cherednik_scale = "cherednik", Fraction(1)
-    pairing, intertwiner, graded = "ct_pairing", None, True
+    graded = True
     symmetric_routes = ("triangular", "rodrigues")
+
+    def _letter(self, j: int) -> ops.Operator:
+        return ops.multiply_by(Polynomial.variable(self.spec.n, j))
+
+    def cherednik(self, j: int) -> ops.Operator:
+        return ops.cherednik(j, self.spec)
+
+    def pair(self, f: Polynomial, g: Polynomial) -> ScaledRational:
+        return ScaledRational(pairings.ct_pairing(f, g, self.spec))
 
 
 class _Hermite(Realization):
     __slots__ = ()
-    letter, ladder, stretch = "x", "creation", 1
-    cherednik_op, cherednik_scale = "htilde", Fraction(1)
-    pairing, intertwiner, graded = "gauss_pairing", "sigma_a", False
-    symmetric_routes = ("gram", "intertwined", "rodrigues")
+
+    def pair(self, f: Polynomial, g: Polynomial) -> ScaledRational:
+        return pairings.gauss_pairing(f, g, self.spec)
 
 
 class _Laguerre(Realization):
     __slots__ = ()
-    letter, ladder, stretch = "u", "creation", 2
-    cherednik_op, cherednik_scale = "htilde", Fraction(1, 2)
-    pairing, intertwiner, graded = "laguerre_pairing", "sigma_b", False
-    symmetric_routes = ("gram", "intertwined", "rodrigues")
+    letter, stretch = "u", 2
+
+    def cherednik(self, j: int) -> ops.Operator:
+        return Fraction(1, 2) * ops.htilde(j, self.spec)
+
+    def pair(self, f: Polynomial, g: Polynomial) -> ScaledRational:
+        return pairings.laguerre_pairing(f, g, self.spec)
 
 
 _REALIZATIONS = {JACK: _Jack, HERMITE: _Hermite, LAGUERRE: _Laguerre}
@@ -556,13 +553,14 @@ def encode_even(f_u: Polynomial) -> Polynomial:
 
 
 def decode_even(f_z: Polynomial) -> Polynomial:
-    """Even z-polynomial -> u-polynomial; raises on odd exponents."""
+    """Even z-polynomial -> u-polynomial; raises on odd exponents.  Halving
+    the exponents keeps the terms distinct, so they are adopted unchecked."""
     out = {}
     for exps, coeff in f_z.terms.items():
         if any(e % 2 for e in exps):
             raise EvennessViolation("evenness violated")
         out[tuple(e // 2 for e in exps)] = coeff
-    return Polynomial(f_z.nvars, out)
+    return Polynomial._trusted(f_z.nvars, out)
 
 
 # ---------------------------------------------------------------------------
@@ -661,9 +659,14 @@ _ROUTES = {
 }
 
 
+# family -> its public constructor of symmetric and of non-symmetric labels
+_SYMMETRIC = {JACK: jack, HERMITE: hermite, LAGUERRE: laguerre}
+_NONSYM = {JACK: nonsym_jack, HERMITE: nonsym_hermite, LAGUERRE: nonsym_laguerre}
+
+
 def construct(label, spec: FamilySpec, method: str | None = None) -> FamilyPolynomial:
     """Family-dispatching constructor (``jack``, ``nonsym_hermite``, ...,
-    found by name when called).  A symmetric label takes any route of its
+    from the tables above).  A symmetric label takes any route of its
     family, the default when method is None; a non-symmetric label has one
     route, so method must be None or that route."""
     if isinstance(label, NonSymLabel):
@@ -672,6 +675,6 @@ def construct(label, spec: FamilySpec, method: str | None = None) -> FamilyPolyn
                 f"non-symmetric {spec.family} polynomials are built by the "
                 f"{NONSYM_ROUTE!r} route, not {method!r}"
             )
-        return globals()[f"nonsym_{spec.family}"](label, spec)
-    return globals()[spec.family](label, spec, method or realization(spec).symmetric_routes[0])
+        return _NONSYM[spec.family](label, spec)
+    return _SYMMETRIC[spec.family](label, spec, method or realization(spec).symmetric_routes[0])
 

@@ -1,13 +1,15 @@
 """Linear operators on polynomials, kept in a normal form.
 
-An operator has two fields: an exact rational ``content`` and ``terms``,
-a flat integer combination sum_i k_i T_i.  A term is a primitive, a named
-operator, or a composition T_m ... T_1 of two or more factors, each an
-integer combination.  A scalar multiple multiplies the content only; a sum
-merges equal terms and takes the lcm D of its coefficients' denominators
-as content 1/D; a composition carries the product of its factors'
-contents.  The ladder factor 1/2 and a rational gamma are thus applied
-once per node, not once per monomial of every primitive image.
+An operator is an exact rational ``content`` times the composition
+F_m ... F_1 of its ``factors`` (F_1 acts first, no factors is the
+identity), each an integer combination sum_i k_i T_i of terms, plus
+``push``, the composition compiled once.  A term is a primitive, a named
+operator or a composition.  A scalar multiple multiplies the content only;
+``*`` concatenates the factors and multiplies the contents; ``+`` merges
+equal terms, a lone factor's terms or a composition as one term, into one
+factor, and takes the lcm D of its coefficients' denominators as content
+1/D.  The ladder factor 1/2 and a rational gamma are thus applied once per
+node, not once per monomial of every primitive image.
 
 Applying an operator adds c * T(f) for every term into one accumulator
 dict: no intermediate ``Polynomial`` per node.  ``__call__`` scales a
@@ -23,11 +25,10 @@ polynomials; in particular the divided differences
     (1 - t_j) / z_j                  (sign difference)
 
 are realized as exact telescoping sums on exponents, never as division.
-Operators compose with ``*`` (right factor acts first), add with ``+``,
-and scale with exact rationals (a float is refused).  Finite-degree
-operator equality on the monomial spanning set is the only equality
-notion: ``first_difference`` runs both normal forms on each monomial in
-integers and builds polynomials only for the witnesses of a difference.
+Scalars are exact rationals (a float is refused).  Finite-degree operator
+equality on the monomial spanning set is the only equality notion:
+``first_difference`` runs both normal forms on each monomial in integers
+and builds polynomials only for the witnesses of a difference.
 
 A family of operator words applied to one seed is evaluated by shared
 prefixes (``apply_words``): a word's image is its last step applied to
@@ -74,7 +75,7 @@ from .caches import register
 from .combinatorics import all_permutations, permute_exponents, reduced_word, sign
 from .errors import AmbientSizeMismatch, TypeBContextError
 from .parameters import FamilySpec
-from .polynomials import Polynomial, _canonical, _integer_part, monomials_up_to_degree
+from .polynomials import Polynomial, _canonical, _integer_part, divide_exact, monomials_up_to_degree
 
 # A term of the normal form is (k, push) with k an int: ``push(src, out, c)``
 # adds c times the term's image of the term dict ``src`` into the
@@ -90,40 +91,36 @@ def _clean(terms: dict) -> dict:
     return {e: v for e, v in terms.items() if v}
 
 
-def _apply_terms(terms, src: dict) -> dict:
-    """The integer combination ``terms`` applied to src, zeros dropped."""
+def _applied(push, src: dict) -> dict:
+    """The image of src under push, zeros dropped."""
     out: dict = {}
-    _accumulate(terms, src, out, 1)
+    push(src, out, 1)
     return _clean(out)
 
 
 def _step(terms):
-    """A callable for one factor: the bare push of a lone unit term."""
+    """The push of one factor: the bare push of a lone unit term."""
     if len(terms) == 1 and terms[0][0] == 1:
         return terms[0][1]
     return partial(_accumulate, terms)
 
 
-class _Chain:
-    """The composition of ``factors`` (at least two integer combinations),
-    in the order they act."""
+def _compile(factors):
+    """The push of the composition of factors, F_1 first."""
+    if not factors:
+        return _identity_push
+    *first, last = map(_step, factors)
+    if not first:
+        return last
 
-    __slots__ = ("factors", "_first", "_last")
-
-    def __init__(self, factors):
-        self.factors = factors
-        steps = [_step(terms) for terms in factors]
-        self._last = steps.pop()
-        self._first = tuple(steps)
-
-    def _push(self, src, out, c):
-        for step in self._first:
-            tmp: dict = {}
-            step(src, tmp, 1)
-            src = _clean(tmp)
+    def push(src, out, c):
+        for step in first:
+            src = _applied(step, src)
             if not src:
                 return
-        self._last(src, out, c)
+        last(src, out, c)
+
+    return push
 
 
 # Interned exponent tuples shared by all memoized images.
@@ -131,20 +128,20 @@ _EXPONENTS: dict = {}
 
 
 class _Memo:
-    """A named operator content * M: the integer combination M and the
+    """A named operator content * M: the push ``apply`` of M and the
     image under M of every monomial it has met, stored flat as
     (exponent, coefficient, exponent, coefficient, ...)."""
 
-    __slots__ = ("nvars", "content", "terms", "images")
+    __slots__ = ("nvars", "content", "apply", "images")
 
     def __init__(self, op: "Operator"):
-        self.nvars, self.content, self.terms = op.nvars, op.content, op.terms
+        self.nvars, self.content, self.apply = op.nvars, op.content, op.push
         self.images: dict = {}
 
     def _image(self, exps):
         intern = _EXPONENTS.setdefault
         image = []
-        for e, v in _apply_terms(self.terms, {exps: 1}).items():
+        for e, v in _applied(self.apply, {exps: 1}).items():
             image += (intern(e, e), v)
         image = self.images[intern(exps, exps)] = tuple(image)
         return image
@@ -183,33 +180,21 @@ def _identity_push(src, out, c):
         out[e] = get(e, 0) + v * c
 
 
-def _factors(op: "Operator"):
-    """(k, factors) with op = k * (composition of factors)."""
-    if len(op.terms) != 1:
-        return op.content, (op.terms,)
-    k, push = op.terms[0]
-    node = getattr(push, "__self__", None)
-    if type(node) is _Chain:
-        factors = node.factors
-    else:
-        factors = () if push is _identity_push else (((1, push),),)
-    return op.content * k, factors
-
-
 class Operator:
     """A linear map on polynomials in a fixed number of variables: the
-    exact rational ``content`` times ``terms``, an integer combination of
-    pushes (see the module docstring)."""
+    exact rational ``content`` times the composition of ``factors``, whose
+    compiled form is ``push`` (see the module docstring)."""
 
-    __slots__ = ("nvars", "content", "terms")
+    __slots__ = ("nvars", "content", "factors", "push")
 
-    def __init__(self, nvars: int, content=1, terms: tuple = ()):
+    def __init__(self, nvars: int, content, factors: tuple):
         self.nvars = nvars
         self.content = content
-        self.terms = terms
+        self.factors = factors
+        self.push = _compile(factors)
 
     def __repr__(self) -> str:
-        return f"Operator({self.nvars} vars, content {self.content}, {len(self.terms)} terms)"
+        return f"Operator({self.nvars} vars, content {self.content}, {len(self.factors)} factors)"
 
     def __call__(self, f: Polynomial) -> Polynomial:
         if f.nvars != self.nvars:
@@ -219,26 +204,28 @@ class Operator:
             )
         src, den = _integer_part(f.terms)
         out: dict = {}
-        _accumulate(self.terms, src, out, 1)
+        self.push(src, out, 1)
         scale = self.content if den == 1 else Fraction(self.content, den)
         return _rescale(self.nvars, out, scale)
 
     def __add__(self, other: "Operator") -> "Operator":
-        """Equal terms merged; the lcm D of the coefficients' denominators
-        becomes the content 1/D."""
+        """One factor: the terms of a lone factor, or a composition as one
+        term, merged; the lcm D of the coefficients' denominators becomes
+        the content 1/D."""
         if not isinstance(other, Operator):
             return NotImplemented
         if other.nvars != self.nvars:
             raise AmbientSizeMismatch("ambient size mismatch in operator sum")
         merged: dict = {}
         for op in (self, other):
-            for k, push in op.terms:
+            terms = op.factors[0] if len(op.factors) == 1 else ((1, op.push),)
+            for k, push in terms:
                 merged[push] = merged.get(push, 0) + k * op.content
         terms = [(k, push) for push, k in merged.items() if k]
         den = math.lcm(*(k.denominator for k, _ in terms))
         content = Fraction(1, den) if den > 1 else 1
-        terms = tuple(((k * den).numerator, push) for k, push in terms)
-        return Operator(self.nvars, content, terms)
+        factor = tuple(((k * den).numerator, push) for k, push in terms)
+        return Operator(self.nvars, content, (factor,))
 
     def __sub__(self, other: "Operator") -> "Operator":
         return self + (-other)
@@ -251,16 +238,10 @@ class Operator:
             return self._scaled(other)
         if other.nvars != self.nvars:
             raise AmbientSizeMismatch("ambient size mismatch in composition")
-        if not self.terms or not other.terms:
-            return Operator(self.nvars)
-        k_a, outer = _factors(self)
-        k_b, inner = _factors(other)
-        k, factors = _canonical(k_a * k_b), inner + outer
-        if not factors:
-            return scalar(self.nvars, k)
-        if len(factors) == 1:
-            return Operator(self.nvars, k, factors[0])
-        return Operator(self.nvars, k, ((1, _Chain(factors)._push),))
+        factors = other.factors + self.factors
+        if () in factors:  # an empty combination: the zero operator
+            return _zero(self.nvars)
+        return Operator(self.nvars, _canonical(self.content * other.content), factors)
 
     def __rmul__(self, other) -> "Operator":
         return self._scaled(other)
@@ -268,8 +249,8 @@ class Operator:
     def _scaled(self, value) -> "Operator":
         c = _canonical(value)
         if not c:
-            return Operator(self.nvars)
-        return Operator(self.nvars, _canonical(self.content * c), self.terms)
+            return _zero(self.nvars)
+        return Operator(self.nvars, _canonical(self.content * c), self.factors)
 
     def __pow__(self, k: int) -> "Operator":
         if k < 0:
@@ -285,11 +266,15 @@ class Operator:
 
 
 def _leaf(nvars: int, push) -> Operator:
-    return Operator(nvars, 1, ((1, push),))
+    return Operator(nvars, 1, (((1, push),),))
 
 
 def identity(nvars: int) -> Operator:
-    return _leaf(nvars, _identity_push)
+    return Operator(nvars, 1, ())
+
+
+def _zero(nvars: int) -> Operator:
+    return Operator(nvars, 1, ((),))
 
 
 def scalar(nvars: int, value) -> Operator:
@@ -507,7 +492,7 @@ def _named(key: tuple, build) -> Operator:
     memo = _NAMED.get(key)
     if memo is None:
         memo = _NAMED[key] = _Memo(build(*key[1:]))
-    return Operator(memo.nvars, memo.content, ((1, memo._push),))
+    return Operator(memo.nvars, memo.content, (((1, memo._push),),))
 
 
 def _typed(name: str, j: int, spec: FamilySpec, build) -> Operator:
@@ -619,7 +604,7 @@ def _word_images(seed: dict, words, steps, images: dict) -> dict:
         if word not in images:
             content, src = image(word[:-1])
             step = steps[word[-1]]
-            images[word] = (content * step.content, _apply_terms(step.terms, src))
+            images[word] = (content * step.content, _applied(step.push, src))
         return images[word]
 
     for word in words:
@@ -658,8 +643,6 @@ def sutherland_expanded_apply(f: Polynomial, beta: int) -> Polynomial:
     The middle term is an exact quotient on symmetric polynomials (the
     Euler-difference image is antisymmetric in x_j, x_k).
     """
-    from .polynomials import divide_exact
-
     n = f.nvars
     euler = [_coordinate(n, j) * derivative(n, j) for j in range(1, n + 1)]
     total = Polynomial.zero(n)
@@ -687,7 +670,7 @@ def first_difference(op_a: Operator, op_b: Operator, degree: int):
     c_a, c_b = op_a.content, op_b.content
     k_a, k_b = c_a.numerator * c_b.denominator, c_b.numerator * c_a.denominator
     for exps in monomials_up_to_degree(op_a.nvars, degree):
-        lhs, rhs = _apply_terms(op_a.terms, {exps: 1}), _apply_terms(op_b.terms, {exps: 1})
+        lhs, rhs = _applied(op_a.push, {exps: 1}), _applied(op_b.push, {exps: 1})
         if k_a != k_b:
             lhs = {e: k_a * v for e, v in lhs.items()}
             rhs = {e: k_b * v for e, v in rhs.items()}

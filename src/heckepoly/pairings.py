@@ -406,30 +406,18 @@ def laguerre_pairing(f: Polynomial, g: Polynomial, spec: FamilySpec) -> ScaledRa
     return ScaledRational(_pairing(f, g, spec), *_kernel(spec).bases)
 
 
-def dunkl_pairing(
-    f: Polynomial,
-    g: Polynomial,
-    spec: FamilySpec,
-    variant: str = "dunkl",
-    scale: Fraction | int = 1,
-) -> Fraction:
-    """Operator pairing [f(c*Op_1, ..., c*Op_N) g](0).
-
-    variant selects plain Dunkl operators (default) or the Cherednik ones;
-    scale is the per-operator factor c, an exact rational (a float raises
-    TypeError).  The words x^a of f, in letters c*Op_j, act on g by
-    shared prefixes (``operators.apply_words``).  With the rational ladder
-    convention the Gaussian-induced pairing equals <1,1> times this value
-    at variant="dunkl", scale=1/2 (measured, not assumed: see the
-    dunkl_pairing_prop verification suite).
-    """
+def dunkl_pairing(f: Polynomial, g: Polynomial, spec: FamilySpec) -> Fraction:
+    """Operator pairing [f(D_1, ..., D_N) g](0), D_j the type-A Dunkl
+    operators at the spec's N and beta (C. F. Dunkl, Canad. J. Math. 43
+    (1991) 1213-1227): the words x^a of f, in letters D_j, act on g by
+    shared prefixes (``operators.apply_words``).  Under the rational ladder
+    convention <sigma_A f, sigma_A g> is <1,1> times this pairing of f(x/2)
+    and g, which the dunkl_pairing_prop suite checks."""
     _check_inputs(f, g, spec)
-    base_spec = FamilySpec(JACK, spec.n, spec.beta)
-    if variant not in ("dunkl", "cherednik"):
-        raise ValueError(f"unknown dunkl_pairing variant {variant!r}")
-    operators = [scale * getattr(ops, variant)(j, base_spec) for j in range(1, spec.n + 1)]
+    type_a = FamilySpec(JACK, spec.n, spec.beta)
+    letters = [ops.dunkl(j, type_a) for j in range(1, spec.n + 1)]
     words = {ops.exponent_word(exps): coeff for exps, coeff in f.terms.items()}
-    return ops.apply_words(g, words, operators).constant_term()
+    return ops.apply_words(g, words, letters).constant_term()
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from heckepoly.combinatorics import (
     reduced_word,
     sign,
     stabilizer_order,
-    to_monomial_basis,
 )
 from heckepoly import cache_info, clear_caches
 from heckepoly.errors import AmbientSizeMismatch
@@ -230,29 +229,29 @@ def test_min_coset_rep_for_constants():
 def test_monomial_symmetric_and_expansion():
     m = monomial_symmetric(3, (2, 1))
     assert len(m.terms) == 6
-    expansion = to_monomial_basis(m + 3 * monomial_symmetric(3, (1, 1, 1)))
+    expansion = (m + 3 * monomial_symmetric(3, (1, 1, 1)))._orbit_form()
     assert expansion == {(2, 1, 0): 1, (1, 1, 1): 3}
     with pytest.raises(ValueError, match="not symmetric"):
-        to_monomial_basis(Polynomial.variable(2, 1))
+        Polynomial.variable(2, 1)._orbit_form()
 
 
-def test_to_monomial_basis_rejections():
+def test_orbit_form_rejections():
     m = monomial_symmetric(3, (2, 1))
     with pytest.raises(ValueError, match="not symmetric: incomplete orbit"):
-        to_monomial_basis(m - Polynomial.monomial((0, 1, 2)))
+        (m - Polynomial.monomial((0, 1, 2)))._orbit_form()
     with pytest.raises(ValueError, match="not symmetric: unequal coefficients"):
-        to_monomial_basis(m + Polynomial.monomial((0, 1, 2)))
+        (m + Polynomial.monomial((0, 1, 2)))._orbit_form()
     with pytest.raises(ValueError, match="not symmetric: incomplete orbit"):
-        to_monomial_basis(monomial_symmetric(3, (1, 1)) + Polynomial.monomial((3, 0, 0)))
+        (monomial_symmetric(3, (1, 1)) + Polynomial.monomial((3, 0, 0)))._orbit_form()
     with pytest.raises(ValueError, match="non-Laurent"):
-        to_monomial_basis(Polynomial.monomial((-1, -1)))
+        Polynomial.monomial((-1, -1))._orbit_form()
     with pytest.raises(ValueError, match="non-Laurent"):
-        to_monomial_basis(Polynomial(2, {(1, -1): 1, (-1, 1): 1}))
-    # values come back as Fraction, also for integer coefficients
-    expansion = to_monomial_basis(Fraction(1, 2) * m + 3 * Polynomial.one(3))
+        Polynomial(2, {(1, -1): 1, (-1, 1): 1})._orbit_form()
+    # values come back canonical: an integer coefficient as an int
+    expansion = (Fraction(1, 2) * m + 3 * Polynomial.one(3))._orbit_form()
     assert expansion == {(2, 1, 0): Fraction(1, 2), (0, 0, 0): 3}
-    assert all(type(v) is Fraction for v in expansion.values())
-    assert to_monomial_basis(Polynomial.zero(2)) == {}
+    assert {lam: type(v) for lam, v in expansion.items()} == {(2, 1, 0): Fraction, (0, 0, 0): int}
+    assert Polynomial.zero(2)._orbit_form() == {}
 
 
 def _orbit_reading(read, p):
@@ -264,7 +263,7 @@ def _orbit_reading(read, p):
 
 
 def test_orbit_form_cache_reads_like_orbit_coefficients():
-    """to_monomial_basis reads the polynomial's kept orbit form: on
+    """_orbit_form reads the polynomial's kept orbit form: on
     symmetric, non-symmetric and Laurent inputs it gives the values and
     the ValueError messages of _orbit_coefficients, on every call."""
     import random
@@ -287,7 +286,7 @@ def test_orbit_form_cache_reads_like_orbit_coefficients():
         expected = _orbit_reading(direct, p)
         kinds.add(type(expected) is str and expected.split(":")[0])
         for _ in range(2):
-            assert _orbit_reading(to_monomial_basis, p) == expected
+            assert _orbit_reading(Polynomial._orbit_form, p) == expected
     assert kinds == {False, "not symmetric", "monomial-basis expansion needs a non-Laurent input"}
 
 
@@ -299,16 +298,16 @@ def test_orbit_form_cache_is_per_polynomial():
     for first in ("p", "derived"):
         p = p + 0  # a fresh polynomial with nothing read
         if first == "p":
-            assert to_monomial_basis(p) == {(2, 1, 0): 1, (1, 0, 0): Fraction(1, 2)}
+            assert p._orbit_form() == {(2, 1, 0): 1, (1, 0, 0): Fraction(1, 2)}
         twice, total = 2 * p, p + q
-        assert to_monomial_basis(twice) == {(2, 1, 0): 2, (1, 0, 0): 1}
-        assert to_monomial_basis(total) == {(1, 1, 1): 1, (1, 0, 0): Fraction(1, 2)}
-        assert to_monomial_basis(p) == {(2, 1, 0): 1, (1, 0, 0): Fraction(1, 2)}
+        assert twice._orbit_form() == {(2, 1, 0): 2, (1, 0, 0): 1}
+        assert total._orbit_form() == {(1, 1, 1): 1, (1, 0, 0): Fraction(1, 2)}
+        assert p._orbit_form() == {(2, 1, 0): 1, (1, 0, 0): Fraction(1, 2)}
         forms = [r._orbit_form() for r in (p, twice, total, q)]
         assert len({id(form) for form in forms}) == 4
     with pytest.raises(AttributeError, match="Polynomial is immutable"):
         p._orbits = {(2, 1, 0): 5}
-    assert to_monomial_basis(p) == {(2, 1, 0): 1, (1, 0, 0): Fraction(1, 2)}
+    assert p._orbit_form() == {(2, 1, 0): 1, (1, 0, 0): Fraction(1, 2)}
 
 
 def test_orbit_against_permutations():

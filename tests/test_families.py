@@ -785,10 +785,10 @@ def test_construction_cache_one_entry_per_label_spec_and_route():
 def _jack_fraction_reference(n, beta, weight):
     """Every Jack polynomial of one weight by the triangular solve written
     out in Fraction: e_k(Dhat) images summed over k-subsets, expanded by
-    ``to_monomial_basis``, back-substituted one coefficient at a time."""
+    their orbit forms, back-substituted one coefficient at a time."""
     from itertools import combinations
 
-    from heckepoly.combinatorics import partitions_of, to_monomial_basis
+    from heckepoly.combinatorics import partitions_of
 
     spec = jack_spec(n, beta)
     chers = [ops.cherednik(j, spec) for j in range(1, n + 1)]
@@ -804,7 +804,7 @@ def _jack_fraction_reference(n, beta, weight):
                 for j in subset:
                     g = chers[j](g)
                 image = image + g
-            per_k.append(to_monomial_basis(image))
+            per_k.append(image._orbit_form())
         columns.append(per_k)
 
     def eigen(mu):
@@ -938,6 +938,25 @@ def test_one_realization_per_spec():
     clear_caches()
     assert cache_info()["families.realization"] == 0
     assert realization(spec) is not real and realization(spec).spec == spec
+
+
+def test_no_function_is_found_by_name():
+    """Realizations, constructors and pairings call the functions they
+    name: no module of the package reads ``globals()[...]`` or looks an
+    operator or a pairing up on its module with getattr."""
+    import re
+    from pathlib import Path
+
+    import heckepoly
+
+    lookup = re.compile(r"globals\(\)\[|getattr\(ops|getattr\(pairings")
+    hits = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(Path(heckepoly.__file__).parent.glob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if lookup.search(line)
+    ]
+    assert hits == []
 
 
 @pytest.mark.parametrize(

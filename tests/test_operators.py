@@ -511,18 +511,15 @@ def test_combinations_against_division_oracle():
 
 
 def _assert_normal_form(op):
-    """content is an int or a Fraction, every coefficient of terms an int,
-    and so inside named operators and compositions of two or more factors."""
+    """content is an int or a Fraction, every coefficient of every factor
+    an int, and the content of every named operator an int or a Fraction."""
     assert type(op.content) in (int, Fraction)
-    for k, push in op.terms:
-        assert type(k) is int
-        node = getattr(push, "__self__", None)
-        if type(node) is ops._Memo:
-            _assert_normal_form(node)
-        elif type(node) is ops._Chain:
-            assert len(node.factors) >= 2
-            for factor in node.factors:
-                _assert_normal_form(ops.Operator(op.nvars, 1, factor))
+    for factor in op.factors:
+        for k, push in factor:
+            assert type(k) is int
+            node = getattr(push, "__self__", None)
+            if type(node) is ops._Memo:
+                assert type(node.content) in (int, Fraction)
 
 
 def test_operators_keep_the_normal_form():
@@ -530,12 +527,18 @@ def test_operators_keep_the_normal_form():
     swap, d1 = ops.exchange(n, 1, 2), ops.dunkl(1, spec)
     fractional = Fraction(1, 2) * swap + Fraction(1, 3) * ops.identity(n)
     assert fractional.content == Fraction(1, 6)
-    assert sorted(k for k, _ in fractional.terms) == [2, 3]
+    assert [sorted(k for k, _ in factor) for factor in fractional.factors] == [[2, 3]]
     composed = fractional * d1 * Fraction(4, 3) * fractional
     assert composed.content == Fraction(1, 6) * Fraction(4, 3) * Fraction(1, 6)
+    assert composed.factors == fractional.factors + d1.factors + fractional.factors
+    summed = composed + swap  # the composition is one term of one factor
+    assert len(summed.factors) == 1 and (1, composed.push) in summed.factors[0]
+    assert ops.identity(n).factors == ()
+    assert (composed * ops.identity(n)).factors == composed.factors
     zero = ops.scalar(n, 0)
-    assert zero.terms == () and type(zero.content) is int
-    for op in _combination_expressions() + [fractional, composed, zero]:
+    assert zero.factors == ((),) and type(zero.content) is int
+    assert (composed * zero).factors == (zero + zero).factors == ((),)
+    for op in _combination_expressions() + [fractional, composed, summed, zero]:
         _assert_normal_form(op)
 
 
@@ -685,7 +688,7 @@ def test_antisymmetrizer_is_built_once_per_n_and_beta():
     clear_caches()
     minus = ops.antisymmetrizer(3, 1)
     assert cache_info()["operators.named"] == 1
-    assert ops.antisymmetrizer(3, 1).terms == minus.terms
+    assert ops.antisymmetrizer(3, 1).factors == minus.factors
     assert cache_info()["operators.named"] == 1
     ops.antisymmetrizer(3, 0)
     assert cache_info()["operators.named"] == 2

@@ -230,7 +230,8 @@ def test_dunkl_pairing_values():
         f = random_symmetric_polynomial(2, 3, rng)
         g = random_symmetric_polynomial(2, 3, rng)
         induced = gauss_pairing(sigma_a(f, spec2), sigma_a(g, spec2), spec2).q
-        assert induced == base * dunkl_pairing(f, g, spec2, "dunkl", Fraction(1, 2))
+        halved = Polynomial(2, {e: Fraction(c, 2 ** sum(e)) for e, c in f.terms.items()})
+        assert induced == base * dunkl_pairing(halved, g, spec2)  # f(x/2)
 
 
 def test_orthogonality_all_families():

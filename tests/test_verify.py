@@ -12,7 +12,7 @@ import pytest
 
 from heckepoly import clear_caches
 from heckepoly import operators as ops
-from heckepoly import families, shift, verify
+from heckepoly import families, pairings, shift, verify
 from heckepoly.errors import CalibrationError
 from heckepoly.families import realization
 from heckepoly.parameters import FAMILIES, FamilySpec
@@ -131,12 +131,49 @@ def test_shift_suite_emits_calibration():
         assert entry["global_sign"] == (-1) ** (n * (n - 1) // 2)
 
 
-def test_dunkl_pairing_suite_records_verdict():
-    report = run_suite("dunkl_pairing_prop", SMALL)
-    verdict = report.calibration["proportionality"]
-    assert verdict["dunkl,scale=1/2"] is True
-    assert verdict["cherednik,scale=1"] is False
-    assert verdict["cherednik,scale=1/2"] is False
+def _hook_numerator_plus_one(body):
+    def planted(lam, n, beta):
+        num, den = body(lam, n, beta)
+        return num + 1, den
+
+    return planted
+
+
+# suite -> (module, attribute, wrapper of the original, cases of SMALL it
+# fails): a planted defect in a value that suite alone compares
+VALUE_PLANTS = {
+    # the operator pairing doubled: its convention is fixed, so nothing absorbs it
+    "dunkl_pairing_prop": (
+        verify, "dunkl_pairing", lambda pairing: lambda f, g, spec: 2 * pairing(f, g, spec), 2),
+    # beta^2/12 added to the constant beta^2 N (N^2 - 1)/12: the beta = 1 half
+    "sutherland_form": (
+        ops, "sutherland_expanded_apply",
+        lambda apply: lambda f, beta: apply(f, beta) + Fraction(beta * beta, 12) * f, 9),
+    # + 1 on the Hermite and Laguerre hook numerator, read at beta >= 1
+    "norm_equiv_appB": (pairings, "_hook_norm_body_hl", _hook_numerator_plus_one, 12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_PLANTS))
+def test_planted_value_fails_its_suite(name, monkeypatch, capsys):
+    """Each plant fails its own suite in the cases it reaches, and verify
+    exits 1."""
+    from heckepoly.cli import main
+
+    module, attr, wrap, failing = VALUE_PLANTS[name]
+    clear_caches()
+    monkeypatch.setattr(module, attr, wrap(getattr(module, attr)))
+    try:
+        report = run_suite(name, SMALL)
+        code = main(["verify", "--suite", name, *SMALL_ARGV])
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    assert report.cases_run == SMALL_COUNTS[name]
+    assert report.cases_run - report.cases_passed == failing
+    assert not any("exception" in failure["params"] for failure in report.failures)
+    assert code == 1
+    assert capsys.readouterr().out.startswith(f"{name}: FAIL")
 
 
 # the public operations the suites must call, as module.name
@@ -339,7 +376,6 @@ def test_planted_moment_recurrence_fails_norms_all(plant, monkeypatch, capsys):
     """norms_all compares the pairings, whose moments come from the
     recurrence of ``pairings._moment_terms``, with the closed-form norms, so
     a wrong recurrence coefficient fails it and verify exits 1."""
-    from heckepoly import pairings
     from heckepoly.cli import main
 
     clear_caches()
