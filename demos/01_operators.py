@@ -31,12 +31,12 @@ print("D_1 x_1 =", d1(x1).pretty(), "(derivative 1 plus exchange weight 1)")
 # monomial of degree <= 5.
 c1 = ops.cherednik(1, spec)
 c2 = ops.cherednik(2, spec)
-commutes = ops.operator_equal(ops.commutator(c1, c2), ops.scalar(2, 0), 5)
+commutes = ops.first_difference(ops.commutator(c1, c2), ops.scalar(2, 0), 5) is None
 print("[Dhat_1, Dhat_2] = 0 up to degree 5:", commutes)
 
 # One of the defining relations of the algebra they generate:
 s1 = ops.exchange(2, 1, 2)
-relation = ops.operator_equal(c2 * s1 - s1 * c1, ops.scalar(2, 1), 5)
+relation = ops.first_difference(c2 * s1 - s1 * c1, ops.scalar(2, 1), 5) is None
 print("Dhat_2 s_1 - s_1 Dhat_1 = beta:", relation)
 
 # The B-type operators act on z with reflections z_j -> -z_j.  The

@@ -34,9 +34,9 @@ A family of operator words applied to one seed is evaluated by shared
 prefixes (``apply_words``): a word's image is its last step applied to
 the image of the word without it, so every prefix is applied once.  The
 word of x^a is L_1^a_1 then L_2^a_2, ... (``exponent_word``), which serves
-the intertwiners (they keep the images) and the operator pairing; the
-deformed antisymmetrizer peels first left descents of S_N, T_w f =
-shat_i(T_{s_i w} f), and costs N! - 1 deformed transpositions a monomial.
+the intertwiners (they keep the images) and the operator pairing.  The
+deformed antisymmetrizer is a plain product of N - 1 coset sums, so it
+costs N(N-1)/2 deformed transpositions an input, whatever its size.
 
 Dunkl operator (A type):      D_j = d_j + beta * sum_{k!=j} (1-s_jk)/(x_j-x_k)
 Cherednik operator (A type):  Dhat_j = x_j D_j + beta * sum_{k<j} s_jk
@@ -56,12 +56,11 @@ and h_j = (1/2) A_j a_j + beta * sum_{k<j} s_jk  (Hermite),
 
 The named operators ``dunkl`` (also the annihilation operator),
 ``cherednik``, ``creation`` and ``htilde``, of type B iff the spec has a
-gamma, are built once per key (name, N, j, beta, gamma), and
-``antisymmetrizer`` once per (name, N, beta).  Each memoizes the image of
-every monomial it is applied to; both are registered in ``caches``, as
-``operators.named`` and ``operators.images``.  Dhat_j, A_j and h_j are
-built on the named D_j (h_j = A_j D_j / 2 + ...), so each image of D_j is
-computed once and read by all four.
+gamma, are built once per key (name, N, j, beta, gamma) and memoize the
+image of every monomial they are applied to; both are registered in
+``caches``, as ``operators.named`` and ``operators.images``.  Dhat_j, A_j
+and h_j are built on the named D_j (h_j = A_j D_j / 2 + ...), so each
+image of D_j is computed once and read by all four.
 """
 
 from __future__ import annotations
@@ -72,7 +71,7 @@ from functools import partial
 from operator import add
 
 from .caches import register
-from .combinatorics import all_permutations, permute_exponents, reduced_word, sign
+from .combinatorics import permute_exponents
 from .errors import AmbientSizeMismatch, TypeBContextError
 from .parameters import FamilySpec
 from .polynomials import Polynomial, _canonical, _integer_part, divide_exact, monomials_up_to_degree
@@ -486,19 +485,15 @@ def _coordinate(n: int, j: int) -> Operator:
     return multiply_by(Polynomial.variable(n, j))
 
 
-def _named(key: tuple, build) -> Operator:
-    """The operator build(*key[1:]), built once per key (name, ...) and
-    memoized on monomials."""
+def _typed(name: str, j: int, spec: FamilySpec, build) -> Operator:
+    """build(N, j, beta, gamma) of spec, built once per key (name, N, j,
+    beta, gamma) and memoized on monomials: type B iff it has a gamma."""
+    _check_index(spec.n, j)
+    key = (name, spec.n, j, spec.beta, spec.gamma)
     memo = _NAMED.get(key)
     if memo is None:
         memo = _NAMED[key] = _Memo(build(*key[1:]))
     return Operator(memo.nvars, memo.content, (((1, memo._push),),))
-
-
-def _typed(name: str, j: int, spec: FamilySpec, build) -> Operator:
-    """build(N, j, beta, gamma) of spec, named: type B iff it has a gamma."""
-    _check_index(spec.n, j)
-    return _named((name, spec.n, j, spec.beta, spec.gamma), build)
 
 
 def dunkl(j: int, spec: FamilySpec) -> Operator:
@@ -547,40 +542,25 @@ def deformed_transposition(nvars: int, j: int, beta: int) -> Operator:
     return exchange(nvars, j, j + 1) - beta * divided_diff_minus(nvars, j, j + 1)
 
 
-MAX_ANTISYMMETRIZER_N = 6
-
-
 def antisymmetrizer(nvars: int, beta: int = 0) -> Operator:
     """P_- = (1/N!) sum_w sign(w) T_w over S_N, T_w the deformed
     transpositions along a reduced word of w (needs an integer beta, so
     that every shat_i has integer coefficients).  At beta = 0 every shat_i
     is s_i, and P_- is the plain antisymmetrizer (1/N!) sum_w sign(w) w.
-    A named operator, built once per (N, beta).
 
-    One prefix tree, N! - 1 deformed transpositions per monomial: with i
-    the first left descent of w, T_w = shat_i T_{s_i w}, so in the order of
-    application the word of w is reduced_word(w^-1), whose prefixes are the
-    words of the s_i w; the sum runs over v = w^-1, of the same sign."""
-    if nvars > MAX_ANTISYMMETRIZER_N:
-        raise ValueError(f"antisymmetrizer limited to N <= {MAX_ANTISYMMETRIZER_N}")
+    Each w of S_k is uniquely u c with u in S_{k-1} and c one of the coset
+    representatives 1, s_{k-1}, s_{k-1} s_{k-2}, ..., lengths adding, so
+    N! P_- = B_2 ... B_N (B_N acts first) with B_1 = 1 and
+    B_k = 1 - shat_{k-1} B_{k-1} = 1 - shat_{k-1} + shat_{k-1} shat_{k-2} - ...
+    in Horner form: N(N-1)/2 deformed transpositions an input."""
     if type(beta) is not int:
         raise ValueError("the antisymmetrizer needs an integer beta")
-    return _named(("antisymmetrizer", nvars, beta), _antisymmetrizer)
-
-
-def _antisymmetrizer(nvars: int, beta: int) -> Operator:
-    shat = [deformed_transposition(nvars, i, beta) for i in range(1, nvars)]
-    signed = {tuple(i - 1 for i in reduced_word(v)): sign(v) for v in all_permutations(nvars)}
-
-    def push(src, out, c):
-        images = _word_images(src, signed, shat, {})
-        get = out.get
-        for word, s in signed.items():
-            k = s * c
-            for e, v in images[word][1].items():
-                out[e] = get(e, 0) + k * v
-
-    return Fraction(1, math.factorial(nvars)) * _leaf(nvars, push)
+    one = identity(nvars)
+    total = coset = one
+    for k in range(2, nvars + 1):
+        coset = one - deformed_transposition(nvars, k - 1, beta) * coset
+        total = total * coset
+    return Fraction(1, math.factorial(nvars)) * total
 
 
 def exponent_word(exps, power: int = 1) -> tuple[int, ...]:
@@ -590,43 +570,36 @@ def exponent_word(exps, power: int = 1) -> tuple[int, ...]:
     return tuple(j for j, e in enumerate(exps) for _ in range(power * e))
 
 
-def _word_images(seed: dict, words, steps, images: dict) -> dict:
-    """{word: (content, terms)} for each of ``words`` and each prefix of
-    one: the image of the integer term dict seed under the word, as content
-    times integer terms.  The word (i_1, ..., i_k) applies steps[i_1] first
-    and steps[i_k] last; its image is steps[i_k] applied to the image of
-    (i_1, ..., i_{k-1}), so every prefix is applied once.  ``images`` holds
-    the earlier images of the same seed and steps, if any: it is filled in
-    place, and every image is read back from it."""
-    images.setdefault((), (1, seed))
+def apply_words(seed: Polynomial, weights: dict, steps, images=None) -> Polynomial:
+    """sum_word k * T_word(seed) over the {word: k} of ``weights``, with
+    T_(i_1..i_k) = steps[i_k] ... steps[i_1]: steps[i_1] acts first.  A
+    word's image, content times integer terms, is steps[i_k] applied to the
+    image of (i_1, ..., i_{k-1}), so every prefix is applied once.
+    ``images`` holds the earlier images of the same seed and steps, if any:
+    it is filled in place, and every image is read back from it.  The sum is
+    accumulated in integers over one common denominator and divided once."""
+    src, den = _integer_part(seed.terms)
+    if images is None:
+        images = {}
+    images.setdefault((), (1, src))
 
     def image(word):
         if word not in images:
-            content, src = image(word[:-1])
+            content, terms = image(word[:-1])
             step = steps[word[-1]]
-            images[word] = (content * step.content, _applied(step.push, src))
+            images[word] = (content * step.content, _applied(step.push, terms))
         return images[word]
 
-    for word in words:
-        image(word)
-    return images
-
-
-def apply_words(seed: Polynomial, weights: dict, steps, images=None) -> Polynomial:
-    """sum_word k * T_word(seed) over the {word: k} of ``weights``, with
-    T_(i_1..i_k) = steps[i_k] ... steps[i_1]: steps[i_1] acts first.  All
-    words share one evaluation of their prefixes (``_word_images``, which
-    keeps them in ``images`` when given), and the sum is accumulated in
-    integers over one common denominator and divided once."""
-    src, den = _integer_part(seed.terms)
-    images = _word_images(src, weights, steps, {} if images is None else images)
-    factors = [(images[w][0] * _canonical(k), images[w][1]) for w, k in weights.items()]
+    factors = []
+    for word, k in weights.items():
+        content, terms = image(word)
+        factors.append((content * _canonical(k), terms))
     common = math.lcm(*(r.denominator for r, _ in factors))
     total: dict = {}
     get = total.get
-    for r, image in factors:
+    for r, terms in factors:
         m = r.numerator * (common // r.denominator)
-        for e, v in image.items():
+        for e, v in terms.items():
             total[e] = get(e, 0) + m * v
     q = common * den
     return _rescale(seed.nvars, total, Fraction(1, q) if q > 1 else 1)
@@ -678,11 +651,6 @@ def first_difference(op_a: Operator, op_b: Operator, degree: int):
             mono = Polynomial.monomial(exps)
             return exps, op_a(mono), op_b(mono)
     return None
-
-
-def operator_equal(op_a: Operator, op_b: Operator, degree: int) -> bool:
-    """Exact agreement on every monomial of total degree <= degree."""
-    return first_difference(op_a, op_b, degree) is None
 
 
 def _signflip(j: int, spec: FamilySpec) -> Operator:

@@ -690,7 +690,7 @@ def _dunkl_pairing_prop(grid: GridSpec):
                 for f, g in inputs
             )
 
-        yield {"n": n, "beta": beta, "choice": "dunkl,scale=1/2"}, case
+        yield {"n": n, "beta": beta}, case
 
 
 def _sutherland_form(grid: GridSpec):

@@ -5,6 +5,7 @@ import importlib
 import inspect
 import itertools
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -596,6 +597,32 @@ def test_relation_tables_catch_planted_defect(name, monkeypatch):
         clear_caches()
     assert report.failures and not report.passed
     assert all("monomial" in failure["params"] for failure in report.failures)
+
+
+def _flipped_antisymmetrizer(nvars, beta=0):
+    """operators.antisymmetrizer with the coset step 1 + shat B in place of
+    1 - shat B: the signs of the coset representatives lost."""
+    one = ops.identity(nvars)
+    total = coset = one
+    for k in range(2, nvars + 1):
+        coset = one + ops.deformed_transposition(nvars, k - 1, beta) * coset
+        total = total * coset
+    return Fraction(1, math.factorial(nvars)) * total
+
+
+def test_flipped_coset_sign_fails_appendix_a(monkeypatch):
+    """A sign slip in P_-'s own coset product fails appendix_A: its
+    annihilation rows and the antisymmetrizer lemmas."""
+    clear_caches()
+    monkeypatch.setattr(ops, "antisymmetrizer", _flipped_antisymmetrizer)
+    try:
+        report = run_suite("appendix_A", SMALL)
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    assert report.cases_run == SMALL_COUNTS["appendix_A"]
+    assert report.cases_run - report.cases_passed == 12
+    assert not any("exception" in failure["params"] for failure in report.failures)
 
 
 def _negated_y(y_product):
