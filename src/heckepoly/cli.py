@@ -23,8 +23,8 @@ Exit codes, for every command:
   0  everything passed
   1  a counterexample: a verify case failed, or a check the command runs
      came out false (a raise or shift image not proportional to its
-     target, a construction that is not triangular, a sigma_B or
-     Laguerre operator image that is not even)
+     target, a construction that is not triangular, a Laguerre operator
+     image in ``pair`` that is not even)
   2  a usage or input error: bad options, a malformed value, a grid out
      of bounds (N, weight, degree, beta or gamma, or an empty list), a
      label or parameter the construction rejects, an --output path that
@@ -54,7 +54,7 @@ from .errors import (
     RodriguesSingularError,
     TypeBContextError,
 )
-from .families import NonSymLabel, construct, realization
+from .families import NonSymLabel, construct, decode_even, encode_even, realization
 from .parameters import FamilySpec
 from .pairings import norm_formula
 from .polynomials import Polynomial
@@ -172,12 +172,14 @@ def cmd_pair(args, spec: FamilySpec):
         )
     except (HeckePolyError, ValueError) as err:
         _fail(f"usage error: {err}")
-    real = realization(spec)
-    # through the codec: a Laguerre operator acts on z, f and g are in u,
-    # and an image that is not even raises EvennessViolation (exit 1)
-    f = real.apply(op_f, f) if op_f else f
-    g = real.apply(op_g, g) if op_g else g
-    value = real.pair(f, g)
+    def applied(op, h):
+        if not op or spec.gamma is None:
+            return op(h) if op else h
+        # type B (the spec has a gamma): op acts on z and h is in u = z^2,
+        # so an image that is not even raises EvennessViolation (exit 1)
+        return decode_even(op(encode_even(h)))
+
+    value = realization(spec).pair(applied(op_f, f), applied(op_g, g))
     return EXIT_PASS, value.to_json_dict(), value.render()
 
 

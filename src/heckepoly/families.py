@@ -22,14 +22,15 @@ Rational gauge convention: the ladder operators carry a factored-out
 sqrt(2), so the intertwiner applied to a homogeneous f of degree d is
 
     sigma_A(f) = 2^(-d) f(A_1, ..., A_N) . 1
-    sigma_B(f) = f(B_1^2/4, ..., B_N^2/4) . 1   (re-encoded in u)
+    sigma_B(f) = f(B_1^2/4, ..., B_N^2/4) . 1   (in u = z^2)
 
 which makes every family polynomial exactly rational.  Under this
 convention sigma_A(J_lam) *is* the monic Hermite polynomial and
-sigma_B(J_lam) the monic Laguerre polynomial.  The ladder words of the
-terms of f, in letters L_j/2, share their prefixes
-(``operators.apply_words``), act in integers, are kept per spec in
-``families.sigma_words`` and are summed over one common denominator.
+sigma_B(J_lam) the monic Laguerre polynomial; B_j^2/4 acts on u by
+type-A operators (``Realization``).  The words of the terms of f, in
+letters V_j, share their prefixes (``operators.apply_words``), act in
+integers, are kept per spec in ``families.sigma_words`` and are summed
+over one common denominator.
 
 The Gram route (the default for Hermite and Laguerre) is one growing
 fraction-free Gram-Schmidt elimination per spec (``_gram``, its rows in
@@ -138,8 +139,8 @@ class FamilyPolynomial:
 
     ``eigenvalues`` is the joint spectrum in the Cherednik normalization:
     the Dhat_j eigenvalues for non-symmetric labels, and the tuple
-    (lam_{N-j+1} + beta (j-1))_{j=1..N} for symmetric ones.  The Laguerre
-    operators h_j realize twice these values.
+    (lam_{N-j+1} + beta (j-1))_{j=1..N} for symmetric ones.  The type-B
+    h_j realize twice these values on the z-encoding of a Laguerre one.
     """
 
     label: object
@@ -171,19 +172,17 @@ class Realization:
     Hecke algebra: the images x_j -> V_j and Dhat_j -> C_j of its
     generators (s_jk acts as itself), and what comes with them.
 
-        family    V_j        C_j       codec      pair
-        jack      x_j        Dhat_j    identity   ct_pairing
-        hermite   A_j/2      h_j       identity   gauss_pairing
-        laguerre  B_j^2/4    h_j/2     u = z^2    laguerre_pairing
+        family    V_j                   C_j                pair
+        jack      x_j                   Dhat_j             ct_pairing
+        hermite   A_j/2                 h_j                gauss_pairing
+        laguerre  (u_j - K_j)(1 - D_j)  Dhat_j - K_j D_j   laguerre_pairing
 
-    V_j = letter_j^stretch: the ladder letter L_j/2, L_j the creation
-    operator, carries the gauge's 1/2; the Jack letter is x_j (sigma = 1).
-    The operators take their type from the spec (``operators.creation`` is
-    A_j on a Hermite spec and B_j on a Laguerre one, ``operators.htilde``
-    likewise), and act on z-polynomials for Laguerre; ``apply`` reads them
-    through the codec u_j = z_j^stretch.  ``pair(f, g)`` is the family
-    pairing as a ScaledRational.  An instance holds only its spec; each
-    subclass names in its methods the ``operators`` and ``pairings``
+    Each family acts on its own variables, Laguerre on u = z^2 by the
+    type-A D_j and Dhat_j of (N, beta), K_j = Dhat_j + beta sum_{k>j} s_jk
+    + gamma + 1/2: on even z-polynomials its C_j and V_j are the paper's
+    type-B (1/2) h_j and (B_j/2)^2, as res_B checks.  ``pair(f, g)`` is the
+    family pairing as a ScaledRational.  An instance holds only its spec;
+    each subclass names in its methods the ``operators`` and ``pairings``
     functions it calls, through their modules, on every call, so
     ``clear_caches`` drops the operators they build.
     """
@@ -191,7 +190,6 @@ class Realization:
     __slots__ = ("spec",)
 
     letter = "x"  # variable letter of the printed polynomials
-    stretch = 1
     graded = False  # the pairing vanishes on x^a, x^b unless |a| = |b|
     symmetric_routes = ("gram", "intertwined", "rodrigues")  # default first
 
@@ -199,23 +197,13 @@ class Realization:
         self.spec = spec
 
     def coordinate(self, j: int) -> ops.Operator:
-        """V_j, the image of multiplication by x_j."""
-        return self._letter(j) ** self.stretch
-
-    def _letter(self, j: int) -> ops.Operator:
-        """L_j/2, one letter of the ladder words."""
+        """V_j, the image of multiplication by x_j: one letter of the
+        ladder words."""
         return Fraction(1, 2) * ops.creation(j, self.spec)
 
     def cherednik(self, j: int) -> ops.Operator:
         """C_j, the image of the Cherednik operator Dhat_j."""
         return ops.htilde(j, self.spec)
-
-    def decode(self, f: Polynomial) -> Polynomial:
-        return f if self.stretch == 1 else decode_even(f)
-
-    def apply(self, op: ops.Operator, f: Polynomial) -> Polynomial:
-        """op applied to f through the codec."""
-        return self.decode(op(f if self.stretch == 1 else encode_even(f)))
 
     def apply_symmetric(self, key, image_of, f: Polynomial) -> Polynomial:
         """The map image_of applied to a symmetric f, from ``orbit_image``,
@@ -248,16 +236,16 @@ class Realization:
         return {nu: _canonical(Fraction(v, den) if den > 1 else v) for nu, v in out.items() if v}
 
     def intertwine(self, f: Polynomial) -> Polynomial:
-        """sigma(f) = decode(f(V_1, ..., V_N) . 1): the term x^a is the
-        word of letters L_j/2 of x^(stretch a) applied to 1.  Each word's
-        image is kept in integers in one store per spec (``sigma_words``),
-        so a new word costs one letter applied to its prefix's, and the
-        letters are built only for a new word; the stored images are summed
-        and divided once (``operators.apply_words``)."""
+        """sigma(f) = f(V_1, ..., V_N) . 1: the term x^a is the word of
+        letters V_j of x^a applied to 1.  Each word's image is kept in
+        integers in one store per spec (``sigma_words``), so a new word
+        costs one letter applied to its prefix's, and the letters are built
+        only for a new word; the stored images are summed and divided once
+        (``operators.apply_words``)."""
         n, store = self.spec.n, _SIGMA_WORDS.setdefault(self.spec, {})
-        words = {ops.exponent_word(exps, self.stretch): c for exps, c in f.terms.items()}
-        letters = [self._letter(j) for j in range(1, n + 1)] if words.keys() - store.keys() else ()
-        return self.decode(ops.apply_words(Polynomial.one(n), words, letters, store))
+        words = {ops.exponent_word(exps): c for exps, c in f.terms.items()}
+        letters = [self.coordinate(j) for j in range(1, n + 1)] if words.keys() - store.keys() else ()
+        return ops.apply_words(Polynomial.one(n), words, letters, store)
 
 
 class _Jack(Realization):
@@ -265,7 +253,7 @@ class _Jack(Realization):
     graded = True
     symmetric_routes = ("triangular", "rodrigues")
 
-    def _letter(self, j: int) -> ops.Operator:
+    def coordinate(self, j: int) -> ops.Operator:
         return ops.multiply_by(Polynomial.variable(self.spec.n, j))
 
     def cherednik(self, j: int) -> ops.Operator:
@@ -284,10 +272,13 @@ class _Hermite(Realization):
 
 class _Laguerre(Realization):
     __slots__ = ()
-    letter, stretch = "u", 2
+    letter = "u"
+
+    def coordinate(self, j: int) -> ops.Operator:
+        return ops.laguerre_coordinate(j, self.spec)
 
     def cherednik(self, j: int) -> ops.Operator:
-        return Fraction(1, 2) * ops.htilde(j, self.spec)
+        return ops.laguerre_cherednik(j, self.spec)
 
     def pair(self, f: Polynomial, g: Polynomial) -> ScaledRational:
         return pairings.laguerre_pairing(f, g, self.spec)
@@ -404,7 +395,7 @@ def _checked_nonsym(label: NonSymLabel, spec: FamilySpec) -> FamilyPolynomial:
     elif eta[0]:
         prev = _checked_nonsym(NonSymLabel.from_composition(eta[1:] + (eta[0] - 1,)), spec).poly
         omega = ops.permutation_op(tuple(range(2, n + 1)) + (1,))
-        poly = real.apply(real.coordinate(1), omega(prev))
+        poly = real.coordinate(1)(omega(prev))
     else:
         i = next(i for i in range(n - 1) if eta[i] < eta[i + 1])
         swapped = eta[:i] + (eta[i + 1], eta[i]) + eta[i + 2 :]
@@ -540,15 +531,16 @@ def sigma_a(f: Polynomial, spec: FamilySpec) -> Polynomial:
 
 
 def sigma_b(f: Polynomial, spec: FamilySpec) -> Polynomial:
-    """Squared-creation intertwiner: substitutes B_j^2/4 for x_j, applies to
-    1, and re-encodes the (necessarily even) image in u = z^2."""
+    """Squared-creation intertwiner: substitutes V_j, the u-form of B_j^2/4
+    (u = z^2), for x_j and applies to 1."""
     if spec.family != LAGUERRE:
         raise ValueError("sigma_b needs a Laguerre spec")
     return realization(spec).intertwine(f)
 
 
 def encode_even(f_u: Polynomial) -> Polynomial:
-    """u-polynomial -> even z-polynomial (u_j = z_j^2)."""
+    """u-polynomial -> even z-polynomial (u_j = z_j^2), for the type-B
+    operators on z."""
     return ops.stretch(f_u.nvars, 2)(f_u)
 
 

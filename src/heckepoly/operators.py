@@ -60,7 +60,9 @@ gamma, are built once per key (name, N, j, beta, gamma) and memoize the
 image of every monomial they are applied to; both are registered in
 ``caches``, as ``operators.named`` and ``operators.images``.  Dhat_j, A_j
 and h_j are built on the named D_j (h_j = A_j D_j / 2 + ...), so each
-image of D_j is computed once and read by all four.
+image of D_j is computed once and read by all four.  The Laguerre C_j
+and V_j (``laguerre_cherednik``, ``laguerre_coordinate``) act on u = z^2
+and are built on the type-A D_j and Dhat_j that Jack and Hermite read.
 """
 
 from __future__ import annotations
@@ -485,39 +487,44 @@ def _coordinate(n: int, j: int) -> Operator:
     return multiply_by(Polynomial.variable(n, j))
 
 
-def _typed(name: str, j: int, spec: FamilySpec, build) -> Operator:
-    """build(N, j, beta, gamma) of spec, built once per key (name, N, j,
-    beta, gamma) and memoized on monomials: type B iff it has a gamma."""
-    _check_index(spec.n, j)
-    key = (name, spec.n, j, spec.beta, spec.gamma)
+def _named(name: str, n: int, j: int, beta: int, gamma, build) -> Operator:
+    """build(N, j, beta, gamma), built once per key (name, N, j, beta,
+    gamma) and memoized on monomials."""
+    _check_index(n, j)
+    key = (name, n, j, beta, gamma)
     memo = _NAMED.get(key)
     if memo is None:
-        memo = _NAMED[key] = _Memo(build(*key[1:]))
+        memo = _NAMED[key] = _Memo(build(n, j, beta, gamma))
     return Operator(memo.nvars, memo.content, (((1, memo._push),),))
 
 
 def dunkl(j: int, spec: FamilySpec) -> Operator:
     """D_j of the spec's type; also the rescaled annihilation operator of
     the ladder pair."""
-    return _typed("dunkl", j, spec, _dunkl)
+    return _named("dunkl", spec.n, j, spec.beta, spec.gamma, _dunkl)
+
+
+def _cherednik(n: int, j: int, beta: int, gamma) -> Operator:
+    return (_coordinate(n, j) * _named("dunkl", n, j, beta, gamma, _dunkl)
+            + _exchanges(n, j, beta, gamma is not None))
 
 
 def cherednik(j: int, spec: FamilySpec) -> Operator:
     """Dhat_j = x_j D_j + beta * sum_{k<j} s_jk (type A; joint eigenbasis =
     non-symmetric Jack polynomials), or z_j D_j + beta * sum_{k<j} (s_jk +
     t_j t_k s_jk) (type B; preserves the even subring C[z_1^2, ..., z_N^2])."""
-    return _typed("cherednik", j, spec, lambda n, j, beta, gamma: (
-        _coordinate(n, j) * dunkl(j, spec) + _exchanges(n, j, beta, gamma is not None)
-    ))
+    return _named("cherednik", spec.n, j, spec.beta, spec.gamma, _cherednik)
+
+
+def _creation(n: int, j: int, beta: int, gamma) -> Operator:
+    return 2 * _coordinate(n, j) - _named("dunkl", n, j, beta, gamma, _dunkl)
 
 
 def creation(j: int, spec: FamilySpec) -> Operator:
     """Rescaled gauge-transformed creation operator 2 x_j - D_j: A_j in
     type A, and in type B, from gauge conjugation of -D_j + 2 z_j,
     B_j = -d_j + 2 z_j - beta * sum [...] - gamma (1-t_j)/z_j."""
-    return _typed("creation", j, spec, lambda n, j, beta, gamma: (
-        2 * _coordinate(n, j) - dunkl(j, spec)
-    ))
+    return _named("creation", spec.n, j, spec.beta, spec.gamma, _creation)
 
 
 def htilde(j: int, spec: FamilySpec) -> Operator:
@@ -529,10 +536,35 @@ def htilde(j: int, spec: FamilySpec) -> Operator:
     product, so h_j = (1/2) * creation * annihilation + exchange terms,
     which is Dhat_j - (1/2) D_j^2.
     """
-    return _typed("htilde", j, spec, lambda n, j, beta, gamma: (
-        Fraction(1, 2) * (creation(j, spec) * dunkl(j, spec))
+    return _named("htilde", spec.n, j, spec.beta, spec.gamma, lambda n, j, beta, gamma: (
+        Fraction(1, 2) * (_named("creation", n, j, beta, gamma, _creation)
+                          * _named("dunkl", n, j, beta, gamma, _dunkl))
         + _exchanges(n, j, beta, gamma is not None)
     ))
+
+
+def _laguerre_k(n: int, j: int, beta: int, gamma) -> Operator:
+    """K_j = Dhat_j + beta * sum_{k>j} s_jk + (gamma + 1/2), type A."""
+    op = _named("cherednik", n, j, beta, None, _cherednik) + scalar(n, gamma + Fraction(1, 2))
+    for k in range(j + 1, n + 1):
+        op = op + beta * exchange(n, j, k)
+    return op
+
+
+def laguerre_cherednik(j: int, spec: FamilySpec) -> Operator:
+    """C_j = Dhat_j - K_j D_j of a Laguerre spec on u = z^2, type A at
+    (N, beta): the type-B (1/2) h_j on even z-polynomials."""
+    return _named("laguerre_cherednik", spec.n, j, spec.beta, spec.gamma, lambda n, j, beta, g: (
+        _named("cherednik", n, j, beta, None, _cherednik)
+        - _laguerre_k(n, j, beta, g) * _named("dunkl", n, j, beta, None, _dunkl)))
+
+
+def laguerre_coordinate(j: int, spec: FamilySpec) -> Operator:
+    """V_j = (u_j - K_j)(1 - D_j) of a Laguerre spec on u = z^2, type A at
+    (N, beta): the type-B (B_j/2)^2 on even z-polynomials."""
+    return _named("laguerre_coordinate", spec.n, j, spec.beta, spec.gamma, lambda n, j, beta, g: (
+        (_coordinate(n, j) - _laguerre_k(n, j, beta, g))
+        * (identity(n) - _named("dunkl", n, j, beta, None, _dunkl))))
 
 
 def deformed_transposition(nvars: int, j: int, beta: int) -> Operator:
@@ -563,11 +595,11 @@ def antisymmetrizer(nvars: int, beta: int = 0) -> Operator:
     return Fraction(1, math.factorial(nvars)) * total
 
 
-def exponent_word(exps, power: int = 1) -> tuple[int, ...]:
-    """The word of x^exps with each x_j replaced by L_j^power, in the order
-    of application: L_1 acts first.  At power 1, dropping its last letter k
-    (the last index with exps_k > 0) gives the word of x^(exps - e_k)."""
-    return tuple(j for j, e in enumerate(exps) for _ in range(power * e))
+def exponent_word(exps) -> tuple[int, ...]:
+    """The word of x^exps with each x_j replaced by L_j, in the order of
+    application: L_1 acts first.  Dropping its last letter k (the last
+    index with exps_k > 0) gives the word of x^(exps - e_k)."""
+    return tuple(j for j, e in enumerate(exps) for _ in range(e))
 
 
 def apply_words(seed: Polynomial, weights: dict, steps, images=None) -> Polynomial:

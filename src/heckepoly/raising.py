@@ -32,7 +32,6 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import partial
 
 from . import operators as ops
 from .caches import memo
@@ -51,11 +50,7 @@ from .polynomials import Polynomial
 @memo
 def raising_operator(m: int, spec: FamilySpec) -> ops.Operator:
     """The m-factor raising operator in its family realization, built once
-    per (m, spec).
-
-    Acts on x-polynomials for Jack/Hermite and on z-polynomials for
-    Laguerre; ``Realization.apply`` reads it through the u <-> z codec.
-    """
+    per (m, spec), on the family's own variables (u = z^2 for Laguerre)."""
     if not 1 <= m <= spec.n:
         raise ValueError(f"raising index {m} out of range 1..{spec.n}")
     n, beta = spec.n, spec.beta
@@ -95,8 +90,7 @@ def raising_apply(m: int, family_poly: FamilyPolynomial):
         raise ValueError(
             f"raising with m={m} needs a label with at most {m} nonzero parts, got {lam}"
         )
-    real = realization(spec)
-    image = real.orbit_image(("raise", m), partial(real.apply, op), family_poly.poly)
+    image = realization(spec).orbit_image(("raise", m), op, family_poly.poly)
     constant = raising_constant(lam, m, spec)
     target = construct(add_to_first_parts(lam, m), spec)
     if not equals_multiple(image, constant, target.poly):
@@ -133,7 +127,7 @@ def _rodrigues_chain(lam, spec: FamilySpec) -> Polynomial:
     real = realization(spec)
     current = Polynomial.one(n)
     for m in range(1, n + 1):
-        image_of = partial(real.apply, raising_operator(m, spec))
+        op = raising_operator(m, spec)
         for _ in range(lam[m - 1] - (lam[m] if m < n else 0)):
-            current = real.apply_symmetric(("raise", m), image_of, current)
+            current = real.apply_symmetric(("raise", m), op, current)
     return current * (Fraction(1) / hooks)

@@ -79,10 +79,8 @@ def global_sign(n: int) -> int:
 @memo
 def _y_product(spec: FamilySpec, sign: int) -> ops.Operator:
     """prod_{i<j} (sign*beta - C_i + C_j) in the family realization, built
-    once per (spec, sign).
-
-    Acts on x-polynomials (Jack/Hermite) or z-polynomials (Laguerre, where
-    C_j = h_j/2 realizes the level-beta Cherednik operator)."""
+    once per (spec, sign), on the family's own variables (u = z^2 for
+    Laguerre)."""
     n, beta = spec.n, spec.beta
     real = realization(spec)
     chers = [real.cherednik(j) for j in range(1, n + 1)]
@@ -93,21 +91,17 @@ def _y_product(spec: FamilySpec, sign: int) -> ops.Operator:
     return total
 
 
-def _apply_y(f: Polynomial, spec: FamilySpec, sign: int) -> Polynomial:
-    return realization(spec).apply(_y_product(spec, sign), f)
-
-
 @memo
 def _shift_image(direction: str, spec: FamilySpec):
     """m -> X^{-1} Y(-) m (direction "G") or m -> Y(+)(X m) ("G_hat"),
     the orbit-image map of the shift operator, built once per
     (direction, spec)."""
-    real, x = realization(spec), vandermonde(spec.n)
+    x = vandermonde(spec.n)
     if direction == "G":
         minus = _y_product(spec, -1)
-        return lambda m: divide_exact(real.apply(minus, m), x)
+        return lambda m: divide_exact(minus(m), x)
     plus = _y_product(spec, 1)
-    return lambda m: real.apply(plus, x * m)
+    return lambda m: plus(x * m)
 
 
 def apply_g(f: Polynomial, spec: FamilySpec) -> Polynomial:
@@ -211,10 +205,7 @@ def antisymmetrizer_lemma_check(
     n, beta = spec.n, spec.beta
     if form == "rho":
         minus = ops.antisymmetrizer(n)
-
-        def image(f):
-            return _apply_y(f, spec, 1) - _apply_y(f, spec, -1)
-
+        image = _y_product(spec, 1) - _y_product(spec, -1)
     elif form != "primitive":
         raise ValueError(f"unknown antisymmetrizer check form {form!r}")
     elif spec.family != JACK:

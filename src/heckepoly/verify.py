@@ -30,8 +30,9 @@ appendix_A) are relation tables.  A table is a generator per context, say
 (N, beta), that builds the context's operators once and then yields one
 row (relation label, lhs operator, rhs operator) per identity and index.
 ``_relation_cases`` makes each row a case, checked on every monomial up
-to the grid degree (u-degree 6 for res_B) by ``operators.first_difference``,
-in integers, with polynomials built only for the witnesses of a failure.
+to the grid degree (u-degree 6 for res_B's restriction rows) by
+``operators.first_difference``, in integers, with polynomials built only
+for the witnesses of a failure.
 A new identity is a new ``yield`` in its table.
 
 Suite names:
@@ -48,7 +49,9 @@ Suite names:
   intertwine_A       sigma_A(Q f) = rho_A(Q) sigma_A(f) on random inputs
   intertwine_B       the squared-variable analogue
   res_B              even-sector restriction: the B-type Cherednik operator
-                     acts as twice the A-type one in u = z^2
+                     acts as twice the A-type one in u = z^2; and the link
+                     rows that tie the Laguerre realization, type A on u,
+                     to the type-B D_j on z
   hermite_is_sigma_jack, laguerre_is_sigma_jack
                      Gram construction equals sigma(J_lam), and the
                      non-symmetric recursion sigma(E_eta) of the Jack E_eta;
@@ -407,7 +410,7 @@ def _nonsym_eigen(grid: GridSpec):
                 def case():
                     poly = construct(label, real.spec).poly
                     return all(
-                        real.apply(c_ops[j], poly) == spectrum[j] * poly for j in range(n)
+                        c_ops[j](poly) == spectrum[j] * poly for j in range(n)
                     )
 
                 yield dict(params, family=real.spec.family), case
@@ -419,10 +422,10 @@ def _jack_eigen(grid: GridSpec):
         real = realization(spec)
         chers = [ops.cherednik(j, spec) for j in range(1, n + 1)]
         # e_k(Dhat) for k = 1..N, each k-subset applied in increasing index order
-        images = [partial(real.apply, sum(
+        images = [sum(
             (math.prod(reversed(subset)) for subset in itertools.combinations(chers, k)),
             ops.scalar(n, 0),
-        )) for k in range(1, n + 1)]
+        ) for k in range(1, n + 1)]
         for lam in partitions_up_to(grid.max_weight, n):
             def case():
                 j_poly = jack(lam, spec).poly
@@ -459,7 +462,7 @@ def _intertwine(suite: str, families, every_query: bool, grid: GridSpec):
             tag = (n, beta) if spec.gamma is None else (n, beta, str(spec.gamma))
             rng = _rng(grid, suite, *tag)
             queries = [
-                (f"Dhat_{j}", ops.cherednik(j, jack_sp), partial(real.apply, real.cherednik(j)))
+                (f"Dhat_{j}", ops.cherednik(j, jack_sp), real.cherednik(j))
                 for j in range(1, n + 1)
             ] + [
                 (f"s_{i}{j}", ops.exchange(n, i, j), ops.exchange(n, i, j))
@@ -489,11 +492,28 @@ def _res_b_rows(lag_sp: FamilySpec):
                ops.cherednik(j, lag_sp) * s, s * (2 * ops.cherednik(j, jack_sp)))
 
 
+def _link_rows(lag_sp: FamilySpec):
+    """D_j^B S = z_j S 2 D_j and D_j^B z_j S = S 2 K_j, S the stretch
+    u -> z^2 and D_j, K_j of type A (``operators.laguerre_cherednik``).
+    With h_j^B = B_j D_j^B / 2 + exchanges and B_j = 2 z_j - D_j^B they give
+    (1/2) h_j^B S = S C_j and (B_j/2)^2 S = S V_j: the Laguerre realization
+    is the paper's type-B one on even z-polynomials."""
+    n, beta, gamma = lag_sp.n, lag_sp.beta, lag_sp.gamma
+    jack_sp, s = FamilySpec(JACK, n, beta), ops.stretch(n, 2)
+    for j in range(1, n + 1):
+        z, d_b = ops.multiply_by(Polynomial.variable(n, j)), ops.dunkl(j, lag_sp)
+        yield f"D_{j}^B S = z_{j} S 2 D_{j}", d_b * s, z * s * (2 * ops.dunkl(j, jack_sp))
+        yield (f"D_{j}^B z_{j} S = S 2 K_{j}",
+               d_b * z * s, s * (2 * ops._laguerre_k(n, j, beta, gamma)))
+
+
 def _res_b(grid: GridSpec):
     u_degree = 6  # squared-variable degree; cheap because the action is sparse
     for n, beta in itertools.product(grid.ns, grid.betas):
         for lag_sp in _grid_specs(n, beta, grid, (LAGUERRE,)):
-            yield from _relation_cases(_spec_params(lag_sp), _res_b_rows(lag_sp), u_degree)
+            params = _spec_params(lag_sp)
+            yield from _relation_cases(params, _res_b_rows(lag_sp), u_degree)
+            yield from _relation_cases(params, _link_rows(lag_sp), grid.degree)
 
 
 def _gram_is_sigma_jack(families, grid: GridSpec):

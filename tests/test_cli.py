@@ -529,24 +529,14 @@ def test_exit_code_1_for_a_construction_that_is_not_symmetric(method, monkeypatc
     assert "at N=2, beta=1, lambda=(2, 1)" in err
 
 
-def test_exit_code_1_for_an_image_that_is_not_even(monkeypatch, capsys):
-    """With B_j + 1 planted the sigma_B image is not even: the failed
+def test_exit_code_1_for_an_image_that_is_not_even(capsys):
+    """pair applies a named Laguerre operator, type B on z, through the
+    codec: B_1 maps the even encoding of f to an odd image, and the failed
     evenness check is a counterexample, not an input error."""
-    from heckepoly import clear_caches
-    from heckepoly import operators as ops
-
-    creation = ops.creation
-    clear_caches()
-    monkeypatch.setattr(
-        ops, "creation", lambda j, spec: creation(j, spec) + ops.identity(spec.n)
-    )
-    try:
-        with pytest.raises(SystemExit) as info:
-            main(["poly", "--family", "laguerre", "--lambda", "1", "--n", "2", "--beta", "1",
-                  "--gamma", "1/2", "--method", "intertwined"])
-    finally:
-        monkeypatch.undo()
-        clear_caches()
+    f = json.dumps(Polynomial.variable(2, 1).to_json_dict())
+    with pytest.raises(SystemExit) as info:
+        main(["pair", "--family", "laguerre", "--n", "2", "--beta", "1", "--gamma", "1/2",
+              "--f", f, "--g", f, "--apply-f", "creation:j=1"])
     assert info.value.code == 1
     assert capsys.readouterr().err == "error: evenness violated\n"
 

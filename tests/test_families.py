@@ -6,7 +6,6 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from functools import partial
 
 import pytest
 
@@ -261,18 +260,22 @@ def test_sigma_b_examples():
     jack_sp = jack_spec(2, 1)
     f = Polynomial.variable(2, 1)
     lhs = sigma_b(ops.cherednik(1, jack_sp)(f), spec2)
-    real = realization(spec2)
-    rhs = real.apply(real.cherednik(1), sigma_b(f, spec2))
+    half_h1 = Fraction(1, 2) * ops.htilde(1, spec2)  # type B, on z
+    rhs = decode_even(half_h1(encode_even(sigma_b(f, spec2))))
     assert lhs == rhs
 
 
 def _storeless_sigma(f, spec) -> Polynomial:
-    """sigma(f) by the shared-prefix evaluation ``Realization.intertwine``
-    runs, with no store: every word image is computed afresh."""
-    real = realization(spec)
+    """sigma(f) with no store, every word image computed afresh, in the
+    paper's ladder letters L_j/2: sigma_A by the shared-prefix evaluation
+    ``Realization.intertwine`` runs, sigma_B in its z-form, the words of
+    x^(2a) in the type-B letters B_j/2 applied to 1, read back through the
+    codec."""
+    s = 1 if spec.gamma is None else 2
     letters = [Fraction(1, 2) * ops.creation(j, spec) for j in range(1, spec.n + 1)]
-    words = {ops.exponent_word(exps, real.stretch): c for exps, c in f.terms.items()}
-    return real.decode(ops.apply_words(Polynomial.one(spec.n), words, letters))
+    words = {ops.exponent_word(tuple(s * e for e in exps)): c for exps, c in f.terms.items()}
+    image = ops.apply_words(Polynomial.one(spec.n), words, letters)
+    return image if s == 1 else decode_even(image)
 
 
 @pytest.mark.parametrize("family", ["hermite", "laguerre"])
@@ -309,15 +312,14 @@ def test_sigma_word_store_equals_a_storeless_evaluation(family):
     assert stored() == 0
     assert images() == expected and stored() == filled
     clear_caches()
-    # one entry per word and prefix: x1^2 x2 is 2s letters 0, then s letters 1
+    # one entry per word and prefix: x1^2 x2 is 2 letters 0, then 1 letter 1
     real = realization(specs[0])
-    s = real.stretch
     real.intertwine(Polynomial.monomial((2, 1)))
-    assert stored() == 3 * s + 1
+    assert stored() == 4
     real.intertwine(Polynomial.monomial((1, 0)) - 3 * Polynomial.monomial((2, 0)))
-    assert stored() == 3 * s + 1  # both words are prefixes of the first
+    assert stored() == 4  # both words are prefixes of the first
     real.intertwine(Polynomial.monomial((0, 1)))
-    assert stored() == 4 * s + 1
+    assert stored() == 5
     clear_caches()
 
 
@@ -337,6 +339,38 @@ def test_even_codec():
         decode_even(Polynomial.monomial((1, 0)))
 
 
+def test_laguerre_realization_stays_in_u(monkeypatch):
+    """No path of the Laguerre realization calls the u <-> z codec or a
+    type-B operator: with the codec and every type-B primitive made to
+    raise, the suites that run it pass on a small grid, and res_B, which
+    ties the realization to the type-B operators, fails by the plant."""
+    from heckepoly import clear_caches
+    from heckepoly import families
+    from heckepoly.verify import GridSpec, run_suite
+
+    def forbidden(*args, **kwargs):
+        raise RuntimeError("forbidden")
+
+    grid = GridSpec(ns=(2, 3), betas=(0, 1), gammas=(Fraction(1, 3),), max_weight=2,
+                    degree=3, pairs=2, rand_polys=2)
+    clear_caches()
+    for module, attr in [(families, "encode_even"), (families, "decode_even"),
+                         (ops, "stretch"), (ops, "sign_flip"), (ops, "sign_divided"),
+                         (ops, "divided_diff_plus")]:
+        monkeypatch.setattr(module, attr, forbidden)
+    try:
+        reports = [run_suite(name, grid) for name in (
+            "nonsym_eigen", "intertwine_B", "laguerre_is_sigma_jack", "raising_all",
+            "rodrigues_all", "shift_all", "duality_all", "norms_all", "appendix_A")]
+        res_b = run_suite("res_B", grid)
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    assert all(report.passed for report in reports), [r.suite for r in reports if not r.passed]
+    assert res_b.cases_passed == 0
+    assert {f["params"]["message"] for f in res_b.failures} == {"forbidden"}
+
+
 def test_nonsym_hermite_laguerre():
     h_spec = hermite_spec(2, 1)
     label0 = NonSymLabel((0, 0), (1, 2))
@@ -353,8 +387,9 @@ def test_nonsym_hermite_laguerre():
 
     l_spec = laguerre_spec(2, 1, Fraction(1, 2))
     assert nonsym_laguerre(label0, l_spec).poly == Polynomial.one(2)
-    l_real = realization(l_spec)
-    rho = [partial(l_real.apply, l_real.cherednik(j)) for j in (1, 2)]
+    # the paper's z-form: (1/2) h_j of type B through the codec
+    rho = [lambda p, h=Fraction(1, 2) * ops.htilde(j, l_spec): decode_even(h(encode_even(p)))
+           for j in (1, 2)]
     for comp in [(1, 0), (0, 1), (1, 1), (2, 0)]:
         lab = NonSymLabel.from_composition(comp)
         e_l = nonsym_laguerre(lab, l_spec)
@@ -969,7 +1004,7 @@ def test_no_function_is_found_by_name():
 )
 def test_realizations_satisfy_degenerate_daha_relations(spec):
     """Every realization (V_j, C_j, s_jk) satisfies the relations that
-    daha_relations checks for (x_j, Dhat_j, s_jk), read through its codec
+    daha_relations checks for (x_j, Dhat_j, s_jk), on its own variables,
     on every monomial of degree <= 3."""
     from itertools import combinations
 
@@ -1006,4 +1041,4 @@ def test_realizations_satisfy_degenerate_daha_relations(spec):
     for name, lhs, rhs in relations:
         for exps in monomials_up_to_degree(n, 3):
             f = Polynomial.monomial(exps)
-            assert real.apply(lhs, f) == real.apply(rhs, f), (name, exps)
+            assert lhs(f) == rhs(f), (name, exps)

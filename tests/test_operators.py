@@ -147,6 +147,27 @@ def test_cherednik_b_restriction():
                 assert lhs == 2 * ca(f_u)
 
 
+@pytest.mark.parametrize("n, degree", [(1, 6), (2, 5), (3, 4)])
+def test_laguerre_operators_are_the_type_b_ones_through_the_codec(n, degree):
+    """On u = z^2 the Laguerre C_j = Dhat_j - K_j D_j and V_j = (u_j -
+    K_j)(1 - D_j), built on the type-A operators, equal the paper's (1/2) h_j
+    and (B_j/2)^2 of type B read through the codec, on every u-monomial up
+    to degree, beta <= 3 and four gammas."""
+    from heckepoly.families import decode_even, encode_even
+
+    for beta in range(4):
+        for gamma in (0, Fraction(1, 3), Fraction(1, 2), Fraction(7, 5)):
+            spec = laguerre_spec(n, beta, gamma)
+            for j in range(1, n + 1):
+                half_b = Fraction(1, 2) * ops.creation(j, spec)
+                pairs = [(ops.laguerre_cherednik(j, spec), Fraction(1, 2) * ops.htilde(j, spec)),
+                         (ops.laguerre_coordinate(j, spec), half_b * half_b)]
+                for exps in monomials_up_to_degree(n, degree):
+                    f = Polynomial.monomial(exps)
+                    for u_form, z_form in pairs:
+                        assert u_form(f) == decode_even(z_form(encode_even(f))), (spec, j, exps)
+
+
 def test_creation_annihilation_a():
     spec = hermite_spec(1, 0)
     a_up = ops.creation(1, spec)
@@ -575,8 +596,8 @@ def test_apply_words_matches_the_per_term_loop(power):
     for _ in range(4):
         f, seed = _random_poly(rng, n, 3), _random_poly(rng, n, 2)
         sums = [
-            {ops.exponent_word(exps, power): c for exps, c in f.terms.items()},
-            {ops.exponent_word(exps, power)[::-1]: 1 for exps in f.terms},
+            {ops.exponent_word(tuple(power * e for e in exps)): c for exps, c in f.terms.items()},
+            {ops.exponent_word(tuple(power * e for e in exps))[::-1]: 1 for exps in f.terms},
         ]
         for weights in sums:
             assert ops.apply_words(seed, weights, steps) == _word_loop(seed, weights, steps)

@@ -4,7 +4,6 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +18,6 @@ from heckepoly.errors import RodriguesSingularError
 from heckepoly.families import (
     FamilyPolynomial,
     construct,
-    encode_even,
     hermite,
     jack,
     laguerre,
@@ -262,7 +260,7 @@ def test_composites_built_once_and_cleared():
     def images():
         out = []
         for spec in specs:
-            f = polys[spec] if spec.family != "laguerre" else encode_even(polys[spec])
+            f = polys[spec]
             out.append([raising_operator(m, spec)(f) for m in (1, 2, 3)])
             out.append([_y_product(spec, sign)(f) for sign in (1, -1)])
         return out
@@ -320,15 +318,15 @@ def test_orbit_image_memo_equals_direct_application(spec):
     for f in inputs:
         for m in range(1, n + 1):
             op = raising_operator(m, spec)
-            assert real.apply_symmetric(("raise", m), partial(real.apply, op), f) == real.apply(op, f)
+            assert real.apply_symmetric(("raise", m), op, f) == op(f)
         minus, plus = _y_product(spec, -1), _y_product(spec, 1)
-        image = real.apply(minus, f)
+        image = minus(f)
         assert apply_g(f, spec) == (image and divide_exact(image, x))
-        assert apply_ghat(f, spec) == real.apply(plus, x * f)
+        assert apply_ghat(f, spec) == plus(x * f)
         if spec.family == "jack":
             for k, e_k in enumerate(elementary, 1):
                 words = dict.fromkeys(itertools.combinations(range(n), k), 1)
-                image = real.apply_symmetric(("e", k), partial(real.apply, e_k), f)
+                image = real.apply_symmetric(("e", k), e_k, f)
                 assert image == ops.apply_words(f, words, chers)
         else:
             assert real.apply_symmetric("sigma", real.intertwine, f) == real.intertwine(f)
@@ -340,17 +338,16 @@ def test_y_plus_with_and_without_the_vandermonde_in_one_session(ghat_first):
     """Y(+)(f) and Y(+)(X f) are different maps: Ghat reads its own stored
     images and Y(+) alone is applied directly, so neither serves the other."""
     from heckepoly import clear_caches
-    from heckepoly.families import realization
-    from heckepoly.shift import _apply_y, _y_product
+    from heckepoly.shift import _y_product
 
     for spec in (jack_spec(2, 1), hermite_spec(3, 1), laguerre_spec(3, 2, Fraction(1, 3))):
-        real, plus = realization(spec), _y_product(spec, 1)
+        plus = _y_product(spec, 1)
         f = random_symmetric_polynomial(spec.n, 2, random.Random(spec.n))
-        expected = {"f": real.apply(plus, f), "X f": real.apply(plus, vandermonde(spec.n) * f)}
+        expected = {"f": plus(f), "X f": plus(vandermonde(spec.n) * f)}
         clear_caches()
         order = ["X f", "f"] if ghat_first else ["f", "X f"]
         for which in order + order:
-            image = apply_ghat(f, spec) if which == "X f" else _apply_y(f, spec, 1)
+            image = apply_ghat(f, spec) if which == "X f" else _y_product(spec, 1)(f)
             assert image == expected[which], which
     clear_caches()
 
