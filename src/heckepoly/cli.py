@@ -312,7 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--gamma-list", dest="gammas", type=rational_list,
                           default=grid.gammas)
     p_verify.add_argument("--max-weight", type=int, default=grid.max_weight)
-    p_verify.add_argument("--degree", type=int, default=grid.degree)
+    p_verify.add_argument("--degree", type=int, default=grid.degree, help=(
+        "monomial degree of every relation table (daha_relations, dunkl_commute, "
+        "res_B, appendix_A)"))
     p_verify.add_argument("--seed", type=int, default=grid.seed)
     p_verify.add_argument("--pairs", type=int, default=grid.pairs)
     p_verify.add_argument("--rand-polys", type=int, default=grid.rand_polys)

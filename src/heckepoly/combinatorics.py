@@ -152,10 +152,6 @@ def is_permutation(w: Sequence[int]) -> bool:
     return sorted(w) == list(range(1, len(w) + 1))
 
 
-def all_permutations(nvars: int) -> Iterator[Permutation]:
-    return itertools.permutations(range(1, nvars + 1))
-
-
 def length(w: Permutation) -> int:
     """Coxeter length = inversion count."""
     return sum(

@@ -92,6 +92,7 @@ from .combinatorics import (
     precedes,
 )
 from .errors import (
+    AmbientSizeMismatch,
     EvennessViolation,
     HeckePolyError,
     NotProportionalError,
@@ -242,7 +243,11 @@ class Realization:
         costs one letter applied to its prefix's, and the letters are built
         only for a new word; the stored images are summed and divided once
         (``operators.apply_words``)."""
-        n, store = self.spec.n, _SIGMA_WORDS.setdefault(self.spec, {})
+        n = self.spec.n
+        if f.nvars != n:
+            raise AmbientSizeMismatch(
+                f"ambient size mismatch: intertwiner on {n} vars, polynomial in {f.nvars}")
+        store = _SIGMA_WORDS.setdefault(self.spec, {})
         words = {ops.exponent_word(exps): c for exps, c in f.terms.items()}
         letters = [self.coordinate(j) for j in range(1, n + 1)] if words.keys() - store.keys() else ()
         return ops.apply_words(Polynomial.one(n), words, letters, store)
@@ -320,24 +325,12 @@ def composition_spectrum(comp, beta: int) -> tuple[int, ...]:
 
     Derived by expanding Dhat_j on a monomial; fixes the eigenvalue
     orientation once and for all (the constant monomial has spectrum
-    beta*(j-1)).
+    beta*(j-1)).  The count is the place of j in the stable sort of comp.
     """
-    comp = tuple(comp)
-    n = len(comp)
-    out = []
-    for j in range(n):
-        rank = sum(1 for k in range(j) if comp[k] <= comp[j]) + sum(
-            1 for k in range(j + 1, n) if comp[k] < comp[j]
-        )
-        out.append(comp[j] + beta * rank)
+    out = list(comp)
+    for rank, j in enumerate(sorted(range(len(out)), key=out.__getitem__)):
+        out[j] += beta * rank
     return tuple(out)
-
-
-def symmetric_spectrum(lam, n: int, beta: int) -> tuple[int, ...]:
-    """Eigenvalue tuple (lam_{N-j+1} + beta (j-1))_{j=1..N} of the
-    commuting symmetric family."""
-    lam = pad_partition(lam, n)
-    return tuple(lam[n - j] + beta * (j - 1) for j in range(1, n + 1))
 
 
 def _elementary_symmetric(values, k: int):
@@ -446,8 +439,8 @@ def _checked_symmetric(lam, spec: FamilySpec, method: str) -> FamilyPolynomial:
     except NotProportionalError as exc:  # a stored image that is not symmetric
         raise _case_error(NotProportionalError, exc, lam, spec) from exc
     _assert_symmetric_triangular(poly, lam, spec)
-    spectrum = symmetric_spectrum(lam, spec.n, spec.beta)
-    return FamilyPolynomial(lam, spec, poly, method, spectrum)
+    # the composition spectrum of lam in increasing order: lam_{N-j+1} + beta (j-1)
+    return FamilyPolynomial(lam, spec, poly, method, composition_spectrum(lam[::-1], spec.beta))
 
 
 def _jack_triangular(lam, n: int, beta: int) -> Polynomial:

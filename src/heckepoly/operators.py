@@ -27,8 +27,8 @@ polynomials; in particular the divided differences
 are realized as exact telescoping sums on exponents, never as division.
 Scalars are exact rationals (a float is refused).  Finite-degree operator
 equality on the monomial spanning set is the only equality notion:
-``first_difference`` runs both normal forms on each monomial in integers
-and builds polynomials only for the witnesses of a difference.
+``first_difference`` runs the one operator lhs - rhs on each monomial in
+integers and builds polynomials only for the witnesses of a difference.
 
 A family of operator words applied to one seed is evaluated by shared
 prefixes (``apply_words``): a word's image is its last step applied to
@@ -668,18 +668,13 @@ def first_difference(op_a: Operator, op_b: Operator, degree: int):
     ``monomials_up_to_degree`` order, on which op_a and op_b differ, as
     (e, op_a(x^e), op_b(x^e)); None when they agree on every such monomial.
 
-    Both normal forms run on {e: 1} in integers and their contents p/q are
-    cross-multiplied; polynomials are built only for the witnesses."""
+    The one operator op_a - op_b runs on {e: 1} in integers, without its
+    nonzero content; polynomials are built only for the witnesses."""
     if op_a.nvars != op_b.nvars:
         raise AmbientSizeMismatch("ambient size mismatch in operator comparison")
-    c_a, c_b = op_a.content, op_b.content
-    k_a, k_b = c_a.numerator * c_b.denominator, c_b.numerator * c_a.denominator
+    push = (op_a - op_b).push
     for exps in monomials_up_to_degree(op_a.nvars, degree):
-        lhs, rhs = _applied(op_a.push, {exps: 1}), _applied(op_b.push, {exps: 1})
-        if k_a != k_b:
-            lhs = {e: k_a * v for e, v in lhs.items()}
-            rhs = {e: k_b * v for e, v in rhs.items()}
-        if lhs != rhs:
+        if _applied(push, {exps: 1}):
             mono = Polynomial.monomial(exps)
             return exps, op_a(mono), op_b(mono)
     return None

@@ -29,11 +29,12 @@ The operator-identity suites (daha_relations, dunkl_commute, res_B,
 appendix_A) are relation tables.  A table is a generator per context, say
 (N, beta), that builds the context's operators once and then yields one
 row (relation label, lhs operator, rhs operator) per identity and index.
-``_relation_cases`` makes each row a case, checked on every monomial up
-to the grid degree (u-degree 6 for res_B's restriction rows) by
+``_relation_cases`` makes each row a case: lhs - rhs, one operator, is
+applied to every monomial up to the grid degree by
 ``operators.first_difference``, in integers, with polynomials built only
-for the witnesses of a failure.
-A new identity is a new ``yield`` in its table.
+for the witnesses of a failure.  ``--degree`` thus bounds every relation
+table, and appendix_A's antisymmetrizer lemmas too.  A new identity is a
+new ``yield`` in its table.
 
 Suite names:
   daha_relations     defining relations of the degenerate affine Hecke
@@ -244,14 +245,14 @@ def _rng(grid: GridSpec, *tag) -> random.Random:
     return random.Random(grid.seed * 2654435761 + digest)
 
 
-def _relation_cases(params, rows, degree):
+def _relation_cases(params, rows, grid: GridSpec):
     """One case per row (relation, lhs, rhs) of a relation table: the two
-    operators agree on every monomial up to ``degree``, and a failure
+    operators agree on every monomial up to the grid degree, and a failure
     carries the first monomial on which they differ.  ``rows`` is a
     generator, so each row's operators are built just before its case."""
     for relation, op_a, op_b in rows:
         def case():
-            found = ops.first_difference(op_a, op_b, degree)
+            found = ops.first_difference(op_a, op_b, grid.degree)
             if found is None:
                 return True
             exps, lhs, rhs = found
@@ -344,7 +345,7 @@ def _daha_rows(n: int, beta: int):
 
 def _daha_relations(grid: GridSpec):
     for n, beta in itertools.product(grid.ns, grid.betas):
-        yield from _relation_cases({"n": n, "beta": beta}, _daha_rows(n, beta), grid.degree)
+        yield from _relation_cases({"n": n, "beta": beta}, _daha_rows(n, beta), grid)
 
 
 def _dunkl_rows(spec: FamilySpec):
@@ -394,7 +395,7 @@ def _dunkl_commute(grid: GridSpec):
         for n, beta in itertools.product(grid.ns, grid.betas):
             for spec in _grid_specs(n, beta, grid, families):
                 params = dict(_spec_params(spec), type="A" if spec.gamma is None else "B")
-                yield from _relation_cases(params, _dunkl_rows(spec), grid.degree)
+                yield from _relation_cases(params, _dunkl_rows(spec), grid)
 
 
 def _nonsym_eigen(grid: GridSpec):
@@ -482,25 +483,21 @@ def _intertwine(suite: str, families, every_query: bool, grid: GridSpec):
 
 
 def _res_b_rows(lag_sp: FamilySpec):
-    """The B-type Cherednik operator on even z-polynomials is twice the
-    A-type one in u = z^2: C_j^B S = S (2 Dhat_j), S the stretch u -> z^2.
-    The right side is even, so an odd image fails its row."""
-    n, beta = lag_sp.n, lag_sp.beta
-    jack_sp, s = FamilySpec(JACK, n, beta), ops.stretch(n, 2)
-    for j in range(1, n + 1):
-        yield (f"Dhat_{j}^B S = S 2 Dhat_{j}",
-               ops.cherednik(j, lag_sp) * s, s * (2 * ops.cherednik(j, jack_sp)))
-
-
-def _link_rows(lag_sp: FamilySpec):
-    """D_j^B S = z_j S 2 D_j and D_j^B z_j S = S 2 K_j, S the stretch
-    u -> z^2 and D_j, K_j of type A (``operators.laguerre_cherednik``).
-    With h_j^B = B_j D_j^B / 2 + exchanges and B_j = 2 z_j - D_j^B they give
-    (1/2) h_j^B S = S C_j and (B_j/2)^2 S = S V_j: the Laguerre realization
-    is the paper's type-B one on even z-polynomials."""
+    """S the stretch u -> z^2 and Dhat_j, D_j, K_j of type A
+    (``operators.laguerre_cherednik``).  Restriction rows: the B-type
+    Cherednik operator on even z-polynomials is twice the A-type one in u,
+    and an odd image fails.  Link rows: with h_j^B = B_j D_j^B / 2 +
+    exchanges and B_j = 2 z_j - D_j^B they give (1/2) h_j^B S = S C_j and
+    (B_j/2)^2 S = S V_j, the Laguerre realization as the paper's type-B one
+    on even z-polynomials.  At one degree the restriction rows follow from
+    the link rows and the exchange terms."""
     n, beta, gamma = lag_sp.n, lag_sp.beta, lag_sp.gamma
     jack_sp, s = FamilySpec(JACK, n, beta), ops.stretch(n, 2)
-    for j in range(1, n + 1):
+    idx = range(1, n + 1)
+    for j in idx:
+        yield (f"Dhat_{j}^B S = S 2 Dhat_{j}",
+               ops.cherednik(j, lag_sp) * s, s * (2 * ops.cherednik(j, jack_sp)))
+    for j in idx:
         z, d_b = ops.multiply_by(Polynomial.variable(n, j)), ops.dunkl(j, lag_sp)
         yield f"D_{j}^B S = z_{j} S 2 D_{j}", d_b * s, z * s * (2 * ops.dunkl(j, jack_sp))
         yield (f"D_{j}^B z_{j} S = S 2 K_{j}",
@@ -508,12 +505,9 @@ def _link_rows(lag_sp: FamilySpec):
 
 
 def _res_b(grid: GridSpec):
-    u_degree = 6  # squared-variable degree; cheap because the action is sparse
     for n, beta in itertools.product(grid.ns, grid.betas):
         for lag_sp in _grid_specs(n, beta, grid, (LAGUERRE,)):
-            params = _spec_params(lag_sp)
-            yield from _relation_cases(params, _res_b_rows(lag_sp), u_degree)
-            yield from _relation_cases(params, _link_rows(lag_sp), grid.degree)
+            yield from _relation_cases(_spec_params(lag_sp), _res_b_rows(lag_sp), grid)
 
 
 def _gram_is_sigma_jack(families, grid: GridSpec):
@@ -670,10 +664,9 @@ def _appendix_rows(n: int, beta: int):
 
 
 def _appendix_a(grid: GridSpec):
-    deg = min(4, grid.degree)
     for n, beta in itertools.product(grid.ns, grid.betas):
         params = {"n": n, "beta": beta}
-        yield from _relation_cases(params, _appendix_rows(n, beta), deg)
+        yield from _relation_cases(params, _appendix_rows(n, beta), grid)
         jack_sp, herm_sp, lag_sp = _family_specs(n, beta, grid)
         for relation, spec, form in (
             ("deformed P- annihilates (Y'-Yhat') f", jack_sp, "primitive"),
@@ -681,7 +674,7 @@ def _appendix_a(grid: GridSpec):
             ("P- annihilates (Y-Yhat) f, Hermite model", herm_sp, "rho"),
             ("P- annihilates (Y-Yhat) f, Laguerre model", lag_sp, "rho"),
         ):
-            case = partial(antisymmetrizer_lemma_check, spec, deg, form=form)
+            case = partial(antisymmetrizer_lemma_check, spec, grid.degree, form=form)
             yield dict(params, relation=relation), case
 
 

@@ -272,6 +272,15 @@ def test_verify_defaults_are_the_default_grid():
     assert {f.name: getattr(args, f.name) for f in fields(GridSpec)} == vars(GridSpec())
 
 
+def test_verify_help_says_degree_bounds_every_relation_table(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--help"])
+    assert info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())  # argparse wraps the lines
+    assert ("--degree DEGREE monomial degree of every relation table "
+            "(daha_relations, dunkl_commute, res_B, appendix_A)") in text
+
+
 def test_verify_command_exit_code(capsys):
     code, out = run_cli(
         ["verify", "--suite", "norm_equiv_appB", "--n-list", "2",

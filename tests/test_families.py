@@ -11,7 +11,6 @@ import pytest
 
 from heckepoly import operators as ops
 from heckepoly.combinatorics import (
-    all_permutations,
     extended_dominance_lt,
     from_orbit_form,
     length,
@@ -21,7 +20,12 @@ from heckepoly.combinatorics import (
     composition_to_label,
     stabilizer_order,
 )
-from heckepoly.errors import EvennessViolation, HeckePolyError, SpectrumCollisionError
+from heckepoly.errors import (
+    AmbientSizeMismatch,
+    EvennessViolation,
+    HeckePolyError,
+    SpectrumCollisionError,
+)
 from heckepoly.families import (
     NonSymLabel,
     composition_spectrum,
@@ -36,7 +40,6 @@ from heckepoly.families import (
     realization,
     sigma_a,
     sigma_b,
-    symmetric_spectrum,
 )
 from heckepoly.pairings import _kernel, _orbit_numerator
 from heckepoly.parameters import hermite_spec, jack_spec, laguerre_spec
@@ -61,6 +64,10 @@ def test_composition_spectrum_reference_values():
     assert composition_spectrum((1, 0), 3) == (4, 0)
     assert composition_spectrum((0, 1), 3) == (0, 4)
     assert composition_spectrum((1, 1), 3) == (1, 4)
+    for comp in monomials_up_to_degree(4, 5):  # the count of its docstring
+        ranks = [sum(c <= comp[j] for c in comp[:j]) + sum(c < comp[j] for c in comp[j + 1:])
+                 for j in range(4)]
+        assert composition_spectrum(comp, 2) == tuple(c + 2 * r for c, r in zip(comp, ranks))
 
 
 def test_nonsym_jack_examples():
@@ -103,7 +110,7 @@ def symmetrized_jack(lam, n: int, beta: int) -> Polynomial:
     """Oracle: J_lam = sum_w w.E_lam / #stab(lam), with E_lam the
     non-symmetric Jack polynomial of the label (lam, identity)."""
     e_lam = nonsym_jack(NonSymLabel(lam, tuple(range(1, n + 1))), jack_spec(n, beta)).poly
-    total = sum((ops.permutation_op(w)(e_lam) for w in all_permutations(n)),
+    total = sum((ops.permutation_op(w)(e_lam) for w in itertools.permutations(range(1, n + 1))),
                 Polynomial.zero(n))
     return total * Fraction(1, stabilizer_order(lam))
 
@@ -224,8 +231,32 @@ def test_jack_beta_zero_is_monomial_basis():
 
 
 def test_symmetric_spectrum():
-    assert symmetric_spectrum((2, 1), 2, 1) == (1, 3)
-    assert symmetric_spectrum((0, 0, 0), 3, 2) == (0, 2, 4)
+    """The symmetric spectrum of a padded lam is the composition spectrum
+    of lam in increasing order, lam[::-1]."""
+    assert composition_spectrum((2, 1)[::-1], 1) == (1, 3)
+    assert composition_spectrum((0, 0, 0)[::-1], 2) == (0, 2, 4)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_increasing_composition_spectrum_is_the_symmetric_formula(n):
+    """composition_spectrum(lam[::-1]) is (lam_{N-j+1} + beta (j-1))_j,
+    the symmetric family's eigenvalues, for weight <= 5 and beta <= 3."""
+    for beta, lam in itertools.product(range(4), partitions_up_to(5, n)):
+        expected = tuple(lam[n - j] + beta * (j - 1) for j in range(1, n + 1))
+        assert composition_spectrum(lam[::-1], beta) == expected, (lam, beta)
+        assert jack(lam, jack_spec(n, beta)).eigenvalues == expected
+
+
+@pytest.mark.parametrize("sigma, spec_of", [
+    (sigma_a, lambda n: hermite_spec(n, 1)),
+    (sigma_b, lambda n: laguerre_spec(n, 1, Fraction(1, 3))),
+], ids=["sigma_a", "sigma_b"])
+def test_intertwiner_rejects_another_ambient_size(sigma, spec_of):
+    """f in 3 variables at N = 2 and x_1 in 2 variables at N = 3 both raise
+    AmbientSizeMismatch, not an IndexError or an answer in N variables."""
+    for n, nvars in ((2, 3), (3, 2)):
+        with pytest.raises(AmbientSizeMismatch, match=f"intertwiner on {n} vars"):
+            sigma(Polynomial.variable(nvars, 1), spec_of(n))
 
 
 def test_sigma_a_examples():

@@ -647,6 +647,79 @@ def test_relation_tables_catch_planted_defect(name, monkeypatch):
     assert all("monomial" in failure["params"] for failure in report.failures)
 
 
+@pytest.mark.parametrize("grid", [SMALL, dataclasses.replace(SMALL, degree=1)],
+                         ids=["small", "degree_1"])
+def test_relation_tables_check_at_the_grid_degree(grid, monkeypatch):
+    """Every relation row is compared up to grid.degree, and so are
+    appendix_A's antisymmetrizer lemmas: --degree is one depth for all."""
+    degrees = []
+    compare, lemma = ops.first_difference, verify.antisymmetrizer_lemma_check
+
+    def recording_compare(op_a, op_b, degree):
+        degrees.append(degree)
+        return compare(op_a, op_b, degree)
+
+    def recording_lemma(spec, degree, form):
+        degrees.append(degree)
+        return lemma(spec, degree, form=form)
+
+    monkeypatch.setattr(ops, "first_difference", recording_compare)
+    monkeypatch.setattr(verify, "antisymmetrizer_lemma_check", recording_lemma)
+    for name in RELATION_SUITES:
+        degrees.clear()
+        report = run_suite(name, grid)
+        assert report.passed, (name, report.failures[:3])
+        assert len(degrees) == report.cases_run
+        assert set(degrees) == {grid.degree}, name
+
+
+def _plus_on_degree(op, degree):
+    """op plus the identity on the monomials of total degree ``degree``: a
+    defect that no lower-degree input meets."""
+
+    def push(src, out, c):
+        for exps, v in src.items():
+            if sum(exps) == degree:
+                out[exps] = out.get(exps, 0) + v * c
+
+    return op + ops.Operator(op.nvars, 1, (((1, push),),))
+
+
+# a defect that only a relation check of the given depth sees: (suite,
+# operators attribute, wrapper of the original, grid degree that sees it)
+DEEP_PLANTS = {
+    # shat_j + 1 on degree-5 monomials, in the rows and in both P_-
+    "appendix_A": (
+        "deformed_transposition",
+        lambda shat: lambda nvars, j, beta: _plus_on_degree(shat(nvars, j, beta), 5), 5),
+    # the type-B Dhat_j + 1 on z-degree 12, that is u-degree 6 after the stretch
+    "res_B": (
+        "cherednik",
+        lambda cherednik: lambda j, spec: _plus_on_degree(cherednik(j, spec), 12)
+        if spec.gamma is not None else cherednik(j, spec), 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_PLANTS))
+def test_relation_tables_reach_the_grid_degree(name, monkeypatch):
+    """A defect on one degree fails its relation table on a grid of that
+    degree and passes the grid one degree lower."""
+    attr, plant, degree = DEEP_PLANTS[name]
+    clear_caches()
+    monkeypatch.setattr(ops, attr, plant(getattr(ops, attr)))
+    try:
+        deep = run_suite(name, dataclasses.replace(SMALL, degree=degree))
+        shallow = run_suite(name, dataclasses.replace(SMALL, degree=degree - 1))
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    assert shallow.passed
+    assert not deep.passed
+    assert not any("exception" in failure["params"] for failure in deep.failures)
+    relations = [failure["params"] for failure in deep.failures if "monomial" in failure["params"]]
+    assert relations and all(sum(p["monomial"]) == degree for p in relations)
+
+
 def _flipped_antisymmetrizer(nvars, beta=0):
     """operators.antisymmetrizer with the coset step 1 + shat B in place of
     1 - shat B: the signs of the coset representatives lost."""
