@@ -272,8 +272,24 @@ def is_min_coset_rep(lam: Sequence[int], w: Permutation) -> bool:
 @memo
 def orbit(lam: Partition) -> tuple[tuple[int, ...], ...]:
     """The distinct permutations of the exponent vector lam (the S_N-orbit
-    of x^lam), lam itself first."""
-    return tuple(dict.fromkeys(itertools.permutations(lam)))
+    of x^lam) in decreasing lexicographic order, so a partition lam first.
+    Each is the previous permutation of the one before: swap the last
+    descent's head with the largest smaller entry after it and reverse
+    the tail, one step per member, not N! steps."""
+    a = sorted(lam, reverse=True)
+    members = [tuple(a)]
+    while True:
+        i = len(a) - 2
+        while i >= 0 and a[i] <= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return tuple(members)
+        j = len(a) - 1
+        while a[j] >= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1 :] = reversed(a[i + 1 :])
+        members.append(tuple(a))
 
 
 def orbit_size(lam: Sequence[int]) -> int:

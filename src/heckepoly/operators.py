@@ -29,6 +29,9 @@ Scalars are exact rationals (a float is refused).  Finite-degree operator
 equality on the monomial spanning set is the only equality notion:
 ``first_difference`` runs the one operator lhs - rhs on each monomial in
 integers and builds polynomials only for the witnesses of a difference.
+An identity on symmetric inputs is one between operators that end in
+``orbit_sum``, which sends x^lam to m_lam for a partition lam and every
+other monomial to 0.
 
 A family of operator words applied to one seed is evaluated by shared
 prefixes (``apply_words``): a word's image is its last step applied to
@@ -73,7 +76,7 @@ from functools import partial
 from operator import add
 
 from .caches import register
-from .combinatorics import permute_exponents
+from .combinatorics import is_partition, orbit, permute_exponents
 from .errors import AmbientSizeMismatch, TypeBContextError
 from .parameters import FamilySpec
 from .polynomials import Polynomial, _canonical, _integer_part, divide_exact, monomials_up_to_degree
@@ -253,14 +256,6 @@ class Operator:
             return _zero(self.nvars)
         return Operator(self.nvars, _canonical(self.content * c), self.factors)
 
-    def __pow__(self, k: int) -> "Operator":
-        if k < 0:
-            raise ValueError("negative operator powers are not supported")
-        result = identity(self.nvars)
-        for _ in range(k):
-            result = self * result
-        return result
-
 
 # ---------------------------------------------------------------------------
 # primitives
@@ -426,6 +421,21 @@ def stretch(nvars: int, k: int) -> Operator:
         for exps, v in src.items():
             key = tuple(k * e for e in exps)
             out[key] = get(key, 0) + v * c
+
+    return _leaf(nvars, push)
+
+
+def orbit_sum(nvars: int) -> Operator:
+    """x^lam -> m_lam when the exponents lam weakly decrease, and every
+    other monomial -> 0: an identity whose sides end in orbit_sum(N)
+    holds on every symmetric input of the compared degrees."""
+
+    def push(src, out, c):
+        get = out.get
+        for exps, v in src.items():
+            if is_partition(exps):
+                for key in orbit(exps):
+                    out[key] = get(key, 0) + v * c
 
     return _leaf(nvars, push)
 
@@ -713,11 +723,13 @@ def operator_from_string(text: str, spec: FamilySpec) -> Operator:
         for item in params_text.split(","):
             key, _, value = item.partition("=")
             key = key.strip()
-            if not value:
-                raise ValueError(f"malformed operator parameter {item!r} in {text!r}")
+            try:
+                number = int(value)  # also for an empty value
+            except ValueError:
+                raise ValueError(f"malformed operator parameter {item!r} in {text!r}") from None
             if key in params:
                 raise ValueError(f"repeated operator parameter {key!r} in {text!r}")
-            params[key] = int(value)
+            params[key] = number
     type_b = spec.gamma is not None
     base, letter = (name[:-1], name[-1]) if name[-1:] in ("A", "B") else (name, None)
     if base not in _NAMED_CONSTRUCTORS:

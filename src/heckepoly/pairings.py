@@ -448,10 +448,8 @@ def norm_formula(lam, spec: FamilySpec, form: str = "product_form") -> ScaledRat
             num *= math.prod(map(math.factorial, degrees))
         if beta == 0:
             den *= stabilizer_order(lam)
-    elif kernel.moment:
-        num, den = _hook_norm_body_hl(lam, n, beta)
     else:
-        num, den = _hook_norm_body_jack(lam, n, beta)
+        num, den = _hook_norm_body(lam, n, beta, trigonometric=not kernel.moment)
     if kernel.moment:
         for k in degrees:
             k_num, k_den = kernel.moment(k)
@@ -470,34 +468,23 @@ def _norm_ratio_product(lam, n: int, beta: int) -> tuple[int, int]:
     return num, den
 
 
-def _hook_norm_body_jack(lam, n: int, beta: int) -> tuple[int, int]:
-    """(N beta)!/(beta!)^N times the cell product of the hook rewrite, as
-    (numerator, denominator)."""
+def _hook_norm_body(lam, n: int, beta: int, trigonometric: bool) -> tuple[int, int]:
+    """The head and cell product of the hook rewrite, as (numerator,
+    denominator): (N beta)!/(beta!)^N and a leg denominator in each cell
+    in the trigonometric (Jack) case, prod_j (j beta)!/(beta!)^N and none
+    for Hermite and Laguerre."""
     lam_conj = conjugate(lam)
-    num, den = math.factorial(n * beta), math.factorial(beta) ** n
-    for i, j in partition_cells(lam):
-        arm_co = j - 1 + beta * (n - i + 1)
-        leg_co = j + beta * (n - i)
-        upper = lam[i - 1] - j + 1 + beta * (lam_conj[j - 1] - i)
-        lower = lam[i - 1] - j + beta * (lam_conj[j - 1] - i + 1)
-        num *= arm_co * upper
-        den *= leg_co * lower
-    return num, den
-
-
-def _hook_norm_body_hl(lam, n: int, beta: int) -> tuple[int, int]:
-    """Hermite/Laguerre hook rewrite: head prod_j (j beta)!/(beta!)^N and a
-    cell product without the leg denominator of the trigonometric case,
-    as (numerator, denominator)."""
-    lam_conj = conjugate(lam)
-    num = math.prod(math.factorial(j * beta) for j in range(1, n + 1))
+    if trigonometric:
+        num = math.factorial(n * beta)
+    else:
+        num = math.prod(math.factorial(j * beta) for j in range(1, n + 1))
     den = math.factorial(beta) ** n
     for i, j in partition_cells(lam):
         arm_co = j - 1 + beta * (n - i + 1)
         upper = lam[i - 1] - j + 1 + beta * (lam_conj[j - 1] - i)
         lower = lam[i - 1] - j + beta * (lam_conj[j - 1] - i + 1)
         num *= arm_co * upper
-        den *= lower
+        den *= lower * (j + beta * (n - i) if trigonometric else 1)
     return num, den
 
 

@@ -236,12 +236,6 @@ class Polynomial:
 
     # -- inspection --------------------------------------------------------
 
-    def degree(self) -> int:
-        """Maximum total degree (0 for the zero polynomial)."""
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
-
     def coefficient(self, exps: Iterable[int]) -> Fraction:
         return _as_fraction(self.terms.get(tuple(exps), _ZERO))
 

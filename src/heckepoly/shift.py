@@ -39,16 +39,11 @@ from dataclasses import dataclass
 
 from . import operators as ops
 from .caches import memo
-from .combinatorics import (
-    monomial_symmetric,
-    pad_partition,
-    partitions_up_to,
-    staircase,
-)
+from .combinatorics import pad_partition, staircase
 from .errors import CalibrationError, NotDivisibleError, NotProportionalError
 from .families import FamilyPolynomial, construct, equals_multiple, realization
 from .pairings import _pairing_by_degree, shift_constants
-from .parameters import FamilySpec, JACK
+from .parameters import FamilySpec
 from .polynomials import Polynomial, divide_exact, vandermonde
 
 
@@ -187,42 +182,6 @@ def duality_check(f: Polynomial, g: Polynomial, spec: FamilySpec) -> bool:
     lhs = realization(upper).pair(apply_g(f, spec), g)
     rhs = realization(spec).pair(f, apply_ghat(g, spec))
     return lhs == rhs
-
-
-def antisymmetrizer_lemma_check(
-    spec: FamilySpec, degree: int, form: str = "rho"
-) -> bool:
-    """Annihilation identities behind the duality proofs, over the
-    monomial symmetric m_lam of weight <= degree.
-
-    form "rho":       P_- (Y(+) - Y(-)) f = 0 for all symmetric f,
-                      in the family realization of the Cherednik operators,
-                      with P_- the antisymmetrizer;
-    form "primitive": the coordinate model, with the deformed antisymmetrizer
-                      at the spec's beta and multiplication by
-                      prod_{i<j} (+-beta - x_i + x_j).
-    """
-    n, beta = spec.n, spec.beta
-    if form == "rho":
-        minus = ops.antisymmetrizer(n)
-        image = _y_product(spec, 1) - _y_product(spec, -1)
-    elif form != "primitive":
-        raise ValueError(f"unknown antisymmetrizer check form {form!r}")
-    elif spec.family != JACK:
-        raise ValueError("the primitive form lives in the coordinate model")
-    else:
-        minus = ops.antisymmetrizer(n, beta)
-        image = (_coordinate_y(n, beta) - _coordinate_y(n, -beta)).__mul__
-    return not any(
-        minus(image(monomial_symmetric(n, lam))) for lam in partitions_up_to(degree, n)
-    )
-
-
-def _coordinate_y(n: int, signed_beta: int) -> Polynomial:
-    total = Polynomial.one(n)
-    for i, j in itertools.combinations(range(1, n + 1), 2):
-        total = total * (signed_beta - Polynomial.variable(n, i) + Polynomial.variable(n, j))
-    return total
 
 
 def norm_recursion_check(lam, spec: FamilySpec) -> bool:

@@ -33,8 +33,11 @@ row (relation label, lhs operator, rhs operator) per identity and index.
 applied to every monomial up to the grid degree by
 ``operators.first_difference``, in integers, with polynomials built only
 for the witnesses of a failure.  ``--degree`` thus bounds every relation
-table, and appendix_A's antisymmetrizer lemmas too.  A new identity is a
-new ``yield`` in its table.
+table.  A row on symmetric inputs ends both sides in
+``operators.orbit_sum``, which sends x^lam to m_lam: appendix_A's
+antisymmetrizer lemmas are such rows, compared on every m_lam up to the
+grid degree, and a failure names the first lam.  A new identity is a new
+``yield`` in its table.
 
 Suite names:
   daha_relations     defining relations of the degenerate affine Hecke
@@ -66,8 +69,9 @@ Suite names:
                      (degree by degree for the graded Jack pairing)
   norms_all          pairing-computed norms equal both closed forms
   norm_equiv_appB    product form == hook form across the grid
-  appendix_A         deformed transposition identities and annihilation
-                     properties of the (deformed) antisymmetrizer
+  appendix_A         deformed transposition identities, annihilation
+                     properties of the (deformed) antisymmetrizer, and
+                     P_- (Y(+) - Y(-)) f = 0 on symmetric f
   dunkl_pairing_prop <sigma_A f, sigma_A g> = <1,1> [f(D/2) g](0), the
                      Gaussian pairing as the Dunkl-operator pairing
   sutherland_form    expanded second-order form of the symmetric-restricted
@@ -119,13 +123,7 @@ from .pairings import (
 from .parameters import FAMILIES, FamilySpec, HERMITE, JACK, LAGUERRE
 from .polynomials import Polynomial, _canonical, monomials_up_to_degree
 from .raising import raising_apply, raising_constant, rodrigues
-from .shift import (
-    antisymmetrizer_lemma_check,
-    calibrate,
-    duality_check,
-    norm_recursion_check,
-    shift_apply,
-)
+from .shift import _y_product, calibrate, duality_check, norm_recursion_check, shift_apply
 
 DEFAULT_GAMMAS = (Fraction(0), Fraction(1, 3), Fraction(1, 2))
 
@@ -639,9 +637,13 @@ def _w0_words(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return word, tuple(n - i for i in word)
 
 
-def _appendix_rows(n: int, beta: int):
-    """Deformed transposition relations and the annihilation properties of
-    the (deformed) antisymmetrizer."""
+def _appendix_rows(n: int, beta: int, grid: GridSpec):
+    """Deformed transposition relations, the annihilation properties of
+    the (deformed) antisymmetrizer, and the lemma behind the duality
+    proofs on symmetric inputs (rows ending in ``orbit_sum``): P_- kills
+    (Y(+) - Y(-)) f, Y(+-) = prod_{i<j} (+-beta - C_i + C_j), in the
+    coordinate model (C_j = x_j, deformed P_-) and in each family's
+    realization."""
     shat = {j: ops.deformed_transposition(n, j, beta) for j in range(1, n)}
     one, zero = ops.identity(n), ops.scalar(n, 0)
     for j in shat:
@@ -661,21 +663,19 @@ def _appendix_rows(n: int, beta: int):
     complement = one - sign(w0) * ops.permutation_op(w0)
     yield "P- o (1 - eps w0) = 0", p_minus * complement, zero
     yield "(1 - eps w0) o P- = 0", complement * p_minus, zero
+    symmetric, x = ops.orbit_sum(n), [Polynomial.variable(n, j) for j in range(1, n + 1)]
+    y = [math.prod((b - x[i] + x[j] for i, j in itertools.combinations(range(n), 2)),
+                   start=Polynomial.one(n)) for b in (beta, -beta)]
+    yield ("deformed P- annihilates (Y'-Yhat') f",
+           p_def * ops.multiply_by(y[0] - y[1]) * symmetric, zero)
+    for spec, model in zip(_family_specs(n, beta, grid), ("Cherednik", "Hermite", "Laguerre")):
+        yield (f"P- annihilates (Y-Yhat) f, {model} model",
+               p_minus * (_y_product(spec, 1) - _y_product(spec, -1)) * symmetric, zero)
 
 
 def _appendix_a(grid: GridSpec):
     for n, beta in itertools.product(grid.ns, grid.betas):
-        params = {"n": n, "beta": beta}
-        yield from _relation_cases(params, _appendix_rows(n, beta), grid)
-        jack_sp, herm_sp, lag_sp = _family_specs(n, beta, grid)
-        for relation, spec, form in (
-            ("deformed P- annihilates (Y'-Yhat') f", jack_sp, "primitive"),
-            ("P- annihilates (Y-Yhat) f, Cherednik model", jack_sp, "rho"),
-            ("P- annihilates (Y-Yhat) f, Hermite model", herm_sp, "rho"),
-            ("P- annihilates (Y-Yhat) f, Laguerre model", lag_sp, "rho"),
-        ):
-            case = partial(antisymmetrizer_lemma_check, spec, grid.degree, form=form)
-            yield dict(params, relation=relation), case
+        yield from _relation_cases({"n": n, "beta": beta}, _appendix_rows(n, beta, grid), grid)
 
 
 def _halved(f: Polynomial) -> Polynomial:

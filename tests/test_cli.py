@@ -124,6 +124,14 @@ def test_pair_with_named_operators(capsys):
         run_cli(base + ["--apply-f", "bogus:j=1"], capsys)
 
 
+@pytest.mark.parametrize("text, item", [("cherednik:j=x", "j=x"), ("cherednik:j=", "j="),
+                                        ("exchange:i=1,j=2.5", "j=2.5")])
+def test_pair_rejects_a_malformed_operator_parameter(text, item, capsys):
+    message = input_error(["pair", *_JACK, "--f", _ONE_IN_2, "--g", _ONE_IN_2, "--apply-f", text],
+                          capsys)
+    assert message == f"usage error: malformed operator parameter {item!r} in {text!r}"
+
+
 @pytest.mark.parametrize("text", ["dunkl:j=1,x=3", "exchange:i=1,j=2,k=9", "dunkl:j=1,j=2"])
 def test_pair_rejects_unknown_or_repeated_operator_parameters(text, capsys):
     message = input_error(["pair", *_JACK, "--f", _ONE_IN_2, "--g", _ONE_IN_2, "--apply-f", text],
@@ -594,6 +602,16 @@ def test_verify_accepts_weight_at_bounds(weight, capsys):
         capsys,
     )
     assert code == 0 and out.startswith("jack_eigen: PASS")
+
+
+def test_poly_in_thirty_variables_returns():
+    """The label (1) at N = 30 has a 30-member orbit; it is built without
+    walking the 30! permutations of its exponents."""
+    args = [sys.executable, "-m", "heckepoly", "poly", "--family", "jack", "--n", "30",
+            "--beta", "1", "--lambda", "1"]
+    done = subprocess.run(args, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("x_1 + x_2 + ") and "x_30" in done.stdout
 
 
 def test_python_dash_m_entry_point():

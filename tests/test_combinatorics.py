@@ -321,6 +321,18 @@ def test_orbit_against_permutations():
             assert set(monomial_symmetric(n, lam).terms) == distinct
 
 
+def test_orbit_is_in_first_appearance_order_among_the_permutations():
+    """orbit walks the distinct permutations in the order itertools meets
+    them, decreasing lexicographic for a partition, without building all
+    N! of them: the 870-member orbit of (2, 1) at N = 30 is immediate."""
+    for n in range(1, 7):
+        for lam in partitions_up_to(6, n):
+            assert orbit(lam) == tuple(dict.fromkeys(itertools.permutations(lam)))
+    wide = (2, 1) + (0,) * 28
+    assert orbit_size(wide) == 30 * 29 == len(set(orbit(wide)))
+    assert orbit(wide)[0] == wide and orbit(wide)[-1] == wide[::-1]
+
+
 def test_partition_helpers():
     assert pad_partition((2, 1), 4) == (2, 1, 0, 0)
     assert stabilizer_order((2, 2, 0)) == 2

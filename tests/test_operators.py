@@ -507,13 +507,13 @@ _N, _BETA, _GAMMA = 3, 1, Fraction(2, 5)
 
 
 def _combination_expressions():
-    """Sums, integer and fractional scalars, compositions and powers of
-    memoized operators: the parts of one expression, and the whole last."""
+    """Sums, integer and fractional scalars and compositions of memoized
+    operators: the parts of one expression, and the whole last."""
     n, beta, gamma = _N, _BETA, _GAMMA
     jac, her, lag = jack_spec(n, beta), hermite_spec(n, beta), laguerre_spec(n, beta, gamma)
     a, b = ops.cherednik(1, jac), ops.dunkl(2, jac)
     h, d = ops.htilde(3, her), ops.dunkl(2, lag)
-    parts = [3 * a - Fraction(1, 2) * h, 2 * b + ops.scalar(n, Fraction(1, 3)), a**2,
+    parts = [3 * a - Fraction(1, 2) * h, 2 * b + ops.scalar(n, Fraction(1, 3)), a * a,
              Fraction(3, 4) * (d * h), (-2) * (b * d * a)]
     return parts + [parts[0] * parts[1] - parts[2] + parts[3] - parts[4]]
 
@@ -746,3 +746,24 @@ def test_antisymmetrizer_holds_no_cache():
         minus(Polynomial.monomial((2, 1) + (0,) * (n - 2)))
     assert cache_info()["operators.named"] == 0
     assert cache_info()["operators.images"] == 0
+
+
+def test_orbit_sum_maps_partition_monomials_to_monomial_symmetric():
+    """orbit_sum(N) sends x^lam to m_lam when lam weakly decreases and
+    every other monomial to 0; on a sum it adds those images."""
+    from heckepoly.combinatorics import is_partition, monomial_symmetric
+
+    for n in range(1, 5):
+        symmetric = ops.orbit_sum(n)
+        total, expected = Polynomial.zero(n), Polynomial.zero(n)
+        for exps in monomials_up_to_degree(n, 4):
+            image = symmetric(Polynomial.monomial(exps))
+            if is_partition(exps):
+                assert image == monomial_symmetric(n, exps)
+            else:
+                assert image == Polynomial.zero(n)
+            total = total + (sum(exps) + 1) * Polynomial.monomial(exps)
+            expected = expected + (sum(exps) + 1) * image
+        assert symmetric(total) == expected
+    with pytest.raises(AmbientSizeMismatch):
+        ops.orbit_sum(3)(Polynomial.monomial((1, 0)))

@@ -138,8 +138,6 @@ def test_basic_arithmetic():
 def test_power_and_degree():
     x = Polynomial.variable(1, 1)
     assert (x + 1) ** 3 == x**3 + 3 * x**2 + 3 * x + 1
-    assert (x**5).degree() == 5
-    assert Polynomial.zero(1).degree() == 0
 
 
 def test_ambient_mismatch():

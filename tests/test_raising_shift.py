@@ -32,7 +32,6 @@ from heckepoly.raising import (
     rodrigues,
 )
 from heckepoly.shift import (
-    antisymmetrizer_lemma_check,
     apply_g,
     apply_ghat,
     calibrate,
@@ -215,20 +214,43 @@ def test_duality_examples():
                 assert duality_check(f, g, spec)
 
 
+_DEFORMED_LEMMA = "deformed P- annihilates (Y'-Yhat') f"
+
+
 def test_antisymmetrizer_checks():
-    assert antisymmetrizer_lemma_check(jack_spec(2, 1), 4, "rho")
-    assert antisymmetrizer_lemma_check(jack_spec(3, 1), 3, "primitive")
-    assert antisymmetrizer_lemma_check(hermite_spec(2, 1), 3, "rho")
-    assert antisymmetrizer_lemma_check(laguerre_spec(2, 1, Fraction(1, 3)), 3, "rho")
+    """appendix_A's lemma rows, P_- (Y(+) - Y(-)) f = 0 on symmetric f,
+    hold on every m_lam up to the degree: in the Cherednik, Hermite and
+    Laguerre (gamma = 1/3) realizations and in the coordinate model with
+    the deformed P_-."""
+    from heckepoly import operators as ops
+    from heckepoly.verify import GridSpec, _appendix_rows
+
+    for n, relation, degree in (
+        (2, "P- annihilates (Y-Yhat) f, Cherednik model", 4),
+        (3, _DEFORMED_LEMMA, 3),
+        (2, "P- annihilates (Y-Yhat) f, Hermite model", 3),
+        (2, "P- annihilates (Y-Yhat) f, Laguerre model", 3),
+    ):
+        grid = GridSpec(ns=(n,), betas=(1,), gammas=(Fraction(1, 3),))
+        rows = {label: (lhs, rhs) for label, lhs, rhs in _appendix_rows(n, 1, grid)}
+        assert ops.first_difference(*rows[relation], degree) is None
 
 
-def test_coordinate_products_difference_evaluated_exactly():
-    # at beta = 0 the two coordinate-model products are identical; at
-    # beta = 1, N = 2 their difference is the constant 2 (recorded, not assumed)
-    from heckepoly.shift import _coordinate_y
+def test_coordinate_products_difference_evaluated_exactly(monkeypatch):
+    # the coordinate-model multiplier prod (beta - x_i + x_j) - prod (-beta
+    # - x_i + x_j) of appendix_A's deformed lemma row: zero at beta = 0, and
+    # at beta = 1, N = 2 the constant 2 (recorded, not assumed)
+    from heckepoly import operators as ops
+    from heckepoly.verify import GridSpec, _appendix_rows
 
-    assert _coordinate_y(2, 0) - _coordinate_y(2, -0) == Polynomial.zero(2)
-    assert _coordinate_y(2, 1) - _coordinate_y(2, -1) == Polynomial.constant(2, 2)
+    multipliers, multiply_by = [], ops.multiply_by
+    monkeypatch.setattr(ops, "multiply_by", lambda p: multipliers.append(p) or multiply_by(p))
+    for beta, expected in ((0, Polynomial.zero(2)), (1, Polynomial.constant(2, 2))):
+        multipliers.clear()
+        for label, _lhs, _rhs in _appendix_rows(2, beta, GridSpec()):
+            if label == _DEFORMED_LEMMA:  # the rows are built lazily: stop at this one
+                break
+        assert multipliers == [expected]
 
 
 def test_single_variable_shift_degenerates_gracefully():

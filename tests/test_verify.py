@@ -133,9 +133,11 @@ def test_shift_suite_emits_calibration():
 
 
 def _hook_numerator_plus_one(body):
-    def planted(lam, n, beta):
-        num, den = body(lam, n, beta)
-        return num + 1, den
+    """+1 on the numerator of the Hermite and Laguerre hook bodies only."""
+
+    def planted(lam, n, beta, trigonometric):
+        num, den = body(lam, n, beta, trigonometric)
+        return (num, den) if trigonometric else (num + 1, den)
 
     return planted
 
@@ -151,7 +153,7 @@ VALUE_PLANTS = {
         ops, "sutherland_expanded_apply",
         lambda apply: lambda f, beta: apply(f, beta) + Fraction(beta * beta, 12) * f, 9),
     # + 1 on the Hermite and Laguerre hook numerator, read at beta >= 1
-    "norm_equiv_appB": (pairings, "_hook_norm_body_hl", _hook_numerator_plus_one, 12),
+    "norm_equiv_appB": (pairings, "_hook_norm_body", _hook_numerator_plus_one, 12),
 }
 
 
@@ -184,6 +186,7 @@ CATALOG = (
     "operators.creation",
     "operators.htilde",
     "operators.antisymmetrizer",
+    "operators.orbit_sum",
     "operators.sutherland_expanded_apply",
     "families.nonsym_jack",
     "families.jack",
@@ -205,7 +208,6 @@ CATALOG = (
     "shift.shift_apply",
     "shift.calibrate",
     "shift.duality_check",
-    "shift.antisymmetrizer_lemma_check",
 )
 
 # the layers whose operations run only inside a case's thunk
@@ -650,21 +652,17 @@ def test_relation_tables_catch_planted_defect(name, monkeypatch):
 @pytest.mark.parametrize("grid", [SMALL, dataclasses.replace(SMALL, degree=1)],
                          ids=["small", "degree_1"])
 def test_relation_tables_check_at_the_grid_degree(grid, monkeypatch):
-    """Every relation row is compared up to grid.degree, and so are
-    appendix_A's antisymmetrizer lemmas: --degree is one depth for all."""
+    """Every case of a relation table, appendix_A's antisymmetrizer lemmas
+    included, is one ``first_difference`` up to grid.degree: --degree is
+    one depth for all."""
     degrees = []
-    compare, lemma = ops.first_difference, verify.antisymmetrizer_lemma_check
+    compare = ops.first_difference
 
     def recording_compare(op_a, op_b, degree):
         degrees.append(degree)
         return compare(op_a, op_b, degree)
 
-    def recording_lemma(spec, degree, form):
-        degrees.append(degree)
-        return lemma(spec, degree, form=form)
-
     monkeypatch.setattr(ops, "first_difference", recording_compare)
-    monkeypatch.setattr(verify, "antisymmetrizer_lemma_check", recording_lemma)
     for name in RELATION_SUITES:
         degrees.clear()
         report = run_suite(name, grid)
@@ -744,6 +742,56 @@ def test_flipped_coset_sign_fails_appendix_a(monkeypatch):
     assert report.cases_run == SMALL_COUNTS["appendix_A"]
     assert report.cases_run - report.cases_passed == 12
     assert not any("exception" in failure["params"] for failure in report.failures)
+
+
+def _bare_orbit_sum(nvars):
+    """operators.orbit_sum keeping x^lam alone: the rest of m_lam lost."""
+
+    def push(src, out, c):
+        for exps, v in src.items():
+            if list(exps) == sorted(exps, reverse=True):
+                out[exps] = out.get(exps, 0) + v * c
+
+    return ops.Operator(nvars, 1, (((1, push),),))
+
+
+def _negated_laguerre_y_plus(y_product):
+    """Y(+) with the opposite sign in the Laguerre realization only."""
+    return lambda spec, sign: (-1 if spec.gamma is not None and sign == 1 else 1) * y_product(
+        spec, sign)
+
+
+LEMMAS = ("deformed P- annihilates (Y'-Yhat') f",
+          *(f"P- annihilates (Y-Yhat) f, {model} model"
+            for model in ("Cherednik", "Hermite", "Laguerre")))
+
+# a planted defect in appendix_A's rows on symmetric inputs: (module,
+# attribute, wrapper of the original, the relations of its failing cases)
+SYMMETRIC_ROW_PLANTS = {
+    "orbit_sum keeps x^lam alone": (ops, "orbit_sum", lambda orbit_sum: _bare_orbit_sum, LEMMAS),
+    "Y(+) sign in the Laguerre model": (verify, "_y_product", _negated_laguerre_y_plus, LEMMAS[3:]),
+}
+
+
+@pytest.mark.parametrize("plant", sorted(SYMMETRIC_ROW_PLANTS))
+def test_lemma_rows_fail_on_a_partition(plant, monkeypatch):
+    """A defect in the symmetric inputs or in one realization's Y(+) fails
+    the antisymmetrizer lemma rows it reaches, each with its first m_lam:
+    a "monomial" witness that is a partition."""
+    module, attr, wrap, relations = SYMMETRIC_ROW_PLANTS[plant]
+    clear_caches()
+    monkeypatch.setattr(module, attr, wrap(getattr(module, attr)))
+    try:
+        report = run_suite("appendix_A", SMALL)
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    assert report.cases_run == SMALL_COUNTS["appendix_A"]
+    failed = [failure["params"] for failure in report.failures]
+    assert {params["relation"] for params in failed} == set(relations)
+    for params in failed:
+        lam = params["monomial"]
+        assert lam == sorted(lam, reverse=True), params
 
 
 def _negated_y(y_product):
