@@ -167,14 +167,14 @@ def cmd_pair(args, spec: FamilySpec):
         _fail(f"error: cannot read polynomial: {err}")
     try:
         op_f, op_g = (
-            text and ops_module.operator_from_string(text, spec)
+            None if text is None else ops_module.operator_from_string(text, spec)
             for text in (args.apply_f, args.apply_g)
         )
     except (HeckePolyError, ValueError) as err:
         _fail(f"usage error: {err}")
     def applied(op, h):
-        if not op or spec.gamma is None:
-            return op(h) if op else h
+        if op is None or spec.gamma is None:
+            return h if op is None else op(h)
         # type B (the spec has a gamma): op acts on z and h is in u = z^2,
         # so an image that is not even raises EvennessViolation (exit 1)
         return decode_even(op(encode_even(h)))
@@ -265,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="partition as a comma list; '' for empty")
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--beta", type=int, required=True)
-        p.add_argument("--gamma", help="rational p/q (laguerre only)")
+        p.add_argument("--gamma", help="rational p/q (laguerre only; --gamma=-1/3 if negative)")
         p.add_argument("--format", default=formats[0], choices=formats)
         p.add_argument("--output", help="write to a file instead of stdout")
 

@@ -43,7 +43,7 @@ earlier row, incomparable ones included: the orthogonality theorem makes
 it F_lam, and the triangularity check of every construction confirms it.
 
 The symmetric Jack triangular route applies no operator.  The Sutherland
-operator H (``operators.sutherland_expanded_apply`` less its constant)
+operator H (``operators.sutherland_expanded(N, beta)`` less its constant)
 acts on m_mu in closed form, in integers (R. P. Stanley, Adv. Math. 77
 (1989) 76-115, Thm 3.1): H m_mu = E(mu) m_mu + 2 beta sum_nu h_(nu mu)
 m_nu, the nu strictly below mu.  J_lam is its eigenvector with leading
@@ -607,21 +607,13 @@ def _gram_append(spec: FamilySpec, index: dict, rows: list, mu) -> None:
     only the L_j and the pivots (leading minors) are kept."""
     numerator = _orbit_numerator(spec)
     column = [numerator(nu, mu) for nu in index] + [numerator(mu, mu)]
-    # the reduced row is row * prev / base: a step whose multiplier is 0
-    # only scales it by pivot / prev, so runs of those are not applied
-    row, prev, base = {len(rows): 1}, 1, 1
+    row, prev = {len(rows): 1}, 1
     for pivot_row, pivot in rows:
         factor = sum(v * column[i] for i, v in pivot_row.items())
-        if factor:
-            if base != prev:
-                row = {i: v * prev // base for i, v in row.items()}
-            row = {i: v * pivot for i, v in row.items()}
-            for i, v in pivot_row.items():
-                row[i] = row.get(i, 0) - factor * v
-            row, base = {i: v // prev for i, v in row.items() if v}, pivot
-        prev = pivot
-    if base != prev:
-        row = {i: v * prev // base for i, v in row.items()}
+        row = {i: v * pivot for i, v in row.items()}
+        for i, v in pivot_row.items():
+            row[i] = row.get(i, 0) - factor * v
+        row, prev = {i: v // prev for i, v in row.items() if v}, pivot
     pivot = sum(v * column[i] for i, v in row.items())
     if pivot <= 0:  # the pairing is positive definite
         raise HeckePolyError(f"Gram matrix not positive definite at {mu} for {spec}")

@@ -31,7 +31,8 @@ equality on the monomial spanning set is the only equality notion:
 integers and builds polynomials only for the witnesses of a difference.
 An identity on symmetric inputs is one between operators that end in
 ``orbit_sum``, which sends x^lam to m_lam for a partition lam and every
-other monomial to 0.
+other monomial to 0 (``sutherland_expanded`` is the paper's form on
+symmetric inputs only).
 
 A family of operator words applied to one seed is evaluated by shared
 prefixes (``apply_words``): a word's image is its last step applied to
@@ -79,7 +80,7 @@ from .caches import register
 from .combinatorics import is_partition, orbit, permute_exponents
 from .errors import AmbientSizeMismatch, TypeBContextError
 from .parameters import FamilySpec
-from .polynomials import Polynomial, _canonical, _integer_part, divide_exact, monomials_up_to_degree
+from .polynomials import Polynomial, _canonical, _integer_part, monomials_up_to_degree
 
 # A term of the normal form is (k, push) with k an int: ``push(src, out, c)``
 # adds c times the term's image of the term dict ``src`` into the
@@ -647,30 +648,24 @@ def apply_words(seed: Polynomial, weights: dict, steps, images=None) -> Polynomi
     return _rescale(seed.nvars, total, Fraction(1, q) if q > 1 else 1)
 
 
-def sutherland_expanded_apply(f: Polynomial, beta: int) -> Polynomial:
+def sutherland_expanded(nvars: int, beta: int) -> Operator:
     """Second-order expanded form of the gauge-transformed trigonometric
-    Hamiltonian, defined on symmetric inputs:
+    Hamiltonian, on symmetric inputs:
 
         sum_j (x_j d_j)^2
         + beta sum_{j<k} (x_j + x_k)/(x_j - x_k) (x_j d_j - x_k d_k)
-        + beta^2 N (N^2 - 1)/12.
+        + beta^2 N (N^2 - 1)/12,
 
-    The middle term is an exact quotient on symmetric polynomials (the
-    Euler-difference image is antisymmetric in x_j, x_k).
-    """
-    n = f.nvars
-    euler = [_coordinate(n, j) * derivative(n, j) for j in range(1, n + 1)]
-    total = Polynomial.zero(n)
-    for j in range(n):
-        total = total + euler[j](euler[j](f))
-    for j in range(1, n + 1):
-        for k in range(j + 1, n + 1):
-            xj = Polynomial.variable(n, j)
-            xk = Polynomial.variable(n, k)
-            diff = euler[j - 1](f) - euler[k - 1](f)
-            total = total + beta * (xj + xk) * divide_exact(diff, xj - xk)
-    constant = Fraction(beta * beta * n * (n * n - 1), 12)
-    return total + constant * f
+    the quotient the divided difference of x_j d_j f, since
+    (x_j d_j - x_k d_k) f = (1 - s_jk)(x_j d_j f) for a symmetric f."""
+    total = scalar(nvars, Fraction(beta * beta * nvars * (nvars * nvars - 1), 12))
+    for j in range(1, nvars + 1):
+        euler = _coordinate(nvars, j) * derivative(nvars, j)
+        total = total + euler * euler
+        for k in range(j + 1, nvars + 1):
+            pair = _coordinate(nvars, j) + _coordinate(nvars, k)
+            total = total + beta * (pair * divided_diff_minus(nvars, j, k) * euler)
+    return total
 
 
 def first_difference(op_a: Operator, op_b: Operator, degree: int):

@@ -21,14 +21,14 @@ transcendental base powers.  The value is the Laurent weight coefficient
 at b - a (Jack) or the cached moment numerator of x^(a+b) (Gauss,
 Laguerre); the denominator is the constant-term sign, 2^((d+D)/2) or
 q^(d+D).  M(0), and any moment of degree above 32, sums one-variable
-moments over the terms of W; every other moment is an integer recurrence
-over lower ones, by Dunkl integration by parts (``_moment_terms``).  One
-body pairs f and g for all three families: it scales them
-to integer coefficients, sums integer products per total degree and
-divides once (``_pairing_by_degree`` keeps the degrees apart, for the
-duality check of the graded constant-term pairing).  The kernel also
-holds the one-variable moment of degree k that the closed-form norms
-multiply in, so the norms have one body too.
+moments over the terms of W, read from that Laurent weight; every other
+moment is an integer recurrence over lower ones, by Dunkl integration by
+parts (``_moment_terms``).  One body pairs f and g for all three
+families: it scales them to integer coefficients, sums integer products
+per total degree and divides once (``_pairing_by_degree`` keeps the
+degrees apart, for the duality check of the graded constant-term
+pairing).  The kernel also holds the one-variable moment of degree k
+that the closed-form norms multiply in, so the norms have one body too.
 
 Every weight is S_N-invariant, so <m_mu, m_nu> is a sum over one orbit
 against a representative of the other, times that representative's orbit
@@ -110,7 +110,7 @@ class ScaledRational:
 
 
 # ---------------------------------------------------------------------------
-# weights (cached per (N, beta): they dominate pairing cost)
+# the weight (cached per (N, beta): it dominates pairing cost)
 
 
 def _vandermonde_power(n: int, beta: int) -> Polynomial:
@@ -125,21 +125,11 @@ def _vandermonde_power(n: int, beta: int) -> Polynomial:
 
 
 @memo
-def _weight_terms(n: int, beta: int) -> tuple[tuple[Exponent, int], ...]:
-    """Integer terms of the squared Vandermonde power."""
-    return tuple(
-        (exps, coeff.numerator)
-        for exps, coeff in _vandermonde_power(n, beta).terms.items()
-    )
-
-
-@memo
 def _ct_weight(n: int, beta: int) -> dict[Exponent, int]:
     """Integer terms of the Laurent weight W * x^(-beta(N-1)) per variable."""
     shift = beta * (n - 1)
-    return {
-        tuple(e - shift for e in exps): coeff for exps, coeff in _weight_terms(n, beta)
-    }
+    return {tuple(e - shift for e in exps): coeff
+            for exps, coeff in _vandermonde_power(n, beta).terms.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +204,11 @@ def _moment_num(n: int, beta: int, step: int, p: int, q: int, exps: Exponent) ->
     if sum(key) % step:
         return 0
     if not key[-1] or sum(key) > _RECURSION_DEGREE:
-        k = key[-1] + 2 * beta * (n - 1)
+        shift = beta * (n - 1)
+        k = key[-1] + 2 * shift
         one = _gauss_table(k) if step == 2 else _rising_table(p, q, k)
-        return sum(coeff * math.prod(one[e + w] for e, w in zip(key, w_exps))
-                   for w_exps, coeff in _weight_terms(n, beta))
+        return sum(coeff * math.prod(one[e + w + shift] for e, w in zip(key, w_exps))
+                   for w_exps, coeff in _ct_weight(n, beta).items())
     terms = _moment_terms(key, beta, step, p, q)
     return sum(v * _moment_num(n, beta, step, p, q, b) for b, v in terms.items())
 

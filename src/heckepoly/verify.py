@@ -708,17 +708,14 @@ def _dunkl_pairing_prop(grid: GridSpec):
 
 def _sutherland_form(grid: GridSpec):
     for n, beta in itertools.product(grid.ns, grid.betas):
-        spec = FamilySpec(JACK, n, beta)
-        chers = [ops.cherednik(j, spec) for j in range(1, n + 1)]
-        offset = Fraction(beta * (n - 1), 2)
+        offset = ops.scalar(n, Fraction(beta * (n - 1), 2))
+        shifted = [ops.cherednik(j, FamilySpec(JACK, n, beta)) - offset for j in range(1, n + 1)]
+        restricted = sum((c * c for c in shifted), ops.scalar(n, 0))
+        expanded = ops.sutherland_expanded(n, beta)
         for lam in partitions_up_to(min(5, grid.max_weight + 1), n):
             def case():
                 f = monomial_symmetric(n, lam)
-                restricted = Polynomial.zero(n)
-                for op in chers:
-                    g = op(f) - offset * f
-                    restricted = restricted + (op(g) - offset * g)
-                return _same(restricted, ops.sutherland_expanded_apply(f, beta), _pretty)
+                return _same(restricted(f), expanded(f), _pretty)
 
             yield {"n": n, "beta": beta, "lambda": list(lam)}, case
 

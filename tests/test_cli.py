@@ -132,6 +132,21 @@ def test_pair_rejects_a_malformed_operator_parameter(text, item, capsys):
     assert message == f"usage error: malformed operator parameter {item!r} in {text!r}"
 
 
+@pytest.mark.parametrize("flag", ["--apply-f", "--apply-g"])
+def test_pair_rejects_an_empty_operator_name(flag, capsys):
+    """An empty operator string is a name, not a missing option."""
+    message = input_error(["pair", *_JACK, "--f", _ONE_IN_2, "--g", _ONE_IN_2, flag, ""],
+                          capsys)
+    assert message == "usage error: unknown operator name ''"
+
+
+def test_norm_takes_a_negative_gamma_in_the_equals_form(capsys):
+    code, out = run_cli(["norm", "--family", "laguerre", "--lambda", "1", "--n", "2",
+                         "--beta", "1", "--gamma=-1/3"], capsys)
+    assert code == 0
+    assert out.strip() == "7/9 · Γ(γ+1/2)^2"
+
+
 @pytest.mark.parametrize("text", ["dunkl:j=1,x=3", "exchange:i=1,j=2,k=9", "dunkl:j=1,j=2"])
 def test_pair_rejects_unknown_or_repeated_operator_parameters(text, capsys):
     message = input_error(["pair", *_JACK, "--f", _ONE_IN_2, "--g", _ONE_IN_2, "--apply-f", text],

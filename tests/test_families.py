@@ -920,7 +920,7 @@ def test_jack_triangular_against_fraction_reference_and_symmetrized():
 
 def test_sutherland_closed_form_is_the_operator_on_m_mu():
     """H m_mu = E(mu) m_mu + 2 beta sum_nu h_(nu mu) m_nu, read against the
-    orbit coefficients of ``sutherland_expanded_apply`` less its constant."""
+    orbit coefficients of ``sutherland_expanded(N, beta)`` less its constant."""
     from heckepoly.combinatorics import _orbit_coefficients, partitions_of
     from heckepoly.families import _sutherland_energy, _sutherland_raising
 
@@ -930,9 +930,10 @@ def test_sutherland_closed_form_is_the_operator_on_m_mu():
             raised = {nu: _sutherland_raising(nu) for nu in labels}
             for beta in (0, 1, 2, 3):
                 constant = Fraction(beta * beta * n * (n * n - 1), 12)
+                expanded = ops.sutherland_expanded(n, beta)
                 for mu in labels:
                     m_mu = monomial_symmetric(n, mu)
-                    image = ops.sutherland_expanded_apply(m_mu, beta) - constant * m_mu
+                    image = expanded(m_mu) - constant * m_mu
                     expected = {mu: _sutherland_energy(mu, beta)}
                     for nu in labels:
                         if beta and mu in raised[nu]:

@@ -269,19 +269,49 @@ def test_operators_bind_no_family_constant():
 
 
 def test_sutherland_expanded_matches_restriction():
-    from heckepoly.combinatorics import monomial_symmetric, partitions_up_to
-
+    """sum_j (Dhat_j - beta(N-1)/2)^2 is the expanded form on every m_lam
+    of weight <= 4."""
     for n, beta in [(2, 1), (2, 2), (3, 1)]:
         spec = jack_spec(n, beta)
-        chers = [ops.cherednik(j, spec) for j in range(1, n + 1)]
-        offset = Fraction(beta * (n - 1), 2)
-        for lam in partitions_up_to(4, n):
-            f = monomial_symmetric(n, lam)
-            restricted = Polynomial.zero(n)
-            for op in chers:
-                g = op(f) - offset * f
-                restricted = restricted + op(g) - offset * g
-            assert restricted == ops.sutherland_expanded_apply(f, beta)
+        restricted = ops.scalar(n, 0)
+        for j in range(1, n + 1):
+            shifted = ops.cherednik(j, spec) - ops.scalar(n, Fraction(beta * (n - 1), 2))
+            restricted = restricted + shifted * shifted
+        symmetric = ops.orbit_sum(n)
+        assert _equal(restricted * symmetric, ops.sutherland_expanded(n, beta) * symmetric, 4)
+
+
+def _sutherland_by_division(f: Polynomial, beta: int) -> Polynomial:
+    """Oracle: the expanded form of the paper on a symmetric f, by
+    ``Polynomial`` products and exact division, each x_j d_j on the terms:
+
+        sum_j (x_j d_j)^2 f
+        + beta sum_{j<k} (x_j + x_k) [(x_j d_j - x_k d_k) f / (x_j - x_k)]
+        + beta^2 N (N^2 - 1)/12 f."""
+    n = f.nvars
+
+    def euler(g, j):
+        return Polynomial(n, {e: c * e[j - 1] for e, c in g.terms.items()})
+
+    total = Fraction(beta * beta * n * (n * n - 1), 12) * f
+    for j in range(1, n + 1):
+        total = total + euler(euler(f, j), j)
+        for k in range(j + 1, n + 1):
+            xj, xk = Polynomial.variable(n, j), Polynomial.variable(n, k)
+            diff = euler(f, j) - euler(f, k)
+            total = total + beta * (xj + xk) * divide_exact(diff, xj - xk)
+    return total
+
+
+def test_sutherland_expanded_is_the_quotient_form_on_m_lam():
+    from heckepoly.combinatorics import monomial_symmetric, partitions_up_to
+
+    for n in (1, 2, 3, 4):
+        for beta in (0, 1, 2, 3):
+            expanded = ops.sutherland_expanded(n, beta)
+            for lam in partitions_up_to(5, n):
+                f = monomial_symmetric(n, lam)
+                assert expanded(f) == _sutherland_by_division(f, beta), (n, beta, lam)
 
 
 def test_operator_from_string():

@@ -512,9 +512,9 @@ def test_moment_recurrence_equals_the_weight_sum(monkeypatch):
     from heckepoly import clear_caches, pairings
 
     summed = []
-    weight_terms = pairings._weight_terms
-    monkeypatch.setattr(pairings, "_weight_terms",
-                        lambda n, beta: summed.append((n, beta)) or weight_terms(n, beta))
+    ct_weight = pairings._ct_weight
+    monkeypatch.setattr(pairings, "_ct_weight",
+                        lambda n, beta: summed.append((n, beta)) or ct_weight(n, beta))
     clear_caches()
     checked = specs = 0
     try:

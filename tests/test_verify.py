@@ -150,8 +150,8 @@ VALUE_PLANTS = {
         verify, "dunkl_pairing", lambda pairing: lambda f, g, spec: 2 * pairing(f, g, spec), 2),
     # beta^2/12 added to the constant beta^2 N (N^2 - 1)/12: the beta = 1 half
     "sutherland_form": (
-        ops, "sutherland_expanded_apply",
-        lambda apply: lambda f, beta: apply(f, beta) + Fraction(beta * beta, 12) * f, 9),
+        ops, "sutherland_expanded",
+        lambda build: lambda n, beta: build(n, beta) + ops.scalar(n, Fraction(beta * beta, 12)), 9),
     # + 1 on the Hermite and Laguerre hook numerator, read at beta >= 1
     "norm_equiv_appB": (pairings, "_hook_norm_body", _hook_numerator_plus_one, 12),
 }
@@ -187,7 +187,7 @@ CATALOG = (
     "operators.htilde",
     "operators.antisymmetrizer",
     "operators.orbit_sum",
-    "operators.sutherland_expanded_apply",
+    "operators.sutherland_expanded",
     "families.nonsym_jack",
     "families.jack",
     "families.sigma_a",
@@ -792,6 +792,38 @@ def test_lemma_rows_fail_on_a_partition(plant, monkeypatch):
     for params in failed:
         lam = params["monomial"]
         assert lam == sorted(lam, reverse=True), params
+
+
+def _x1_dj_in_hermite_c(cherednik):
+    """C_j + x_1 d_j in ``Realization.cherednik``, which Hermite alone reads."""
+
+    def planted(self, j):
+        n = self.spec.n
+        return cherednik(self, j) + ops.multiply_by(Polynomial.variable(n, 1)) * ops.derivative(n, j)
+
+    return planted
+
+
+@pytest.mark.parametrize("n, degree, cases, failing", [
+    (2, 5, 30, set()),
+    (3, 3, 42, {(1, "P- annihilates (Y-Yhat) f, Hermite model", (3, 0, 0)),
+            (2, "P- annihilates (Y-Yhat) f, Hermite model", (3, 0, 0))}),
+])
+def test_lemma_rows_see_a_hermite_c_defect_only_from_n_3(n, degree, cases, failing, monkeypatch):
+    """At N = 2, Y(+) - Y(-) = 2 beta whatever C_j is, so a defect in a
+    realization's C_j passes every appendix_A row; at N = 3 it fails the
+    Hermite lemma row at beta >= 1 on m_(3)."""
+    monkeypatch.setattr(families.Realization, "cherednik",
+                        _x1_dj_in_hermite_c(families.Realization.cherednik))
+    clear_caches()
+    try:
+        report = run_suite("appendix_A", GridSpec(ns=(n,), degree=degree))
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    assert report.cases_run == cases
+    assert {(f["params"]["beta"], f["params"]["relation"], tuple(f["params"]["monomial"]))
+            for f in report.failures} == failing
 
 
 def _negated_y(y_product):
