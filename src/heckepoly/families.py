@@ -27,10 +27,10 @@ sqrt(2), so the intertwiner applied to a homogeneous f of degree d is
 which makes every family polynomial exactly rational.  Under this
 convention sigma_A(J_lam) *is* the monic Hermite polynomial and
 sigma_B(J_lam) the monic Laguerre polynomial; B_j^2/4 acts on u by
-type-A operators (``Realization``).  The words of the terms of f, in
-letters V_j, share their prefixes (``operators.apply_words``), act in
-integers, are kept per spec in ``families.sigma_words`` and are summed
-over one common denominator.
+type-A operators (``Realization``).  sigma is the heat operator
+exp(-Delta/4) of ``operators.laplacian``; Delta lowers the degree, so on
+an f of degree d the series stops at k = floor(d/2) (Hermite) or d
+(Laguerre), one Horner-form ``Operator`` per (spec, k) in ``_heat``.
 
 The Gram route (the default for Hermite and Laguerre) is one growing
 fraction-free Gram-Schmidt elimination per spec (``_gram``, its rows in
@@ -173,10 +173,10 @@ class Realization:
     Hecke algebra: the images x_j -> V_j and Dhat_j -> C_j of its
     generators (s_jk acts as itself), and what comes with them.
 
-        family    V_j                   C_j                pair
-        jack      x_j                   Dhat_j             ct_pairing
-        hermite   A_j/2                 h_j                gauss_pairing
-        laguerre  (u_j - K_j)(1 - D_j)  Dhat_j - K_j D_j   laguerre_pairing
+        family    V_j                   C_j               Delta/4          pair
+        jack      x_j                   Dhat_j            0                ct_pairing
+        hermite   A_j/2                 h_j               sum_j D_j^2 / 4  gauss_pairing
+        laguerre  (u_j - K_j)(1 - D_j)  Dhat_j - K_j D_j  sum_j K_j D_j    laguerre_pairing
 
     Each family acts on its own variables, Laguerre on u = z^2 by the
     type-A D_j and Dhat_j of (N, beta), K_j = Dhat_j + beta sum_{k>j} s_jk
@@ -191,6 +191,7 @@ class Realization:
     __slots__ = ("spec",)
 
     letter = "x"  # variable letter of the printed polynomials
+    lowering = 2  # Delta lowers the degree by this much
     graded = False  # the pairing vanishes on x^a, x^b unless |a| = |b|
     symmetric_routes = ("gram", "intertwined", "rodrigues")  # default first
 
@@ -236,21 +237,18 @@ class Realization:
                 out[nu] = out.get(nu, 0) + c * v
         return {nu: _canonical(Fraction(v, den) if den > 1 else v) for nu, v in out.items() if v}
 
+    def laplacian(self) -> ops.Operator:
+        """Delta/4, with sigma = exp(-Delta/4) (``operators.laplacian``)."""
+        return ops.laplacian(self.spec)
+
     def intertwine(self, f: Polynomial) -> Polynomial:
-        """sigma(f) = f(V_1, ..., V_N) . 1: the term x^a is the word of
-        letters V_j of x^a applied to 1.  Each word's image is kept in
-        integers in one store per spec (``sigma_words``), so a new word
-        costs one letter applied to its prefix's, and the letters are built
-        only for a new word; the stored images are summed and divided once
-        (``operators.apply_words``)."""
+        """sigma(f) = f(V_1, ..., V_N) . 1 = exp(-Delta/4) f, the series
+        cut where Delta^k f = 0 (``_heat``)."""
         n = self.spec.n
         if f.nvars != n:
             raise AmbientSizeMismatch(
                 f"ambient size mismatch: intertwiner on {n} vars, polynomial in {f.nvars}")
-        store = _SIGMA_WORDS.setdefault(self.spec, {})
-        words = {ops.exponent_word(exps): c for exps, c in f.terms.items()}
-        letters = [self.coordinate(j) for j in range(1, n + 1)] if words.keys() - store.keys() else ()
-        return ops.apply_words(Polynomial.one(n), words, letters, store)
+        return _heat(self.spec, max(map(sum, f.terms), default=0) // self.lowering)(f)
 
 
 class _Jack(Realization):
@@ -263,6 +261,9 @@ class _Jack(Realization):
 
     def cherednik(self, j: int) -> ops.Operator:
         return ops.cherednik(j, self.spec)
+
+    def laplacian(self) -> ops.Operator:
+        return ops.scalar(self.spec.n, 0)  # V_j = x_j: sigma is the identity
 
     def pair(self, f: Polynomial, g: Polynomial) -> ScaledRational:
         return ScaledRational(pairings.ct_pairing(f, g, self.spec))
@@ -278,6 +279,7 @@ class _Hermite(Realization):
 class _Laguerre(Realization):
     __slots__ = ()
     letter = "u"
+    lowering = 1
 
     def coordinate(self, j: int) -> ops.Operator:
         return ops.laguerre_coordinate(j, self.spec)
@@ -294,8 +296,16 @@ NONSYM_ROUTE = "recursion"  # the one route of a non-symmetric label, in every f
 
 _ORBIT_IMAGES: dict = {}  # (spec, key, mu) -> m_nu coefficients of image_of(m_mu)
 register("families.orbit_images", _ORBIT_IMAGES.__len__, _ORBIT_IMAGES.clear)
-_SIGMA_WORDS: dict = {}  # spec -> {ladder word: (content, integer terms) of its image of 1}
-register("families.sigma_words", lambda: sum(map(len, _SIGMA_WORDS.values())), _SIGMA_WORDS.clear)
+
+
+@memo
+def _heat(spec: FamilySpec, order: int) -> ops.Operator:
+    """sum_{k <= order} (-Delta/4)^k / k! of spec's realization, in Horner
+    form 1 - L (1 - L/2 (1 - ... (1 - L/order))), L = Delta/4."""
+    total, quarter = ops.identity(spec.n), realization(spec).laplacian()
+    for k in range(order, 0, -1):
+        total = ops.identity(spec.n) - Fraction(1, k) * (quarter * total)
+    return total
 
 
 def equals_multiple(image: dict, constant, target: Polynomial) -> bool:
@@ -607,13 +617,20 @@ def _gram_append(spec: FamilySpec, index: dict, rows: list, mu) -> None:
     only the L_j and the pivots (leading minors) are kept."""
     numerator = _orbit_numerator(spec)
     column = [numerator(nu, mu) for nu in index] + [numerator(mu, mu)]
-    row, prev = {len(rows): 1}, 1
+    # the reduced row is row * prev / base: a step whose multiplier is 0
+    # only scales it by pivot / prev, so runs of those are not applied
+    row, prev, base = {len(rows): 1}, 1, 1
     for pivot_row, pivot in rows:
         factor = sum(v * column[i] for i, v in pivot_row.items())
-        row = {i: v * pivot for i, v in row.items()}
-        for i, v in pivot_row.items():
-            row[i] = row.get(i, 0) - factor * v
-        row, prev = {i: v // prev for i, v in row.items() if v}, pivot
+        if factor:
+            if base != prev:
+                row = {i: v * prev // base for i, v in row.items()}
+            row = {i: v * pivot for i, v in row.items()}
+            for i, v in pivot_row.items():
+                row[i] = row.get(i, 0) - factor * v
+            row, base = {i: v // prev for i, v in row.items() if v}, pivot
+        prev = pivot
+    row = {i: v * prev // base for i, v in row.items()}
     pivot = sum(v * column[i] for i, v in row.items())
     if pivot <= 0:  # the pairing is positive definite
         raise HeckePolyError(f"Gram matrix not positive definite at {mu} for {spec}")

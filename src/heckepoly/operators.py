@@ -34,13 +34,8 @@ An identity on symmetric inputs is one between operators that end in
 other monomial to 0 (``sutherland_expanded`` is the paper's form on
 symmetric inputs only).
 
-A family of operator words applied to one seed is evaluated by shared
-prefixes (``apply_words``): a word's image is its last step applied to
-the image of the word without it, so every prefix is applied once.  The
-word of x^a is L_1^a_1 then L_2^a_2, ... (``exponent_word``), which serves
-the intertwiners (they keep the images) and the operator pairing.  The
-deformed antisymmetrizer is a plain product of N - 1 coset sums, so it
-costs N(N-1)/2 deformed transpositions an input, whatever its size.
+The deformed antisymmetrizer is a plain product of N - 1 coset sums, so
+it costs N(N-1)/2 deformed transpositions an input, whatever its size.
 
 Dunkl operator (A type):      D_j = d_j + beta * sum_{k!=j} (1-s_jk)/(x_j-x_k)
 Cherednik operator (A type):  Dhat_j = x_j D_j + beta * sum_{k<j} s_jk
@@ -66,7 +61,9 @@ image of every monomial they are applied to; both are registered in
 and h_j are built on the named D_j (h_j = A_j D_j / 2 + ...), so each
 image of D_j is computed once and read by all four.  The Laguerre C_j
 and V_j (``laguerre_cherednik``, ``laguerre_coordinate``) act on u = z^2
-and are built on the type-A D_j and Dhat_j that Jack and Hermite read.
+and are built on the type-A D_j and Dhat_j that Jack and Hermite read, and
+so is ``laplacian``, the Delta/4 of the intertwiner exp(-Delta/4), named
+per spec with no index.
 """
 
 from __future__ import annotations
@@ -498,10 +495,12 @@ def _coordinate(n: int, j: int) -> Operator:
     return multiply_by(Polynomial.variable(n, j))
 
 
-def _named(name: str, n: int, j: int, beta: int, gamma, build) -> Operator:
+def _named(name: str, n: int, j, beta: int, gamma, build) -> Operator:
     """build(N, j, beta, gamma), built once per key (name, N, j, beta,
-    gamma) and memoized on monomials."""
-    _check_index(n, j)
+    gamma) and memoized on monomials; j is None for an operator of no
+    index."""
+    if j is not None:
+        _check_index(n, j)
     key = (name, n, j, beta, gamma)
     memo = _NAMED.get(key)
     if memo is None:
@@ -578,6 +577,24 @@ def laguerre_coordinate(j: int, spec: FamilySpec) -> Operator:
         * (identity(n) - _named("dunkl", n, j, beta, None, _dunkl))))
 
 
+def _laplacian(n: int, _, beta: int, gamma) -> Operator:
+    """sum_j D_j^2 / 4 (gamma None), or sum_j K_j D_j, type A at (N, beta)."""
+    total = scalar(n, 0)
+    for j in range(1, n + 1):
+        d = _named("dunkl", n, j, beta, None, _dunkl)
+        left = Fraction(1, 4) * d if gamma is None else _laguerre_k(n, j, beta, gamma)
+        total = total + left * d
+    return total
+
+
+def laplacian(spec: FamilySpec) -> Operator:
+    """Delta/4 of the intertwiner sigma = exp(-Delta/4) (M. Rosler, Comm.
+    Math. Phys. 192 (1998) 519-542), by the type-A D_j at (N, beta):
+    Delta_A / 4 = sum_j D_j^2 / 4 (Hermite), or on u = z^2 the u-form
+    sum_j K_j D_j of Delta_B / 4 (Laguerre; (D_j^B)^2 S = S 4 K_j D_j)."""
+    return _named("laplacian", spec.n, None, spec.beta, spec.gamma, _laplacian)
+
+
 def deformed_transposition(nvars: int, j: int, beta: int) -> Operator:
     """shat_j = s_j + beta (s_j - 1)/(x_j - x_{j+1}); an involution that
     generates a deformed symmetric-group action on polynomials."""
@@ -604,48 +621,6 @@ def antisymmetrizer(nvars: int, beta: int = 0) -> Operator:
         coset = one - deformed_transposition(nvars, k - 1, beta) * coset
         total = total * coset
     return Fraction(1, math.factorial(nvars)) * total
-
-
-def exponent_word(exps) -> tuple[int, ...]:
-    """The word of x^exps with each x_j replaced by L_j, in the order of
-    application: L_1 acts first.  Dropping its last letter k (the last
-    index with exps_k > 0) gives the word of x^(exps - e_k)."""
-    return tuple(j for j, e in enumerate(exps) for _ in range(e))
-
-
-def apply_words(seed: Polynomial, weights: dict, steps, images=None) -> Polynomial:
-    """sum_word k * T_word(seed) over the {word: k} of ``weights``, with
-    T_(i_1..i_k) = steps[i_k] ... steps[i_1]: steps[i_1] acts first.  A
-    word's image, content times integer terms, is steps[i_k] applied to the
-    image of (i_1, ..., i_{k-1}), so every prefix is applied once.
-    ``images`` holds the earlier images of the same seed and steps, if any:
-    it is filled in place, and every image is read back from it.  The sum is
-    accumulated in integers over one common denominator and divided once."""
-    src, den = _integer_part(seed.terms)
-    if images is None:
-        images = {}
-    images.setdefault((), (1, src))
-
-    def image(word):
-        if word not in images:
-            content, terms = image(word[:-1])
-            step = steps[word[-1]]
-            images[word] = (content * step.content, _applied(step.push, terms))
-        return images[word]
-
-    factors = []
-    for word, k in weights.items():
-        content, terms = image(word)
-        factors.append((content * _canonical(k), terms))
-    common = math.lcm(*(r.denominator for r, _ in factors))
-    total: dict = {}
-    get = total.get
-    for r, terms in factors:
-        m = r.numerator * (common // r.denominator)
-        for e, v in terms.items():
-            total[e] = get(e, 0) + m * v
-    q = common * den
-    return _rescale(seed.nvars, total, Fraction(1, q) if q > 1 else 1)
 
 
 def sutherland_expanded(nvars: int, beta: int) -> Operator:

@@ -400,15 +400,20 @@ def laguerre_pairing(f: Polynomial, g: Polynomial, spec: FamilySpec) -> ScaledRa
 def dunkl_pairing(f: Polynomial, g: Polynomial, spec: FamilySpec) -> Fraction:
     """Operator pairing [f(D_1, ..., D_N) g](0), D_j the type-A Dunkl
     operators at the spec's N and beta (C. F. Dunkl, Canad. J. Math. 43
-    (1991) 1213-1227): the words x^a of f, in letters D_j, act on g by
-    shared prefixes (``operators.apply_words``).  Under the rational ladder
+    (1991) 1213-1227): each term c x^a of f adds c [D^a g](0), D^a applied
+    one letter at a time by the memoized D_j.  Under the rational ladder
     convention <sigma_A f, sigma_A g> is <1,1> times this pairing of f(x/2)
     and g, which the dunkl_pairing_prop suite checks."""
     _check_inputs(f, g, spec)
     type_a = FamilySpec(JACK, spec.n, spec.beta)
     letters = [ops.dunkl(j, type_a) for j in range(1, spec.n + 1)]
-    words = {ops.exponent_word(exps): coeff for exps, coeff in f.terms.items()}
-    return ops.apply_words(g, words, letters).constant_term()
+    total = Fraction(0)
+    for exps, coeff in f.terms.items():
+        image = g
+        for letter in (d for d, e in zip(letters, exps) for _ in range(e)):
+            image = letter(image)
+        total += coeff * image.constant_term()
+    return total
 
 
 # ---------------------------------------------------------------------------

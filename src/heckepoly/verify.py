@@ -59,8 +59,8 @@ Suite names:
   hermite_is_sigma_jack, laguerre_is_sigma_jack
                      Gram construction equals sigma(J_lam), and the
                      non-symmetric recursion sigma(E_eta) of the Jack E_eta;
-                     both sides of these run the one recursion, so they
-                     check sigma, not the recursion (nonsym_eigen does)
+                     sigma = exp(-Delta/4) reads no V_j, so the composition
+                     cases check the recursion's V_1 step against sigma
   raising_all        raising operators hit the predicted label and constant
   rodrigues_all      Rodrigues chain equals the direct construction
   shift_all          shift relations with sign (-1)^(N(N-1)/2) and the

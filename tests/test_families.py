@@ -297,61 +297,49 @@ def test_sigma_b_examples():
 
 
 def _storeless_sigma(f, spec) -> Polynomial:
-    """sigma(f) with no store, every word image computed afresh, in the
-    paper's ladder letters L_j/2: sigma_A by the shared-prefix evaluation
-    ``Realization.intertwine`` runs, sigma_B in its z-form, the words of
-    x^(2a) in the type-B letters B_j/2 applied to 1, read back through the
-    codec."""
+    """sigma(f) = f(V_1, ..., V_N) . 1 term by term, in the paper's ladder
+    letters L_j/2, each applied to the image of the one before (L_1
+    first): sigma_A in the letters A_j/2, sigma_B in its z-form, the word
+    of x^(2a) in the type-B letters B_j/2 applied to 1, read back through
+    the codec.  It shares no code with the heat operator exp(-Delta/4)
+    that ``Realization.intertwine`` applies."""
     s = 1 if spec.gamma is None else 2
     letters = [Fraction(1, 2) * ops.creation(j, spec) for j in range(1, spec.n + 1)]
-    words = {ops.exponent_word(tuple(s * e for e in exps)): c for exps, c in f.terms.items()}
-    image = ops.apply_words(Polynomial.one(spec.n), words, letters)
-    return image if s == 1 else decode_even(image)
+    total = Polynomial.zero(spec.n)
+    for exps, c in f.terms.items():
+        image = Polynomial.one(spec.n)
+        for letter, e in zip(letters, exps):
+            for _ in range(s * e):
+                image = letter(image)
+        total = total + c * image
+    return total if s == 1 else decode_even(total)
 
 
 @pytest.mark.parametrize("family", ["hermite", "laguerre"])
-def test_sigma_word_store_equals_a_storeless_evaluation(family):
-    """intertwine keeps its ladder-word images in one store per spec,
-    ``families.sigma_words``: its images equal the storeless evaluation
-    cold, warm and after clear_caches, and a sigma of words already
-    stored adds no entry."""
+def test_intertwine_is_the_ladder_word_sigma_on_every_monomial(family):
+    """``Realization.intertwine``, exp(-Delta/4) cut at floor(d/2)
+    (Hermite) or d (Laguerre), equals the ladder words on every monomial
+    of degree d <= 5, at N in {2, 3}, beta <= 2 and, for Laguerre, gamma in
+    {0, 1/3, 1/2}.  Its Laplacians (``operators.named``) and series
+    (``families._heat``) are counted by cache_info() and emptied by
+    clear_caches()."""
     from heckepoly import cache_info, clear_caches
-    from heckepoly.combinatorics import random_polynomial
     from heckepoly.parameters import FamilySpec
 
     gammas = (None,) if family == "hermite" else (0, Fraction(1, 3), Fraction(1, 2))
     specs = [FamilySpec(family, n, beta, gamma)
              for n in (2, 3) for beta in (0, 1, 2) for gamma in gammas]
-    rng = random.Random(29)
-    polys = {spec: [random_polynomial(spec.n, 3, rng) for _ in range(3)] for spec in specs}
-
-    def images():
-        return {spec: [realization(spec).intertwine(f) for f in fs] for spec, fs in polys.items()}
-
-    def stored():
-        return cache_info()["families.sigma_words"]
-
     clear_caches()
-    expected = {spec: [_storeless_sigma(f, spec) for f in fs] for spec, fs in polys.items()}
-    assert stored() == 0
-    cold = images()
-    filled = stored()
-    assert filled > 0
-    assert images() == cold == expected
-    assert stored() == filled
+    for spec in specs:
+        real = realization(spec)
+        for exps in monomials_up_to_degree(spec.n, 5):
+            x = Polynomial.monomial(exps)
+            assert real.intertwine(x) == _storeless_sigma(x, spec), (spec, exps)
+    # one series per order: 0..2 for Hermite, 0..5 for Laguerre (u-degree)
+    assert cache_info()["families._heat"] == len(specs) * (3 if family == "hermite" else 6)
+    assert sum(key[0] == "laplacian" for key in ops._NAMED) == len(specs)
     clear_caches()
-    assert stored() == 0
-    assert images() == expected and stored() == filled
-    clear_caches()
-    # one entry per word and prefix: x1^2 x2 is 2 letters 0, then 1 letter 1
-    real = realization(specs[0])
-    real.intertwine(Polynomial.monomial((2, 1)))
-    assert stored() == 4
-    real.intertwine(Polynomial.monomial((1, 0)) - 3 * Polynomial.monomial((2, 0)))
-    assert stored() == 4  # both words are prefixes of the first
-    real.intertwine(Polynomial.monomial((0, 1)))
-    assert stored() == 5
-    clear_caches()
+    assert cache_info()["families._heat"] == 0 and not ops._NAMED
 
 
 def test_laguerre_examples():
@@ -946,19 +934,21 @@ def jack_by_eigen_solve(n: int, beta: int, weight: int) -> dict:
     """Oracle: {lam: J_lam} for the labels of one weight, each the joint
     e_k(Dhat) eigenvector with leading m_lam on the m_mu of that weight,
     by ``_eigen_solve`` on the integer orbit coefficients of the images.
-    The image of e_k(Dhat) is the sum of its k-subsets' words in the
-    Cherednik operators, applied by ``operators.apply_words``."""
+    e_k(Dhat) is the sum of the products of its k-subsets of Cherednik
+    operators."""
     from heckepoly.combinatorics import _orbit_coefficients, partitions_of
     from heckepoly.families import _elementary_symmetric
 
     basis = sorted(partitions_of(weight, n))  # ascending lex refines dominance
     chers = [ops.cherednik(j, jack_spec(n, beta)) for j in range(1, n + 1)]
-    subsets = [dict.fromkeys(itertools.combinations(range(n), k), 1) for k in range(1, n + 1)]
+    elementary = [
+        sum((math.prod(subset) for subset in itertools.combinations(chers, k)), ops.scalar(n, 0))
+        for k in range(1, n + 1)
+    ]
     columns, eigen = [], []
     for mu in basis:
         m = monomial_symmetric(n, mu)
-        images = [ops.apply_words(m, weights, chers) for weights in subsets]
-        columns.append([_orbit_coefficients(image.terms) for image in images])
+        columns.append([_orbit_coefficients(e_k(m).terms) for e_k in elementary])
         values = [mu[i] + beta * (n - 1 - i) for i in range(n)]
         eigen.append([_elementary_symmetric(values, k) for k in range(1, n + 1)])
     out = {}
@@ -1024,6 +1014,18 @@ def test_no_function_is_found_by_name():
         if lookup.search(line)
     ]
     assert hits == []
+
+
+def test_the_package_keeps_its_line_budget():
+    """``src/heckepoly/*.py`` holds at most 4,450 lines: code that a
+    change adds is paid for by code that nothing needs any more."""
+    from pathlib import Path
+
+    import heckepoly
+
+    paths = sorted(Path(heckepoly.__file__).parent.glob("*.py"))
+    lines = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in paths)
+    assert lines <= 4450, f"{lines} lines in {len(paths)} modules"
 
 
 @pytest.mark.parametrize(

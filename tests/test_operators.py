@@ -601,42 +601,6 @@ def test_operators_keep_the_normal_form():
         _assert_normal_form(op)
 
 
-def _word_loop(seed, weights, steps):
-    """sum k * (steps[i_k] ... steps[i_1])(seed), every word applied from
-    the seed up, one step at a time."""
-    total = Polynomial.zero(seed.nvars)
-    for word, k in weights.items():
-        image = seed
-        for i in word:
-            image = steps[i](image)
-        total = total + k * image
-    return total
-
-
-@pytest.mark.parametrize("power", [1, 2])
-def test_apply_words_matches_the_per_term_loop(power):
-    """Exchanges and Cherednik operators do not commute, so equal results
-    pin the order of application: x^a is L_1^a_1 first, then L_2, ..."""
-    n, spec = 3, jack_spec(3, 1)
-    steps = [
-        ops.exchange(n, 1, 2) + ops.cherednik(1, spec),
-        Fraction(1, 3) * ops.cherednik(2, spec),  # a fractional content
-        ops.exchange(n, 2, 3) - ops.cherednik(3, spec),
-    ]
-    rng = random.Random(17)
-    for _ in range(4):
-        f, seed = _random_poly(rng, n, 3), _random_poly(rng, n, 2)
-        sums = [
-            {ops.exponent_word(tuple(power * e for e in exps)): c for exps, c in f.terms.items()},
-            {ops.exponent_word(tuple(power * e for e in exps))[::-1]: 1 for exps in f.terms},
-        ]
-        for weights in sums:
-            assert ops.apply_words(seed, weights, steps) == _word_loop(seed, weights, steps)
-    assert ops.exponent_word((2, 0, 1)) == (0, 0, 2)
-    a = Polynomial.monomial((1, 2, 0))
-    assert ops.apply_words(a, {(0, 1): 1}, steps) != ops.apply_words(a, {(1, 0): 1}, steps)
-
-
 def _word_by_word_antisymmetrizer(n, beta):
     """(1/N!) sum_w sign(w) shat_{i_1} ... shat_{i_l}, (i_1..i_l) =
     reduced_word(w), each word its own composition."""

@@ -347,9 +347,7 @@ def test_orbit_image_memo_equals_direct_application(spec):
         assert apply_ghat(f, spec) == plus(x * f)
         if spec.family == "jack":
             for k, e_k in enumerate(elementary, 1):
-                words = dict.fromkeys(itertools.combinations(range(n), k), 1)
-                image = real.apply_symmetric(("e", k), e_k, f)
-                assert image == ops.apply_words(f, words, chers)
+                assert real.apply_symmetric(("e", k), e_k, f) == e_k(f)
         else:
             assert real.apply_symmetric("sigma", real.intertwine, f) == real.intertwine(f)
     clear_caches()

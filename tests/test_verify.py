@@ -484,44 +484,78 @@ def test_inverted_gram_read_back_fails_sigma_jack(monkeypatch, capsys):
     assert "hermite_is_sigma_jack: FAIL" in out and "laguerre_is_sigma_jack: FAIL" in out
 
 
-class _DoublingStore(dict):
-    """A sigma word store that keeps twice the image of ``word``, from the
-    moment that image is first stored."""
+def _d1_at_beta_plus_1(laplacian):
+    """Delta_A / 4 with D_1 built at beta + 1; Delta_B untouched."""
 
-    def __init__(self, word):
-        super().__init__()
-        self.word = word
+    def planted(n, j, beta, gamma):
+        if gamma is not None:
+            return laplacian(n, j, beta, gamma)
+        dunkls = [ops._dunkl(n, k, beta + (k == 1)) for k in range(1, n + 1)]
+        return Fraction(1, 4) * sum((d * d for d in dunkls), ops.scalar(n, 0))
 
-    def __setitem__(self, word, image):
-        content, terms = image
-        super().__setitem__(word, (2 * content, terms) if word == self.word else image)
+    return planted
 
 
-@pytest.mark.parametrize("family, suites", [
-    ("hermite", ("intertwine_A", "hermite_is_sigma_jack")),
-    ("laguerre", ("intertwine_B", "laguerre_is_sigma_jack")),
-])
-def test_doubled_sigma_word_image_fails_the_sigma_suites(family, suites):
-    """The image of the one-letter word L_1/2 doubled as it is stored in
-    the spec's sigma store: the first sigma that fills it already returns
-    the doubled image (the first use reads what later uses read), and both
-    suites of the family fail."""
-    gamma = Fraction(1, 2) if family == "laguerre" else None
-    specs = [FamilySpec(family, 2, beta, gamma) for beta in SMALL.betas]
-    x1 = Polynomial.variable(2, 1)
+def _d1_added_to_delta_b(laplacian):
+    """Delta_B / 4 + D_1; Delta_A untouched."""
+
+    def planted(n, j, beta, gamma):
+        op = laplacian(n, j, beta, gamma)
+        return op if gamma is None else op + ops._dunkl(n, 1, beta)
+
+    return planted
+
+
+# family -> (plant in the Laplacian of sigma = exp(-Delta/4), failing SMALL cases per suite)
+LAPLACIAN_PLANTS = {
+    "hermite": (_d1_at_beta_plus_1, {
+        "intertwine_A": 23, "hermite_is_sigma_jack": 22, "dunkl_pairing_prop": 2}),
+    "laguerre": (_d1_added_to_delta_b, {"intertwine_B": 7, "laguerre_is_sigma_jack": 22}),
+}
+
+
+@pytest.mark.parametrize("family", sorted(LAPLACIAN_PLANTS))
+def test_a_laplacian_plant_fails_the_sigma_suites(family, monkeypatch):
+    """A defect in the Delta of sigma = exp(-Delta/4) fails every suite of
+    the family that applies sigma, on SMALL."""
+    wrap, failing = LAPLACIAN_PLANTS[family]
+    monkeypatch.setattr(ops, "_laplacian", wrap(ops._laplacian))
     clear_caches()
     try:
-        right = realization(specs[-1]).intertwine(x1)
-        clear_caches()
-        for spec in specs:
-            families._SIGMA_WORDS[spec] = _DoublingStore((0,))
-        assert realization(specs[-1]).intertwine(x1) == 2 * right
-        reports = run_all(SMALL, suites)
+        reports = run_all(SMALL, list(failing))
     finally:
+        monkeypatch.undo()
         clear_caches()
-    assert [report.suite for report in reports] == list(suites)
-    for report in reports:
-        assert report.cases_run > 0 and not report.passed, report.suite
+    assert {report.suite: len(report.failures) for report in reports} == failing
+
+
+# family -> (realization class, planted ladder letter V_j of a spec)
+LETTER_PLANTS = {
+    "hermite": (families.Realization, lambda coordinate: lambda self, j: (
+        coordinate(self, j) + Fraction(1, 4) * ops.dunkl(j, self.spec))),
+    "laguerre": (families._Laguerre, lambda coordinate: lambda self, j: (
+        coordinate(self, j) + ops.dunkl(j, FamilySpec("jack", self.spec.n, self.spec.beta)))),
+}
+
+
+@pytest.mark.parametrize("family", sorted(LETTER_PLANTS))
+def test_a_ladder_letter_plant_fails_the_composition_cases(family, monkeypatch):
+    """V_j + D_j/4 (Hermite) or V_j + D_j (Laguerre) moves the recursion's
+    affine step but not sigma = exp(-Delta/4), so the composition cases
+    of the family's sigma suite fail and its Gram = sigma(J_lam) cases,
+    which read no V_j, pass."""
+    cls, plant = LETTER_PLANTS[family]
+    monkeypatch.setattr(cls, "coordinate", plant(cls.coordinate))
+    grid = GridSpec(ns=(2, 3), betas=(0, 1, 2), gammas=(Fraction(1, 2),), max_weight=3)
+    clear_caches()
+    try:
+        report = run_suite(f"{family}_is_sigma_jack", grid)
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    assert report.cases_run == 129
+    assert len(report.failures) == 64
+    assert all("composition" in failure["params"] for failure in report.failures)
 
 
 def test_failure_reporting_carries_counterexample():
