@@ -37,11 +37,9 @@ argument parser rejects also prints the usage line.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
-from dataclasses import fields
 from fractions import Fraction
 from typing import NoReturn
 
@@ -213,7 +211,7 @@ def cmd_shift(args, spec: FamilySpec):
 
 
 def cmd_verify(args, _spec: None):
-    grid = GridSpec(**{field.name: getattr(args, field.name) for field in fields(GridSpec)})
+    grid = GridSpec(**{name: getattr(args, name) for name in GridSpec.__match_args__})
     reports = run_all(grid, [args.suite] if args.suite and not args.all else list(SUITES))
     lines = []
     for rep in reports:
@@ -226,6 +224,8 @@ def cmd_verify(args, _spec: None):
 
 
 def cmd_table(args, spec: FamilySpec):
+    import csv  # only table writes CSV, so the other commands start without it
+
     if args.max_weight < 0:
         raise ValueError(f"max_weight must be non-negative, got {args.max_weight}")
     rows = []

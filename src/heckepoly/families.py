@@ -70,7 +70,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import operators as ops
@@ -99,31 +98,36 @@ from .errors import (
     SpectrumCollisionError,
 )
 from .pairings import ScaledRational, _kernel, _orbit_numerator
-from .parameters import FamilySpec, HERMITE, JACK, LAGUERRE
+from .parameters import FamilySpec, HERMITE, JACK, LAGUERRE, Record
 from .polynomials import Polynomial, _canonical, _integer_part
 
 Partition = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class NonSymLabel:
+class NonSymLabel(Record):
     """(partition, permutation) label with the minimal-length coset
     representative convention, so labels biject with monomials."""
 
-    lam: Partition
-    w: tuple[int, ...]
+    __slots__ = __match_args__ = ("lam", "w")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lam", tuple(self.lam))
-        object.__setattr__(self, "w", tuple(self.w))
-        if len(self.lam) != len(self.w):
+    def __init__(self, lam: Partition, w: tuple[int, ...]):
+        lam, w = tuple(lam), tuple(w)
+        if len(lam) != len(w):
             raise ValueError("label partition and permutation lengths differ")
-        if not is_permutation(self.w):
-            raise ValueError(f"{self.w} is not a permutation of 1..{len(self.w)}")
-        if not is_min_coset_rep(self.lam, self.w):
-            raise ValueError(
-                f"{self.w} is not the minimal-length representative for {self.lam}"
-            )
+        if not is_permutation(w):
+            raise ValueError(f"{w} is not a permutation of 1..{len(w)}")
+        if not is_min_coset_rep(lam, w):
+            raise ValueError(f"{w} is not the minimal-length representative for {lam}")
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "w", w)
+
+    def __eq__(self, other):  # a memo key, so written out like FamilySpec's
+        if other.__class__ is self.__class__:
+            return (self.lam, self.w) == (other.lam, other.w)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.lam, self.w))
 
     @classmethod
     def from_composition(cls, comp) -> "NonSymLabel":
@@ -134,8 +138,7 @@ class NonSymLabel:
         return label_to_composition(self.lam, self.w)
 
 
-@dataclass(frozen=True)
-class FamilyPolynomial:
+class FamilyPolynomial(Record):
     """A constructed family member with its verified spectral data.
 
     ``eigenvalues`` is the joint spectrum in the Cherednik normalization:
@@ -144,11 +147,15 @@ class FamilyPolynomial:
     h_j realize twice these values on the z-encoding of a Laguerre one.
     """
 
-    label: object
-    spec: FamilySpec
-    poly: Polynomial
-    construction: str
-    eigenvalues: tuple[int, ...]
+    __slots__ = __match_args__ = ("label", "spec", "poly", "construction", "eigenvalues")
+
+    def __init__(self, label, spec: FamilySpec, poly: Polynomial, construction: str,
+                 eigenvalues: tuple[int, ...]):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "construction", construction)
+        object.__setattr__(self, "eigenvalues", eigenvalues)
 
     def to_json_dict(self) -> dict:
         if isinstance(self.label, NonSymLabel):

@@ -45,7 +45,6 @@ norm equalities stay decidable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from operator import add, sub
@@ -62,29 +61,40 @@ from .combinatorics import (
     stabilizer_order,
 )
 from .errors import AmbientSizeMismatch, DivergentWeightError
-from .parameters import FamilySpec, HERMITE, JACK, LAGUERRE
-from .polynomials import Exponent, Polynomial, _integer_part
+from .parameters import FamilySpec, HERMITE, JACK, LAGUERRE, Record
+from .polynomials import Exponent, Polynomial, _canonical, _integer_part
 
 
-@dataclass(frozen=True)
-class ScaledRational:
+class ScaledRational(Record):
     """Exact value q * pi^(pi_half/2) * Gamma(gamma+1/2)^gamma_base.
 
-    Zero is normalized to powers (0, 0), so every zero compares equal.
+    q is exact (a float raises TypeError) and the base powers are
+    non-negative ints (a bool raises ValueError).  Zero is normalized to
+    powers (0, 0), so every zero compares equal.
     """
 
-    q: Fraction
-    pi_half: int = 0
-    gamma_base: int = 0
+    __slots__ = __match_args__ = ("q", "pi_half", "gamma_base")
 
-    def __post_init__(self):
-        if type(self.q) is not Fraction:
-            object.__setattr__(self, "q", Fraction(self.q))
-        if self.q == 0:
-            object.__setattr__(self, "pi_half", 0)
-            object.__setattr__(self, "gamma_base", 0)
-        if self.pi_half < 0 or self.gamma_base < 0:
-            raise ValueError("base powers must be non-negative")
+    def __init__(self, q: Fraction, pi_half: int = 0, gamma_base: int = 0):
+        if type(q) is not Fraction:
+            q = Fraction(_canonical(q))
+        if (type(pi_half) is not int or type(gamma_base) is not int
+                or pi_half < 0 or gamma_base < 0):
+            raise ValueError("base powers must be non-negative integers")
+        if not q:
+            pi_half = gamma_base = 0
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "pi_half", pi_half)
+        object.__setattr__(self, "gamma_base", gamma_base)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.q, self.pi_half, self.gamma_base) == (
+                other.q, other.pi_half, other.gamma_base)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.q, self.pi_half, self.gamma_base))
 
     def render(self) -> str:
         """Plain-text rendering like "3/2 · π^{1/2} · Γ(γ+1/2)^2"; a unit

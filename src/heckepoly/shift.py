@@ -35,7 +35,6 @@ target's m_nu coefficients; ``duality_check`` pairs the polynomials that
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from . import operators as ops
 from .caches import memo
@@ -43,19 +42,21 @@ from .combinatorics import pad_partition, staircase
 from .errors import CalibrationError, NotDivisibleError, NotProportionalError
 from .families import FamilyPolynomial, construct, equals_multiple, realization
 from .pairings import _pairing_by_degree, shift_constants
-from .parameters import FamilySpec
+from .parameters import FamilySpec, Record
 from .polynomials import Polynomial, divide_exact, vandermonde
 
 
-@dataclass(frozen=True)
-class CalibrationReport:
+class CalibrationReport(Record):
     """The fixed shift convention, checked at the empty label."""
 
-    family: str
-    global_sign: int
-    witness_n: int
+    __slots__ = __match_args__ = ("family", "global_sign", "witness_n")
     # Y(-) feeds G: "swapped" relative to the naive reading of the notation
     assignment = "swapped"
+
+    def __init__(self, family: str, global_sign: int, witness_n: int):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "global_sign", global_sign)
+        object.__setattr__(self, "witness_n", witness_n)
 
     def to_json_dict(self) -> dict:
         return {

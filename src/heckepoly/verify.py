@@ -85,7 +85,6 @@ import json
 import math
 import random
 import zlib
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cache, partial
 from operator import methodcaller
@@ -120,7 +119,7 @@ from .pairings import (
     gauss_pairing,
     norm_formula,
 )
-from .parameters import FAMILIES, FamilySpec, HERMITE, JACK, LAGUERRE
+from .parameters import FAMILIES, FamilySpec, HERMITE, JACK, LAGUERRE, Record
 from .polynomials import Polynomial, _canonical, monomials_up_to_degree
 from .raising import raising_apply, raising_constant, rodrigues
 from .shift import _y_product, calibrate, duality_check, norm_recursion_check, shift_apply
@@ -128,55 +127,61 @@ from .shift import _y_product, calibrate, duality_check, norm_recursion_check, s
 DEFAULT_GAMMAS = (Fraction(0), Fraction(1, 3), Fraction(1, 2))
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Record):
     """Verification grid; the enforced bounds keep runs at desk scale."""
 
-    ns: tuple[int, ...] = (2, 3)
-    betas: tuple[int, ...] = (0, 1, 2)
-    gammas: tuple[Fraction, ...] = DEFAULT_GAMMAS
-    max_weight: int = 4
-    degree: int = 5
-    seed: int = 1
-    pairs: int = 20
-    rand_polys: int = 50
+    __slots__ = __match_args__ = (
+        "ns", "betas", "gammas", "max_weight", "degree", "seed", "pairs", "rand_polys")
 
-    def __post_init__(self):
-        object.__setattr__(self, "gammas", tuple(Fraction(_canonical(g)) for g in self.gammas))
-        counts = (self.max_weight, self.degree, self.seed, self.pairs, self.rand_polys)
-        if any(type(v) is not int for v in (*self.ns, *self.betas, *counts)):
+    def __init__(self, ns: tuple[int, ...] = (2, 3), betas: tuple[int, ...] = (0, 1, 2),
+                 gammas: tuple[Fraction, ...] = DEFAULT_GAMMAS, max_weight: int = 4,
+                 degree: int = 5, seed: int = 1, pairs: int = 20, rand_polys: int = 50):
+        gammas = tuple(Fraction(_canonical(g)) for g in gammas)
+        counts = (max_weight, degree, seed, pairs, rand_polys)
+        if any(type(v) is not int for v in (*ns, *betas, *counts)):
             raise ValueError("grid values other than gamma must be integers")
         out_of_bounds = (
-            not (self.ns and self.betas and self.gammas)
-            or not all(2 <= n <= 4 for n in self.ns)
-            or not 1 <= self.max_weight <= 6
-            or not 1 <= self.degree <= 6
-            or not all(0 <= beta <= 3 for beta in self.betas)
-            or not all(gamma > Fraction(-1, 2) for gamma in self.gammas)
+            not (ns and betas and gammas)
+            or not all(2 <= n <= 4 for n in ns)
+            or not 1 <= max_weight <= 6
+            or not 1 <= degree <= 6
+            or not all(0 <= beta <= 3 for beta in betas)
+            or not all(gamma > Fraction(-1, 2) for gamma in gammas)
         )
         if out_of_bounds:
             raise ValueError(
                 "grid out of bounds: non-empty lists with 2 <= N <= 4, 0 <= beta <= 3, "
                 "gamma > -1/2; 1 <= max_weight <= 6, 1 <= degree <= 6"
             )
-        if self.pairs < 1 or self.rand_polys < 1:
+        if pairs < 1 or rand_polys < 1:
             raise ValueError("grid counts must be positive: pairs >= 1, rand_polys >= 1")
-        for name, values in (("N", self.ns), ("beta", self.betas), ("gamma", self.gammas)):
+        for name, values in (("N", ns), ("beta", betas), ("gamma", gammas)):
             if len(set(values)) < len(values):  # each case would run once per copy
                 raise ValueError(f"grid repeats a value: {name} in {', '.join(map(str, values))}")
+        for name, value in zip(self.__match_args__, (ns, betas, gammas, *counts)):
+            object.__setattr__(self, name, value)
 
     def to_json_dict(self) -> dict:
-        return asdict(self) | {"gammas": [str(g) for g in self.gammas]}
+        return self._asdict() | {"gammas": [str(g) for g in self.gammas]}
 
 
-@dataclass
-class SuiteReport:
-    suite: str
-    grid: dict
-    cases_run: int = 0
-    cases_passed: int = 0
-    failures: list = field(default_factory=list)
-    calibration: dict | None = None
+class SuiteReport(Record):
+    """One suite's outcome; ``record`` counts each case as it runs."""
+
+    __slots__ = __match_args__ = (
+        "suite", "grid", "cases_run", "cases_passed", "failures", "calibration")
+    # ``record`` counts cases in place: assignable fields, no hash
+    __setattr__ = object.__setattr__
+    __hash__ = None
+
+    def __init__(self, suite: str, grid: dict, cases_run: int = 0, cases_passed: int = 0,
+                 failures: list | None = None, calibration: dict | None = None):
+        self.suite = suite
+        self.grid = grid
+        self.cases_run = cases_run
+        self.cases_passed = cases_passed
+        self.failures = [] if failures is None else failures
+        self.calibration = calibration
 
     def record(self, params: dict, ok: bool, lhs: str = "", rhs: str = "") -> None:
         self.cases_run += 1
@@ -191,7 +196,7 @@ class SuiteReport:
         return self.cases_run > 0 and self.cases_passed == self.cases_run
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 class Failure(NamedTuple):

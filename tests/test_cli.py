@@ -287,12 +287,12 @@ def test_shift_command(capsys):
 
 
 def test_verify_defaults_are_the_default_grid():
-    from dataclasses import fields
-
     from heckepoly.verify import GridSpec
 
     args = cli.build_parser().parse_args(["verify"])
-    assert {f.name: getattr(args, f.name) for f in fields(GridSpec)} == vars(GridSpec())
+    grid = GridSpec()
+    assert {name: getattr(args, name) for name in GridSpec.__match_args__} == {
+        name: getattr(grid, name) for name in GridSpec.__match_args__}
 
 
 def test_verify_help_says_degree_bounds_every_relation_table(capsys):

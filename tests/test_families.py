@@ -1,7 +1,6 @@
 """Family constructions: triangularity, spectra, intertwiners, and
 cross-method agreement."""
 
-import dataclasses
 import itertools
 import math
 import random
@@ -470,18 +469,18 @@ def test_spec_guards():
 def test_equal_specs_hash_equal():
     """The hash is computed once, after gamma is canonicalized, so equal
     specs hash equal however gamma is written, also through with_beta and
-    dataclasses.replace; equality still compares the fields."""
+    FamilySpec.replace; equality still compares the fields."""
     for gammas in ((0, Fraction(0), Fraction(0, 3)), (Fraction(2, 4), Fraction(1, 2), "1/2")):
         specs = [laguerre_spec(2, 1, g) for g in gammas]
         specs += [laguerre_spec(2, 0, g).with_beta(1) for g in gammas]
-        specs += [dataclasses.replace(laguerre_spec(2, 3, g), beta=1) for g in gammas]
-        specs += [dataclasses.replace(laguerre_spec(2, 1, 7), gamma=g) for g in gammas]
+        specs += [laguerre_spec(2, 3, g).replace(beta=1) for g in gammas]
+        specs += [laguerre_spec(2, 1, 7).replace(gamma=g) for g in gammas]
         assert all(spec == specs[0] and hash(spec) == hash(specs[0]) for spec in specs)
         assert len(set(specs)) == 1 and {specs[0]: 1}[specs[-1]] == 1
     assert laguerre_spec(2, 1, 0) != laguerre_spec(2, 1, Fraction(1, 2))
     assert laguerre_spec(2, 1, 0) != laguerre_spec(2, 2, 0)
     assert jack_spec(2, 1) != hermite_spec(2, 1)
-    moved = dataclasses.replace(jack_spec(2, 1), n=3)
+    moved = jack_spec(2, 1).replace(n=3)
     assert moved == jack_spec(3, 1) and hash(moved) == hash(jack_spec(3, 1))
 
 

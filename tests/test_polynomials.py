@@ -107,18 +107,21 @@ def test_float_scalars_rejected():
         ops.scalar(1, 0.5)
 
 
-@pytest.mark.parametrize("case", ["laguerre gamma", "grid gamma", "bool beta"])
+@pytest.mark.parametrize("case", ["laguerre gamma", "grid gamma", "bool beta",
+                                  "scaled rational q", "bool base power"])
 def test_inexact_parameters_rejected(case):
-    """A float gamma would be taken at its binary value (0.1 as
-    3602879701896397/36028797018963968), and a bool beta would be read as
-    0 or 1 and serialised as true."""
-    from heckepoly import FamilySpec
+    """A float gamma or ScaledRational q would be taken at its binary value
+    (0.1 as 3602879701896397/36028797018963968), and a bool beta or base
+    power would be read as 0 or 1 and serialised as true."""
+    from heckepoly import FamilySpec, ScaledRational
     from heckepoly.verify import GridSpec
 
     build, error = {
         "laguerre gamma": (lambda: FamilySpec("laguerre", 2, 1, 0.1), TypeError),
         "grid gamma": (lambda: GridSpec(gammas=(0.1,)), TypeError),
         "bool beta": (lambda: FamilySpec("jack", 2, True), ValueError),
+        "scaled rational q": (lambda: ScaledRational(0.1), TypeError),
+        "bool base power": (lambda: ScaledRational(1, True), ValueError),
     }[case]
     with pytest.raises(error):
         build()

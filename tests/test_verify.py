@@ -1,6 +1,5 @@
 """Suite runner: determinism, coverage, and small-grid smoke of every suite."""
 
-import dataclasses
 import importlib
 import inspect
 import itertools
@@ -464,7 +463,7 @@ def test_inverted_gram_read_back_fails_sigma_jack(monkeypatch, capsys):
     suite needs another gamma to see it."""
     from heckepoly.cli import main
 
-    third = dataclasses.replace(SMALL, gammas=(Fraction(1, 3),))
+    third = SMALL.replace(gammas=(Fraction(1, 3),))
     argv = [*SMALL_ARGV[:4], "--gamma-list", "1/3", *SMALL_ARGV[6:]]
     clear_caches()
     monkeypatch.setattr(families, "_kernel", _inverted_read_back(families._kernel))
@@ -683,7 +682,7 @@ def test_relation_tables_catch_planted_defect(name, monkeypatch):
     assert all("monomial" in failure["params"] for failure in report.failures)
 
 
-@pytest.mark.parametrize("grid", [SMALL, dataclasses.replace(SMALL, degree=1)],
+@pytest.mark.parametrize("grid", [SMALL, SMALL.replace(degree=1)],
                          ids=["small", "degree_1"])
 def test_relation_tables_check_at_the_grid_degree(grid, monkeypatch):
     """Every case of a relation table, appendix_A's antisymmetrizer lemmas
@@ -740,8 +739,8 @@ def test_relation_tables_reach_the_grid_degree(name, monkeypatch):
     clear_caches()
     monkeypatch.setattr(ops, attr, plant(getattr(ops, attr)))
     try:
-        deep = run_suite(name, dataclasses.replace(SMALL, degree=degree))
-        shallow = run_suite(name, dataclasses.replace(SMALL, degree=degree - 1))
+        deep = run_suite(name, SMALL.replace(degree=degree))
+        shallow = run_suite(name, SMALL.replace(degree=degree - 1))
     finally:
         monkeypatch.undo()
         clear_caches()
