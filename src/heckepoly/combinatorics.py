@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 
 from .caches import memo, register
 from .errors import AmbientSizeMismatch
-from .polynomials import Polynomial
+from .polynomials import Polynomial, monomials_up_to_degree
 
 Partition = tuple[int, ...]
 Permutation = tuple[int, ...]
@@ -340,8 +340,6 @@ def random_polynomial(
     nvars: int, max_degree: int, rng: random.Random, terms: int = 6
 ) -> Polynomial:
     """Seeded random polynomial with small integer coefficients."""
-    from .polynomials import monomials_up_to_degree
-
     monos = list(monomials_up_to_degree(nvars, max_degree))
     out: dict[tuple[int, ...], Fraction] = {}
     for _ in range(terms):

@@ -63,7 +63,7 @@ is not stored.  The recursion reads its own memo, so each E_eta on the
 way to a label is stored too.  R_m, G, Ghat, e_k(Dhat) and sigma keep
 symmetric polynomials symmetric, so each acts on a symmetric input through
 ``Realization.orbit_image``, from its images of the m_mu, stored once per
-(spec, key, mu) in ``families.orbit_images``.
+(map, mu) in ``families.orbit_images``.
 """
 
 from __future__ import annotations
@@ -120,14 +120,6 @@ class NonSymLabel(Record):
             raise ValueError(f"{w} is not the minimal-length representative for {lam}")
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "w", w)
-
-    def __eq__(self, other):  # a memo key, so written out like FamilySpec's
-        if other.__class__ is self.__class__:
-            return (self.lam, self.w) == (other.lam, other.w)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.lam, self.w))
 
     @classmethod
     def from_composition(cls, comp) -> "NonSymLabel":
@@ -214,22 +206,22 @@ class Realization:
         """C_j, the image of the Cherednik operator Dhat_j."""
         return ops.htilde(j, self.spec)
 
-    def apply_symmetric(self, key, image_of, f: Polynomial) -> Polynomial:
+    def apply_symmetric(self, image_of, f: Polynomial) -> Polynomial:
         """The map image_of applied to a symmetric f, from ``orbit_image``,
         carrying its orbit form."""
-        return from_orbit_form(f.nvars, self.orbit_image(key, image_of, f))
+        return from_orbit_form(f.nvars, self.orbit_image(image_of, f))
 
-    def orbit_image(self, key, image_of, f: Polynomial) -> dict:
+    def orbit_image(self, image_of, f: Polynomial) -> dict:
         """The m_nu coefficients of L f for a symmetric f (else ValueError)
         and a linear L = image_of on the m_mu: the sum of c_mu times the
         stored coefficients of image_of(m_mu), over the c_mu scaled to
         integers, divided once.  Each image is built and read by orbit once
-        per (spec, key, mu), so a key must fix image_of; an image that is
+        per (image_of, mu), the map object itself the key; an image that is
         not symmetric raises NotProportionalError."""
         coeffs, den = _integer_part(f._orbit_form())
         out: dict = {}
         for mu, c in coeffs.items():
-            slot = (self.spec, key, mu)
+            slot = (image_of, mu)
             image = _ORBIT_IMAGES.get(slot)
             if image is None:
                 poly = image_of(monomial_symmetric(f.nvars, mu))
@@ -237,7 +229,7 @@ class Realization:
                     _ORBIT_IMAGES[slot] = _orbit_coefficients(poly.terms)
                 except ValueError as exc:
                     raise NotProportionalError(
-                        f"{exc}: the image of m_{mu} under {key} at {self.spec}"
+                        f"{exc}: the image of m_{mu} at {self.spec}"
                     ) from exc
                 image = _ORBIT_IMAGES[slot]  # the first use reads what later ones do
             for nu, v in image.items():
@@ -301,7 +293,7 @@ class _Laguerre(Realization):
 _REALIZATIONS = {JACK: _Jack, HERMITE: _Hermite, LAGUERRE: _Laguerre}
 NONSYM_ROUTE = "recursion"  # the one route of a non-symmetric label, in every family
 
-_ORBIT_IMAGES: dict = {}  # (spec, key, mu) -> m_nu coefficients of image_of(m_mu)
+_ORBIT_IMAGES: dict = {}  # (image_of, mu) -> m_nu coefficients of image_of(m_mu)
 register("families.orbit_images", _ORBIT_IMAGES.__len__, _ORBIT_IMAGES.clear)
 
 
@@ -586,7 +578,7 @@ def _intertwined(lam, spec: FamilySpec) -> Polynomial:
     """sigma (sigma_a or sigma_b) of the Jack polynomial, from the stored
     sigma images of its m_mu."""
     real, jack_poly = realization(spec), jack(lam, FamilySpec(JACK, spec.n, spec.beta)).poly
-    return real.apply_symmetric("sigma", real.intertwine, jack_poly)
+    return real.apply_symmetric(real.intertwine, jack_poly)
 
 
 _GRAM_ROWS: dict = {}  # spec -> (label -> row number, [(L_k, pivot) per row])

@@ -147,16 +147,6 @@ def _ct_weight(n: int, beta: int) -> dict[Exponent, int]:
 
 
 @memo
-def _gauss_table(k: int) -> tuple[int, ...]:
-    """(j-1)!! for even j and 0 for odd j, j = 0..k: the one-variable
-    moment int x^j e^(-x^2) dx / pi^(1/2) times 2^(j/2)."""
-    table = [1]
-    for j in range(1, k + 1):
-        table.append(0 if j % 2 else table[j - 2] * (j - 1))
-    return tuple(table)
-
-
-@memo
 def _rising_table(p: int, q: int, k: int) -> tuple[int, ...]:
     """Numerators p (p+q) ... (p+(j-1)q) of the rising factorials
     (p/q)_j, j = 0..k; the denominator of (p/q)_j is q^j."""
@@ -216,7 +206,10 @@ def _moment_num(n: int, beta: int, step: int, p: int, q: int, exps: Exponent) ->
     if not key[-1] or sum(key) > _RECURSION_DEGREE:
         shift = beta * (n - 1)
         k = key[-1] + 2 * shift
-        one = _gauss_table(k) if step == 2 else _rising_table(p, q, k)
+        # Gauss, in the kernel's units: int x^j e^(-x^2) dx / pi^(1/2) times
+        # 2^(j/2) is the numerator of (1/2)_(j/2) at even j, 0 at odd j
+        one = ([v for r in _rising_table(1, 2, k // 2) for v in (r, 0)] if step == 2
+               else _rising_table(p, q, k))
         return sum(coeff * math.prod(one[e + w + shift] for e, w in zip(key, w_exps))
                    for w_exps, coeff in _ct_weight(n, beta).items())
     terms = _moment_terms(key, beta, step, p, q)

@@ -90,7 +90,7 @@ def raising_apply(m: int, family_poly: FamilyPolynomial):
         raise ValueError(
             f"raising with m={m} needs a label with at most {m} nonzero parts, got {lam}"
         )
-    image = realization(spec).orbit_image(("raise", m), op, family_poly.poly)
+    image = realization(spec).orbit_image(op, family_poly.poly)
     constant = raising_constant(lam, m, spec)
     target = construct(add_to_first_parts(lam, m), spec)
     if not equals_multiple(image, constant, target.poly):
@@ -129,5 +129,5 @@ def _rodrigues_chain(lam, spec: FamilySpec) -> Polynomial:
     for m in range(1, n + 1):
         op = raising_operator(m, spec)
         for _ in range(lam[m - 1] - (lam[m] if m < n else 0)):
-            current = real.apply_symmetric(("raise", m), op, current)
+            current = real.apply_symmetric(op, current)
     return current * (Fraction(1) / hooks)

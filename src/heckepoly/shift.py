@@ -102,12 +102,12 @@ def _shift_image(direction: str, spec: FamilySpec):
 
 def apply_g(f: Polynomial, spec: FamilySpec) -> Polynomial:
     """G f = X^{-1} Y(-) f, from level beta (spec) to level beta+1."""
-    return realization(spec).apply_symmetric("G", _shift_image("G", spec), f)
+    return realization(spec).apply_symmetric(_shift_image("G", spec), f)
 
 
 def apply_ghat(f: Polynomial, spec: FamilySpec) -> Polynomial:
     """Ghat f = Y(+) (X f), from level beta+1 to level beta (spec)."""
-    return realization(spec).apply_symmetric("G_hat", _shift_image("G_hat", spec), f)
+    return realization(spec).apply_symmetric(_shift_image("G_hat", spec), f)
 
 
 @memo
@@ -156,7 +156,7 @@ def shift_apply(direction: str, family_poly: FamilyPolynomial):
     else:
         raise ValueError(f"unknown shift direction {direction!r}")
     image_of = _shift_image(direction, image_spec)
-    image = realization(image_spec).orbit_image(direction, image_of, family_poly.poly)
+    image = realization(image_spec).orbit_image(image_of, family_poly.poly)
     target = construct(label, target_spec)
     constant = global_sign(n) * magnitude
     if not equals_multiple(image, constant, target.poly):

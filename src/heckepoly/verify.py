@@ -435,7 +435,7 @@ def _jack_eigen(grid: GridSpec):
                 j_poly = jack(lam, spec).poly
                 values = [lam[i] + beta * (n - 1 - i) for i in range(n)]
                 return all(
-                    equals_multiple(real.orbit_image(("e", k), image_of, j_poly),
+                    equals_multiple(real.orbit_image(image_of, j_poly),
                                     _elementary_symmetric(values, k), j_poly)
                     for k, image_of in enumerate(images, 1)
                 )

@@ -93,6 +93,18 @@ def test_pair_command(capsys):
     assert out.strip() == "2"
 
 
+def test_pair_reads_a_polynomial_from_a_file(tmp_path, capsys):
+    payload = json.dumps(Polynomial.one(2).to_json_dict())
+    path = tmp_path / "one.json"
+    path.write_text(payload, encoding="utf-8")
+    _, out = run_cli(
+        ["pair", "--family", "jack", "--n", "2", "--beta", "1",
+         "--f", f"@{path}", "--g", payload],
+        capsys,
+    )
+    assert out.strip() == "2"
+
+
 @pytest.mark.parametrize("family, exps, expected", [
     # (u_1 - u_2)^2 against 1!, 600!, 601!, 602!: 600! (2 - 2*601 + 601*602)
     (["laguerre", "--gamma", "1/2"], [0, 600], f"{math.factorial(600) * 360602} · Γ(γ+1/2)^2"),
@@ -209,6 +221,12 @@ def test_poly_rejects_bad_permutation(lam, w, message, capsys):
     text = input_error(["poly", "--family", "jack", "--lambda", lam, "--n", "2",
                         "--beta", "1", "--w", w], capsys)
     assert text == f"error: {message}"
+
+
+def test_poly_rejects_a_malformed_permutation(capsys):
+    text = input_error(["poly", "--family", "jack", "--lambda", "1,0", "--n", "2",
+                        "--beta", "1", "--w", "2,x"], capsys)
+    assert text == "usage error: malformed permutation '2,x'"
 
 
 @pytest.mark.parametrize("family, method", [("jack", "recursion"), ("hermite", "recursion"),

@@ -340,16 +340,16 @@ def test_orbit_image_memo_equals_direct_application(spec):
     for f in inputs:
         for m in range(1, n + 1):
             op = raising_operator(m, spec)
-            assert real.apply_symmetric(("raise", m), op, f) == op(f)
+            assert real.apply_symmetric(op, f) == op(f)
         minus, plus = _y_product(spec, -1), _y_product(spec, 1)
         image = minus(f)
         assert apply_g(f, spec) == (image and divide_exact(image, x))
         assert apply_ghat(f, spec) == plus(x * f)
         if spec.family == "jack":
             for k, e_k in enumerate(elementary, 1):
-                assert real.apply_symmetric(("e", k), e_k, f) == e_k(f)
+                assert real.apply_symmetric(e_k, f) == e_k(f)
         else:
-            assert real.apply_symmetric("sigma", real.intertwine, f) == real.intertwine(f)
+            assert real.apply_symmetric(real.intertwine, f) == real.intertwine(f)
     clear_caches()
 
 
@@ -383,20 +383,57 @@ def test_orbit_image_memo_rejects_non_symmetric_input():
 
 
 def test_rodrigues_chain_stores_the_raising_images():
-    """A cold Rodrigues chain fills the ("raise", m) images that
-    raising_apply reads: raising along the chain adds no stored image."""
+    """A cold Rodrigues chain fills the images of R_1 and R_2, keyed by
+    the operators themselves, that raising_apply reads: raising along the
+    chain adds no stored image."""
     from heckepoly import cache_info, clear_caches, families
+    from heckepoly.raising import raising_operator
 
     lam = (2, 1, 0)
     for spec in (jack_spec(3, 1), hermite_spec(3, 1), laguerre_spec(3, 2, Fraction(1, 3))):
         clear_caches()
         rodrigues(lam, spec)
-        assert {slot[1] for slot in families._ORBIT_IMAGES} == {("raise", 1), ("raise", 2)}
+        stored = {slot[0] for slot in families._ORBIT_IMAGES}
+        assert stored == {raising_operator(1, spec), raising_operator(2, spec)}
         count = cache_info()["families.orbit_images"]
         raising_apply(1, construct((0, 0, 0), spec))
         raising_apply(2, construct((1, 0, 0), spec))
         assert cache_info()["families.orbit_images"] == count
     clear_caches()
+
+
+@pytest.mark.parametrize("which", ["raise", "shift"])
+def test_a_map_swapped_in_a_warm_session_is_read_afresh(which, monkeypatch):
+    """The stored images are keyed by the map itself: after a warm R_1 or G
+    request, the same request with the map doubled, and no clear_caches,
+    reads the new map's images and fails."""
+    from heckepoly import clear_caches, raising, shift
+    from heckepoly.errors import NotProportionalError
+
+    spec = hermite_spec(2, 1)
+    module, name = (raising, "raising_operator") if which == "raise" else (shift, "_shift_image")
+    original, doubled = getattr(module, name), {}
+
+    def request():
+        if which == "raise":
+            return raising_apply(1, construct((0, 0), spec))
+        return shift_apply("G", construct((1, 0), spec))
+
+    def planted(*args):
+        if args not in doubled:
+            image_of = original(*args)
+            doubled[args] = lambda f: 2 * image_of(f)
+        return doubled[args]
+
+    clear_caches()
+    request()
+    monkeypatch.setattr(module, name, planted)
+    try:
+        with pytest.raises(NotProportionalError, match="not proportional"):
+            request()
+    finally:
+        monkeypatch.undo()
+        clear_caches()
 
 
 def test_orbit_images_are_registered_and_cleared():
