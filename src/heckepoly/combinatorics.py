@@ -46,9 +46,12 @@ register("combinatorics.pad_partition", _PADDED.__len__, _PADDED.clear)
 
 def pad_partition(parts: Sequence[int], nvars: int) -> Partition:
     """parts padded with zeros to length nvars, validated once per (parts,
-    nvars); an invalid label is never stored, so it raises on every call."""
+    nvars); an invalid label, a part that is not an int included (a float or
+    bool hashes as its int), is never stored, so it raises on every call."""
     parts = tuple(parts)
     padded = _PADDED.get((parts, nvars))
+    if padded is not parts and not {int}.issuperset(map(type, parts)):  # its own output: ints
+        raise ValueError(f"{parts} has a part that is not an int")
     if padded is None:
         if not is_partition(parts):
             raise ValueError(f"{parts} is not weakly decreasing and non-negative")

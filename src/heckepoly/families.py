@@ -2,7 +2,7 @@
 
 The three families are three representations of one degenerate double
 affine Hecke algebra.  A ``Realization`` per family spec, one subclass per
-family whose methods call its operators and pairing, holds what tells
+family that defines its V_j, C_j, Delta/4 and pairing, holds what tells
 their operators apart; the raising and shift operators, the intertwiners
 and the constructions are written once against it.  What tells their
 pairings apart, the weights and moments, is the kernel of ``pairings``.
@@ -28,7 +28,7 @@ which makes every family polynomial exactly rational.  Under this
 convention sigma_A(J_lam) *is* the monic Hermite polynomial and
 sigma_B(J_lam) the monic Laguerre polynomial; B_j^2/4 acts on u by
 type-A operators (``Realization``).  sigma is the heat operator
-exp(-Delta/4) of ``operators.laplacian``; Delta lowers the degree, so on
+exp(-Delta/4) of ``laplacian()``; Delta lowers the degree, so on
 an f of degree d the series stops at k = floor(d/2) (Hermite) or d
 (Laguerre), one Horner-form ``Operator`` per (spec, k) in ``_heat``.
 
@@ -60,7 +60,7 @@ key (``raising.rodrigues`` shares the entry of ``construct(lam, spec,
 "rodrigues")``), a route never reads another route's entry, so a
 cross-check compares two constructions, and a construction that raises
 is not stored.  The recursion reads its own memo, so each E_eta on the
-way to a label is stored too.  R_m, G, Ghat, e_k(Dhat) and sigma keep
+way to a label is stored too.  R_m, G, Ghat, e_k(C) and sigma keep
 symmetric polynomials symmetric, so each acts on a symmetric input through
 ``Realization.orbit_image``, from its images of the m_mu, stored once per
 (map, mu) in ``families.orbit_images``.
@@ -114,6 +114,8 @@ class NonSymLabel(Record):
         lam, w = tuple(lam), tuple(w)
         if len(lam) != len(w):
             raise ValueError("label partition and permutation lengths differ")
+        if not {int}.issuperset(map(type, lam + w)):  # as pad_partition
+            raise ValueError(f"label {lam}, {w} has an entry that is not an int")
         if not is_permutation(w):
             raise ValueError(f"{w} is not a permutation of 1..{len(w)}")
         if not is_min_coset_rep(lam, w):
@@ -180,11 +182,13 @@ class Realization:
     Each family acts on its own variables, Laguerre on u = z^2 by the
     type-A D_j and Dhat_j of (N, beta), K_j = Dhat_j + beta sum_{k>j} s_jk
     + gamma + 1/2: on even z-polynomials its C_j and V_j are the paper's
-    type-B (1/2) h_j and (B_j/2)^2, as res_B checks.  ``pair(f, g)`` is the
-    family pairing as a ScaledRational.  An instance holds only its spec;
-    each subclass names in its methods the ``operators`` and ``pairings``
-    functions it calls, through their modules, on every call, so
-    ``clear_caches`` drops the operators they build.
+    type-B (1/2) h_j and (B_j/2)^2, as res_B checks, and its Delta/4 is
+    Delta_B/4 (M. Rosler, Comm. Math. Phys. 192 (1998) 519-542) by (D_j^B)^2
+    S = S 4 K_j D_j, S the stretch u -> z^2.  ``pair(f, g)`` is the family
+    pairing as a ScaledRational.  An instance holds only its spec; each
+    subclass defines its row, naming the builders below through
+    ``operators._named``, and reads every operator through its module on
+    every call, so ``clear_caches`` drops the operators they build.
     """
 
     __slots__ = ("spec",)
@@ -196,15 +200,6 @@ class Realization:
 
     def __init__(self, spec: FamilySpec):
         self.spec = spec
-
-    def coordinate(self, j: int) -> ops.Operator:
-        """V_j, the image of multiplication by x_j: one letter of the
-        ladder words."""
-        return Fraction(1, 2) * ops.creation(j, self.spec)
-
-    def cherednik(self, j: int) -> ops.Operator:
-        """C_j, the image of the Cherednik operator Dhat_j."""
-        return ops.htilde(j, self.spec)
 
     def apply_symmetric(self, image_of, f: Polynomial) -> Polynomial:
         """The map image_of applied to a symmetric f, from ``orbit_image``,
@@ -235,10 +230,6 @@ class Realization:
             for nu, v in image.items():
                 out[nu] = out.get(nu, 0) + c * v
         return {nu: _canonical(Fraction(v, den) if den > 1 else v) for nu, v in out.items() if v}
-
-    def laplacian(self) -> ops.Operator:
-        """Delta/4, with sigma = exp(-Delta/4) (``operators.laplacian``)."""
-        return ops.laplacian(self.spec)
 
     def intertwine(self, f: Polynomial) -> Polynomial:
         """sigma(f) = f(V_1, ..., V_N) . 1 = exp(-Delta/4) f, the series
@@ -271,6 +262,15 @@ class _Jack(Realization):
 class _Hermite(Realization):
     __slots__ = ()
 
+    def coordinate(self, j: int) -> ops.Operator:
+        return Fraction(1, 2) * ops.creation(j, self.spec)
+
+    def cherednik(self, j: int) -> ops.Operator:
+        return ops.htilde(j, self.spec)
+
+    def laplacian(self) -> ops.Operator:
+        return ops._named(_hermite_laplacian, self.spec.n, None, self.spec.beta, None)
+
     def pair(self, f: Polynomial, g: Polynomial) -> ScaledRational:
         return pairings.gauss_pairing(f, g, self.spec)
 
@@ -281,13 +281,41 @@ class _Laguerre(Realization):
     lowering = 1
 
     def coordinate(self, j: int) -> ops.Operator:
-        return ops.laguerre_coordinate(j, self.spec)
+        return ops._named(_laguerre_coordinate, self.spec.n, j, self.spec.beta, self.spec.gamma)
 
     def cherednik(self, j: int) -> ops.Operator:
-        return ops.laguerre_cherednik(j, self.spec)
+        return ops._named(_laguerre_cherednik, self.spec.n, j, self.spec.beta, self.spec.gamma)
+
+    def laplacian(self) -> ops.Operator:
+        return ops._named(_laguerre_laplacian, self.spec.n, None, self.spec.beta, self.spec.gamma)
 
     def pair(self, f: Polynomial, g: Polynomial) -> ScaledRational:
         return pairings.laguerre_pairing(f, g, self.spec)
+
+
+def _hermite_laplacian(n: int, _, beta: int, gamma) -> ops.Operator:
+    dunkls = [ops.dunkl(j, FamilySpec(JACK, n, beta)) for j in range(1, n + 1)]
+    return sum((Fraction(1, 4) * d * d for d in dunkls), ops.scalar(n, 0))
+
+
+def _laguerre_k(n: int, j: int, beta: int, gamma) -> ops.Operator:
+    op = ops.cherednik(j, FamilySpec(JACK, n, beta)) + ops.scalar(n, gamma + Fraction(1, 2))
+    return sum((beta * ops.exchange(n, j, k) for k in range(j + 1, n + 1)), op)
+
+
+def _laguerre_cherednik(n: int, j: int, beta: int, gamma) -> ops.Operator:
+    type_a = FamilySpec(JACK, n, beta)
+    return ops.cherednik(j, type_a) - _laguerre_k(n, j, beta, gamma) * ops.dunkl(j, type_a)
+
+
+def _laguerre_coordinate(n: int, j: int, beta: int, gamma) -> ops.Operator:
+    u_j, d = ops.multiply_by(Polynomial.variable(n, j)), ops.dunkl(j, FamilySpec(JACK, n, beta))
+    return (u_j - _laguerre_k(n, j, beta, gamma)) * (ops.identity(n) - d)
+
+
+def _laguerre_laplacian(n: int, _, beta: int, gamma) -> ops.Operator:
+    return sum((_laguerre_k(n, j, beta, gamma) * ops.dunkl(j, FamilySpec(JACK, n, beta))
+                for j in range(1, n + 1)), ops.scalar(n, 0))
 
 
 _REALIZATIONS = {JACK: _Jack, HERMITE: _Hermite, LAGUERRE: _Laguerre}
@@ -305,6 +333,15 @@ def _heat(spec: FamilySpec, order: int) -> ops.Operator:
     for k in range(order, 0, -1):
         total = ops.identity(spec.n) - Fraction(1, k) * (quarter * total)
     return total
+
+
+@memo
+def _elementary_cherednik(spec: FamilySpec, k: int) -> ops.Operator:
+    """e_k(C_1, ..., C_N) of spec's realization, each k-subset applied in
+    increasing index order."""
+    chers = [realization(spec).cherednik(j) for j in range(1, spec.n + 1)]
+    return sum((math.prod(reversed(subset)) for subset in itertools.combinations(chers, k)),
+               ops.scalar(spec.n, 0))
 
 
 def equals_multiple(image: dict, constant, target: Polynomial) -> bool:

@@ -55,15 +55,14 @@ and h_j = (1/2) A_j a_j + beta * sum_{k<j} s_jk  (Hermite),
 
 The named operators ``dunkl`` (also the annihilation operator),
 ``cherednik``, ``creation`` and ``htilde``, of type B iff the spec has a
-gamma, are built once per key (name, N, j, beta, gamma) and memoize the
-image of every monomial they are applied to; both are registered in
-``caches``, as ``operators.named`` and ``operators.images``.  Dhat_j, A_j
-and h_j are built on the named D_j (h_j = A_j D_j / 2 + ...), so each
-image of D_j is computed once and read by all four.  The Laguerre C_j
-and V_j (``laguerre_cherednik``, ``laguerre_coordinate``) act on u = z^2
-and are built on the type-A D_j and Dhat_j that Jack and Hermite read, and
-so is ``laplacian``, the Delta/4 of the intertwiner exp(-Delta/4), named
-per spec with no index.
+gamma, are built once per key (builder, N, j, beta, gamma), the builder
+itself naming the operator, and memoize the image of every monomial they
+are applied to; both are registered in ``caches``, as ``operators.named``
+and ``operators.images``.  Dhat_j, A_j and h_j are built on the named D_j
+(h_j = A_j D_j / 2 + ...), so each image of D_j is computed once and read
+by all four.  ``families`` names the operators of its realizations, the
+Laguerre ones and both Laplacians, with its own builders through the same
+memo.
 """
 
 from __future__ import annotations
@@ -495,13 +494,13 @@ def _coordinate(n: int, j: int) -> Operator:
     return multiply_by(Polynomial.variable(n, j))
 
 
-def _named(name: str, n: int, j, beta: int, gamma, build) -> Operator:
-    """build(N, j, beta, gamma), built once per key (name, N, j, beta,
+def _named(build, n: int, j, beta: int, gamma) -> Operator:
+    """build(N, j, beta, gamma), built once per key (build, N, j, beta,
     gamma) and memoized on monomials; j is None for an operator of no
     index."""
     if j is not None:
         _check_index(n, j)
-    key = (name, n, j, beta, gamma)
+    key = (build, n, j, beta, gamma)
     memo = _NAMED.get(key)
     if memo is None:
         memo = _NAMED[key] = _Memo(build(n, j, beta, gamma))
@@ -511,11 +510,11 @@ def _named(name: str, n: int, j, beta: int, gamma, build) -> Operator:
 def dunkl(j: int, spec: FamilySpec) -> Operator:
     """D_j of the spec's type; also the rescaled annihilation operator of
     the ladder pair."""
-    return _named("dunkl", spec.n, j, spec.beta, spec.gamma, _dunkl)
+    return _named(_dunkl, spec.n, j, spec.beta, spec.gamma)
 
 
 def _cherednik(n: int, j: int, beta: int, gamma) -> Operator:
-    return (_coordinate(n, j) * _named("dunkl", n, j, beta, gamma, _dunkl)
+    return (_coordinate(n, j) * _named(_dunkl, n, j, beta, gamma)
             + _exchanges(n, j, beta, gamma is not None))
 
 
@@ -523,18 +522,23 @@ def cherednik(j: int, spec: FamilySpec) -> Operator:
     """Dhat_j = x_j D_j + beta * sum_{k<j} s_jk (type A; joint eigenbasis =
     non-symmetric Jack polynomials), or z_j D_j + beta * sum_{k<j} (s_jk +
     t_j t_k s_jk) (type B; preserves the even subring C[z_1^2, ..., z_N^2])."""
-    return _named("cherednik", spec.n, j, spec.beta, spec.gamma, _cherednik)
+    return _named(_cherednik, spec.n, j, spec.beta, spec.gamma)
 
 
 def _creation(n: int, j: int, beta: int, gamma) -> Operator:
-    return 2 * _coordinate(n, j) - _named("dunkl", n, j, beta, gamma, _dunkl)
+    return 2 * _coordinate(n, j) - _named(_dunkl, n, j, beta, gamma)
 
 
 def creation(j: int, spec: FamilySpec) -> Operator:
     """Rescaled gauge-transformed creation operator 2 x_j - D_j: A_j in
     type A, and in type B, from gauge conjugation of -D_j + 2 z_j,
     B_j = -d_j + 2 z_j - beta * sum [...] - gamma (1-t_j)/z_j."""
-    return _named("creation", spec.n, j, spec.beta, spec.gamma, _creation)
+    return _named(_creation, spec.n, j, spec.beta, spec.gamma)
+
+
+def _htilde(n: int, j: int, beta: int, gamma) -> Operator:
+    ladder = _named(_creation, n, j, beta, gamma) * _named(_dunkl, n, j, beta, gamma)
+    return Fraction(1, 2) * ladder + _exchanges(n, j, beta, gamma is not None)
 
 
 def htilde(j: int, spec: FamilySpec) -> Operator:
@@ -546,53 +550,7 @@ def htilde(j: int, spec: FamilySpec) -> Operator:
     product, so h_j = (1/2) * creation * annihilation + exchange terms,
     which is Dhat_j - (1/2) D_j^2.
     """
-    return _named("htilde", spec.n, j, spec.beta, spec.gamma, lambda n, j, beta, gamma: (
-        Fraction(1, 2) * (_named("creation", n, j, beta, gamma, _creation)
-                          * _named("dunkl", n, j, beta, gamma, _dunkl))
-        + _exchanges(n, j, beta, gamma is not None)
-    ))
-
-
-def _laguerre_k(n: int, j: int, beta: int, gamma) -> Operator:
-    """K_j = Dhat_j + beta * sum_{k>j} s_jk + (gamma + 1/2), type A."""
-    op = _named("cherednik", n, j, beta, None, _cherednik) + scalar(n, gamma + Fraction(1, 2))
-    for k in range(j + 1, n + 1):
-        op = op + beta * exchange(n, j, k)
-    return op
-
-
-def laguerre_cherednik(j: int, spec: FamilySpec) -> Operator:
-    """C_j = Dhat_j - K_j D_j of a Laguerre spec on u = z^2, type A at
-    (N, beta): the type-B (1/2) h_j on even z-polynomials."""
-    return _named("laguerre_cherednik", spec.n, j, spec.beta, spec.gamma, lambda n, j, beta, g: (
-        _named("cherednik", n, j, beta, None, _cherednik)
-        - _laguerre_k(n, j, beta, g) * _named("dunkl", n, j, beta, None, _dunkl)))
-
-
-def laguerre_coordinate(j: int, spec: FamilySpec) -> Operator:
-    """V_j = (u_j - K_j)(1 - D_j) of a Laguerre spec on u = z^2, type A at
-    (N, beta): the type-B (B_j/2)^2 on even z-polynomials."""
-    return _named("laguerre_coordinate", spec.n, j, spec.beta, spec.gamma, lambda n, j, beta, g: (
-        (_coordinate(n, j) - _laguerre_k(n, j, beta, g))
-        * (identity(n) - _named("dunkl", n, j, beta, None, _dunkl))))
-
-
-def _laplacian(n: int, _, beta: int, gamma) -> Operator:
-    """sum_j D_j^2 / 4 (gamma None), or sum_j K_j D_j, type A at (N, beta)."""
-    total = scalar(n, 0)
-    for j in range(1, n + 1):
-        d = _named("dunkl", n, j, beta, None, _dunkl)
-        left = Fraction(1, 4) * d if gamma is None else _laguerre_k(n, j, beta, gamma)
-        total = total + left * d
-    return total
-
-
-def laplacian(spec: FamilySpec) -> Operator:
-    """Delta/4 of the intertwiner sigma = exp(-Delta/4) (M. Rosler, Comm.
-    Math. Phys. 192 (1998) 519-542), by the type-A D_j at (N, beta):
-    Delta_A / 4 = sum_j D_j^2 / 4 (Hermite), or on u = z^2 the u-form
-    sum_j K_j D_j of Delta_B / 4 (Laguerre; (D_j^B)^2 S = S 4 K_j D_j)."""
-    return _named("laplacian", spec.n, None, spec.beta, spec.gamma, _laplacian)
+    return _named(_htilde, spec.n, j, spec.beta, spec.gamma)
 
 
 def deformed_transposition(nvars: int, j: int, beta: int) -> Operator:

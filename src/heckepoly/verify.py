@@ -90,6 +90,7 @@ from functools import cache, partial
 from operator import methodcaller
 from typing import NamedTuple
 
+from . import families as fam
 from . import operators as ops
 from .combinatorics import (
     longest_element,
@@ -103,6 +104,7 @@ from .combinatorics import (
 )
 from .families import (
     NonSymLabel,
+    _elementary_cherednik,
     _elementary_symmetric,
     composition_spectrum,
     construct,
@@ -424,12 +426,7 @@ def _jack_eigen(grid: GridSpec):
     for n, beta in itertools.product(grid.ns, grid.betas):
         spec = FamilySpec(JACK, n, beta)
         real = realization(spec)
-        chers = [ops.cherednik(j, spec) for j in range(1, n + 1)]
-        # e_k(Dhat) for k = 1..N, each k-subset applied in increasing index order
-        images = [sum(
-            (math.prod(reversed(subset)) for subset in itertools.combinations(chers, k)),
-            ops.scalar(n, 0),
-        ) for k in range(1, n + 1)]
+        images = [_elementary_cherednik(spec, k) for k in range(1, n + 1)]
         for lam in partitions_up_to(grid.max_weight, n):
             def case():
                 j_poly = jack(lam, spec).poly
@@ -487,7 +484,7 @@ def _intertwine(suite: str, families, every_query: bool, grid: GridSpec):
 
 def _res_b_rows(lag_sp: FamilySpec):
     """S the stretch u -> z^2 and Dhat_j, D_j, K_j of type A
-    (``operators.laguerre_cherednik``).  Restriction rows: the B-type
+    (``families._laguerre_k``).  Restriction rows: the B-type
     Cherednik operator on even z-polynomials is twice the A-type one in u,
     and an odd image fails.  Link rows: with h_j^B = B_j D_j^B / 2 +
     exchanges and B_j = 2 z_j - D_j^B they give (1/2) h_j^B S = S C_j and
@@ -504,7 +501,7 @@ def _res_b_rows(lag_sp: FamilySpec):
         z, d_b = ops.multiply_by(Polynomial.variable(n, j)), ops.dunkl(j, lag_sp)
         yield f"D_{j}^B S = z_{j} S 2 D_{j}", d_b * s, z * s * (2 * ops.dunkl(j, jack_sp))
         yield (f"D_{j}^B z_{j} S = S 2 K_{j}",
-               d_b * z * s, s * (2 * ops._laguerre_k(n, j, beta, gamma)))
+               d_b * z * s, s * (2 * fam._laguerre_k(n, j, beta, gamma)))
 
 
 def _res_b(grid: GridSpec):

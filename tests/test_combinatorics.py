@@ -342,6 +342,21 @@ def test_partition_helpers():
         pad_partition((2, 1, 1), 2)
 
 
+@pytest.mark.parametrize("parts", [(1.0,), (True,), (2.5,), (2, 1.0)], ids=repr)
+def test_pad_partition_refuses_a_part_that_is_not_an_int(parts):
+    """A float or bool part compares and hashes as an int, so it is refused
+    before anything is stored: an int label padded after it stays ints."""
+    clear_caches()
+    with pytest.raises(ValueError, match="not an int"):
+        pad_partition(parts, 2)
+    assert cache_info()["combinatorics.pad_partition"] == 0
+    padded = pad_partition(tuple(int(p) for p in parts), 2)
+    assert all(type(p) is int for p in padded)
+    with pytest.raises(ValueError, match="not an int"):  # also with the int label stored
+        pad_partition(parts, 2)
+    clear_caches()
+
+
 def test_pad_partition_validates_once_and_raises_every_time():
     """A valid label is validated once per (tuple(parts), N) and stored in
     a registered cache; an invalid one is never stored, so it raises on

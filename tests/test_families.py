@@ -53,8 +53,27 @@ from heckepoly.polynomials import (
 def test_nonsym_label_validation():
     with pytest.raises(ValueError):
         NonSymLabel((1, 1), (2, 1))  # not a minimal coset representative
+    for lam, w in [((1, 0), (2.0, 1.0)), ((1, 0), (True, 2)), ((1.0, 0), (2, 1))]:
+        with pytest.raises(ValueError, match="not an int"):
+            NonSymLabel(lam, w)
     label = NonSymLabel.from_composition((0, 1))
     assert label.lam == (1, 0) and label.w == (2, 1)
+
+
+@pytest.mark.parametrize("parts", [(True,), (1.0,), (2.5,)], ids=repr)
+def test_jack_refuses_a_part_that_is_not_an_int(parts):
+    """A refused label stores nothing: the int label built after it keeps
+    int parts in its JSON form."""
+    import json
+
+    from heckepoly import clear_caches
+
+    clear_caches()
+    with pytest.raises(ValueError, match="not an int"):
+        jack(parts, jack_spec(2, 1))
+    label = jack((1,), jack_spec(2, 1)).to_json_dict()["label"]
+    assert json.dumps(label) == '{"lambda": [1, 0]}'
+    clear_caches()
 
 
 def test_composition_spectrum_reference_values():
@@ -322,7 +341,7 @@ def test_intertwine_is_the_ladder_word_sigma_on_every_monomial(family):
     {0, 1/3, 1/2}.  Its Laplacians (``operators.named``) and series
     (``families._heat``) are counted by cache_info() and emptied by
     clear_caches()."""
-    from heckepoly import cache_info, clear_caches
+    from heckepoly import cache_info, clear_caches, families
     from heckepoly.parameters import FamilySpec
 
     gammas = (None,) if family == "hermite" else (0, Fraction(1, 3), Fraction(1, 2))
@@ -336,7 +355,8 @@ def test_intertwine_is_the_ladder_word_sigma_on_every_monomial(family):
             assert real.intertwine(x) == _storeless_sigma(x, spec), (spec, exps)
     # one series per order: 0..2 for Hermite, 0..5 for Laguerre (u-degree)
     assert cache_info()["families._heat"] == len(specs) * (3 if family == "hermite" else 6)
-    assert sum(key[0] == "laplacian" for key in ops._NAMED) == len(specs)
+    laplacian = getattr(families, f"_{family}_laplacian")
+    assert sum(key[0] is laplacian for key in ops._NAMED) == len(specs)
     clear_caches()
     assert cache_info()["families._heat"] == 0 and not ops._NAMED
 
@@ -1059,6 +1079,71 @@ def test_function_local_imports_are_the_declared_ones():
         ("families", "_rodrigues", "raising", 1),
         ("polynomials", "Polynomial._orbit_form", "combinatorics", 1),
     ]
+
+
+def _source_trees() -> dict:
+    """The parsed source of each module of ``src/heckepoly``, by name."""
+    import ast
+    from pathlib import Path
+
+    import heckepoly
+
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in Path(heckepoly.__file__).parent.glob("*.py")}
+
+
+def test_named_operators_are_keyed_by_their_builder():
+    """Every ``_named(...)`` call of ``src/heckepoly`` takes the builder
+    itself as its first argument, never a string name."""
+    import ast
+
+    firsts = [
+        (module, node.args[0])
+        for module, tree in _source_trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_named"
+    ]
+    assert len(firsts) >= 10
+    assert [(module, ast.dump(arg)) for module, arg in firsts
+            if not isinstance(arg, (ast.Name, ast.Attribute))] == []
+
+
+def test_operators_defines_no_family_realization():
+    """The Laguerre operators and both Laplacians live in ``families``:
+    ``operators`` binds no name that mentions them."""
+    import ast
+
+    bound = set()
+    for node in ast.walk(_source_trees()["operators"]):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        elif isinstance(node, ast.arg):
+            bound.add(node.arg)
+        elif isinstance(node, ast.alias):
+            bound.add(node.asname or node.name)
+    assert sorted(name for name in bound if "laguerre" in name or "laplacian" in name) == []
+
+
+def test_each_family_states_its_realization_once():
+    """``Realization`` defines no operator of the table; each family
+    subclass defines its whole row: coordinate, cherednik, laplacian and
+    pair."""
+    import ast
+
+    classes = {node.name: node for node in _source_trees()["families"].body
+               if isinstance(node, ast.ClassDef)}
+    methods = {name: {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+               for name, node in classes.items()}
+    row = {"coordinate", "cherednik", "laplacian"}
+    assert not row & methods["Realization"]
+    subclasses = [name for name, node in classes.items()
+                  if any(getattr(base, "id", None) == "Realization" for base in node.bases)]
+    assert sorted(subclasses) == ["_Hermite", "_Jack", "_Laguerre"]
+    for name in subclasses:
+        assert row | {"pair"} <= methods[name], name
 
 
 @pytest.mark.parametrize(

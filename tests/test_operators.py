@@ -154,15 +154,16 @@ def test_laguerre_operators_are_the_type_b_ones_through_the_codec(n, degree):
     K_j)(1 - D_j), built on the type-A operators, equal the paper's (1/2) h_j
     and (B_j/2)^2 of type B read through the codec, on every u-monomial up
     to degree, beta <= 3 and four gammas."""
-    from heckepoly.families import decode_even, encode_even
+    from heckepoly.families import decode_even, encode_even, realization
 
     for beta in range(4):
         for gamma in (0, Fraction(1, 3), Fraction(1, 2), Fraction(7, 5)):
             spec = laguerre_spec(n, beta, gamma)
+            real = realization(spec)
             for j in range(1, n + 1):
                 half_b = Fraction(1, 2) * ops.creation(j, spec)
-                pairs = [(ops.laguerre_cherednik(j, spec), Fraction(1, 2) * ops.htilde(j, spec)),
-                         (ops.laguerre_coordinate(j, spec), half_b * half_b)]
+                pairs = [(real.cherednik(j), Fraction(1, 2) * ops.htilde(j, spec)),
+                         (real.coordinate(j), half_b * half_b)]
                 for exps in monomials_up_to_degree(n, degree):
                     f = Polynomial.monomial(exps)
                     for u_form, z_form in pairs:
@@ -719,15 +720,15 @@ def test_named_operators_share_the_dunkl_images(spec):
     clear_caches()
     ops.htilde(2, spec)(f)
     stored = {key[0] for key, memo in ops._NAMED.items() if memo.images}
-    assert stored == {"dunkl", "creation", "htilde"}
-    dunkl_images = ops._NAMED[("dunkl", 3, 2, spec.beta, spec.gamma)].images
+    assert stored == {ops._dunkl, ops._creation, ops._htilde}
+    dunkl_images = ops._NAMED[(ops._dunkl, 3, 2, spec.beta, spec.gamma)].images
     count = len(dunkl_images)
     ops.dunkl(2, spec)(f)
     ops.creation(2, spec)(f)
     assert len(dunkl_images) == count
     ops.cherednik(2, spec)(f)
     assert len(dunkl_images) == count
-    assert {key[0] for key in ops._NAMED} == stored | {"cherednik"}
+    assert {key[0] for key in ops._NAMED} == stored | {ops._cherednik}
     clear_caches()
 
 

@@ -48,6 +48,23 @@ def test_suite_passes_on_small_grid(name):
     assert report.passed, report.failures[:3]
 
 
+def test_jack_eigen_reruns_read_the_stored_e_k_images():
+    """e_k(C_1, ..., C_N) is one operator per (spec, k), so three jack_eigen
+    runs in one interpreter store the orbit images of the first only."""
+    from heckepoly import cache_info
+
+    clear_caches()
+    try:
+        sizes = []
+        for _ in range(3):
+            assert run_suite("jack_eigen", SMALL).passed
+            sizes.append(cache_info()["families.orbit_images"])
+        assert sizes == [24, 24, 24]
+        assert cache_info()["families._elementary_cherednik"] == 4
+    finally:
+        clear_caches()
+
+
 def test_unknown_suite():
     with pytest.raises(ValueError, match="unknown suite name"):
         run_suite("nonsense", SMALL)
@@ -302,7 +319,7 @@ def test_shared_work_fails_case_by_case(plant, monkeypatch):
 LINK_ROWS = {f"D_{j}^B z_{j} S = S 2 K_{j}" for j in (1, 2)}  # the link rows that read gamma
 
 # a planted value in the operators of the Laguerre realization or of its
-# z-form: (operators attribute, wrapper of the original, {suite: the
+# z-form: (module, attribute, wrapper of the original, {suite: the
 # relations of its failing cases, or None where its cases carry none})
 LAGUERRE_PLANTS = {
     # gamma + 1/2 -> gamma in K_j.  C_j and V_j then form the realization
@@ -310,14 +327,14 @@ LAGUERRE_PLANTS = {
     # and intertwine_B cannot see it; what compares with the gamma of the
     # pairing (the Gram route, its norms and duality) and the link rows do
     "K_j gamma": (
-        "_laguerre_k",
+        families, "_laguerre_k",
         lambda k: lambda n, j, beta, gamma: k(n, j, beta, gamma - Fraction(1, 2)),
         {"res_B": LINK_ROWS, "laguerre_is_sigma_jack": None, "raising_all": None,
          "rodrigues_all": None, "shift_all": None, "duality_all": None},
     ),
     # 2 gamma -> gamma in the type-B sign term gamma (1 - t_j)/z_j of D_j^B
     "D_j^B 2 gamma": (
-        "sign_divided",
+        ops, "sign_divided",
         lambda sign_divided: lambda n, j: Fraction(1, 2) * sign_divided(n, j),
         {"res_B": LINK_ROWS, "dunkl_commute": {"[D_1,z_1]", "[D_2,z_2]"}},
     ),
@@ -329,9 +346,9 @@ def test_planted_laguerre_value_fails_the_link_rows(plant, monkeypatch):
     """The Laguerre realization is tied to the paper's type-B operators by
     the res_B link rows: a wrong value on either side fails them, and the
     suites listed, on SMALL; no case fails by an exception."""
-    attr, wrap, verdicts = LAGUERRE_PLANTS[plant]
+    module, attr, wrap, verdicts = LAGUERRE_PLANTS[plant]
     clear_caches()
-    monkeypatch.setattr(ops, attr, wrap(getattr(ops, attr)))
+    monkeypatch.setattr(module, attr, wrap(getattr(module, attr)))
     try:
         reports = run_all(SMALL)
     finally:
@@ -505,11 +522,13 @@ def _d1_added_to_delta_b(laplacian):
     return planted
 
 
-# family -> (plant in the Laplacian of sigma = exp(-Delta/4), failing SMALL cases per suite)
+# family -> (families builder of its Delta/4, plant in the Laplacian of
+# sigma = exp(-Delta/4), failing SMALL cases per suite)
 LAPLACIAN_PLANTS = {
-    "hermite": (_d1_at_beta_plus_1, {
+    "hermite": ("_hermite_laplacian", _d1_at_beta_plus_1, {
         "intertwine_A": 23, "hermite_is_sigma_jack": 22, "dunkl_pairing_prop": 2}),
-    "laguerre": (_d1_added_to_delta_b, {"intertwine_B": 7, "laguerre_is_sigma_jack": 22}),
+    "laguerre": ("_laguerre_laplacian", _d1_added_to_delta_b, {
+        "intertwine_B": 7, "laguerre_is_sigma_jack": 22}),
 }
 
 
@@ -517,8 +536,8 @@ LAPLACIAN_PLANTS = {
 def test_a_laplacian_plant_fails_the_sigma_suites(family, monkeypatch):
     """A defect in the Delta of sigma = exp(-Delta/4) fails every suite of
     the family that applies sigma, on SMALL."""
-    wrap, failing = LAPLACIAN_PLANTS[family]
-    monkeypatch.setattr(ops, "_laplacian", wrap(ops._laplacian))
+    attr, wrap, failing = LAPLACIAN_PLANTS[family]
+    monkeypatch.setattr(families, attr, wrap(getattr(families, attr)))
     clear_caches()
     try:
         reports = run_all(SMALL, list(failing))
@@ -530,7 +549,7 @@ def test_a_laplacian_plant_fails_the_sigma_suites(family, monkeypatch):
 
 # family -> (realization class, planted ladder letter V_j of a spec)
 LETTER_PLANTS = {
-    "hermite": (families.Realization, lambda coordinate: lambda self, j: (
+    "hermite": (families._Hermite, lambda coordinate: lambda self, j: (
         coordinate(self, j) + Fraction(1, 4) * ops.dunkl(j, self.spec))),
     "laguerre": (families._Laguerre, lambda coordinate: lambda self, j: (
         coordinate(self, j) + ops.dunkl(j, FamilySpec("jack", self.spec.n, self.spec.beta)))),
@@ -828,7 +847,7 @@ def test_lemma_rows_fail_on_a_partition(plant, monkeypatch):
 
 
 def _x1_dj_in_hermite_c(cherednik):
-    """C_j + x_1 d_j in ``Realization.cherednik``, which Hermite alone reads."""
+    """C_j + x_1 d_j in ``_Hermite.cherednik``."""
 
     def planted(self, j):
         n = self.spec.n
@@ -846,8 +865,8 @@ def test_lemma_rows_see_a_hermite_c_defect_only_from_n_3(n, degree, cases, faili
     """At N = 2, Y(+) - Y(-) = 2 beta whatever C_j is, so a defect in a
     realization's C_j passes every appendix_A row; at N = 3 it fails the
     Hermite lemma row at beta >= 1 on m_(3)."""
-    monkeypatch.setattr(families.Realization, "cherednik",
-                        _x1_dj_in_hermite_c(families.Realization.cherednik))
+    monkeypatch.setattr(families._Hermite, "cherednik",
+                        _x1_dj_in_hermite_c(families._Hermite.cherednik))
     clear_caches()
     try:
         report = run_suite("appendix_A", GridSpec(ns=(n,), degree=degree))
