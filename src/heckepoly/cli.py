@@ -25,10 +25,11 @@ Exit codes, for every command:
      came out false (a raise or shift image not proportional to its
      target, a construction that is not triangular, a Laguerre operator
      image in ``pair`` that is not even)
-  2  a usage or input error: bad options, a malformed value, a grid out
-     of bounds (N, weight, degree, beta or gamma, or an empty list), a
-     label or parameter the construction rejects, an --output path that
-     cannot be written
+  2  a usage or input error: bad options, a malformed value, a
+     polynomial with a negative exponent, a grid out of bounds (N,
+     weight, degree, beta or gamma, or an empty list), a grid that gives
+     a selected suite no case, a label or parameter the construction
+     rejects, an --output path that cannot be written
 A counterexample outside ``verify`` and every input error end in one
 ``error: ...`` (or ``usage error: ...``) line on stderr; an option the
 argument parser rejects also prints the usage line.
@@ -213,6 +214,9 @@ def cmd_shift(args, spec: FamilySpec):
 def cmd_verify(args, _spec: None):
     grid = GridSpec(**{name: getattr(args, name) for name in GridSpec.__match_args__})
     reports = run_all(grid, [args.suite] if args.suite and not args.all else list(SUITES))
+    empty = [rep.suite for rep in reports if not rep.cases_run]
+    if empty:  # a suite with no case has checked nothing: no verdict
+        raise ValueError(f"the grid gives no case to {', '.join(empty)}")
     lines = []
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"

@@ -318,15 +318,13 @@ def from_orbit_form(nvars: int, coeffs: dict) -> Polynomial:
 def _orbit_coefficients(terms: dict) -> dict[Partition, object]:
     """The m_lam coefficients, as stored, of the symmetric polynomial with
     these terms, read in one pass that also counts each orbit's members.
-    Raises ValueError on Laurent or non-symmetric terms."""
+    Raises ValueError on non-symmetric terms."""
     out: dict[Partition, object] = {}
     present: dict[Partition, int] = {}
     for exps, coeff in terms.items():
         lam = tuple(sorted(exps, reverse=True))
         seen = out.get(lam)
         if seen is None:
-            if lam[-1] < 0:
-                raise ValueError("monomial-basis expansion needs a non-Laurent input")
             out[lam] = coeff
             present[lam] = 1
         elif seen != coeff:

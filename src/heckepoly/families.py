@@ -464,7 +464,7 @@ def _assert_nonsym_triangular(poly: Polynomial, label: NonSymLabel) -> None:
 # symmetric Jack
 
 
-def jack(lam, spec: FamilySpec, method: str = "triangular") -> FamilyPolynomial:
+def jack(lam, spec: FamilySpec, method: str = _Jack.symmetric_routes[0]) -> FamilyPolynomial:
     if spec.family != JACK:
         raise ValueError("jack needs a Jack spec")
     return _symmetric(lam, spec, method)
@@ -598,13 +598,13 @@ def decode_even(f_z: Polynomial) -> Polynomial:
 # Hermite and Laguerre
 
 
-def hermite(lam, spec: FamilySpec, method: str = "gram") -> FamilyPolynomial:
+def hermite(lam, spec: FamilySpec, method: str = _Hermite.symmetric_routes[0]) -> FamilyPolynomial:
     if spec.family != HERMITE:
         raise ValueError("hermite needs a Hermite spec")
     return _symmetric(lam, spec, method)
 
 
-def laguerre(lam, spec: FamilySpec, method: str = "gram") -> FamilyPolynomial:
+def laguerre(lam, spec: FamilySpec, method: str = _Laguerre.symmetric_routes[0]) -> FamilyPolynomial:
     """Multivariable Laguerre polynomial, expressed in u_j = z_j^2."""
     if spec.family != LAGUERRE:
         raise ValueError("laguerre needs a Laguerre spec")

@@ -328,30 +328,25 @@ def _degree_sums(f_terms: dict, g_terms: dict, value) -> dict[int, int]:
 # the three pairings
 
 
-def _check_inputs(f: Polynomial, g: Polynomial, spec: FamilySpec, scan: bool = True) -> None:
-    """f and g are polynomials in spec's N variables, with scan ordinary ones."""
+def _check_inputs(f: Polynomial, g: Polynomial, spec: FamilySpec) -> None:
+    """f and g are polynomials in spec's N variables."""
     if f.nvars != spec.n or g.nvars != spec.n:
         raise AmbientSizeMismatch(
             f"ambient size mismatch: pairing at N={spec.n} got polynomials in "
             f"{f.nvars} and {g.nvars} variables"
         )
-    if scan and (f.is_laurent() or g.is_laurent()):
-        raise ValueError("pairing inputs must be ordinary polynomials")
 
 
 def _pairing_sums(f: Polynomial, g: Polynomial, spec: FamilySpec):
     """(kernel, sums, scale) with <f, g> = sum_d sums[d] / (denominator(d)
     * scale) under the kernel of spec: the integer parts of f and g summed
     per total degree d = |a| + |b|, and the product of their denominators.
-    Symmetric f and g are summed over their orbits instead of their terms;
-    an orbit form proves its polynomial ordinary, so only the term-by-term
-    path scans for Laurent terms."""
+    Symmetric f and g are summed over their orbits instead of their terms."""
     kernel = _kernel(spec)  # a divergent gamma fails first, then the size
-    _check_inputs(f, g, spec, scan=False)
+    _check_inputs(f, g, spec)
     try:
         f_terms, g_terms = f._orbit_form(), g._orbit_form()
     except ValueError:  # not both symmetric: pair term by term
-        _check_inputs(f, g, spec)
         f_terms, g_terms, value = f.terms, g.terms, kernel.value
     else:
         value = _orbit_numerator(spec)

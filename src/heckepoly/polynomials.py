@@ -1,4 +1,4 @@
-"""Sparse multivariate Laurent polynomials over exact rationals.
+"""Sparse multivariate polynomials over exact rationals.
 
 A polynomial in N ambient variables is a finite map from exponent vectors
 to nonzero exact coefficients.  An integer value is stored as a plain
@@ -11,9 +11,10 @@ coupling every operator primitive has integer matrix entries.  The public
 accessors ``coefficient``, ``constant_term`` and ``leading`` still return
 ``Fraction``.  A ``float`` coefficient or scalar raises ``TypeError``.
 
-Exponents may be negative (Laurent monomials appear in constant-term
-pairings).  Every ring operation is exact, so polynomial identity testing
-is decidable and used as the equality notion throughout the package.
+Exponents are non-negative: the constructor refuses a negative one, so
+every ``Polynomial`` is an ordinary polynomial.  Every ring operation is
+exact, so polynomial identity testing is decidable and used as the
+equality notion throughout the package.
 
 The canonical term order is graded lexicographic: monomials are compared
 by total degree first, then lexicographically on the exponent vector.
@@ -32,7 +33,7 @@ from typing import Iterable, Iterator, Mapping
 from .caches import memo
 from .errors import AmbientSizeMismatch, NotDivisibleError
 
-# Exponent vector: one integer per ambient variable (negative = Laurent).
+# Exponent vector: one non-negative integer per ambient variable.
 Exponent = tuple[int, ...]
 
 # A stored coefficient: a nonzero int, or a Fraction with denominator > 1.
@@ -102,6 +103,8 @@ class Polynomial:
                     raise AmbientSizeMismatch(
                         f"ambient size mismatch: exponent {exps} in {nvars} variables"
                     )
+                if min(exps) < 0:
+                    raise ValueError(f"negative exponent in {tuple(exps)}")
                 c = _canonical(coeff)
                 if c:
                     clean[tuple(exps)] = c
@@ -111,9 +114,9 @@ class Polynomial:
     @classmethod
     def _trusted(cls, nvars: int, terms: dict[Exponent, Coefficient], orbits=None) -> "Polynomial":
         """Adopt ``terms`` without copying or checking it.  The caller
-        guarantees tuple keys of length ``nvars`` and canonical nonzero
-        values, and gives up the dict; ``orbits``, if given, must be the
-        m_lam coefficients of ``terms``."""
+        guarantees tuple keys of length ``nvars`` with non-negative
+        entries and canonical nonzero values, and gives up the dict;
+        ``orbits``, if given, must be the m_lam coefficients of ``terms``."""
         poly = object.__new__(cls)
         object.__setattr__(poly, "nvars", nvars)
         object.__setattr__(poly, "terms", terms)
@@ -253,14 +256,11 @@ class Polynomial:
         """Terms in ascending graded-lex order."""
         return sorted(self.terms.items(), key=lambda item: grlex_key(item[0]))
 
-    def is_laurent(self) -> bool:
-        return any(e < 0 for exps in self.terms for e in exps)
-
     def _orbit_form(self) -> dict:
         """The m_lam coefficients of this symmetric polynomial, as stored
         (``combinatorics._orbit_coefficients``), read once and kept in a
         private slot; do not mutate the dict.  Raises ValueError on a
-        non-symmetric or Laurent polynomial."""
+        non-symmetric polynomial."""
         try:
             return self._orbits
         except AttributeError:
@@ -376,16 +376,13 @@ def vandermonde(nvars: int) -> Polynomial:
 def divide_exact(f: Polynomial, g: Polynomial) -> Polynomial:
     """Exact quotient q with q*g == f; raises NotDivisibleError otherwise.
 
-    Ordinary (non-Laurent) inputs only: exactness is decided by graded-lex
-    long division, which terminates because the leading term strictly
-    decreases at every step.
+    Exactness is decided by graded-lex long division, which terminates
+    because the leading term strictly decreases at every step.
     """
     if f.nvars != g.nvars:
         raise AmbientSizeMismatch("ambient size mismatch in divide_exact")
     if not g:
         raise ZeroDivisionError("division by the zero polynomial")
-    if f.is_laurent() or g.is_laurent():
-        raise NotDivisibleError("not divisible: Laurent division is not supported")
     g_exps, g_lead = g.leading()
     g_terms = list(g.terms.items())
     quotient: dict[Exponent, Coefficient] = {}

@@ -361,6 +361,31 @@ def test_usage_errors(capsys):
         assert "error: " in input_error(argv, capsys)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--suite", "rodrigues_all", "--beta-list", "0"],
+        ["--all", "--beta-list", "0", "--n-list", "2", "--max-weight", "1", "--degree", "1",
+         "--pairs", "1", "--rand-polys", "1", "--gamma-list", "1/2"],
+    ],
+    ids=["suite", "all"],
+)
+def test_exit_code_2_for_a_grid_that_gives_a_suite_no_case(argv, capsys):
+    """rodrigues_all skips beta = 0, where the hook prefactor is singular.
+    A suite that ran no case has checked nothing: an input error with no
+    report, not a counterexample."""
+    from heckepoly.verify import GridSpec, run_suite
+
+    with pytest.raises(SystemExit) as info:
+        main(["verify", *argv])
+    captured = capsys.readouterr()
+    assert info.value.code == 2
+    assert captured.err == "error: the grid gives no case to rodrigues_all\n"
+    assert captured.out == ""
+    report = run_suite("rodrigues_all", GridSpec(betas=(0,)))
+    assert report.cases_run == 0 and not report.passed
+
+
 def test_exit_code_2_for_a_grid_out_of_bounds(capsys):
     text = input_error(["verify", "--n-list", "9"], capsys)
     assert text.startswith("error: grid out of bounds")
@@ -443,6 +468,16 @@ def test_pair_rejects_malformed_terms(poly, capsys):
     assert text.startswith("error: cannot read polynomial")
     if poly in _MALFORMED_SHAPES:  # named by the expected shape, not by Python internals
         assert text.endswith(': expected {"vars": n, "terms": [{"exp", "num", "den"}, ...]}')
+
+
+@pytest.mark.parametrize("family", [["jack"], ["hermite"], ["laguerre", "--gamma", "1/2"]],
+                         ids=["jack", "hermite", "laguerre"])
+def test_pair_rejects_a_negative_exponent(family, capsys):
+    """A Laurent input is refused where it is read, before any pairing."""
+    f = json.dumps({"vars": 2, "terms": [dict(_TERM, exp=[1, -1])]})
+    text = input_error(["pair", "--family", *family, "--n", "2", "--beta", "1",
+                        "--f", f, "--g", _ONE_IN_2], capsys)
+    assert text == "error: cannot read polynomial: negative exponent in (1, -1)"
 
 
 def test_poly_symmetrized_route_is_gone(capsys):

@@ -23,14 +23,28 @@ from heckepoly.parameters import hermite_spec, jack_spec, laguerre_spec
 from heckepoly.polynomials import Polynomial, divide_exact, vandermonde
 
 
+def _laurent_product(p, q):
+    """The product of two Laurent polynomials held as {exponent: coefficient}."""
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            key = tuple(a + b for a, b in zip(e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return out
+
+
 def ct_pairing_bruteforce(f, g, spec):
-    """Direct Laurent expansion of f(x) g(1/x) W(x), constant term."""
+    """Direct Laurent expansion of f(x) g(1/x) W(x) x^(-beta(N-1)), constant
+    term, over plain exponent dicts: a Polynomial holds no negative exponent."""
     n, beta = spec.n, spec.beta
-    shift = Polynomial.monomial(tuple([-beta * (n - 1)] * n))
-    weight = vandermonde(n) ** (2 * beta) * shift
-    sgn = (-1) ** (beta * n * (n - 1) // 2)
-    g_inverted = Polynomial(g.nvars, {tuple(-e for e in exps): c for exps, c in g.terms.items()})
-    return sgn * (f * g_inverted * weight).constant_term()
+    unit = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+    product = {(-beta * (n - 1),) * n: (-1) ** (beta * n * (n - 1) // 2)}
+    for i, j in itertools.combinations(range(n), 2):
+        for _ in range(2 * beta):
+            product = _laurent_product(product, {unit[i]: 1, unit[j]: -1})
+    product = _laurent_product(product, f.terms)
+    product = _laurent_product(product, {tuple(-e for e in b): c for b, c in g.terms.items()})
+    return Fraction(product.get((0,) * n, 0))
 
 
 def gauss_moment(k):

@@ -222,21 +222,16 @@ def test_divide_exact_y_minus_images_at_n4():
 
 
 def test_divide_exact_failures_keep_their_errors():
-    """Inputs that are not divisible, are Laurent, have a zero divisor or
-    differ in size raise as before, and the dividend is not changed."""
+    """Inputs that are not divisible, have a zero divisor or differ in size
+    raise as before, and the dividend is not changed; a Laurent input is
+    refused where it is built."""
     x1, x2 = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
     late = x1 ** 3 + x2 + 1  # the division fails after two quotient terms
     cases = [
         (x1 + x2, x1 - x2, NotDivisibleError, "^not divisible$"),
         (late, x1 - x2, NotDivisibleError, "^not divisible$"),
         (Polynomial.one(2), x1, NotDivisibleError, "^not divisible$"),
-        (Polynomial(2, {(1, -2): 3}), Polynomial.one(2), NotDivisibleError,
-         "^not divisible: Laurent division is not supported$"),
-        (x1, Polynomial(2, {(-1, 0): 1}), NotDivisibleError,
-         "^not divisible: Laurent division is not supported$"),
         (x1, Polynomial.zero(2), ZeroDivisionError, "^division by the zero polynomial$"),
-        (Polynomial(2, {(1, -2): 3}), Polynomial.zero(2), ZeroDivisionError,
-         "^division by the zero polynomial$"),
         (x1, Polynomial.variable(3, 1), AmbientSizeMismatch,
          "^ambient size mismatch in divide_exact$"),
     ]
@@ -245,6 +240,10 @@ def test_divide_exact_failures_keep_their_errors():
         with pytest.raises(error, match=message):
             divide_exact(f, g)
         assert f.terms == before
+    for exps in ((1, -2), (-1, 0)):
+        with pytest.raises(ValueError) as info:
+            Polynomial(2, {exps: 3})
+        assert str(info.value) == f"negative exponent in {exps}"
     assert divide_exact(Polynomial.zero(2), x1 - x2) == Polynomial.zero(2)
 
 
@@ -261,10 +260,21 @@ def test_vandermonde():
 
 
 def test_laurent_detection():
-    p = Polynomial(2, {(1, -2): Fraction(3)})
-    assert p.is_laurent()
-    with pytest.raises(NotDivisibleError):
-        divide_exact(p, Polynomial.one(2))
+    """A negative exponent is refused at construction, by every
+    constructor; so every Polynomial is an ordinary polynomial."""
+    builds = [
+        (lambda: Polynomial(2, {(1, -2): Fraction(3)}), (1, -2)),
+        (lambda: Polynomial(2, {(1, 0): 1, (0, -1): 0}), (0, -1)),  # a zero coefficient too
+        (lambda: Polynomial.monomial((-1, 0)), (-1, 0)),
+        (lambda: Polynomial.from_json_dict(
+            {"vars": 2, "terms": [{"exp": [2, 0], "num": "1", "den": "1"},
+                                  {"exp": [1, -2], "num": "3", "den": "1"}]}), (1, -2)),
+    ]
+    for build, exps in builds:
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == f"negative exponent in {exps}"
+    assert Polynomial(2, {(0, 0): 1, (3, 0): 2}).terms == {(0, 0): 1, (3, 0): 2}
 
 
 def test_json_round_trip_and_ordering():

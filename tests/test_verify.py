@@ -65,6 +65,32 @@ def test_jack_eigen_reruns_read_the_stored_e_k_images():
         clear_caches()
 
 
+def test_every_polynomial_the_suites_build_is_ordinary(monkeypatch):
+    """The constructor refuses a negative exponent; ``_trusted`` checks
+    nothing, and operator images, products, quotients and orbit forms all
+    build through it.  Every polynomial it adopts in run_all(SMALL) has
+    exponents >= 0, and the reports still pass."""
+    trusted = Polynomial._trusted.__func__
+    adopted, laurent = [0], []
+
+    def checked(cls, nvars, terms, orbits=None):
+        adopted[0] += 1
+        if min(map(min, terms), default=0) < 0:
+            laurent.append(sorted(terms))
+        return trusted(cls, nvars, terms, orbits)
+
+    clear_caches()
+    monkeypatch.setattr(Polynomial, "_trusted", classmethod(checked))
+    try:
+        reports = run_all(SMALL)
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    assert laurent == []
+    assert adopted[0] > 1000
+    assert all(report.passed for report in reports)
+
+
 def test_unknown_suite():
     with pytest.raises(ValueError, match="unknown suite name"):
         run_suite("nonsense", SMALL)
