@@ -31,8 +31,8 @@ Exit codes, for every command:
      a selected suite no case, a label or parameter the construction
      rejects, an --output path that cannot be written
 A counterexample outside ``verify`` and every input error end in one
-``error: ...`` (or ``usage error: ...``) line on stderr; an option the
-argument parser rejects also prints the usage line.
+``error: ...`` line on stderr; an option the argument parser rejects also
+prints the usage line.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ import io
 import json
 import sys
 from fractions import Fraction
-from typing import NoReturn
 
 from . import operators as ops_module
 from .combinatorics import partitions_up_to
@@ -75,37 +74,28 @@ _INPUT_ERRORS = (
 )
 
 
-def _fail(message: str, err: Exception | None = None) -> NoReturn:
-    """Write the one-line message to stderr and exit with EXIT_INPUT, or
-    with EXIT_COUNTEREXAMPLE when err is a failed check."""
-    sys.stderr.write(message + "\n")
-    failed_check = err is not None and not isinstance(err, _INPUT_ERRORS)
-    raise SystemExit(EXIT_COUNTEREXAMPLE if failed_check else EXIT_INPUT)
-
-
 def parse_partition(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
         return ()
     try:
-        parts = tuple(int(p) for p in text.split(","))
+        return tuple(int(p) for p in text.split(","))
     except ValueError:
-        _fail(f"usage error: malformed partition {text!r}")
-    return parts
+        raise ValueError(f"malformed partition {text!r}") from None
 
 
 def parse_permutation(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(p) for p in text.split(","))
     except ValueError:
-        _fail(f"usage error: malformed permutation {text!r}")
+        raise ValueError(f"malformed permutation {text!r}") from None
 
 
 def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        _fail(f"usage error: malformed rational {text!r}")
+        raise ValueError(f"malformed rational {text!r}") from None
 
 
 def int_list(text: str) -> tuple[int, ...]:
@@ -122,14 +112,6 @@ def rational_list(text: str) -> tuple[Fraction, ...]:
         return tuple(Fraction(v) for v in text.split(","))
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"malformed rational list {text!r}")
-
-
-def _spec_from(args) -> FamilySpec:
-    gamma = parse_rational(args.gamma) if args.gamma is not None else None
-    try:
-        return FamilySpec(args.family, args.n, args.beta, gamma)
-    except ValueError as err:
-        _fail(f"usage error: {err}")
 
 
 def _read_poly(text: str) -> Polynomial:
@@ -160,17 +142,13 @@ def cmd_norm(args, spec: FamilySpec):
 
 def cmd_pair(args, spec: FamilySpec):
     try:
-        f = _read_poly(args.f)
-        g = _read_poly(args.g)
+        f, g = _read_poly(args.f), _read_poly(args.g)
     except (HeckePolyError, OSError, ValueError, KeyError, TypeError) as err:
-        _fail(f"error: cannot read polynomial: {err}")
-    try:
-        op_f, op_g = (
-            None if text is None else ops_module.operator_from_string(text, spec)
-            for text in (args.apply_f, args.apply_g)
-        )
-    except (HeckePolyError, ValueError) as err:
-        _fail(f"usage error: {err}")
+        raise ValueError(f"cannot read polynomial: {err}") from err
+    op_f, op_g = (
+        None if text is None else ops_module.operator_from_string(text, spec)
+        for text in (args.apply_f, args.apply_g)
+    )
     def applied(op, h):
         if op is None or spec.gamma is None:
             return h if op is None else op(h)
@@ -340,7 +318,9 @@ def main(argv=None) -> int:
     turn an exception into one error line and its exit code."""
     args = build_parser().parse_args(argv)
     try:
-        spec = None if args.command == "verify" else _spec_from(args)
+        spec = None if args.command == "verify" else FamilySpec(
+            args.family, args.n, args.beta,
+            None if args.gamma is None else parse_rational(args.gamma))
         code, payload, text = args.fn(args, spec)
         if args.format == "json":
             text = payload if isinstance(payload, str) else json.dumps(
@@ -353,7 +333,8 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(text)
     except (HeckePolyError, ValueError, OSError) as err:
-        _fail(f"error: {err}", err)
+        sys.stderr.write(f"error: {err}\n")
+        raise SystemExit(EXIT_INPUT if isinstance(err, _INPUT_ERRORS) else EXIT_COUNTEREXAMPLE)
     return code
 
 

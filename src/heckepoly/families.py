@@ -80,6 +80,7 @@ from .combinatorics import (
     dominance_lt,
     extended_dominance_lt,
     is_min_coset_rep,
+    is_partition,
     is_permutation,
     label_to_composition,
     _orbit_coefficients,
@@ -116,6 +117,8 @@ class NonSymLabel(Record):
             raise ValueError("label partition and permutation lengths differ")
         if not {int}.issuperset(map(type, lam + w)):  # as pad_partition
             raise ValueError(f"label {lam}, {w} has an entry that is not an int")
+        if not is_partition(lam):  # as pad_partition
+            raise ValueError(f"{lam} is not weakly decreasing and non-negative")
         if not is_permutation(w):
             raise ValueError(f"{w} is not a permutation of 1..{len(w)}")
         if not is_min_coset_rep(lam, w):

@@ -11,10 +11,10 @@ coupling every operator primitive has integer matrix entries.  The public
 accessors ``coefficient``, ``constant_term`` and ``leading`` still return
 ``Fraction``.  A ``float`` coefficient or scalar raises ``TypeError``.
 
-Exponents are non-negative: the constructor refuses a negative one, so
-every ``Polynomial`` is an ordinary polynomial.  Every ring operation is
-exact, so polynomial identity testing is decidable and used as the
-equality notion throughout the package.
+Exponents are non-negative ``int``s: the constructor refuses any other
+entry, so every ``Polynomial`` is an ordinary polynomial.  Every ring
+operation is exact, so polynomial identity testing is decidable and used
+as the equality notion throughout the package.
 
 The canonical term order is graded lexicographic: monomials are compared
 by total degree first, then lexicographically on the exponent vector.
@@ -94,6 +94,8 @@ class Polynomial:
     __slots__ = ("nvars", "terms", "_orbits")  # _orbits: see _orbit_form
 
     def __init__(self, nvars: int, terms: Mapping[Exponent, Coefficient] | None = None):
+        if type(nvars) is not int:
+            raise ValueError(f"nvars {nvars!r} is not an int")
         if nvars < 1:
             raise ValueError("need at least one ambient variable")
         clean: dict[Exponent, Coefficient] = {}
@@ -103,6 +105,8 @@ class Polynomial:
                     raise AmbientSizeMismatch(
                         f"ambient size mismatch: exponent {exps} in {nvars} variables"
                     )
+                if not {int}.issuperset(map(type, exps)):  # as pad_partition
+                    raise ValueError(f"exponent {tuple(exps)} has an entry that is not an int")
                 if min(exps) < 0:
                     raise ValueError(f"negative exponent in {tuple(exps)}")
                 c = _canonical(coeff)

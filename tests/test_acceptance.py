@@ -141,9 +141,9 @@ CRITERION_8_ARGS = [
 CRITERION_8_SHA256 = "9b63715947d474f8e9dec490699d900389f011ab665d3f368e0bed2877b67e7c"
 
 
-def test_criterion_8_determinism():
-    first = subprocess.run(CRITERION_8_ARGS, capture_output=True)
-    second = subprocess.run(CRITERION_8_ARGS, capture_output=True)
+def test_criterion_8_determinism(src_env):
+    first = subprocess.run(CRITERION_8_ARGS, capture_output=True, env=src_env)
+    second = subprocess.run(CRITERION_8_ARGS, capture_output=True, env=src_env)
     payload = json.loads(first.stdout)
     _report(8, "verify --all is byte-deterministic for a fixed seed",
             first.returncode == 0
@@ -153,7 +153,7 @@ def test_criterion_8_determinism():
             and len(payload["reports"]) == 19)
 
 
-def test_criterion_8_report_is_pinned():
-    run = subprocess.run(CRITERION_8_ARGS, capture_output=True)
+def test_criterion_8_report_is_pinned(src_env):
+    run = subprocess.run(CRITERION_8_ARGS, capture_output=True, env=src_env)
     assert run.returncode == 0
     assert hashlib.sha256(run.stdout).hexdigest() == CRITERION_8_SHA256

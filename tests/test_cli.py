@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from heckepoly import cli
-from heckepoly.cli import main, parse_partition, parse_rational
+from heckepoly.cli import main
 from heckepoly.errors import NotProportionalError
 from heckepoly.polynomials import Polynomial
 
@@ -141,7 +141,7 @@ def test_pair_with_named_operators(capsys):
 def test_pair_rejects_a_malformed_operator_parameter(text, item, capsys):
     message = input_error(["pair", *_JACK, "--f", _ONE_IN_2, "--g", _ONE_IN_2, "--apply-f", text],
                           capsys)
-    assert message == f"usage error: malformed operator parameter {item!r} in {text!r}"
+    assert message == f"error: malformed operator parameter {item!r} in {text!r}"
 
 
 @pytest.mark.parametrize("flag", ["--apply-f", "--apply-g"])
@@ -149,7 +149,7 @@ def test_pair_rejects_an_empty_operator_name(flag, capsys):
     """An empty operator string is a name, not a missing option."""
     message = input_error(["pair", *_JACK, "--f", _ONE_IN_2, "--g", _ONE_IN_2, flag, ""],
                           capsys)
-    assert message == "usage error: unknown operator name ''"
+    assert message == "error: unknown operator name ''"
 
 
 def test_norm_takes_a_negative_gamma_in_the_equals_form(capsys):
@@ -163,7 +163,7 @@ def test_norm_takes_a_negative_gamma_in_the_equals_form(capsys):
 def test_pair_rejects_unknown_or_repeated_operator_parameters(text, capsys):
     message = input_error(["pair", *_JACK, "--f", _ONE_IN_2, "--g", _ONE_IN_2, "--apply-f", text],
                           capsys)
-    assert message.startswith("usage error: ")
+    assert message.startswith("error: ")
 
 
 def test_pair_applies_laguerre_operators_through_the_codec(capsys):
@@ -226,7 +226,7 @@ def test_poly_rejects_bad_permutation(lam, w, message, capsys):
 def test_poly_rejects_a_malformed_permutation(capsys):
     text = input_error(["poly", "--family", "jack", "--lambda", "1,0", "--n", "2",
                         "--beta", "1", "--w", "2,x"], capsys)
-    assert text == "usage error: malformed permutation '2,x'"
+    assert text == "error: malformed permutation '2,x'"
 
 
 @pytest.mark.parametrize("family, method", [("jack", "recursion"), ("hermite", "recursion"),
@@ -345,11 +345,12 @@ def test_table_command_rfc4180(capsys):
 
 
 def test_usage_errors(capsys):
-    for parse, text in ((parse_partition, "2,x"), (parse_rational, "1/0")):
-        with pytest.raises(SystemExit) as info:
-            parse(text)
-        assert info.value.code == 2
-        assert capsys.readouterr().err.startswith("usage error: malformed")
+    for argv in (
+        ["poly", *_JACK, "--lambda", "2,x"],
+        ["poly", "--family", "laguerre", "--lambda", "1", "--n", "1", "--beta", "0",
+         "--gamma", "1/0"],
+    ):
+        assert input_error(argv, capsys).startswith("error: malformed")
     for argv in (
         ["poly", "--family", "laguerre", "--lambda", "1", "--n", "1",
          "--beta", "0"],  # missing gamma
@@ -524,19 +525,47 @@ def test_runner_exit_codes(command, monkeypatch, capsys):
 
 
 def test_only_main_emits_and_maps_errors():
-    """Only main passes an exception to _fail, and no command branches on
-    the output format."""
+    """main is the one exit path: no other function raises SystemExit and
+    only the __main__ guard calls sys.exit; no command branches on the
+    output format."""
     tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
     functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
     commands = [fn.name for fn in functions if fn.name.startswith("cmd_")]
     assert len(commands) == 7
-    for fn in functions:
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef) or fn.name == "main":
+            continue
         for node in ast.walk(fn):
-            if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "_fail":
-                passes_error = len(node.args) + len(node.keywords) > 1
-                assert not passes_error or fn.name == "main", fn.name
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                assert getattr(exc, "id", "") != "SystemExit", fn.name
             if fn.name in commands and isinstance(node, ast.Attribute):
                 assert node.attr != "format", fn.name
+    guard = tree.body[-1]
+    assert isinstance(guard, ast.If) and "__main__" in ast.unparse(guard.test)
+    exits = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute) and node.func.attr == "exit"]
+    assert len(exits) == 1 and exits[0] in ast.walk(guard)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["poly", *_JACK, "--lambda", "2,x"],
+        ["poly", *_JACK, "--lambda", "1,0", "--w", "2,x"],
+        ["norm", "--family", "laguerre", "--lambda", "1", "--n", "1", "--beta", "0",
+         "--gamma", "1/0"],
+        ["norm", "--family", "jack", "--lambda", "1", "--n", "0", "--beta", "1"],
+        ["pair", *_JACK, "--f", '{"vars": 2,', "--g", _ONE_IN_2],
+        ["pair", *_JACK, "--f", _ONE_IN_2, "--g", _ONE_IN_2, "--apply-f", "bogus:j=1"],
+    ],
+    ids=["partition", "permutation", "rational", "spec", "polynomial", "operator"],
+)
+def test_every_rejected_input_reads_error(argv, capsys):
+    """An input refused by a parse helper, the family spec, or pair's
+    reading of a polynomial or an operator string reaches main's one
+    handler: exit code 2 and one line that starts with "error: "."""
+    assert input_error(argv, capsys).startswith("error: ")
 
 
 def test_exit_code_1_for_a_failing_verify_case(monkeypatch, capsys):
@@ -637,15 +666,15 @@ def test_output_file(tmp_path, capsys):
     assert target.read_text() == "2\n"
 
 
-def test_cli_deterministic_across_processes():
+def test_cli_deterministic_across_processes(src_env):
     args = [
         sys.executable, "-m", "heckepoly.cli", "verify", "--suite",
         "dunkl_pairing_prop", "--n-list", "2", "--beta-list", "1",
         "--gamma-list", "1/2", "--max-weight", "2", "--degree", "3",
         "--pairs", "2", "--rand-polys", "3", "--seed", "11", "--format", "json",
     ]
-    first = subprocess.run(args, capture_output=True, text=True)
-    second = subprocess.run(args, capture_output=True, text=True)
+    first = subprocess.run(args, capture_output=True, text=True, env=src_env)
+    second = subprocess.run(args, capture_output=True, text=True, env=src_env)
     assert first.returncode == 0 and second.returncode == 0
     assert first.stdout == second.stdout
 
@@ -672,24 +701,25 @@ def test_verify_accepts_weight_at_bounds(weight, capsys):
     assert code == 0 and out.startswith("jack_eigen: PASS")
 
 
-def test_poly_in_thirty_variables_returns():
+def test_poly_in_thirty_variables_returns(src_env):
     """The label (1) at N = 30 has a 30-member orbit; it is built without
     walking the 30! permutations of its exponents."""
     args = [sys.executable, "-m", "heckepoly", "poly", "--family", "jack", "--n", "30",
             "--beta", "1", "--lambda", "1"]
-    done = subprocess.run(args, capture_output=True, text=True, timeout=60)
+    done = subprocess.run(args, capture_output=True, text=True, timeout=60, env=src_env)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("x_1 + x_2 + ") and "x_30" in done.stdout
 
 
-def test_python_dash_m_entry_point():
+def test_python_dash_m_entry_point(src_env):
     args = [
         sys.executable, "-m", "heckepoly", "verify", "--suite", "jack_eigen",
         "--n-list", "2", "--beta-list", "1", "--max-weight", "2", "--degree", "2",
     ]
-    done = subprocess.run(args, capture_output=True, text=True)
+    done = subprocess.run(args, capture_output=True, text=True, env=src_env)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("jack_eigen: PASS")
-    bad = subprocess.run(args[:-4] + ["--max-weight", "-3"], capture_output=True, text=True)
+    bad = subprocess.run(args[:-4] + ["--max-weight", "-3"], capture_output=True, text=True,
+                         env=src_env)
     assert bad.returncode == 2
     assert bad.stderr.strip().startswith("error: grid out of bounds")

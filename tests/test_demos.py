@@ -1,7 +1,6 @@
 """Every demo script runs to completion: each asserts its own identities,
 and together they exercise the public API the README shows."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -17,12 +16,11 @@ def test_demos_present():
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
-def test_demo_runs(demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def test_demo_runs(demo, src_env):
     proc = subprocess.run(
         [sys.executable, str(demo)],
         cwd=ROOT,
-        env=env,
+        env=src_env,
         capture_output=True,
         text=True,
         timeout=300,

@@ -56,6 +56,9 @@ def test_nonsym_label_validation():
     for lam, w in [((1, 0), (2.0, 1.0)), ((1, 0), (True, 2)), ((1.0, 0), (2, 1))]:
         with pytest.raises(ValueError, match="not an int"):
             NonSymLabel(lam, w)
+    for lam in [(1, -1), (0, 1)]:  # not partitions, whatever the permutation
+        with pytest.raises(ValueError, match="is not weakly decreasing and non-negative"):
+            NonSymLabel(lam, (1, 2))
     label = NonSymLabel.from_composition((0, 1))
     assert label.lam == (1, 0) and label.w == (2, 1)
 

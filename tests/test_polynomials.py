@@ -277,6 +277,27 @@ def test_laurent_detection():
     assert Polynomial(2, {(0, 0): 1, (3, 0): 2}).terms == {(0, 0): 1, (3, 0): 2}
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Polynomial(2, {(0.5, 1): 1}),
+        lambda: Polynomial(2, {(True, 0): 1}),
+        lambda: Polynomial.monomial((0.5, 1)),
+        lambda: Polynomial.monomial((True, 0)),
+        lambda: Polynomial(2.0, {(1, 0): 1}),
+        lambda: Polynomial(True, {(1,): 1}),
+    ],
+    ids=["float-exponent", "bool-exponent", "float-monomial", "bool-monomial",
+         "float-nvars", "bool-nvars"],
+)
+def test_shape_entries_must_be_ints(build):
+    """A float or bool nvars or exponent entry is refused: stored, 0.5 would
+    print as x_1^0.5 and True would write "exp": [true, 0], which
+    from_json_dict refuses."""
+    with pytest.raises(ValueError, match="not an int"):
+        build()
+
+
 def test_json_round_trip_and_ordering():
     p = Polynomial(2, {(2, 0): Fraction(1), (0, 0): Fraction(-1, 2), (1, 1): Fraction(3)})
     data = p.to_json_dict()

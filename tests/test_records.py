@@ -1,12 +1,10 @@
 """Value semantics of the record types, and what a fresh process imports."""
 
 import copy
-import os
 import pickle
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -16,8 +14,6 @@ from heckepoly.parameters import FamilySpec, hermite_spec, jack_spec, laguerre_s
 from heckepoly.polynomials import Polynomial
 from heckepoly.shift import CalibrationReport
 from heckepoly.verify import GridSpec, SuiteReport
-
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # record type -> (the fields of one value, another value for each field to change)
@@ -116,14 +112,12 @@ def test_json_dicts_keep_their_key_order():
                                            "failures", "calibration"]
 
 
-def test_a_fresh_process_loads_no_dataclasses_inspect_or_csv():
+def test_a_fresh_process_loads_no_dataclasses_inspect_or_csv(src_env):
     """The record types are plain slotted classes and ``table`` imports
     ``csv`` itself, so starting ``verify`` loads none of these modules."""
     script = ("import sys, heckepoly, heckepoly.cli, heckepoly.verify; "
               "print(sorted({'dataclasses', 'inspect', 'csv'} & set(sys.modules)))")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, timeout=60)
+                          env=src_env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
